@@ -220,30 +220,15 @@ fn bench_kernel(c: &mut Criterion) {
         rows.push((name, cycles, start.elapsed().as_secs_f64()));
     }
 
-    // Pre-SoA baselines (nested RouterState + per-hop Packet clones), kept
-    // so the committed artifact records the before/after of the data-layout
-    // overhaul. `saturated` is the case the flat tables exist for.
-    let baseline = |name: &str| -> u64 {
-        match name {
-            "idle" => 42_442_265,
-            "idle_leap" => 3_149_606_299_213,
-            "low_load" => 94_026,
-            "low_load_leap" => 102_499,
-            "saturated" => 33_661,
-            "blocked" => 26_487_864,
-            _ => 0,
-        }
-    };
     let mut json = String::from(
         "{\n  \"bench\": \"active_router_kernel\",\n  \"mesh\": \"16x16\",\n  \"cases\": [\n",
     );
     let n = rows.len();
     for (i, (name, cycles, secs)) in rows.into_iter().enumerate() {
         let rate = cycles as f64 / secs;
-        let before = baseline(name);
         println!("kernel/{name:<30} {rate:>14.0} cycles/sec ({cycles} cycles)");
         json.push_str(&format!(
-            "    {{ \"name\": \"{name}\", \"cycles\": {cycles}, \"seconds\": {secs:.6}, \"cycles_per_sec\": {rate:.0}, \"pre_soa_cycles_per_sec\": {before} }}{}\n",
+            "    {{ \"name\": \"{name}\", \"cycles\": {cycles}, \"seconds\": {secs:.6}, \"cycles_per_sec\": {rate:.0} }}{}\n",
             if i + 1 < n { "," } else { "" }
         ));
     }

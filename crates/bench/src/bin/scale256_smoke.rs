@@ -18,7 +18,7 @@
 
 use sb_scenario::{Design, Scenario, TrafficSpec};
 
-/// The pre-SoA `saturated` rate (cycles/sec, BENCH_kernel.json): the same
+/// The pre-SoA `saturated` rate (cycles/sec on the reference box): the same
 /// absolute floor `saturated_smoke` pins, because threads=1 runs the
 /// identical sequential path and must not have been slowed by the
 /// parallel-tick plumbing.

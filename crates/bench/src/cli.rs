@@ -42,18 +42,17 @@ pub struct Args {
 }
 
 /// Keys every experiment binary accepts without declaring them. `--jobs`
-/// is the fleet-era spelling of `--threads`; both feed
-/// [`crate::sweep::default_threads`]. `--cache-dir` points the fleet's
-/// content-addressed result cache at a directory
+/// feeds [`crate::sweep::default_threads`]. `--cache-dir` points the
+/// fleet's content-addressed result cache at a directory
 /// ([`crate::sweep::cache_from_args`]).
-const BUILTIN_KEYS: &[&str] = &["jobs", "threads", "cache-dir", "help"];
+const BUILTIN_KEYS: &[&str] = &["jobs", "cache-dir", "help"];
 
 impl Args {
     /// Strictly parse the process arguments against a declared knob list.
     ///
     /// Prints the familiar `== name: what` banner to stderr, then parses.
     /// `--help` prints usage and exits 0; unknown options or stray positional
-    /// arguments print the usage banner and exit 2. `--threads` is accepted
+    /// arguments print the usage banner and exit 2. `--jobs` is accepted
     /// by every binary (see [`crate::sweep::default_threads`]).
     pub fn parse_spec(name: &str, what: &str, knobs: &[(&str, &str)]) -> Self {
         match Self::try_parse_spec(std::env::args().skip(1), name, what, knobs) {
@@ -117,7 +116,6 @@ impl Args {
         }
         s.push_str(
             "    --jobs         worker threads; 1 = sequential (default: available cores)\n    \
-             --threads      legacy alias for --jobs\n    \
              --cache-dir    memoize simulation results in this directory\n    --help\n",
         );
         s
@@ -251,21 +249,20 @@ mod tests {
 
     #[test]
     fn spec_accepts_declared_knobs_and_builtins() {
-        let a = strict(&["--topos", "16", "--sim", "--threads", "2"]).expect("valid argv");
+        let a = strict(&["--topos", "16", "--sim", "--jobs", "2"]).expect("valid argv");
         assert_eq!(a.get_usize("topos", 10), 16);
         assert!(a.flag("sim"));
-        assert_eq!(a.get_usize("threads", 4), 2);
+        assert_eq!(a.get_usize("jobs", 4), 2);
     }
 
     #[test]
-    fn spec_accepts_jobs_builtin_and_it_wins_over_legacy_threads() {
-        let a = strict(&["--jobs", "8"]).expect("--jobs is a builtin");
-        assert_eq!(a.get_usize("jobs", 1), 8);
-        // default_threads resolution order: --jobs, then legacy --threads.
-        let both = strict(&["--jobs", "8", "--threads", "2"]).expect("both accepted");
-        assert_eq!(both.get_usize("jobs", both.get_usize("threads", 0)), 8);
-        let legacy = strict(&["--threads", "2"]).expect("legacy alias accepted");
-        assert_eq!(legacy.get_usize("jobs", legacy.get_usize("threads", 0)), 2);
+    fn spec_rejects_the_retired_threads_alias() {
+        // `--threads` means parallel-tick threads in `sbsim`/`sweep`; the
+        // figure binaries' worker count has one spelling, `--jobs`.
+        let Err(ArgError::Bad(msg)) = strict(&["--threads", "2"]) else {
+            panic!("--threads must be rejected");
+        };
+        assert!(msg.contains("unknown option --threads"), "{msg}");
     }
 
     #[test]
@@ -293,7 +290,7 @@ mod tests {
         };
         assert!(usage.contains("a test binary"), "{usage}");
         assert!(usage.contains("--rate"), "{usage}");
-        assert!(usage.contains("--threads"), "{usage}");
+        assert!(usage.contains("--jobs"), "{usage}");
     }
 
     #[test]

@@ -53,24 +53,23 @@ pub fn sample_topologies_filtered(
 }
 
 /// Map `f` over `items` on up to `threads` OS threads (order-preserving).
-/// A thin wrapper over the fleet's work-stealing pool
-/// ([`sb_fleet::pool::ordered_map_unwrap`]); kept because every figure
-/// binary closes over `&T`.
+/// A thin wrapper over the shared work-stealing pool
+/// ([`sb_pool::ordered_map_unwrap`]); kept because every figure binary
+/// closes over `&T`.
 pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
 where
     T: Send + Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    sb_fleet::pool::ordered_map_unwrap(items, threads, |_, item| f(&item))
+    sb_pool::ordered_map_unwrap(items, threads, |_, item| f(&item))
 }
 
-/// Number of worker threads: `--jobs` (preferred) or the legacy
-/// `--threads`, defaulting to available parallelism. `--jobs 1` is the
-/// sequential reference path.
+/// Number of worker threads: `--jobs`, defaulting to available
+/// parallelism. `--jobs 1` is the sequential reference path.
 pub fn default_threads(args: &crate::Args) -> usize {
     let auto = std::thread::available_parallelism().map_or(4, |n| n.get());
-    args.get_usize("jobs", args.get_usize("threads", auto))
+    args.get_usize("jobs", auto)
 }
 
 /// The fleet cache configuration selected by `--cache-dir` (a builtin knob

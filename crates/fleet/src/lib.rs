@@ -10,7 +10,7 @@
 //! ```text
 //! SweepSpec ──expand()──▶ Vec<SweepRun>          (stable ScenarioIds)
 //!     │                        │
-//!     │                   pool::run_stream       (N workers, stealing)
+//!     │                   sb_pool::run_stream    (N workers, stealing)
 //!     │                        │  (index, Result<RunResult, panic>)
 //!     └──────── agg::aggregate ◀┘                (index-sorted finalize)
 //!                    │
@@ -25,7 +25,6 @@
 
 pub mod agg;
 pub mod cache;
-pub mod pool;
 pub mod spec;
 
 pub use agg::{
@@ -242,7 +241,7 @@ pub fn run_records(
     // journal it as it completes, and fan its result out.
     acct.simulated = misses.len();
     let slots: Vec<usize> = misses.iter().map(|(slot, _)| *slot).collect();
-    pool::run_stream(
+    sb_pool::run_stream(
         misses
             .iter()
             .map(|(_, run)| *run)

@@ -35,12 +35,11 @@ pub mod design;
 pub mod id;
 pub mod runner;
 pub mod spec;
-pub mod toml;
 
-// The JSON codec lives in `sb-sim` since the engine snapshots serialize
-// through it; re-exported here so `sb_scenario::{json, value}` paths (and
-// the crate-internal `crate::value::...` users) are unchanged.
-pub use sb_sim::{json, value};
+// The codecs live in `sb-sim` (engine snapshots serialize through JSON, and
+// the two text backends share one lexer); re-exported here so the
+// `sb_scenario::{json, toml, value}` paths are unchanged.
+pub use sb_sim::{json, toml, value};
 
 pub use design::{Design, RunOutcome, T_DD};
 pub use id::{fnv1a, ScenarioId};

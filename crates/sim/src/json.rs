@@ -4,10 +4,20 @@
 //! strings with the standard escapes, numbers, booleans and `null`. Floats
 //! render via Rust's shortest-round-trip `Debug` formatting, so
 //! `spec → JSON → spec` is lossless.
+//!
+//! The [`Cursor`] that lexes strings, numbers and arrays is shared with
+//! [`crate::toml`], whose values are spelled the same way.
 
-use crate::value::{to_value, SpecError, Value};
+use std::fmt::Write;
+
+use crate::value::{from_value, to_value, SpecError, Value};
 use serde::de::DeserializeOwned;
 use serde::ser::Serialize;
+
+/// Deepest array/object/table nesting either text parser accepts. Real
+/// specs and snapshots stay under ten; the bound turns a hostile
+/// `[[[[...` into an error instead of a stack overflow.
+pub const MAX_DEPTH: usize = 128;
 
 /// Serialize any value as pretty-printed JSON.
 pub fn to_json_string<T: Serialize + ?Sized>(value: &T) -> Result<String, SpecError> {
@@ -16,7 +26,7 @@ pub fn to_json_string<T: Serialize + ?Sized>(value: &T) -> Result<String, SpecEr
 
 /// Deserialize any value from JSON text.
 pub fn from_json_str<T: DeserializeOwned>(text: &str) -> Result<T, SpecError> {
-    crate::value::from_value(parse(text)?)
+    from_value(parse(text)?)
 }
 
 /// Render a [`Value`] as pretty-printed JSON (2-space indent).
@@ -28,13 +38,12 @@ pub fn render(value: &Value) -> String {
 }
 
 fn render_into(value: &Value, indent: usize, out: &mut String) {
+    let newline = |out: &mut String, indent: usize| {
+        out.push('\n');
+        out.extend(std::iter::repeat_n("  ", indent));
+    };
     match value {
         Value::Unit => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(n) => out.push_str(&n.to_string()),
-        Value::UInt(n) => out.push_str(&n.to_string()),
-        Value::Float(f) => out.push_str(&format!("{f:?}")),
-        Value::Str(s) => render_string(s, out),
         Value::Seq(items) if items.is_empty() => out.push_str("[]"),
         Value::Seq(items) => {
             out.push('[');
@@ -42,12 +51,10 @@ fn render_into(value: &Value, indent: usize, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent + 1));
+                newline(out, indent + 1);
                 render_into(item, indent + 1, out);
             }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
+            newline(out, indent);
             out.push(']');
         }
         Value::Map(entries) if entries.is_empty() => out.push_str("{}"),
@@ -57,20 +64,36 @@ fn render_into(value: &Value, indent: usize, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent + 1));
+                newline(out, indent + 1);
                 render_string(key, out);
                 out.push_str(": ");
                 render_into(item, indent + 1, out);
             }
-            out.push('\n');
-            out.push_str(&"  ".repeat(indent));
+            newline(out, indent);
             out.push('}');
         }
+        scalar => render_scalar(scalar, out),
     }
 }
 
-fn render_string(s: &str, out: &mut String) {
+/// Booleans, numbers and strings, which JSON and TOML spell alike.
+pub(crate) fn render_scalar(value: &Value, out: &mut String) {
+    let done = match value {
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Int(n) => write!(out, "{n}"),
+        Value::UInt(n) => write!(out, "{n}"),
+        Value::Float(f) => write!(out, "{f:?}"),
+        Value::Str(s) => {
+            render_string(s, out);
+            Ok(())
+        }
+        Value::Unit | Value::Seq(_) | Value::Map(_) => unreachable!("not a scalar"),
+    };
+    done.expect("writing to a String cannot fail");
+}
+
+/// A double-quoted string with the escapes both formats share.
+pub(crate) fn render_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -79,7 +102,9 @@ fn render_string(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\t' => out.push_str("\\t"),
             '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("writing to a String cannot fail")
+            }
             c => out.push(c),
         }
     }
@@ -88,28 +113,52 @@ fn render_string(s: &str, out: &mut String) {
 
 /// Parse JSON text into a [`Value`].
 pub fn parse(text: &str) -> Result<Value, SpecError> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(SpecError(format!(
-            "trailing garbage at byte {} of JSON input",
-            p.pos
-        )));
-    }
-    Ok(v)
+    Cursor::new(text, Dialect::Json).document()
 }
 
-struct Parser<'a> {
+/// Which spellings the [`Cursor`] admits beyond the shared ones.
+#[derive(Clone, Copy, PartialEq)]
+pub(crate) enum Dialect {
+    /// Objects and `null`.
+    Json,
+    /// `+` signs and `_` digit separators in numbers.
+    Toml,
+}
+
+/// A position in a text holding one value: the lexer for the literals JSON
+/// and TOML share (strings, numbers, booleans, arrays) plus JSON's own.
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
+    dialect: Dialect,
 }
 
-impl Parser<'_> {
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(text: &'a str, dialect: Dialect) -> Self {
+        Cursor {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+            dialect,
+        }
+    }
+
+    /// The single value the text holds, with nothing after it.
+    pub(crate) fn document(mut self) -> Result<Value, SpecError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing garbage"));
+        }
+        Ok(v)
+    }
+
+    fn error(&self, what: &str) -> SpecError {
+        SpecError(format!("{what} at byte {}", self.pos))
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -120,184 +169,160 @@ impl Parser<'_> {
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), SpecError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(SpecError(format!(
-                "expected `{}` at byte {}",
-                b as char, self.pos
-            )))
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
+    fn eat(&mut self, kw: &str) -> bool {
+        let hit = self.bytes[self.pos..].starts_with(kw.as_bytes());
+        if hit {
             self.pos += kw.len();
-            true
-        } else {
-            false
         }
+        hit
     }
 
     fn value(&mut self) -> Result<Value, SpecError> {
+        let json = self.dialect == Dialect::Json;
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
-            Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
-            Some(b'n') if self.eat_keyword("null") => Ok(Value::Unit),
+            Some(b'{') if json => self
+                .nested(b'}', |c, entries: &mut Vec<_>| {
+                    let key = c.string()?;
+                    c.skip_ws();
+                    if !c.eat(":") {
+                        return Err(c.error("expected `:`"));
+                    }
+                    c.skip_ws();
+                    entries.push((key, c.value()?));
+                    Ok(())
+                })
+                .map(Value::Map),
+            Some(b'[') => self
+                .nested(b']', |c, items: &mut Vec<_>| {
+                    items.push(c.value()?);
+                    Ok(())
+                })
+                .map(Value::Seq),
+            Some(b'"') => self.string().map(Value::Str),
+            Some(b't') if self.eat("true") => Ok(Value::Bool(true)),
+            Some(b'f') if self.eat("false") => Ok(Value::Bool(false)),
+            Some(b'n') if json && self.eat("null") => Ok(Value::Unit),
+            Some(b'+') if !json => self.number(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(SpecError(format!("unexpected JSON at byte {}", self.pos))),
+            _ => Err(self.error("unrecognized value")),
         }
     }
 
-    fn object(&mut self) -> Result<Value, SpecError> {
-        self.expect(b'{')?;
-        let mut entries = Vec::new();
+    /// A bracketed, comma-separated list closed by `close`; `item` parses
+    /// one element into `out`. The one place nesting deepens, so the one
+    /// place [`MAX_DEPTH`] is enforced.
+    fn nested<T>(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self, &mut Vec<T>) -> Result<(), SpecError>,
+    ) -> Result<Vec<T>, SpecError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        self.pos += 1; // opening bracket
+        let mut out = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Map(entries));
-        }
-        loop {
+        // TOML tolerates a trailing comma; JSON closes only after an item.
+        while self.peek() != Some(close) || (self.dialect == Dialect::Json && !out.is_empty()) {
+            item(self, &mut out)?;
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            entries.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Map(entries));
-                }
-                _ => {
-                    return Err(SpecError(format!(
-                        "expected `,` or `}}` at byte {}",
-                        self.pos
-                    )))
-                }
+            if self.peek() == Some(close) {
+                break;
             }
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, SpecError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Seq(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                _ => {
-                    return Err(SpecError(format!(
-                        "expected `,` or `]` at byte {}",
-                        self.pos
-                    )))
-                }
+            if !self.eat(",") {
+                return Err(self.error(&format!("expected `,` or `{}`", close as char)));
             }
+            self.skip_ws();
         }
+        self.pos += 1; // closing bracket
+        self.depth -= 1;
+        Ok(out)
     }
 
     fn string(&mut self) -> Result<String, SpecError> {
-        self.expect(b'"')?;
+        if !self.eat("\"") {
+            return Err(self.error("expected `\"`"));
+        }
         let mut out = String::new();
         loop {
             match self.peek() {
-                None => return Err(SpecError("unterminated string".into())),
+                None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
+                    out.push(match self.peek() {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b't') => '\t',
+                        Some(b'r') => '\r',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
                         Some(b'u') => {
-                            let hex = self
+                            let code = self
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| SpecError("truncated \\u escape".into()))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| SpecError("invalid \\u escape".into()))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| SpecError("invalid \\u escape".into()))?;
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| SpecError("invalid \\u code point".into()))?,
-                            );
+                                .and_then(|hex| std::str::from_utf8(hex).ok())
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .and_then(char::from_u32)
+                                .ok_or_else(|| self.error("invalid \\u escape"))?;
                             self.pos += 4;
+                            code
                         }
-                        _ => return Err(SpecError("invalid escape".into())),
-                    }
+                        _ => return Err(self.error("invalid escape")),
+                    });
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
+                    // Copy the run up to the next quote or escape. The input
+                    // is a `&str` and both delimiters are ASCII, so the run
+                    // ends on a character boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| SpecError("invalid UTF-8 in string".into()))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|b| matches!(b, b'"' | b'\\'))
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..len]).expect("str boundary"));
+                    self.pos += len;
                 }
             }
         }
     }
 
     fn number(&mut self) -> Result<Value, SpecError> {
+        let toml = self.dialect == Dialect::Toml;
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
+        self.pos += usize::from(matches!(self.peek(), Some(b'-' | b'+')));
         let mut is_float = false;
         while let Some(c) = self.peek() {
             match c {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
+                b'0'..=b'9' => {}
+                b'_' if toml => {}
+                b'.' | b'e' | b'E' => is_float = true,
+                b'-' | b'+' if is_float => {}
                 _ => break,
             }
+            self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        if is_float {
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| SpecError(format!("bad number `{text}`")))
+        let mut text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .expect("ascii")
+            .to_string();
+        if toml {
+            text.retain(|c| c != '_' && c != '+');
+        }
+        let parsed = if is_float {
+            text.parse().map(Value::Float).ok()
         } else if text.starts_with('-') {
-            text.parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| SpecError(format!("bad number `{text}`")))
+            text.parse().map(Value::Int).ok()
         } else {
-            text.parse::<u64>()
-                .map(Value::UInt)
-                .map_err(|_| SpecError(format!("bad number `{text}`")))
-        }
+            text.parse().map(Value::UInt).ok()
+        };
+        parsed.ok_or_else(|| SpecError(format!("bad number `{text}`")))
     }
 }
 
@@ -338,5 +363,17 @@ mod tests {
         assert!(parse("{").is_err());
         assert!(parse("[1,]").is_err());
         assert!(parse("12 34").is_err());
+        assert!(parse("+1").is_err());
+        assert!(parse("1_000").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        // Used to overflow the stack and abort the process.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.0.contains("128"), "{err}");
+        assert!(parse(&"{\"a\":".repeat(200_000)).is_err());
     }
 }

@@ -54,6 +54,7 @@ pub mod packet;
 pub mod plugin;
 pub mod snapshot;
 pub mod stats;
+pub mod toml;
 pub mod trace;
 pub mod traffic;
 pub mod value;

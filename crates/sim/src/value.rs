@@ -1,622 +1,22 @@
-//! A self-describing value tree bridging serde and the text formats.
+//! The self-describing value tree every spec, report and snapshot passes
+//! through on its way to or from text.
 //!
-//! The vendored serde has no `serde_json`/`toml` companions, so this module
-//! provides the middle layer both text backends share: any `Serialize` type
-//! folds into a [`Value`], any [`Value`] unfolds into a `Deserialize` type.
-//! Enums use the externally-tagged representation (`"Variant"` for unit
-//! variants, `{ "Variant": payload }` otherwise), matching what the derive
-//! macro emits.
+//! [`Value`] and the error type live in the vendored `serde` crate, where
+//! the derive macros target them directly; this module gives them their
+//! workspace names and the two conversion entry points the text backends
+//! ([`crate::json`], [`crate::toml`]) share.
 
-use std::fmt;
+use serde::de::DeserializeOwned;
+use serde::ser::Serialize;
 
-use serde::de::{
-    self, Deserialize, DeserializeOwned, Deserializer, EnumAccess, MapAccess, SeqAccess,
-    VariantAccess, Visitor,
-};
-use serde::ser::{
-    self, Serialize, SerializeMap, SerializeSeq, SerializeStruct, SerializeStructVariant,
-    SerializeTuple, SerializeTupleStruct, SerializeTupleVariant, Serializer,
-};
-
-/// Why a spec could not be (de)serialized or parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecError(pub String);
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for SpecError {}
-
-impl ser::Error for SpecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        SpecError(msg.to_string())
-    }
-}
-
-impl de::Error for SpecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        SpecError(msg.to_string())
-    }
-}
-
-/// One node of the format-independent data tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null` / absent.
-    Unit,
-    /// A boolean.
-    Bool(bool),
-    /// A negative integer.
-    Int(i64),
-    /// A non-negative integer.
-    UInt(u64),
-    /// A float.
-    Float(f64),
-    /// A string.
-    Str(String),
-    /// An ordered sequence.
-    Seq(Vec<Value>),
-    /// An ordered map (field order preserved for rendering).
-    Map(Vec<(String, Value)>),
-}
-
-impl Value {
-    fn kind(&self) -> &'static str {
-        match self {
-            Value::Unit => "unit",
-            Value::Bool(_) => "bool",
-            Value::Int(_) | Value::UInt(_) => "integer",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Seq(_) => "sequence",
-            Value::Map(_) => "map",
-        }
-    }
-}
+pub use serde::{Error as SpecError, Value};
 
 /// Fold any serializable type into a [`Value`].
 pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, SpecError> {
-    value.serialize(ValueSerializer)
+    value.to_value()
 }
 
 /// Unfold a [`Value`] into any deserializable type.
 pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T, SpecError> {
-    T::deserialize(ValueDeserializer(value))
-}
-
-// ---------------------------------------------------------------------------
-// Serialize -> Value
-// ---------------------------------------------------------------------------
-
-struct ValueSerializer;
-
-/// Builds a `Value::Seq`, optionally wrapped as `{ variant: [...] }`.
-struct SeqBuilder {
-    items: Vec<Value>,
-    variant: Option<&'static str>,
-}
-
-/// Builds a `Value::Map`, optionally wrapped as `{ variant: {...} }`.
-struct MapBuilder {
-    entries: Vec<(String, Value)>,
-    pending_key: Option<String>,
-    variant: Option<&'static str>,
-}
-
-impl SeqBuilder {
-    fn finish(self) -> Value {
-        let seq = Value::Seq(self.items);
-        match self.variant {
-            Some(v) => Value::Map(vec![(v.to_string(), seq)]),
-            None => seq,
-        }
-    }
-}
-
-impl MapBuilder {
-    fn finish(self) -> Value {
-        let map = Value::Map(self.entries);
-        match self.variant {
-            Some(v) => Value::Map(vec![(v.to_string(), map)]),
-            None => map,
-        }
-    }
-}
-
-impl Serializer for ValueSerializer {
-    type Ok = Value;
-    type Error = SpecError;
-    type SerializeSeq = SeqBuilder;
-    type SerializeTuple = SeqBuilder;
-    type SerializeTupleStruct = SeqBuilder;
-    type SerializeTupleVariant = SeqBuilder;
-    type SerializeMap = MapBuilder;
-    type SerializeStruct = MapBuilder;
-    type SerializeStructVariant = MapBuilder;
-
-    fn serialize_bool(self, v: bool) -> Result<Value, SpecError> {
-        Ok(Value::Bool(v))
-    }
-    fn serialize_i8(self, v: i8) -> Result<Value, SpecError> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i16(self, v: i16) -> Result<Value, SpecError> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i32(self, v: i32) -> Result<Value, SpecError> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i64(self, v: i64) -> Result<Value, SpecError> {
-        Ok(if v >= 0 {
-            Value::UInt(v as u64)
-        } else {
-            Value::Int(v)
-        })
-    }
-    fn serialize_u8(self, v: u8) -> Result<Value, SpecError> {
-        Ok(Value::UInt(v as u64))
-    }
-    fn serialize_u16(self, v: u16) -> Result<Value, SpecError> {
-        Ok(Value::UInt(v as u64))
-    }
-    fn serialize_u32(self, v: u32) -> Result<Value, SpecError> {
-        Ok(Value::UInt(v as u64))
-    }
-    fn serialize_u64(self, v: u64) -> Result<Value, SpecError> {
-        Ok(Value::UInt(v))
-    }
-    fn serialize_f32(self, v: f32) -> Result<Value, SpecError> {
-        Ok(Value::Float(v as f64))
-    }
-    fn serialize_f64(self, v: f64) -> Result<Value, SpecError> {
-        Ok(Value::Float(v))
-    }
-    fn serialize_char(self, v: char) -> Result<Value, SpecError> {
-        Ok(Value::Str(v.to_string()))
-    }
-    fn serialize_str(self, v: &str) -> Result<Value, SpecError> {
-        Ok(Value::Str(v.to_string()))
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<Value, SpecError> {
-        Ok(Value::Seq(
-            v.iter().map(|&b| Value::UInt(b as u64)).collect(),
-        ))
-    }
-    fn serialize_none(self) -> Result<Value, SpecError> {
-        Ok(Value::Unit)
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<Value, SpecError> {
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<Value, SpecError> {
-        Ok(Value::Unit)
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<Value, SpecError> {
-        Ok(Value::Unit)
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-    ) -> Result<Value, SpecError> {
-        Ok(Value::Str(variant.to_string()))
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<Value, SpecError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<Value, SpecError> {
-        Ok(Value::Map(vec![(
-            variant.to_string(),
-            value.serialize(self)?,
-        )]))
-    }
-    fn serialize_seq(self, len: Option<usize>) -> Result<SeqBuilder, SpecError> {
-        Ok(SeqBuilder {
-            items: Vec::with_capacity(len.unwrap_or(0)),
-            variant: None,
-        })
-    }
-    fn serialize_tuple(self, len: usize) -> Result<SeqBuilder, SpecError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_struct(
-        self,
-        _name: &'static str,
-        len: usize,
-    ) -> Result<SeqBuilder, SpecError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<SeqBuilder, SpecError> {
-        Ok(SeqBuilder {
-            items: Vec::with_capacity(len),
-            variant: Some(variant),
-        })
-    }
-    fn serialize_map(self, len: Option<usize>) -> Result<MapBuilder, SpecError> {
-        Ok(MapBuilder {
-            entries: Vec::with_capacity(len.unwrap_or(0)),
-            pending_key: None,
-            variant: None,
-        })
-    }
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<MapBuilder, SpecError> {
-        self.serialize_map(Some(len))
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-        len: usize,
-    ) -> Result<MapBuilder, SpecError> {
-        Ok(MapBuilder {
-            entries: Vec::with_capacity(len),
-            pending_key: None,
-            variant: Some(variant),
-        })
-    }
-}
-
-impl SerializeSeq for SeqBuilder {
-    type Ok = Value;
-    type Error = SpecError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), SpecError> {
-        self.items.push(value.serialize(ValueSerializer)?);
-        Ok(())
-    }
-    fn end(self) -> Result<Value, SpecError> {
-        Ok(self.finish())
-    }
-}
-
-impl SerializeTuple for SeqBuilder {
-    type Ok = Value;
-    type Error = SpecError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), SpecError> {
-        SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<Value, SpecError> {
-        Ok(self.finish())
-    }
-}
-
-impl SerializeTupleStruct for SeqBuilder {
-    type Ok = Value;
-    type Error = SpecError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), SpecError> {
-        SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<Value, SpecError> {
-        Ok(self.finish())
-    }
-}
-
-impl SerializeTupleVariant for SeqBuilder {
-    type Ok = Value;
-    type Error = SpecError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), SpecError> {
-        SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<Value, SpecError> {
-        Ok(self.finish())
-    }
-}
-
-impl SerializeMap for MapBuilder {
-    type Ok = Value;
-    type Error = SpecError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), SpecError> {
-        match key.serialize(ValueSerializer)? {
-            Value::Str(s) => self.pending_key = Some(s),
-            Value::UInt(n) => self.pending_key = Some(n.to_string()),
-            Value::Int(n) => self.pending_key = Some(n.to_string()),
-            other => {
-                return Err(SpecError(format!(
-                    "map keys must be strings or integers, got {}",
-                    other.kind()
-                )))
-            }
-        }
-        Ok(())
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), SpecError> {
-        let key = self
-            .pending_key
-            .take()
-            .ok_or_else(|| SpecError("serialize_value before serialize_key".into()))?;
-        self.entries.push((key, value.serialize(ValueSerializer)?));
-        Ok(())
-    }
-    fn end(self) -> Result<Value, SpecError> {
-        Ok(self.finish())
-    }
-}
-
-impl SerializeStruct for MapBuilder {
-    type Ok = Value;
-    type Error = SpecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), SpecError> {
-        self.entries
-            .push((key.to_string(), value.serialize(ValueSerializer)?));
-        Ok(())
-    }
-    fn end(self) -> Result<Value, SpecError> {
-        Ok(self.finish())
-    }
-}
-
-impl SerializeStructVariant for MapBuilder {
-    type Ok = Value;
-    type Error = SpecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), SpecError> {
-        SerializeStruct::serialize_field(self, key, value)
-    }
-    fn end(self) -> Result<Value, SpecError> {
-        Ok(self.finish())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Value -> Deserialize
-// ---------------------------------------------------------------------------
-
-struct ValueDeserializer(Value);
-
-impl<'de> Deserializer<'de> for ValueDeserializer {
-    type Error = SpecError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SpecError> {
-        match self.0 {
-            Value::Unit => visitor.visit_unit(),
-            Value::Bool(b) => visitor.visit_bool(b),
-            Value::Int(n) => visitor.visit_i64(n),
-            Value::UInt(n) => visitor.visit_u64(n),
-            Value::Float(f) => visitor.visit_f64(f),
-            Value::Str(s) => visitor.visit_string(s),
-            Value::Seq(items) => visitor.visit_seq(SeqDeserializer {
-                iter: items.into_iter(),
-            }),
-            Value::Map(entries) => visitor.visit_map(MapDeserializer {
-                iter: entries.into_iter(),
-                pending: None,
-            }),
-        }
-    }
-
-    fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SpecError> {
-        // Text formats write `1` for `1.0`; coerce integers into floats.
-        match self.0 {
-            Value::Int(n) => visitor.visit_f64(n as f64),
-            Value::UInt(n) => visitor.visit_f64(n as f64),
-            other => ValueDeserializer(other).deserialize_any(visitor),
-        }
-    }
-
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, SpecError> {
-        match self.0 {
-            Value::Unit => visitor.visit_none(),
-            other => visitor.visit_some(ValueDeserializer(other)),
-        }
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, SpecError> {
-        let (tag, payload) = match self.0 {
-            Value::Str(tag) => (tag, None),
-            Value::Map(mut entries) if entries.len() == 1 => {
-                let (tag, payload) = entries.pop().expect("len checked");
-                (tag, Some(payload))
-            }
-            other => {
-                return Err(SpecError(format!(
-                    "enum `{name}` expects a string tag or single-entry map, got {}",
-                    other.kind()
-                )))
-            }
-        };
-        visitor.visit_enum(EnumDeserializer { tag, payload })
-    }
-}
-
-struct SeqDeserializer {
-    iter: std::vec::IntoIter<Value>,
-}
-
-impl<'de> SeqAccess<'de> for SeqDeserializer {
-    type Error = SpecError;
-    fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, SpecError> {
-        match self.iter.next() {
-            Some(v) => T::deserialize(ValueDeserializer(v)).map(Some),
-            None => Ok(None),
-        }
-    }
-    fn size_hint(&self) -> Option<usize> {
-        Some(self.iter.len())
-    }
-}
-
-struct MapDeserializer {
-    iter: std::vec::IntoIter<(String, Value)>,
-    pending: Option<Value>,
-}
-
-impl<'de> MapAccess<'de> for MapDeserializer {
-    type Error = SpecError;
-    fn next_key<K: Deserialize<'de>>(&mut self) -> Result<Option<K>, SpecError> {
-        match self.iter.next() {
-            Some((k, v)) => {
-                self.pending = Some(v);
-                K::deserialize(ValueDeserializer(Value::Str(k))).map(Some)
-            }
-            None => Ok(None),
-        }
-    }
-    fn next_value<V: Deserialize<'de>>(&mut self) -> Result<V, SpecError> {
-        let v = self
-            .pending
-            .take()
-            .ok_or_else(|| SpecError("next_value before next_key".into()))?;
-        V::deserialize(ValueDeserializer(v))
-    }
-}
-
-struct EnumDeserializer {
-    tag: String,
-    payload: Option<Value>,
-}
-
-impl<'de> EnumAccess<'de> for EnumDeserializer {
-    type Error = SpecError;
-    type Variant = VariantDeserializer;
-    fn variant<V: Deserialize<'de>>(self) -> Result<(V, VariantDeserializer), SpecError> {
-        let tag = V::deserialize(ValueDeserializer(Value::Str(self.tag)))?;
-        Ok((
-            tag,
-            VariantDeserializer {
-                payload: self.payload,
-            },
-        ))
-    }
-}
-
-struct VariantDeserializer {
-    payload: Option<Value>,
-}
-
-impl<'de> VariantAccess<'de> for VariantDeserializer {
-    type Error = SpecError;
-
-    fn unit_variant(self) -> Result<(), SpecError> {
-        match self.payload {
-            None | Some(Value::Unit) => Ok(()),
-            Some(other) => Err(SpecError(format!(
-                "unit variant carries no data, got {}",
-                other.kind()
-            ))),
-        }
-    }
-
-    fn newtype_variant<T: Deserialize<'de>>(self) -> Result<T, SpecError> {
-        let payload = self
-            .payload
-            .ok_or_else(|| SpecError("newtype variant missing its payload".into()))?;
-        T::deserialize(ValueDeserializer(payload))
-    }
-
-    fn tuple_variant<V: Visitor<'de>>(
-        self,
-        _len: usize,
-        visitor: V,
-    ) -> Result<V::Value, SpecError> {
-        match self.payload {
-            Some(Value::Seq(items)) => visitor.visit_seq(SeqDeserializer {
-                iter: items.into_iter(),
-            }),
-            Some(other) => Err(SpecError(format!(
-                "tuple variant expects a sequence, got {}",
-                other.kind()
-            ))),
-            None => Err(SpecError("tuple variant missing its payload".into())),
-        }
-    }
-
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        _fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, SpecError> {
-        match self.payload {
-            Some(Value::Map(entries)) => visitor.visit_map(MapDeserializer {
-                iter: entries.into_iter(),
-                pending: None,
-            }),
-            Some(other) => Err(SpecError(format!(
-                "struct variant expects a map, got {}",
-                other.kind()
-            ))),
-            None => Err(SpecError("struct variant missing its payload".into())),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use serde::{Deserialize, Serialize};
-
-    #[derive(Debug, PartialEq, Serialize, Deserialize)]
-    struct Sample {
-        id: u32,
-        ratio: f64,
-        label: String,
-        flags: Vec<bool>,
-    }
-
-    #[test]
-    fn struct_round_trips_through_value() {
-        let s = Sample {
-            id: 7,
-            ratio: 0.25,
-            label: "x".into(),
-            flags: vec![true, false],
-        };
-        let v = to_value(&s).unwrap();
-        assert_eq!(from_value::<Sample>(v).unwrap(), s);
-    }
-
-    #[test]
-    fn integers_coerce_into_float_fields() {
-        let v = Value::Map(vec![
-            ("id".into(), Value::UInt(1)),
-            ("ratio".into(), Value::UInt(2)),
-            ("label".into(), Value::Str("y".into())),
-            ("flags".into(), Value::Seq(vec![])),
-        ]);
-        assert_eq!(from_value::<Sample>(v).unwrap().ratio, 2.0);
-    }
-
-    #[test]
-    fn unknown_fields_are_rejected_by_derive() {
-        let v = Value::Map(vec![
-            ("id".into(), Value::UInt(1)),
-            ("ratio".into(), Value::Float(0.5)),
-            ("label".into(), Value::Str("y".into())),
-            ("flags".into(), Value::Seq(vec![])),
-            ("bogus".into(), Value::UInt(9)),
-        ]);
-        // The derive skips unknown fields via IgnoredAny (serde's default).
-        assert!(from_value::<Sample>(v).is_ok());
-    }
+    T::from_value(value)
 }

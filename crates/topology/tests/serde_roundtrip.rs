@@ -3,244 +3,34 @@
 //! checked in and replayed.
 
 use rand::SeedableRng;
-use sb_topology::{FaultKind, FaultModel, Floorplan, Mesh};
+use sb_topology::{FaultKind, FaultModel, Floorplan, Mesh, Topology};
+use serde::{Deserialize, Serialize};
 
-/// A tiny serializer that counts emitted primitive values — enough to prove
-/// the `Serialize` impls walk the whole structure without a format crate.
-#[derive(Default)]
-struct CountingSink {
-    count: usize,
-}
-
-impl CountingSink {
-    fn count_of<T: serde::Serialize>(value: &T) -> usize {
-        let mut sink = CountingSink::default();
-        value
-            .serialize(serde_value_counter::Counter(&mut sink))
-            .expect("serialization succeeds");
-        sink.count
-    }
-}
-
-mod serde_value_counter {
-    //! Minimal serde serializer that counts leaf values.
-    use super::CountingSink;
-    use serde::ser::*;
-
-    pub struct Counter<'a>(pub &'a mut CountingSink);
-
-    macro_rules! leaf {
-        ($($m:ident: $t:ty),* $(,)?) => {
-            $(fn $m(self, _v: $t) -> Result<(), Error> { self.0.count += 1; Ok(()) })*
-        };
-    }
-
-    #[derive(Debug)]
-    pub struct Error;
-    impl std::fmt::Display for Error {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "counting serializer error")
-        }
-    }
-    impl std::error::Error for Error {}
-    impl serde::ser::Error for Error {
-        fn custom<T: std::fmt::Display>(_msg: T) -> Self {
-            Error
-        }
-    }
-
-    impl<'a> Serializer for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        type SerializeSeq = Self;
-        type SerializeTuple = Self;
-        type SerializeTupleStruct = Self;
-        type SerializeTupleVariant = Self;
-        type SerializeMap = Self;
-        type SerializeStruct = Self;
-        type SerializeStructVariant = Self;
-
-        leaf! {
-            serialize_bool: bool, serialize_i8: i8, serialize_i16: i16,
-            serialize_i32: i32, serialize_i64: i64, serialize_u8: u8,
-            serialize_u16: u16, serialize_u32: u32, serialize_u64: u64,
-            serialize_f32: f32, serialize_f64: f64, serialize_char: char,
-            serialize_str: &str, serialize_bytes: &[u8],
-        }
-
-        fn serialize_none(self) -> Result<(), Error> {
-            self.0.count += 1;
-            Ok(())
-        }
-        fn serialize_some<T: Serialize + ?Sized>(self, v: &T) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn serialize_unit(self) -> Result<(), Error> {
-            self.0.count += 1;
-            Ok(())
-        }
-        fn serialize_unit_struct(self, _n: &'static str) -> Result<(), Error> {
-            self.0.count += 1;
-            Ok(())
-        }
-        fn serialize_unit_variant(
-            self,
-            _n: &'static str,
-            _i: u32,
-            _v: &'static str,
-        ) -> Result<(), Error> {
-            self.0.count += 1;
-            Ok(())
-        }
-        fn serialize_newtype_struct<T: Serialize + ?Sized>(
-            self,
-            _n: &'static str,
-            v: &T,
-        ) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn serialize_newtype_variant<T: Serialize + ?Sized>(
-            self,
-            _n: &'static str,
-            _i: u32,
-            _v: &'static str,
-            v: &T,
-        ) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn serialize_seq(self, _len: Option<usize>) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_tuple(self, _len: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_tuple_struct(self, _n: &'static str, _l: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_tuple_variant(
-            self,
-            _n: &'static str,
-            _i: u32,
-            _v: &'static str,
-            _l: usize,
-        ) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_map(self, _len: Option<usize>) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_struct(self, _n: &'static str, _l: usize) -> Result<Self, Error> {
-            Ok(self)
-        }
-        fn serialize_struct_variant(
-            self,
-            _n: &'static str,
-            _i: u32,
-            _v: &'static str,
-            _l: usize,
-        ) -> Result<Self, Error> {
-            Ok(self)
-        }
-    }
-
-    impl<'a> SerializeSeq for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_element<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl<'a> SerializeTuple for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_element<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl<'a> SerializeTupleStruct for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl<'a> SerializeTupleVariant for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl<'a> SerializeMap for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_key<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn serialize_value<T: Serialize + ?Sized>(&mut self, v: &T) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl<'a> SerializeStruct for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: Serialize + ?Sized>(
-            &mut self,
-            _k: &'static str,
-            v: &T,
-        ) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
-    impl<'a> SerializeStructVariant for Counter<'a> {
-        type Ok = ();
-        type Error = Error;
-        fn serialize_field<T: Serialize + ?Sized>(
-            &mut self,
-            _k: &'static str,
-            v: &T,
-        ) -> Result<(), Error> {
-            v.serialize(Counter(self.0))
-        }
-        fn end(self) -> Result<(), Error> {
-            Ok(())
-        }
-    }
+/// `x → Value → x`, through the same tree the JSON/TOML backends render.
+fn round_trip<T: Serialize + Deserialize>(x: &T) -> T {
+    T::from_value(x.to_value().expect("serializes")).expect("deserializes")
 }
 
 #[test]
-fn topology_serializes_completely() {
+fn topology_round_trips() {
     let mesh = Mesh::new(8, 8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let topo = FaultModel::new(FaultKind::Links, 10).inject(mesh, &mut rng);
-    let leaves = CountingSink::count_of(&topo);
-    // 2 mesh dims + 64 router bits + 64×4 link bits = at least 322 leaves.
-    assert!(leaves >= 322, "only {leaves} leaves serialized");
+    for (kind, count) in [(FaultKind::Links, 10), (FaultKind::Routers, 6)] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let topo = FaultModel::new(kind, count).inject(mesh, &mut rng);
+        assert_ne!(
+            topo,
+            Topology::full(mesh),
+            "the faults are part of the value"
+        );
+        assert_eq!(round_trip(&topo), topo);
+    }
 }
 
 #[test]
-fn floorplan_serializes() {
+fn floorplan_round_trips() {
     let mesh = Mesh::new(8, 8);
     let mut rng = rand::rngs::StdRng::seed_from_u64(2);
     let plan = Floorplan::generate(mesh, 2, 3, &mut rng);
-    let leaves = CountingSink::count_of(&plan);
-    assert!(leaves >= 2 + plan.tiles.len() * 4);
+    assert!(!plan.tiles.is_empty());
+    assert_eq!(round_trip(&plan), plan);
 }

@@ -102,6 +102,33 @@ fn example_scenario_file_drives_a_run() {
 }
 
 #[test]
+fn misspelt_scenario_key_is_rejected_by_name() {
+    // `audit_evry` next to `audit_every` used to load without complaint and
+    // silently run unaudited.
+    let example = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/examples/deadlock_recovery.toml"
+    ))
+    .expect("read example");
+    let typo = example.replace("audit_every = 0", "audit_every = 0\naudit_evry = 5");
+    assert_ne!(typo, example);
+    let path = std::env::temp_dir().join(format!("sbsim_typo_{}.toml", std::process::id()));
+    std::fs::write(&path, typo).expect("write spec");
+    let out = Command::new(env!("CARGO_BIN_EXE_sbsim"))
+        .args(["--scenario", path.to_str().unwrap(), "--cycles", "100"])
+        .output()
+        .expect("sbsim runs");
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown field `audit_evry`"), "{err}");
+    assert!(
+        err.contains("\"audit_every\""),
+        "expected fields listed: {err}"
+    );
+}
+
+#[test]
 fn dumped_scenario_reproduces_the_flag_run() {
     let flags = &[
         "--design",
