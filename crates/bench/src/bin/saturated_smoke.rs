@@ -1,42 +1,47 @@
-//! Performance smoke test for the saturated allocator regime: the case the
-//! SoA tables, bitset candidate masks and arena packet store were built
-//! for. Runs the `saturated` row of `BENCH_kernel.json` (16×16 unprotected
-//! mesh at rate 0.6) once with a plain timing loop and **fails** if the
-//! cycle rate regresses below the pre-SoA baseline — a cheap CI tripwire,
-//! not a benchmark (use `cargo bench -p sb-bench` for real numbers).
+//! Performance smoke test for the saturated regime: every router contends
+//! every cycle, so candidate collection, the winner search, commit, route
+//! stamping and injection-queue growth all run flat out. Runs the
+//! `saturated` row of `BENCH_kernel.json` ([`sb_bench::saturated_scenario`]:
+//! a live, past-the-knee up*/down* 16×16) once with a plain timing loop and
+//! **fails** if the network left its regime or the cycle rate fell below
+//! the floor — a cheap CI tripwire, not a benchmark (use
+//! `bash benchmark/run.sh --workload saturated` for real numbers).
 //!
 //! ```text
 //! cargo run --release -p sb-bench --bin saturated_smoke
 //! ```
 
-use sb_scenario::{Design, Scenario, TrafficSpec};
-
-/// The committed `saturated` rate of the nested-`Vec` engine this overhaul
-/// replaced (cycles/sec on the reference machine). Dropping below the old
-/// layout's absolute rate means the layout work has been undone — machine
-/// variance moves this by tens of percent, not the 5× the SoA tables buy.
-const FLOOR_CYCLES_PER_SEC: f64 = 33_661.0;
+/// A quarter of the rate measured when up*/down* routes became table walks
+/// (53k cycles/sec on the 2-core reference box; 9.4k before, when every
+/// offered packet cost two breadth-first searches). Machine variance moves
+/// the rate by tens of percent; losing the route tables moves it 5×.
+const FLOOR_CYCLES_PER_SEC: f64 = 13_000.0;
 
 fn main() {
     let cycles = 20_000u64;
-    let mut sim = Scenario::new("saturated-smoke", Design::Unprotected)
-        .with_mesh(16, 16)
-        .with_traffic(TrafficSpec::Uniform {
-            rate: 0.6,
-            single_vnet: true,
-        })
-        .with_seed(5)
-        .build();
+    let mut sim = sb_bench::saturated_scenario("saturated-smoke").build();
     sim.warmup(1_000);
     let start = std::time::Instant::now();
     sim.run(cycles);
     let secs = start.elapsed().as_secs_f64();
     let rate = cycles as f64 / secs;
-    println!("saturated_smoke: {rate:.0} cycles/sec over {cycles} cycles ({secs:.3}s)");
-    println!("floor (pre-SoA baseline): {FLOOR_CYCLES_PER_SEC:.0} cycles/sec");
+    let stats = sim.stats();
+    println!(
+        "saturated_smoke: {rate:.0} cycles/sec over {cycles} cycles ({secs:.3}s), \
+         {} packets delivered, acceptance {:.3}",
+        stats.delivered_packets,
+        stats.acceptance()
+    );
+    assert!(
+        sb_bench::is_live_saturated(stats),
+        "not a live saturated network: {} packets delivered, acceptance {:.3} (want 0.2..=0.6)",
+        stats.delivered_packets,
+        stats.acceptance()
+    );
+    println!("floor: {FLOOR_CYCLES_PER_SEC:.0} cycles/sec");
     assert!(
         rate >= FLOOR_CYCLES_PER_SEC,
-        "saturated cycle rate {rate:.0} fell below the pre-SoA floor {FLOOR_CYCLES_PER_SEC:.0}"
+        "saturated cycle rate {rate:.0} fell below the floor {FLOOR_CYCLES_PER_SEC:.0}"
     );
     println!("ok ({:.1}x the floor)", rate / FLOOR_CYCLES_PER_SEC);
 }

@@ -1,12 +1,16 @@
 //! Perf-floor smoke test for the deterministic parallel tick at the
-//! paper's 256-core scale point: a saturated 16×16 mesh, run at threads=1
-//! and threads=4.
+//! paper's 256-core scale point: an unprotected 16×16 mesh driven at 0.6
+//! flits/node/cycle, run at threads=1 and threads=4. (That mesh fills and
+//! wedges during the warmup and delivers nothing afterwards — see the
+//! finding in `benchmark/README.md` — so the timed window is the tick on a
+//! full, blocked network; whether that is the right load for this check is
+//! ROADMAP item 2(c)'s question.)
 //!
 //! Three checks, in increasing strictness:
 //! 1. always — both runs produce bit-identical [`sb_sim::Stats`] (the
 //!    parallel tick's core contract, cheap to re-verify here);
-//! 2. always — the sequential rate stays above the pre-SoA floor, like
-//!    `saturated_smoke`;
+//! 2. always — the sequential rate stays above the rate the pre-SoA layout
+//!    reached on this same run;
 //! 3. on runners with >= 4 cores — threads=4 is at least 1.5× faster than
 //!    threads=1. On fewer cores (the committed BENCH numbers come from a
 //!    1-core box, where the pre-pass only adds handoff cost) the speedup
@@ -18,10 +22,9 @@
 
 use sb_scenario::{Design, Scenario, TrafficSpec};
 
-/// The pre-SoA `saturated` rate (cycles/sec on the reference box): the same
-/// absolute floor `saturated_smoke` pins, because threads=1 runs the
-/// identical sequential path and must not have been slowed by the
-/// parallel-tick plumbing.
+/// The rate of the nested-`Vec` engine on this run (cycles/sec on the
+/// reference box): threads=1 runs the sequential path and must not have
+/// been slowed by the parallel-tick plumbing.
 const FLOOR_CYCLES_PER_SEC: f64 = 33_661.0;
 
 /// Required threads=4 over threads=1 speedup on a >= 4-core runner.
@@ -62,7 +65,7 @@ fn main() {
     );
     assert!(
         seq_rate >= FLOOR_CYCLES_PER_SEC,
-        "sequential saturated rate {seq_rate:.0} fell below the pre-SoA floor \
+        "sequential rate {seq_rate:.0} fell below the pre-SoA floor \
          {FLOOR_CYCLES_PER_SEC:.0}"
     );
     if cores >= 4 {

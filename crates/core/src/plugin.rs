@@ -470,6 +470,15 @@ pub struct StaticBubblePlugin {
     events: VecDeque<ProtoEvent>,
     /// Events discarded because the ring was full.
     events_lost: u64,
+    /// The routers whose `prot` entry has `is_deadlock` set, in no
+    /// particular order: what the TTL sweep and [`Plugin::next_timer`]
+    /// visit instead of every router. Derived from `prot` (rebuilt on
+    /// restore, cross-checked by the audit), maintained by
+    /// [`Self::set_restriction`].
+    frozen: Vec<NodeId>,
+    /// Per-tick scratch: the routers whose FSM (or bubble occupant) has
+    /// work this tick. Kept only for its capacity.
+    due: Vec<NodeId>,
 }
 
 impl StaticBubblePlugin {
@@ -520,7 +529,28 @@ impl StaticBubblePlugin {
             trace_on: false,
             events: VecDeque::new(),
             events_lost: 0,
+            frozen: Vec::new(),
+            due: Vec::new(),
         }
+    }
+
+    /// Replace `router`'s restriction registers, keeping the `frozen` index
+    /// in step. Any change to them changes what `allow_grant` permits
+    /// there, so the router is woken (wakeup invariant, see
+    /// `sb_sim::Plugin`).
+    fn set_restriction(&mut self, core: &mut NetCore, router: NodeId, state: ProtState) {
+        let prot = &mut self.prot[router.index()];
+        match (prot.is_deadlock, state.is_deadlock) {
+            (false, true) => self.frozen.push(router),
+            (true, false) => {
+                let at = self.frozen.iter().position(|&r| r == router);
+                self.frozen
+                    .swap_remove(at.expect("frozen router is indexed"));
+            }
+            _ => {}
+        }
+        *prot = state;
+        core.touch(router);
     }
 
     /// The always-on protocol counters.
@@ -559,7 +589,7 @@ impl StaticBubblePlugin {
 
     /// Number of routers currently frozen (`is_deadlock` set).
     pub fn frozen_routers(&self) -> usize {
-        self.prot.iter().filter(|p| p.is_deadlock).count()
+        self.frozen.len()
     }
 
     /// Diagnostic view of frozen routers: `(router, (in, out), source)`.
@@ -746,10 +776,6 @@ impl StaticBubblePlugin {
     /// Apply the state mutation of a transit message that won its output.
     /// Returns whether the message may be forwarded — `false` rejects it
     /// outright (nothing was mutated, nothing is sent).
-    ///
-    /// Changing a router's injection restriction changes what `allow_grant`
-    /// permits there, so both the disable and enable paths wake the router
-    /// (wakeup invariant, see `sb_sim::Plugin`).
     fn apply_transit(
         &mut self,
         core: &mut NetCore,
@@ -785,12 +811,13 @@ impl StaticBubblePlugin {
                     });
                     return false;
                 }
-                let prot = &mut self.prot[router.index()];
-                prot.is_deadlock = true;
-                prot.io = Some((in_port, out));
-                prot.source = Some(msg.sender);
-                prot.expires_at = self_expiry;
-                core.touch(router);
+                let frozen = ProtState {
+                    is_deadlock: true,
+                    io: Some((in_port, out)),
+                    source: Some(msg.sender),
+                    expires_at: self_expiry,
+                };
+                self.set_restriction(core, router, frozen);
                 // An SB node in detection that processes a (higher-id)
                 // disable sends its counter to SOff.
                 if let Some(fsm) = self.fsms.get_mut(&router) {
@@ -800,12 +827,13 @@ impl StaticBubblePlugin {
                 }
             }
             MsgKind::Enable => {
-                let prot = &mut self.prot[router.index()];
+                let prot = self.prot[router.index()];
                 if prot.source == Some(msg.sender) {
-                    prot.is_deadlock = false;
-                    prot.io = None;
-                    prot.source = None;
-                    core.touch(router);
+                    let lifted = ProtState {
+                        expires_at: prot.expires_at,
+                        ..ProtState::default()
+                    };
+                    self.set_restriction(core, router, lifted);
                 }
             }
             MsgKind::Probe | MsgKind::CheckProbe => {}
@@ -969,15 +997,13 @@ impl StaticBubblePlugin {
                     out,
                     vnet,
                 });
-                self.prot[router.index()] = ProtState {
+                let frozen = ProtState {
                     is_deadlock: true,
                     io: Some((in_port, out)),
                     source: Some(router),
                     expires_at: core.time() + self.restriction_ttl,
                 };
-                // Restriction changed what allow_grant permits here
-                // (wakeup invariant; bubble_activate wakes the feeder).
-                core.touch(router);
+                self.set_restriction(core, router, frozen);
                 core.bubble_activate(router, in_port, vnet);
                 core.stats_mut().deadlocks_recovered += 1;
                 None
@@ -1007,9 +1033,7 @@ impl StaticBubblePlugin {
                 let fsm = self.fsms.get_mut(&router).expect("checked SB node");
                 let after = fsm.watching.map(|w| (w.port, w.vc));
                 fsm.clear_recovery();
-                self.prot[router.index()] = ProtState::default();
-                // Lifting the local restriction re-enables grants here.
-                core.touch(router);
+                self.set_restriction(core, router, ProtState::default());
                 let fsm = self.fsms.get_mut(&router).expect("still an SB node");
                 if let Some(ptr) = Self::next_occupied_vc(core, router, after) {
                     fsm.watching = Some(ptr);
@@ -1028,14 +1052,16 @@ impl StaticBubblePlugin {
     /// is what lets the bubble be re-claimed even when its occupant is stuck
     /// behind unrelated congestion.
     fn relocate_bubble_occupants(&mut self, core: &mut NetCore) {
-        let nodes: Vec<NodeId> = self.fsms.keys().copied().collect();
-        for router in nodes {
-            let Some((port, vnet)) = core.bubble_attach(router) else {
-                continue;
-            };
-            if core.bubble_occupant(router).is_none() {
-                continue;
-            }
+        // A relocation touches no other router, so selecting the occupied
+        // attached bubbles first selects the same set.
+        let mut due = std::mem::take(&mut self.due);
+        due.extend(
+            self.fsms
+                .keys()
+                .filter(|&&n| core.bubble_attach(n).is_some() && core.bubble_occupant(n).is_some()),
+        );
+        for router in due.drain(..) {
+            let (port, vnet) = core.bubble_attach(router).expect("selected as attached");
             let Some(free_vc) = core.first_free_regular_vc(router, port, vnet) else {
                 continue;
             };
@@ -1054,6 +1080,7 @@ impl StaticBubblePlugin {
             // The bubble is re-claimed: same transition as on_bubble_freed.
             self.on_bubble_freed(core, router);
         }
+        self.due = due;
     }
 
     // ------------------------------------------------------------------
@@ -1066,34 +1093,69 @@ impl StaticBubblePlugin {
         router: NodeId,
         after: Option<(Direction, u8)>,
     ) -> Option<VcPointer> {
-        let vcs = core.config().vcs_per_port() as u8;
-        let total = 4 * vcs as usize;
+        let vcs = core.config().vcs_per_port();
         let start = match after {
-            Some((p, v)) => p.index() * vcs as usize + v as usize + 1,
+            Some((p, v)) => p.index() * vcs + v as usize + 1,
             None => 0,
         };
-        for k in 0..total {
-            let i = (start + k) % total;
-            let port = Direction::from_index(i / vcs as usize);
-            let vc = (i % vcs as usize) as u8;
-            if let Some(pkt) = core.vc_occupant(VcRef { router, port, vc }) {
-                return Some(VcPointer {
-                    port,
-                    vc,
-                    pkt: pkt.id,
-                });
-            }
+        // Bit `port * vcs + vc` of the occupancy word is the slot's place in
+        // the cyclic order: the first set bit at or after `start`, else
+        // (wrapping) the first set bit at all.
+        let occupied = core.occupancy_mask(router);
+        let ahead = occupied & (u64::MAX << start);
+        let first = if ahead != 0 { ahead } else { occupied };
+        if first == 0 {
+            return None;
         }
-        None
+        let i = first.trailing_zeros() as usize;
+        let (port, vc) = (Direction::from_index(i / vcs), (i % vcs) as u8);
+        let pkt = core
+            .vc_occupant(VcRef { router, port, vc })
+            .expect("occupancy bit set");
+        Some(VcPointer {
+            port,
+            vc,
+            pkt: pkt.id,
+        })
     }
 
-    /// Advance the counter FSM at `router` by one executed tick. `dt` is the
-    /// number of cycles since the previous executed tick (always 1 under the
-    /// step clock); counters advance by `dt` because every skipped cycle
-    /// provably satisfied the same increment condition (nothing moves during
-    /// a leaped gap), and [`Plugin::next_timer`] guarantees the gap never
-    /// overshoots a threshold crossing.
-    fn tick_fsm(&mut self, core: &mut NetCore, router: NodeId, dt: u64) {
+    /// The packet the FSM's VC pointer watches, while it still sits in that
+    /// VC and waits for a mesh output (the SDd counting condition).
+    fn watched_waiting<'c>(
+        core: &'c NetCore,
+        router: NodeId,
+        fsm: &SbFsm,
+    ) -> Option<&'c sb_sim::Packet> {
+        let watched = fsm.watching.expect("SDd has a pointer");
+        core.vc_occupant(VcRef {
+            router,
+            port: watched.port,
+            vc: watched.vc,
+        })
+        .filter(|p| p.id == watched.pkt && p.desired_hop().is_some())
+    }
+
+    /// Account `gap` cycles the leap clock skipped since the previous
+    /// executed tick. Every counter that was counting kept counting through
+    /// them: nothing moves during a leaped gap, so the increment condition
+    /// held throughout, and [`Plugin::next_timer`] lets no gap overshoot a
+    /// threshold crossing. This runs before the tick's deliveries, so a
+    /// counter a delivery restarts counts from this tick — as it does under
+    /// the step clock — and not from the start of the gap.
+    fn account_gap(&mut self, core: &NetCore, gap: u64) {
+        for (&router, fsm) in self.fsms.iter_mut() {
+            let counting = fsm.in_recovery()
+                || (fsm.state == FsmState::SDd
+                    && Self::watched_waiting(core, router, fsm).is_some());
+            if counting {
+                fsm.count += gap;
+            }
+        }
+    }
+
+    /// Advance the counter FSM at `router` by the one cycle of an executed
+    /// tick (skipped cycles are [`Self::account_gap`]'s).
+    fn tick_fsm(&mut self, core: &mut NetCore, router: NodeId) {
         let fsm = self.fsms.get_mut(&router).expect("ticking SB node");
         match fsm.state {
             FsmState::SOff => {
@@ -1105,22 +1167,14 @@ impl StaticBubblePlugin {
             }
             FsmState::SDd => {
                 let watched = fsm.watching.expect("SDd has a pointer");
-                let occ = core
-                    .vc_occupant(VcRef {
-                        router,
-                        port: watched.port,
-                        vc: watched.vc,
-                    })
-                    .filter(|p| p.id == watched.pkt);
-                let watched_vnet = occ.map(|p| p.vnet);
-                let still_waiting = occ.and_then(|p| p.desired_hop());
+                let still_waiting = Self::watched_waiting(core, router, fsm)
+                    .map(|p| (p.desired_hop().expect("waiting"), p.vnet));
                 match still_waiting {
-                    Some(dir) => {
-                        fsm.count += dt;
+                    Some((dir, vnet)) => {
+                        fsm.count += 1;
                         if fsm.count >= fsm.effective_tdd() {
                             // Timeout: suspected deadlock. Send a probe out
                             // of the output port the stuck packet wants.
-                            let vnet = watched_vnet.expect("checked occupied");
                             fsm.probe_out = dir;
                             fsm.probe_vnet = vnet;
                             fsm.restart_counter();
@@ -1162,7 +1216,7 @@ impl StaticBubblePlugin {
                 }
             }
             FsmState::SDisable | FsmState::SCheckProbe => {
-                fsm.count += dt;
+                fsm.count += 1;
                 if fsm.count > fsm.tdr {
                     // The disable/check-probe was dropped mid-way: release
                     // the restrictions placed so far.
@@ -1179,7 +1233,7 @@ impl StaticBubblePlugin {
                 }
             }
             FsmState::SEnable => {
-                fsm.count += dt;
+                fsm.count += 1;
                 if fsm.count > fsm.tdr {
                     fsm.restart_counter();
                     fsm.enable_retries += 1;
@@ -1192,9 +1246,7 @@ impl StaticBubblePlugin {
                         // TTL.
                         let after = fsm.watching.map(|w| (w.port, w.vc));
                         fsm.clear_recovery();
-                        self.prot[router.index()] = ProtState::default();
-                        // Lifting the local restriction re-enables grants.
-                        core.touch(router);
+                        self.set_restriction(core, router, ProtState::default());
                         let fsm = self.fsms.get_mut(&router).expect("SB node");
                         if let Some(ptr) = Self::next_occupied_vc(core, router, after) {
                             fsm.watching = Some(ptr);
@@ -1225,7 +1277,7 @@ impl StaticBubblePlugin {
                 let bubble_empty =
                     core.has_bubble(router) && core.bubble_occupant(router).is_none();
                 if bubble_empty {
-                    fsm.count += dt;
+                    fsm.count += 1;
                     if fsm.count > fsm.tdr {
                         fsm.goto(FsmState::SCheckProbe);
                         fsm.restart_counter();
@@ -1249,7 +1301,7 @@ impl StaticBubblePlugin {
                     // release the restrictions; the occupant drains as an
                     // ordinary buffered packet and the bubble stays
                     // deactivated until then.
-                    fsm.count += dt;
+                    fsm.count += 1;
                     let occupied_watchdog = (8 * fsm.tdr).max(4 * fsm.tdd);
                     if fsm.count > occupied_watchdog {
                         core.bubble_deactivate(router);
@@ -1277,20 +1329,20 @@ impl Plugin for StaticBubblePlugin {
 
     fn before_cycle(&mut self, core: &mut NetCore) {
         let now = core.time();
-        // Cycles since the previous executed tick (1 under the step clock;
-        // the leaped-over gap under the leap clock). See tick_fsm.
-        let dt = match self.last_tick {
-            Some(prev) => now - prev,
-            None => 1,
-        };
+        // Cycles the leap clock skipped since the previous executed tick
+        // (none under the step clock).
+        let gap = (self.last_tick).map_or(0, |prev| (now - prev).saturating_sub(1));
+        if gap > 0 {
+            self.account_gap(core, gap);
+        }
         self.last_tick = Some(now);
-        // TTL sweep: lost enables cannot poison a router forever. Lifting a
-        // restriction can re-enable grants, so the router must wake
-        // (wakeup invariant, see `sb_sim::Plugin`).
-        for (i, p) in self.prot.iter_mut().enumerate() {
-            if p.is_deadlock && now >= p.expires_at {
-                *p = ProtState::default();
-                core.touch(NodeId::from(i));
+        // TTL sweep: lost enables cannot poison a router forever.
+        // Back to front, because lifting a restriction swap-removes the
+        // router from the list being walked.
+        for i in (0..self.frozen.len()).rev() {
+            let router = self.frozen[i];
+            if now >= self.prot[router.index()].expires_at {
+                self.set_restriction(core, router, ProtState::default());
             }
         }
         // 1. Deliver messages arriving this cycle, grouped by router.
@@ -1418,11 +1470,21 @@ impl Plugin for StaticBubblePlugin {
             }
         }
 
-        // 2. Tick every FSM.
-        let nodes: Vec<NodeId> = self.fsms.keys().copied().collect();
-        for n in nodes {
-            self.tick_fsm(core, n, dt);
+        // 2. Tick the FSMs, in id order. An FSM in SOff does nothing until a
+        // VC at its router fills, so it is skipped on the router's
+        // occupancy word; no tick changes another router's FSM or buffers,
+        // so selecting before ticking selects the same set.
+        let mut due = std::mem::take(&mut self.due);
+        due.extend(
+            self.fsms
+                .iter()
+                .filter(|(&n, fsm)| fsm.state != FsmState::SOff || core.any_occupied(n))
+                .map(|(&n, _)| n),
+        );
+        for n in due.drain(..) {
+            self.tick_fsm(core, n);
         }
+        self.due = due;
     }
 
     fn next_timer(&self, core: &NetCore) -> Option<u64> {
@@ -1439,10 +1501,8 @@ impl Plugin for StaticBubblePlugin {
             note(m.arrive_at);
         }
         // Restriction TTLs expire on their own clock.
-        for p in &self.prot {
-            if p.is_deadlock {
-                note(p.expires_at);
-            }
+        for r in &self.frozen {
+            note(self.prot[r.index()].expires_at);
         }
         // Counter FSMs: each fires (probe / timeout / watchdog) at the tick
         // where its counter crosses the state's threshold. `fsm.count`
@@ -1463,16 +1523,7 @@ impl Plugin for StaticBubblePlugin {
                     }
                 }
                 FsmState::SDd => {
-                    let watched = fsm.watching.expect("SDd has a pointer");
-                    let still_waiting = core
-                        .vc_occupant(VcRef {
-                            router,
-                            port: watched.port,
-                            vc: watched.vc,
-                        })
-                        .filter(|p| p.id == watched.pkt)
-                        .and_then(|p| p.desired_hop());
-                    match still_waiting {
+                    match Self::watched_waiting(core, router, fsm) {
                         // Counting towards the probe timeout.
                         Some(_) => note(
                             now + fsm
@@ -1481,8 +1532,8 @@ impl Plugin for StaticBubblePlugin {
                                 .saturating_sub(1),
                         ),
                         // The watched flit left: the pointer rotates on the
-                        // very next tick (a per-tick action dt cannot
-                        // replay), so do not leap.
+                        // very next tick (a per-tick action no gap
+                        // accounting can replay), so do not leap.
                         None => note(now),
                     }
                 }
@@ -1646,7 +1697,19 @@ impl Plugin for StaticBubblePlugin {
         }
         // (e) Restriction registers are consistent: frozen => io + source
         // present with an SB source; a self-frozen SB node must be in
-        // recovery; unfrozen => registers clear.
+        // recovery; unfrozen => registers clear. The `frozen` index lists
+        // exactly the frozen routers.
+        let mut indexed = self.frozen.clone();
+        indexed.sort_unstable();
+        if indexed != frozen_index(&self.prot) {
+            out.push(Violation {
+                class: AuditClass::FsmLegality,
+                router: None,
+                detail: format!(
+                    "frozen-router index {indexed:?} disagrees with the is_deadlock bits"
+                ),
+            });
+        }
         for (i, p) in self.prot.iter().enumerate() {
             let node = NodeId::from(i);
             if p.is_deadlock {
@@ -1727,6 +1790,7 @@ impl Plugin for StaticBubblePlugin {
         let state: SbState = sb_sim::json::from_json_str(blob).map_err(|e| e.0)?;
         self.fsms = state.fsms.into_iter().map(|f| (f.node, f)).collect();
         self.prot = state.prot;
+        self.frozen = frozen_index(&self.prot);
         self.in_flight = state.in_flight;
         self.tdd = state.tdd;
         self.restriction_ttl = state.restriction_ttl;
@@ -1813,6 +1877,14 @@ struct SbState {
     trace_on: bool,
     events: Vec<ProtoEvent>,
     events_lost: u64,
+}
+
+/// The routers whose `is_deadlock` bit is set, ascending.
+fn frozen_index(prot: &[ProtState]) -> Vec<NodeId> {
+    (prot.iter().enumerate())
+        .filter(|(_, p)| p.is_deadlock)
+        .map(|(i, _)| NodeId::from(i))
+        .collect()
 }
 
 /// Does `a` beat `b` for the same output port? Priority first; a

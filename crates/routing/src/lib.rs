@@ -34,3 +34,33 @@ pub use route::{Route, RouteSource};
 pub use tree::TreeOnlyRouting;
 pub use updown::{RootPolicy, UpDownRouting};
 pub use xy::XyRouting;
+
+#[cfg(test)]
+mod testing {
+    //! Strategies shared by the in-crate property tests.
+
+    use proptest::prelude::*;
+    use rand::SeedableRng;
+    use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
+
+    /// Seeded link- or router-fault topologies, 4×4 to 16×16.
+    pub(crate) fn arb_faulty_topology() -> impl Strategy<Value = Topology> {
+        (
+            4u16..=16,
+            4u16..=16,
+            any::<bool>(),
+            0usize..40,
+            any::<u64>(),
+        )
+            .prop_map(|(w, h, routers, faults, seed)| {
+                let mesh = Mesh::new(w, h);
+                let (kind, most) = if routers {
+                    (FaultKind::Routers, mesh.node_count() / 4)
+                } else {
+                    (FaultKind::Links, mesh.link_count() / 2)
+                };
+                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+                FaultModel::new(kind, faults.min(most)).inject(mesh, &mut rng)
+            })
+    }
+}

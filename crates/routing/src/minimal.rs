@@ -288,14 +288,8 @@ impl RouteSource for MinimalRouting {
         Some(Route::new(hops))
     }
 
-    fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        self.distance(src, dst).map(|d| d as usize)
-    }
-
+    /// One load from the distance table.
     fn routable(&self, src: NodeId, dst: NodeId) -> bool {
-        // One load, no Option re-wrap, no second virtual dispatch through
-        // the default `hop_count`-based implementation: this is the
-        // per-offer admission check of the saturated injection path.
         self.dist[dst.index() * self.n + src.index()] != UNREACHABLE
     }
 }

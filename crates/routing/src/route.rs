@@ -113,32 +113,64 @@ pub trait RouteSource {
     /// this routing function.
     fn route(&self, src: NodeId, dst: NodeId, rng: &mut dyn rand::RngCore) -> Option<Route>;
 
-    /// Hop count of the route this source would produce, when deterministic
-    /// (`None` if unreachable). Default: computes a route with a fixed seed.
-    fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-        self.route(src, dst, &mut rng).map(|r| r.hops())
-    }
-
     /// Can a packet at `src` reach `dst` at all under this routing function?
+    /// Must agree with `route(src, dst, _).is_some()`.
     ///
-    /// The injection path uses this to apply the drop-at-NI rule for
-    /// unreachable destinations *without* paying for a full route: the route
-    /// itself is stamped lazily, when the packet reaches the head of its
-    /// source queue. Defaults to deriving the answer from
-    /// [`RouteSource::hop_count`]; table-driven sources (e.g. minimal
-    /// routing's BFS distance table) answer in O(1) through their
-    /// `hop_count` override.
-    fn routable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.hop_count(src, dst).is_some()
-    }
+    /// The injection path asks this once per offered packet to apply the
+    /// drop-at-NI rule for unreachable destinations; the route itself is
+    /// stamped lazily, when the packet reaches the head of its source
+    /// queue. Implementations answer from tables built at construction
+    /// (component maps, distance tables) and must not build a route to do
+    /// so.
+    fn routable(&self, src: NodeId, dst: NodeId) -> bool;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::arb_faulty_topology;
+    use crate::{MinimalRouting, RootPolicy, TreeOnlyRouting, UpDownRouting, XyRouting};
+    use proptest::prelude::*;
+    use rand::SeedableRng;
     use sb_topology::Mesh;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The injection path drops a packet at the NI on `routable` alone
+        /// and stamps the route later: the two must never disagree, dead
+        /// routers included.
+        #[test]
+        fn routable_agrees_with_route_in_every_source(
+            topo in arb_faulty_topology(),
+            center in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let policy = if center { RootPolicy::Center } else { RootPolicy::Arbitrary };
+            let sources: [(&str, Box<dyn RouteSource>); 4] = [
+                ("minimal", Box::new(MinimalRouting::new(&topo))),
+                ("up-down", Box::new(UpDownRouting::with_root_policy(&topo, policy))),
+                ("tree-only", Box::new(TreeOnlyRouting::with_root_policy(&topo, policy))),
+                ("xy", Box::new(XyRouting::new(&topo))),
+            ];
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            for (name, source) in &sources {
+                for a in topo.mesh().nodes() {
+                    for b in topo.mesh().nodes().step_by(3) {
+                        let route = source.route(a, b, &mut rng);
+                        prop_assert_eq!(
+                            source.routable(a, b),
+                            route.is_some(),
+                            "{} {}->{}", name, a, b
+                        );
+                        if let Some(r) = route {
+                            prop_assert_eq!(r.trace(&topo, a), Some(b), "{} {}->{}", name, a, b);
+                        }
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn trace_dead_link_fails() {

@@ -66,14 +66,10 @@ impl TreeOnlyRouting {
         }
     }
 
-    /// The tree path from `node` up to the root, inclusive.
-    fn path_to_root(&self, mut node: NodeId) -> Vec<NodeId> {
-        let mut path = vec![node];
-        while let Some(p) = self.parent[node.index()] {
-            path.push(p);
-            node = p;
-        }
-        path
+    /// The tree parent of a non-root node on a walk towards a known
+    /// ancestor.
+    fn parent_of(&self, node: NodeId) -> NodeId {
+        self.parent[node.index()].expect("below the common ancestor")
     }
 
     /// Tree depth of `node`.
@@ -90,34 +86,53 @@ impl TreeOnlyRouting {
 impl RouteSource for TreeOnlyRouting {
     /// The unique tree path src → LCA → dst. Deterministic.
     fn route(&self, src: NodeId, dst: NodeId, _rng: &mut dyn rand::RngCore) -> Option<Route> {
-        if self.components.component_of(src)? != self.components.component_of(dst)? {
+        if !self.routable(src, dst) {
             return None;
         }
-        if src == dst {
-            return Some(Route::default());
+        // Find the lowest common ancestor by levelling the deeper endpoint
+        // and then climbing in lockstep, counting the hops on either side.
+        let (mut a, mut b) = (src, dst);
+        let mut depth_a = self.depth[a.index()].expect("alive");
+        let mut depth_b = self.depth[b.index()].expect("alive");
+        let (mut up, mut down) = (0, 0);
+        while depth_a > depth_b {
+            a = self.parent_of(a);
+            depth_a -= 1;
+            up += 1;
         }
-        let up = self.path_to_root(src);
-        let down = self.path_to_root(dst);
-        // Find the LCA: deepest common node.
-        let down_set: std::collections::HashMap<NodeId, usize> =
-            down.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let (lca_up_idx, lca_down_idx) = up
-            .iter()
-            .enumerate()
-            .find_map(|(i, n)| down_set.get(n).map(|&j| (i, j)))
-            .expect("same component shares the root");
+        while depth_b > depth_a {
+            b = self.parent_of(b);
+            depth_b -= 1;
+            down += 1;
+        }
+        while a != b {
+            a = self.parent_of(a);
+            b = self.parent_of(b);
+            up += 1;
+            down += 1;
+        }
         let mesh = self.topo.mesh();
-        let mut hops: Vec<Direction> = Vec::with_capacity(lca_up_idx + lca_down_idx);
-        for w in up[..=lca_up_idx].windows(2) {
-            hops.push(mesh.direction_between(w[0], w[1]).expect("tree edge"));
+        let mut hops = vec![Direction::North; up + down];
+        let mut cur = src;
+        for hop in &mut hops[..up] {
+            let parent = self.parent_of(cur);
+            *hop = mesh.direction_between(cur, parent).expect("tree edge");
+            cur = parent;
         }
-        for i in (0..lca_down_idx).rev() {
-            hops.push(
-                mesh.direction_between(down[i + 1], down[i])
-                    .expect("tree edge"),
-            );
+        // The descent is the climb from `dst` reversed: fill it back to front.
+        let mut cur = dst;
+        for hop in hops[up..].iter_mut().rev() {
+            let parent = self.parent_of(cur);
+            *hop = mesh.direction_between(parent, cur).expect("tree edge");
+            cur = parent;
         }
         Some(Route::new(hops))
+    }
+
+    /// Every same-component pair meets at the component's root at the
+    /// latest.
+    fn routable(&self, src: NodeId, dst: NodeId) -> bool {
+        self.components.connected(src, dst)
     }
 }
 
@@ -141,7 +156,10 @@ mod tests {
                 match tree.route(a, b, &mut rng) {
                     Some(r) => {
                         assert_eq!(r.trace(&topo, a), Some(b));
-                        // Every hop must be a tree (parent) edge.
+                        // Every hop must be a tree (parent) edge, and a walk
+                        // over tree edges that never doubles back is *the*
+                        // tree path.
+                        assert!(!r.has_u_turn(), "{a}->{b} doubles back: {r}");
                         let wps = r.waypoints(&topo, a).unwrap();
                         for w in wps.windows(2) {
                             let tree_edge = tree.parent[w[0].index()] == Some(w[1])

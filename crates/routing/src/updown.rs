@@ -12,12 +12,29 @@
 //! packet stamped with such a route (including mid-flight re-stamping when a
 //! packet enters the escape network) can never participate in a down→up
 //! dependency.
+//!
+//! The BFS runs once per *source*, on that source's first query: its full
+//! predecessor tree is memoised in one byte per state, and every later route
+//! from that source is a walk back from the destination — the table-driven
+//! NI the paper assumes (Section II-D), filled on demand.
 
 use crate::route::{Route, RouteSource};
 
 use sb_topology::{
     connected_components, distances_from, ComponentMap, Direction, NodeId, Topology, DIRECTIONS,
 };
+use std::sync::OnceLock;
+
+// One byte of a memoised BFS tree describes how the search first entered a
+// `(node, gone_down)` state; `0` means the state is unreachable.
+/// The state was reached (keeps the byte non-zero for the start state).
+const REACHED: u8 = 0x80;
+/// Of the node's two states, this one was discovered first.
+const FIRST: u8 = 0x08;
+/// The predecessor state had already gone down.
+const PREV_DOWN: u8 = 0x04;
+/// [`Direction::index`] of the move into the state.
+const DIR_MASK: u8 = 0x03;
 
 /// How the spanning-tree root of each component is chosen.
 ///
@@ -59,6 +76,11 @@ pub struct UpDownRouting {
     level: Vec<Option<u32>>,
     /// Root of each component.
     roots: Vec<NodeId>,
+    /// Per-source BFS predecessor trees over the `(node, gone_down)` state
+    /// graph (state index `node * 2 + gone_down`), built by the source's
+    /// first [`RouteSource::route`] call — never at construction, so a
+    /// source that sends nothing costs nothing.
+    trees: Vec<OnceLock<Box<[u8]>>>,
 }
 
 impl UpDownRouting {
@@ -96,7 +118,43 @@ impl UpDownRouting {
             components,
             level,
             roots,
+            trees: vec![OnceLock::new(); topo.mesh().node_count()],
         }
+    }
+
+    /// The full BFS from `src` over `(node, gone_down)` states, one byte per
+    /// state. Discovery order — hence every predecessor, and which of a
+    /// node's two states is found first — is that of a search that stops at
+    /// its destination, so walking back from a node's [`FIRST`] state yields
+    /// the route such a search returns.
+    fn build_tree(&self, src: NodeId) -> Box<[u8]> {
+        let mesh = self.topo.mesh();
+        let mut tree = vec![0u8; mesh.node_count() * 2].into_boxed_slice();
+        let start = src.index() * 2;
+        tree[start] = REACHED | FIRST;
+        let mut queue = std::collections::VecDeque::from([start]);
+        while let Some(state) = queue.pop_front() {
+            let node = NodeId::from(state / 2);
+            let gone_down = state % 2 == 1;
+            for dir in DIRECTIONS {
+                let Some(up) = self.is_up_move(node, dir) else {
+                    continue;
+                };
+                if gone_down && up {
+                    continue;
+                }
+                let next_node = mesh.neighbor(node, dir).expect("alive link");
+                let next_state = next_node.index() * 2 + usize::from(gone_down || !up);
+                if tree[next_state] != 0 {
+                    continue;
+                }
+                let first = if tree[next_state ^ 1] == 0 { FIRST } else { 0 };
+                let prev_down = if gone_down { PREV_DOWN } else { 0 };
+                tree[next_state] = REACHED | first | prev_down | dir.index() as u8;
+                queue.push_back(next_state);
+            }
+        }
+        tree
     }
 
     /// The spanning-tree root of the component containing `node`.
@@ -152,62 +210,144 @@ impl UpDownRouting {
 impl RouteSource for UpDownRouting {
     /// Shortest legal up*/down* route; deterministic (ignores `rng`).
     fn route(&self, src: NodeId, dst: NodeId, _rng: &mut dyn rand::RngCore) -> Option<Route> {
-        if self.components.component_of(src)? != self.components.component_of(dst)? {
+        if !self.routable(src, dst) {
             return None;
         }
         if src == dst {
             return Some(Route::default());
         }
-        // BFS over (node, gone_down) states. State index = node*2 + gone_down.
-        let n = self.topo.mesh().node_count();
+        let tree = self.trees[src.index()].get_or_init(|| self.build_tree(src));
         let mesh = self.topo.mesh();
-        let mut prev: Vec<Option<(usize, Direction)>> = vec![None; n * 2];
-        let mut visited = vec![false; n * 2];
         let start = src.index() * 2;
-        visited[start] = true;
-        let mut queue = std::collections::VecDeque::from([start]);
-        let mut goal: Option<usize> = None;
-        'bfs: while let Some(state) = queue.pop_front() {
-            let node = NodeId::from(state / 2);
-            let gone_down = state % 2 == 1;
-            for dir in DIRECTIONS {
-                let Some(up) = self.is_up_move(node, dir) else {
-                    continue;
-                };
-                if gone_down && up {
-                    continue;
-                }
-                let next_node = mesh.neighbor(node, dir).expect("alive link");
-                let next_state = next_node.index() * 2 + usize::from(gone_down || !up);
-                if visited[next_state] {
-                    continue;
-                }
-                visited[next_state] = true;
-                prev[next_state] = Some((state, dir));
-                if next_node == dst {
-                    goal = Some(next_state);
-                    break 'bfs;
-                }
-                queue.push_back(next_state);
+        let mut state = dst.index() * 2;
+        if tree[state] & FIRST == 0 {
+            state += 1;
+            if tree[state] & FIRST == 0 {
+                return None;
             }
         }
-        let mut state = goal?;
-        let mut hops = Vec::new();
-        while let Some((p, dir)) = prev[state] {
+        let mut hops = Vec::with_capacity(usize::from(mesh.width() + mesh.height()));
+        while state != start {
+            let entry = tree[state];
+            let dir = Direction::from_index(usize::from(entry & DIR_MASK));
             hops.push(dir);
-            state = p;
+            let prev = mesh
+                .neighbor(NodeId::from(state / 2), dir.opposite())
+                .expect("tree edge");
+            state = prev.index() * 2 + usize::from(entry & PREV_DOWN != 0);
         }
         hops.reverse();
         Some(Route::new(hops))
+    }
+
+    /// Every same-component pair has a legal route (up to the root, then
+    /// down), and no other pair has any.
+    fn routable(&self, src: NodeId, dst: NodeId) -> bool {
+        self.components.connected(src, dst)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::arb_faulty_topology;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sb_topology::{FaultKind, FaultModel, Mesh};
+
+    impl UpDownRouting {
+        /// The reference the memoised trees must reproduce: a fresh BFS over
+        /// `(node, gone_down)` states per call, stopping at the first state
+        /// of `dst` it discovers.
+        fn route_by_search(&self, src: NodeId, dst: NodeId) -> Option<Route> {
+            if self.components.component_of(src)? != self.components.component_of(dst)? {
+                return None;
+            }
+            if src == dst {
+                return Some(Route::default());
+            }
+            let n = self.topo.mesh().node_count();
+            let mesh = self.topo.mesh();
+            let mut prev: Vec<Option<(usize, Direction)>> = vec![None; n * 2];
+            let mut visited = vec![false; n * 2];
+            let start = src.index() * 2;
+            visited[start] = true;
+            let mut queue = std::collections::VecDeque::from([start]);
+            let mut goal: Option<usize> = None;
+            'bfs: while let Some(state) = queue.pop_front() {
+                let node = NodeId::from(state / 2);
+                let gone_down = state % 2 == 1;
+                for dir in DIRECTIONS {
+                    let Some(up) = self.is_up_move(node, dir) else {
+                        continue;
+                    };
+                    if gone_down && up {
+                        continue;
+                    }
+                    let next_node = mesh.neighbor(node, dir).expect("alive link");
+                    let next_state = next_node.index() * 2 + usize::from(gone_down || !up);
+                    if visited[next_state] {
+                        continue;
+                    }
+                    visited[next_state] = true;
+                    prev[next_state] = Some((state, dir));
+                    if next_node == dst {
+                        goal = Some(next_state);
+                        break 'bfs;
+                    }
+                    queue.push_back(next_state);
+                }
+            }
+            let mut state = goal?;
+            let mut hops = Vec::new();
+            while let Some((p, dir)) = prev[state] {
+                hops.push(dir);
+                state = p;
+            }
+            hops.reverse();
+            Some(Route::new(hops))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// The memoised trees are an optimisation only: every pair gets the
+        /// route the per-call search returns, in whatever order sources are
+        /// first queried, and a clone (trees built or not) routes the same.
+        #[test]
+        fn memoised_routes_equal_the_search(
+            topo in arb_faulty_topology(),
+            center in any::<bool>(),
+        ) {
+            let policy = if center { RootPolicy::Center } else { RootPolicy::Arbitrary };
+            let routing = UpDownRouting::with_root_policy(&topo, policy);
+            let cold = routing.clone();
+            let mut rng = StdRng::seed_from_u64(0);
+            let nodes: Vec<NodeId> = topo.mesh().nodes().collect();
+            // Destinations outermost, so trees are built interleaved.
+            for &b in &nodes {
+                for &a in &nodes {
+                    let route = routing.route(a, b, &mut rng);
+                    prop_assert_eq!(&route, &routing.route_by_search(a, b), "{}->{}", a, b);
+                    prop_assert_eq!(routing.routable(a, b), route.is_some());
+                    if let Some(r) = &route {
+                        prop_assert_eq!(r.trace(&topo, a), Some(b));
+                        prop_assert!(routing.is_legal(a, r), "illegal {} from {}", r, a);
+                    }
+                }
+            }
+            let warm = routing.clone();
+            for &a in nodes.iter().step_by(3) {
+                for &b in nodes.iter().step_by(2) {
+                    let route = routing.route(a, b, &mut rng);
+                    prop_assert_eq!(&cold.route(a, b, &mut rng), &route);
+                    prop_assert_eq!(&warm.route(a, b, &mut rng), &route);
+                }
+            }
+        }
+    }
 
     fn all_pairs_routes(routing: &UpDownRouting) -> Vec<(NodeId, Route)> {
         let mesh = routing.topology().mesh();

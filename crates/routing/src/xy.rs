@@ -39,43 +39,52 @@ impl XyRouting {
     pub fn topology(&self) -> &Topology {
         &self.topo
     }
+
+    /// The dimension-ordered walk from `src` to `dst`: `(direction, hops)`
+    /// along X, then along Y.
+    fn legs(&self, src: NodeId, dst: NodeId) -> [(Direction, u16); 2] {
+        let mesh = self.topo.mesh();
+        let (a, b) = (mesh.coord(src), mesh.coord(dst));
+        let x_dir = if b.x > a.x {
+            Direction::East
+        } else {
+            Direction::West
+        };
+        let y_dir = if b.y > a.y {
+            Direction::North
+        } else {
+            Direction::South
+        };
+        [(x_dir, a.x.abs_diff(b.x)), (y_dir, a.y.abs_diff(b.y))]
+    }
 }
 
 impl RouteSource for XyRouting {
     fn route(&self, src: NodeId, dst: NodeId, _rng: &mut dyn rand::RngCore) -> Option<Route> {
-        let mesh = self.topo.mesh();
+        self.routable(src, dst).then(|| {
+            self.legs(src, dst)
+                .into_iter()
+                .flat_map(|(dir, hops)| (0..hops).map(move |_| dir))
+                .collect()
+        })
+    }
+
+    /// XY cannot detour: the fixed path must be fully alive. Walks it
+    /// without building the route.
+    fn routable(&self, src: NodeId, dst: NodeId) -> bool {
         if !self.topo.router_alive(src) || !self.topo.router_alive(dst) {
-            return None;
+            return false;
         }
-        let (a, b) = (mesh.coord(src), mesh.coord(dst));
-        let mut hops = Vec::with_capacity((a.manhattan(b)) as usize);
-        let x_dir = if b.x > a.x {
-            Some(Direction::East)
-        } else if b.x < a.x {
-            Some(Direction::West)
-        } else {
-            None
-        };
-        let y_dir = if b.y > a.y {
-            Some(Direction::North)
-        } else if b.y < a.y {
-            Some(Direction::South)
-        } else {
-            None
-        };
-        if let Some(d) = x_dir {
-            for _ in 0..a.x.abs_diff(b.x) {
-                hops.push(d);
+        let mut cur = src;
+        for (dir, hops) in self.legs(src, dst) {
+            for _ in 0..hops {
+                if !self.topo.link_alive(cur, dir) {
+                    return false;
+                }
+                cur = self.topo.mesh().neighbor(cur, dir).expect("alive link");
             }
         }
-        if let Some(d) = y_dir {
-            for _ in 0..a.y.abs_diff(b.y) {
-                hops.push(d);
-            }
-        }
-        let route = Route::new(hops);
-        // XY cannot detour: the fixed path must be fully alive.
-        (route.trace(&self.topo, src) == Some(dst)).then_some(route)
+        true
     }
 }
 

@@ -19,7 +19,7 @@ use crate::packet::{PacketId, PacketMode};
 use crate::plugin::{InputRef, Plugin, SlotRef};
 use crate::vc::VcRef;
 use sb_routing::{RouteSource, UpDownRouting};
-use sb_topology::{Direction, NodeId, Topology, DIRECTIONS};
+use sb_topology::{Direction, NodeId, Topology};
 
 /// The escape-VC recovery plugin.
 #[derive(Debug)]
@@ -35,6 +35,11 @@ pub struct EscapeVcPlugin {
     /// Number of `Some` entries in `stalls`, so `next_timer` can bail out
     /// without scanning the table when nothing is stalled (the common case).
     tracked: usize,
+    /// Per-router mask of the `Some` entries in `stalls`, in the bit layout
+    /// of [`NetCore::occupancy_mask`]: with the occupancy word it names
+    /// every slot the stall sweep has to visit. Derived from `stalls`
+    /// (rebuilt on restore, never serialized).
+    stall_mask: Vec<u64>,
     escapes: u64,
     /// Cycle of the last `after_cycle` call. Stall counters advance by the
     /// elapsed time since then, so skipped (leaped-over) cycles — during
@@ -54,6 +59,7 @@ impl EscapeVcPlugin {
             tdd: tdd.max(1),
             stalls: Vec::new(),
             tracked: 0,
+            stall_mask: vec![0; topo.mesh().node_count()],
             escapes: 0,
             last_tick: None,
             rng: rand::rngs::StdRng::seed_from_u64(0xE5CA),
@@ -77,9 +83,11 @@ impl EscapeVcPlugin {
         vc % cfg.vcs_per_vnet == cfg.vcs_per_vnet - 1
     }
 
-    fn clear_stall(&mut self, i: usize) {
+    /// Stop tracking slot `slot` of router `r`, whose flat vc id is `i`.
+    fn clear_stall(&mut self, r: usize, slot: usize, i: usize) {
         if self.stalls[i].take().is_some() {
             self.tracked -= 1;
+            self.stall_mask[r] &= !(1 << slot);
         }
     }
 }
@@ -111,10 +119,12 @@ impl Plugin for EscapeVcPlugin {
 
     fn after_cycle(&mut self, core: &mut NetCore) {
         // Advance stall counters; escalate to the escape network on timeout.
-        let vcs = core.config().vcs_per_port() as u8;
+        let vcs = core.config().vcs_per_port();
         let n = core.topology().mesh().node_count();
-        self.stalls.resize(n * 4 * vcs as usize, None);
-        let alive: Vec<NodeId> = core.topology().alive_nodes().collect();
+        if self.stalls.is_empty() {
+            // First tick: the constructor does not know the VC count.
+            self.stalls = vec![None; n * 4 * vcs];
+        }
         let now = core.time();
         // Cycles elapsed since the previous executed tick. Under the step
         // clock this is always 1; under the leap clock it covers the
@@ -126,48 +136,60 @@ impl Plugin for EscapeVcPlugin {
             None => 1,
         };
         self.last_tick = Some(now);
-        for router in alive {
-            for port in DIRECTIONS {
-                for vc in 0..vcs {
-                    let r = VcRef { router, port, vc };
-                    let i = core.flat_vc(r);
-                    let Some(pkt) = core.vc_occupant(r) else {
-                        self.clear_stall(i);
-                        continue;
-                    };
-                    if core.vc_ready_at(r).expect("occupied") > now || pkt.desired_hop().is_none() {
-                        // Still arriving, or waiting only on the ejection
-                        // port.
-                        self.clear_stall(i);
+        for r in 0..n {
+            let router = NodeId::from(r);
+            // Only an occupied slot can stall and only a tracked one has a
+            // clock to clear; every other slot of an alive router is a
+            // no-op. Ascending bits are ascending `(port, vc)`.
+            let mut visit = core.occupancy_mask(router) | self.stall_mask[r];
+            if visit == 0 || !core.topology().router_alive(router) {
+                continue;
+            }
+            while visit != 0 {
+                let slot = visit.trailing_zeros() as usize;
+                visit &= visit - 1;
+                let vref = VcRef {
+                    router,
+                    port: Direction::from_index(slot / vcs),
+                    vc: (slot % vcs) as u8,
+                };
+                let i = core.flat_vc(vref);
+                let Some(pkt) = core.vc_occupant(vref) else {
+                    self.clear_stall(r, slot, i);
+                    continue;
+                };
+                if core.vc_ready_at(vref).expect("occupied") > now || pkt.desired_hop().is_none() {
+                    // Still arriving, or waiting only on the ejection port.
+                    self.clear_stall(r, slot, i);
+                    continue;
+                }
+                let (id, dst, mode) = (pkt.id, pkt.dst, pkt.mode);
+                // A fresh (or re-owned) entry starts its stall clock at
+                // this very tick — entry creation always happens on the
+                // first cycle the condition holds, which is never inside a
+                // leaped gap. An existing entry accounts every cycle since
+                // the last tick.
+                let entry = &mut self.stalls[i];
+                match entry {
+                    Some(v) if v.0 == id => v.1 += dt,
+                    Some(v) => *v = (id, 1),
+                    None => {
+                        *entry = Some((id, 1));
+                        self.tracked += 1;
+                        self.stall_mask[r] |= 1 << slot;
+                    }
+                }
+                let count = &mut self.stalls[i].as_mut().expect("just set").1;
+                if *count >= self.tdd {
+                    *count = 0;
+                    if mode == PacketMode::Escape {
                         continue;
                     }
-                    let (id, dst, mode) = (pkt.id, pkt.dst, pkt.mode);
-                    // A fresh (or re-owned) entry starts its stall clock at
-                    // this very tick — entry creation always happens on the
-                    // first cycle the condition holds, which is never inside
-                    // a leaped gap. An existing entry accounts every cycle
-                    // since the last tick.
-                    let entry = &mut self.stalls[i];
-                    match entry {
-                        Some(v) if v.0 == id => v.1 += dt,
-                        Some(v) => *v = (id, 1),
-                        None => {
-                            *entry = Some((id, 1));
-                            self.tracked += 1;
-                        }
-                    }
-                    let count = &mut self.stalls[i].as_mut().expect("just set").1;
-                    if *count >= self.tdd {
-                        *count = 0;
-                        if mode == PacketMode::Escape {
-                            continue;
-                        }
-                        if let Some(route) = self.updown.route(router, dst, &mut self.rng) {
-                            core.with_packet_mut(InputRef::Vc(r), |p| {
-                                p.restamp(route, PacketMode::Escape)
-                            });
-                            self.escapes += 1;
-                        }
+                    if let Some(route) = self.updown.route(router, dst, &mut self.rng) {
+                        core.with_packet_mut(InputRef::Vc(vref), |p| {
+                            p.restamp(route, PacketMode::Escape)
+                        });
+                        self.escapes += 1;
                     }
                 }
             }
@@ -212,6 +234,13 @@ impl Plugin for EscapeVcPlugin {
         let state: EscapeState = crate::json::from_json_str(blob).map_err(|e| e.0)?;
         self.stalls = state.stalls;
         self.tracked = state.tracked;
+        let per_router = self.stalls.len() / self.stall_mask.len().max(1);
+        for (r, mask) in self.stall_mask.iter_mut().enumerate() {
+            let slots = self.stalls.iter().skip(r * per_router).take(per_router);
+            *mask = (slots.enumerate())
+                .filter(|(_, stall)| stall.is_some())
+                .fold(0, |mask, (slot, _)| mask | 1 << slot);
+        }
         self.escapes = state.escapes;
         self.last_tick = state.last_tick;
         self.rng = rand::rngs::StdRng::from_state(state.rng);
@@ -239,7 +268,7 @@ mod tests {
     use crate::packet::NewPacket;
     use crate::traffic::{ScriptedTraffic, UniformTraffic};
     use sb_routing::MinimalRouting;
-    use sb_topology::{Mesh, Topology};
+    use sb_topology::{Mesh, Topology, DIRECTIONS};
 
     #[test]
     fn escape_vc_index_is_last_of_vnet() {

@@ -94,4 +94,9 @@ pub use vc::VcRef;
 /// NOT need a bump. (Layout changes to `Stats` itself are caught
 /// automatically: cache epochs also hash the serialized shape of
 /// `Stats::default()`.)
-pub const RESULT_EPOCH: u32 = 1;
+///
+/// History: 2 — the Static Bubble plugin accounts cycles the leap clock
+/// skipped *before* a tick's special-message deliveries, so a counter a
+/// delivery restarts no longer absorbs the gap; leap-clock runs with a
+/// recovery in them changed (to what the step clock always computed).
+pub const RESULT_EPOCH: u32 = 2;

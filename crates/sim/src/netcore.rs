@@ -807,6 +807,13 @@ impl NetCore {
         out
     }
 
+    /// `router`'s VC occupancy word: bit `port * vcs_per_port + vc` is set
+    /// iff that VC holds a packet. Lets plugins visit occupied slots in
+    /// ascending `(port, vc)` order without probing the empty ones.
+    pub fn occupancy_mask(&self, router: NodeId) -> u64 {
+        self.occ_mask[router.index()]
+    }
+
     /// Does any mesh-port VC of `router` hold a packet?
     pub fn any_occupied(&self, router: NodeId) -> bool {
         self.occ_mask[router.index()] != 0

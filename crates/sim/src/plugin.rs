@@ -86,15 +86,32 @@ pub enum SlotRef {
 /// silently diverges from the reference full sweep
 /// ([`crate::Simulator::scan_all_routers`]); spurious wakes only cost one
 /// empty scan.
+///
+/// # The hook cost contract
+///
+/// [`Plugin::before_cycle`] and [`Plugin::after_cycle`] run on **every
+/// executed tick**, next to an allocator whose own cost tracks the routers
+/// that changed. A hook must therefore cost O(occupied or tracked state):
+/// it visits the slots [`NetCore::occupancy_mask`] names and the entries of
+/// the plugin's own side tables (in-flight messages, restricted routers,
+/// stall clocks), and spends at most one word-sized test on a router or
+/// protocol engine that has neither. It must **never sweep every router's
+/// state or every VC** — on a 16×16 mesh at low load such a sweep, not the
+/// traffic, was most of the tick. A quiet tick (nothing occupied, nothing
+/// tracked) allocates nothing. An index a plugin keeps for this purpose is
+/// derived state: rebuild it in [`Plugin::restore_state`], do not
+/// serialize it.
 pub trait Plugin {
-    /// Called at the start of every cycle, before allocation. Special
-    /// message delivery and FSM transitions happen here.
+    /// Called at the start of every executed cycle, before allocation.
+    /// Special message delivery and FSM transitions happen here. Bound by
+    /// the hook cost contract above.
     fn before_cycle(&mut self, core: &mut NetCore) {
         let _ = core;
     }
 
-    /// Called at the end of every cycle, after allocation. Timeout counters
-    /// that depend on observed movement happen here.
+    /// Called at the end of every executed cycle, after allocation. Timeout
+    /// counters that depend on observed movement happen here. Bound by the
+    /// hook cost contract above.
     fn after_cycle(&mut self, core: &mut NetCore) {
         let _ = core;
     }

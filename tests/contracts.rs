@@ -1,0 +1,171 @@
+//! Tier-1 representatives of the engine's determinism contracts (ROADMAP
+//! 4c): the full equivalence suites live in the member crates and only
+//! `cargo test --workspace` sees them, so this file runs one short scenario
+//! per deadlock design through the three ways a run may legitimately be
+//! executed differently and asserts that nothing observable moves:
+//!
+//! * change-driven worklist vs the `scan_all_routers` reference sweep;
+//! * stepped clock vs leap clock (same geometric arrival sampler);
+//! * uninterrupted vs snapshot → restore into a fresh engine → continue.
+//!
+//! The last one is what catches a plugin index that is derived from its
+//! serialized state (Static Bubble's frozen-router list, the escape
+//! plugin's stall mask) and not rebuilt by `restore_state`: the snapshot is
+//! taken at a moment such an index is populated.
+
+use static_bubble_repro::core::StaticBubblePlugin;
+use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
+use static_bubble_repro::sim::{SimConfig, Stats, UniformTraffic};
+use static_bubble_repro::topology::FaultKind;
+
+/// One design's contract run: `load` cycles of uniform-random traffic at
+/// `rate`, then the tap closes and the network drains.
+struct Contract {
+    scenario: Scenario,
+    rate: f64,
+    load: u64,
+    /// Is the plugin's derived state populated right now? The snapshot is
+    /// taken at the first cycle this holds.
+    worth_snapshotting: fn(&dyn SimRunner) -> bool,
+}
+
+/// Everything a run leaves behind that a user can observe, and the
+/// plugin's own end state (its snapshot blob).
+#[derive(Debug, PartialEq)]
+struct Observed {
+    stats: Stats,
+    end_time: u64,
+    escapes: Option<u64>,
+    plugin_state: String,
+}
+
+impl Contract {
+    fn new(design: Design, config: SimConfig, faults: usize, rate: f64, load: u64) -> Self {
+        Contract {
+            scenario: Scenario::new("contract", design)
+                .with_mesh(8, 8)
+                .with_faults(FaultSpec::Model {
+                    kind: FaultKind::Links,
+                    count: faults,
+                    seed: 2,
+                })
+                .with_config(config)
+                .with_tdd(10)
+                .with_seed(1),
+            rate,
+            load,
+            worth_snapshotting: |runner| runner.core().in_flight() > 0,
+        }
+    }
+
+    /// A fresh engine. Every variant samples geometric inter-arrival gaps,
+    /// the one sampler both clocks can run.
+    fn build(&self) -> Box<dyn SimRunner> {
+        let traffic = UniformTraffic::new(self.rate).geometric();
+        let traffic = if self.scenario.config.vnets == 1 {
+            traffic.single_vnet()
+        } else {
+            traffic
+        };
+        self.scenario.build_with(&self.scenario.topology(), traffic)
+    }
+
+    /// Run the rest of the load phase, close the tap, drain, audit.
+    fn finish(&self, mut runner: Box<dyn SimRunner>) -> Observed {
+        runner.run(self.load - runner.time());
+        runner.halt_injection();
+        assert!(runner.run_until_drained(50_000), "network must drain");
+        if let Some(report) = runner.audit_now() {
+            panic!("end-of-run audit failed:\n{report}");
+        }
+        Observed {
+            stats: runner.stats().clone(),
+            end_time: runner.time(),
+            escapes: runner.escapes(),
+            plugin_state: runner.snapshot().expect("snapshot").plugin,
+        }
+    }
+
+    /// The reference run, and the three variants held against it.
+    fn check(&self) -> Observed {
+        let reference = self.finish(self.build());
+
+        let mut full_scan = self.build();
+        full_scan.scan_all_routers(true);
+        assert_eq!(
+            self.finish(full_scan),
+            reference,
+            "worklist vs scan_all_routers"
+        );
+
+        // The clocks agree on what a user observes; a plugin's counters sit
+        // where its last executed tick left them, which is the clock's
+        // business.
+        let mut leap = self.build();
+        leap.set_clock(ClockMode::Leap);
+        let leaped = Observed {
+            plugin_state: reference.plugin_state.clone(),
+            ..self.finish(leap)
+        };
+        assert_eq!(leaped, reference, "step vs leap");
+
+        let mut interrupted = self.build();
+        while !(self.worth_snapshotting)(interrupted.as_ref()) {
+            assert!(
+                interrupted.time() < self.load,
+                "never reached a state worth snapshotting"
+            );
+            interrupted.run(1);
+        }
+        let snapshot = interrupted.snapshot().expect("snapshot");
+        let mut resumed = self.build();
+        resumed.restore(&snapshot).expect("restore");
+        assert_eq!(
+            self.finish(resumed),
+            reference,
+            "uninterrupted vs restored at cycle {}",
+            snapshot.time
+        );
+        reference
+    }
+}
+
+#[test]
+fn static_bubble_recovers_identically_in_every_mode() {
+    let mut contract = Contract::new(Design::StaticBubble, SimConfig::single_vnet(), 12, 0.3, 600);
+    // Mid-recovery: some router's injection restriction is in force.
+    contract.worth_snapshotting = |runner| {
+        let plugin = runner.plugin_any().downcast_ref::<StaticBubblePlugin>();
+        plugin.expect("static-bubble run").frozen_routers() > 0
+    };
+    let seen = contract.check();
+    assert!(
+        seen.stats.deadlocks_recovered > 0,
+        "the burst must force a recovery"
+    );
+}
+
+#[test]
+fn escape_vc_escalates_identically_in_every_mode() {
+    let mut contract = Contract::new(Design::EscapeVc, SimConfig::default(), 10, 0.3, 600);
+    // Stall clocks are being tracked, and the load phase is about to end:
+    // a slot that empties after the restore is not refilled, so a clock the
+    // restored sweep failed to visit stays in the end state.
+    contract.worth_snapshotting = |runner| runner.escapes() > Some(0) && runner.time() >= 590;
+    let seen = contract.check();
+    assert!(seen.escapes > Some(100), "stalls must escalate: {seen:?}");
+}
+
+#[test]
+fn spanning_tree_leaps_identically_in_every_mode() {
+    // Sparse enough that the leap clock skips most cycles.
+    let contract = Contract::new(
+        Design::SpanningTree,
+        SimConfig::single_vnet(),
+        10,
+        0.01,
+        4_000,
+    );
+    let seen = contract.check();
+    assert!(seen.stats.delivered_packets > 100, "{seen:?}");
+}
