@@ -179,27 +179,24 @@ fn bench_kernel(c: &mut Criterion) {
     // One long steady-state run per regime for the committed artifact.
     // Runs before the criterion loops so heap churn from earlier
     // iterations (saturated runs queue >10^6 packets) cannot skew it.
-    // A `saturated*` row that left its regime is not worth committing.
-    let hold_regime = |name: &str, stats: &sb_sim::Stats| {
-        assert!(
-            !name.starts_with("saturated") || sb_bench::is_live_saturated(stats),
-            "`{name}` left its regime: acceptance {:.3}",
-            stats.acceptance()
-        );
-    };
-    let mut rows: Vec<(String, u64, f64)> = Vec::new();
-    for (scenario, cycles) in &cases {
+    // A `saturated` row that left its regime is not worth committing.
+    let steady_row = |scenario: &Scenario, cycles: u64| {
         let mut sim = scenario.build();
         sim.warmup(1_000);
         let start = std::time::Instant::now();
-        sim.run(*cycles);
-        rows.push((
-            scenario.name.clone(),
-            *cycles,
-            start.elapsed().as_secs_f64(),
-        ));
-        hold_regime(&scenario.name, sim.stats());
-    }
+        sim.run(cycles);
+        let secs = start.elapsed().as_secs_f64();
+        assert!(
+            scenario.name != "saturated" || sb_bench::is_live_saturated(sim.stats()),
+            "`saturated` left its regime: acceptance {:.3}",
+            sim.stats().acceptance()
+        );
+        (scenario.name.clone(), cycles, secs)
+    };
+    let mut rows: Vec<(String, u64, f64)> = cases
+        .iter()
+        .map(|(scenario, cycles)| steady_row(scenario, *cycles))
+        .collect();
     {
         let mut sim = make_blocked();
         let cycles = 2_000_000u64;
@@ -207,39 +204,20 @@ fn bench_kernel(c: &mut Criterion) {
         sim.run(cycles);
         rows.push(("blocked".to_string(), cycles, start.elapsed().as_secs_f64()));
     }
-    // The deterministic parallel tick, threads=1 vs threads=4, on the two
-    // regimes it targets: the live `saturated` case above, and the
-    // 256-core scale point (Static Bubble on 16×16 at deadlock-prone load,
-    // recovery active). Numbers from a box with fewer than 4 cores show
-    // threads=4 at or below threads=1 (the pre-pass then only adds handoff
-    // cost) — that is honest, not a regression; the multi-core speedup
-    // assertion lives in `scale256_smoke` and arms on >= 4-core CI runners.
-    let scale256 = |name: &str| {
-        Scenario::new(name, Design::StaticBubble)
-            .with_mesh(16, 16)
-            .with_traffic(TrafficSpec::Uniform {
-                rate: 0.3,
-                single_vnet: true,
-            })
-            .with_seed(5)
-    };
-    for scenario in [
-        sb_bench::saturated_scenario("saturated_t1").with_threads(1),
-        sb_bench::saturated_scenario("saturated_t4").with_threads(4),
-        scale256("scale256_t1").with_threads(1),
-        scale256("scale256_t4").with_threads(4),
-    ] {
-        let cycles = 20_000u64;
-        let mut sim = scenario.build();
-        sim.warmup(1_000);
-        let start = std::time::Instant::now();
-        sim.run(cycles);
-        hold_regime(&scenario.name, sim.stats());
-        rows.push((scenario.name, cycles, start.elapsed().as_secs_f64()));
-    }
+    // The 256-core scale point: Static Bubble on 16×16 at deadlock-prone
+    // load, recovery active.
+    let scale256 = Scenario::new("scale256", Design::StaticBubble)
+        .with_mesh(16, 16)
+        .with_traffic(TrafficSpec::Uniform {
+            rate: 0.3,
+            single_vnet: true,
+        })
+        .with_seed(5);
+    rows.push(steady_row(&scale256, 20_000));
 
-    let mut json = String::from(
-        "{\n  \"bench\": \"active_router_kernel\",\n  \"mesh\": \"16x16\",\n  \"cases\": [\n",
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut json = format!(
+        "{{\n  \"bench\": \"active_router_kernel\",\n  \"mesh\": \"16x16\",\n  \"cores\": {cores},\n  \"cases\": [\n"
     );
     let n = rows.len();
     for (i, (name, cycles, secs)) in rows.into_iter().enumerate() {
@@ -278,11 +256,10 @@ fn bench_kernel(c: &mut Criterion) {
     }
 }
 
-/// The two halves of the separable allocator the parallel tick splits:
-/// `candidate_masks` (the read-only pre-pass sharded across workers) and
-/// the round-robin winner probe (always sequential, in commit order).
-/// Measured over a saturated 16×16 mesh — the regime where nearly every
-/// router holds switchable heads, i.e. the pre-pass's actual workload.
+/// The two halves of the separable allocator: `candidate_masks` (the
+/// read-only collection of switchable heads per output) and the
+/// round-robin winner probe. Measured over a saturated 16×16 mesh — the
+/// regime where nearly every router holds switchable heads.
 fn bench_alloc_probes(c: &mut Criterion) {
     use sb_sim::OutPort;
     use sb_topology::{Direction, NodeId};

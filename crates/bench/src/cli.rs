@@ -257,8 +257,8 @@ mod tests {
 
     #[test]
     fn spec_rejects_the_retired_threads_alias() {
-        // `--threads` means parallel-tick threads in `sbsim`/`sweep`; the
-        // figure binaries' worker count has one spelling, `--jobs`.
+        // `--threads` is `sbsim`'s route-table build knob; the figure
+        // binaries' worker count has one spelling, `--jobs`.
         let Err(ArgError::Bad(msg)) = strict(&["--threads", "2"]) else {
             panic!("--threads must be rejected");
         };

@@ -2,15 +2,15 @@
 //! JSON report.
 //!
 //! ```text
-//! sweep --spec grid.toml [--jobs N] [--threads N] [--out report.json] [--forensics]
+//! sweep --spec grid.toml [--jobs N] [--out report.json] [--forensics]
 //!       [--drain CYCLES] [--cache-dir DIR] [--resume]
 //! ```
 //!
 //! `--jobs 1` is the sequential reference path; any other value produces
 //! byte-identical output (the equivalence suite proves it), so the flag is
-//! purely a wall-clock knob — and so is `--threads`, which overrides each
-//! scenario's intra-run thread count for the deterministic parallel tick.
-//! Both accept `0` for auto-detection from the machine's core count. So is `--cache-dir`: results memoize in a
+//! purely a wall-clock knob (`0` auto-detects the machine's core count) and
+//! the only parallelism there is: the tick inside a run is single-threaded
+//! (`DESIGN.md` §13). `--cache-dir` is one too: results memoize in a
 //! content-addressed store, a warm re-run of the same spec performs zero
 //! simulations and still emits byte-identical report bytes (the cold/warm
 //! axis of the same suite proves that), and `--resume` replays the grid's
@@ -30,7 +30,6 @@ use sb_fleet::{run_sweep_cached, CacheConfig, ExecOptions, SweepSpec};
 struct Cli {
     spec: String,
     jobs: usize,
-    threads: usize,
     out: String,
     forensics: bool,
     drain: Option<u64>,
@@ -38,14 +37,11 @@ struct Cli {
     resume: bool,
 }
 
-const USAGE: &str = "usage: sweep --spec FILE [--jobs N] [--threads N] [--out FILE|-] [--forensics]
+const USAGE: &str = "usage: sweep --spec FILE [--jobs N] [--out FILE|-] [--forensics]
              [--drain CYCLES] [--cache-dir DIR] [--resume]
   --spec FILE      sweep grid, TOML or JSON (required)
   --jobs N         worker threads, one scenario each (default: available
                    cores; 0 = auto-detect explicitly)
-  --threads N      intra-scenario threads for the deterministic parallel
-                   tick, overriding each scenario's own `threads` field
-                   (default: defer to the spec; 0 = auto-detect)
   --out FILE|-     report destination (default: stdout)
   --forensics      capture deadlock forensics per wedged run
   --drain N        after the window, stop injection and drain up to N cycles
@@ -53,8 +49,8 @@ const USAGE: &str = "usage: sweep --spec FILE [--jobs N] [--threads N] [--out FI
                    re-runs simulate nothing and emit identical bytes
   --resume         replay this grid's journal from the cache (needs --cache-dir)";
 
-/// `0` from an explicit `--jobs 0` / `--threads 0` means "use every core
-/// the machine reports"; platforms that cannot say run sequentially.
+/// `0` from an explicit `--jobs 0` means "use every core the machine
+/// reports"; platforms that cannot say run sequentially.
 fn auto_detect() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -63,7 +59,6 @@ fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
         spec: String::new(),
         jobs: auto_detect(),
-        threads: 0, // defer to each scenario's own `threads` field
         out: "-".to_string(),
         forensics: false,
         drain: None,
@@ -80,12 +75,6 @@ fn parse_cli() -> Result<Cli, String> {
                     .parse()
                     .map_err(|e| format!("--jobs: {e}"))?;
                 cli.jobs = if n == 0 { auto_detect() } else { n };
-            }
-            "--threads" => {
-                let n: usize = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-                cli.threads = if n == 0 { auto_detect() } else { n };
             }
             "--out" => cli.out = value("--out")?,
             "--forensics" => cli.forensics = true,
@@ -132,7 +121,6 @@ fn main() {
     let opts = ExecOptions {
         forensics: cli.forensics,
         drain_budget: cli.drain,
-        threads: cli.threads,
     };
     let cache = CacheConfig {
         dir: cli.cache_dir.map(Into::into),

@@ -84,10 +84,7 @@ impl fmt::Display for CacheKey {
 /// The execution options fold into the fingerprint because they shape the
 /// [`RunResult`]: a drain probe adds the `drained` field, forensics
 /// capture adds the report — results produced under different options are
-/// different content. [`ExecOptions::threads`] stays OUT of the tag for
-/// the same reason `--jobs` does: the parallel tick is bit-identical at
-/// any thread count, so results produced at different counts are the same
-/// content and must share one cache entry.
+/// different content.
 pub fn content_key(
     scenario: &Scenario,
     opts: ExecOptions,
@@ -428,7 +425,6 @@ mod tests {
             ExecOptions {
                 forensics: false,
                 drain_budget: Some(100),
-                threads: 0,
             },
             epoch,
         )
@@ -438,7 +434,6 @@ mod tests {
             ExecOptions {
                 forensics: true,
                 drain_budget: None,
-                threads: 0,
             },
             epoch,
         )
@@ -450,17 +445,11 @@ mod tests {
 
     #[test]
     fn thread_counts_share_one_content_key() {
-        // `threads` is an execution knob like `--jobs`: the parallel tick
-        // is bit-identical at any count, so neither the exec-options
-        // override nor the scenario's own field may split the cache.
+        // `threads` only shards the route-table build, whose result does
+        // not depend on it, so the scenario's field may not split the cache.
         let epoch = schema_epoch();
         let sc = Scenario::new("k", sb_scenario::Design::StaticBubble);
         let base = content_key(&sc, ExecOptions::default(), epoch).unwrap();
-        let opts_override = ExecOptions {
-            threads: 4,
-            ..ExecOptions::default()
-        };
-        assert_eq!(base, content_key(&sc, opts_override, epoch).unwrap());
         let spec_threads = sc.clone().with_threads(8);
         assert_eq!(
             base,

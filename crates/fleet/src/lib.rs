@@ -46,12 +46,6 @@ pub struct ExecOptions {
     /// After the measurement window, stop injection and try to drain for
     /// this many cycles; record whether the network emptied.
     pub drain_budget: Option<u64>,
-    /// Override every scenario's intra-run thread count (the deterministic
-    /// parallel tick, [`sb_scenario::Scenario::threads`]): 0 defers to each
-    /// scenario's own setting, anything else wins over the spec. Like
-    /// `--jobs`, this is an execution knob — results are bit-identical at
-    /// any value, so it must NOT enter cache content keys.
-    pub threads: usize,
 }
 
 /// Execute one scenario to completion: materialize the topology, warm up,
@@ -60,13 +54,6 @@ pub struct ExecOptions {
 /// seeded from its fields). Panics propagate to the caller — under the
 /// pool they become the run's `Err` payload.
 pub fn execute_one(scenario: &Scenario, opts: ExecOptions) -> RunResult {
-    let owned;
-    let scenario = if opts.threads != 0 && opts.threads != scenario.threads {
-        owned = scenario.clone().with_threads(opts.threads);
-        &owned
-    } else {
-        scenario
-    };
     let topo = scenario.topology();
     let nodes = topo.alive_node_count();
     let mut runner = scenario.build_on(&topo);

@@ -135,8 +135,9 @@ impl SweepSpec {
     /// Expand the grid into concrete runs, in the stable order
     /// mesh → fault point → topology seed → design → SB variant → rate →
     /// seed. Pristine points (0 faults) collapse the topology-seed axis;
-    /// non-SB designs collapse the variant axis. Errors on empty axes or
-    /// unknown labels instead of silently producing an empty sweep.
+    /// non-SB designs collapse the variant axis. Errors on empty axes,
+    /// unknown labels or a run that fails [`Scenario::validate`] instead of
+    /// silently producing an empty sweep or a panicking one.
     pub fn expand(&self) -> Result<Vec<SweepRun>, SpecError> {
         let meshes: Vec<(u16, u16)> = self
             .meshes
@@ -223,6 +224,9 @@ impl SweepSpec {
                                         &key, w, h, kind, count, topo_seed, design, *vopts, rate,
                                         seed,
                                     );
+                                    scenario.validate().map_err(|e| {
+                                        SpecError(format!("sweep `{}`: run {key}: {e}", self.name))
+                                    })?;
                                     runs.push(SweepRun {
                                         id: ScenarioId::new(runs.len() as u32, key),
                                         group,
@@ -287,7 +291,8 @@ impl SweepSpec {
             .with_clock(self.clock)
     }
 
-    /// Check every axis label without keeping the expansion.
+    /// Check every axis label and every expanded run
+    /// ([`Scenario::validate`]) without keeping the expansion.
     pub fn validate(&self) -> Result<(), SpecError> {
         self.expand().map(|_| ())
     }
@@ -456,6 +461,17 @@ mod tests {
         let mut spec = SweepSpec::new("t");
         spec.pattern = "tornado".into();
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn unbuildable_runs_are_rejected_by_key() {
+        // Every label parses; one expanded run asks for more dead links
+        // than its mesh has (`Scenario::validate`).
+        let mut spec = SweepSpec::new("t");
+        spec.link_faults = vec![5, 9999];
+        let err = spec.validate().expect_err("9999 of 112 links").0;
+        assert!(err.contains("links:9999"), "names the run: {err}");
+        assert!(err.contains("has 112 links"), "names the limit: {err}");
     }
 
     #[test]

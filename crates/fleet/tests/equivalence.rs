@@ -125,7 +125,6 @@ fn jobs_equivalence_with_drain_and_forensics() {
     let opts = ExecOptions {
         forensics: true,
         drain_budget: Some(5_000),
-        threads: 0,
     };
     let json = assert_jobs_equivalent(&spec, opts);
     assert!(

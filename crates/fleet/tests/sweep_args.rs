@@ -1,7 +1,7 @@
-//! Binary-level argument handling for the `sweep` CLI: `--jobs 0` and
-//! `--threads 0` auto-detect from `std::thread::available_parallelism`
-//! instead of erroring, and both knobs are invisible in the report bytes
-//! (they are wall-clock levers, not experiment parameters).
+//! Binary-level argument handling for the `sweep` CLI: `--jobs 0`
+//! auto-detects from `std::thread::available_parallelism` instead of
+//! erroring and is invisible in the report bytes (a wall-clock lever, not an
+//! experiment parameter), and the retired `--threads` is a usage error.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -46,55 +46,35 @@ fn zero_means_auto_detect_and_reports_stay_identical() {
 
     // Reference: fully sequential.
     let reference = dir.join("reference.json");
-    let status = run_sweep(&spec, &reference, &["--jobs", "1", "--threads", "1"]);
+    let status = run_sweep(&spec, &reference, &["--jobs", "1"]);
     assert!(status.success(), "sequential reference must exit 0");
     let reference = std::fs::read_to_string(&reference).expect("reference report");
     assert!(reference.contains("\"args-grid\""), "report names the grid");
 
-    // `--jobs 0` and `--threads 0` auto-detect the core count; whatever
-    // the machine reports, the bytes must not move.
+    // `--jobs 0` auto-detects the core count; whatever the machine
+    // reports, the bytes must not move.
     let auto = dir.join("auto.json");
-    let status = run_sweep(&spec, &auto, &["--jobs", "0", "--threads", "0"]);
-    assert!(
-        status.success(),
-        "--jobs 0 / --threads 0 must auto-detect, not error"
-    );
+    let status = run_sweep(&spec, &auto, &["--jobs", "0"]);
+    assert!(status.success(), "--jobs 0 must auto-detect, not error");
     assert_eq!(
         std::fs::read_to_string(&auto).expect("auto report"),
         reference,
         "auto-detected parallelism must emit byte-identical reports"
     );
 
-    // An explicit multi-thread override is equally invisible.
-    let threaded = dir.join("threaded.json");
-    let status = run_sweep(&spec, &threaded, &["--jobs", "2", "--threads", "4"]);
-    assert!(status.success(), "explicit --threads must exit 0");
-    assert_eq!(
-        std::fs::read_to_string(&threaded).expect("threaded report"),
-        reference,
-        "--threads 4 must emit byte-identical reports"
-    );
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn threads_flag_requires_a_numeric_value() {
+fn threads_is_an_unknown_argument() {
+    // The tick inside a run is single-threaded (DESIGN.md §13); the flag
+    // that used to override it is gone rather than silently ignored.
     let dir = scratch("bad");
     let spec = dir.join("grid.toml");
     std::fs::write(&spec, SPEC).expect("write spec");
     let out = dir.join("report.json");
-    let status = run_sweep(&spec, &out, &["--threads", "lots"]);
-    assert_eq!(
-        status.code(),
-        Some(2),
-        "non-numeric --threads is a usage error"
-    );
-    let status = run_sweep(&spec, &out, &["--threads"]);
-    assert_eq!(
-        status.code(),
-        Some(2),
-        "valueless --threads is a usage error"
-    );
+    let status = run_sweep(&spec, &out, &["--threads", "2"]);
+    assert_eq!(status.code(), Some(2), "--threads 2 is a usage error");
+    assert!(!out.exists(), "a usage error must not run the sweep");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -67,7 +67,6 @@ fn pipeline_scenario(seed: u64) -> Scenario {
 const OPTS: ExecOptions = ExecOptions {
     forensics: true,
     drain_budget: Some(200_000),
-    threads: 0,
 };
 
 #[test]

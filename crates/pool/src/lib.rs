@@ -12,11 +12,14 @@
 //!   from the fleet, which remains its heaviest user.
 //! * [`WorkerPool`] — a *persistent* pool of parked workers fed over a
 //!   shared channel. Jobs are `'static` boxed closures; results come back
-//!   keyed by submission index. Right for fine-grained per-cycle fan-out
-//!   (the engine's parallel candidate pre-pass) where spawning threads
-//!   every call would dominate the work. Shared data crosses into jobs
-//!   via `Arc` handoff — the caller temporarily parts with ownership and
-//!   reclaims it with `Arc::try_unwrap` after the batch completes.
+//!   keyed by submission index. Right for fine-grained fan-out where
+//!   spawning threads every call would dominate the work. Its one user,
+//!   the engine's parallel candidate pre-pass, was deleted (`DESIGN.md`
+//!   §13); only the repo benchmark's round-trip probe still constructs
+//!   one, and the type goes when that probe does. Shared data crosses
+//!   into jobs via `Arc` handoff — the caller temporarily parts with
+//!   ownership and reclaims it with `Arc::try_unwrap` after the batch
+//!   completes.
 //!
 //! Work-stealing architecture of the scoped pool: all tasks start in a
 //! global FIFO *injector*; each worker owns a local deque it refills from

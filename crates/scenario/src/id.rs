@@ -71,11 +71,11 @@ impl Scenario {
     /// human-readable keys but identical physics therefore share one
     /// content fingerprint — the property the fleet's cross-grid dedup and
     /// on-disk result cache key on. [`Scenario::threads`] is normalized
-    /// away too: the parallel tick is bit-identical at any thread count
-    /// (`DESIGN.md` §13), so it is an execution knob like the fleet's
-    /// `--jobs`, not part of the experiment. Every *simulation-relevant*
-    /// field (topology, design, traffic, config, seeds, window, clock,
-    /// audit cadence) still feeds the hash.
+    /// away too: it only shards the all-pairs route-table build, whose
+    /// rows do not depend on who computed them, so it is an execution knob
+    /// like the fleet's `--jobs`, not part of the experiment. Every
+    /// *simulation-relevant* field (topology, design, traffic, config,
+    /// seeds, window, clock, audit cadence) still feeds the hash.
     pub fn content_fingerprint(&self) -> Result<u64, SpecError> {
         let mut canon = self.clone();
         canon.name = String::new();
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn content_fingerprint_ignores_the_thread_count() {
-        // The parallel tick is bit-identical at any thread count, so
+        // The route tables are identical at any thread count, so
         // `threads` must not split the result cache.
         let seq = Scenario::new("par", Design::StaticBubble);
         let par = seq.clone().with_threads(4);

@@ -47,10 +47,6 @@ pub trait SimRunner {
     /// Select the clock discipline (step vs event-driven leaping). See
     /// [`sb_sim::ClockMode`].
     fn set_clock(&mut self, mode: ClockMode);
-    /// Thread count for the deterministic parallel tick (1 = sequential).
-    /// Results are bit-identical at any count; this is a wall-clock knob.
-    /// See [`sb_sim::Simulator::set_threads`].
-    fn set_threads(&mut self, threads: usize);
     /// Audit immediately; `Some` report if any invariant is violated.
     fn audit_now(&mut self) -> Option<ForensicsReport>;
     /// Take the most recent forensics report (audit failure or detected
@@ -135,10 +131,6 @@ impl<P: Plugin + 'static, T: TrafficSource + 'static> SimRunner for Runner<P, T>
 
     fn set_clock(&mut self, mode: ClockMode) {
         self.0.set_clock(mode);
-    }
-
-    fn set_threads(&mut self, threads: usize) {
-        self.0.set_threads(threads);
     }
 
     fn audit_now(&mut self) -> Option<ForensicsReport> {

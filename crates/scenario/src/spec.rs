@@ -18,6 +18,7 @@ use static_bubble::{placement, SbOptions, StaticBubblePlugin};
 
 use crate::design::{Design, RunOutcome, T_DD};
 use crate::runner::{Runner, SimRunner};
+use crate::value::SpecError;
 
 /// How the irregular topology is derived from the full mesh.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -144,11 +145,14 @@ pub struct Scenario {
     /// *not* packet-identical to its step twin; it is statistically
     /// equivalent and vastly faster at low load).
     pub clock: ClockMode,
-    /// Worker threads for the deterministic parallel tick (1 = sequential,
-    /// the default; 0 = auto-detect via `std::thread::available_parallelism`
-    /// at build time). Purely an execution knob: grants, RNG draws, stats
-    /// and forensics are bit-identical at any thread count (`DESIGN.md`
-    /// §13), so content-addressed result caching ignores it.
+    /// Worker threads for the all-pairs route-table build of the minimal
+    /// designs ([`sb_routing::MinimalRouting::new_with_threads`]; 1 =
+    /// sequential, the default; 0 = auto-detect via
+    /// `std::thread::available_parallelism` at build time). Nothing else
+    /// reads it: the tick itself is single-threaded (`DESIGN.md` §13) and
+    /// the tables are identical at any count, so content-addressed result
+    /// caching ignores it. Kept as a field because committed spec files
+    /// name it.
     pub threads: usize,
 }
 
@@ -290,7 +294,7 @@ impl Scenario {
         self
     }
 
-    /// Set the parallel-tick thread count (see [`Scenario::threads`]):
+    /// Set the route-table build thread count (see [`Scenario::threads`]):
     /// 1 = sequential, 0 = auto-detect at build time.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -305,6 +309,59 @@ impl Scenario {
             0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
             n => n,
         }
+    }
+
+    /// Check that the spec describes something buildable, so that a bad
+    /// input file or flag is an error naming the field and its limit
+    /// rather than an `assert!` deep inside [`Scenario::build`]: mesh
+    /// dimensions, fault counts against what the mesh has, an injectable
+    /// traffic rate, explicit bubble ids inside the mesh. The library
+    /// `assert!`s stay as the backstop for direct API callers.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let fail = |msg: String| Err(SpecError(msg));
+        let (w, h) = (self.width as usize, self.height as usize);
+        if w == 0 || h == 0 || w * h > u16::MAX as usize + 1 {
+            return fail(format!(
+                "width/height: a {w}x{h} mesh; each must be >= 1 and the mesh at most 65536 \
+                 routers (u16 node ids)"
+            ));
+        }
+        let mesh = self.mesh();
+        let (links, routers) = match self.faults {
+            FaultSpec::Pristine => (0, 0),
+            FaultSpec::Model { kind, count, .. } => match kind {
+                FaultKind::Links => (count, 0),
+                FaultKind::Routers => (0, count),
+            },
+            FaultSpec::Mixed { links, routers, .. } => (links, routers),
+        };
+        for (what, asked, have) in [
+            ("link", links, mesh.link_count()),
+            ("router", routers, mesh.node_count()),
+        ] {
+            if asked > have {
+                return fail(format!(
+                    "faults: {asked} {what} faults requested, the {w}x{h} mesh has {have} {what}s"
+                ));
+            }
+        }
+        if let TrafficSpec::Uniform { rate, .. } | TrafficSpec::BitComplement { rate, .. } =
+            self.traffic
+        {
+            if let Err(why) = sb_sim::check_injectable(rate) {
+                return fail(format!("traffic rate: {why}"));
+            }
+        }
+        if let BubbleSpec::Explicit(list) = &self.bubbles {
+            if let Some(bad) = list.iter().find(|b| b.index() >= mesh.node_count()) {
+                return fail(format!(
+                    "bubbles: router {} is outside the {w}x{h} mesh (ids 0..{})",
+                    bad.index(),
+                    mesh.node_count()
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// The mesh substrate.
@@ -396,8 +453,9 @@ impl Scenario {
         topo: &Topology,
         traffic: T,
     ) -> Box<dyn SimRunner> {
-        let threads = self.effective_threads();
-        let planner = self.design.planner_with_threads(topo, threads);
+        let planner = self
+            .design
+            .planner_with_threads(topo, self.effective_threads());
         let mut runner: Box<dyn SimRunner> = match self.design {
             Design::SpanningTree | Design::TreeOnly | Design::Unprotected => Box::new(Runner(
                 Simulator::new(topo, self.config, planner, NullPlugin, traffic, self.seed),
@@ -426,7 +484,6 @@ impl Scenario {
         runner.set_audit(self.audit_every);
         runner.set_snapshot_every(self.snapshot_every);
         runner.set_clock(self.clock);
-        runner.set_threads(threads);
         runner
     }
 
@@ -511,6 +568,69 @@ mod tests {
         assert_eq!(sc.bubble_routers(&topo), mine);
         let auto = Scenario::new("t", Design::StaticBubble);
         assert_eq!(auto.bubble_routers(&topo), placement::alive_bubbles(&topo));
+    }
+
+    fn rejected(sc: Scenario) -> String {
+        sc.validate().expect_err("spec must be rejected").0
+    }
+
+    #[test]
+    fn validate_bounds_the_mesh_dimensions() {
+        let sized = |w, h| Scenario::new("t", Design::StaticBubble).with_mesh(w, h);
+        // 256x256 is exactly the u16 id space; one more column is not.
+        assert_eq!(sized(8, 8).validate(), Ok(()));
+        assert_eq!(sized(256, 256).validate(), Ok(()));
+        for (w, h) in [(0, 8), (8, 0), (257, 256)] {
+            let msg = rejected(sized(w, h));
+            assert!(
+                msg.starts_with(&format!("width/height: a {w}x{h} mesh")),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn validate_bounds_fault_counts_by_what_the_mesh_has() {
+        // A 4x4 mesh has 24 links and 16 routers; the bounds are inclusive.
+        let mixed = |links, routers| {
+            let seed = 1;
+            Scenario::new("t", Design::StaticBubble)
+                .with_mesh(4, 4)
+                .with_faults(FaultSpec::Mixed {
+                    links,
+                    routers,
+                    seed,
+                })
+        };
+        assert_eq!(mixed(24, 16).validate(), Ok(()));
+        assert!(rejected(mixed(25, 0)).contains("25 link faults requested, the 4x4 mesh has 24"));
+        assert!(rejected(mixed(0, 17)).contains("has 16 routers"));
+        let (kind, count, seed) = (FaultKind::Routers, 17, 1);
+        let model = mixed(0, 0).with_faults(FaultSpec::Model { kind, count, seed });
+        assert!(rejected(model).contains("has 16 routers"));
+    }
+
+    #[test]
+    fn validate_rejects_a_rate_the_injector_cannot_offer() {
+        let sc = Scenario::new("t", Design::StaticBubble);
+        assert_eq!(sc.clone().with_rate(3.0).validate(), Ok(()));
+        let msg = rejected(sc.clone().with_rate(5.0));
+        assert!(
+            msg.starts_with("traffic rate:") && msg.contains("at most 3"),
+            "{msg}"
+        );
+        assert!(rejected(sc.with_rate(-0.1)).contains("non-negative"));
+    }
+
+    #[test]
+    fn validate_keeps_explicit_bubbles_inside_the_mesh() {
+        let at = |ids: [usize; 2]| {
+            Scenario::new("t", Design::StaticBubble)
+                .with_mesh(4, 4)
+                .with_bubbles(BubbleSpec::Explicit(ids.map(NodeId::from).to_vec()))
+        };
+        assert_eq!(at([0, 15]).validate(), Ok(()));
+        assert!(rejected(at([3, 16])).starts_with("bubbles: router 16"));
     }
 
     #[test]

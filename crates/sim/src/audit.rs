@@ -176,14 +176,7 @@ impl ForensicsReport {
 /// in-network (VC, bubble, or source queue), delivered, dropped, or lost —
 /// globally and per vnet. Pushes one violation per unbalanced equation.
 pub fn check_conservation(core: &NetCore, out: &mut Vec<Violation>) {
-    check_conservation_with(core, core.resident(), out);
-}
-
-/// As [`check_conservation`], with the census supplied by the caller — the
-/// engine's parallel audit shards [`NetCore::resident_range`] by router
-/// range and merges the integer sums, which is exactly [`NetCore::resident`]
-/// by commutativity, so the violations (and their order) are identical.
-pub fn check_conservation_with(core: &NetCore, res: crate::Resident, out: &mut Vec<Violation>) {
+    let res = core.resident();
     let s = core.stats();
     let push = |out: &mut Vec<Violation>, detail: String| {
         out.push(Violation {

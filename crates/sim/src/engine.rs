@@ -4,7 +4,7 @@ use crate::arena::PacketHandle;
 use crate::audit::{self, ForensicsReport, Violation};
 use crate::config::SimConfig;
 use crate::deadlock;
-use crate::netcore::{MoveEvent, NetCore, QueuedPacket, Resident, EJECT};
+use crate::netcore::{MoveEvent, NetCore, QueuedPacket, EJECT};
 use crate::packet::{NewPacket, Packet, PacketMode};
 use crate::plugin::{InputRef, OutPort, Plugin, SlotRef};
 use crate::snapshot::EngineSnapshot;
@@ -12,12 +12,10 @@ use crate::traffic::TrafficSource;
 use crate::vc::VcRef;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sb_pool::WorkerPool;
 use sb_routing::{Route, RouteSource};
-use sb_topology::{Direction, Mesh, NodeId, NodeSet, Topology};
+use sb_topology::{Direction, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// How many periodic snapshots the engine retains (oldest evicted first).
 /// Two is enough for deadlock bisection — the report of interest is the
@@ -28,70 +26,6 @@ pub const SNAPSHOT_RING: usize = 2;
 /// Router + link pipeline depth: a granted head is switchable at the next
 /// router after 2 cycles (1-cycle router, 1-cycle link — Table II).
 pub const HOP_LATENCY: u64 = 2;
-
-/// Below this many worklist entries the parallel pre-pass costs more in
-/// channel traffic than the mask collection it distributes; the cycle runs
-/// on the sequential path instead. A perf knob only: both paths produce
-/// bit-identical grants, so the threshold cannot affect results.
-const PAR_MIN_WORK: usize = 16;
-
-/// Below this many routers the sharded audit census is not worth the
-/// dispatch; conservation audits run the plain full pass.
-const PAR_MIN_ROUTERS: usize = 64;
-
-/// A precomputed allocation read: one router's candidate masks plus its
-/// earliest in-pipeline `ready_at`, exactly what
-/// [`NetCore::candidate_masks`] returns.
-type PreScan = ([u64; 5], Option<u64>);
-
-/// State for the deterministic parallel tick ([`Simulator::set_threads`]):
-/// the persistent worker pool plus recycled per-cycle buffers.
-struct ParallelCtx {
-    /// Persistent workers (`threads - 1` of them; the calling thread
-    /// computes shard 0 itself).
-    pool: WorkerPool,
-    /// Configured thread count (>= 2; 1 disables the context entirely).
-    threads: usize,
-    /// A throwaway 1×1-mesh core swapped into `self.core` while the real
-    /// core is shared with the workers behind an `Arc` — the no-`unsafe`
-    /// way to lend `&NetCore` to `'static` jobs and reclaim ownership
-    /// afterwards with `Arc::try_unwrap`.
-    spare: Option<NetCore>,
-    /// This cycle's worklist in ascending router-id order (recycled).
-    worklist: Vec<NodeId>,
-    /// Precomputed [`PreScan`] per worklist entry (recycled).
-    masks: Vec<PreScan>,
-    /// Recycled per-shard output buffers for the worker jobs.
-    shard_bufs: Vec<Vec<PreScan>>,
-    /// Commit-phase dirty bitset, one bit per router: set when a commit
-    /// this cycle mutated that router's allocator-visible state, so a
-    /// later worklist entry must recompute its masks inline.
-    dirty: Vec<u64>,
-}
-
-impl ParallelCtx {
-    fn mark_dirty(&mut self, router: NodeId) {
-        let i = router.index();
-        self.dirty[i / 64] |= 1u64 << (i % 64);
-    }
-
-    fn is_dirty(&self, router: NodeId) -> bool {
-        let i = router.index();
-        self.dirty[i / 64] & (1u64 << (i % 64)) != 0
-    }
-}
-
-/// One router's read-only pre-pass: the candidate masks the sequential
-/// allocator would compute at the top of the cycle. Dead routers yield an
-/// empty scan (the commit phase skips them anyway).
-fn prescan(core: &NetCore, router: NodeId) -> PreScan {
-    let mut cand = [0u64; 5];
-    if !core.topology().router_alive(router) {
-        return (cand, None);
-    }
-    let next_ready = core.candidate_masks(router, &mut cand);
-    (cand, next_ready)
-}
 
 /// How the engine advances simulated time (see [`Simulator::set_clock`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -147,10 +81,6 @@ pub struct Simulator<P: Plugin, T: TrafficSource> {
     next_snapshot_at: u64,
     /// Ring of the most recent periodic snapshots, newest last.
     snapshot_ring: VecDeque<EngineSnapshot>,
-    /// Parallel-tick context, `None` for the sequential path (threads <= 1).
-    /// Never serialized: thread count is an execution knob, not simulation
-    /// content — snapshots restore into whatever count the host configured.
-    par: Option<ParallelCtx>,
 }
 
 impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
@@ -195,44 +125,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             snapshot_every: 0,
             next_snapshot_at: 0,
             snapshot_ring: VecDeque::new(),
-            par: None,
         }
-    }
-
-    /// Set the thread count for the deterministic parallel tick. `<= 1`
-    /// (the default) runs fully sequentially; larger counts keep a
-    /// persistent pool of `threads - 1` workers that computes the cycle's
-    /// candidate masks in a read-only sharded pre-pass, while grants still
-    /// commit sequentially in ascending router-id order. Grants, rr
-    /// pointers, RNG draws and [`crate::Stats`] are bit-identical to the
-    /// sequential path at any thread count (`DESIGN.md` §13); the knob is
-    /// wall-clock only, so it is excluded from snapshots and result-cache
-    /// content keys.
-    pub fn set_threads(&mut self, threads: usize) {
-        let threads = threads.max(1);
-        if threads == 1 {
-            self.par = None;
-            return;
-        }
-        if self.par.as_ref().is_some_and(|ctx| ctx.threads == threads) {
-            return;
-        }
-        let n = self.core.topology().mesh().node_count();
-        let spare = NetCore::new(&Topology::full(Mesh::new(1, 1)), self.core.config(), &[]);
-        self.par = Some(ParallelCtx {
-            pool: WorkerPool::new(threads - 1),
-            threads,
-            spare: Some(spare),
-            worklist: Vec::with_capacity(n),
-            masks: Vec::with_capacity(n),
-            shard_bufs: Vec::new(),
-            dirty: vec![0u64; n.div_ceil(64)],
-        });
-    }
-
-    /// The configured parallel-tick thread count (1 = sequential).
-    pub fn threads(&self) -> usize {
-        self.par.as_ref().map_or(1, |ctx| ctx.threads)
     }
 
     /// Enable the invariant auditor: every `every` cycles (and at every
@@ -384,13 +277,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
 
     fn collect_violations(&mut self) -> Vec<Violation> {
         let mut v = Vec::new();
-        let n = self.core.topology().mesh().node_count();
-        if self.par.is_some() && n >= PAR_MIN_ROUTERS {
-            let res = self.parallel_resident();
-            audit::check_conservation_with(&self.core, res, &mut v);
-        } else {
-            audit::check_conservation(&self.core, &mut v);
-        }
+        audit::check_conservation(&self.core, &mut v);
         audit::check_vc_legality(&self.core, &mut v);
         self.plugin.audit_check(&self.core, &mut v);
         if !self.full_scan {
@@ -399,36 +286,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             self.audit_wakeup(&mut v);
         }
         v
-    }
-
-    /// Census the network with the worker pool: disjoint router ranges are
-    /// counted concurrently ([`NetCore::resident_range`] is read-only) and
-    /// merged in ascending shard order. The merge is pure integer sums, so
-    /// the result is identical to the sequential full pass — the audit
-    /// verdict cannot depend on the thread count.
-    fn parallel_resident(&mut self) -> Resident {
-        let mut ctx = self.par.take().expect("caller checked self.par");
-        let n = self.core.topology().mesh().node_count();
-        let shards = ctx.threads.min(n);
-        let chunk = n.div_ceil(shards);
-        let spare = ctx.spare.take().expect("spare core present");
-        let core = Arc::new(std::mem::replace(&mut self.core, spare));
-        let mut jobs = Vec::with_capacity(shards - 1);
-        for s in 1..shards {
-            let lo = (s * chunk).min(n);
-            let hi = ((s + 1) * chunk).min(n);
-            let core = Arc::clone(&core);
-            jobs.push(move || core.resident_range(lo, hi));
-        }
-        let batch = ctx.pool.submit(jobs);
-        let mut res = core.resident_range(0, chunk.min(n));
-        for shard in batch.collect() {
-            res.merge(&shard);
-        }
-        let real = Arc::try_unwrap(core).expect("workers released the core");
-        ctx.spare = Some(std::mem::replace(&mut self.core, real));
-        self.par = Some(ctx);
-        res
     }
 
     /// The PR-2 wakeup invariant, checked against a fresh scan: a router
@@ -442,7 +299,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 continue;
             }
             let mut cand = [0u64; 5];
-            self.collect_candidate_masks(router, &mut cand);
+            self.core.candidate_masks(router, &mut cand);
             if cand.iter().all(|&m| m == 0) {
                 continue;
             }
@@ -565,7 +422,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             snapshot_every: self.snapshot_every,
             next_snapshot_at: self.next_snapshot_at,
             snapshot_ring: self.snapshot_ring,
-            par: self.par,
         }
     }
 
@@ -603,7 +459,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             snapshot_every: self.snapshot_every,
             next_snapshot_at: self.next_snapshot_at,
             snapshot_ring: self.snapshot_ring,
-            par: self.par,
         }
     }
 
@@ -1043,11 +898,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             for r in 0..n {
                 self.scan_router(NodeId::from(r), &mut freed_bubbles);
             }
-        } else if let Some(mut ctx) = self.par.take() {
-            let scan = self.core.begin_scan();
-            self.allocate_worklist_parallel(&scan, &mut ctx, &mut freed_bubbles);
-            self.core.end_scan(scan);
-            self.par = Some(ctx);
         } else {
             let scan = self.core.begin_scan();
             let mut cur = 0usize;
@@ -1064,100 +914,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.core.freed_scratch = freed_bubbles;
     }
 
-    /// The deterministic parallel tick (`DESIGN.md` §13). Phase 1 shards
-    /// the cycle's worklist across the persistent pool and computes every
-    /// router's [`PreScan`] against the frozen top-of-cycle state (strictly
-    /// read-only — no grants, no RNG). Phase 2 replays the exact sequential
-    /// commit loop in ascending router-id order, reusing a precomputed scan
-    /// unless an earlier commit this cycle dirtied that router (its own
-    /// buffers changed, or a packet landed in it), in which case the masks
-    /// are recomputed inline. Because every grant decision, rr update, RNG
-    /// draw and stat increment happens in phase 2 in the same order as the
-    /// sequential path, the results are bit-identical at any thread count.
-    fn allocate_worklist_parallel(
-        &mut self,
-        scan: &NodeSet,
-        ctx: &mut ParallelCtx,
-        freed_bubbles: &mut Vec<NodeId>,
-    ) {
-        ctx.worklist.clear();
-        let mut cur = 0usize;
-        while let Some(router) = scan.first_set_from(cur) {
-            cur = router.index() + 1;
-            ctx.worklist.push(router);
-        }
-        let len = ctx.worklist.len();
-        if len < PAR_MIN_WORK {
-            // Too little work to amortize the handoff; run the cycle
-            // sequentially (identical results either way).
-            for i in 0..len {
-                let router = ctx.worklist[i];
-                self.scan_router(router, freed_bubbles);
-            }
-            return;
-        }
-
-        // Phase 1: sharded read-only pre-pass. The real core is lent to
-        // the workers behind an `Arc` (a throwaway 1×1 core stands in for
-        // `self.core` meanwhile); every closure drops its clone on return,
-        // so `Arc::try_unwrap` below reclaims ownership without `unsafe`.
-        let shards = ctx.threads.min(len);
-        let chunk = len.div_ceil(shards);
-        ctx.masks.clear();
-        ctx.masks.resize(len, ([0u64; 5], None));
-        while ctx.shard_bufs.len() < shards - 1 {
-            ctx.shard_bufs.push(Vec::new());
-        }
-        let spare = ctx.spare.take().expect("spare core present");
-        let core = Arc::new(std::mem::replace(&mut self.core, spare));
-        let worklist = Arc::new(std::mem::take(&mut ctx.worklist));
-        let mut jobs = Vec::with_capacity(shards - 1);
-        for (s, mut buf) in ctx.shard_bufs.drain(..shards - 1).enumerate() {
-            let lo = ((s + 1) * chunk).min(len);
-            let hi = ((s + 2) * chunk).min(len);
-            let core = Arc::clone(&core);
-            let worklist = Arc::clone(&worklist);
-            jobs.push(move || {
-                buf.clear();
-                buf.extend(worklist[lo..hi].iter().map(|&r| prescan(&core, r)));
-                buf
-            });
-        }
-        let batch = ctx.pool.submit(jobs);
-        for (i, &router) in worklist[..chunk.min(len)].iter().enumerate() {
-            ctx.masks[i] = prescan(&core, router);
-        }
-        for (s, buf) in batch.collect().into_iter().enumerate() {
-            let lo = (s + 1) * chunk;
-            ctx.masks[lo..lo + buf.len()].copy_from_slice(&buf);
-            ctx.shard_bufs.push(buf);
-        }
-        ctx.worklist = Arc::try_unwrap(worklist).expect("workers released the worklist");
-        let real = Arc::try_unwrap(core).expect("workers released the core");
-        ctx.spare = Some(std::mem::replace(&mut self.core, real));
-
-        // Phase 2: sequential commit, ascending router ids.
-        ctx.dirty.fill(0);
-        for i in 0..ctx.worklist.len() {
-            let router = ctx.worklist[i];
-            if !self.core.topology().router_alive(router) {
-                continue;
-            }
-            let (mut cand, mut next_ready) = ctx.masks[i];
-            if ctx.is_dirty(router) {
-                cand = [0u64; 5];
-                next_ready = self.core.candidate_masks(router, &mut cand);
-            }
-            self.grant_router(
-                router,
-                &mut cand,
-                next_ready,
-                freed_bubbles,
-                Some(&mut *ctx),
-            );
-        }
-    }
-
     /// Run the separable allocator at one router: collect candidate masks,
     /// pick one winner per free output in `[eject, N, E, S, W]` order, and
     /// commit the grants. Handles the worklist re-entry bookkeeping unless
@@ -1169,25 +925,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             return;
         }
         let mut cand = [0u64; 5];
-        let next_ready = self.collect_candidate_masks(router, &mut cand);
-        self.grant_router(router, &mut cand, next_ready, freed_bubbles, None);
-    }
-
-    /// The grant half of [`Simulator::scan_router`]: pick one winner per
-    /// free output in `[eject, N, E, S, W]` order from the precomputed
-    /// candidate masks and commit the grants. `dirty`, when present (the
-    /// parallel tick), records which routers each commit mutated — the
-    /// router itself plus the downstream neighbor receiving the packet —
-    /// so later routers in the commit order know their precomputed masks
-    /// are stale (`DESIGN.md` §13).
-    fn grant_router(
-        &mut self,
-        router: NodeId,
-        cand: &mut [u64; 5],
-        next_ready: Option<u64>,
-        freed_bubbles: &mut Vec<NodeId>,
-        mut dirty: Option<&mut ParallelCtx>,
-    ) {
+        let next_ready = self.core.candidate_masks(router, &mut cand);
         if cand.iter().all(|&m| m == 0) && next_ready.is_none() {
             // Completely empty: cannot produce a candidate until some
             // mutation touches it again.
@@ -1233,18 +971,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             if let Some(freed) = self.commit(router, input, out, slot) {
                 freed_bubbles.push(freed);
             }
-            if let Some(ctx) = dirty.as_deref_mut() {
-                // The commit mutated this router's buffers, and a forward
-                // hop also changed the downstream neighbor's occupancy and
-                // `next_ready`; both must recompute their masks if they
-                // appear later in the commit order.
-                ctx.mark_dirty(router);
-                if let OutPort::Dir(d) = out {
-                    if let Some(nb) = self.core.topology().mesh().neighbor(router, d) {
-                        ctx.mark_dirty(nb);
-                    }
-                }
-            }
             any_grant = true;
         }
         if self.full_scan {
@@ -1257,7 +983,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         } else {
             // Quiescent-blocked: sleep until the earliest timed event
             // that could create a candidate, or until a mutation wake.
-            self.schedule_block_wake(router, cand, next_ready);
+            self.schedule_block_wake(router, &cand, next_ready);
         }
     }
 
@@ -1275,17 +1001,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         } else {
             ((1u64 << cfg.vnets) - 1) << (4 * vcs + 1)
         }
-    }
-
-    /// Build `router`'s per-output candidate masks: bit `i` of `cand[out]`
-    /// is set iff the buffer at rr index `i` holds a switchable head that
-    /// wants output `out`. Walks the occupancy word (trailing-zeros, so
-    /// ascending rr order) using the cached head bytes — the packet itself
-    /// is only dereferenced for injection-queue heads. Returns the earliest
-    /// `ready_at` among occupants still in the hop pipeline, if any — the
-    /// allocator's next timed wake for an otherwise-idle router.
-    fn collect_candidate_masks(&self, router: NodeId, cand: &mut [u64; 5]) -> Option<u64> {
-        self.core.candidate_masks(router, cand)
     }
 
     /// A scanned router granted nothing this cycle. Schedule its next wake

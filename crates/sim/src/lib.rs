@@ -76,8 +76,8 @@ pub use snapshot::EngineSnapshot;
 pub use stats::{SpecialClass, Stats, MAX_VNETS};
 pub use trace::{TraceEvent, Traced};
 pub use traffic::{
-    BitComplementTraffic, NoTraffic, ScriptedTraffic, TrafficSource, UniformTraffic, CTRL_FLITS,
-    DATA_FLITS,
+    check_injectable, BitComplementTraffic, NoTraffic, ScriptedTraffic, TrafficSource,
+    UniformTraffic, CTRL_FLITS, DATA_FLITS,
 };
 pub use vc::VcRef;
 

@@ -99,22 +99,6 @@ pub struct Resident {
     pub queued_packets_vnet: [u64; MAX_VNETS],
 }
 
-impl Resident {
-    /// Fold another census into this one. Every field is an integer sum,
-    /// so merging per-router-range shards in any order produces the exact
-    /// census of the union — the property the parallel audit rides on.
-    pub fn merge(&mut self, other: &Resident) {
-        self.packets += other.packets;
-        self.flits += other.flits;
-        self.queued_packets += other.queued_packets;
-        self.queued_flits += other.queued_flits;
-        for v in 0..MAX_VNETS {
-            self.packets_vnet[v] += other.packets_vnet[v];
-            self.queued_packets_vnet[v] += other.queued_packets_vnet[v];
-        }
-    }
-}
-
 /// An offered packet waiting in an injection-queue tail: a plain
 /// descriptor, not yet routed and not yet in the arena. Route stamping,
 /// id-to-`Packet` materialization and arena insertion are deferred until
@@ -400,14 +384,6 @@ impl NetCore {
     /// breakdowns. Used by the measurement-window carry and the conservation
     /// audit.
     pub fn resident(&self) -> Resident {
-        self.resident_range(0, self.topo.mesh().node_count())
-    }
-
-    /// The census restricted to routers `lo..hi` (their VCs, bubble, and
-    /// injection queues). Read-only over the SoA tables, so disjoint
-    /// ranges can be censused concurrently and [`Resident::merge`]d —
-    /// integer sums make the merged result identical to one full pass.
-    pub fn resident_range(&self, lo: usize, hi: usize) -> Resident {
         fn count(res: &mut Resident, pkt: &Packet, queued: bool) {
             if queued {
                 res.queued_packets += 1;
@@ -420,8 +396,7 @@ impl NetCore {
             }
         }
         let mut res = Resident::default();
-        let hi = hi.min(self.topo.mesh().node_count());
-        for r in lo..hi {
+        for r in 0..self.topo.mesh().node_count() {
             let base = r * 4 * self.vcs;
             let mut mask = self.occ_mask[r];
             while mask != 0 {
@@ -433,8 +408,7 @@ impl NetCore {
                 count(&mut res, self.arena.get(self.bub_occ[r]), false);
             }
         }
-        let vnets = self.cfg.vnets as usize;
-        for q in &self.inject[lo * vnets..hi * vnets] {
+        for q in &self.inject {
             if q.head.is_some() {
                 count(&mut res, self.arena.get(q.head), true);
             }
@@ -459,9 +433,7 @@ impl NetCore {
     ///
     /// Reads **only this router's rows** of the SoA tables (occupancy word,
     /// VC/bubble ready times and head bytes, its own injection-queue heads)
-    /// plus the current time, never a neighbor's state — the locality fact
-    /// the engine's parallel pre-pass and its dirty-set invalidation rule
-    /// are built on (`DESIGN.md` §13).
+    /// plus the current time, never a neighbor's state.
     pub fn candidate_masks(&self, router: NodeId, cand: &mut [u64; 5]) -> Option<u64> {
         let vcs = self.vcs;
         let t = self.time;

@@ -124,15 +124,19 @@ struct SyntheticLoad {
 
 impl SyntheticLoad {
     fn new(rate: f64) -> Self {
-        assert!(rate >= 0.0, "injection rate must be non-negative");
-        let load = SyntheticLoad {
+        let load = Self::default_mix(rate);
+        load.validate();
+        load
+    }
+
+    /// `rate` at the default packet mix, bound not yet checked.
+    fn default_mix(rate: f64) -> Self {
+        SyntheticLoad {
             rate,
             data_fraction: 0.5,
             ctrl_vnet: 0,
             data_vnet: 2,
-        };
-        load.validate();
-        load
+        }
     }
 
     /// An injector can offer at most one packet per node per cycle, i.e.
@@ -140,15 +144,32 @@ impl SyntheticLoad {
     /// silently (`gen_bool(p.min(1.0))`), flattening saturation sweeps
     /// without telling anyone; now they are rejected at construction.
     fn validate(&self) {
+        if let Err(why) = self.check() {
+            panic!("{why}");
+        }
+    }
+
+    /// The bound behind [`SyntheticLoad::validate`], as a value.
+    fn check(&self) -> Result<(), String> {
+        if self.rate.is_nan() || self.rate < 0.0 {
+            return Err(format!(
+                "injection rate must be non-negative, got {}",
+                self.rate
+            ));
+        }
         let p = self.packet_prob();
-        assert!(
-            p <= 1.0,
-            "offered load {} flits/node/cycle is not injectable: it needs \
-             {p:.3} packets/node/cycle at {} flits/packet average, and the \
-             injector caps at one packet per node per cycle",
-            self.rate,
-            self.avg_flits(),
-        );
+        if p > 1.0 {
+            return Err(format!(
+                "offered load {} flits/node/cycle is not injectable: it needs \
+                 {p:.3} packets/node/cycle at {} flits/packet average, and the \
+                 injector caps at one packet per node per cycle (at most {} \
+                 flits/node/cycle)",
+                self.rate,
+                self.avg_flits(),
+                self.avg_flits(),
+            ));
+        }
+        Ok(())
     }
 
     fn avg_flits(&self) -> f64 {
@@ -167,6 +188,14 @@ impl SyntheticLoad {
             (self.ctrl_vnet, CTRL_FLITS)
         }
     }
+}
+
+/// Can a synthetic source offer `rate` flits/node/cycle at the default
+/// packet mix? `Err` carries the reason [`UniformTraffic::new`] and
+/// [`BitComplementTraffic::new`] would panic with, so a spec validator can
+/// refuse the load before anything is built.
+pub fn check_injectable(rate: f64) -> Result<(), String> {
+    SyntheticLoad::default_mix(rate).check()
 }
 
 /// How a synthetic source decides *when* each node injects.

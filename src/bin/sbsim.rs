@@ -218,9 +218,9 @@ fn main() {
              \x20            [--snapshot-every N] [--drain BUDGET] [--bisect]\n\
              \x20            [--threads N]\n\
              \n\
-             --threads: worker threads for the deterministic parallel tick\n\
-             (1 = sequential, 0 = auto-detect). Results are bit-identical at\n\
-             any count — this is a wall-clock knob only.\n\
+             --threads: worker threads for building the all-pairs route tables\n\
+             of the minimal designs (1 = sequential, 0 = auto-detect). The\n\
+             simulation itself is single-threaded; results do not depend on it.\n\
              --drain: after the measured window, halt injection and run until\n\
              the network empties (or BUDGET cycles pass) — the paper pipeline's\n\
              wedge probe.\n\
@@ -244,6 +244,10 @@ fn main() {
         None => Scenario::new("sbsim", Design::StaticBubble),
     };
     let scenario = apply_flags(&cli, base);
+    if let Err(e) = scenario.validate() {
+        eprintln!("sbsim: {e}");
+        std::process::exit(2);
+    }
 
     if cli.flag("dump-scenario") {
         print!("{}", scenario.to_json().expect("scenario serializes"));

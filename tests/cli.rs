@@ -160,3 +160,38 @@ fn dumped_scenario_reproduces_the_flag_run() {
     );
     assert!(direct.contains("packets escaped"), "{direct}");
 }
+
+#[test]
+fn unbuildable_specs_are_refused_by_field_name() {
+    // `Scenario::validate` answers before any library `assert!` can: exit
+    // 2 and one line naming the field and its limit.
+    for (args, field, limit) in [
+        (
+            ["--link-faults", "9999"],
+            "faults: 9999 link",
+            "has 112 links",
+        ),
+        (
+            ["--rate", "5"],
+            "traffic rate:",
+            "at most 3 flits/node/cycle",
+        ),
+        (["--width", "0"], "width/height: a 0x8 mesh", ">= 1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_sbsim"))
+            .args(args)
+            .output()
+            .expect("sbsim runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(field) && err.contains(limit),
+            "{args:?}: {err}"
+        );
+        assert!(
+            !err.contains("panicked") && err.lines().count() == 1,
+            "{err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing may run");
+    }
+}

@@ -12,8 +12,12 @@
 //! serialized state (Static Bubble's frozen-router list, the escape
 //! plugin's stall mask) and not rebuilt by `restore_state`: the snapshot is
 //! taken at a moment such an index is populated.
+//!
+//! A fourth contract is the fleet's: a grid's aggregated report is the same
+//! bytes whether its runs were simulated, or served from a result cache.
 
 use static_bubble_repro::core::StaticBubblePlugin;
+use static_bubble_repro::fleet::{run_sweep_cached, CacheConfig, ExecOptions, SweepSpec};
 use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
 use static_bubble_repro::sim::{SimConfig, Stats, UniformTraffic};
 use static_bubble_repro::topology::FaultKind;
@@ -168,4 +172,36 @@ fn spanning_tree_leaps_identically_in_every_mode() {
     );
     let seen = contract.check();
     assert!(seen.stats.delivered_packets > 100, "{seen:?}");
+}
+
+#[test]
+fn a_grid_reports_identically_uncached_cold_and_warm() {
+    let mut spec = SweepSpec::new("contract-grid");
+    spec.designs = vec!["static-bubble".into(), "escape-vc".into()];
+    spec.rates = vec![0.05, 0.2];
+    spec.warmup = 50;
+    spec.cycles = 350;
+
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+        .join(format!("contract-cache-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let pass = |cache: &CacheConfig| {
+        let (report, acct) =
+            run_sweep_cached(&spec, 2, ExecOptions::default(), cache).expect("valid grid");
+        (report.to_json().expect("report serializes"), acct)
+    };
+    let (uncached, _) = pass(&CacheConfig::none());
+    let (cold, cold_acct) = pass(&CacheConfig::dir(&dir));
+    let (warm, warm_acct) = pass(&CacheConfig::dir(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert!(uncached.contains("\"contract-grid\""), "{uncached}");
+    assert_eq!(cold, uncached, "cold cache vs no cache");
+    assert_eq!(warm, uncached, "warm cache vs no cache");
+    assert_eq!(cold_acct.simulated, 4, "{cold_acct:?}");
+    assert_eq!(
+        (warm_acct.simulated, warm_acct.disk_hits),
+        (0, 4),
+        "{warm_acct:?}"
+    );
 }
