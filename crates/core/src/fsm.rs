@@ -14,9 +14,8 @@
 //!   until it returns.
 //!
 //! The transitions that need network state (VC occupancy, message arrivals)
-//! are driven by [`crate::plugin::StaticBubblePlugin`]; this module holds
-//! the state, thresholds and pure bookkeeping so it can be unit-tested in
-//! isolation.
+//! are decided by [`crate::protocol::step`]; this module holds the state,
+//! thresholds and pure bookkeeping so it can be unit-tested in isolation.
 
 use sb_sim::PacketId;
 use sb_topology::{Direction, NodeId, Turn};
@@ -139,7 +138,7 @@ pub struct SbFsm {
     /// port; IO-priority `in` at this router).
     pub chain_in: Direction,
     /// Consecutive enable retransmissions in `SEnable` (bounded; see
-    /// plugin).
+    /// [`crate::protocol`]).
     pub enable_retries: u32,
     /// Exponential backoff exponent for probe emission: raised each time a
     /// probe is sent without any local packet movement, cleared when the

@@ -11,11 +11,13 @@
 //!    subset of mesh routers (21 in an 8×8, 89 in a 16×16) with one extra
 //!    packet-sized buffer — the *static bubble* — such that **every possible
 //!    cycle in the mesh passes through at least one static-bubble router**.
-//! 2. [`fsm`] + [`msg`] + [`plugin`] — the runtime microarchitecture
-//!    (Section IV): a 6-state counter FSM at each static-bubble router that
-//!    detects deadlocks with **probe** messages, freezes the deadlocked ring
-//!    with **disable** messages, opens the bubble to let the ring advance,
-//!    re-checks with **check-probe**, and releases with **enable**.
+//! 2. [`fsm`] + [`msg`] — the runtime microarchitecture (Section IV): a
+//!    6-state counter FSM at each static-bubble router that detects deadlocks
+//!    with **probe** messages, freezes the deadlocked ring with **disable**,
+//!    opens the bubble to let the ring advance, re-checks with
+//!    **check-probe**, and releases with **enable**. [`protocol`] decides
+//!    (pure functions of one router's registers), [`plugin`] gathers each
+//!    cycle's events and applies the decisions, [`trace`] records them.
 //!
 //! All flows use minimal routes all the time — no spanning trees, no escape
 //! paths, no routing restrictions before a deadlock actually occurs.
@@ -51,6 +53,8 @@ pub mod microarch;
 pub mod msg;
 pub mod placement;
 pub mod plugin;
+pub mod protocol;
+pub mod trace;
 
 pub use fsm::{FsmState, IllegalTransition, SbFsm};
 pub use microarch::{MessageBudget, RouterStateBits};
@@ -59,4 +63,5 @@ pub use placement::{
     bubble_count, coverage_holds, covers_all_cycles, greedy_placement, is_static_bubble_node,
     placement,
 };
-pub use plugin::{SbOptions, StaticBubblePlugin};
+pub use plugin::StaticBubblePlugin;
+pub use protocol::SbOptions;

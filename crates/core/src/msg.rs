@@ -122,13 +122,6 @@ impl SpecialMsg {
         }
         d
     }
-
-    /// Round-trip budget for this path: `2 × path length` in routers
-    /// (1-cycle process + 1-cycle link per hop), where the path has
-    /// `turns + 1` routers (the sender appends no turn).
-    pub fn t_dr(&self) -> u64 {
-        2 * (self.turns.len() as u64 + 1)
-    }
 }
 
 /// A special message travelling a link: arrives at `to` on input port
@@ -174,7 +167,6 @@ mod tests {
             0,
             vec![Turn::Left, Turn::Straight, Turn::Right],
         );
-        assert_eq!(d.t_dr(), 8);
         // Travelling North: Left -> West.
         assert_eq!(d.strip_turn(Direction::North), Some(Direction::West));
         // Then travelling West: Straight -> West.
@@ -182,12 +174,5 @@ mod tests {
         // Then Right -> North.
         assert_eq!(d.strip_turn(Direction::West), Some(Direction::North));
         assert_eq!(d.strip_turn(Direction::North), None);
-    }
-
-    #[test]
-    fn t_dr_matches_walkthrough() {
-        // The walk-through cycle has 6 routers, 5 turns: t_DR = 12.
-        let d = SpecialMsg::with_path(MsgKind::Disable, NodeId(5), 0, vec![Turn::Left; 5]);
-        assert_eq!(d.t_dr(), 12);
     }
 }

@@ -472,6 +472,14 @@ mod tests {
         let err = spec.validate().expect_err("9999 of 112 links").0;
         assert!(err.contains("links:9999"), "names the run: {err}");
         assert!(err.contains("has 112 links"), "names the limit: {err}");
+        // The same goes for a network configuration nothing can be built on.
+        let mut spec = SweepSpec::new("t");
+        spec.config.vcs_per_vnet = 0;
+        let err = spec.validate().expect_err("no VCs").0;
+        assert!(
+            err.contains("run 8x8/") && err.contains("config.vcs_per_vnet: 0"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -314,8 +314,9 @@ impl Scenario {
     /// Check that the spec describes something buildable, so that a bad
     /// input file or flag is an error naming the field and its limit
     /// rather than an `assert!` deep inside [`Scenario::build`]: mesh
-    /// dimensions, fault counts against what the mesh has, an injectable
-    /// traffic rate, explicit bubble ids inside the mesh. The library
+    /// dimensions, a buildable [`SimConfig`], fault counts against what the
+    /// mesh has, an injectable traffic rate, explicit bubble ids inside the
+    /// mesh. The library
     /// `assert!`s stay as the backstop for direct API callers.
     pub fn validate(&self) -> Result<(), SpecError> {
         let fail = |msg: String| Err(SpecError(msg));
@@ -325,6 +326,9 @@ impl Scenario {
                 "width/height: a {w}x{h} mesh; each must be >= 1 and the mesh at most 65536 \
                  routers (u16 node ids)"
             ));
+        }
+        if let Err(why) = self.config.check() {
+            return fail(format!("config.{why}"));
         }
         let mesh = self.mesh();
         let (links, routers) = match self.faults {
@@ -620,6 +624,26 @@ mod tests {
             "{msg}"
         );
         assert!(rejected(sc.with_rate(-0.1)).contains("non-negative"));
+    }
+
+    #[test]
+    fn validate_covers_every_sim_config_field() {
+        let sc = Scenario::new("t", Design::StaticBubble);
+        let with = |edit: fn(&mut SimConfig)| {
+            let mut sc = sc.clone();
+            edit(&mut sc.config);
+            rejected(sc)
+        };
+        assert!(with(|c| c.vnets = 0).starts_with("config.vnets: 0; must be 1..=8"));
+        assert!(with(|c| c.vcs_per_vnet = 0).starts_with("config.vcs_per_vnet: 0; must be >= 1"));
+        let wide = with(|c| c.vcs_per_vnet = 40);
+        assert!(
+            wide.starts_with("config.vcs_per_vnet: 40") && wide.contains("at most 64"),
+            "{wide}"
+        );
+        let short = "config.max_packet_flits: 2; must be >= 5";
+        assert!(with(|c| c.max_packet_flits = 2).starts_with(short));
+        assert!(with(|c| c.max_packet_flits = 0).contains("must be >= 5"));
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Simulator configuration (Table II of the paper).
 
+use crate::stats::MAX_VNETS;
+use crate::traffic::DATA_FLITS;
 use serde::{Deserialize, Serialize};
 
 /// Network configuration.
@@ -34,6 +36,44 @@ impl SimConfig {
     pub fn vcs_of_vnet(&self, vnet: u8) -> std::ops::Range<u8> {
         let lo = vnet * self.vcs_per_vnet;
         lo..lo + self.vcs_per_vnet
+    }
+
+    /// Entries one router puts before the switch allocator: every VC of its
+    /// four mesh ports, the static bubble, and one injection queue per
+    /// vnet. They are arbitrated through one `u64` candidate mask.
+    pub fn arbitration_slots(&self) -> usize {
+        4 * self.vcs_per_port() + 1 + self.vnets as usize
+    }
+
+    /// Can a network be built and loaded with this configuration? `Err`
+    /// names the field and its limit — what [`crate::NetCore::new`] and the
+    /// injection path would otherwise `assert!` (or, for zero VCs, run and
+    /// deliver nothing), so a spec validator can refuse it first.
+    pub fn check(&self) -> Result<(), String> {
+        let SimConfig {
+            vnets,
+            vcs_per_vnet: vcs,
+            max_packet_flits: flits,
+        } = *self;
+        if vnets == 0 || vnets as usize > MAX_VNETS {
+            return Err(format!("vnets: {vnets}; must be 1..={MAX_VNETS}"));
+        }
+        if vcs == 0 {
+            return Err("vcs_per_vnet: 0; must be >= 1".to_string());
+        }
+        let (slots, fit) = (self.arbitration_slots(), u64::BITS as usize);
+        if slots > fit {
+            return Err(format!(
+                "vcs_per_vnet: {vcs} x {vnets} vnets is {slots} arbitration slots per router \
+                 (4 ports x VCs + bubble + vnets); at most {fit} fit the candidate mask"
+            ));
+        }
+        if flits < DATA_FLITS {
+            return Err(format!(
+                "max_packet_flits: {flits}; must be >= {DATA_FLITS}, the data packet length"
+            ));
+        }
+        Ok(())
     }
 
     /// A small configuration (1 vnet, 1 VC) that makes deadlocks easy to
@@ -88,6 +128,29 @@ mod tests {
         assert_eq!(cfg.vnet_of(4), 1);
         assert_eq!(cfg.vnet_of(11), 2);
         assert_eq!(cfg.vcs_of_vnet(1), 4..8);
+    }
+
+    #[test]
+    fn check_names_the_field_and_its_limit() {
+        let table_ii = SimConfig::default();
+        assert_eq!(table_ii.check(), Ok(()));
+        assert_eq!(SimConfig::tiny().check(), Ok(()));
+        let with = |edit: fn(&mut SimConfig)| {
+            let mut cfg = table_ii;
+            edit(&mut cfg);
+            cfg.check().expect_err("must be refused")
+        };
+        assert!(with(|c| c.vnets = 0).starts_with("vnets: 0; must be 1..=8"));
+        assert!(with(|c| c.vnets = 9).starts_with("vnets: 9;"));
+        assert!(with(|c| c.vcs_per_vnet = 0).starts_with("vcs_per_vnet: 0;"));
+        // 4 ports x 5 VCs x 3 vnets + bubble + 3 vnets = 64 fits; 6 do not.
+        let five = SimConfig {
+            vcs_per_vnet: 5,
+            ..table_ii
+        };
+        assert_eq!((five.arbitration_slots(), five.check()), (64, Ok(())));
+        assert!(with(|c| c.vcs_per_vnet = 6).contains("76 arbitration slots"));
+        assert!(with(|c| c.max_packet_flits = 4).starts_with("max_packet_flits: 4; must be >= 5"));
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl NetCore {
         let n = topo.mesh().node_count();
         let vcs = cfg.vcs_per_port();
         assert!(
-            4 * vcs + 1 + cfg.vnets as usize <= 64,
+            cfg.arbitration_slots() <= u64::BITS as usize,
             "per-router arbitration space (4 ports x {vcs} VCs + bubble + {} vnets) \
              must fit one u64 candidate mask",
             cfg.vnets

@@ -164,24 +164,63 @@ fn dumped_scenario_reproduces_the_flag_run() {
 #[test]
 fn unbuildable_specs_are_refused_by_field_name() {
     // `Scenario::validate` answers before any library `assert!` can: exit
-    // 2 and one line naming the field and its limit.
+    // 2 and one line naming the field and its limit. `SimConfig` has no
+    // flags, so its rows edit a dumped spec file.
+    let (spec, ok) = sbsim(&["--dump-scenario"]);
+    assert!(ok);
+    let spec_with = |row: usize, from: &str, to: &str| {
+        assert!(spec.contains(from), "{spec}");
+        let name = format!("sbsim_hostile_{}_{row}.json", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        std::fs::write(&path, spec.replace(from, to)).expect("write spec");
+        path.to_str().expect("utf-8 temp dir").to_string()
+    };
+    let flags = |a: &str, b: &str| vec![a.to_string(), b.to_string()];
+    let file = |path: String| vec!["--scenario".to_string(), path];
     for (args, field, limit) in [
         (
-            ["--link-faults", "9999"],
+            flags("--link-faults", "9999"),
             "faults: 9999 link",
             "has 112 links",
         ),
         (
-            ["--rate", "5"],
+            flags("--rate", "5"),
             "traffic rate:",
             "at most 3 flits/node/cycle",
         ),
-        (["--width", "0"], "width/height: a 0x8 mesh", ">= 1"),
+        (flags("--width", "0"), "width/height: a 0x8 mesh", ">= 1"),
+        (
+            file(spec_with(0, "\"vnets\": 1", "\"vnets\": 0")),
+            "config.vnets: 0",
+            "1..=8",
+        ),
+        (
+            file(spec_with(
+                1,
+                "\"max_packet_flits\": 5",
+                "\"max_packet_flits\": 2",
+            )),
+            "config.max_packet_flits: 2",
+            ">= 5",
+        ),
+        (
+            file(spec_with(2, "\"vcs_per_vnet\": 4", "\"vcs_per_vnet\": 40")),
+            "config.vcs_per_vnet: 40",
+            "at most 64",
+        ),
+        (
+            file(spec_with(3, "\"vcs_per_vnet\": 4", "\"vcs_per_vnet\": 0")),
+            "config.vcs_per_vnet: 0",
+            ">= 1",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sbsim"))
-            .args(args)
+            .args(&args)
             .output()
             .expect("sbsim runs");
+        if args[0] == "--scenario" {
+            let _ = std::fs::remove_file(&args[1]);
+        }
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(
