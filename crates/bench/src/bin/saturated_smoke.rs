@@ -3,9 +3,15 @@
 //! stamping and injection-queue growth all run flat out. Runs the
 //! `saturated` row of `BENCH_kernel.json` ([`sb_bench::saturated_scenario`]:
 //! a live, past-the-knee up*/down* 16×16) once with a plain timing loop and
-//! **fails** if the network left its regime or the cycle rate fell below
-//! the floor — a cheap CI tripwire, not a benchmark (use
+//! **fails** if the network left its regime, the allocator's work per grant
+//! rose above its ceilings, or the cycle rate fell below the floor — a cheap
+//! CI tripwire, not a benchmark (use
 //! `bash benchmark/run.sh --workload saturated` for real numbers).
+//!
+//! The work ratios are the regression signal: they are counts
+//! ([`sb_sim::KernelCounters`]), so they repeat exactly on any machine,
+//! where a single run's cycles/sec swings by a third on a shared box. The
+//! floor only catches a collapse.
 //!
 //! ```text
 //! cargo run --release -p sb-bench --bin saturated_smoke
@@ -16,6 +22,16 @@
 /// offered packet cost two breadth-first searches). Machine variance moves
 /// the rate by tens of percent; losing the route tables moves it 5×.
 const FLOOR_CYCLES_PER_SEC: f64 = 13_000.0;
+
+/// Ceilings on allocator work per grant over the whole run, warmup
+/// included: router scans, scans that granted nothing, and candidate
+/// packets the winner search dereferenced. Measured 2.09 / 0.94 / 2.11 with
+/// wakes scheduled at the cycle their event takes effect and the winner
+/// search giving up on a full downstream port after one candidate; 2.59 /
+/// 1.44 / 9.06 before.
+const MAX_SCANS: f64 = 2.2;
+const MAX_ZERO_GRANT_SCANS: f64 = 1.0;
+const MAX_CANDIDATES: f64 = 2.5;
 
 fn main() {
     let cycles = 20_000u64;
@@ -38,6 +54,27 @@ fn main() {
         stats.delivered_packets,
         stats.acceptance()
     );
+    // The counters run since construction, so divide by their own grant
+    // count, not by the measurement window's `stats.movements`.
+    let k = sim.kernel_counters();
+    let per_grant = |count: u64| count as f64 / k.grants as f64;
+    let work = [
+        ("router scans", k.scans, MAX_SCANS),
+        ("zero-grant scans", k.zero_grant_scans, MAX_ZERO_GRANT_SCANS),
+        ("candidates examined", k.candidates_examined, MAX_CANDIDATES),
+    ];
+    // Print all three before holding any of them to its ceiling.
+    println!("work per grant over {} grants:", k.grants);
+    for (name, count, ceiling) in work {
+        println!("  {name}: {:.3} (ceiling {ceiling})", per_grant(count));
+    }
+    for (name, count, ceiling) in work {
+        assert!(
+            per_grant(count) <= ceiling,
+            "{name} per grant {:.3} rose above the ceiling {ceiling}",
+            per_grant(count)
+        );
+    }
     println!("floor: {FLOOR_CYCLES_PER_SEC:.0} cycles/sec");
     assert!(
         rate >= FLOOR_CYCLES_PER_SEC,

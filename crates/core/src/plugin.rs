@@ -137,11 +137,6 @@ impl StaticBubblePlugin {
         &self.trace.counters
     }
 
-    /// The detection threshold.
-    pub fn tdd(&self) -> u64 {
-        self.tdd
-    }
-
     /// The FSM of a static-bubble router, if `node` is one.
     pub fn fsm(&self, node: NodeId) -> Option<&SbFsm> {
         self.fsms.get(&node)

@@ -11,8 +11,8 @@
 use std::any::Any;
 
 use sb_sim::{
-    ClockMode, EngineSnapshot, EscapeVcPlugin, ForensicsReport, NetCore, Plugin, Simulator, Stats,
-    TrafficSource,
+    ClockMode, EngineSnapshot, EscapeVcPlugin, ForensicsReport, KernelCounters, NetCore, Plugin,
+    Simulator, Stats, TrafficSource,
 };
 
 /// A live simulation, abstracted over plugin and traffic types.
@@ -34,6 +34,9 @@ pub trait SimRunner {
     fn stats(&self) -> &Stats;
     /// The network state (occupancy art, in-flight count, ...).
     fn core(&self) -> &NetCore;
+    /// Allocator work counts since construction (see
+    /// [`sb_sim::KernelCounters`]).
+    fn kernel_counters(&self) -> KernelCounters;
     /// Does the deadlock oracle flag the current state?
     fn deadlocked_now(&self) -> bool;
     /// Run until the oracle detects a deadlock (checked every `check_every`
@@ -111,6 +114,10 @@ impl<P: Plugin + 'static, T: TrafficSource + 'static> SimRunner for Runner<P, T>
 
     fn core(&self) -> &NetCore {
         self.0.core()
+    }
+
+    fn kernel_counters(&self) -> KernelCounters {
+        self.0.kernel_counters()
     }
 
     fn deadlocked_now(&self) -> bool {

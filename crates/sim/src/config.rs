@@ -45,6 +45,17 @@ impl SimConfig {
         4 * self.vcs_per_port() + 1 + self.vnets as usize
     }
 
+    /// The arbitration slots (bits of a router's candidate mask) that can
+    /// only hold packets of `vnet`: its VC group at each of the four mesh
+    /// ports and its injection queue. The bubble's slot is in no vnet's
+    /// mask — its occupant's vnet is not a function of the index.
+    pub fn arbitration_mask_of_vnet(&self, vnet: u8) -> u64 {
+        let vcs = self.vcs_per_port();
+        let group = ((1u64 << self.vcs_per_vnet) - 1) << (vnet * self.vcs_per_vnet);
+        let ports = (0..4).fold(0u64, |m, port| m | group << (port * vcs));
+        ports | 1u64 << (4 * vcs + 1 + vnet as usize)
+    }
+
     /// Can a network be built and loaded with this configuration? `Err`
     /// names the field and its limit — what [`crate::NetCore::new`] and the
     /// injection path would otherwise `assert!` (or, for zero VCs, run and
@@ -151,6 +162,33 @@ mod tests {
         assert_eq!((five.arbitration_slots(), five.check()), (64, Ok(())));
         assert!(with(|c| c.vcs_per_vnet = 6).contains("76 arbitration slots"));
         assert!(with(|c| c.max_packet_flits = 4).starts_with("max_packet_flits: 4; must be >= 5"));
+    }
+
+    #[test]
+    fn vnet_masks_partition_everything_but_the_bubble() {
+        for cfg in [
+            SimConfig::default(),
+            SimConfig::single_vnet(),
+            SimConfig::tiny(),
+        ] {
+            let vcs = cfg.vcs_per_port();
+            let mut all = 0u64;
+            for vnet in 0..cfg.vnets {
+                let mask = cfg.arbitration_mask_of_vnet(vnet);
+                assert_eq!(all & mask, 0, "vnet masks are disjoint");
+                for port in 0..4 {
+                    for vc in cfg.vcs_of_vnet(vnet) {
+                        assert_ne!(mask & 1 << (port * vcs + vc as usize), 0);
+                    }
+                }
+                assert_ne!(mask & 1 << (4 * vcs + 1 + vnet as usize), 0);
+                assert_eq!(mask.count_ones(), 4 * u32::from(cfg.vcs_per_vnet) + 1);
+                all |= mask;
+            }
+            let bubble = 1u64 << (4 * vcs);
+            let every_slot = !0u64 >> (64 - cfg.arbitration_slots());
+            assert_eq!(all, every_slot & !bubble);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::arena::PacketHandle;
 use crate::audit::{self, ForensicsReport, Violation};
 use crate::config::SimConfig;
 use crate::deadlock;
-use crate::netcore::{MoveEvent, NetCore, QueuedPacket, EJECT};
+use crate::netcore::{NetCore, QueuedPacket, EJECT};
 use crate::packet::{NewPacket, Packet, PacketMode};
 use crate::plugin::{InputRef, OutPort, Plugin, SlotRef};
 use crate::snapshot::EngineSnapshot;
@@ -46,6 +46,27 @@ pub enum ClockMode {
     Leap,
 }
 
+/// Work the switch allocator did since the simulator was constructed:
+/// plain monotonic counts, so — unlike a cycles-per-second reading on a
+/// shared box — they repeat exactly and their per-grant ratios are
+/// machine-independent. Owned by [`Simulator`], not [`NetCore`]: never
+/// serialized, not part of [`crate::Stats`], digests or content keys, and
+/// not rewound by [`Simulator::restore`]. When ROADMAP item 3's `Observer`
+/// lands these move behind it.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCounters {
+    /// Alive routers the allocator scanned.
+    pub scans: u64,
+    /// Scans that found a resident packet and granted nothing.
+    pub zero_grant_scans: u64,
+    /// Round-robin winner searches run (one per contended, idle output).
+    pub winner_searches: u64,
+    /// Candidate packets those searches dereferenced.
+    pub candidates_examined: u64,
+    /// Grants committed.
+    pub grants: u64,
+}
+
 /// A complete simulation: network state, deadlock-handling plugin, traffic
 /// source and route planner.
 ///
@@ -81,6 +102,8 @@ pub struct Simulator<P: Plugin, T: TrafficSource> {
     next_snapshot_at: u64,
     /// Ring of the most recent periodic snapshots, newest last.
     snapshot_ring: VecDeque<EngineSnapshot>,
+    /// Allocator work counts (see [`Simulator::kernel_counters`]).
+    counters: KernelCounters,
 }
 
 impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
@@ -125,6 +148,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             snapshot_every: 0,
             next_snapshot_at: 0,
             snapshot_ring: VecDeque::new(),
+            counters: KernelCounters::default(),
         }
     }
 
@@ -322,7 +346,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     }
                 }
                 if let Some((_, input, _)) =
-                    self.find_winner(router, o, cand[out_idx], self.core.rr[r5 + out_idx])
+                    self.probe_winner(router, o, cand[out_idx], self.core.rr[r5 + out_idx])
                 {
                     out.push(Violation {
                         class: audit::AuditClass::Wakeup,
@@ -404,6 +428,11 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.core.time()
     }
 
+    /// Allocator work counts since construction (see [`KernelCounters`]).
+    pub fn kernel_counters(&self) -> KernelCounters {
+        self.counters
+    }
+
     /// Swap the traffic source, keeping all network and plugin state (e.g.
     /// stop traffic with [`crate::NoTraffic`] to measure drain behaviour).
     pub fn replace_traffic<U: TrafficSource>(self, traffic: U) -> Simulator<P, U> {
@@ -422,6 +451,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             snapshot_every: self.snapshot_every,
             next_snapshot_at: self.next_snapshot_at,
             snapshot_ring: self.snapshot_ring,
+            counters: self.counters,
         }
     }
 
@@ -459,6 +489,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             snapshot_every: self.snapshot_every,
             next_snapshot_at: self.next_snapshot_at,
             snapshot_ring: self.snapshot_ring,
+            counters: self.counters,
         }
     }
 
@@ -609,7 +640,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// invariant violation with the full [`ForensicsReport`] in the
     /// message.
     pub fn tick(&mut self) {
-        self.core.moved.clear();
         self.plugin.before_cycle(&mut self.core);
         self.inject_traffic();
         self.allocate();
@@ -873,9 +903,10 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// The worklist is consumed each cycle. A scanned router re-enters it
     /// only through an event that can create a new candidate: it granted
     /// something (more heads may be switchable next cycle), a mutation
-    /// touched it ([`NetCore::touch`] — fresh injection, arriving packet,
-    /// credit return at the port it feeds, plugin state change), or a timed
-    /// wake it scheduled for itself matured ([`NetCore::wake_at`]). A
+    /// touched it ([`NetCore::touch`] — fresh injection, plugin state
+    /// change), or a timed wake matured ([`NetCore::wake_at`] — an arriving
+    /// packet's `ready_at`, the drain deadline of a slot at the port it
+    /// feeds, whatever it found to wait for when it last blocked). A
     /// router absent from the set would have granted nothing under the
     /// reference `0..n` sweep, and a zero-grant sweep has no side effects —
     /// round-robin pointers move only on grants — so skipping it is
@@ -924,6 +955,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             // are woken again by the next reconfiguration.
             return;
         }
+        self.counters.scans += 1;
         let mut cand = [0u64; 5];
         let next_ready = self.core.candidate_masks(router, &mut cand);
         if cand.iter().all(|&m| m == 0) && next_ready.is_none() {
@@ -956,11 +988,13 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     continue;
                 }
             }
-            let Some((winner, input, slot)) =
-                self.find_winner(router, out, mask, self.core.rr[r5 + out_idx])
-            else {
+            let (won, examined) = self.find_winner(router, out, mask, self.core.rr[r5 + out_idx]);
+            self.counters.winner_searches += 1;
+            self.counters.candidates_examined += u64::from(examined);
+            let Some((winner, input, slot)) = won else {
                 continue;
             };
+            self.counters.grants += 1;
             blocked |= self.input_block_mask(winner);
             // The committed packet is gone; a later output port must not
             // re-select it.
@@ -972,6 +1006,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 freed_bubbles.push(freed);
             }
             any_grant = true;
+        }
+        if !any_grant {
+            self.counters.zero_grant_scans += 1;
         }
         if self.full_scan {
             return;
@@ -1007,12 +1044,12 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// at the earliest *timed* event that could hand it a candidate: an
     /// occupant finishing the hop pipeline (`next_ready`), a wanted output
     /// link going idle, or a draining buffer on a wanted downstream port
-    /// returning its credit. Every non-timed unblocking path — a downstream
-    /// grant freeing a buffer, a plugin lifting a veto, a fresh injection, a
-    /// reconfiguration — wakes the router through [`NetCore::touch`] at
-    /// mutation time instead. If no timed event exists the router is fully
-    /// quiescent (e.g. inside a deadlock) and sleeps until a mutation
-    /// arrives.
+    /// returning its credit. Every unblocking path with no deadline to read
+    /// yet — a downstream grant (its buffer take wakes this feeder at the
+    /// new drain deadline), a plugin lifting a veto, a fresh injection, a
+    /// reconfiguration — wakes the router from the mutation site instead.
+    /// If no timed event exists the router is fully quiescent (e.g. inside
+    /// a deadlock) and sleeps until a mutation arrives.
     fn schedule_block_wake(&mut self, router: NodeId, cand: &[u64; 5], next_ready: Option<u64>) {
         let t = self.core.time();
         let vcs = self.core.config().vcs_per_port();
@@ -1041,11 +1078,16 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             // credit; the min over all of them (regardless of vnet — a
             // conservative superset of any plugin's pick_slot policy) bounds
             // the earliest possible unblock. Occupied slots free through a
-            // grant at `nb`, whose buffer take wakes this feeder.
-            let pbase = self.core.vc_base(nb) + d.opposite().index() * vcs;
-            for flat in pbase..pbase + vcs {
-                if self.core.vc_occ[flat].is_none() && self.core.vc_drain[flat] != 0 {
-                    note(&mut wake, self.core.vc_drain[flat]);
+            // grant at `nb`, whose buffer take wakes this feeder at the new
+            // drain deadline.
+            let port = d.opposite();
+            let pbase = self.core.vc_base(nb) + port.index() * vcs;
+            let mut empty = self.core.empty_vcs(nb, port);
+            while empty != 0 {
+                let drain = self.core.vc_drain[pbase + empty.trailing_zeros() as usize];
+                empty &= empty - 1;
+                if drain != 0 {
+                    note(&mut wake, drain);
                 }
             }
             let nbr = nb.index();
@@ -1081,53 +1123,78 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
 
     /// Scan `mask` (the candidates of `router` wanting `out`, minus inputs
     /// already granted) in round-robin order from `rr_ptr` and return the
-    /// first eligible `(index, input, slot)`.
+    /// first eligible `(index, input, slot)`, with the number of candidate
+    /// packets it dereferenced on the way.
     ///
     /// Round-robin order — ascending `(i - start) mod total` — is the bits
     /// `>= start` in ascending order followed by the bits `< start`: two
     /// word scans with trailing-zeros iteration, no sort, no allocation.
+    ///
+    /// Whether the output can be served is a property of the downstream
+    /// port's buffers, not of each queued head: the first time
+    /// [`Plugin::pick_slot`] refuses a candidate of some vnet, the search
+    /// asks once whether the downstream port has *any* free buffer of that
+    /// vnet, and if not drops the vnet's VCs and injection queue from the
+    /// rest of the search — by the slot contract on [`Plugin::pick_slot`]
+    /// every one of them would be refused too. A full single-vnet port
+    /// therefore costs one candidate, not one per queued head. The question
+    /// is asked once per vnet per search, not per refusal: a vnet can be
+    /// refused and alive at once (escape-VC `Normal` packets while only the
+    /// escape VC is free), and would otherwise pay it on every candidate.
     fn find_winner(
         &self,
         router: NodeId,
         out: OutPort,
         mask: u64,
         rr_ptr: u32,
-    ) -> Option<(usize, InputRef, Option<SlotRef>)> {
+    ) -> (Option<(usize, InputRef, Option<SlotRef>)>, u32) {
         let core = &self.core;
         let cfg: SimConfig = core.config();
         let vcs = cfg.vcs_per_port();
         let total = 4 * vcs + 1 + cfg.vnets as usize;
         let start = rr_ptr as usize % total; // start <= 63: the shift is safe
         let above = !0u64 << start;
-        for word in [mask & above, mask & !above] {
-            let mut w = word;
+        // The downstream input port, the same for every candidate.
+        let downstream = match out {
+            OutPort::Eject => None,
+            OutPort::Dir(d) => {
+                let neighbor = core.topology().mesh().neighbor(router, d);
+                Some((neighbor.expect("alive link has endpoint"), d.opposite()))
+            }
+        };
+        let mut live = mask;
+        let mut asked = 0u8; // vnets whose downstream buffers were checked
+        let mut examined = 0u32;
+        for half in [above, !above] {
+            let mut w = live & half;
             while w != 0 {
                 let i = w.trailing_zeros() as usize;
                 w &= w - 1;
                 let input = self.input_of(router, i, vcs);
                 let pkt = core.packet_at(input).expect("candidate has a packet");
+                examined += 1;
                 if !self.plugin.allow_grant(core, router, input, out, pkt) {
                     continue;
                 }
-                match out {
-                    OutPort::Eject => return Some((i, input, None)),
-                    OutPort::Dir(d) => {
-                        let neighbor = core
-                            .topology()
-                            .mesh()
-                            .neighbor(router, d)
-                            .expect("alive link has endpoint");
-                        if let Some(slot) = self.plugin.pick_slot(core, neighbor, d.opposite(), pkt)
-                        {
-                            // Validate the plugin's choice.
-                            debug_assert!(self.slot_is_free(neighbor, d.opposite(), pkt, slot));
-                            return Some((i, input, Some(slot)));
-                        }
+                let Some((neighbor, port)) = downstream else {
+                    return (Some((i, input, None)), examined);
+                };
+                if let Some(slot) = self.plugin.pick_slot(core, neighbor, port, pkt) {
+                    // Validate the plugin's choice.
+                    debug_assert!(self.slot_is_free(neighbor, port, pkt, slot));
+                    return (Some((i, input, Some(slot))), examined);
+                }
+                if asked & (1 << pkt.vnet) == 0 {
+                    asked |= 1 << pkt.vnet;
+                    if !core.vnet_has_free_slot(neighbor, port, pkt.vnet) {
+                        let dead = cfg.arbitration_mask_of_vnet(pkt.vnet);
+                        live &= !dead;
+                        w &= !dead;
                     }
                 }
             }
         }
-        None
+        (None, examined)
     }
 
     /// Probe the round-robin winner search without committing anything:
@@ -1143,12 +1210,17 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         mask: u64,
         rr_ptr: u32,
     ) -> Option<(usize, InputRef, Option<SlotRef>)> {
-        self.find_winner(router, out, mask, rr_ptr)
+        self.find_winner(router, out, mask, rr_ptr).0
     }
 
+    /// The slot contract of [`Plugin::pick_slot`]: a free buffer of the
+    /// packet's own vnet at that port.
     fn slot_is_free(&self, router: NodeId, port: Direction, pkt: &Packet, slot: SlotRef) -> bool {
         match slot {
-            SlotRef::Regular(vc) => self.core.vc_is_free(VcRef { router, port, vc }),
+            SlotRef::Regular(vc) => {
+                self.core.config().vnet_of(vc) == pkt.vnet
+                    && self.core.vc_is_free(VcRef { router, port, vc })
+            }
             SlotRef::Bubble => self.core.bubble_available(router, port, pkt.vnet),
         }
     }
@@ -1239,9 +1311,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 h
             }
         };
-        let (len, vnet, id) = {
+        let (len, vnet) = {
             let pkt = self.core.arena.get(h);
-            (pkt.len_flits as u64, pkt.vnet, pkt.id)
+            (pkt.len_flits as u64, pkt.vnet)
         };
         // 2. Deliver or forward.
         match out {
@@ -1294,13 +1366,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
         self.core.stats_mut().movements += 1;
         self.core.last_movement = t;
-        self.core.moved.push(MoveEvent {
-            router,
-            input,
-            out,
-            pkt: id,
-            vnet,
-        });
         freed_bubble
     }
 }

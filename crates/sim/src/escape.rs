@@ -102,11 +102,12 @@ impl Plugin for EscapeVcPlugin {
     ) -> Option<SlotRef> {
         let escape = Self::escape_vc(core, pkt.vnet);
         match pkt.mode {
-            PacketMode::Normal => core
-                .config()
-                .vcs_of_vnet(pkt.vnet)
-                .find(|&vc| vc != escape && core.vc_is_free(VcRef { router, port, vc }))
-                .map(SlotRef::Regular),
+            // The vnet's group minus its last VC, the escape one.
+            PacketMode::Normal => {
+                let first = core.config().vcs_of_vnet(pkt.vnet).start;
+                core.first_free_vc_in(router, port, first..escape)
+                    .map(SlotRef::Regular)
+            }
             PacketMode::Escape => core
                 .vc_is_free(VcRef {
                     router,

@@ -66,10 +66,10 @@ pub use config::SimConfig;
 pub use deadlock::{
     describe_cycle, find_deadlock, find_dependency_cycle, is_deadlocked, WaitForEdge,
 };
-pub use engine::{ClockMode, Simulator};
+pub use engine::{ClockMode, KernelCounters, Simulator};
 pub use escape::EscapeVcPlugin;
 pub use inspect::Snapshot;
-pub use netcore::{MoveEvent, NetCore, Resident};
+pub use netcore::{NetCore, Resident};
 pub use packet::{NewPacket, Packet, PacketId, PacketMode};
 pub use plugin::{InputRef, NullPlugin, OutPort, Plugin, SlotRef};
 pub use snapshot::EngineSnapshot;

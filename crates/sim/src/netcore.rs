@@ -64,22 +64,6 @@ pub(crate) fn head_of(pkt: &Packet) -> u8 {
     }
 }
 
-/// One committed packet movement, recorded for plugins to inspect in
-/// [`crate::Plugin::after_cycle`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MoveEvent {
-    /// Router the grant happened at.
-    pub router: NodeId,
-    /// The input-side buffer the packet left.
-    pub input: InputRef,
-    /// The output it was granted.
-    pub out: OutPort,
-    /// The moved packet.
-    pub pkt: PacketId,
-    /// Its vnet.
-    pub vnet: u8,
-}
-
 /// Census of packets resident in the network, produced by
 /// [`NetCore::resident`]. Split into in-network (VCs + bubbles) and
 /// source-queue populations, with flit totals and per-vnet breakdowns.
@@ -205,7 +189,6 @@ pub struct NetCore {
     stats: Stats,
     /// Packets delivered per destination router (measurement window).
     delivered_per_node: Vec<u64>,
-    pub(crate) moved: Vec<MoveEvent>,
     pub(crate) next_pkt: u64,
     /// Cycle of the most recent packet movement anywhere in the network.
     pub(crate) last_movement: u64,
@@ -224,10 +207,12 @@ pub struct NetCore {
     /// [`NetCore::end_scan`]).
     scan_set: NodeSet,
     /// Time-indexed wake wheel: slot `t % WHEEL_SLOTS` holds routers to
-    /// re-enter the scan set at cycle `t` (out-busy expiries, credit
-    /// returns of draining buffers, occupants finishing their hop
-    /// pipeline). Entries are never cancelled — a stale wake is consumed in
-    /// one empty scan.
+    /// re-enter the scan set at cycle `t`: the cycle an event takes effect,
+    /// not the cycle it was scheduled — an arriving packet's `ready_at`, a
+    /// granted buffer's drain deadline (for its feeder), and whatever a
+    /// blocked router found to wait for (out-busy expiry, draining credit,
+    /// occupant finishing its hop pipeline). Entries are never cancelled —
+    /// a stale wake is consumed in one empty scan.
     wheel: Vec<Vec<NodeId>>,
     /// Scratch for the allocator's freed-bubble list (reused every cycle).
     pub(crate) freed_scratch: Vec<NodeId>,
@@ -274,7 +259,6 @@ impl NetCore {
             inject: vec![InjectQueue::default(); n * cfg.vnets as usize],
             stats: Stats::new(),
             delivered_per_node: vec![0; n],
-            moved: Vec::new(),
             next_pkt: 0,
             last_movement: 0,
             // Start with everything active; the allocator prunes the empty
@@ -564,10 +548,11 @@ impl NetCore {
         self.scan_set = scan;
     }
 
-    /// Wake the router that feeds packets into `(router, port)`: the buffer
-    /// state on the receiving side changed, which may unblock the upstream
-    /// allocator (a freed or freshly-draining VC is a new credit for the
-    /// neighbour that sends across this port).
+    /// Wake the router that feeds packets into `(router, port)` right away:
+    /// the receiving side changed in a way the upstream allocator can use
+    /// (or must re-read) next cycle — a slot forced free, a bubble attached
+    /// or detached, a re-stamped occupant. The one timed credit, a grant's
+    /// drain deadline, is scheduled by [`NetCore::vc_take`] itself.
     fn wake_feeder(&mut self, router: NodeId, port: Direction) {
         if let Some(feeder) = self.topo.mesh().neighbor(router, port) {
             self.active.insert(feeder);
@@ -582,12 +567,6 @@ impl NetCore {
     /// Number of routers in the allocator's scan set.
     pub fn active_count(&self) -> usize {
         self.active.len()
-    }
-
-    /// Movements committed in the current cycle so far (complete after
-    /// allocation; intended for [`crate::Plugin::after_cycle`]).
-    pub fn moves(&self) -> &[MoveEvent] {
-        &self.moved
     }
 
     // ------------------------------------------------------------------
@@ -636,9 +615,10 @@ impl NetCore {
         (self.vc_occ[flat].is_none() && self.vc_drain[flat] != 0).then(|| self.vc_drain[flat])
     }
 
-    /// Install the packet behind `h` into `vc`, switchable from `ready_at`.
-    /// The router re-enters the allocator's scan set and so does the
-    /// neighbour feeding this port.
+    /// Install the packet behind `h` into `vc`, switchable from `ready_at`
+    /// — which is when the router re-enters the allocator's scan set: the
+    /// occupant cannot be a candidate earlier. The feeding neighbour is not
+    /// woken: a put consumes a credit, it never creates one.
     ///
     /// # Panics
     ///
@@ -654,8 +634,7 @@ impl NetCore {
         self.vc_drain[flat] = 0;
         self.vc_head[flat] = head_of(self.arena.get(h));
         self.occ_mask[vc.router.index()] |= 1 << (flat - self.vc_base(vc.router));
-        self.touch(vc.router);
-        self.wake_feeder(vc.router, vc.port);
+        self.wake_at(vc.router, ready_at);
     }
 
     /// Insert `pkt` into the arena and install it into `vc` (a test/tool
@@ -672,8 +651,8 @@ impl NetCore {
 
     /// Remove the occupant of `vc` for a grant, leaving the slot draining
     /// until the packet's tail has streamed out (`now + len_flits`). The
-    /// router re-enters the scan set and the feeding neighbour is woken
-    /// (the drain deadline is a future credit).
+    /// router re-enters the scan set; the feeding neighbour is woken at the
+    /// drain deadline, the first cycle the slot is a credit it can use.
     ///
     /// # Panics
     ///
@@ -687,7 +666,9 @@ impl NetCore {
         self.vc_drain[flat] = self.time + len;
         self.occ_mask[vc.router.index()] &= !(1 << (flat - self.vc_base(vc.router)));
         self.touch(vc.router);
-        self.wake_feeder(vc.router, vc.port);
+        if let Some(feeder) = self.topo.mesh().neighbor(vc.router, vc.port) {
+            self.wake_at(feeder, self.time + len);
+        }
         h
     }
 
@@ -741,13 +722,50 @@ impl NetCore {
             .flat_map(move |port| (0..vcs).map(move |vc| VcRef { router, port, vc }))
     }
 
+    /// The unoccupied VCs of `(router, port)` as a word: bit `vc` is set
+    /// iff that slot holds no packet (it may still be draining). On a full
+    /// port — the common case past the knee — the word is zero and a probe
+    /// over its set bits reads no per-VC state at all.
+    pub(crate) fn empty_vcs(&self, router: NodeId, port: Direction) -> u64 {
+        (!self.occ_mask[router.index()] >> (port.index() * self.vcs)) & ((1u64 << self.vcs) - 1)
+    }
+
+    /// First allocatable VC (empty and done draining) among the flat
+    /// indices `range` at `(router, port)`, if any. Visits the clear bits of
+    /// the occupancy word in ascending order, so the first hit is the one a
+    /// slot-by-slot probe of `range` would return.
+    pub fn first_free_vc_in(
+        &self,
+        router: NodeId,
+        port: Direction,
+        range: std::ops::Range<u8>,
+    ) -> Option<u8> {
+        let base = self.vc_base(router) + port.index() * self.vcs;
+        let in_range = ((1u64 << range.len()) - 1) << range.start;
+        let mut empty = self.empty_vcs(router, port) & in_range;
+        while empty != 0 {
+            let i = empty.trailing_zeros() as usize;
+            empty &= empty - 1;
+            if self.vc_drain[base + i] <= self.time {
+                return Some(i as u8);
+            }
+        }
+        None
+    }
+
     /// First free regular VC of `vnet` at `(router, port)`, if any.
     pub fn first_free_regular_vc(&self, router: NodeId, port: Direction, vnet: u8) -> Option<u8> {
-        let base = self.vc_base(router) + port.index() * self.vcs;
-        self.cfg.vcs_of_vnet(vnet).find(|&i| {
-            let flat = base + i as usize;
-            self.vc_occ[flat].is_none() && self.vc_drain[flat] <= self.time
-        })
+        self.first_free_vc_in(router, port, self.cfg.vcs_of_vnet(vnet))
+    }
+
+    /// Does `(router, port)` have any buffer a packet of `vnet` could be
+    /// granted into right now — a free regular VC of the vnet's group, or
+    /// the router's bubble attached there for it? By the slot contract of
+    /// [`crate::Plugin::pick_slot`], `false` means every plugin answers
+    /// `None` for every packet of `vnet` at this port.
+    pub fn vnet_has_free_slot(&self, router: NodeId, port: Direction, vnet: u8) -> bool {
+        self.first_free_regular_vc(router, port, vnet).is_some()
+            || self.bubble_available(router, port, vnet)
     }
 
     /// Are **all** VCs of `vnet` at `(router, port)` occupied? (The probe
@@ -929,9 +947,9 @@ impl NetCore {
     }
 
     /// Install the packet behind `h` into the bubble at `router`. Engine
-    /// path: the receiving router is touched (its new occupant may be
-    /// switchable soon) but its feeder is not — an occupied bubble is not a
-    /// credit.
+    /// path: the receiving router is woken at `ready_at` (as for
+    /// [`NetCore::vc_put`]) and its feeder is not — an occupied bubble is
+    /// not a credit.
     ///
     /// # Panics
     ///
@@ -946,7 +964,7 @@ impl NetCore {
         self.bub_ready[r] = ready_at;
         self.bub_drain[r] = 0;
         self.bub_head[r] = head_of(self.arena.get(h));
-        self.touch(router);
+        self.wake_at(router, ready_at);
     }
 
     /// Remove the bubble occupant for a grant, leaving the slot draining
@@ -1062,17 +1080,30 @@ mod tests {
     }
 
     fn dummy_packet(id: u64, vnet: u8) -> Packet {
+        packet_of_len(id, vnet, 5)
+    }
+
+    fn packet_of_len(id: u64, vnet: u8, len_flits: u16) -> Packet {
         Packet::new(
             PacketId(id),
             NewPacket {
                 src: NodeId(0),
                 dst: NodeId(1),
                 vnet,
-                len_flits: 5,
+                len_flits,
             },
             Route::new(vec![Direction::East]),
             0,
         )
+    }
+
+    /// Step the clock to `t`, maturing the wheel at every cycle on the way
+    /// as the allocator does.
+    fn advance_to(core: &mut NetCore, t: u64) {
+        while core.time() < t {
+            core.advance_time();
+            core.drain_wheel();
+        }
     }
 
     #[test]
@@ -1153,5 +1184,98 @@ mod tests {
         assert_eq!(core.vc_draining_until(vref), Some(5));
         assert!(!core.vc_is_free(vref));
         assert!(!core.any_occupied(NodeId(9)));
+    }
+
+    /// Router 9's North-port VC 0 on the 4x4 mesh, and the neighbour that
+    /// feeds that port.
+    fn slot_and_feeder(core: &NetCore) -> (VcRef, NodeId) {
+        let vref = VcRef {
+            router: NodeId(9),
+            port: Direction::North,
+            vc: 0,
+        };
+        let mesh = core.topology().mesh();
+        let feeder = mesh.neighbor(vref.router, vref.port).expect("interior");
+        (vref, feeder)
+    }
+
+    #[test]
+    fn a_take_wakes_the_feeder_at_the_drain_deadline() {
+        let (mut core, _) = core_with_bubble();
+        let (vref, feeder) = slot_and_feeder(&core);
+        core.place_packet(vref, dummy_packet(1, 0), 0);
+        core.clear_active_for_test();
+        core.vc_take(vref); // 5 flits at t = 0: the credit returns at 5
+        assert!(core.is_active(vref.router), "the granting router, at once");
+        assert!(!core.is_active(feeder));
+        advance_to(&mut core, 4);
+        assert!(!core.is_active(feeder), "no credit to use before 5");
+        advance_to(&mut core, 5);
+        assert!(core.is_active(feeder));
+        assert!(core.vc_is_free(vref));
+    }
+
+    #[test]
+    fn a_put_wakes_the_receiver_when_the_head_is_switchable() {
+        let (mut core, _) = core_with_bubble();
+        let (vref, feeder) = slot_and_feeder(&core);
+        core.clear_active_for_test();
+        core.place_packet(vref, dummy_packet(1, 0), 2);
+        assert_eq!(core.active_count(), 0, "nothing to switch before 2");
+        advance_to(&mut core, 1);
+        assert!(!core.is_active(vref.router));
+        advance_to(&mut core, 2);
+        assert!(core.is_active(vref.router));
+        assert!(!core.is_active(feeder), "a put is not a credit");
+    }
+
+    #[test]
+    fn wakes_are_never_late() {
+        let (mut core, _) = core_with_bubble();
+        let (vref, feeder) = slot_and_feeder(&core);
+        advance_to(&mut core, 3);
+        core.clear_active_for_test();
+        // A head already switchable (`ready_at <= now`) wakes at once.
+        core.place_packet(vref, packet_of_len(1, 0, 200), 3);
+        assert!(core.is_active(vref.router));
+        // A 200-flit tail drains past the 64-slot wheel horizon: the feeder
+        // is woken early, at the horizon, where the block path re-arms it.
+        core.clear_active_for_test();
+        core.vc_take(vref);
+        assert_eq!(core.vc_draining_until(vref), Some(203));
+        assert_eq!(core.next_wheel_event(), Some(3 + WHEEL_SLOTS as u64 - 1));
+        advance_to(&mut core, 3 + WHEEL_SLOTS as u64 - 1);
+        assert!(core.is_active(feeder));
+    }
+
+    #[test]
+    fn free_slot_probes_follow_the_occupancy_word() {
+        let (mut core, node) = core_with_bubble();
+        let port = Direction::South;
+        let at = |vc| VcRef {
+            router: node,
+            port,
+            vc,
+        };
+        // vnet 1 owns VCs 4..8. Occupy 4 and 6, leave 5 draining.
+        core.place_packet(at(4), dummy_packet(1, 1), 0);
+        core.place_packet(at(5), dummy_packet(2, 1), 0);
+        core.place_packet(at(6), dummy_packet(3, 1), 0);
+        core.vc_take(at(5));
+        assert_eq!(core.empty_vcs(node, port), 0xfff & !0b0101_0000);
+        assert_eq!(core.first_free_regular_vc(node, port, 1), Some(7));
+        assert_eq!(core.first_free_vc_in(node, port, 4..7), None);
+        assert_eq!(core.first_free_regular_vc(node, port, 0), Some(0));
+        core.place_packet(at(7), dummy_packet(4, 1), 0);
+        assert!(!core.vnet_has_free_slot(node, port, 1));
+        assert!(core.vnet_has_free_slot(node, port, 2));
+        // An attached free bubble is a buffer of its (port, vnet).
+        core.bubble_activate(node, port, 1);
+        assert!(core.vnet_has_free_slot(node, port, 1));
+        core.bubble_deactivate(node);
+        assert!(!core.vnet_has_free_slot(node, port, 1));
+        // The draining slot frees by time alone.
+        advance_to(&mut core, 5);
+        assert_eq!(core.first_free_regular_vc(node, port, 1), Some(5));
     }
 }

@@ -132,6 +132,19 @@ pub trait Plugin {
 
     /// Choose the buffer at `router`'s input port `port` that `pkt` would
     /// occupy if granted, or `None` if no buffer is available to it.
+    ///
+    /// # The slot contract
+    ///
+    /// The answer may only be a buffer of the packet's **own vnet** at that
+    /// port that is **free right now**: `SlotRef::Regular(vc)` with `vc` in
+    /// [`crate::SimConfig::vcs_of_vnet`]`(pkt.vnet)` and
+    /// [`NetCore::vc_is_free`], or `SlotRef::Bubble` with
+    /// [`NetCore::bubble_available`]`(router, port, pkt.vnet)`. A plugin may
+    /// narrow that set by its own policy (the escape-VC plugin splits the
+    /// group by packet mode) but never widen it. The winner search relies
+    /// on it: once [`NetCore::vnet_has_free_slot`] is false for a vnet at a
+    /// downstream port, it stops asking for that vnet's remaining
+    /// candidates. Debug builds assert the contract on every grant.
     fn pick_slot(
         &self,
         core: &NetCore,

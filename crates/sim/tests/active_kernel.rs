@@ -137,45 +137,49 @@ fn low_load_steady_state_keeps_worklist_sparse() {
 use proptest::prelude::*;
 use sb_scenario::{ClockMode, Design, FaultSpec, Scenario, TrafficSpec};
 
-/// Build one scenario of the sweep and run it in the requested kernel mode
-/// under the requested clock. The geometric arrival sampler is used on both
-/// sides (the Bernoulli sampler consumes one shared-RNG coin per node per
-/// cycle, so a leaped-over cycle would diverge); under [`ClockMode::Leap`]
-/// the audit runs every 5 cycles so real leaps happen between audit
-/// boundaries (`audit_every = 1` degenerates the leap to a step), while the
-/// stepped clock keeps the paranoid every-cycle cadence.
-fn design_run(
+/// One point of the sweep: a design on a faulty 8x8 mesh under uniform
+/// random load.
+#[derive(Debug, Clone, Copy)]
+struct AbCase {
     design: Design,
     faults: usize,
     fault_seed: u64,
     rate: f64,
     seed: u64,
-    full_scan: bool,
-    clock: ClockMode,
-) -> Stats {
-    let faults = if faults == 0 {
+    /// All traffic in vnet 0 of a one-vnet network, or the 50/50 control
+    /// (vnet 0) / data (vnet 2) mix over Table II's three vnets.
+    single_vnet: bool,
+}
+
+/// Build one scenario of the sweep and run it in the requested kernel mode
+/// under the requested clock, auditing every `audit_every` cycles:
+/// conservation, VC legality, FSM legality and missed wakeups, any
+/// violation panicking the case with a forensics report. The geometric
+/// arrival sampler is used on both sides (the Bernoulli sampler consumes
+/// one shared-RNG coin per node per cycle, so a leaped-over cycle would
+/// diverge).
+fn design_run(case: AbCase, full_scan: bool, clock: ClockMode, audit_every: u64) -> Stats {
+    let faults = if case.faults == 0 {
         FaultSpec::Pristine
     } else {
         FaultSpec::Model {
             kind: FaultKind::Links,
-            count: faults,
-            seed: fault_seed,
+            count: case.faults,
+            seed: case.fault_seed,
         }
     };
-    // Every audited cycle of the A/B sweep checks conservation, VC
-    // legality, FSM legality and missed wakeups; any violation panics the
-    // case with a forensics report.
-    let audit_every = match clock {
-        ClockMode::Step => 1,
-        ClockMode::Leap => 5,
-    };
-    let sc = Scenario::new("ab-sweep", design)
+    let mut sc = Scenario::new("ab-sweep", case.design)
         .with_mesh(8, 8)
         .with_faults(faults)
-        .with_seed(seed)
+        .with_seed(case.seed)
         .with_audit_every(audit_every);
+    let mut traffic = UniformTraffic::new(case.rate).geometric();
+    if case.single_vnet {
+        traffic = traffic.single_vnet();
+    } else {
+        sc = sc.with_config(SimConfig::default());
+    }
     let topo = sc.topology();
-    let traffic = UniformTraffic::new(rate).single_vnet().geometric();
     let mut sim = sc.build_with(&topo, traffic);
     sim.scan_all_routers(full_scan);
     sim.set_clock(clock);
@@ -210,8 +214,47 @@ proptest! {
         ][design_idx];
         let clock = [ClockMode::Step, ClockMode::Leap][clock_idx];
         let rate = rate_centi as f64 / 100.0;
-        let active = design_run(design, faults, fault_seed, rate, seed, false, clock);
-        let reference = design_run(design, faults, fault_seed, rate, seed, true, clock);
+        let case = AbCase { design, faults, fault_seed, rate, seed, single_vnet: true };
+        // Under the leaping clock the audit runs every 5 cycles so real
+        // leaps happen between audit boundaries (`audit_every = 1`
+        // degenerates the leap to a step); the stepped clock keeps the
+        // paranoid every-cycle cadence.
+        let audit_every = match clock {
+            ClockMode::Step => 1,
+            ClockMode::Leap => 5,
+        };
+        let active = design_run(case, false, clock, audit_every);
+        let reference = design_run(case, true, clock, audit_every);
+        prop_assert_eq!(active, reference);
+    }
+
+    /// The two regimes where blocked routers dominate and the timed wakes
+    /// (arrival at `ready_at`, credit at the drain deadline) and the
+    /// per-vnet winner search carry the kernel: the spanning tree past its
+    /// knee, and escape-VC with three vnets under load, where a vnet can be
+    /// refused downstream while its escape VC is still free. The worklist
+    /// side audits every cycle, so a missed wake is caught at the cycle it
+    /// happens, not by a diverged total at the end.
+    #[test]
+    fn wakeup_kernel_matches_reference_past_the_knee(
+        escape_vc in any::<bool>(),
+        faults in 4usize..12,
+        fault_seed in any::<u64>(),
+        rate_centi in 8u32..40,
+        seed in any::<u64>(),
+        clock_idx in 0usize..2,
+    ) {
+        let case = AbCase {
+            design: if escape_vc { Design::EscapeVc } else { Design::SpanningTree },
+            faults,
+            fault_seed,
+            rate: rate_centi as f64 / 100.0,
+            seed,
+            single_vnet: !escape_vc,
+        };
+        let clock = [ClockMode::Step, ClockMode::Leap][clock_idx];
+        let active = design_run(case, false, clock, 1);
+        let reference = design_run(case, true, clock, 0);
         prop_assert_eq!(active, reference);
     }
 }
