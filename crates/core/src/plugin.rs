@@ -17,7 +17,6 @@ use crate::trace::{MsgRecord, ProtoCounters, ProtoEvent, Recorder};
 use sb_sim::{AuditClass, InputRef, NetCore, OutPort, Plugin, SlotRef, VcRef, Violation};
 use sb_topology::{Direction, Mesh, NodeId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// The kernel's window onto one router of the live network.
 struct CoreView<'c>(&'c NetCore, NodeId);
@@ -52,7 +51,12 @@ impl RouterView for CoreView<'_> {
 /// The Static Bubble deadlock-recovery plugin (one per simulation).
 #[derive(Debug)]
 pub struct StaticBubblePlugin {
-    fsms: BTreeMap<NodeId, SbFsm>,
+    /// One FSM per static-bubble router, ascending by node id — the order
+    /// every walk of them (tick dispatch, timers, audit, snapshot) runs in.
+    fsms: Vec<SbFsm>,
+    /// Where `fsms` holds a router's FSM, indexed by node id over the whole
+    /// mesh. Derived from `fsms` by [`fsm_table`], never serialised.
+    slot_of: Vec<Option<u16>>,
     prot: Vec<ProtState>,
     /// Special messages on a link, oldest first. Every hop takes the same
     /// two cycles, so this is also ascending arrival order.
@@ -74,9 +78,8 @@ pub struct StaticBubblePlugin {
     /// restore, cross-checked by the audit), maintained by
     /// [`Self::set_restriction`].
     frozen: Vec<NodeId>,
-    /// Per-tick scratch, kept for its capacity: routers with FSM work, the
-    /// kernel's output, one router's transit messages.
-    due: Vec<NodeId>,
+    /// Per-tick scratch, kept for its capacity: the kernel's output, one
+    /// router's transit messages.
     actions: ActionBuf,
     transit: Vec<(Direction, SpecialMsg)>,
 }
@@ -100,7 +103,12 @@ impl StaticBubblePlugin {
     /// notes that "alternate hand-optimized placements, some with fewer
     /// static bubbles, are also possible" — see
     /// [`placement::greedy_placement`]). The caller must pass the same
-    /// set to [`sb_sim::Simulator::with_bubbles`].
+    /// set to [`sb_sim::Simulator::with_bubbles`]. The order of `nodes` is
+    /// immaterial and a repeated id counts once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node is not on `mesh`.
     pub fn with_bubble_nodes(mesh: Mesh, tdd: u64, opts: SbOptions, nodes: &[NodeId]) -> Self {
         // Each router's detection timer gets a small id-dependent stagger:
         // identical periods at every node phase-lock probe collisions in a
@@ -113,11 +121,13 @@ impl StaticBubblePlugin {
                 if opts.probe_desync {
                     fsm.retry_stagger = u64::from(n.0);
                 }
-                (n, fsm)
+                fsm
             })
             .collect();
+        let (fsms, slot_of) = fsm_table(mesh.node_count(), fsms).unwrap_or_else(|e| panic!("{e}"));
         StaticBubblePlugin {
             fsms,
+            slot_of,
             prot: vec![ProtState::default(); mesh.node_count()],
             in_flight: Vec::new(),
             tdd,
@@ -126,7 +136,6 @@ impl StaticBubblePlugin {
             last_tick: None,
             trace: Recorder::default(),
             frozen: Vec::new(),
-            due: Vec::new(),
             actions: ActionBuf::default(),
             transit: Vec::new(),
         }
@@ -139,14 +148,20 @@ impl StaticBubblePlugin {
 
     /// The FSM of a static-bubble router, if `node` is one.
     pub fn fsm(&self, node: NodeId) -> Option<&SbFsm> {
-        self.fsms.get(&node)
+        self.slot(node).map(|slot| &self.fsms[slot])
     }
 
     /// Mutable access to the FSM of a static-bubble router — a test hook
     /// for seeding auditor violations. Production transitions go through
     /// [`protocol::step`].
     pub fn fsm_mut(&mut self, node: NodeId) -> Option<&mut SbFsm> {
-        self.fsms.get_mut(&node)
+        self.slot(node).map(|slot| &mut self.fsms[slot])
+    }
+
+    /// Where `fsms` holds `node`'s FSM: `None` off the placement, and off
+    /// the mesh.
+    fn slot(&self, node: NodeId) -> Option<usize> {
+        (*self.slot_of.get(node.index())?).map(usize::from)
     }
 
     /// Number of routers currently frozen (`is_deadlock` set).
@@ -177,7 +192,7 @@ impl StaticBubblePlugin {
             restriction_ttl: self.restriction_ttl,
             opts: self.opts,
             prot: self.prot[router.index()],
-            fsm: self.fsms.get_mut(&router),
+            fsm: self.fsm_mut(router),
         }
     }
 
@@ -225,14 +240,13 @@ impl StaticBubblePlugin {
     /// latched path while a round is in flight, and the message is dropped
     /// here — the enable retries and the restriction TTL clean up after it.
     fn send(&mut self, core: &mut NetCore, from: NodeId, out: Direction, msg: SpecialMsg) {
-        if !core.topology().link_alive(from, out) {
+        let Some(to) = core.topology().neighbor(from, out) else {
             let at = Arrival {
                 in_port: out,
                 msg: &msg,
             };
             return self.drop_msg(core, from, at, DropReason::Revalidation);
-        }
-        let to = (core.topology().mesh().neighbor(from, out)).expect("alive link has a far end");
+        };
         core.stats_mut().special_link_flits[msg.kind.stat_class().index()] += 1;
         self.trace.sent(MsgRecord {
             time: core.time(),
@@ -369,20 +383,14 @@ impl StaticBubblePlugin {
 
     /// Hand `event` to every FSM it can concern, in id order. An FSM in
     /// SOff does nothing until a VC at its router fills, so it is skipped
-    /// on the router's occupancy word; no FSM event changes another
-    /// router's FSM or buffers, so selecting first selects the same set.
+    /// on the router's occupancy word.
     fn run_fsms(&mut self, core: &mut NetCore, event: Event<'static>) {
-        let mut due = std::mem::take(&mut self.due);
-        due.extend(
-            self.fsms
-                .iter()
-                .filter(|(&n, fsm)| fsm.state != FsmState::SOff || core.any_occupied(n))
-                .map(|(&n, _)| n),
-        );
-        for n in due.drain(..) {
-            self.dispatch(core, n, event);
+        for slot in 0..self.fsms.len() {
+            let fsm = &self.fsms[slot];
+            if fsm.state != FsmState::SOff || core.any_occupied(fsm.node) {
+                self.dispatch(core, fsm.node, event);
+            }
         }
-        self.due = due;
     }
 }
 
@@ -394,16 +402,14 @@ impl Plugin for StaticBubblePlugin {
     /// is what lets the bubble be re-claimed even when its occupant is stuck
     /// behind unrelated congestion.
     fn after_cycle(&mut self, core: &mut NetCore) {
-        // A relocation touches no other router, so selecting the occupied
-        // attached bubbles first selects the same set.
-        let mut due = std::mem::take(&mut self.due);
-        due.extend(
-            self.fsms
-                .keys()
-                .filter(|&&n| core.bubble_attach(n).is_some() && core.bubble_occupant(n).is_some()),
-        );
-        for router in due.drain(..) {
-            let (port, vnet) = core.bubble_attach(router).expect("selected as attached");
+        for slot in 0..self.fsms.len() {
+            let router = self.fsms[slot].node;
+            let Some((port, vnet)) = core.bubble_attach(router) else {
+                continue;
+            };
+            if core.bubble_occupant(router).is_none() {
+                continue;
+            }
             let Some(free_vc) = core.first_free_regular_vc(router, port, vnet) else {
                 continue;
             };
@@ -422,7 +428,6 @@ impl Plugin for StaticBubblePlugin {
             // The bubble is re-claimed: same transition as on_bubble_freed.
             self.on_bubble_freed(core, router);
         }
-        self.due = due;
     }
 
     /// One cycle of protocol work, in a fixed order (DESIGN.md §3).
@@ -479,7 +484,8 @@ impl Plugin for StaticBubblePlugin {
         // where its counter reaches the state's deadline. `fsm.count`
         // reflects the last executed tick at `now - 1`, so that tick is
         // `now + (deadline - count - 1)`.
-        for (&router, fsm) in &self.fsms {
+        for fsm in &self.fsms {
+            let router = fsm.node;
             match protocol::deadline(fsm, &CoreView(core, router)) {
                 Deadline::Idle => {}
                 Deadline::Now => note(now),
@@ -556,13 +562,14 @@ impl Plugin for StaticBubblePlugin {
         };
         // (a) FSM edges outside the Fig. 5 diagram, recorded by goto() at
         // transition time so nothing slips between two audits.
-        for (&node, fsm) in self.fsms.iter_mut() {
+        for fsm in self.fsms.iter_mut() {
             for it in fsm.take_illegal() {
                 let detail = format!("illegal FSM transition {:?} -> {:?}", it.from, it.to);
-                flag(Some(node), detail);
+                flag(Some(fsm.node), detail);
             }
         }
-        for (&node, fsm) in self.fsms.iter() {
+        for fsm in self.fsms.iter() {
+            let node = fsm.node;
             let mut flag = |detail: String| flag(Some(node), detail);
             // (b) Bubble attachment <=> FSM in SSbActive, with the attach
             // port/vnet agreeing with the latched chain.
@@ -588,7 +595,7 @@ impl Plugin for StaticBubblePlugin {
         }
         // (d) Attached bubbles exist only at static-bubble routers.
         for node in core.topology().mesh().nodes() {
-            if core.bubble_attach(node).is_some() && !self.fsms.contains_key(&node) {
+            if core.bubble_attach(node).is_some() && self.fsm(node).is_none() {
                 flag(
                     Some(node),
                     "bubble attached at a router with no FSM".to_string(),
@@ -614,12 +621,15 @@ impl Plugin for StaticBubblePlugin {
                     flag("frozen router with missing io/source registers".to_string());
                     continue;
                 };
-                if !self.fsms.contains_key(&src) {
-                    let detail =
-                        format!("restriction source n{} is not a static-bubble node", src.0);
-                    flag(detail);
-                } else if src == node && !self.fsms[&node].in_recovery() {
-                    flag("self-frozen SB router whose FSM is not in recovery".to_string());
+                match self.fsm(src) {
+                    None => flag(format!(
+                        "restriction source n{} is not a static-bubble node",
+                        src.0
+                    )),
+                    Some(fsm) if src == node && !fsm.in_recovery() => {
+                        flag("self-frozen SB router whose FSM is not in recovery".to_string());
+                    }
+                    Some(_) => {}
                 }
             } else if p.io.is_some() || p.source.is_some() {
                 flag("unfrozen router with stale io/source registers".to_string());
@@ -638,7 +648,7 @@ impl Plugin for StaticBubblePlugin {
 
     fn snapshot_state(&self) -> Result<String, String> {
         sb_sim::json::to_json_string(&SbState {
-            fsms: self.fsms.values().cloned().collect(),
+            fsms: self.fsms.clone(),
             prot: self.prot.clone(),
             in_flight: self.in_flight.clone(),
             tdd: self.tdd,
@@ -656,7 +666,14 @@ impl Plugin for StaticBubblePlugin {
 
     fn restore_state(&mut self, blob: &str) -> Result<(), String> {
         let state: SbState = sb_sim::json::from_json_str(blob).map_err(|e| e.0)?;
-        self.fsms = state.fsms.into_iter().map(|f| (f.node, f)).collect();
+        if state.prot.len() != self.prot.len() {
+            return Err(format!(
+                "snapshot of a {}-router mesh restored into a {}-router plugin",
+                state.prot.len(),
+                self.prot.len()
+            ));
+        }
+        (self.fsms, self.slot_of) = fsm_table(state.prot.len(), state.fsms)?;
         self.prot = state.prot;
         self.frozen = frozen_index(&self.prot);
         self.in_flight = state.in_flight;
@@ -676,14 +693,13 @@ impl Plugin for StaticBubblePlugin {
     }
 
     fn forensic_lines(&self, _core: &NetCore) -> Vec<String> {
-        (self.trace).forensic_lines(self.fsms.values(), &self.prot, &self.in_flight)
+        (self.trace).forensic_lines(self.fsms.iter(), &self.prot, &self.in_flight)
     }
 }
 
 /// Snapshot blob of the plugin's complete mutable state
-/// ([`sb_sim::Plugin::snapshot_state`]). The FSM map is flattened to a
-/// vector (each [`SbFsm`] carries its node id) so the blob stays plain
-/// JSON arrays/objects.
+/// ([`sb_sim::Plugin::snapshot_state`]). The FSMs travel as the plain
+/// vector they are kept in (each [`SbFsm`] carries its node id).
 #[derive(Serialize, Deserialize)]
 struct SbState {
     fsms: Vec<SbFsm>,
@@ -698,6 +714,34 @@ struct SbState {
     trace_on: bool,
     events: Vec<ProtoEvent>,
     events_lost: u64,
+}
+
+/// The FSM table of an `n`-router mesh: `fsms` in ascending node order,
+/// one per node (of several for one node the last given stays), and the
+/// node → slot index over it. An FSM for a router that is not on the mesh
+/// is refused.
+fn fsm_table(n: usize, mut fsms: Vec<SbFsm>) -> Result<(Vec<SbFsm>, Vec<Option<u16>>), String> {
+    fsms.sort_by_key(|fsm| fsm.node);
+    let mut table: Vec<SbFsm> = Vec::with_capacity(fsms.len());
+    let mut slot_of = vec![None; n];
+    for fsm in fsms {
+        let node = fsm.node;
+        let slot = slot_of.get_mut(node.index()).ok_or_else(|| {
+            format!(
+                "static-bubble router n{} is not on the {n}-router mesh",
+                node.0
+            )
+        })?;
+        match *slot {
+            Some(at) => table[usize::from(at)] = fsm,
+            None => {
+                // At most one FSM a node and at most 2^16 nodes.
+                *slot = Some(table.len() as u16);
+                table.push(fsm);
+            }
+        }
+    }
+    Ok((table, slot_of))
 }
 
 /// The routers whose `is_deadlock` bit is set, ascending.
@@ -733,6 +777,84 @@ mod tests {
         assert!(plugin.fsm(NodeId(5)).is_some());
         assert!(plugin.fsm(NodeId(10)).is_some());
         assert!(plugin.fsm(NodeId(6)).is_none());
+    }
+
+    #[test]
+    fn the_fsm_table_is_ascending_whatever_order_it_was_given() {
+        let mesh = Mesh::new(4, 4);
+        let nodes = [NodeId(10), NodeId(3), NodeId(10), NodeId(5)];
+        let plugin = StaticBubblePlugin::with_bubble_nodes(mesh, 8, SbOptions::default(), &nodes);
+        let order: Vec<NodeId> = plugin.fsms.iter().map(|fsm| fsm.node).collect();
+        assert_eq!(order, [NodeId(3), NodeId(5), NodeId(10)], "a repeat is one");
+        for n in mesh.nodes() {
+            assert_eq!(
+                plugin.fsm(n).map(|fsm| fsm.node),
+                nodes.contains(&n).then_some(n)
+            );
+        }
+        assert!(plugin.fsm(NodeId(16)).is_none(), "off the mesh");
+    }
+
+    #[test]
+    #[should_panic(expected = "static-bubble router n16 is not on the 16-router mesh")]
+    fn a_bubble_node_off_the_mesh_is_refused_at_construction() {
+        StaticBubblePlugin::with_bubble_nodes(
+            Mesh::new(4, 4),
+            8,
+            SbOptions::default(),
+            &[NodeId(5), NodeId(16)],
+        );
+    }
+
+    /// `run_fsms` dispatches in id order: a placement handed over backwards
+    /// and with repeats recovers the same deadlocks at the same cycles.
+    #[test]
+    fn placement_order_does_not_reach_the_protocol() {
+        use rand::SeedableRng;
+        let mesh = Mesh::new(8, 8);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2);
+        let topo =
+            sb_topology::FaultModel::new(sb_topology::FaultKind::Links, 12).inject(mesh, &mut rng);
+        let ascending = placement::placement(mesh);
+        let mut shuffled: Vec<NodeId> = ascending.iter().rev().copied().collect();
+        shuffled.extend_from_slice(&ascending[..3]);
+        let run = |nodes: &[NodeId]| {
+            let mut sim = Simulator::with_bubbles(
+                &topo,
+                SimConfig::single_vnet(),
+                Box::new(sb_routing::MinimalRouting::new(&topo)),
+                StaticBubblePlugin::with_bubble_nodes(mesh, 10, SbOptions::default(), nodes),
+                sb_sim::UniformTraffic::new(0.3).single_vnet(),
+                1,
+                &ascending,
+            );
+            sim.run(600);
+            assert!(sim.core().stats().deadlocks_recovered > 0, "must recover");
+            (sim.core().stats().clone(), sim.plugin().snapshot_state())
+        };
+        assert_eq!(run(&shuffled), run(&ascending));
+    }
+
+    #[test]
+    fn restore_rebuilds_the_slot_index() {
+        let mesh = Mesh::new(4, 4);
+        let opts = SbOptions::default();
+        let mut saved =
+            StaticBubblePlugin::with_bubble_nodes(mesh, 8, opts, &[NodeId(10), NodeId(5)]);
+        saved.fsm_mut(NodeId(10)).unwrap().count = 7;
+        let blob = saved.snapshot_state().unwrap();
+        let mut other = StaticBubblePlugin::with_bubble_nodes(mesh, 8, opts, &[NodeId(6)]);
+        other.restore_state(&blob).unwrap();
+        assert_eq!(other.fsm(NodeId(10)).map(|fsm| fsm.count), Some(7));
+        assert_eq!(other.fsm(NodeId(5)).map(|fsm| fsm.node), Some(NodeId(5)));
+        assert!(other.fsm(NodeId(6)).is_none());
+        assert_eq!(other.snapshot_state().unwrap(), blob);
+        let mut smaller = StaticBubblePlugin::new(Mesh::new(3, 3), 8);
+        let err = smaller.restore_state(&blob).unwrap_err();
+        assert!(
+            err.contains("16-router mesh restored into a 9-router"),
+            "{err}"
+        );
     }
 
     #[test]

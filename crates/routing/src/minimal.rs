@@ -15,7 +15,9 @@ use sb_topology::{distances_from, Direction, NodeId, Topology};
 /// minimal routes without any routing restrictions").
 ///
 /// Construction runs one BFS per node (`O(V·E)`), after which route queries
-/// are `O(path length)`.
+/// are `O(path length)`: a hop reads one row of the topology's adjacency
+/// table and at most four entries of the destination's distance row — no
+/// coordinate arithmetic, no liveness test.
 ///
 /// ```
 /// use sb_routing::{MinimalRouting, RouteSource};
@@ -110,7 +112,8 @@ impl MinimalRouting {
     }
 
     /// The minimal next-hop directions from `cur` towards `dst` (empty if
-    /// unreachable or `cur == dst`).
+    /// unreachable or `cur == dst`): the alive neighbours of `cur`, one
+    /// adjacency row, that are one hop closer, one distance load each.
     pub fn minimal_next_hops(&self, cur: NodeId, dst: NodeId) -> Vec<Direction> {
         let Some(d) = self.distance(cur, dst) else {
             return Vec::new();
@@ -270,19 +273,19 @@ impl RouteSource for MinimalRouting {
             // (same direction order, same RNG draws): this runs once per
             // hop of every injected packet, and the per-hop `Vec` was the
             // hottest allocation in the saturated injection path.
-            let mut nexts = [Direction::North; 4];
+            let mut nexts = [(Direction::North, cur); 4];
             let mut n = 0;
             for (dir, v) in self.topo.neighbors(cur) {
                 // `d - 1` can never equal the UNREACHABLE sentinel.
                 if dist_to_dst[v.index()] == d - 1 {
-                    nexts[n] = dir;
+                    nexts[n] = (dir, v);
                     n += 1;
                 }
             }
             debug_assert!(n > 0, "positive distance implies a next hop");
-            let dir = nexts[rng.gen_range(0..n)];
+            let (dir, next) = nexts[rng.gen_range(0..n)];
             hops.push(dir);
-            cur = self.topo.mesh().neighbor(cur, dir).expect("alive link");
+            cur = next;
             d -= 1;
         }
         Some(Route::new(hops))

@@ -52,10 +52,7 @@ impl Route {
             return None;
         }
         for &d in &self.hops {
-            if !topo.link_alive(cur, d) {
-                return None;
-            }
-            cur = topo.mesh().neighbor(cur, d).expect("alive link");
+            cur = topo.neighbor(cur, d)?;
         }
         Some(cur)
     }
@@ -69,15 +66,11 @@ impl Route {
 
     /// The routers visited, including `src` and the destination.
     pub fn waypoints(&self, topo: &Topology, src: NodeId) -> Option<Vec<NodeId>> {
-        let mesh = topo.mesh();
         let mut cur = src;
         let mut out = Vec::with_capacity(self.hops.len() + 1);
         out.push(cur);
         for &d in &self.hops {
-            if !topo.link_alive(cur, d) {
-                return None;
-            }
-            cur = mesh.neighbor(cur, d).expect("alive link");
+            cur = topo.neighbor(cur, d)?;
             out.push(cur);
         }
         Some(out)

@@ -128,8 +128,7 @@ impl UpDownRouting {
     /// its destination, so walking back from a node's [`FIRST`] state yields
     /// the route such a search returns.
     fn build_tree(&self, src: NodeId) -> Box<[u8]> {
-        let mesh = self.topo.mesh();
-        let mut tree = vec![0u8; mesh.node_count() * 2].into_boxed_slice();
+        let mut tree = vec![0u8; self.topo.mesh().node_count() * 2].into_boxed_slice();
         let start = src.index() * 2;
         tree[start] = REACHED | FIRST;
         let mut queue = std::collections::VecDeque::from([start]);
@@ -143,7 +142,7 @@ impl UpDownRouting {
                 if gone_down && up {
                     continue;
                 }
-                let next_node = mesh.neighbor(node, dir).expect("alive link");
+                let next_node = self.topo.neighbor(node, dir).expect("alive link");
                 let next_state = next_node.index() * 2 + usize::from(gone_down || !up);
                 if tree[next_state] != 0 {
                     continue;
@@ -172,10 +171,7 @@ impl UpDownRouting {
     /// Is the move from `node` along alive link `dir` an *up* move (towards
     /// the up end of that link)? `None` for dead links.
     pub fn is_up_move(&self, node: NodeId, dir: Direction) -> Option<bool> {
-        if !self.topo.link_alive(node, dir) {
-            return None;
-        }
-        let other = self.topo.mesh().neighbor(node, dir).expect("alive link");
+        let other = self.topo.neighbor(node, dir)?;
         let (ln, lo) = (self.level[node.index()]?, self.level[other.index()]?);
         // The up end is the endpoint closer to the root, ties to lower id.
         Some(match lo.cmp(&ln) {
@@ -187,7 +183,6 @@ impl UpDownRouting {
 
     /// Is `route` (starting at `src`) legal under the up*/down* rule?
     pub fn is_legal(&self, src: NodeId, route: &Route) -> bool {
-        let mesh = self.topo.mesh();
         let mut cur = src;
         let mut gone_down = false;
         for &d in route.directions() {
@@ -196,7 +191,7 @@ impl UpDownRouting {
                 Some(up) => gone_down |= !up,
                 None => return false,
             }
-            cur = mesh.neighbor(cur, d).expect("checked alive");
+            cur = self.topo.neighbor(cur, d).expect("checked alive");
         }
         true
     }
@@ -231,7 +226,7 @@ impl RouteSource for UpDownRouting {
             let entry = tree[state];
             let dir = Direction::from_index(usize::from(entry & DIR_MASK));
             hops.push(dir);
-            let prev = mesh
+            let prev = (self.topo)
                 .neighbor(NodeId::from(state / 2), dir.opposite())
                 .expect("tree edge");
             state = prev.index() * 2 + usize::from(entry & PREV_DOWN != 0);
@@ -268,7 +263,6 @@ mod tests {
                 return Some(Route::default());
             }
             let n = self.topo.mesh().node_count();
-            let mesh = self.topo.mesh();
             let mut prev: Vec<Option<(usize, Direction)>> = vec![None; n * 2];
             let mut visited = vec![false; n * 2];
             let start = src.index() * 2;
@@ -285,7 +279,7 @@ mod tests {
                     if gone_down && up {
                         continue;
                     }
-                    let next_node = mesh.neighbor(node, dir).expect("alive link");
+                    let next_node = self.topo.neighbor(node, dir).expect("alive link");
                     let next_state = next_node.index() * 2 + usize::from(gone_down || !up);
                     if visited[next_state] {
                         continue;

@@ -78,10 +78,10 @@ impl RouteSource for XyRouting {
         let mut cur = src;
         for (dir, hops) in self.legs(src, dst) {
             for _ in 0..hops {
-                if !self.topo.link_alive(cur, dir) {
+                let Some(next) = self.topo.neighbor(cur, dir) else {
                     return false;
-                }
-                cur = self.topo.mesh().neighbor(cur, dir).expect("alive link");
+                };
+                cur = next;
             }
         }
         true

@@ -76,12 +76,11 @@ pub fn find_deadlock(core: &NetCore) -> Vec<InputRef> {
             queue.push_back(i);
             continue;
         };
-        if !topo.link_alive(router, dir) {
+        let Some(neighbor) = topo.neighbor(router, dir) else {
             // A packet aimed at a dead link can never move; count it as
             // non-live with no escape (routes should prevent this).
             continue;
-        }
-        let neighbor = topo.mesh().neighbor(router, dir).expect("alive link");
+        };
         let port = dir.opposite();
         let mut any_free = false;
         for vc in cfg.vcs_of_vnet(pkt.vnet) {
@@ -172,10 +171,9 @@ pub fn find_dependency_cycle(core: &NetCore) -> Option<Vec<InputRef>> {
         let Some(dir) = pkt.desired_hop() else {
             continue;
         };
-        if !topo.link_alive(r.router, dir) {
+        let Some(neighbor) = topo.neighbor(r.router, dir) else {
             continue;
-        }
-        let neighbor = topo.mesh().neighbor(r.router, dir).expect("alive");
+        };
         for vc in cfg.vcs_of_vnet(pkt.vnet) {
             let w = VcRef {
                 router: neighbor,

@@ -1068,11 +1068,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 continue;
             }
             let d = Direction::from_index(out_idx);
-            if !self.core.topology().link_alive(router, d) {
+            let Some(nb) = self.core.topology().neighbor(router, d) else {
                 continue; // revived only by reconfiguration, which wakes all
-            }
-            let Some(nb) = self.core.topology().mesh().neighbor(router, d) else {
-                continue;
             };
             // Any draining slot at the downstream input port is a pending
             // credit; the min over all of them (regardless of vnet — a
@@ -1158,7 +1155,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         let downstream = match out {
             OutPort::Eject => None,
             OutPort::Dir(d) => {
-                let neighbor = core.topology().mesh().neighbor(router, d);
+                let neighbor = core.topology().neighbor(router, d);
                 Some((neighbor.expect("alive link has endpoint"), d.opposite()))
             }
         };
@@ -1335,12 +1332,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             }
             OutPort::Dir(d) => {
                 self.core.arena.get_mut(h).advance_hop();
-                let neighbor = self
-                    .core
-                    .topology()
-                    .mesh()
-                    .neighbor(router, d)
-                    .expect("alive link");
+                let neighbor = (self.core.topology().neighbor(router, d)).expect("alive link");
                 match slot.expect("forward grants carry a slot") {
                     SlotRef::Regular(vc) => {
                         self.core.vc_put(

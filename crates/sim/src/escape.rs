@@ -28,9 +28,9 @@ pub struct EscapeVcPlugin {
     tdd: u64,
     /// Per-VC stall clocks, indexed by flat vc id ([`NetCore::flat_vc`]) and
     /// sized lazily on first use. `Some((pkt, count))` means the slot's head
-    /// has been switchable-but-stalled for `count` cycles. A flat table
-    /// beats the old `HashMap<VcRef, _>` on the hot sweep: no hashing, and
-    /// clearing a lapsed entry is one store.
+    /// has been switchable-but-stalled for `count` cycles. A flat table:
+    /// the hot sweep hashes nothing, and clearing a lapsed entry is one
+    /// store.
     stalls: Vec<Option<(PacketId, u64)>>,
     /// Number of `Some` entries in `stalls`, so `next_timer` can bail out
     /// without scanning the table when nothing is stalled (the common case).

@@ -552,9 +552,11 @@ impl NetCore {
     /// the receiving side changed in a way the upstream allocator can use
     /// (or must re-read) next cycle — a slot forced free, a bubble attached
     /// or detached, a re-stamped occupant. The one timed credit, a grant's
-    /// drain deadline, is scheduled by [`NetCore::vc_take`] itself.
+    /// drain deadline, is scheduled by [`NetCore::vc_take`] itself. The
+    /// feeder is the *alive* neighbour: nothing crosses a dead link, and the
+    /// reconfiguration that revives one wakes every router.
     fn wake_feeder(&mut self, router: NodeId, port: Direction) {
-        if let Some(feeder) = self.topo.mesh().neighbor(router, port) {
+        if let Some(feeder) = self.topo.neighbor(router, port) {
             self.active.insert(feeder);
         }
     }
@@ -651,8 +653,8 @@ impl NetCore {
 
     /// Remove the occupant of `vc` for a grant, leaving the slot draining
     /// until the packet's tail has streamed out (`now + len_flits`). The
-    /// router re-enters the scan set; the feeding neighbour is woken at the
-    /// drain deadline, the first cycle the slot is a credit it can use.
+    /// router re-enters the scan set; the feeding (alive) neighbour is woken
+    /// at the drain deadline, the first cycle the slot is a credit it can use.
     ///
     /// # Panics
     ///
@@ -666,7 +668,7 @@ impl NetCore {
         self.vc_drain[flat] = self.time + len;
         self.occ_mask[vc.router.index()] &= !(1 << (flat - self.vc_base(vc.router)));
         self.touch(vc.router);
-        if let Some(feeder) = self.topo.mesh().neighbor(vc.router, vc.port) {
+        if let Some(feeder) = self.topo.neighbor(vc.router, vc.port) {
             self.wake_at(feeder, self.time + len);
         }
         h
@@ -1194,9 +1196,30 @@ mod tests {
             port: Direction::North,
             vc: 0,
         };
-        let mesh = core.topology().mesh();
-        let feeder = mesh.neighbor(vref.router, vref.port).expect("interior");
-        (vref, feeder)
+        let feeder = core.topology().neighbor(vref.router, vref.port);
+        (vref, feeder.expect("interior"))
+    }
+
+    #[test]
+    fn a_router_across_a_dead_link_is_not_a_feeder() {
+        let mut topo = Topology::full(Mesh::new(4, 4));
+        let vref = VcRef {
+            router: NodeId(9),
+            port: Direction::North,
+            vc: 0,
+        };
+        topo.remove_link(vref.router, vref.port);
+        let mut core = NetCore::new(&topo, SimConfig::default(), &[]);
+        // A packet the fault stranded at the dead port still leaves through
+        // the crossbar, but nobody can use the credit it returns.
+        core.place_packet(vref, dummy_packet(1, 0), 0);
+        core.clear_active_for_test();
+        core.vc_take(vref);
+        assert!(core.is_active(vref.router));
+        assert_eq!(core.next_wheel_event(), None, "no feeder to wake");
+        core.clear_active_for_test();
+        core.vc_clear(vref);
+        assert_eq!(core.active_count(), 1, "only the router itself");
     }
 
     #[test]

@@ -50,14 +50,67 @@ impl Link {
 /// assert!(!topo.link_alive(mesh.node_at(2, 1), Direction::West));
 /// topo.remove_router(n);
 /// assert!(!topo.link_alive(n, Direction::North));
+/// assert_eq!(topo.neighbor(n, Direction::North), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Topology {
     mesh: Mesh,
     /// Router alive bits, indexed by node id.
     routers: Vec<bool>,
     /// Link bits per node per direction (kept symmetric across endpoints).
     links: Vec<[bool; 4]>,
+    /// The far end of every usable link, `adj[node][dir]`; the node's own id
+    /// where there is none (no router is its own neighbour, and every `u16`
+    /// is a valid id on the largest mesh). Derived from the three fields
+    /// above and re-derived link by link by every mutator
+    /// ([`Topology::patch`]), so that the per-cycle questions — who is across
+    /// this port, is this link usable — are one load and no arithmetic. Not
+    /// part of the serialised form.
+    adj: Vec<[NodeId; 4]>,
+}
+
+/// What a [`Topology`] is on the wire: the state it cannot re-derive.
+#[derive(Serialize, Deserialize)]
+struct TopologyBits {
+    mesh: Mesh,
+    routers: Vec<bool>,
+    links: Vec<[bool; 4]>,
+}
+
+impl Serialize for Topology {
+    fn to_value(&self) -> Result<serde::Value, serde::Error> {
+        TopologyBits {
+            mesh: self.mesh,
+            routers: self.routers.clone(),
+            links: self.links.clone(),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Topology {
+    fn from_value(value: serde::Value) -> Result<Self, serde::Error> {
+        let TopologyBits {
+            mesh,
+            routers,
+            links,
+        } = TopologyBits::from_value(value)?;
+        let n = mesh.node_count();
+        if routers.len() != n || links.len() != n {
+            return Err(serde::Error(format!(
+                "topology of a {n}-router mesh with {} router bits and {} link rows",
+                routers.len(),
+                links.len()
+            )));
+        }
+        let mut topo = Topology::full(mesh);
+        topo.routers = routers;
+        topo.links = links;
+        for (node, dir) in mesh.links() {
+            topo.patch(node, dir);
+        }
+        Ok(topo)
+    }
 }
 
 impl Topology {
@@ -65,10 +118,12 @@ impl Topology {
     pub fn full(mesh: Mesh) -> Self {
         let n = mesh.node_count();
         let mut links = vec![[false; 4]; n];
+        let mut adj: Vec<[NodeId; 4]> = mesh.nodes().map(|node| [node; 4]).collect();
         for node in mesh.nodes() {
             for dir in DIRECTIONS {
-                if mesh.neighbor(node, dir).is_some() {
+                if let Some(other) = mesh.neighbor(node, dir) {
                     links[node.index()][dir.index()] = true;
+                    adj[node.index()][dir.index()] = other;
                 }
             }
         }
@@ -76,7 +131,22 @@ impl Topology {
             mesh,
             routers: vec![true; n],
             links,
+            adj,
         }
+    }
+
+    /// Re-derive both `adj` entries of the link `(node, dir)` from the link
+    /// bit and the two router bits. Nothing off the mesh edge.
+    fn patch(&mut self, node: NodeId, dir: Direction) {
+        let Some(other) = self.mesh.neighbor(node, dir) else {
+            return;
+        };
+        let usable = self.links[node.index()][dir.index()]
+            && self.routers[node.index()]
+            && self.routers[other.index()];
+        let (there, back) = if usable { (other, node) } else { (node, other) };
+        self.adj[node.index()][dir.index()] = there;
+        self.adj[other.index()][dir.opposite().index()] = back;
     }
 
     /// The underlying mesh substrate.
@@ -85,6 +155,7 @@ impl Topology {
     }
 
     /// Is this router alive (present, fault-free and powered)?
+    #[inline]
     pub fn router_alive(&self, node: NodeId) -> bool {
         self.routers[node.index()]
     }
@@ -94,26 +165,39 @@ impl Topology {
     /// (Manhattan distances, coordinate-derived minimal next hops) that
     /// routing layers use as fast paths.
     pub fn is_pristine(&self) -> bool {
-        self.routers.iter().all(|&r| r)
-            && self.mesh.nodes().all(|n| {
-                DIRECTIONS
-                    .into_iter()
-                    .all(|d| self.mesh.neighbor(n, d).is_none() || self.links[n.index()][d.index()])
-            })
+        self.routers.iter().all(|&r| r) && self.alive_links().count() == self.mesh.link_count()
+    }
+
+    /// The router across the usable link out of `node` towards `dir`:
+    /// `None` if the link bit is off, either endpoint router is dead, or the
+    /// mesh ends there.
+    #[inline]
+    pub fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
+        let other = self.adj[node.index()][dir.index()];
+        (other != node).then_some(other)
     }
 
     /// Is the link out of `node` towards `dir` usable?
     ///
     /// Requires the link bit set and both endpoint routers alive; always
     /// `false` off the mesh edge.
+    #[inline]
     pub fn link_alive(&self, node: NodeId, dir: Direction) -> bool {
-        match self.mesh.neighbor(node, dir) {
-            Some(other) => {
-                self.links[node.index()][dir.index()]
-                    && self.routers[node.index()]
-                    && self.routers[other.index()]
-            }
-            None => false,
+        self.neighbor(node, dir).is_some()
+    }
+
+    fn set_link(&mut self, node: NodeId, dir: Direction, bit: bool) {
+        if let Some(other) = self.mesh.neighbor(node, dir) {
+            self.links[node.index()][dir.index()] = bit;
+            self.links[other.index()][dir.opposite().index()] = bit;
+            self.patch(node, dir);
+        }
+    }
+
+    fn set_router(&mut self, node: NodeId, alive: bool) {
+        self.routers[node.index()] = alive;
+        for dir in DIRECTIONS {
+            self.patch(node, dir);
         }
     }
 
@@ -121,31 +205,25 @@ impl Topology {
     ///
     /// Idempotent. Does nothing if the link falls off the mesh edge.
     pub fn remove_link(&mut self, node: NodeId, dir: Direction) {
-        if let Some(other) = self.mesh.neighbor(node, dir) {
-            self.links[node.index()][dir.index()] = false;
-            self.links[other.index()][dir.opposite().index()] = false;
-        }
+        self.set_link(node, dir, false);
     }
 
     /// Re-enable the bidirectional link `(node, dir)` (e.g. power-gating
     /// reversal). Does nothing off the mesh edge.
     pub fn restore_link(&mut self, node: NodeId, dir: Direction) {
-        if let Some(other) = self.mesh.neighbor(node, dir) {
-            self.links[node.index()][dir.index()] = true;
-            self.links[other.index()][dir.opposite().index()] = true;
-        }
+        self.set_link(node, dir, true);
     }
 
     /// Disable a router (fault or power-gating). Its links become unusable
     /// but their bits are preserved, so [`Topology::restore_router`] brings
     /// them back.
     pub fn remove_router(&mut self, node: NodeId) {
-        self.routers[node.index()] = false;
+        self.set_router(node, false);
     }
 
     /// Re-enable a router.
     pub fn restore_router(&mut self, node: NodeId) {
-        self.routers[node.index()] = true;
+        self.set_router(node, true);
     }
 
     /// Disable every router inside the rectangle `[x0, x0+w) × [y0, y0+h)`,
@@ -188,22 +266,21 @@ impl Topology {
 
     /// Iterate over usable links in canonical orientation.
     pub fn alive_links(&self) -> impl Iterator<Item = Link> + '_ {
-        self.mesh
-            .links()
-            .filter(move |&(n, d)| self.link_alive(n, d))
-            .map(|(node, dir)| Link { node, dir })
+        self.mesh.nodes().flat_map(move |node| {
+            [Direction::East, Direction::North]
+                .into_iter()
+                .filter(move |&dir| self.link_alive(node, dir))
+                .map(move |dir| Link { node, dir })
+        })
     }
 
     /// The alive neighbours of `node` (via usable links), with directions.
+    #[inline]
     pub fn neighbors(&self, node: NodeId) -> impl Iterator<Item = (Direction, NodeId)> + '_ {
-        let mesh = self.mesh;
-        DIRECTIONS.into_iter().filter_map(move |d| {
-            if self.link_alive(node, d) {
-                Some((d, mesh.neighbor(node, d).expect("alive link has endpoint")))
-            } else {
-                None
-            }
-        })
+        DIRECTIONS
+            .into_iter()
+            .zip(self.adj[node.index()])
+            .filter(move |&(_, other)| other != node)
     }
 
     /// Degree of `node` in the surviving graph.
@@ -253,6 +330,98 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    impl Topology {
+        /// The definition `adj` caches, by arithmetic on the primary bits.
+        fn neighbor_by_definition(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
+            let other = self.mesh.neighbor(node, dir)?;
+            let usable = self.links[node.index()][dir.index()]
+                && self.routers[node.index()]
+                && self.routers[other.index()];
+            usable.then_some(other)
+        }
+
+        /// Every query the table answers, held against the definition.
+        fn check_adjacency(&self) -> Result<(), TestCaseError> {
+            let mut links = Vec::new();
+            for node in self.mesh.nodes() {
+                let mut around = Vec::new();
+                for dir in DIRECTIONS {
+                    let expect = self.neighbor_by_definition(node, dir);
+                    prop_assert_eq!(self.neighbor(node, dir), expect, "{} {:?}", node, dir);
+                    prop_assert_eq!(self.link_alive(node, dir), expect.is_some());
+                    around.extend(expect.map(|other| (dir, other)));
+                }
+                prop_assert_eq!(self.degree(node), around.len());
+                prop_assert_eq!(self.neighbors(node).collect::<Vec<_>>(), around);
+                for dir in [Direction::East, Direction::North] {
+                    if self.neighbor_by_definition(node, dir).is_some() {
+                        links.push(Link { node, dir });
+                    }
+                }
+            }
+            prop_assert_eq!(self.is_pristine(), links.len() == self.mesh.link_count());
+            prop_assert_eq!(self.alive_links().collect::<Vec<_>>(), links);
+            Ok(())
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The mutators patch the table; none of them rebuilds it. Whatever
+        /// the order — re-removing, restoring a link under a dead endpoint,
+        /// edge nodes and off-mesh directions included — it stays equal to
+        /// the definition, and it never reaches the serialised form.
+        fn adjacency_equals_its_definition_after_every_mutation(
+            (w, h) in (4u16..=16, 4u16..=16),
+            seed in any::<u64>(),
+        ) {
+            let mesh = Mesh::new(w, h);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut topo = Topology::full(mesh);
+            topo.check_adjacency()?;
+            for _ in 0..40 {
+                let node = NodeId(rng.gen_range(0..mesh.node_count() as u16));
+                let dir = DIRECTIONS[rng.gen_range(0..4usize)];
+                match rng.gen_range(0..9u8) {
+                    0..=2 => topo.remove_link(node, dir),
+                    3 | 4 => topo.restore_link(node, dir),
+                    5 | 6 => topo.remove_router(node),
+                    7 => topo.restore_router(node),
+                    _ => {
+                        let c = mesh.coord(node);
+                        let (tw, th) = (rng.gen_range(1..=w - c.x), rng.gen_range(1..=h - c.y));
+                        topo.carve_tile(c.x, c.y, tw.min(3), th.min(3));
+                    }
+                }
+                topo.check_adjacency()?;
+            }
+            let value = topo.to_value().expect("serialises");
+            let serde::Value::Map(entries) = &value else {
+                panic!("a topology is a map, got {value:?}");
+            };
+            let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+            prop_assert_eq!(keys, ["mesh", "routers", "links"]);
+            let back = Topology::from_value(value).expect("deserialises");
+            back.check_adjacency()?;
+            prop_assert_eq!(back, topo);
+        }
+    }
+
+    #[test]
+    fn a_topology_of_the_wrong_size_is_refused() {
+        let serde::Value::Map(mut entries) = Topology::full(Mesh::new(3, 3)).to_value().unwrap()
+        else {
+            panic!("a topology is a map");
+        };
+        entries[0].1 = Mesh::new(4, 4).to_value().unwrap();
+        let err = Topology::from_value(serde::Value::Map(entries)).unwrap_err();
+        assert!(err.0.contains("16-router mesh with 9 router bits"), "{err}");
+    }
 
     #[test]
     fn full_topology_has_all_links() {

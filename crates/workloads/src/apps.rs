@@ -13,7 +13,7 @@ use rand::Rng;
 use sb_sim::{NewPacket, Packet, TrafficSource, CTRL_FLITS, DATA_FLITS};
 use sb_topology::{NodeId, Topology};
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Request message class (1-flit, like a coherence GetS).
 pub const REQ_VNET: u8 = 0;
@@ -193,13 +193,24 @@ pub struct AppTraffic {
     profile: AppProfile,
     cores: Vec<NodeId>,
     mcs: Vec<NodeId>,
-    outstanding: HashMap<NodeId, usize>,
+    /// Is the node one of `mcs`? Indexed by node id over the whole mesh.
+    is_mc: Vec<bool>,
+    /// Stop issuing after this many transactions (`u64::MAX` = unbounded).
+    budget: u64,
+    state: AppState,
+}
+
+/// What a run changes in an [`AppTraffic`], and so what a snapshot of one
+/// carries; the rest is rebuilt from the constructor arguments.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct AppState {
+    /// Requests awaiting their reply, per core, indexed by node id over the
+    /// whole mesh.
+    outstanding: Vec<usize>,
     /// Replies waiting for their service delay: `(ready_at, reply)`.
     pending_replies: VecDeque<(u64, NewPacket)>,
     issued: u64,
     completed: u64,
-    /// Stop issuing after this many transactions (`u64::MAX` = unbounded).
-    budget: u64,
 }
 
 impl AppTraffic {
@@ -213,15 +224,23 @@ impl AppTraffic {
         if mcs.is_empty() || cores.len() < 2 {
             return None;
         }
+        let n = topo.mesh().node_count();
+        let mut is_mc = vec![false; n];
+        for m in &mcs {
+            is_mc[m.index()] = true;
+        }
         Some(AppTraffic {
             profile,
             cores,
             mcs,
-            outstanding: HashMap::new(),
-            pending_replies: VecDeque::new(),
-            issued: 0,
-            completed: 0,
+            is_mc,
             budget: u64::MAX,
+            state: AppState {
+                outstanding: vec![0; n],
+                pending_replies: VecDeque::new(),
+                issued: 0,
+                completed: 0,
+            },
         })
     }
 
@@ -234,17 +253,17 @@ impl AppTraffic {
 
     /// Completed request/reply transactions.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.state.completed
     }
 
     /// Issued requests.
     pub fn issued(&self) -> u64 {
-        self.issued
+        self.state.issued
     }
 
     /// Has the transaction budget been fully completed?
     pub fn finished(&self) -> bool {
-        self.completed >= self.budget
+        self.state.completed >= self.budget
     }
 
     /// Application throughput in transactions per kilocycle.
@@ -252,7 +271,7 @@ impl AppTraffic {
         if cycles == 0 {
             return 0.0;
         }
-        self.completed as f64 * 1000.0 / cycles as f64
+        self.state.completed as f64 * 1000.0 / cycles as f64
     }
 
     /// The cores the app is mapped on.
@@ -275,23 +294,23 @@ impl TrafficSource for AppTraffic {
         rng: &mut dyn rand::RngCore,
     ) -> Vec<NewPacket> {
         let mut out = Vec::new();
+        let p = (self.profile.issue_prob * self.phase_multiplier(time)).min(1.0);
+        let state = &mut self.state;
         // Due replies first.
-        while let Some(&(ready, pkt)) = self.pending_replies.front() {
+        while let Some(&(ready, pkt)) = state.pending_replies.front() {
             if ready > time {
                 break;
             }
-            self.pending_replies.pop_front();
+            state.pending_replies.pop_front();
             out.push(pkt);
         }
         // New requests from idle cores.
-        let p = (self.profile.issue_prob * self.phase_multiplier(time)).min(1.0);
-        if self.issued < self.budget {
-            for i in 0..self.cores.len() {
-                let core = self.cores[i];
-                if self.mcs.contains(&core) {
+        if state.issued < self.budget {
+            for &core in &self.cores {
+                if self.is_mc[core.index()] {
                     continue; // MCs do not issue
                 }
-                if *self.outstanding.get(&core).unwrap_or(&0) >= self.profile.window {
+                if state.outstanding[core.index()] >= self.profile.window {
                     continue;
                 }
                 if !rng.gen_bool(p) {
@@ -313,9 +332,9 @@ impl TrafficSource for AppTraffic {
                     vnet: REQ_VNET,
                     len_flits: CTRL_FLITS,
                 });
-                *self.outstanding.entry(core).or_insert(0) += 1;
-                self.issued += 1;
-                if self.issued >= self.budget {
+                state.outstanding[core.index()] += 1;
+                state.issued += 1;
+                if state.issued >= self.budget {
                     break;
                 }
             }
@@ -326,7 +345,7 @@ impl TrafficSource for AppTraffic {
     fn on_delivered(&mut self, pkt: &Packet, time: u64) {
         if pkt.vnet == REQ_VNET {
             // Serve the request: reply flows dst -> src after the delay.
-            self.pending_replies.push_back((
+            self.state.pending_replies.push_back((
                 time + self.profile.service_delay,
                 NewPacket {
                     src: pkt.dst,
@@ -337,15 +356,31 @@ impl TrafficSource for AppTraffic {
             ));
         } else {
             // Reply came home: transaction complete.
-            self.completed += 1;
-            if let Some(o) = self.outstanding.get_mut(&pkt.dst) {
-                *o = o.saturating_sub(1);
-            }
+            self.state.completed += 1;
+            let o = &mut self.state.outstanding[pkt.dst.index()];
+            *o = o.saturating_sub(1);
         }
     }
 
     fn exhausted(&self) -> bool {
-        self.issued >= self.budget && self.pending_replies.is_empty()
+        self.state.issued >= self.budget && self.state.pending_replies.is_empty()
+    }
+
+    fn snapshot_state(&self) -> Result<String, String> {
+        sb_sim::json::to_json_string(&self.state).map_err(|e| e.0)
+    }
+
+    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
+        let state: AppState = sb_sim::json::from_json_str(blob).map_err(|e| e.0)?;
+        if state.outstanding.len() != self.is_mc.len() {
+            return Err(format!(
+                "application state of a {}-router mesh restored into a {}-router one",
+                state.outstanding.len(),
+                self.is_mc.len()
+            ));
+        }
+        self.state = state;
+        Ok(())
     }
 }
 
@@ -429,7 +464,7 @@ mod tests {
         );
         for _ in 0..50 {
             sim.run(20);
-            for o in sim.traffic().outstanding.values() {
+            for o in &sim.traffic().state.outstanding {
                 assert!(*o <= window);
             }
         }

@@ -9,9 +9,10 @@
 //! * uninterrupted vs snapshot → restore into a fresh engine → continue.
 //!
 //! The last one is what catches a plugin index that is derived from its
-//! serialized state (Static Bubble's frozen-router list, the escape
-//! plugin's stall mask) and not rebuilt by `restore_state`: the snapshot is
-//! taken at a moment such an index is populated.
+//! serialized state (Static Bubble's frozen-router list and FSM slot index,
+//! the escape plugin's stall mask) and not rebuilt by `restore_state`, and a
+//! traffic source that keeps state a snapshot does not carry: the snapshot
+//! is taken at a moment such state is populated.
 //!
 //! A fourth contract is the fleet's: a grid's aggregated report is the same
 //! bytes whether its runs were simulated, or served from a result cache.
@@ -21,30 +22,44 @@ use static_bubble_repro::fleet::{run_sweep_cached, CacheConfig, ExecOptions, Swe
 use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
 use static_bubble_repro::sim::{SimConfig, Stats, UniformTraffic};
 use static_bubble_repro::topology::FaultKind;
+use static_bubble_repro::workloads::{AppTraffic, RodiniaApp};
 
-/// One design's contract run: `load` cycles of uniform-random traffic at
-/// `rate`, then the tap closes and the network drains.
+/// What a contract run offers the network.
+enum Load {
+    /// Open loop: uniform-random at this rate, geometric inter-arrival gaps
+    /// (the one sampler both clocks can run).
+    Uniform(f64),
+    /// Closed loop: requests, and the replies owed for them.
+    App(RodiniaApp),
+}
+
+/// One design's contract run: `load` cycles of traffic, then the tap closes
+/// and the network drains.
 struct Contract {
     scenario: Scenario,
-    rate: f64,
+    traffic: Load,
     load: u64,
     /// Is the plugin's derived state populated right now? The snapshot is
     /// taken at the first cycle this holds.
     worth_snapshotting: fn(&dyn SimRunner) -> bool,
+    /// Held between the engine the snapshot was taken from and the fresh
+    /// one it was restored into, before either runs on.
+    restored_like: fn(&dyn SimRunner, &dyn SimRunner),
 }
 
 /// Everything a run leaves behind that a user can observe, and the
-/// plugin's own end state (its snapshot blob).
+/// plugin's and the traffic source's own end states (their snapshot blobs).
 #[derive(Debug, PartialEq)]
 struct Observed {
     stats: Stats,
     end_time: u64,
     escapes: Option<u64>,
     plugin_state: String,
+    traffic_state: String,
 }
 
 impl Contract {
-    fn new(design: Design, config: SimConfig, faults: usize, rate: f64, load: u64) -> Self {
+    fn new(design: Design, config: SimConfig, faults: usize, traffic: Load, load: u64) -> Self {
         Contract {
             scenario: Scenario::new("contract", design)
                 .with_mesh(8, 8)
@@ -56,22 +71,31 @@ impl Contract {
                 .with_config(config)
                 .with_tdd(10)
                 .with_seed(1),
-            rate,
+            traffic,
             load,
             worth_snapshotting: |runner| runner.core().in_flight() > 0,
+            restored_like: |_, _| {},
         }
     }
 
-    /// A fresh engine. Every variant samples geometric inter-arrival gaps,
-    /// the one sampler both clocks can run.
+    /// A fresh engine.
     fn build(&self) -> Box<dyn SimRunner> {
-        let traffic = UniformTraffic::new(self.rate).geometric();
-        let traffic = if self.scenario.config.vnets == 1 {
-            traffic.single_vnet()
-        } else {
-            traffic
-        };
-        self.scenario.build_with(&self.scenario.topology(), traffic)
+        let topo = self.scenario.topology();
+        match self.traffic {
+            Load::Uniform(rate) => {
+                let traffic = UniformTraffic::new(rate).geometric();
+                let traffic = if self.scenario.config.vnets == 1 {
+                    traffic.single_vnet()
+                } else {
+                    traffic
+                };
+                self.scenario.build_with(&topo, traffic)
+            }
+            Load::App(app) => {
+                let traffic = AppTraffic::new(app.profile(), &topo).expect("a usable topology");
+                self.scenario.build_with(&topo, traffic)
+            }
+        }
     }
 
     /// Run the rest of the load phase, close the tap, drain, audit.
@@ -82,11 +106,13 @@ impl Contract {
         if let Some(report) = runner.audit_now() {
             panic!("end-of-run audit failed:\n{report}");
         }
+        let end = runner.snapshot().expect("snapshot");
         Observed {
             stats: runner.stats().clone(),
             end_time: runner.time(),
             escapes: runner.escapes(),
-            plugin_state: runner.snapshot().expect("snapshot").plugin,
+            plugin_state: end.plugin,
+            traffic_state: end.traffic,
         }
     }
 
@@ -124,6 +150,7 @@ impl Contract {
         let snapshot = interrupted.snapshot().expect("snapshot");
         let mut resumed = self.build();
         resumed.restore(&snapshot).expect("restore");
+        (self.restored_like)(interrupted.as_ref(), resumed.as_ref());
         assert_eq!(
             self.finish(resumed),
             reference,
@@ -136,11 +163,28 @@ impl Contract {
 
 #[test]
 fn static_bubble_recovers_identically_in_every_mode() {
-    let mut contract = Contract::new(Design::StaticBubble, SimConfig::single_vnet(), 12, 0.3, 600);
-    // Mid-recovery: some router's injection restriction is in force.
-    contract.worth_snapshotting = |runner| {
+    fn plugin(runner: &dyn SimRunner) -> &StaticBubblePlugin {
         let plugin = runner.plugin_any().downcast_ref::<StaticBubblePlugin>();
-        plugin.expect("static-bubble run").frozen_routers() > 0
+        plugin.expect("static-bubble run")
+    }
+    let load = Load::Uniform(0.3);
+    let mut contract = Contract::new(
+        Design::StaticBubble,
+        SimConfig::single_vnet(),
+        12,
+        load,
+        600,
+    );
+    // Mid-recovery: some router's injection restriction is in force.
+    contract.worth_snapshotting = |runner| plugin(runner).frozen_routers() > 0;
+    // The node → FSM index finds, at every router, the FSM the snapshot
+    // held there (some of them mid-round) or none.
+    contract.restored_like = |interrupted, resumed| {
+        let mesh = interrupted.core().topology().mesh();
+        let fsms = |runner| -> Vec<_> { mesh.nodes().map(|n| plugin(runner).fsm(n)).collect() };
+        let before = fsms(interrupted);
+        assert!(before.iter().flatten().any(|fsm| fsm.in_recovery()));
+        assert_eq!(fsms(resumed), before);
     };
     let seen = contract.check();
     assert!(
@@ -151,7 +195,8 @@ fn static_bubble_recovers_identically_in_every_mode() {
 
 #[test]
 fn escape_vc_escalates_identically_in_every_mode() {
-    let mut contract = Contract::new(Design::EscapeVc, SimConfig::default(), 10, 0.3, 600);
+    let load = Load::Uniform(0.3);
+    let mut contract = Contract::new(Design::EscapeVc, SimConfig::default(), 10, load, 600);
     // Stall clocks are being tracked, and the load phase is about to end:
     // a slot that empties after the restore is not refilled, so a clock the
     // restored sweep failed to visit stays in the end state.
@@ -167,11 +212,23 @@ fn spanning_tree_leaps_identically_in_every_mode() {
         Design::SpanningTree,
         SimConfig::single_vnet(),
         10,
-        0.01,
+        Load::Uniform(0.01),
         4_000,
     );
     let seen = contract.check();
     assert!(seen.stats.delivered_packets > 100, "{seen:?}");
+}
+
+#[test]
+fn closed_loop_traffic_resumes_identically_in_every_mode() {
+    let load = Load::App(RodiniaApp::Kmeans);
+    let mut contract = Contract::new(Design::EscapeVc, SimConfig::default(), 10, load, 4_000);
+    // Requests are in the network and replies are owed for others: a
+    // restored source that forgot either never sends those replies.
+    contract.worth_snapshotting = |runner| runner.core().in_flight() > 0 && runner.time() >= 1_500;
+    let seen = contract.check();
+    let by_vnet = seen.stats.delivered_packets_vnet;
+    assert!(by_vnet[0] > 1_000 && by_vnet[2] > 1_000, "{seen:?}");
 }
 
 #[test]
