@@ -11,7 +11,7 @@
 //! and simulation seed `200 + topology index` patched per run. Unlike the
 //! pre-fleet version, the whole rate ladder simulates (no early break past
 //! the knee) — every rung becomes a cacheable, content-addressed result —
-//! while the knee arithmetic below mirrors `saturation_throughput` exactly,
+//! while the knee arithmetic below is that of the pre-fleet early-break walk,
 //! so the table is unchanged.
 
 use sb_bench::{fleet_results, sample_seeds, Args, Design, Table};
@@ -27,8 +27,7 @@ const DESIGNS: [Design; 4] = [
 const RATES: [f64; 9] = [0.02, 0.05, 0.08, 0.12, 0.16, 0.20, 0.25, 0.30, 0.36];
 const ACCEPT: f64 = 0.92;
 
-/// The knee of one (topology, design) rate ladder, exactly as
-/// `sb_bench::sweep::saturation_throughput` walks it: highest sustained
+/// The knee of one (topology, design) rate ladder: highest sustained
 /// throughput; the first failing rung contributes `min(thr, rate)` and
 /// ends the walk (deeper rungs only wedge harder).
 fn knee(ladder: &[(f64, &RunResult)], nodes: usize) -> f64 {

@@ -23,18 +23,17 @@ pub use sb_scenario::design;
 pub use sb_scenario::{Design, RunOutcome, Scenario};
 pub use sweep::{
     cache_from_args, fleet_results, parallel_map, sample_seeds, sample_topologies_filtered,
-    saturation_throughput, SweepPoint,
 };
 pub use table::Table;
 
-/// The `saturated` regime of the kernel bench (`BENCH_kernel.json`) and of
-/// `saturated_smoke`: up*/down* routing on a 16×16 mesh with 20 link faults
+/// The `saturated` regime of `saturated_smoke` and of the `BENCH_kernel.json`
+/// ledger: up*/down* routing on a 16×16 mesh with 20 link faults
 /// at 0.08 flits/node/cycle. Up*/down* is deadlock-free, so the network
 /// stays live however far past its knee it is pushed — every router
 /// contends every cycle and source queues grow for the whole run — where
 /// an unprotected mesh driven past saturation wedges within a few thousand
-/// cycles and times the worklist skipping a dead network (that regime is
-/// the bench's `blocked` row).
+/// cycles and times the worklist skipping a dead network (the `blocked`
+/// regime, pinned by count in `crates/sim/tests/active_kernel.rs`).
 ///
 /// Where a tree's knee lies depends on its root and its faults, so the
 /// fault pattern is pinned: this is the tree the repo benchmark's

@@ -1,17 +1,6 @@
-//! Topology sampling, parallel execution and saturation search.
+//! Topology sampling and parallel execution.
 
-use crate::design::Design;
-use sb_sim::{SimConfig, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
-
-/// One point of a fault sweep.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SweepPoint {
-    /// Fault class.
-    pub kind: FaultKind,
-    /// Number of faults.
-    pub faults: usize,
-}
 
 /// Sample `count` random topologies for a fault point, keeping only those
 /// accepted by `filter` (e.g. "memory controllers reachable"); gives up
@@ -124,49 +113,6 @@ pub fn sample_seeds(base_seed: u64, samples: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Find the saturation throughput of `design` on `topo`: sweep the offered
-/// rate ladder and return the highest *delivered* flits/node/cycle among
-/// rates the network sustains (acceptance ≥ `accept`), i.e. the knee of the
-/// load/throughput curve. Also returns the zero-load-ish latency at the
-/// lowest rate as a bonus `(throughput, low_load_latency)`.
-#[allow(clippy::too_many_arguments)]
-pub fn saturation_throughput(
-    design: Design,
-    topo: &Topology,
-    cfg: SimConfig,
-    rates: &[f64],
-    warmup: u64,
-    window: u64,
-    seed: u64,
-    accept: f64,
-) -> (f64, f64) {
-    let nodes = topo.alive_node_count();
-    let mut best = 0.0f64;
-    let mut low_load_latency = f64::NAN;
-    for (i, &rate) in rates.iter().enumerate() {
-        let out = design.run(
-            topo,
-            cfg,
-            UniformTraffic::new(rate).single_vnet(),
-            seed,
-            warmup,
-            window,
-        );
-        let thr = out.stats.throughput(nodes);
-        if i == 0 {
-            low_load_latency = out.stats.avg_latency().unwrap_or(f64::NAN);
-        }
-        if out.stats.acceptance() >= accept {
-            best = best.max(thr);
-        } else {
-            // Past the knee; deeper rates only wedge harder.
-            best = best.max(thr.min(rate));
-            break;
-        }
-    }
-    (best, low_load_latency)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,22 +164,5 @@ mod tests {
             .map(|s| model.inject(mesh, &mut rand::rngs::StdRng::seed_from_u64(s)))
             .collect();
         assert_eq!(batch, via_seeds);
-    }
-
-    #[test]
-    fn saturation_finds_a_positive_knee() {
-        let topo = Topology::full(Mesh::new(4, 4));
-        let (thr, lat) = saturation_throughput(
-            Design::SpanningTree,
-            &topo,
-            SimConfig::single_vnet(),
-            &[0.02, 0.1, 0.3],
-            300,
-            1_500,
-            1,
-            0.9,
-        );
-        assert!(thr > 0.01, "throughput {thr}");
-        assert!(lat > 5.0, "latency {lat}");
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Degenerate points do not erode silently: a group that completed fewer
 //! runs than the grid expanded (worker panic, filtered sample) appears in
-//! [`SweepReport::shortfall`], extending the `SweepPoint` erosion guard of
+//! [`SweepReport::shortfall`], extending the sample-size erosion guard of
 //! `crates/bench/src/sweep.rs` from a stderr warning to a first-class
 //! report row.
 
@@ -151,8 +151,7 @@ pub struct PointSummary {
     pub recoveries: SampleStats,
 }
 
-/// Saturation knee of one series (group ladder over the rate axis),
-/// lifted from `sb-bench`'s `saturation_throughput`.
+/// Saturation knee of one series (group ladder over the rate axis).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SaturationRow {
     /// Series key (group key minus the rate axis).
@@ -376,8 +375,7 @@ pub fn aggregate(
     let mut saturation = Vec::with_capacity(series.len());
     for (s, group_idxs) in &series {
         // Walk the ladder in ascending rate order (the spec may list rates
-        // in any order); the knee logic mirrors
-        // `sb_bench::sweep::saturation_throughput`.
+        // in any order); `fig09`'s `knee` walks a ladder the same way.
         let mut ladder: Vec<(f64, usize)> = group_idxs
             .iter()
             .map(|&gi| (runs[groups[gi].1[0]].rate, gi))

@@ -6,11 +6,11 @@
 
 use sb_energy::NetworkConfigCost;
 use sb_routing::{MinimalRouting, RouteSource, TreeOnlyRouting, UpDownRouting};
-use sb_sim::{NoTraffic, SimConfig, Stats, TrafficSource};
+use sb_sim::{SimConfig, Stats};
 use sb_topology::Topology;
 use sb_workloads::AppTraffic;
 use serde::{Deserialize, Serialize};
-use static_bubble::{placement, SbOptions};
+use static_bubble::placement;
 
 use crate::runner::SimRunner;
 use crate::spec::Scenario;
@@ -102,64 +102,6 @@ impl Design {
         }
     }
 
-    /// Run `traffic` over `topo` for `warmup + cycles` cycles and return the
-    /// measurement-window statistics.
-    pub fn run<T: TrafficSource + 'static>(
-        self,
-        topo: &Topology,
-        cfg: SimConfig,
-        traffic: T,
-        seed: u64,
-        warmup: u64,
-        cycles: u64,
-    ) -> RunOutcome {
-        self.run_with_options(
-            topo,
-            cfg,
-            traffic,
-            seed,
-            warmup,
-            cycles,
-            T_DD,
-            SbOptions::default(),
-        )
-    }
-
-    /// As [`Design::run`], exposing the detection threshold and ablation
-    /// options (only meaningful for [`Design::StaticBubble`]).
-    ///
-    /// Assembled through the [`Scenario`] builder, so every experiment —
-    /// including the generic-traffic ones that cannot be written down as a
-    /// serialized spec — goes through the same construction path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_with_options<T: TrafficSource + 'static>(
-        self,
-        topo: &Topology,
-        cfg: SimConfig,
-        traffic: T,
-        seed: u64,
-        warmup: u64,
-        cycles: u64,
-        tdd: u64,
-        opts: SbOptions,
-    ) -> RunOutcome {
-        let scenario = Scenario::new("design-run", self)
-            .with_config(cfg)
-            .with_seed(seed)
-            .with_warmup(warmup)
-            .with_cycles(cycles)
-            .with_tdd(tdd)
-            .with_sb_options(opts);
-        let mut runner = scenario.build_with(topo, traffic);
-        runner.warmup(warmup);
-        runner.run(cycles);
-        RunOutcome {
-            design: self,
-            cost: self.cost(topo, cfg),
-            stats: runner.stats().clone(),
-        }
-    }
-
     /// Run a closed-loop application to completion (or `max_cycles`).
     /// Returns `(runtime, completed, outcome)`: `runtime` is `None` if the
     /// budget did not finish (counts as the maximum for runtime comparisons).
@@ -199,17 +141,6 @@ impl Design {
             },
         )
     }
-
-    /// Drain helper for experiments that need an empty network between
-    /// phases; returns whether the drain completed.
-    pub fn drain_probe(self, topo: &Topology, cfg: SimConfig, seed: u64, cycles: u64) -> bool {
-        let scenario = Scenario::new("drain-probe", self)
-            .with_config(cfg)
-            .with_seed(seed);
-        scenario
-            .build_with(topo, NoTraffic)
-            .run_until_drained(cycles)
-    }
 }
 
 /// The result of one design run.
@@ -226,21 +157,18 @@ pub struct RunOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sb_sim::UniformTraffic;
     use sb_topology::{Mesh, Topology};
 
     #[test]
     fn all_designs_deliver_at_low_load() {
-        let topo = Topology::full(Mesh::new(6, 6));
         for d in Design::ALL {
-            let out = d.run(
-                &topo,
-                SimConfig::single_vnet(),
-                UniformTraffic::new(0.05).single_vnet(),
-                3,
-                500,
-                2_000,
-            );
+            let out = Scenario::new("low-load", d)
+                .with_mesh(6, 6)
+                .with_rate(0.05)
+                .with_seed(3)
+                .with_warmup(500)
+                .with_cycles(2_000)
+                .run();
             assert!(out.stats.delivered_packets > 50, "{:?}", d);
             assert!(out.stats.acceptance() > 0.9, "{:?}", d);
         }

@@ -9,8 +9,8 @@
 
 use rand::SeedableRng;
 use sb_sim::{
-    BitComplementTraffic, ClockMode, EscapeVcPlugin, NoTraffic, NullPlugin, SimConfig, Simulator,
-    TrafficSource, UniformTraffic,
+    BitComplement, ClockMode, EscapeVcPlugin, NoTraffic, NullPlugin, Pattern, SimConfig, Simulator,
+    Synthetic, TrafficSource, Uniform,
 };
 use sb_topology::{FaultKind, FaultModel, Mesh, NodeId, Topology};
 use serde::{Deserialize, Serialize};
@@ -428,24 +428,28 @@ impl Scenario {
     /// Build the simulation on an externally supplied topology (sweeps
     /// sample many topologies per fault point and reuse one spec).
     pub fn build_on(&self, topo: &Topology) -> Box<dyn SimRunner> {
-        // The leap clock needs injectors that can name their next arrival
-        // cycle, so leap scenarios sample geometric inter-arrival gaps
-        // instead of per-cycle Bernoulli coins (same mean load).
-        let geometric = self.clock == ClockMode::Leap;
         match self.traffic {
             TrafficSpec::Idle => self.build_with(topo, NoTraffic),
             TrafficSpec::Uniform { rate, single_vnet } => {
-                let t = UniformTraffic::new(rate);
-                let t = if single_vnet { t.single_vnet() } else { t };
-                let t = if geometric { t.geometric() } else { t };
-                self.build_with(topo, t)
+                self.build_with(topo, self.synthetic::<Uniform>(rate, single_vnet))
             }
             TrafficSpec::BitComplement { rate, single_vnet } => {
-                let t = BitComplementTraffic::new(rate);
-                let t = if single_vnet { t.single_vnet() } else { t };
-                let t = if geometric { t.geometric() } else { t };
-                self.build_with(topo, t)
+                self.build_with(topo, self.synthetic::<BitComplement>(rate, single_vnet))
             }
+        }
+    }
+
+    /// The open-loop source for pattern `P` as this spec configures it.
+    fn synthetic<P: Pattern + Default>(&self, rate: f64, single_vnet: bool) -> Synthetic<P> {
+        let t = Synthetic::new(rate);
+        let t = if single_vnet { t.single_vnet() } else { t };
+        // The leap clock needs injectors that can name their next arrival
+        // cycle, so leap scenarios sample geometric inter-arrival gaps
+        // instead of per-cycle Bernoulli coins (same mean load).
+        if self.clock == ClockMode::Leap {
+            t.geometric()
+        } else {
+            t
         }
     }
 

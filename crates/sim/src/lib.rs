@@ -76,8 +76,8 @@ pub use snapshot::EngineSnapshot;
 pub use stats::{SpecialClass, Stats, MAX_VNETS};
 pub use trace::{TraceEvent, Traced};
 pub use traffic::{
-    check_injectable, BitComplementTraffic, NoTraffic, ScriptedTraffic, TrafficSource,
-    UniformTraffic, CTRL_FLITS, DATA_FLITS,
+    check_injectable, BitComplement, BitComplementTraffic, NoTraffic, Pattern, ScriptedTraffic,
+    Synthetic, TrafficSource, Uniform, UniformTraffic, CTRL_FLITS, DATA_FLITS,
 };
 pub use vc::VcRef;
 

@@ -866,24 +866,6 @@ impl NetCore {
         h.is_some().then(|| self.arena.get(h))
     }
 
-    /// The bubble occupant handle ([`PacketHandle::NONE`] if empty).
-    pub fn bubble_handle(&self, router: NodeId) -> PacketHandle {
-        self.bub_occ[router.index()]
-    }
-
-    /// The bubble occupant's first switchable cycle, if occupied.
-    pub fn bubble_ready_at(&self, router: NodeId) -> Option<u64> {
-        let r = router.index();
-        self.bub_occ[r].is_some().then(|| self.bub_ready[r])
-    }
-
-    /// The bubble's credit-return deadline, if it is unoccupied and a
-    /// previous occupant's tail is (or was) still streaming out.
-    pub fn bubble_draining_until(&self, router: NodeId) -> Option<u64> {
-        let r = router.index();
-        (self.bub_occ[r].is_none() && self.bub_drain[r] != 0).then(|| self.bub_drain[r])
-    }
-
     /// Activate the bubble at `router`, attaching it to `(port, vnet)`.
     ///
     /// # Panics

@@ -116,12 +116,6 @@ impl Stats {
             .then(|| self.latency_sum as f64 / self.delivered_packets as f64)
     }
 
-    /// Average network latency (injection → delivery).
-    pub fn avg_network_latency(&self) -> Option<f64> {
-        (self.delivered_packets > 0)
-            .then(|| self.network_latency_sum as f64 / self.delivered_packets as f64)
-    }
-
     /// Delivered throughput in flits per node per cycle.
     pub fn throughput(&self, nodes: usize) -> f64 {
         if self.cycles == 0 {

@@ -1,18 +1,20 @@
-//! Traffic sources: synthetic open-loop injectors and scripted traffic.
+//! Traffic sources: the open-loop synthetic injector and scripted traffic.
 //!
-//! The richer application profiles (PARSEC / Rodinia stand-ins) live in
-//! `sb-workloads`; this module has the trait plus the two synthetic patterns
-//! of Table II and test helpers.
+//! [`Synthetic`] is the one open-loop injector: it owns the arrival
+//! process, the packet mix and the load bound, and asks a [`Pattern`] only
+//! where a packet goes. The two patterns of Table II live here, four more
+//! in `sb-workloads`, next to the closed-loop application profiles (PARSEC
+//! / Rodinia stand-ins).
 //!
-//! The synthetic injectors offer two statistically equivalent samplers:
-//! the per-cycle **Bernoulli** coin (the historical reference — one
-//! `gen_bool` per node per cycle from the shared engine RNG), and
-//! **geometric inter-arrival** sampling ([`UniformTraffic::geometric`])
-//! where each node owns a derived RNG stream and a precomputed next-arrival
-//! cycle. A Bernoulli(p) process injects after i.i.d. geometric gaps with
-//! mean 1/p, so both samplers offer the same mean load; the geometric form
-//! consumes no randomness on quiet cycles, which is what lets the leap
-//! clock ([`crate::ClockMode::Leap`]) skip them wholesale.
+//! The injector offers two statistically equivalent samplers: the
+//! per-cycle **Bernoulli** coin (the historical reference — one `gen_bool`
+//! per node per cycle from the shared engine RNG), and **geometric
+//! inter-arrival** sampling ([`Synthetic::geometric`]) where each node owns
+//! a derived RNG stream and a precomputed next-arrival cycle. A
+//! Bernoulli(p) process injects after i.i.d. geometric gaps with mean 1/p,
+//! so both samplers offer the same mean load; the geometric form consumes
+//! no randomness on quiet cycles, which is what lets the leap clock
+//! ([`crate::ClockMode::Leap`]) skip them wholesale.
 
 use crate::packet::{NewPacket, Packet};
 use rand::rngs::StdRng;
@@ -85,28 +87,6 @@ pub trait TrafficSource {
     }
 }
 
-/// A memoized alive-node list: rebuilding it costs a full node walk plus an
-/// allocation, which the per-cycle samplers would otherwise pay on *every*
-/// `generate` call. Invalidated by [`TrafficSource::on_topology_change`];
-/// liveness only changes through engine reconfiguration, which emits that
-/// hook.
-#[derive(Debug, Clone, Default)]
-struct AliveCache {
-    nodes: Vec<NodeId>,
-    valid: bool,
-}
-
-impl AliveCache {
-    fn refresh(&mut self, topo: &Topology) -> &[NodeId] {
-        if !self.valid {
-            self.nodes.clear();
-            self.nodes.extend(topo.alive_nodes());
-            self.valid = true;
-        }
-        &self.nodes
-    }
-}
-
 /// Flit length used for data packets by the synthetic sources.
 pub const DATA_FLITS: u16 = 5;
 /// Flit length used for control packets by the synthetic sources.
@@ -172,15 +152,20 @@ impl SyntheticLoad {
         Ok(())
     }
 
+    // `#[inline]` here and below: `Synthetic::generate` is monomorphised in
+    // the crate that names the pattern, where these would be real calls.
+    #[inline]
     fn avg_flits(&self) -> f64 {
         self.data_fraction * DATA_FLITS as f64 + (1.0 - self.data_fraction) * CTRL_FLITS as f64
     }
 
     /// Probability a given node injects a packet this cycle.
+    #[inline]
     fn packet_prob(&self) -> f64 {
         self.rate / self.avg_flits()
     }
 
+    #[inline]
     fn draw_shape(&self, rng: &mut dyn rand::RngCore) -> (u8, u16) {
         if rng.gen_bool(self.data_fraction) {
             (self.data_vnet, DATA_FLITS)
@@ -191,9 +176,8 @@ impl SyntheticLoad {
 }
 
 /// Can a synthetic source offer `rate` flits/node/cycle at the default
-/// packet mix? `Err` carries the reason [`UniformTraffic::new`] and
-/// [`BitComplementTraffic::new`] would panic with, so a spec validator can
-/// refuse the load before anything is built.
+/// packet mix? `Err` carries the reason [`Synthetic::new`] would panic
+/// with, so a spec validator can refuse the load before anything is built.
 pub fn check_injectable(rate: f64) -> Result<(), String> {
     SyntheticLoad::default_mix(rate).check()
 }
@@ -243,9 +227,7 @@ impl GeomState {
 }
 
 /// Serializable mirror of a [`Sampler`] for [`crate::EngineSnapshot`]
-/// blobs: RNG streams travel as raw xoshiro words. The `AliveCache` is
-/// deliberately absent — it is a pure function of the topology, rebuilt on
-/// first use after a restore.
+/// blobs: RNG streams travel as raw xoshiro words.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct SamplerState {
     geometric: bool,
@@ -287,6 +269,7 @@ impl Sampler {
 /// Geometric gap on support {1, 2, …} with success probability `p`: the
 /// number of cycles from one Bernoulli(p) success to the next, inclusive.
 /// Inverse-CDF sampling, `G = ⌊ln U / ln(1−p)⌋ + 1` for `U ∈ (0, 1)`.
+#[inline]
 fn sample_gap(p: f64, rng: &mut StdRng) -> u64 {
     if p >= 1.0 {
         return 1;
@@ -309,27 +292,75 @@ fn sample_gap(p: f64, rng: &mut StdRng) -> u64 {
     }
 }
 
-/// Uniform-random traffic: every alive node injects packets to uniformly
-/// chosen alive destinations, Bernoulli per cycle by default or via
-/// geometric inter-arrival gaps ([`UniformTraffic::geometric`]).
+/// Where a synthetic source sends — the one thing the open-loop patterns
+/// differ in. [`Synthetic`] owns when a node injects, how long the packet is
+/// and which vnet carries it; a pattern only names destinations.
 ///
-/// `rate` is in flits/node/cycle, the unit of the paper's injection sweeps.
-#[derive(Debug, Clone)]
-pub struct UniformTraffic {
-    load: SyntheticLoad,
-    sampler: Sampler,
-    alive: AliveCache,
+/// The two methods fix the order in which a source consumes randomness,
+/// which is what keeps a pattern's packet stream stable: arrival, then the
+/// draws of `pick`, then the packet's shape. `can_send` takes no RNG so
+/// that a node with nowhere to send (a permutation partner that is itself
+/// or dead, no alive neighbour, nobody else alive) never flips the arrival
+/// coin; under the geometric sampler its arrivals are discarded while its
+/// private stream advances, so the schedule stays deterministic when the
+/// fault map changes mid-run.
+pub trait Pattern {
+    /// Has alive `src` any destination on `topo`? `alive` is the alive
+    /// nodes in id order.
+    fn can_send(&self, src: NodeId, topo: &Topology, alive: &[NodeId]) -> bool;
+
+    /// The destination of one arrival at a `src` that `can_send`. `None`
+    /// drops the arrival after its draws; no shape is drawn for it.
+    fn pick(
+        &self,
+        src: NodeId,
+        topo: &Topology,
+        alive: &[NodeId],
+        rng: &mut dyn RngCore,
+    ) -> Option<NodeId>;
 }
 
-impl UniformTraffic {
-    /// Uniform-random traffic at `rate` flits/node/cycle, 50/50 mix of
-    /// 1-flit (vnet 0) and 5-flit (vnet 2) packets.
-    pub fn new(rate: f64) -> Self {
-        UniformTraffic {
+/// The open-loop injector: every alive node that [`Pattern::can_send`]
+/// offers packets to [`Pattern::pick`]ed destinations at `rate`
+/// flits/node/cycle (the unit of the paper's injection sweeps), Bernoulli
+/// per cycle by default or via geometric inter-arrival gaps
+/// ([`Synthetic::geometric`]).
+#[derive(Debug, Clone)]
+pub struct Synthetic<P> {
+    pattern: P,
+    load: SyntheticLoad,
+    sampler: Sampler,
+    /// The alive nodes in id order, memoized: rebuilding the list is a full
+    /// node walk, which every `generate` call would otherwise pay. `None`
+    /// after [`TrafficSource::on_topology_change`] — liveness only changes
+    /// through engine reconfiguration, which emits that hook — and after a
+    /// restore: a function of the topology, it is not part of a snapshot.
+    alive: Option<Vec<NodeId>>,
+}
+
+impl<P: Pattern> Synthetic<P> {
+    /// `pattern` at `rate` flits/node/cycle, 50/50 mix of 1-flit (vnet 0)
+    /// and 5-flit (vnet 2) packets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is negative, NaN or more than the mix can inject
+    /// ([`check_injectable`]).
+    pub fn with_pattern(pattern: P, rate: f64) -> Self {
+        Synthetic {
+            pattern,
             load: SyntheticLoad::new(rate),
             sampler: Sampler::Bernoulli,
-            alive: AliveCache::default(),
+            alive: None,
         }
+    }
+
+    /// [`Synthetic::with_pattern`] for a pattern with no parameters.
+    pub fn new(rate: f64) -> Self
+    where
+        P: Default,
+    {
+        Self::with_pattern(P::default(), rate)
     }
 
     /// Put all packets in one vnet (for single-vnet configurations).
@@ -360,98 +391,80 @@ impl UniformTraffic {
     }
 }
 
-impl TrafficSource for UniformTraffic {
+impl<P: Pattern> TrafficSource for Synthetic<P> {
     fn generate(
         &mut self,
         time: u64,
         topo: &Topology,
         rng: &mut dyn rand::RngCore,
     ) -> Vec<NewPacket> {
-        match &mut self.sampler {
+        let Synthetic {
+            pattern,
+            load,
+            sampler,
+            alive,
+        } = self;
+        let alive: &[NodeId] = alive.get_or_insert_with(|| topo.alive_nodes().collect());
+        let p = load.packet_prob();
+        let mut out = Vec::new();
+        // One arrival at `src`: destination draws, then the shape.
+        let mut arrive = |src, rng: &mut dyn RngCore| {
+            if let Some(dst) = pattern.pick(src, topo, alive, rng) {
+                let (vnet, len_flits) = load.draw_shape(rng);
+                out.push(NewPacket {
+                    src,
+                    dst,
+                    vnet,
+                    len_flits,
+                });
+            }
+        };
+        match sampler {
             Sampler::Bernoulli => {
-                let alive = self.alive.refresh(topo);
-                if alive.len() < 2 {
-                    return Vec::new();
-                }
-                let p = self.load.packet_prob();
-                let mut out = Vec::new();
                 for &src in alive {
-                    if rng.gen_bool(p) {
-                        let mut dst = alive[rng.gen_range(0..alive.len())];
-                        while dst == src {
-                            dst = alive[rng.gen_range(0..alive.len())];
-                        }
-                        let (vnet, len_flits) = self.load.draw_shape(rng);
-                        out.push(NewPacket {
-                            src,
-                            dst,
-                            vnet,
-                            len_flits,
-                        });
+                    if pattern.can_send(src, topo, alive) && rng.gen_bool(p) {
+                        arrive(src, rng);
                     }
                 }
-                out
             }
             Sampler::Geometric(st) => {
-                let p = self.load.packet_prob();
                 if st.streams.is_empty() {
                     st.seed(time, topo.mesh().node_count(), p, rng);
                 }
                 if time < st.next_min {
                     return Vec::new();
                 }
-                let alive = self.alive.refresh(topo);
-                let mut out = Vec::new();
                 let mut min = u64::MAX;
-                for i in 0..st.next.len() {
-                    // Arrivals at dead sources (or with no possible
-                    // destination) are discarded, but their draws still
-                    // advance the node's private stream so the schedule
-                    // stays deterministic under reconfiguration.
-                    while st.next[i] <= time {
+                for (i, (next, stream)) in st.next.iter_mut().zip(&mut st.streams).enumerate() {
+                    // Arrivals at sources that are dead or cannot send are
+                    // discarded, but the gap draw still advances the node's
+                    // private stream.
+                    while *next <= time {
                         let src = NodeId(i as u16);
-                        let stream = &mut st.streams[i];
-                        if alive.len() >= 2 && topo.router_alive(src) {
-                            let mut dst = alive[stream.gen_range(0..alive.len())];
-                            while dst == src {
-                                dst = alive[stream.gen_range(0..alive.len())];
-                            }
-                            let (vnet, len_flits) = self.load.draw_shape(stream);
-                            out.push(NewPacket {
-                                src,
-                                dst,
-                                vnet,
-                                len_flits,
-                            });
+                        if topo.router_alive(src) && pattern.can_send(src, topo, alive) {
+                            arrive(src, stream);
                         }
-                        let gap = sample_gap(p, stream);
-                        st.next[i] = st.next[i].saturating_add(gap);
+                        *next = next.saturating_add(sample_gap(p, stream));
                     }
-                    min = min.min(st.next[i]);
+                    min = min.min(*next);
                 }
                 st.next_min = min;
-                out
             }
         }
+        out
     }
 
     fn next_arrival(&self, now: u64) -> Option<u64> {
         match &self.sampler {
             Sampler::Bernoulli => Some(now),
-            Sampler::Geometric(st) => {
-                if st.streams.is_empty() {
-                    Some(now) // unseeded until the first generate call
-                } else if st.next_min == u64::MAX {
-                    None
-                } else {
-                    Some(st.next_min)
-                }
-            }
+            // Unseeded until the first generate call.
+            Sampler::Geometric(st) if st.streams.is_empty() => Some(now),
+            Sampler::Geometric(st) => (st.next_min != u64::MAX).then_some(st.next_min),
         }
     }
 
     fn on_topology_change(&mut self) {
-        self.alive.valid = false;
+        self.alive = None;
     }
 
     fn snapshot_state(&self) -> Result<String, String> {
@@ -461,132 +474,73 @@ impl TrafficSource for UniformTraffic {
     fn restore_state(&mut self, blob: &str) -> Result<(), String> {
         let state: SamplerState = crate::json::from_json_str(blob).map_err(|e| e.0)?;
         self.sampler = Sampler::restore(state);
-        self.alive.valid = false;
+        self.alive = None;
         Ok(())
     }
 }
 
-/// Bit-complement traffic: node (x, y) sends to (width−1−x, height−1−y).
-///
-/// Packets whose complement node is dead are not generated; unreachable
-/// (but alive) destinations are dropped by the engine, as in the paper.
-#[derive(Debug, Clone)]
-pub struct BitComplementTraffic {
-    load: SyntheticLoad,
-    sampler: Sampler,
-}
+/// Uniform-random destinations: any alive node but the source.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Uniform;
 
-impl BitComplementTraffic {
-    /// Bit-complement traffic at `rate` flits/node/cycle.
-    pub fn new(rate: f64) -> Self {
-        BitComplementTraffic {
-            load: SyntheticLoad::new(rate),
-            sampler: Sampler::Bernoulli,
+/// Uniform-random traffic (Table II).
+pub type UniformTraffic = Synthetic<Uniform>;
+
+impl Pattern for Uniform {
+    #[inline]
+    fn can_send(&self, _src: NodeId, _topo: &Topology, alive: &[NodeId]) -> bool {
+        alive.len() >= 2
+    }
+
+    #[inline]
+    fn pick(
+        &self,
+        src: NodeId,
+        _topo: &Topology,
+        alive: &[NodeId],
+        rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        loop {
+            let dst = alive[rng.gen_range(0..alive.len())];
+            if dst != src {
+                return Some(dst);
+            }
         }
     }
-
-    /// Put all packets in one vnet.
-    pub fn single_vnet(mut self) -> Self {
-        self.load.ctrl_vnet = 0;
-        self.load.data_vnet = 0;
-        self
-    }
-
-    /// Switch to geometric inter-arrival sampling; see
-    /// [`UniformTraffic::geometric`].
-    pub fn geometric(mut self) -> Self {
-        self.sampler = Sampler::Geometric(GeomState::default());
-        self
-    }
 }
 
-impl TrafficSource for BitComplementTraffic {
-    fn generate(
-        &mut self,
-        time: u64,
+/// Bit-complement destinations: node (x, y) sends to (width−1−x,
+/// height−1−y). A node whose complement is itself or dead sends nothing;
+/// unreachable (but alive) destinations are dropped by the engine, as in
+/// the paper.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct BitComplement;
+
+/// Bit-complement traffic (Table II).
+pub type BitComplementTraffic = Synthetic<BitComplement>;
+
+fn complement(src: NodeId, topo: &Topology) -> NodeId {
+    let mesh = topo.mesh();
+    let c = mesh.coord(src);
+    mesh.node_at(mesh.width() - 1 - c.x, mesh.height() - 1 - c.y)
+}
+
+impl Pattern for BitComplement {
+    #[inline]
+    fn can_send(&self, src: NodeId, topo: &Topology, _alive: &[NodeId]) -> bool {
+        let dst = complement(src, topo);
+        dst != src && topo.router_alive(dst)
+    }
+
+    #[inline]
+    fn pick(
+        &self,
+        src: NodeId,
         topo: &Topology,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<NewPacket> {
-        let mesh = topo.mesh();
-        let p = self.load.packet_prob();
-        match &mut self.sampler {
-            Sampler::Bernoulli => {
-                let mut out = Vec::new();
-                for src in topo.alive_nodes() {
-                    let c = mesh.coord(src);
-                    let dst = mesh.node_at(mesh.width() - 1 - c.x, mesh.height() - 1 - c.y);
-                    if dst == src || !topo.router_alive(dst) {
-                        continue;
-                    }
-                    if rng.gen_bool(p) {
-                        let (vnet, len_flits) = self.load.draw_shape(rng);
-                        out.push(NewPacket {
-                            src,
-                            dst,
-                            vnet,
-                            len_flits,
-                        });
-                    }
-                }
-                out
-            }
-            Sampler::Geometric(st) => {
-                if st.streams.is_empty() {
-                    st.seed(time, mesh.node_count(), p, rng);
-                }
-                if time < st.next_min {
-                    return Vec::new();
-                }
-                let mut out = Vec::new();
-                let mut min = u64::MAX;
-                for i in 0..st.next.len() {
-                    while st.next[i] <= time {
-                        let src = NodeId(i as u16);
-                        let stream = &mut st.streams[i];
-                        let c = mesh.coord(src);
-                        let dst = mesh.node_at(mesh.width() - 1 - c.x, mesh.height() - 1 - c.y);
-                        if topo.router_alive(src) && dst != src && topo.router_alive(dst) {
-                            let (vnet, len_flits) = self.load.draw_shape(stream);
-                            out.push(NewPacket {
-                                src,
-                                dst,
-                                vnet,
-                                len_flits,
-                            });
-                        }
-                        st.next[i] = st.next[i].saturating_add(sample_gap(p, stream));
-                    }
-                    min = min.min(st.next[i]);
-                }
-                st.next_min = min;
-                out
-            }
-        }
-    }
-
-    fn next_arrival(&self, now: u64) -> Option<u64> {
-        match &self.sampler {
-            Sampler::Bernoulli => Some(now),
-            Sampler::Geometric(st) => {
-                if st.streams.is_empty() {
-                    Some(now)
-                } else if st.next_min == u64::MAX {
-                    None
-                } else {
-                    Some(st.next_min)
-                }
-            }
-        }
-    }
-
-    fn snapshot_state(&self) -> Result<String, String> {
-        crate::json::to_json_string(&self.sampler.snapshot()).map_err(|e| e.0)
-    }
-
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let state: SamplerState = crate::json::from_json_str(blob).map_err(|e| e.0)?;
-        self.sampler = Sampler::restore(state);
-        Ok(())
+        _alive: &[NodeId],
+        _rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        Some(complement(src, topo))
     }
 }
 
@@ -681,82 +635,47 @@ mod tests {
     use sb_topology::{Mesh, Topology};
 
     #[test]
-    fn uniform_traffic_rate_is_calibrated() {
+    fn offered_rate_is_calibrated_under_both_samplers() {
+        // The geometric sampler offers the same mean load as the Bernoulli
+        // reference, within the same tolerance.
         let topo = Topology::full(Mesh::new(8, 8));
-        let mut src = UniformTraffic::new(0.3);
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut flits = 0u64;
-        let cycles = 4_000;
-        for t in 0..cycles {
-            for p in src.generate(t, &topo, &mut rng) {
-                assert_ne!(p.src, p.dst);
-                flits += p.len_flits as u64;
+        for mut src in [
+            UniformTraffic::new(0.3),
+            UniformTraffic::new(0.3).geometric(),
+        ] {
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut flits = 0u64;
+            let cycles = 4_000;
+            for t in 0..cycles {
+                for p in src.generate(t, &topo, &mut rng) {
+                    assert_ne!(p.src, p.dst);
+                    flits += p.len_flits as u64;
+                }
             }
-        }
-        let rate = flits as f64 / 64.0 / cycles as f64;
-        assert!((rate - 0.3).abs() < 0.02, "measured {rate}");
-    }
-
-    #[test]
-    fn geometric_sampler_rate_is_calibrated() {
-        // Same mean offered load as the Bernoulli reference, within the
-        // same tolerance the reference test uses.
-        let topo = Topology::full(Mesh::new(8, 8));
-        let mut src = UniformTraffic::new(0.3).geometric();
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut flits = 0u64;
-        let cycles = 4_000;
-        for t in 0..cycles {
-            for p in src.generate(t, &topo, &mut rng) {
-                assert_ne!(p.src, p.dst);
-                flits += p.len_flits as u64;
-            }
-        }
-        let rate = flits as f64 / 64.0 / cycles as f64;
-        assert!((rate - 0.3).abs() < 0.02, "measured {rate}");
-    }
-
-    #[test]
-    fn geometric_next_arrival_is_exact() {
-        let topo = Topology::full(Mesh::new(4, 4));
-        let mut src = UniformTraffic::new(0.02).geometric();
-        let mut rng = StdRng::seed_from_u64(3);
-        src.generate(0, &topo, &mut rng); // seeds the per-node streams
-        let mut t = 0u64;
-        for _ in 0..50 {
-            let next = src
-                .next_arrival(t)
-                .expect("open-loop source never exhausts");
-            assert!(next > t, "next_arrival({t}) = {next} is not in the future");
-            if next > t + 1 {
-                // A probe strictly inside the gap is empty and must not
-                // disturb the schedule — the leap-clock contract.
-                assert!(src.generate(t + 1, &topo, &mut rng).is_empty());
-                assert_eq!(src.next_arrival(t + 1), Some(next));
-            }
-            let pkts = src.generate(next, &topo, &mut rng);
-            assert!(!pkts.is_empty(), "an arrival was promised at {next}");
-            t = next;
+            let rate = flits as f64 / 64.0 / cycles as f64;
+            assert!((rate - 0.3).abs() < 0.02, "measured {rate}");
         }
     }
 
     #[test]
-    fn geometric_bit_complement_pairs() {
+    fn bit_complement_pairs_under_both_samplers() {
         let mesh = Mesh::new(4, 4);
         let topo = Topology::full(mesh);
-        let mut src = BitComplementTraffic::new(1.0).single_vnet().geometric();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut total = 0usize;
-        for t in 0..200 {
-            for p in src.generate(t, &topo, &mut rng) {
-                let a = mesh.coord(p.src);
-                let b = mesh.coord(p.dst);
-                assert_eq!((b.x, b.y), (3 - a.x, 3 - a.y));
-                assert_eq!(p.vnet, 0);
-                total += 1;
+        let bernoulli = BitComplementTraffic::new(1.0).single_vnet();
+        for mut src in [bernoulli.clone(), bernoulli.geometric()] {
+            let mut rng = StdRng::seed_from_u64(1);
+            let mut total = 0usize;
+            for t in 0..200 {
+                for p in src.generate(t, &topo, &mut rng) {
+                    let a = mesh.coord(p.src);
+                    let b = mesh.coord(p.dst);
+                    assert_eq!((b.x, b.y), (3 - a.x, 3 - a.y));
+                    assert_eq!(p.vnet, 0);
+                    total += 1;
+                }
             }
+            assert!(total > 0);
         }
-        assert!(total > 0);
     }
 
     #[test]
@@ -773,20 +692,6 @@ mod tests {
         // 2.0 is fine at the default 3-flit average but not with
         // all-control 1-flit packets.
         let _ = UniformTraffic::new(2.0).data_fraction(0.0);
-    }
-
-    #[test]
-    fn bit_complement_pairs() {
-        let mesh = Mesh::new(4, 4);
-        let topo = Topology::full(mesh);
-        let mut src = BitComplementTraffic::new(1.0).single_vnet();
-        let mut rng = StdRng::seed_from_u64(1);
-        for p in src.generate(0, &topo, &mut rng) {
-            let a = mesh.coord(p.src);
-            let b = mesh.coord(p.dst);
-            assert_eq!((b.x, b.y), (3 - a.x, 3 - a.y));
-            assert_eq!(p.vnet, 0);
-        }
     }
 
     #[test]

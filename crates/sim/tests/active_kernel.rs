@@ -130,6 +130,32 @@ fn low_load_steady_state_keeps_worklist_sparse() {
     );
 }
 
+/// The blocked regime: an unprotected mesh driven into a deadlock, injection
+/// cut, the unaffected residue delivered. Every packet left is blocked for
+/// good, so the worklist is empty and a cycle must cost no router scan at
+/// all — by count, on any machine.
+#[test]
+fn deadlocked_mesh_with_injection_cut_scans_no_router() {
+    let topo = Topology::full(Mesh::new(16, 16));
+    let mut sim = Simulator::new(
+        &topo,
+        SimConfig::single_vnet(),
+        Box::new(MinimalRouting::new(&topo)),
+        NullPlugin,
+        UniformTraffic::new(0.6).single_vnet(),
+        9,
+    );
+    sim.run_until_deadlock(100_000, 64)
+        .expect("a 16x16 unprotected mesh at 0.6 must deadlock");
+    sim.halt_injection();
+    sim.run(5_000);
+    let (settled, cycles) = (sim.kernel_counters().scans, sim.core().stats().cycles);
+    sim.run(10_000);
+    assert!(sim.core().in_flight() > 0, "the deadlock holds its packets");
+    assert_eq!(sim.core().stats().cycles, cycles + 10_000, "step clock");
+    assert_eq!(sim.kernel_counters().scans, settled);
+}
+
 // ----------------------------------------------------------------------
 // Wake-on-event equivalence across the full design matrix
 // ----------------------------------------------------------------------

@@ -250,15 +250,6 @@ impl Topology {
         self.mesh.nodes().filter(move |&n| self.router_alive(n))
     }
 
-    /// The alive routers as a [`crate::NodeSet`] (e.g. to seed worklists).
-    pub fn alive_set(&self) -> crate::NodeSet {
-        let mut set = crate::NodeSet::new(self.mesh.node_count());
-        for n in self.alive_nodes() {
-            set.insert(n);
-        }
-        set
-    }
-
     /// Number of alive routers.
     pub fn alive_node_count(&self) -> usize {
         self.routers.iter().filter(|&&b| b).count()

@@ -266,14 +266,6 @@ impl AppTraffic {
         self.state.completed >= self.budget
     }
 
-    /// Application throughput in transactions per kilocycle.
-    pub fn throughput_kcycle(&self, cycles: u64) -> f64 {
-        if cycles == 0 {
-            return 0.0;
-        }
-        self.state.completed as f64 * 1000.0 / cycles as f64
-    }
-
     /// The cores the app is mapped on.
     pub fn cores(&self) -> &[NodeId] {
         &self.cores

@@ -28,4 +28,7 @@ pub mod patterns;
 
 pub use apps::{AppProfile, AppTraffic, ParsecApp, RodiniaApp};
 pub use mc::{default_memory_controllers, usable_cores};
-pub use patterns::{HotspotTraffic, NeighborTraffic, ShuffleTraffic, TransposeTraffic};
+pub use patterns::{
+    Hotspot, HotspotTraffic, Neighbor, NeighborTraffic, Shuffle, ShuffleTraffic, Transpose,
+    TransposeTraffic,
+};

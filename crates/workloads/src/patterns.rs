@@ -1,204 +1,149 @@
 //! Additional open-loop synthetic patterns beyond the two in `sb-sim`.
+//!
+//! Each is a destination rule for [`sb_sim::Synthetic`], which owns the
+//! arrival process, the packet mix, the vnets and the load bound — so every
+//! pattern here takes `single_vnet`, `data_fraction` and `geometric` and
+//! refuses a rate it cannot inject.
 
-use rand::Rng;
-use sb_sim::{NewPacket, TrafficSource, CTRL_FLITS, DATA_FLITS};
+use rand::{Rng, RngCore};
+use sb_sim::{Pattern, Synthetic};
 use sb_topology::{NodeId, Topology};
 
-/// Transpose traffic: node (x, y) sends to (y, x) (square meshes).
-#[derive(Debug, Clone, Copy)]
-pub struct TransposeTraffic {
-    rate: f64,
+/// A fixed partner is a destination only if it is another, alive node.
+fn other_alive(src: NodeId, dst: NodeId, topo: &Topology) -> bool {
+    dst != src && topo.router_alive(dst)
 }
 
-impl TransposeTraffic {
-    /// Transpose traffic at `rate` flits/node/cycle (50/50 1-flit/5-flit
-    /// mix, single vnet).
-    pub fn new(rate: f64) -> Self {
-        assert!(rate >= 0.0);
-        TransposeTraffic { rate }
+/// Transpose destinations: node (x, y) sends to (y, x) (square meshes).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Transpose;
+
+/// Transpose traffic: `TransposeTraffic::new(rate)`.
+pub type TransposeTraffic = Synthetic<Transpose>;
+
+fn transposed(src: NodeId, topo: &Topology) -> NodeId {
+    let mesh = topo.mesh();
+    debug_assert_eq!(mesh.width(), mesh.height(), "transpose needs a square mesh");
+    let c = mesh.coord(src);
+    mesh.node_at(c.y, c.x)
+}
+
+impl Pattern for Transpose {
+    fn can_send(&self, src: NodeId, topo: &Topology, _alive: &[NodeId]) -> bool {
+        other_alive(src, transposed(src, topo), topo)
     }
-}
 
-impl TrafficSource for TransposeTraffic {
-    fn generate(
-        &mut self,
-        _time: u64,
+    fn pick(
+        &self,
+        src: NodeId,
         topo: &Topology,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<NewPacket> {
-        let mesh = topo.mesh();
-        debug_assert_eq!(mesh.width(), mesh.height(), "transpose needs a square mesh");
-        let p = (self.rate / 3.0).min(1.0);
-        let mut out = Vec::new();
-        for src in topo.alive_nodes() {
-            let c = mesh.coord(src);
-            let dst = mesh.node_at(c.y, c.x);
-            if dst == src || !topo.router_alive(dst) {
-                continue;
-            }
-            if rng.gen_bool(p) {
-                let data = rng.gen_bool(0.5);
-                out.push(NewPacket {
-                    src,
-                    dst,
-                    vnet: 0,
-                    len_flits: if data { DATA_FLITS } else { CTRL_FLITS },
-                });
-            }
-        }
-        out
+        _alive: &[NodeId],
+        _rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        Some(transposed(src, topo))
     }
 }
 
-/// Hotspot traffic: a fraction of packets target a small hot set (e.g. the
-/// memory controllers); the rest are uniform random.
+/// Hotspot destinations: a fraction of packets target a small hot set (e.g.
+/// the memory controllers); the rest are uniform random. A draw that lands
+/// on the source itself or on a dead node is dropped.
 #[derive(Debug, Clone)]
-pub struct HotspotTraffic {
-    rate: f64,
+pub struct Hotspot {
     hot: Vec<NodeId>,
     hot_fraction: f64,
 }
 
-impl HotspotTraffic {
+/// Hotspot traffic: `HotspotTraffic::with_pattern(Hotspot::new(..), rate)`.
+pub type HotspotTraffic = Synthetic<Hotspot>;
+
+impl Hotspot {
     /// `hot_fraction` of packets go to a uniformly chosen member of `hot`.
     ///
     /// # Panics
     ///
     /// Panics if `hot` is empty or `hot_fraction ∉ [0, 1]`.
-    pub fn new(rate: f64, hot: Vec<NodeId>, hot_fraction: f64) -> Self {
+    pub fn new(hot: Vec<NodeId>, hot_fraction: f64) -> Self {
         assert!(!hot.is_empty(), "hotspot set must be non-empty");
         assert!((0.0..=1.0).contains(&hot_fraction));
-        HotspotTraffic {
-            rate,
-            hot,
-            hot_fraction,
-        }
+        Hotspot { hot, hot_fraction }
     }
 }
 
-impl TrafficSource for HotspotTraffic {
-    fn generate(
-        &mut self,
-        _time: u64,
+impl Pattern for Hotspot {
+    fn can_send(&self, _src: NodeId, _topo: &Topology, alive: &[NodeId]) -> bool {
+        alive.len() >= 2
+    }
+
+    fn pick(
+        &self,
+        src: NodeId,
         topo: &Topology,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<NewPacket> {
-        let alive: Vec<NodeId> = topo.alive_nodes().collect();
-        if alive.len() < 2 {
-            return Vec::new();
-        }
-        let p = (self.rate / 3.0).min(1.0);
-        let mut out = Vec::new();
-        for &src in &alive {
-            if !rng.gen_bool(p) {
-                continue;
-            }
-            let dst = if rng.gen_bool(self.hot_fraction) {
-                self.hot[rng.gen_range(0..self.hot.len())]
-            } else {
-                alive[rng.gen_range(0..alive.len())]
-            };
-            if dst == src || !topo.router_alive(dst) {
-                continue;
-            }
-            let data = rng.gen_bool(0.5);
-            out.push(NewPacket {
-                src,
-                dst,
-                vnet: 0,
-                len_flits: if data { DATA_FLITS } else { CTRL_FLITS },
-            });
-        }
-        out
+        alive: &[NodeId],
+        rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        let dst = if rng.gen_bool(self.hot_fraction) {
+            self.hot[rng.gen_range(0..self.hot.len())]
+        } else {
+            alive[rng.gen_range(0..alive.len())]
+        };
+        other_alive(src, dst, topo).then_some(dst)
     }
 }
 
-/// Bit-shuffle traffic: the destination id is the source id rotated left by
-/// one bit (classic permutation stressing different links than transpose).
-#[derive(Debug, Clone, Copy)]
-pub struct ShuffleTraffic {
-    rate: f64,
+/// Bit-shuffle destinations: the source id rotated left by one bit (classic
+/// permutation stressing different links than transpose).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Shuffle;
+
+/// Shuffle traffic: `ShuffleTraffic::new(rate)`.
+pub type ShuffleTraffic = Synthetic<Shuffle>;
+
+fn shuffled(src: NodeId, topo: &Topology) -> NodeId {
+    let n = topo.mesh().node_count();
+    let bits = usize::BITS - (n - 1).leading_zeros();
+    let s = src.index();
+    let d = ((s << 1) | (s >> (bits - 1))) & (n - 1);
+    NodeId::from(d.min(n - 1))
 }
 
-impl ShuffleTraffic {
-    /// Shuffle traffic at `rate` flits/node/cycle.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate >= 0.0);
-        ShuffleTraffic { rate }
+impl Pattern for Shuffle {
+    fn can_send(&self, src: NodeId, topo: &Topology, _alive: &[NodeId]) -> bool {
+        other_alive(src, shuffled(src, topo), topo)
     }
-}
 
-impl TrafficSource for ShuffleTraffic {
-    fn generate(
-        &mut self,
-        _time: u64,
+    fn pick(
+        &self,
+        src: NodeId,
         topo: &Topology,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<NewPacket> {
-        let n = topo.mesh().node_count();
-        let bits = usize::BITS - (n - 1).leading_zeros();
-        let p = (self.rate / 3.0).min(1.0);
-        let mut out = Vec::new();
-        for src in topo.alive_nodes() {
-            let s = src.index();
-            let d = ((s << 1) | (s >> (bits - 1))) & (n - 1);
-            let dst = NodeId::from(d.min(n - 1));
-            if dst == src || !topo.router_alive(dst) {
-                continue;
-            }
-            if rng.gen_bool(p) {
-                let data = rng.gen_bool(0.5);
-                out.push(NewPacket {
-                    src,
-                    dst,
-                    vnet: 0,
-                    len_flits: if data { DATA_FLITS } else { CTRL_FLITS },
-                });
-            }
-        }
-        out
+        _alive: &[NodeId],
+        _rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        Some(shuffled(src, topo))
     }
 }
 
-/// Near-neighbour traffic: every node talks to one of its alive mesh
+/// Near-neighbour destinations: every node talks to one of its alive mesh
 /// neighbours (stencil codes; very light on the bisection).
-#[derive(Debug, Clone, Copy)]
-pub struct NeighborTraffic {
-    rate: f64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Neighbor;
 
-impl NeighborTraffic {
-    /// Neighbour traffic at `rate` flits/node/cycle.
-    pub fn new(rate: f64) -> Self {
-        assert!(rate >= 0.0);
-        NeighborTraffic { rate }
+/// Neighbour traffic: `NeighborTraffic::new(rate)`.
+pub type NeighborTraffic = Synthetic<Neighbor>;
+
+impl Pattern for Neighbor {
+    fn can_send(&self, src: NodeId, topo: &Topology, _alive: &[NodeId]) -> bool {
+        topo.degree(src) > 0
     }
-}
 
-impl TrafficSource for NeighborTraffic {
-    fn generate(
-        &mut self,
-        _time: u64,
+    fn pick(
+        &self,
+        src: NodeId,
         topo: &Topology,
-        rng: &mut dyn rand::RngCore,
-    ) -> Vec<NewPacket> {
-        let p = (self.rate / 3.0).min(1.0);
-        let mut out = Vec::new();
-        for src in topo.alive_nodes() {
-            let neighbors: Vec<NodeId> = topo.neighbors(src).map(|(_, n)| n).collect();
-            if neighbors.is_empty() || !rng.gen_bool(p) {
-                continue;
-            }
-            let dst = neighbors[rng.gen_range(0..neighbors.len())];
-            let data = rng.gen_bool(0.5);
-            out.push(NewPacket {
-                src,
-                dst,
-                vnet: 0,
-                len_flits: if data { DATA_FLITS } else { CTRL_FLITS },
-            });
-        }
-        out
+        _alive: &[NodeId],
+        rng: &mut dyn RngCore,
+    ) -> Option<NodeId> {
+        let k = rng.gen_range(0..topo.degree(src));
+        topo.neighbors(src).nth(k).map(|(_, dst)| dst)
     }
 }
 
@@ -207,6 +152,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use sb_sim::TrafficSource;
     use sb_topology::{Direction, Mesh, Topology};
 
     #[test]
@@ -229,7 +175,7 @@ mod tests {
         let mesh = Mesh::new(8, 8);
         let topo = Topology::full(mesh);
         let hot = vec![mesh.node_at(4, 0)];
-        let mut t = HotspotTraffic::new(1.0, hot.clone(), 0.8);
+        let mut t = HotspotTraffic::with_pattern(Hotspot::new(hot.clone(), 0.8), 1.0).single_vnet();
         let mut rng = StdRng::seed_from_u64(1);
         let mut hot_count = 0usize;
         let mut total = 0usize;
@@ -248,7 +194,52 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_hot_set_panics() {
-        HotspotTraffic::new(0.1, vec![], 0.5);
+        Hotspot::new(vec![], 0.5);
+    }
+
+    /// The message a constructor panics with.
+    fn refusal(build: impl FnOnce() + std::panic::UnwindSafe) -> String {
+        let panic = std::panic::catch_unwind(build).expect_err("must be refused");
+        panic.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    fn an_uninjectable_rate_is_refused_not_clamped() {
+        // 3.5 flits/node/cycle needs more than a packet per node per cycle:
+        // refused, never clamped to the 3.0 that can be offered.
+        let hotspot = |rate| HotspotTraffic::with_pattern(Hotspot::new(vec![NodeId(0)], 0.5), rate);
+        assert!(refusal(|| drop(TransposeTraffic::new(3.5))).contains("not injectable"));
+        assert!(refusal(|| drop(ShuffleTraffic::new(3.5))).contains("not injectable"));
+        assert!(refusal(|| drop(NeighborTraffic::new(3.5))).contains("not injectable"));
+        assert!(refusal(move || drop(hotspot(3.5))).contains("not injectable"));
+        assert!(refusal(move || drop(hotspot(f64::NAN))).contains("non-negative"));
+        assert!(refusal(move || drop(hotspot(-0.1))).contains("non-negative"));
+    }
+
+    #[test]
+    fn geometric_next_arrival_is_exact() {
+        // Through a pattern of this crate: the sampler is the injector's, so
+        // `next_arrival` names a future cycle whatever the destination rule.
+        let topo = Topology::full(Mesh::new(4, 4));
+        let mut src = NeighborTraffic::new(0.02).geometric();
+        let mut rng = StdRng::seed_from_u64(3);
+        src.generate(0, &topo, &mut rng); // seeds the per-node streams
+        let mut t = 0u64;
+        for _ in 0..50 {
+            let next = src
+                .next_arrival(t)
+                .expect("open-loop source never exhausts");
+            assert!(next > t, "next_arrival({t}) = {next} is not in the future");
+            if next > t + 1 {
+                // A probe strictly inside the gap is empty and must not
+                // disturb the schedule — the leap-clock contract.
+                assert!(src.generate(t + 1, &topo, &mut rng).is_empty());
+                assert_eq!(src.next_arrival(t + 1), Some(next));
+            }
+            let pkts = src.generate(next, &topo, &mut rng);
+            assert!(!pkts.is_empty(), "an arrival was promised at {next}");
+            t = next;
+        }
     }
 
     #[test]
