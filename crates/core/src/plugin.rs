@@ -15,7 +15,7 @@ use crate::protocol::{self, Action, ActionBuf, Arrival, Deadline, DropReason, Ev
 use crate::protocol::{Occupant, ProtState, RouterView, SbOptions};
 use crate::trace::{MsgRecord, ProtoCounters, ProtoEvent, Recorder};
 use sb_sim::{AuditClass, InputRef, NetCore, OutPort, Plugin, SlotRef, VcRef, Violation};
-use sb_topology::{Direction, Mesh, NodeId};
+use sb_topology::{Direction, Mesh, NodeId, NodeSet};
 use serde::{Deserialize, Serialize};
 
 /// The kernel's window onto one router of the live network.
@@ -57,6 +57,16 @@ pub struct StaticBubblePlugin {
     /// Where `fsms` holds a router's FSM, indexed by node id over the whole
     /// mesh. Derived from `fsms` by [`fsm_table`], never serialised.
     slot_of: Vec<Option<u16>>,
+    /// The routers that hold an FSM. Derived from `fsms` like `slot_of`.
+    placement: NodeSet,
+    /// The routers whose FSM is not in `SOff` — at least those: refreshed
+    /// after every [`protocol::step`] at a router ([`Self::step`]), rebuilt
+    /// on restore, and a stale member costs one re-test.
+    armed: NodeSet,
+    /// The FSMs the live walks loaded, in order (the pin that an idle one
+    /// is not).
+    #[cfg(test)]
+    visited: std::cell::RefCell<Vec<NodeId>>,
     prot: Vec<ProtState>,
     /// Special messages on a link, oldest first. Every hop takes the same
     /// two cycles, so this is also ascending arrival order.
@@ -125,9 +135,14 @@ impl StaticBubblePlugin {
             })
             .collect();
         let (fsms, slot_of) = fsm_table(mesh.node_count(), fsms).unwrap_or_else(|e| panic!("{e}"));
+        let (placement, armed) = live_sets(mesh.node_count(), &fsms);
         StaticBubblePlugin {
             fsms,
             slot_of,
+            placement,
+            armed,
+            #[cfg(test)]
+            visited: Default::default(),
             prot: vec![ProtState::default(); mesh.node_count()],
             in_flight: Vec::new(),
             tdd,
@@ -153,9 +168,12 @@ impl StaticBubblePlugin {
 
     /// Mutable access to the FSM of a static-bubble router — a test hook
     /// for seeding auditor violations. Production transitions go through
-    /// [`protocol::step`].
+    /// [`protocol::step`]. Whatever the caller writes, the FSM is visited
+    /// on the next tick.
     pub fn fsm_mut(&mut self, node: NodeId) -> Option<&mut SbFsm> {
-        self.slot(node).map(|slot| &mut self.fsms[slot])
+        let slot = self.slot(node)?;
+        self.armed.insert(node);
+        Some(&mut self.fsms[slot])
     }
 
     /// Where `fsms` holds `node`'s FSM: `None` off the placement, and off
@@ -192,15 +210,33 @@ impl StaticBubblePlugin {
             restriction_ttl: self.restriction_ttl,
             opts: self.opts,
             prot: self.prot[router.index()],
-            fsm: self.fsm_mut(router),
+            fsm: (self.slot(router)).map(|slot| &mut self.fsms[slot]),
         }
+    }
+
+    /// Run the kernel for one event at `router` into `buf`, and keep
+    /// `armed` in step with where that left the router's FSM.
+    fn step(&mut self, core: &NetCore, router: NodeId, event: Event<'_>, buf: &mut ActionBuf) {
+        let mut local = self.local(core.time(), router);
+        protocol::step(&mut local, &CoreView(core, router), event, buf);
+        match local.fsm {
+            Some(fsm) if fsm.state == FsmState::SOff => self.armed.remove(router),
+            Some(_) => self.armed.insert(router),
+            None => false,
+        };
+    }
+
+    /// Word `w` of the live set `(occupied ∩ placement) ∪ armed` (DESIGN.md
+    /// §3): every router whose FSM is out of `SOff` or has a packet to leave
+    /// it for — all that a tick, a gap or a timer query can concern.
+    fn live_word(&self, core: &NetCore, w: usize) -> u64 {
+        core.occupied_routers().words()[w] & self.placement.words()[w] | self.armed.words()[w]
     }
 
     /// Run the kernel for one event at `router` and apply its actions.
     fn dispatch(&mut self, core: &mut NetCore, router: NodeId, event: Event<'_>) {
         let mut buf = std::mem::take(&mut self.actions);
-        let mut local = self.local(core.time(), router);
-        protocol::step(&mut local, &CoreView(core, router), event, &mut buf);
+        self.step(core, router, event, &mut buf);
         let about = match event {
             Event::Returned(at) | Event::Transit(at) | Event::Granted(at, _) => Some(at),
             Event::Tick | Event::Gap(_) | Event::BubbleFreed => None,
@@ -346,9 +382,7 @@ impl StaticBubblePlugin {
         let mut buf = std::mem::take(&mut self.actions);
         let mut winner: [Option<usize>; 4] = [None; 4];
         for i in 0..transit.len() {
-            let mut local = self.local(core.time(), router);
-            let event = Event::Transit(arrival(i));
-            protocol::step(&mut local, &CoreView(core, router), event, &mut buf);
+            self.step(core, router, Event::Transit(arrival(i)), &mut buf);
             for action in buf.actions.drain(..) {
                 let Action::Offer(out) = action else {
                     self.apply(core, router, action, Some(arrival(i)));
@@ -381,16 +415,27 @@ impl StaticBubblePlugin {
         self.transit.clear();
     }
 
-    /// Hand `event` to every FSM it can concern, in id order. An FSM in
-    /// SOff does nothing until a VC at its router fills, so it is skipped
-    /// on the router's occupancy word.
+    /// Hand `event` to every FSM it can concern, in id order: the live set,
+    /// re-tested as each is reached (no tick changes another router's FSM
+    /// or buffers, so a word read once is still right at its last bit).
     fn run_fsms(&mut self, core: &mut NetCore, event: Event<'static>) {
-        for slot in 0..self.fsms.len() {
-            let fsm = &self.fsms[slot];
-            if fsm.state != FsmState::SOff || core.any_occupied(fsm.node) {
-                self.dispatch(core, fsm.node, event);
+        for w in 0..self.armed.words().len() {
+            for router in NodeSet::members_of(w, self.live_word(core, w)) {
+                if self.concerned(core, router).is_some() {
+                    self.dispatch(core, router, event);
+                }
             }
         }
+    }
+
+    /// The FSM of live router `router`, if the predicate the live set
+    /// over-approximates holds: it is out of `SOff`, or a VC there holds a
+    /// packet for it to start counting.
+    fn concerned(&self, core: &NetCore, router: NodeId) -> Option<&SbFsm> {
+        #[cfg(test)]
+        self.visited.borrow_mut().push(router);
+        let fsm = self.fsm(router).expect("live, so on the placement");
+        (fsm.state != FsmState::SOff || core.any_occupied(router)).then_some(fsm)
     }
 }
 
@@ -401,30 +446,26 @@ impl Plugin for StaticBubblePlugin {
     /// chain packet departing through the protected output frees it). This
     /// is what lets the bubble be re-claimed even when its occupant is stuck
     /// behind unrelated congestion.
+    ///
+    /// A bubble is attached only while its FSM is in `SSbActive`, so the
+    /// armed routers are the only ones to look at.
     fn after_cycle(&mut self, core: &mut NetCore) {
-        for slot in 0..self.fsms.len() {
-            let router = self.fsms[slot].node;
+        let mut cur = 0;
+        while let Some(router) = self.armed.first_set_from(cur) {
+            cur = router.index() + 1;
             let Some((port, vnet)) = core.bubble_attach(router) else {
                 continue;
             };
             if core.bubble_occupant(router).is_none() {
                 continue;
             }
-            let Some(free_vc) = core.first_free_regular_vc(router, port, vnet) else {
+            let Some(vc) = core.first_free_regular_vc(router, port, vnet) else {
                 continue;
             };
             // Move the packet bubble → regular VC (intra-router, no link),
             // keeping its hop-pipeline readiness.
             let (h, ready) = core.bubble_take_occupant(router).expect("checked occupied");
-            core.vc_put(
-                VcRef {
-                    router,
-                    port,
-                    vc: free_vc,
-                },
-                h,
-                ready,
-            );
+            core.vc_put(VcRef { router, port, vc }, h, ready);
             // The bubble is re-claimed: same transition as on_bubble_freed.
             self.on_bubble_freed(core, router);
         }
@@ -483,8 +524,11 @@ impl Plugin for StaticBubblePlugin {
         // Counter FSMs: each fires (probe / timeout / watchdog) at the tick
         // where its counter reaches the state's deadline. `fsm.count`
         // reflects the last executed tick at `now - 1`, so that tick is
-        // `now + (deadline - count - 1)`.
-        for fsm in &self.fsms {
+        // `now + (deadline - count - 1)`. An FSM outside the live set is
+        // `Idle`.
+        let live = (0..self.armed.words().len())
+            .flat_map(|w| NodeSet::members_of(w, self.live_word(core, w)));
+        for fsm in live.filter_map(|router| self.concerned(core, router)) {
             let router = fsm.node;
             match protocol::deadline(fsm, &CoreView(core, router)) {
                 Deadline::Idle => {}
@@ -553,6 +597,28 @@ impl Plugin for StaticBubblePlugin {
     }
 
     fn audit_check(&mut self, core: &NetCore, out: &mut Vec<Violation>) {
+        // Derived == recomputed: each index against the function that
+        // rebuilds it on restore. `armed` may hold more than it must.
+        let n = self.prot.len();
+        let (placement, armed) = live_sets(n, &self.fsms);
+        let mut frozen = self.frozen.clone();
+        frozen.sort_unstable();
+        let table = fsm_table(n, self.fsms.clone());
+        let table_stale = |(fsms, slot_of)| fsms != self.fsms || slot_of != self.slot_of;
+        let unarmed = armed.iter().any(|node| !self.armed.contains(node));
+        let stale = [
+            ("FSM table and slot index", table.map_or(true, table_stale)),
+            ("placement set", placement != self.placement),
+            ("armed set", unarmed),
+            ("frozen-router index", frozen != frozen_index(&self.prot)),
+        ];
+        for (index, _) in stale.iter().filter(|(_, stale)| *stale) {
+            out.push(Violation {
+                class: AuditClass::Derived,
+                router: None,
+                detail: format!("the {index} disagrees with the state it is derived from"),
+            });
+        }
         let mut flag = |router: Option<NodeId>, detail: String| {
             out.push(Violation {
                 class: AuditClass::FsmLegality,
@@ -604,15 +670,7 @@ impl Plugin for StaticBubblePlugin {
         }
         // (e) Restriction registers are consistent: frozen => io + source
         // present with an SB source; a self-frozen SB node must be in
-        // recovery; unfrozen => registers clear. The `frozen` index lists
-        // exactly the frozen routers.
-        let mut indexed = self.frozen.clone();
-        indexed.sort_unstable();
-        if indexed != frozen_index(&self.prot) {
-            let detail =
-                format!("frozen-router index {indexed:?} disagrees with the is_deadlock bits");
-            flag(None, detail);
-        }
+        // recovery; unfrozen => registers clear.
         for (i, p) in self.prot.iter().enumerate() {
             let node = NodeId::from(i);
             let mut flag = |detail: String| flag(Some(node), detail);
@@ -674,6 +732,7 @@ impl Plugin for StaticBubblePlugin {
             ));
         }
         (self.fsms, self.slot_of) = fsm_table(state.prot.len(), state.fsms)?;
+        (self.placement, self.armed) = live_sets(state.prot.len(), &self.fsms);
         self.prot = state.prot;
         self.frozen = frozen_index(&self.prot);
         self.in_flight = state.in_flight;
@@ -742,6 +801,19 @@ fn fsm_table(n: usize, mut fsms: Vec<SbFsm>) -> Result<(Vec<SbFsm>, Vec<Option<u
         }
     }
     Ok((table, slot_of))
+}
+
+/// The placement and the armed set of an `n`-router mesh holding `fsms`: the
+/// routers with an FSM, and those whose FSM is not in `SOff`.
+fn live_sets(n: usize, fsms: &[SbFsm]) -> (NodeSet, NodeSet) {
+    let (mut placement, mut armed) = (NodeSet::new(n), NodeSet::new(n));
+    for fsm in fsms {
+        placement.insert(fsm.node);
+        if fsm.state != FsmState::SOff {
+            armed.insert(fsm.node);
+        }
+    }
+    (placement, armed)
 }
 
 /// The routers whose `is_deadlock` bit is set, ascending.
@@ -855,6 +927,167 @@ mod tests {
             err.contains("16-router mesh restored into a 9-router"),
             "{err}"
         );
+    }
+
+    /// The walk over the whole FSM table the live walks replaced, kept as
+    /// their oracle: the routers it would hand a tick, in its order.
+    fn table_walk(plugin: &StaticBubblePlugin, core: &NetCore) -> Vec<NodeId> {
+        let due = |fsm: &&SbFsm| fsm.state != FsmState::SOff || core.any_occupied(fsm.node);
+        plugin.fsms.iter().filter(due).map(|fsm| fsm.node).collect()
+    }
+
+    /// The routers the last live walks acted on, in order (and forget them).
+    fn live_walk(plugin: &StaticBubblePlugin, core: &NetCore) -> Vec<NodeId> {
+        let mut loaded = plugin.visited.take();
+        let placement = |&node: &NodeId| plugin.fsm(node).is_some();
+        assert!(loaded.iter().all(placement), "a live walk left the table");
+        loaded.retain(|&node| plugin.concerned(core, node).is_some());
+        plugin.visited.take();
+        loaded
+    }
+
+    fn packet(id: u64, dst: NodeId) -> sb_sim::Packet {
+        let ends = sb_sim::NewPacket {
+            src: NodeId(0),
+            dst,
+            vnet: 0,
+            len_flits: 5,
+        };
+        let east = sb_routing::Route::new(vec![Direction::East]);
+        sb_sim::Packet::new(sb_sim::PacketId(id), ends, east, 0)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(6))]
+
+        /// Through recoveries, hand-placed and hand-removed packets and a
+        /// restore, the timer query and the tick dispatch visit exactly
+        /// what a walk over the whole table would, in its order.
+        fn the_live_walks_are_the_table_walk(seed in 0u64..1_000) {
+            use rand::{Rng, SeedableRng};
+            let mesh = Mesh::new(8, 8);
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let faults = sb_topology::FaultModel::new(sb_topology::FaultKind::Links, 12);
+            let topo = faults.inject(mesh, &mut rng);
+            let mut sim = Simulator::with_bubbles(
+                &topo,
+                SimConfig::single_vnet(),
+                Box::new(sb_routing::MinimalRouting::new(&topo)),
+                StaticBubblePlugin::new(mesh, 10),
+                sb_sim::UniformTraffic::new(0.3).single_vnet(),
+                seed,
+                &placement::alive_bubbles(&topo),
+            );
+            for round in 0..60u64 {
+                sim.run(rng.gen_range(1..20u64));
+                let router = NodeId(rng.gen_range(0..64u16));
+                let port = Direction::from_index(rng.gen_range(0..4usize));
+                let slot = VcRef { router, port, vc: rng.gen_range(0..4u8) };
+                if sim.core().vc_is_free(slot) {
+                    let (now, pkt) = (sim.time(), packet(1 << 40 | round, router));
+                    sim.core_mut().place_packet(slot, pkt, now);
+                } else if rng.gen_bool(0.5) {
+                    sim.core_mut().remove_packet(slot);
+                }
+                sim.plugin().visited.take();
+                sim.plugin().next_timer(sim.core());
+                let (plugin, core) = (sim.plugin(), sim.core());
+                proptest::prop_assert_eq!(live_walk(plugin, core), table_walk(plugin, core));
+
+                // The same through a restore, which rebuilds the live sets,
+                // and through the tick's own walk (a zero gap counts nothing).
+                let snap = sim.snapshot().expect("snapshot");
+                let mut core = snap.core;
+                let mut plugin = StaticBubblePlugin::new(mesh, 10);
+                plugin.restore_state(&snap.plugin).expect("restore");
+                plugin.run_fsms(&mut core, Event::Gap(0));
+                proptest::prop_assert_eq!(live_walk(&plugin, &core), table_walk(&plugin, &core));
+                proptest::prop_assert_eq!(plugin.snapshot_state().expect("blob"), snap.plugin);
+            }
+            // (Four of the six cases also recover a deadlock on the way.)
+            proptest::prop_assert!(sim.core().stats().probes_sent > 0, "FSMs must leave SOff");
+        }
+    }
+
+    /// Machine-independent pin of the live set: on a 16x16, where the table
+    /// holds 89 FSMs, a packet parked at a router without one costs a tick
+    /// and a timer query not a single FSM load.
+    #[test]
+    fn an_executed_tick_loads_no_idle_fsm() {
+        let mesh = Mesh::new(16, 16);
+        let topo = sb_topology::Topology::full(mesh);
+        let bubbles = placement::placement(mesh);
+        assert_eq!(bubbles.len(), 89);
+        let mut sim = Simulator::with_bubbles(
+            &topo,
+            SimConfig::single_vnet(),
+            Box::new(sb_routing::MinimalRouting::new(&topo)),
+            StaticBubblePlugin::new(mesh, 34),
+            NoTraffic,
+            0,
+            &bubbles,
+        );
+        let parked = mesh
+            .nodes()
+            .find(|n| !bubbles.contains(n))
+            .expect("89 of 256");
+        let slot = VcRef {
+            router: parked,
+            port: Direction::North,
+            vc: 0,
+        };
+        // Bound for the far corner: it stays parked while the tick runs.
+        sim.core_mut().place_packet(slot, packet(1, NodeId(255)), 5);
+        sim.run(1);
+        assert_eq!(sim.plugin().next_timer(sim.core()), None);
+        assert_eq!(sim.core().in_flight(), 1);
+        assert_eq!(sim.plugin().visited.take(), []);
+        // One at a router with an FSM is that FSM's business alone.
+        let slot = VcRef {
+            router: bubbles[40],
+            ..slot
+        };
+        sim.core_mut().place_packet(slot, packet(2, NodeId(255)), 9);
+        sim.run(1);
+        assert_eq!(sim.plugin().visited.take(), [bubbles[40]]);
+    }
+
+    /// One seeded violation per derived index the plugin keeps.
+    #[test]
+    fn each_stale_plugin_index_is_caught() {
+        let mesh = Mesh::new(4, 4);
+        let core = NetCore::new(&sb_topology::Topology::full(mesh), SimConfig::tiny(), &[]);
+        let nodes = [NodeId(5), NodeId(10)];
+        type Seed = fn(&mut StaticBubblePlugin);
+        let rows: [(&str, Seed); 4] = [
+            ("FSM table and slot index", |p| p.slot_of.swap(5, 6)),
+            ("placement set", |p| {
+                p.placement.insert(NodeId(6));
+            }),
+            ("armed set", |p| {
+                p.fsm_mut(NodeId(10)).unwrap().state = FsmState::SDd;
+                p.armed.clear();
+            }),
+            ("frozen-router index", |p| p.frozen.push(NodeId(3))),
+        ];
+        for (row, seed) in rows {
+            let mut plugin =
+                StaticBubblePlugin::with_bubble_nodes(mesh, 8, SbOptions::default(), &nodes);
+            let mut v = Vec::new();
+            plugin.audit_check(&core, &mut v);
+            assert_eq!(v, [], "{row}");
+            seed(&mut plugin);
+            plugin.audit_check(&core, &mut v);
+            v.retain(|v| v.class == AuditClass::Derived);
+            assert_eq!(v.len(), 1, "{row}: {v:?}");
+            assert!(v[0].detail.contains(row), "{row}: {}", v[0].detail);
+        }
+        // More than it must hold is what `armed` is allowed.
+        let mut plugin = StaticBubblePlugin::new(mesh, 8);
+        plugin.armed.fill();
+        let mut v = Vec::new();
+        plugin.audit_check(&core, &mut v);
+        assert_eq!(v, []);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! [`ProtoCounters`], the opt-in per-event trace ([`ProtoEvent`]) and the
 //! recent-transmission ring behind [`sb_sim::Plugin::forensic_lines`].
 //! Nothing here decides anything — [`crate::protocol`] does, and
-//! [`crate::plugin`] hands the outcome to the [`Recorder`].
+//! [`crate::plugin`] hands the outcome to the `Recorder`.
 
 use crate::fsm::{FsmState, SbFsm};
 use crate::msg::{InFlightMsg, MsgKind};

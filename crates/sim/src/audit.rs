@@ -8,22 +8,24 @@
 //! any violation — or whenever the deadlock oracle fires — assembles a
 //! serializable [`ForensicsReport`] instead of a bare panic.
 //!
-//! Four invariant classes are checked:
+//! Five invariant classes are checked:
 //!
 //! * **Conservation** — `offered = in-network + delivered + dropped + lost`
 //!   for packets and flits, globally and per vnet ([`check_conservation`]);
 //! * **VC legality** — draining slots expire within a packet length,
 //!   occupants sit in a VC of their own vnet, hop-pipeline timestamps are in
-//!   bounds, and the SoA caches cohere: occupancy words match the occupant
-//!   handles, cached head bytes match the packets' actual desired hops, and
-//!   the packet arena's live count matches the buffer census
+//!   bounds, and the packet arena's live count matches the buffer census
 //!   ([`check_vc_legality`], with the census in [`check_conservation`]);
 //! * **FSM legality** — only the Fig. 6 transition edges, one owner per
 //!   bubble, disable implies restriction (plugin-owned, via
 //!   [`crate::Plugin::audit_check`]);
 //! * **Wakeup** — a quiescent-blocked router must have no grantable
 //!   candidate, checked against a fresh scan (engine-owned, since only the
-//!   engine can run the allocator's candidate search).
+//!   engine can run the allocator's candidate search);
+//! * **Derived** — every maintained index equals what the one rebuild
+//!   function derives from the state it indexes: the scheduler half of
+//!   [`NetCore`] against `NetCore::rebuild_sched` ([`check_derived`]),
+//!   and a plugin's own indices inside [`crate::Plugin::audit_check`].
 
 use crate::deadlock::{describe_cycle, is_deadlocked, WaitForEdge};
 use crate::inspect::Snapshot;
@@ -47,6 +49,9 @@ pub enum AuditClass {
     /// The change-driven kernel's wakeup invariant: quiescent-blocked
     /// routers have no grantable candidate.
     Wakeup,
+    /// Derived == recomputed: occupancy words, cached head bytes, the
+    /// occupied-router set, the wheel occupancy word, a plugin's indices.
+    Derived,
 }
 
 impl std::fmt::Display for AuditClass {
@@ -56,6 +61,7 @@ impl std::fmt::Display for AuditClass {
             AuditClass::VcLegality => "vc-legality",
             AuditClass::FsmLegality => "fsm-legality",
             AuditClass::Wakeup => "wakeup",
+            AuditClass::Derived => "derived",
         };
         f.write_str(s)
     }
@@ -252,13 +258,10 @@ pub fn check_conservation(core: &NetCore, out: &mut Vec<Violation>) {
 /// Check credit/VC legality at every router, directly over the SoA tables:
 /// draining slots that expire within one packet length, occupants resident
 /// in a VC of their own vnet with in-bounds hop-pipeline timestamps, bubble
-/// occupants consistent with the attach — plus the coherence invariants the
-/// flat layout introduced: the per-router occupancy word must match the
-/// occupant handles bit for bit, the cached head byte must match the
-/// packet's actual desired hop, and an occupied slot must carry no drain
-/// deadline.
+/// occupants consistent with the attach, and no drain deadline on an
+/// occupied slot. (That the caches agree with these tables is
+/// [`check_derived`]'s.)
 pub fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
-    use crate::netcore::head_of;
     let cfg = core.config();
     let now = core.time();
     let vcs = cfg.vcs_per_port();
@@ -274,17 +277,15 @@ pub fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
         };
         let r = router.index();
         let base = core.vc_base(router);
-        let mut derived_mask = 0u64;
         for port in DIRECTIONS {
             for vc in 0..vcs {
                 let i = port.index() * vcs + vc;
                 let flat = base + i;
-                let h = core.vc_occ[flat];
+                let h = core.arch.vc_occ[flat];
                 if h.is_some() {
-                    derived_mask |= 1u64 << i;
                     // A stale handle panics inside the arena — that is
                     // corruption beyond what a report can describe.
-                    let pkt = core.arena.get(h);
+                    let pkt = core.arch.arena.get(h);
                     if cfg.vnet_of(vc as u8) != pkt.vnet {
                         fail(format!(
                             "port {port:?} vc {vc} (vnet {}) holds pkt {} of vnet {}",
@@ -293,45 +294,31 @@ pub fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
                             pkt.vnet
                         ));
                     }
-                    if core.vc_ready[flat] > ready_bound {
+                    if core.arch.vc_ready[flat] > ready_bound {
                         fail(format!(
                             "port {port:?} vc {vc}: ready_at {} > bound {ready_bound}",
-                            core.vc_ready[flat]
+                            core.arch.vc_ready[flat]
                         ));
                     }
-                    if core.vc_head[flat] != head_of(pkt) {
-                        fail(format!(
-                            "port {port:?} vc {vc}: cached head {} != packet's desired \
-                             output {} (stale after a restamp?)",
-                            core.vc_head[flat],
-                            head_of(pkt)
-                        ));
-                    }
-                    if core.vc_drain[flat] != 0 {
+                    if core.arch.vc_drain[flat] != 0 {
                         fail(format!(
                             "port {port:?} vc {vc}: occupied slot carries drain deadline {}",
-                            core.vc_drain[flat]
+                            core.arch.vc_drain[flat]
                         ));
                     }
-                } else if core.vc_drain[flat] > drain_bound {
+                } else if core.arch.vc_drain[flat] > drain_bound {
                     fail(format!(
                         "port {port:?} vc {vc}: draining until {} > bound {drain_bound} \
                          (never expires)",
-                        core.vc_drain[flat]
+                        core.arch.vc_drain[flat]
                     ));
                 }
             }
         }
-        if core.occ_mask[r] != derived_mask {
-            fail(format!(
-                "occupancy word {:#x} != {:#x} derived from occupant handles",
-                core.occ_mask[r], derived_mask
-            ));
-        }
         if core.has_bubble(router) {
-            let h = core.bub_occ[r];
+            let h = core.arch.bub_occ[r];
             if h.is_some() {
-                let pkt = core.arena.get(h);
+                let pkt = core.arch.arena.get(h);
                 // A deactivated bubble may still drain an occupant, but an
                 // *attached* bubble must agree with its occupant.
                 if let Some((_, vnet)) = core.bubble_attach(router) {
@@ -342,32 +329,82 @@ pub fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
                         ));
                     }
                 }
-                if core.bub_ready[r] > ready_bound {
+                if core.arch.bub_ready[r] > ready_bound {
                     fail(format!(
                         "bubble: ready_at {} > bound {ready_bound}",
-                        core.bub_ready[r]
+                        core.arch.bub_ready[r]
                     ));
                 }
-                if core.bub_head[r] != head_of(pkt) {
-                    fail(format!(
-                        "bubble: cached head {} != packet's desired output {}",
-                        core.bub_head[r],
-                        head_of(pkt)
-                    ));
-                }
-                if core.bub_drain[r] != 0 {
+                if core.arch.bub_drain[r] != 0 {
                     fail(format!(
                         "bubble: occupied slot carries drain deadline {}",
-                        core.bub_drain[r]
+                        core.arch.bub_drain[r]
                     ));
                 }
-            } else if core.bub_drain[r] > drain_bound {
+            } else if core.arch.bub_drain[r] > drain_bound {
                 fail(format!(
                     "bubble: draining until {} > bound {drain_bound}",
-                    core.bub_drain[r]
+                    core.arch.bub_drain[r]
                 ));
             }
         }
+    }
+}
+
+/// Check the scheduler half of `core` against a fresh derivation from the
+/// architectural half (`NetCore::rebuild_sched`): occupancy words, the
+/// head bytes of occupied slots, the occupied-router set, and the wheel
+/// occupancy word against the slots it summarises. (A wheel entry carries
+/// no time of its own — its slot is its maturity, inside
+/// `[time, time + 64)` as long as no leap crosses one, which
+/// `NetCore::leap` asserts.)
+pub fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
+    let (have, want) = (&core.sched, core.rebuild_sched());
+    let mut fail = |router: Option<NodeId>, detail: String| {
+        let class = AuditClass::Derived;
+        out.push(Violation {
+            class,
+            router,
+            detail,
+        });
+    };
+    let slots = 4 * core.config().vcs_per_port();
+    for (r, router) in core.topology().mesh().nodes().enumerate() {
+        if have.occ_mask[r] != want.occ_mask[r] {
+            let (have, want) = (have.occ_mask[r], want.occ_mask[r]);
+            let detail =
+                format!("occupancy word {have:#x} != {want:#x} derived from occupant handles");
+            fail(Some(router), detail);
+        }
+        if core.arch.bub_occ[r].is_some() && have.bub_head[r] != want.bub_head[r] {
+            let (have, want) = (have.bub_head[r], want.bub_head[r]);
+            let detail = format!("bubble: cached head {have} != packet's desired output {want}");
+            fail(Some(router), detail);
+        }
+    }
+    let occupied = |&flat: &usize| core.arch.vc_occ[flat].is_some();
+    for flat in (0..have.vc_head.len()).filter(occupied) {
+        if have.vc_head[flat] != want.vc_head[flat] {
+            let (slot, have, want) = (flat % slots, have.vc_head[flat], want.vc_head[flat]);
+            let detail = format!(
+                "slot {slot}: cached head {have} != packet's desired output {want} \
+                 (stale after a restamp?)"
+            );
+            fail(Some(NodeId::from(flat / slots)), detail);
+        }
+    }
+    if have.occupied != want.occupied {
+        let listed: Vec<NodeId> = have.occupied.iter().collect();
+        let detail = format!("occupied-router set {listed:?} disagrees with the occupancy words");
+        fail(None, detail);
+    }
+    let filled = (have.wheel.iter().enumerate()).filter(|(_, due)| !due.is_empty());
+    let wheel_occ = filled.fold(0u64, |word, (slot, _)| word | 1 << slot);
+    if have.wheel_occ != wheel_occ {
+        let have = have.wheel_occ;
+        let detail =
+            format!("wheel occupancy word {have:#x} != {wheel_occ:#x} derived from the slots");
+        fail(None, detail);
     }
 }
 
@@ -384,7 +421,79 @@ mod tests {
         let mut v = Vec::new();
         check_conservation(&core, &mut v);
         check_vc_legality(&core, &mut v);
+        check_derived(&core, &mut v);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    /// One seeded violation per row of the derived class: the row's own
+    /// check reports it and a rebuild repairs it.
+    #[test]
+    fn each_derived_index_is_caught_when_it_goes_stale() {
+        use crate::packet::{NewPacket, Packet, PacketId};
+        use crate::vc::VcRef;
+        use sb_topology::Direction;
+        const SLOT: VcRef = VcRef {
+            router: NodeId(9),
+            port: Direction::North,
+            vc: 0,
+        };
+        let topo = Topology::full(Mesh::new(4, 4));
+        let mut core = NetCore::new(&topo, SimConfig::default(), &[NodeId(5)]);
+        let packet = |id| {
+            let ends = NewPacket {
+                src: NodeId(0),
+                dst: NodeId(1),
+                vnet: 0,
+                len_flits: 5,
+            };
+            let east = sb_routing::Route::new(vec![Direction::East]);
+            Packet::new(PacketId(id), ends, east, 0)
+        };
+        core.place_packet(SLOT, packet(1), 2);
+        let h = core.arch.arena.insert(packet(2));
+        core.bubble_put(NodeId(5), h, 2);
+        type Seed = fn(&mut NetCore);
+        let rows: [(&str, Seed); 5] = [
+            ("occupancy word", |c| c.sched.occ_mask[9] = 0),
+            ("slot 0: cached head", |c| {
+                let flat = c.flat_vc(SLOT);
+                c.sched.vc_head[flat] ^= 1;
+            }),
+            ("bubble: cached head", |c| c.sched.bub_head[5] ^= 1),
+            ("occupied-router set", |c| {
+                c.sched.occupied.insert(NodeId(2));
+            }),
+            ("wheel occupancy word", |c| c.sched.wheel_occ = 0),
+        ];
+        for (row, seed) in rows {
+            let mut core = core.clone();
+            seed(&mut core);
+            let mut v = Vec::new();
+            check_derived(&core, &mut v);
+            assert_eq!(v.len(), 1, "{row}: {v:?}");
+            assert_eq!(v[0].class, AuditClass::Derived);
+            assert!(v[0].detail.contains(row), "{row}: {}", v[0].detail);
+            core.sched = core.rebuild_sched();
+            v.clear();
+            check_derived(&core, &mut v);
+            assert!(v.is_empty(), "{row} after a rebuild: {v:?}");
+        }
+    }
+
+    #[test]
+    fn the_engine_audit_includes_the_derived_class() {
+        let topo = Topology::full(Mesh::new(4, 4));
+        let planner = Box::new(sb_routing::XyRouting::new(&topo));
+        let (plugin, traffic) = (crate::NullPlugin, crate::NoTraffic);
+        let mut sim = crate::Simulator::new(&topo, SimConfig::tiny(), planner, plugin, traffic, 0);
+        sim.core_mut().wake_at(NodeId(3), 9);
+        assert!(sim.audit_now().is_none());
+        sim.core_mut().sched.wheel_occ = 0;
+        let report = sim
+            .audit_now()
+            .expect("a pending wake the word does not show");
+        assert_eq!(report.violations.len(), 1, "{report}");
+        assert_eq!(report.violations[0].class, AuditClass::Derived);
     }
 
     #[test]

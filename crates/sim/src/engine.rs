@@ -154,8 +154,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
 
     /// Enable the invariant auditor: every `every` cycles (and at every
     /// deadlock-oracle call) the engine re-derives conservation, VC
-    /// legality, plugin/FSM legality and the wakeup invariant (see
-    /// [`crate::audit`]). A violation during [`Simulator::tick`] panics
+    /// legality, plugin/FSM legality, the wakeup invariant and every
+    /// derived index (see [`crate::audit`]). A violation during
+    /// [`Simulator::tick`] panics
     /// with a full [`ForensicsReport`] rendered into the message; use
     /// [`Simulator::audit_now`] for a non-panicking check. `0` disables
     /// (the default — the audit is a debugging/CI tool, not a hot-path
@@ -192,7 +193,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.last_forensics.take()
     }
 
-    /// Capture a complete [`EngineSnapshot`] of the current state.
+    /// Capture an [`EngineSnapshot`] of the current architectural state.
     ///
     /// # Errors
     ///
@@ -203,11 +204,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             time: self.core.time(),
             core: self.core.clone(),
             rng: self.rng.state(),
-            clock: self.clock,
             injection_halted: self.injection_halted,
-            full_scan: self.full_scan,
-            audit_every: self.audit_every,
-            audit_countdown: self.audit_countdown,
             plugin: self.plugin.snapshot_state()?,
             traffic: self.traffic.snapshot_state()?,
         })
@@ -215,15 +212,17 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
 
     /// Restore a snapshot into this simulator, which must have been built
     /// from the **same scenario** (same topology, config, planner, plugin
-    /// and traffic constructor arguments). The network state is replaced
-    /// wholesale; every subsequent cycle is bit-identical to the run the
-    /// snapshot was captured from (see [`crate::snapshot`] module docs).
+    /// and traffic constructor arguments). The architectural state is
+    /// replaced wholesale and the scheduler state re-derived from it
+    /// (`NetCore::rebuild_sched`) on every path, so everything observable
+    /// about the following cycles is identical to the run the snapshot was
+    /// captured from (see [`crate::snapshot`] module docs). How the run is
+    /// driven — clock, scan mode, audit cadence — stays this simulator's.
     ///
     /// # Errors
     ///
     /// Fails on a config/mesh mismatch or if the plugin/traffic blobs do
-    /// not parse. A blob failure can leave the plugin restored but the
-    /// rest untouched — rebuild the simulator rather than continuing.
+    /// not restore; the simulator is then exactly as it was.
     pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), String> {
         if snap.core.config() != self.core.config() {
             return Err("snapshot config differs from this simulator's".to_string());
@@ -231,22 +230,26 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         if snap.core.topology().mesh() != self.core.topology().mesh() {
             return Err("snapshot mesh differs from this simulator's".to_string());
         }
-        self.plugin
-            .restore_state(&snap.plugin)
-            .map_err(|e| format!("plugin restore: {e}"))?;
-        self.traffic
-            .restore_state(&snap.traffic)
-            .map_err(|e| format!("traffic restore: {e}"))?;
+        let plugin_was = self.plugin.snapshot_state()?;
+        let traffic_was = self.traffic.snapshot_state()?;
+        if let Err(e) = self.restore_blobs(&snap.plugin, &snap.traffic) {
+            // Whichever of the two took the snapshot's blob gets its own back.
+            (self.restore_blobs(&plugin_was, &traffic_was))
+                .expect("a blob written a moment ago restores");
+            return Err(e);
+        }
         self.core = snap.core.clone();
+        self.core.sched = self.core.rebuild_sched();
         self.rng = StdRng::from_state(snap.rng);
-        self.clock = snap.clock;
         self.injection_halted = snap.injection_halted;
-        self.full_scan = snap.full_scan;
-        self.audit_every = snap.audit_every;
-        self.audit_countdown = snap.audit_countdown;
         self.last_forensics = None;
         self.next_snapshot_at = self.core.time().saturating_add(self.snapshot_every.max(1));
         Ok(())
+    }
+
+    fn restore_blobs(&mut self, plugin: &str, traffic: &str) -> Result<(), String> {
+        (self.plugin.restore_state(plugin)).map_err(|e| format!("plugin restore: {e}"))?;
+        (self.traffic.restore_state(traffic)).map_err(|e| format!("traffic restore: {e}"))
     }
 
     /// Enable periodic snapshot capture: every `every` cycles the engine
@@ -303,6 +306,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         let mut v = Vec::new();
         audit::check_conservation(&self.core, &mut v);
         audit::check_vc_legality(&self.core, &mut v);
+        audit::check_derived(&self.core, &mut v);
         self.plugin.audit_check(&self.core, &mut v);
         if !self.full_scan {
             // The wakeup invariant only exists in worklist mode; the full
@@ -337,7 +341,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 } else {
                     OutPort::Dir(Direction::from_index(out_idx))
                 };
-                if self.core.out_busy[r5 + out_idx] > t {
+                if self.core.arch.out_busy[r5 + out_idx] > t {
                     continue;
                 }
                 if let OutPort::Dir(d) = o {
@@ -346,7 +350,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     }
                 }
                 if let Some((_, input, _)) =
-                    self.probe_winner(router, o, cand[out_idx], self.core.rr[r5 + out_idx])
+                    self.probe_winner(router, o, cand[out_idx], self.core.arch.rr[r5 + out_idx])
                 {
                     out.push(Violation {
                         class: audit::AuditClass::Wakeup,
@@ -524,7 +528,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 let remaining = Route::new(pkt.route().directions()[pkt.hop_index()..].to_vec());
                 let lose = |core: &mut NetCore| {
                     let h = core.vc_clear(vref).expect("checked occupied");
-                    core.arena.remove(h);
+                    core.arch.arena.remove(h);
                     let stats = core.stats_mut();
                     stats.lost_packets += 1;
                     stats.lost_flits += len;
@@ -546,7 +550,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             // Bubble occupants at dead routers are lost with the router.
             if router_dead {
                 if let Some((h, _ready)) = self.core.bubble_take_occupant(router) {
-                    let pkt = self.core.arena.remove(h);
+                    let pkt = self.core.arch.arena.remove(h);
                     let stats = self.core.stats_mut();
                     stats.lost_packets += 1;
                     stats.lost_flits += pkt.len_flits as u64;
@@ -567,27 +571,28 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             let vnets = self.core.config().vnets as usize;
             for vnet in 0..vnets {
                 let qi = r * vnets + vnet;
-                let head = self.core.inject[qi].head;
+                let head = self.core.arch.inject[qi].head;
                 if head.is_some() {
                     if router_dead {
-                        let pkt = self.core.arena.remove(head);
-                        self.core.inject[qi].head = PacketHandle::NONE;
+                        let pkt = self.core.arch.arena.remove(head);
+                        self.core.arch.inject[qi].head = PacketHandle::NONE;
                         let stats = self.core.stats_mut();
                         stats.lost_packets += 1;
                         stats.lost_flits += pkt.len_flits as u64;
                         stats.lost_packets_vnet[pkt.vnet as usize] += 1;
                     } else {
-                        let dst = self.core.arena.get(head).dst;
+                        let dst = self.core.arch.arena.get(head).dst;
                         match self.planner.route(router, dst, &mut self.rng) {
                             Some(route) => {
                                 self.core
+                                    .arch
                                     .arena
                                     .get_mut(head)
                                     .restamp(route, PacketMode::Normal);
                             }
                             None => {
-                                let pkt = self.core.arena.remove(head);
-                                self.core.inject[qi].head = PacketHandle::NONE;
+                                let pkt = self.core.arch.arena.remove(head);
+                                self.core.arch.inject[qi].head = PacketHandle::NONE;
                                 let stats = self.core.stats_mut();
                                 stats.dropped_packets += 1;
                                 stats.dropped_flits += pkt.len_flits as u64;
@@ -596,7 +601,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                         }
                     }
                 }
-                let mut tail = std::mem::take(&mut self.core.inject[qi].tail);
+                let mut tail = std::mem::take(&mut self.core.arch.inject[qi].tail);
                 if router_dead {
                     for e in tail.drain(..) {
                         let stats = self.core.stats_mut();
@@ -622,10 +627,10 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     }
                     tail = kept;
                 }
-                self.core.inject[qi].tail = tail;
+                self.core.arch.inject[qi].tail = tail;
                 // A dropped head exposes the next survivor (its route was
                 // just stored, so this consumes no RNG).
-                if !router_dead && self.core.inject[qi].head.is_none() {
+                if !router_dead && self.core.arch.inject[qi].head.is_none() {
                     self.materialize_head(router, vnet as u8);
                 }
             }
@@ -855,12 +860,12 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             }
             let id = self.core.fresh_packet_id();
             let qi = self.core.inject_idx(req.src, req.vnet);
-            if self.core.inject[qi].head.is_some() {
+            if self.core.arch.inject[qi].head.is_some() {
                 // Only the queue head competes for the crossbar, so an
                 // enqueue behind an existing head cannot create a new
                 // allocation candidate — park a plain descriptor (no
                 // route, no arena slot, no wake) until it surfaces.
-                self.core.inject[qi].tail.push_back(QueuedPacket {
+                self.core.arch.inject[qi].tail.push_back(QueuedPacket {
                     id,
                     dst: req.dst,
                     vnet: req.vnet,
@@ -877,8 +882,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                         Some(req.dst),
                         "planner produced an invalid route"
                     );
-                    let h = self.core.arena.insert(Packet::new(id, req, route, t));
-                    self.core.inject[qi].head = h;
+                    let h = self.core.arch.arena.insert(Packet::new(id, req, route, t));
+                    self.core.arch.inject[qi].head = h;
                     // This packet just became the head: it is a fresh
                     // allocation candidate, so wake the source router.
                     self.core.touch(req.src);
@@ -923,7 +928,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         // Wheel wakes mature before the snapshot so a router scheduled for
         // this cycle is scanned this cycle.
         self.core.drain_wheel();
-        let mut freed_bubbles = std::mem::take(&mut self.core.freed_scratch);
+        let mut freed_bubbles = std::mem::take(&mut self.core.sched.freed_scratch);
         if self.full_scan {
             let n = self.core.topology().mesh().node_count();
             for r in 0..n {
@@ -942,7 +947,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             self.plugin.on_bubble_freed(&mut self.core, node);
         }
         freed_bubbles.clear();
-        self.core.freed_scratch = freed_bubbles;
+        self.core.sched.freed_scratch = freed_bubbles;
     }
 
     /// Run the separable allocator at one router: collect candidate masks,
@@ -975,7 +980,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             if mask == 0 {
                 continue;
             }
-            if self.core.out_busy[r5 + out_idx] > t {
+            if self.core.arch.out_busy[r5 + out_idx] > t {
                 continue;
             }
             let out = if out_idx == EJECT {
@@ -988,7 +993,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     continue;
                 }
             }
-            let (won, examined) = self.find_winner(router, out, mask, self.core.rr[r5 + out_idx]);
+            let (won, examined) =
+                self.find_winner(router, out, mask, self.core.arch.rr[r5 + out_idx]);
             self.counters.winner_searches += 1;
             self.counters.candidates_examined += u64::from(examined);
             let Some((winner, input, slot)) = won else {
@@ -1001,7 +1007,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             for m in cand.iter_mut() {
                 *m &= !(1u64 << winner);
             }
-            self.core.rr[r5 + out_idx] = winner as u32 + 1;
+            self.core.arch.rr[r5 + out_idx] = winner as u32 + 1;
             if let Some(freed) = self.commit(router, input, out, slot) {
                 freed_bubbles.push(freed);
             }
@@ -1063,7 +1069,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             if want == 0 {
                 continue;
             }
-            note(&mut wake, self.core.out_busy[router.index() * 5 + out_idx]);
+            let link_idle_at = self.core.arch.out_busy[router.index() * 5 + out_idx];
+            note(&mut wake, link_idle_at);
             if out_idx == EJECT {
                 continue;
             }
@@ -1081,18 +1088,18 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             let pbase = self.core.vc_base(nb) + port.index() * vcs;
             let mut empty = self.core.empty_vcs(nb, port);
             while empty != 0 {
-                let drain = self.core.vc_drain[pbase + empty.trailing_zeros() as usize];
+                let drain = self.core.arch.vc_drain[pbase + empty.trailing_zeros() as usize];
                 empty &= empty - 1;
                 if drain != 0 {
                     note(&mut wake, drain);
                 }
             }
             let nbr = nb.index();
-            if self.core.bub_exists[nbr]
-                && self.core.bub_occ[nbr].is_none()
-                && self.core.bub_drain[nbr] != 0
+            if self.core.arch.bub_exists[nbr]
+                && self.core.arch.bub_occ[nbr].is_none()
+                && self.core.arch.bub_drain[nbr] != 0
             {
-                note(&mut wake, self.core.bub_drain[nbr]);
+                note(&mut wake, self.core.arch.bub_drain[nbr]);
             }
         }
         if let Some(at) = wake {
@@ -1232,8 +1239,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// without touching the RNG.
     fn materialize_head(&mut self, node: NodeId, vnet: u8) {
         let qi = self.core.inject_idx(node, vnet);
-        debug_assert!(self.core.inject[qi].head.is_none());
-        while let Some(entry) = self.core.inject[qi].tail.pop_front() {
+        debug_assert!(self.core.arch.inject[qi].head.is_none());
+        while let Some(entry) = self.core.arch.inject[qi].tail.pop_front() {
             let QueuedPacket {
                 id,
                 dst,
@@ -1260,9 +1267,10 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     };
                     let h = self
                         .core
+                        .arch
                         .arena
                         .insert(Packet::new(id, req, route, created_at));
-                    self.core.inject[qi].head = h;
+                    self.core.arch.inject[qi].head = h;
                     return;
                 }
                 None => {
@@ -1296,11 +1304,11 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             }
             InputRef::Inject { node, vnet } => {
                 let qi = self.core.inject_idx(node, vnet);
-                let q = &mut self.core.inject[qi];
+                let q = &mut self.core.arch.inject[qi];
                 let h = q.head;
                 assert!(h.is_some(), "winner had a queued packet");
                 q.head = PacketHandle::NONE;
-                self.core.arena.get_mut(h).injected_at = t;
+                self.core.arch.arena.get_mut(h).injected_at = t;
                 self.core.stats_mut().injected_packets += 1;
                 // The next descriptor (if any) surfaces: route it and give
                 // it an arena slot now that it can compete for the crossbar.
@@ -1309,17 +1317,17 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             }
         };
         let (len, vnet) = {
-            let pkt = self.core.arena.get(h);
+            let pkt = self.core.arch.arena.get(h);
             (pkt.len_flits as u64, pkt.vnet)
         };
         // 2. Deliver or forward.
         match out {
             OutPort::Eject => {
-                self.core.out_busy[router.index() * 5 + EJECT] = t + len;
+                self.core.arch.out_busy[router.index() * 5 + EJECT] = t + len;
                 self.core.record_delivery(router);
                 // The handle dies here: delivery is one of the two arena
                 // removal points (the other is reconfiguration loss).
-                let pkt = self.core.arena.remove(h);
+                let pkt = self.core.arch.arena.remove(h);
                 let stats = self.core.stats_mut();
                 stats.delivered_packets += 1;
                 stats.delivered_flits += len;
@@ -1331,7 +1339,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 self.traffic.on_delivered(&pkt, t + len);
             }
             OutPort::Dir(d) => {
-                self.core.arena.get_mut(h).advance_hop();
+                self.core.arch.arena.get_mut(h).advance_hop();
                 let neighbor = (self.core.topology().neighbor(router, d)).expect("alive link");
                 match slot.expect("forward grants carry a slot") {
                     SlotRef::Regular(vc) => {
@@ -1350,14 +1358,14 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                         self.core.bubble_put(neighbor, h, t + HOP_LATENCY);
                     }
                 }
-                self.core.out_busy[router.index() * 5 + d.index()] = t + len;
+                self.core.arch.out_busy[router.index() * 5 + d.index()] = t + len;
                 let stats = self.core.stats_mut();
                 stats.data_link_flits += len;
                 stats.data_router_flits += len;
             }
         }
         self.core.stats_mut().movements += 1;
-        self.core.last_movement = t;
+        self.core.arch.last_movement = t;
         freed_bubble
     }
 }

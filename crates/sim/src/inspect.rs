@@ -31,7 +31,7 @@ impl Snapshot {
             let bubble = usize::from(core.bubble_occupant(n).is_some());
             occupancy.push((occ + bubble).min(u8::MAX as usize) as u8);
             let vnets = core.config().vnets as usize;
-            if core.inject[n.index() * vnets..][..vnets]
+            if core.arch.inject[n.index() * vnets..][..vnets]
                 .iter()
                 .any(|q| !q.is_empty())
             {

@@ -5,7 +5,7 @@
 //! render via Rust's shortest-round-trip `Debug` formatting, so
 //! `spec → JSON → spec` is lossless.
 //!
-//! The [`Cursor`] that lexes strings, numbers and arrays is shared with
+//! The `Cursor` that lexes strings, numbers and arrays is shared with
 //! [`crate::toml`], whose values are spelled the same way.
 
 use std::fmt::Write;

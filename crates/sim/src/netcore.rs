@@ -53,8 +53,8 @@ pub(crate) const HEAD_EJECT: u8 = EJECT as u8;
 /// `WHEEL_SLOTS - 1` cycles, so a slot is always drained before it can be
 /// reused and an entry can never be delivered late. A clamped (premature)
 /// wake is harmless: the woken router finds nothing switchable and simply
-/// re-schedules its next wake.
-const WHEEL_SLOTS: usize = 64;
+/// re-schedules its next wake. One slot per bit of `Sched::wheel_occ`.
+const WHEEL_SLOTS: usize = u64::BITS as usize;
 
 /// The desired-output head byte of `pkt` (0–3 = direction index, 4 = eject).
 pub(crate) fn head_of(pkt: &Packet) -> u8 {
@@ -141,18 +141,25 @@ impl InjectQueue {
     }
 }
 
-/// The complete mutable state of the simulated network.
+/// The complete mutable state of the simulated network, in two halves.
 ///
-/// Serializes losslessly (every field, including the worklist, wheel and
-/// scratch vectors) so an [`crate::EngineSnapshot`] round-trip resumes
-/// bit-identically.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// The **architectural** half, `arch`, is what a chip would hold and is all
+/// that reaches the wire: its field list is the one list of what a snapshot
+/// holds of the network. The **scheduler** half, `sched`, is a function of
+/// it and is re-derived by `NetCore::rebuild_sched` on every restore, so an
+/// index added there cannot change the snapshot format.
+#[derive(Debug, Clone)]
 pub struct NetCore {
-    topo: Topology,
-    cfg: SimConfig,
-    time: u64,
-    /// Cached `cfg.vcs_per_port()`.
-    vcs: usize,
+    pub(crate) arch: Arch,
+    pub(crate) sched: Sched,
+}
+
+/// The architectural half of [`NetCore`], and its wire form.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub(crate) struct Arch {
+    pub(crate) topo: Topology,
+    pub(crate) cfg: SimConfig,
+    pub(crate) time: u64,
     /// Flat VC occupant handles, indexed by [`NetCore::flat_vc`].
     pub(crate) vc_occ: Vec<PacketHandle>,
     /// First cycle the occupant's head is switchable (valid iff occupied).
@@ -160,10 +167,6 @@ pub struct NetCore {
     /// Credit-return deadline of the previous occupant; `0` = fully free.
     /// Meaningful only while unoccupied (a put resets it to `0`).
     pub(crate) vc_drain: Vec<u64>,
-    /// Cached desired output of the occupant (valid iff occupied).
-    pub(crate) vc_head: Vec<u8>,
-    /// Per-router VC occupancy mask over rr indices `0..4 * vcs`.
-    pub(crate) occ_mask: Vec<u64>,
     /// Output link busy-until times, flat `router * 5 + out`.
     pub(crate) out_busy: Vec<u64>,
     /// Round-robin pointers per output, flat `router * 5 + out`.
@@ -178,20 +181,36 @@ pub struct NetCore {
     pub(crate) bub_ready: Vec<u64>,
     /// Bubble credit-return deadline (`0` = fully free).
     pub(crate) bub_drain: Vec<u64>,
-    /// Cached desired output of the bubble occupant (valid iff occupied).
-    pub(crate) bub_head: Vec<u8>,
     /// Every live packet, owned exactly once; all buffers hold handles.
     pub(crate) arena: PacketArena,
     /// Injection queues, flat `router * vnets + vnet` (head materialized in
     /// the arena, tail kept as plain descriptors). See
     /// [`NetCore::inject_idx`].
     pub(crate) inject: Vec<InjectQueue>,
-    stats: Stats,
+    pub(crate) stats: Stats,
     /// Packets delivered per destination router (measurement window).
-    delivered_per_node: Vec<u64>,
+    pub(crate) delivered_per_node: Vec<u64>,
     pub(crate) next_pkt: u64,
     /// Cycle of the most recent packet movement anywhere in the network.
     pub(crate) last_movement: u64,
+}
+
+/// What the stepping loop keeps about the architectural tables so it need
+/// not re-read them: caches, indices and the pending-wake bookkeeping.
+/// Deliberately carries no serde derive (CI greps for one).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Sched {
+    /// Cached `cfg.vcs_per_port()`.
+    vcs: usize,
+    /// Cached desired output of each VC's occupant (valid iff occupied).
+    pub(crate) vc_head: Vec<u8>,
+    /// Cached desired output of the bubble occupant (valid iff occupied).
+    pub(crate) bub_head: Vec<u8>,
+    /// Per-router VC occupancy mask over rr indices `0..4 * vcs`.
+    pub(crate) occ_mask: Vec<u64>,
+    /// The routers whose `occ_mask` is non-zero. Written only by
+    /// [`NetCore::mark`], under `vc_put`, `vc_take` and `vc_clear`.
+    pub(crate) occupied: NodeSet,
     /// Routers that may produce an allocation grant *this cycle*: the
     /// switch allocator consumes the set each cycle and a router re-enters
     /// only through an event that can create a new candidate — a mutation
@@ -213,9 +232,47 @@ pub struct NetCore {
     /// blocked router found to wait for (out-busy expiry, draining credit,
     /// occupant finishing its hop pipeline). Entries are never cancelled —
     /// a stale wake is consumed in one empty scan.
-    wheel: Vec<Vec<NodeId>>,
+    pub(crate) wheel: Vec<Vec<NodeId>>,
+    /// Bit `s` is set iff wheel slot `s` is non-empty ([`NetCore::wake_at`]
+    /// sets, [`NetCore::drain_wheel`] clears).
+    pub(crate) wheel_occ: u64,
     /// Scratch for the allocator's freed-bubble list (reused every cycle).
     pub(crate) freed_scratch: Vec<NodeId>,
+}
+
+impl Serialize for NetCore {
+    fn to_value(&self) -> Result<serde::Value, serde::Error> {
+        self.arch.to_value()
+    }
+}
+
+impl Deserialize for NetCore {
+    fn from_value(value: serde::Value) -> Result<Self, serde::Error> {
+        let arch = Arch::from_value(value)?;
+        arch.cfg.check().map_err(serde::Error)?;
+        let n = arch.topo.mesh().node_count();
+        let vcs = arch.cfg.vcs_per_port();
+        // (length, entries per router) of every table indexed by router.
+        let tables = [
+            (arch.vc_occ.len(), 4 * vcs),
+            (arch.vc_ready.len(), 4 * vcs),
+            (arch.vc_drain.len(), 4 * vcs),
+            (arch.out_busy.len(), 5),
+            (arch.rr.len(), 5),
+            (arch.bub_exists.len(), 1),
+            (arch.bub_attach.len(), 1),
+            (arch.bub_occ.len(), 1),
+            (arch.bub_ready.len(), 1),
+            (arch.bub_drain.len(), 1),
+            (arch.inject.len(), arch.cfg.vnets as usize),
+            (arch.delivered_per_node.len(), 1),
+        ];
+        if tables.iter().any(|&(len, each)| len != n * each) {
+            let misfit = format!("network tables do not fit a {n}-router mesh, {vcs} VCs a port");
+            return Err(serde::Error(misfit));
+        }
+        Ok(NetCore::from_arch(arch))
+    }
 }
 
 impl NetCore {
@@ -235,16 +292,13 @@ impl NetCore {
             cfg.vnets
         );
         let slots = n * 4 * vcs;
-        NetCore {
+        let arch = Arch {
             topo: topo.clone(),
             cfg,
             time: 0,
-            vcs,
             vc_occ: vec![PacketHandle::NONE; slots],
             vc_ready: vec![0; slots],
             vc_drain: vec![0; slots],
-            vc_head: vec![0; slots],
-            occ_mask: vec![0; n],
             out_busy: vec![0; n * 5],
             rr: vec![0; n * 5],
             bub_exists: (0..n)
@@ -254,29 +308,71 @@ impl NetCore {
             bub_occ: vec![PacketHandle::NONE; n],
             bub_ready: vec![0; n],
             bub_drain: vec![0; n],
-            bub_head: vec![0; n],
             arena: PacketArena::with_capacity(4 * n),
             inject: vec![InjectQueue::default(); n * cfg.vnets as usize],
             stats: Stats::new(),
             delivered_per_node: vec![0; n],
             next_pkt: 0,
             last_movement: 0,
-            // Start with everything active; the allocator prunes the empty
-            // routers on its first pass.
+        };
+        NetCore::from_arch(arch)
+    }
+
+    fn from_arch(arch: Arch) -> Self {
+        let sched = Sched::default();
+        let mut core = NetCore { arch, sched };
+        core.sched = core.rebuild_sched();
+        core
+    }
+
+    /// The scheduler half the architectural half implies — the one function
+    /// that builds a [`Sched`], at construction, on every restore and for
+    /// the auditor to compare against: occupancy words and head bytes from
+    /// the occupant tables, the wheel empty, every router in the scan set
+    /// (the allocator prunes the idle ones on its first pass). What
+    /// [`NetCore::wake_all`] does when wake bookkeeping is invalidated, and
+    /// sound for the same reason: a scan that grants nothing has no side
+    /// effects, and a blocked router re-arms its own timed wake.
+    pub(crate) fn rebuild_sched(&self) -> Sched {
+        let (n, vcs) = (self.arch.bub_occ.len(), self.arch.cfg.vcs_per_port());
+        let mut sched = Sched {
+            vcs,
+            vc_head: vec![0; n * 4 * vcs],
+            bub_head: vec![0; n],
+            occ_mask: vec![0; n],
+            occupied: NodeSet::new(n),
             active: NodeSet::full(n),
             scan_set: NodeSet::new(n),
             wheel: vec![Vec::new(); WHEEL_SLOTS],
+            wheel_occ: 0,
             freed_scratch: Vec::new(),
+        };
+        if self.arch.arena.is_empty() {
+            return sched; // a network just built: no occupant to index
         }
+        for (flat, &h) in self.arch.vc_occ.iter().enumerate() {
+            if h.is_some() {
+                let router = flat / (4 * vcs);
+                sched.vc_head[flat] = head_of(self.arch.arena.get(h));
+                sched.occ_mask[router] |= 1 << (flat % (4 * vcs));
+                sched.occupied.insert(NodeId::from(router));
+            }
+        }
+        for (r, &h) in self.arch.bub_occ.iter().enumerate() {
+            if h.is_some() {
+                sched.bub_head[r] = head_of(self.arch.arena.get(h));
+            }
+        }
+        sched
     }
 
     /// Current cycle.
     pub fn time(&self) -> u64 {
-        self.time
+        self.arch.time
     }
 
     pub(crate) fn advance_time(&mut self) {
-        self.time += 1;
+        self.arch.time += 1;
     }
 
     /// Jump the clock forward by `gap` dead cycles at once (the leap
@@ -287,59 +383,55 @@ impl NetCore {
     /// still count as simulated time, so `Stats` stays bit-identical to a
     /// stepped run.
     pub(crate) fn leap(&mut self, gap: u64) {
-        self.time += gap;
-        self.stats.cycles += gap;
+        debug_assert!(
+            (self.next_wheel_event()).is_none_or(|at| at >= self.arch.time + gap),
+            "a leap crossed a wheel maturity"
+        );
+        self.arch.time += gap;
+        self.arch.stats.cycles += gap;
     }
 
     /// The earliest cycle (`>= time`, i.e. possibly due already) at which a
     /// time-wheel entry matures, or `None` if the wheel is empty. Entries
     /// are never stale: the wheel is drained every executed cycle and leaps
     /// never cross a maturity, so every resident entry lies within
-    /// `[time, time + WHEEL_SLOTS)` and slot distance is unambiguous.
+    /// `[time, time + WHEEL_SLOTS)` and slot distance is unambiguous: with
+    /// the occupancy word rotated so the slot due now is bit 0, the lowest
+    /// set bit is the distance to the next maturity.
     pub(crate) fn next_wheel_event(&self) -> Option<u64> {
-        let cur = (self.time % WHEEL_SLOTS as u64) as usize;
-        let mut best: Option<u64> = None;
-        for (slot, entries) in self.wheel.iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let delta = (slot + WHEEL_SLOTS - cur) % WHEEL_SLOTS; // 0 = due now
-            let at = self.time + delta as u64;
-            if best.is_none_or(|b| at < b) {
-                best = Some(at);
-            }
-        }
-        best
+        let ahead =
+            (self.sched.wheel_occ).rotate_right((self.arch.time % WHEEL_SLOTS as u64) as u32);
+        (ahead != 0).then(|| self.arch.time + u64::from(ahead.trailing_zeros()))
     }
 
     /// The network configuration.
     pub fn config(&self) -> SimConfig {
-        self.cfg
+        self.arch.cfg
     }
 
     /// The topology being simulated.
     pub fn topology(&self) -> &Topology {
-        &self.topo
+        &self.arch.topo
     }
 
     /// Statistics of the current measurement window.
     pub fn stats(&self) -> &Stats {
-        &self.stats
+        &self.arch.stats
     }
 
     /// Mutable statistics (plugins account special-message traffic here).
     pub fn stats_mut(&mut self) -> &mut Stats {
-        &mut self.stats
+        &mut self.arch.stats
     }
 
     /// Packets delivered per destination router since the last measurement
     /// reset.
     pub fn delivered_per_node(&self) -> &[u64] {
-        &self.delivered_per_node
+        &self.arch.delivered_per_node
     }
 
     pub(crate) fn record_delivery(&mut self, dst: NodeId) {
-        self.delivered_per_node[dst.index()] += 1;
+        self.arch.delivered_per_node[dst.index()] += 1;
     }
 
     /// Reset the measurement window (stats and per-node counters).
@@ -353,14 +445,15 @@ impl NetCore {
     /// already left their source queue.
     pub fn reset_measurement(&mut self) {
         let res = self.resident();
-        self.stats.reset_measurement();
-        self.stats.offered_packets = res.packets + res.queued_packets;
-        self.stats.offered_flits = res.flits + res.queued_flits;
-        self.stats.injected_packets = res.packets;
+        self.arch.stats.reset_measurement();
+        self.arch.stats.offered_packets = res.packets + res.queued_packets;
+        self.arch.stats.offered_flits = res.flits + res.queued_flits;
+        self.arch.stats.injected_packets = res.packets;
         for v in 0..MAX_VNETS {
-            self.stats.offered_packets_vnet[v] = res.packets_vnet[v] + res.queued_packets_vnet[v];
+            self.arch.stats.offered_packets_vnet[v] =
+                res.packets_vnet[v] + res.queued_packets_vnet[v];
         }
-        self.delivered_per_node.fill(0);
+        self.arch.delivered_per_node.fill(0);
     }
 
     /// One-pass census of packets resident in the network (VCs and bubbles)
@@ -380,21 +473,22 @@ impl NetCore {
             }
         }
         let mut res = Resident::default();
-        for r in 0..self.topo.mesh().node_count() {
-            let base = r * 4 * self.vcs;
-            let mut mask = self.occ_mask[r];
+        for r in 0..self.arch.topo.mesh().node_count() {
+            let base = r * 4 * self.sched.vcs;
+            let mut mask = self.sched.occ_mask[r];
             while mask != 0 {
                 let i = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                count(&mut res, self.arena.get(self.vc_occ[base + i]), false);
+                let h = self.arch.vc_occ[base + i];
+                count(&mut res, self.arch.arena.get(h), false);
             }
-            if self.bub_occ[r].is_some() {
-                count(&mut res, self.arena.get(self.bub_occ[r]), false);
+            if self.arch.bub_occ[r].is_some() {
+                count(&mut res, self.arch.arena.get(self.arch.bub_occ[r]), false);
             }
         }
-        for q in &self.inject {
+        for q in &self.arch.inject {
             if q.head.is_some() {
-                count(&mut res, self.arena.get(q.head), true);
+                count(&mut res, self.arch.arena.get(q.head), true);
             }
             // Tail descriptors are not arena-resident; census them from
             // their own fields.
@@ -419,34 +513,34 @@ impl NetCore {
     /// VC/bubble ready times and head bytes, its own injection-queue heads)
     /// plus the current time, never a neighbor's state.
     pub fn candidate_masks(&self, router: NodeId, cand: &mut [u64; 5]) -> Option<u64> {
-        let vcs = self.vcs;
-        let t = self.time;
+        let vcs = self.sched.vcs;
+        let t = self.arch.time;
         let r = router.index();
         let base = self.vc_base(router);
         let mut next_ready: Option<u64> = None;
-        let mut mask = self.occ_mask[r];
+        let mut mask = self.sched.occ_mask[r];
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
             mask &= mask - 1;
-            let ready = self.vc_ready[base + i];
+            let ready = self.arch.vc_ready[base + i];
             if ready <= t {
-                cand[self.vc_head[base + i] as usize] |= 1u64 << i;
+                cand[self.sched.vc_head[base + i] as usize] |= 1u64 << i;
             } else if next_ready.is_none_or(|w| ready < w) {
                 next_ready = Some(ready);
             }
         }
-        if self.bub_occ[r].is_some() {
-            let ready = self.bub_ready[r];
+        if self.arch.bub_occ[r].is_some() {
+            let ready = self.arch.bub_ready[r];
             if ready <= t {
-                cand[self.bub_head[r] as usize] |= 1u64 << (4 * vcs);
+                cand[self.sched.bub_head[r] as usize] |= 1u64 << (4 * vcs);
             } else if next_ready.is_none_or(|w| ready < w) {
                 next_ready = Some(ready);
             }
         }
-        for vnet in 0..self.cfg.vnets as usize {
-            let h = self.inject[r * self.cfg.vnets as usize + vnet].head;
+        for vnet in 0..self.arch.cfg.vnets as usize {
+            let h = self.arch.inject[r * self.arch.cfg.vnets as usize + vnet].head;
             if h.is_some() {
-                cand[head_of(self.arena.get(h)) as usize] |= 1u64 << (4 * vcs + 1 + vnet);
+                cand[head_of(self.arch.arena.get(h)) as usize] |= 1u64 << (4 * vcs + 1 + vnet);
             }
         }
         next_ready
@@ -457,9 +551,10 @@ impl NetCore {
     /// of all but one node. `None` before any delivery.
     pub fn delivery_fairness(&self) -> Option<f64> {
         let values: Vec<f64> = self
+            .arch
             .topo
             .alive_nodes()
-            .map(|n| self.delivered_per_node[n.index()] as f64)
+            .map(|n| self.arch.delivered_per_node[n.index()] as f64)
             .collect();
         let sum: f64 = values.iter().sum();
         if sum == 0.0 {
@@ -471,7 +566,7 @@ impl NetCore {
 
     /// Cycle of the most recent packet movement.
     pub fn last_movement(&self) -> u64 {
-        self.last_movement
+        self.arch.last_movement
     }
 
     // ------------------------------------------------------------------
@@ -490,7 +585,7 @@ impl NetCore {
     /// are harmless — a router that still cannot grant is dropped again
     /// after one scan.
     pub fn touch(&mut self, router: NodeId) {
-        self.active.insert(router);
+        self.sched.active.insert(router);
     }
 
     /// Schedule `router` to re-enter the scan set at cycle `at`
@@ -500,52 +595,58 @@ impl NetCore {
     /// Delays beyond the wheel horizon are clamped, which only wakes the
     /// router early: it re-schedules after an empty scan.
     pub fn wake_at(&mut self, router: NodeId, at: u64) {
-        if at <= self.time {
+        if at <= self.arch.time {
             self.touch(router);
             return;
         }
-        let at = at.min(self.time + (WHEEL_SLOTS as u64 - 1));
-        self.wheel[(at % WHEEL_SLOTS as u64) as usize].push(router);
+        let at = at.min(self.arch.time + (WHEEL_SLOTS as u64 - 1));
+        let slot = (at % WHEEL_SLOTS as u64) as usize;
+        self.sched.wheel[slot].push(router);
+        self.sched.wheel_occ |= 1 << slot;
     }
 
     /// Move every router whose wake time has matured into the scan set.
     /// Called once per cycle by the allocator before it snapshots the set.
     pub(crate) fn drain_wheel(&mut self) {
-        let slot = (self.time % WHEEL_SLOTS as u64) as usize;
-        let mut due = std::mem::take(&mut self.wheel[slot]);
-        for r in due.drain(..) {
-            self.active.insert(r);
+        let slot = (self.arch.time % WHEEL_SLOTS as u64) as usize;
+        if self.sched.wheel_occ >> slot & 1 == 0 {
+            return;
         }
-        self.wheel[slot] = due;
+        self.sched.wheel_occ &= !(1 << slot);
+        let mut due = std::mem::take(&mut self.sched.wheel[slot]);
+        for r in due.drain(..) {
+            self.sched.active.insert(r);
+        }
+        self.sched.wheel[slot] = due;
     }
 
     /// Re-enter every router into the scan set. Used when wake bookkeeping
     /// is invalidated wholesale: a plugin swap, a switch back from the
     /// reference full-sweep mode, a topology reconfiguration.
     pub fn wake_all(&mut self) {
-        self.active.fill();
+        self.sched.active.fill();
     }
 
     /// Empty the scan set from outside the crate. **Test hook only**: this
     /// deliberately violates the wakeup invariant so audit tests can seed a
     /// "quiescent-blocked router with a grantable candidate" violation.
     pub fn clear_active_for_test(&mut self) {
-        self.active.clear();
+        self.sched.active.clear();
     }
 
     /// Take the per-cycle snapshot of the active set for the allocator to
     /// walk (word-scan via [`NodeSet::first_set_from`]), leaving a cleared
     /// set to collect this cycle's touches. Pair with [`NetCore::end_scan`].
     pub(crate) fn begin_scan(&mut self) -> NodeSet {
-        std::mem::swap(&mut self.active, &mut self.scan_set);
-        std::mem::replace(&mut self.scan_set, NodeSet::new(0))
+        std::mem::swap(&mut self.sched.active, &mut self.sched.scan_set);
+        std::mem::replace(&mut self.sched.scan_set, NodeSet::new(0))
     }
 
     /// Return the (consumed) snapshot taken by [`NetCore::begin_scan`] so
     /// its storage is reused next cycle.
     pub(crate) fn end_scan(&mut self, mut scan: NodeSet) {
         scan.clear();
-        self.scan_set = scan;
+        self.sched.scan_set = scan;
     }
 
     /// Wake the router that feeds packets into `(router, port)` right away:
@@ -556,19 +657,19 @@ impl NetCore {
     /// feeder is the *alive* neighbour: nothing crosses a dead link, and the
     /// reconfiguration that revives one wakes every router.
     fn wake_feeder(&mut self, router: NodeId, port: Direction) {
-        if let Some(feeder) = self.topo.neighbor(router, port) {
-            self.active.insert(feeder);
+        if let Some(feeder) = self.arch.topo.neighbor(router, port) {
+            self.sched.active.insert(feeder);
         }
     }
 
     /// Is `router` in the allocator's scan set?
     pub fn is_active(&self, router: NodeId) -> bool {
-        self.active.contains(router)
+        self.sched.active.contains(router)
     }
 
     /// Number of routers in the allocator's scan set.
     pub fn active_count(&self) -> usize {
-        self.active.len()
+        self.sched.active.len()
     }
 
     // ------------------------------------------------------------------
@@ -578,35 +679,36 @@ impl NetCore {
     /// The flat index of `vc` into the SoA VC tables:
     /// `(router * 4 + port) * vcs_per_port + vc`.
     pub fn flat_vc(&self, vc: VcRef) -> usize {
-        (vc.router.index() * 4 + vc.port.index()) * self.vcs + vc.vc as usize
+        (vc.router.index() * 4 + vc.port.index()) * self.sched.vcs + vc.vc as usize
     }
 
     /// First flat index of `router`'s VC block (`4 * vcs_per_port` slots).
     pub(crate) fn vc_base(&self, router: NodeId) -> usize {
-        router.index() * 4 * self.vcs
+        router.index() * 4 * self.sched.vcs
     }
 
     /// The packet occupying `vc`, if any.
     pub fn vc_occupant(&self, vc: VcRef) -> Option<&Packet> {
-        let h = self.vc_occ[self.flat_vc(vc)];
-        h.is_some().then(|| self.arena.get(h))
+        let h = self.arch.vc_occ[self.flat_vc(vc)];
+        h.is_some().then(|| self.arch.arena.get(h))
     }
 
     /// The occupant handle of `vc` ([`PacketHandle::NONE`] if empty).
     pub fn vc_handle(&self, vc: VcRef) -> PacketHandle {
-        self.vc_occ[self.flat_vc(vc)]
+        self.arch.vc_occ[self.flat_vc(vc)]
     }
 
     /// The occupant's first switchable cycle, if `vc` is occupied.
     pub fn vc_ready_at(&self, vc: VcRef) -> Option<u64> {
         let flat = self.flat_vc(vc);
-        self.vc_occ[flat].is_some().then(|| self.vc_ready[flat])
+        let occupied = self.arch.vc_occ[flat].is_some();
+        occupied.then(|| self.arch.vc_ready[flat])
     }
 
     /// Is `vc` allocatable right now (empty and done draining)?
     pub fn vc_is_free(&self, vc: VcRef) -> bool {
         let flat = self.flat_vc(vc);
-        self.vc_occ[flat].is_none() && self.vc_drain[flat] <= self.time
+        self.arch.vc_occ[flat].is_none() && self.arch.vc_drain[flat] <= self.arch.time
     }
 
     /// The credit-return deadline of `vc`, if it is unoccupied and a
@@ -614,7 +716,27 @@ impl NetCore {
     /// `<= now` has already expired: the slot is allocatable.
     pub fn vc_draining_until(&self, vc: VcRef) -> Option<u64> {
         let flat = self.flat_vc(vc);
-        (self.vc_occ[flat].is_none() && self.vc_drain[flat] != 0).then(|| self.vc_drain[flat])
+        (self.arch.vc_occ[flat].is_none() && self.arch.vc_drain[flat] != 0)
+            .then(|| self.arch.vc_drain[flat])
+    }
+
+    /// Record `vc` as occupied or not in its router's occupancy word; the
+    /// occupied-router set moves only when the word leaves or reaches zero.
+    #[inline]
+    fn mark(&mut self, vc: VcRef, occupied: bool) {
+        let word = &mut self.sched.occ_mask[vc.router.index()];
+        let bit = 1u64 << (vc.port.index() * self.sched.vcs + vc.vc as usize);
+        if occupied {
+            if *word == 0 {
+                self.sched.occupied.insert(vc.router);
+            }
+            *word |= bit;
+        } else {
+            *word &= !bit;
+            if *word == 0 {
+                self.sched.occupied.remove(vc.router);
+            }
+        }
     }
 
     /// Install the packet behind `h` into `vc`, switchable from `ready_at`
@@ -628,14 +750,14 @@ impl NetCore {
     pub fn vc_put(&mut self, vc: VcRef, h: PacketHandle, ready_at: u64) {
         let flat = self.flat_vc(vc);
         assert!(
-            self.vc_occ[flat].is_none() && self.vc_drain[flat] <= self.time,
+            self.arch.vc_occ[flat].is_none() && self.arch.vc_drain[flat] <= self.arch.time,
             "put() into non-free slot {vc:?}"
         );
-        self.vc_occ[flat] = h;
-        self.vc_ready[flat] = ready_at;
-        self.vc_drain[flat] = 0;
-        self.vc_head[flat] = head_of(self.arena.get(h));
-        self.occ_mask[vc.router.index()] |= 1 << (flat - self.vc_base(vc.router));
+        self.arch.vc_occ[flat] = h;
+        self.arch.vc_ready[flat] = ready_at;
+        self.arch.vc_drain[flat] = 0;
+        self.sched.vc_head[flat] = head_of(self.arch.arena.get(h));
+        self.mark(vc, true);
         self.wake_at(vc.router, ready_at);
     }
 
@@ -646,7 +768,7 @@ impl NetCore {
     ///
     /// Panics if the slot is not free at the current cycle.
     pub fn place_packet(&mut self, vc: VcRef, pkt: Packet, ready_at: u64) -> PacketHandle {
-        let h = self.arena.insert(pkt);
+        let h = self.arch.arena.insert(pkt);
         self.vc_put(vc, h, ready_at);
         h
     }
@@ -661,15 +783,15 @@ impl NetCore {
     /// Panics if `vc` is unoccupied.
     pub fn vc_take(&mut self, vc: VcRef) -> PacketHandle {
         let flat = self.flat_vc(vc);
-        let h = self.vc_occ[flat];
+        let h = self.arch.vc_occ[flat];
         assert!(h.is_some(), "take() on non-occupied slot {vc:?}");
-        let len = self.arena.get(h).len_flits as u64;
-        self.vc_occ[flat] = PacketHandle::NONE;
-        self.vc_drain[flat] = self.time + len;
-        self.occ_mask[vc.router.index()] &= !(1 << (flat - self.vc_base(vc.router)));
+        let len = self.arch.arena.get(h).len_flits as u64;
+        self.arch.vc_occ[flat] = PacketHandle::NONE;
+        self.arch.vc_drain[flat] = self.arch.time + len;
+        self.mark(vc, false);
         self.touch(vc.router);
-        if let Some(feeder) = self.topo.neighbor(vc.router, vc.port) {
-            self.wake_at(feeder, self.time + len);
+        if let Some(feeder) = self.arch.topo.neighbor(vc.router, vc.port) {
+            self.wake_at(feeder, self.arch.time + len);
         }
         h
     }
@@ -679,10 +801,10 @@ impl NetCore {
     /// never streamed a tail) and by tests that move occupants around.
     pub fn vc_clear(&mut self, vc: VcRef) -> Option<PacketHandle> {
         let flat = self.flat_vc(vc);
-        let h = self.vc_occ[flat];
-        self.vc_occ[flat] = PacketHandle::NONE;
-        self.vc_drain[flat] = 0;
-        self.occ_mask[vc.router.index()] &= !(1 << (flat - self.vc_base(vc.router)));
+        let h = self.arch.vc_occ[flat];
+        self.arch.vc_occ[flat] = PacketHandle::NONE;
+        self.arch.vc_drain[flat] = 0;
+        self.mark(vc, false);
         self.touch(vc.router);
         self.wake_feeder(vc.router, vc.port);
         h.is_some().then_some(h)
@@ -695,7 +817,7 @@ impl NetCore {
     /// packets by hand.
     pub fn remove_packet(&mut self, vc: VcRef) -> Option<Packet> {
         let h = self.vc_clear(vc)?;
-        Some(self.arena.remove(h))
+        Some(self.arch.arena.remove(h))
     }
 
     /// Overwrite the drain deadline of an **unoccupied** `vc`. Test hook
@@ -708,17 +830,17 @@ impl NetCore {
     pub fn set_drain_for_test(&mut self, vc: VcRef, until: u64) {
         let flat = self.flat_vc(vc);
         assert!(
-            self.vc_occ[flat].is_none(),
+            self.arch.vc_occ[flat].is_none(),
             "set_drain_for_test on occupied slot {vc:?}"
         );
-        self.vc_drain[flat] = until;
+        self.arch.vc_drain[flat] = until;
         self.touch(vc.router);
         self.wake_feeder(vc.router, vc.port);
     }
 
     /// Iterate over every VC reference of `router`'s mesh ports.
     pub fn vc_refs(&self, router: NodeId) -> impl Iterator<Item = VcRef> + '_ {
-        let vcs = self.cfg.vcs_per_port() as u8;
+        let vcs = self.arch.cfg.vcs_per_port() as u8;
         DIRECTIONS
             .into_iter()
             .flat_map(move |port| (0..vcs).map(move |vc| VcRef { router, port, vc }))
@@ -729,7 +851,8 @@ impl NetCore {
     /// port — the common case past the knee — the word is zero and a probe
     /// over its set bits reads no per-VC state at all.
     pub(crate) fn empty_vcs(&self, router: NodeId, port: Direction) -> u64 {
-        (!self.occ_mask[router.index()] >> (port.index() * self.vcs)) & ((1u64 << self.vcs) - 1)
+        (!self.sched.occ_mask[router.index()] >> (port.index() * self.sched.vcs))
+            & ((1u64 << self.sched.vcs) - 1)
     }
 
     /// First allocatable VC (empty and done draining) among the flat
@@ -742,13 +865,13 @@ impl NetCore {
         port: Direction,
         range: std::ops::Range<u8>,
     ) -> Option<u8> {
-        let base = self.vc_base(router) + port.index() * self.vcs;
+        let base = self.vc_base(router) + port.index() * self.sched.vcs;
         let in_range = ((1u64 << range.len()) - 1) << range.start;
         let mut empty = self.empty_vcs(router, port) & in_range;
         while empty != 0 {
             let i = empty.trailing_zeros() as usize;
             empty &= empty - 1;
-            if self.vc_drain[base + i] <= self.time {
+            if self.arch.vc_drain[base + i] <= self.arch.time {
                 return Some(i as u8);
             }
         }
@@ -757,7 +880,7 @@ impl NetCore {
 
     /// First free regular VC of `vnet` at `(router, port)`, if any.
     pub fn first_free_regular_vc(&self, router: NodeId, port: Direction, vnet: u8) -> Option<u8> {
-        self.first_free_vc_in(router, port, self.cfg.vcs_of_vnet(vnet))
+        self.first_free_vc_in(router, port, self.arch.cfg.vcs_of_vnet(vnet))
     }
 
     /// Does `(router, port)` have any buffer a packet of `vnet` could be
@@ -773,21 +896,21 @@ impl NetCore {
     /// Are **all** VCs of `vnet` at `(router, port)` occupied? (The probe
     /// fork condition of Section IV-A.)
     pub fn all_vcs_occupied(&self, router: NodeId, port: Direction, vnet: u8) -> bool {
-        let range = self.cfg.vcs_of_vnet(vnet);
-        let lo = port.index() * self.vcs + range.start as usize;
+        let range = self.arch.cfg.vcs_of_vnet(vnet);
+        let lo = port.index() * self.sched.vcs + range.start as usize;
         let need = ((1u64 << (range.end - range.start)) - 1) << lo;
-        self.occ_mask[router.index()] & need == need
+        self.sched.occ_mask[router.index()] & need == need
     }
 
     /// The set of outputs wanted by head packets of `vnet` at
     /// `(router, port)` whose heads are switchable.
     pub fn wanted_outputs(&self, router: NodeId, port: Direction, vnet: u8) -> Vec<OutPort> {
-        let base = self.vc_base(router) + port.index() * self.vcs;
+        let base = self.vc_base(router) + port.index() * self.sched.vcs;
         let mut out = Vec::new();
-        for i in self.cfg.vcs_of_vnet(vnet) {
+        for i in self.arch.cfg.vcs_of_vnet(vnet) {
             let flat = base + i as usize;
-            if self.vc_occ[flat].is_some() {
-                let want = match self.vc_head[flat] {
+            if self.arch.vc_occ[flat].is_some() {
+                let want = match self.sched.vc_head[flat] {
                     HEAD_EJECT => OutPort::Eject,
                     d => OutPort::Dir(Direction::from_index(d as usize)),
                 };
@@ -803,32 +926,39 @@ impl NetCore {
     /// iff that VC holds a packet. Lets plugins visit occupied slots in
     /// ascending `(port, vc)` order without probing the empty ones.
     pub fn occupancy_mask(&self, router: NodeId) -> u64 {
-        self.occ_mask[router.index()]
+        self.sched.occ_mask[router.index()]
+    }
+
+    /// The routers with at least one occupied mesh-port VC (the non-zero
+    /// occupancy words), for hooks that walk occupied state word by word.
+    pub fn occupied_routers(&self) -> &NodeSet {
+        &self.sched.occupied
     }
 
     /// Does any mesh-port VC of `router` hold a packet?
     pub fn any_occupied(&self, router: NodeId) -> bool {
-        self.occ_mask[router.index()] != 0
+        self.sched.occ_mask[router.index()] != 0
     }
 
     /// Number of occupied mesh-port VCs at `router`.
     pub fn occupied_vcs(&self, router: NodeId) -> u32 {
-        self.occ_mask[router.index()].count_ones()
+        self.sched.occ_mask[router.index()].count_ones()
     }
 
     /// Number of packets resident in VCs and bubbles (not source queues).
     pub fn in_flight(&self) -> usize {
-        self.occ_mask
+        self.sched
+            .occ_mask
             .iter()
             .map(|m| m.count_ones() as usize)
             .sum::<usize>()
-            + self.bub_occ.iter().filter(|h| h.is_some()).count()
+            + self.arch.bub_occ.iter().filter(|h| h.is_some()).count()
     }
 
     /// Number of packets waiting in source queues (materialized heads plus
     /// unmaterialized tail descriptors).
     pub fn queued(&self) -> usize {
-        self.inject.iter().map(InjectQueue::len).sum()
+        self.arch.inject.iter().map(InjectQueue::len).sum()
     }
 
     /// Number of injection-queue heads currently materialized in the arena.
@@ -836,13 +966,13 @@ impl NetCore {
     /// arena census is `in-network packets + queued_heads()`, not
     /// `+ queued()`.
     pub fn queued_heads(&self) -> usize {
-        self.inject.iter().filter(|q| q.head.is_some()).count()
+        self.arch.inject.iter().filter(|q| q.head.is_some()).count()
     }
 
     /// Flat index of node `node`'s vnet-`vnet` injection queue (stride
     /// `vnets`, mirroring the flat VC id scheme).
     pub(crate) fn inject_idx(&self, node: NodeId, vnet: u8) -> usize {
-        node.index() * self.cfg.vnets as usize + vnet as usize
+        node.index() * self.arch.cfg.vnets as usize + vnet as usize
     }
 
     // ------------------------------------------------------------------
@@ -851,19 +981,19 @@ impl NetCore {
 
     /// Does `router` have a static-bubble buffer?
     pub fn has_bubble(&self, router: NodeId) -> bool {
-        self.bub_exists[router.index()]
+        self.arch.bub_exists[router.index()]
     }
 
     /// The (input port, vnet) the bubble at `router` is attached to, if the
     /// router has a bubble and it is active.
     pub fn bubble_attach(&self, router: NodeId) -> Option<(Direction, u8)> {
-        self.bub_attach[router.index()]
+        self.arch.bub_attach[router.index()]
     }
 
     /// The packet occupying the bubble at `router`, if any.
     pub fn bubble_occupant(&self, router: NodeId) -> Option<&Packet> {
-        let h = self.bub_occ[router.index()];
-        h.is_some().then(|| self.arena.get(h))
+        let h = self.arch.bub_occ[router.index()];
+        h.is_some().then(|| self.arch.arena.get(h))
     }
 
     /// Activate the bubble at `router`, attaching it to `(port, vnet)`.
@@ -873,12 +1003,12 @@ impl NetCore {
     /// Panics if the router has no bubble or the bubble is occupied.
     pub fn bubble_activate(&mut self, router: NodeId, port: Direction, vnet: u8) {
         let r = router.index();
-        assert!(self.bub_exists[r], "router {router} has no static bubble");
+        assert!(self.has_bubble(router), "{router} has no static bubble");
         assert!(
-            self.bub_occ[r].is_none(),
+            self.arch.bub_occ[r].is_none(),
             "activating an occupied bubble at {router}"
         );
-        self.bub_attach[r] = Some((port, vnet));
+        self.arch.bub_attach[r] = Some((port, vnet));
         self.touch(router);
         // The feeder of the attach port gained a slot it can send into.
         self.wake_feeder(router, port);
@@ -892,8 +1022,8 @@ impl NetCore {
     /// Panics if the router has no bubble.
     pub fn bubble_deactivate(&mut self, router: NodeId) {
         let r = router.index();
-        assert!(self.bub_exists[r], "router {router} has no static bubble");
-        let old = self.bub_attach[r].take();
+        assert!(self.has_bubble(router), "{router} has no static bubble");
+        let old = self.arch.bub_attach[r].take();
         // Conservative wakes: eligibility of the bubble as an input (this
         // router) and as a destination slot (the old attach feeder) changed.
         self.touch(router);
@@ -908,15 +1038,15 @@ impl NetCore {
     pub fn bubble_take_occupant(&mut self, router: NodeId) -> Option<(PacketHandle, u64)> {
         self.touch(router);
         let r = router.index();
-        let h = self.bub_occ[r];
+        let h = self.arch.bub_occ[r];
         if h.is_none() {
             return None;
         }
-        let ready = self.bub_ready[r];
-        self.bub_occ[r] = PacketHandle::NONE;
-        self.bub_drain[r] = 0;
+        let ready = self.arch.bub_ready[r];
+        self.arch.bub_occ[r] = PacketHandle::NONE;
+        self.arch.bub_drain[r] = 0;
         // The freed (and still attached) bubble is a new credit upstream.
-        if let Some((port, _)) = self.bub_attach[r] {
+        if let Some((port, _)) = self.arch.bub_attach[r] {
             self.wake_feeder(router, port);
         }
         Some((h, ready))
@@ -925,9 +1055,9 @@ impl NetCore {
     /// Is the bubble at `router` active for `(port, vnet)` and free?
     pub fn bubble_available(&self, router: NodeId, port: Direction, vnet: u8) -> bool {
         let r = router.index();
-        self.bub_attach[r] == Some((port, vnet))
-            && self.bub_occ[r].is_none()
-            && self.bub_drain[r] <= self.time
+        self.arch.bub_attach[r] == Some((port, vnet))
+            && self.arch.bub_occ[r].is_none()
+            && self.arch.bub_drain[r] <= self.arch.time
     }
 
     /// Install the packet behind `h` into the bubble at `router`. Engine
@@ -941,13 +1071,13 @@ impl NetCore {
     pub(crate) fn bubble_put(&mut self, router: NodeId, h: PacketHandle, ready_at: u64) {
         let r = router.index();
         assert!(
-            self.bub_occ[r].is_none() && self.bub_drain[r] <= self.time,
+            self.arch.bub_occ[r].is_none() && self.arch.bub_drain[r] <= self.arch.time,
             "put() into non-free bubble at {router}"
         );
-        self.bub_occ[r] = h;
-        self.bub_ready[r] = ready_at;
-        self.bub_drain[r] = 0;
-        self.bub_head[r] = head_of(self.arena.get(h));
+        self.arch.bub_occ[r] = h;
+        self.arch.bub_ready[r] = ready_at;
+        self.arch.bub_drain[r] = 0;
+        self.sched.bub_head[r] = head_of(self.arch.arena.get(h));
         self.wake_at(router, ready_at);
     }
 
@@ -961,11 +1091,11 @@ impl NetCore {
     /// Panics if the bubble is unoccupied.
     pub(crate) fn bubble_take(&mut self, router: NodeId) -> PacketHandle {
         let r = router.index();
-        let h = self.bub_occ[r];
+        let h = self.arch.bub_occ[r];
         assert!(h.is_some(), "take() on empty bubble at {router}");
-        let len = self.arena.get(h).len_flits as u64;
-        self.bub_occ[r] = PacketHandle::NONE;
-        self.bub_drain[r] = self.time + len;
+        let len = self.arch.arena.get(h).len_flits as u64;
+        self.arch.bub_occ[r] = PacketHandle::NONE;
+        self.arch.bub_drain[r] = self.arch.time + len;
         h
     }
 
@@ -975,7 +1105,7 @@ impl NetCore {
 
     /// The packet arena (every live packet, addressed by handle).
     pub fn arena(&self) -> &PacketArena {
-        &self.arena
+        &self.arch.arena
     }
 
     /// Mutable access to a resident packet (used by the escape-VC plugin to
@@ -991,24 +1121,24 @@ impl NetCore {
         match input {
             InputRef::Vc(v) => {
                 let flat = self.flat_vc(v);
-                let h = self.vc_occ[flat];
+                let h = self.arch.vc_occ[flat];
                 if h.is_none() {
                     return None;
                 }
-                let out = f(self.arena.get_mut(h));
-                self.vc_head[flat] = head_of(self.arena.get(h));
+                let out = f(self.arch.arena.get_mut(h));
+                self.sched.vc_head[flat] = head_of(self.arch.arena.get(h));
                 self.touch(v.router);
                 self.wake_feeder(v.router, v.port);
                 Some(out)
             }
             InputRef::Bubble(b) => {
                 let r = b.index();
-                let h = self.bub_occ[r];
+                let h = self.arch.bub_occ[r];
                 if h.is_none() {
                     return None;
                 }
-                let out = f(self.arena.get_mut(h));
-                self.bub_head[r] = head_of(self.arena.get(h));
+                let out = f(self.arch.arena.get_mut(h));
+                self.sched.bub_head[r] = head_of(self.arch.arena.get(h));
                 self.touch(b);
                 Some(out)
             }
@@ -1026,27 +1156,28 @@ impl NetCore {
     /// Swap the topology (runtime reconfiguration). The mesh must be
     /// unchanged; only alive/dead state may differ.
     pub(crate) fn set_topology(&mut self, topo: &Topology) {
-        assert_eq!(self.topo.mesh(), topo.mesh(), "reconfigure keeps the mesh");
-        self.topo = topo.clone();
+        let mesh = self.arch.topo.mesh();
+        assert_eq!(mesh, topo.mesh(), "reconfigure keeps the mesh");
+        self.arch.topo = topo.clone();
         // Reconfiguration rewrites buffers and liveness wholesale; wake
         // everything and let the allocator re-prune.
         self.wake_all();
     }
 
     pub(crate) fn fresh_packet_id(&mut self) -> PacketId {
-        let id = PacketId(self.next_pkt);
-        self.next_pkt += 1;
+        let id = PacketId(self.arch.next_pkt);
+        self.arch.next_pkt += 1;
         id
     }
 
     /// The packet held at `input`, if any and if its head is switchable.
     pub fn packet_at(&self, input: InputRef) -> Option<&Packet> {
         let h = match input {
-            InputRef::Vc(v) => self.vc_occ[self.flat_vc(v)],
-            InputRef::Bubble(r) => self.bub_occ[r.index()],
-            InputRef::Inject { node, vnet } => self.inject[self.inject_idx(node, vnet)].head,
+            InputRef::Vc(v) => self.arch.vc_occ[self.flat_vc(v)],
+            InputRef::Bubble(r) => self.arch.bub_occ[r.index()],
+            InputRef::Inject { node, vnet } => self.arch.inject[self.inject_idx(node, vnet)].head,
         };
-        h.is_some().then(|| self.arena.get(h))
+        h.is_some().then(|| self.arch.arena.get(h))
     }
 }
 
@@ -1251,6 +1382,64 @@ mod tests {
         assert_eq!(core.next_wheel_event(), Some(3 + WHEEL_SLOTS as u64 - 1));
         advance_to(&mut core, 3 + WHEEL_SLOTS as u64 - 1);
         assert!(core.is_active(feeder));
+    }
+
+    /// The 64-slot scan `next_wheel_event` used to be, kept as its oracle.
+    fn next_wheel_event_by_scan(core: &NetCore) -> Option<u64> {
+        let cur = (core.arch.time % WHEEL_SLOTS as u64) as usize;
+        let due = |(slot, _): (usize, _)| {
+            core.arch.time + ((slot + WHEEL_SLOTS - cur) % WHEEL_SLOTS) as u64
+        };
+        let filled = (core.sched.wheel.iter().enumerate()).filter(|(_, due)| !due.is_empty());
+        filled.map(due).min()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// Whatever puts, takes, clears, wakes and ticks do, the wheel word
+        /// answers as the slot scan does, every index equals its rebuild,
+        /// and rebuilding changes nothing a reader of the caches can see.
+        fn the_indices_follow_random_mutations(seed in proptest::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (mut core, _) = core_with_bubble();
+            for step in 0..300u64 {
+                let router = NodeId(rng.gen_range(0..16u16));
+                let port = DIRECTIONS[rng.gen_range(0..4usize)];
+                let vref = VcRef { router, port, vc: rng.gen_range(0..12u8) };
+                match rng.gen_range(0..6u32) {
+                    0 | 1 if core.vc_is_free(vref) => {
+                        let ready_at = core.arch.time + rng.gen_range(0..3u64);
+                        core.place_packet(vref, dummy_packet(step, 0), ready_at);
+                    }
+                    2 if core.vc_handle(vref).is_some() => {
+                        let h = core.vc_take(vref);
+                        core.arch.arena.remove(h);
+                    }
+                    3 => drop(core.remove_packet(vref)),
+                    4 => core.wake_at(router, core.arch.time + rng.gen_range(0..100u64)),
+                    _ => {
+                        let next = core.arch.time + 1;
+                        advance_to(&mut core, next);
+                    }
+                }
+                proptest::prop_assert_eq!(core.next_wheel_event(), next_wheel_event_by_scan(&core));
+                let mut violations = Vec::new();
+                crate::audit::check_derived(&core, &mut violations);
+                proptest::prop_assert!(violations.is_empty(), "{:?}", violations);
+            }
+            let mut rebuilt = core.clone();
+            rebuilt.sched = rebuilt.rebuild_sched();
+            proptest::prop_assert_eq!(rebuilt.next_wheel_event(), None);
+            proptest::prop_assert_eq!(rebuilt.active_count(), 16);
+            for router in core.topology().mesh().nodes() {
+                let (mut had, mut has) = ([0u64; 5], [0u64; 5]);
+                core.candidate_masks(router, &mut had);
+                rebuilt.candidate_masks(router, &mut has);
+                proptest::prop_assert_eq!(had, has);
+            }
+        }
     }
 
     #[test]

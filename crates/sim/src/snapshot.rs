@@ -1,49 +1,46 @@
-//! Complete-engine snapshots for checkpoint / resume / deadlock bisection
-//! (system **S13**, see `DESIGN.md` §12).
+//! Engine snapshots for checkpoint / resume / deadlock bisection (system
+//! **S13**, see `DESIGN.md` §12).
 //!
-//! An [`EngineSnapshot`] captures *everything* that determines the future
-//! of a simulation: the entire [`crate::NetCore`] (SoA VC tables, arena,
-//! worklist, time wheel, injection queues, stats), the shared engine RNG,
-//! the clock/audit/injection switches, and the plugin's and traffic
+//! An [`EngineSnapshot`] holds the **architectural** state that determines
+//! the future of a simulation — what the network holds: the serialised half
+//! of [`crate::NetCore`] (VC occupant / ready / drain tables, `out_busy`,
+//! round-robin pointers, bubbles, arena, injection queues, stats, clock),
+//! the shared engine RNG, the injection tap, and the plugin's and traffic
 //! source's own state as opaque JSON blobs (via
 //! [`crate::Plugin::snapshot_state`] /
-//! [`crate::traffic::TrafficSource::snapshot_state`]).
+//! [`crate::traffic::TrafficSource::snapshot_state`]). It does not hold
+//! scheduler state (occupancy words, cached head bytes, worklist, time
+//! wheel: [`crate::Simulator::restore`] re-derives them from the tables) or
+//! how the run is driven (clock, scan mode, audit cadence: the restoring
+//! simulator keeps its own).
 //!
 //! The determinism contract: build a fresh simulator from the same
-//! scenario, [`crate::Simulator::restore`] the snapshot into it, and every
-//! subsequent cycle — Stats, ForensicsReports, RNG draws — is
-//! bit-identical to the run that never stopped. The topology travels
-//! inside the serialized `NetCore`; the route *planner* is not captured
-//! and must be reconstructed deterministically from the same scenario
-//! spec, so a snapshot taken after a mid-run `reconfigure` must be
-//! restored into a simulator built with the post-reconfiguration planner.
+//! scenario, [`crate::Simulator::restore`] the snapshot into it, and
+//! everything observable about every subsequent cycle — Stats,
+//! ForensicsReports, RNG draws, the bytes of any later snapshot — is
+//! identical to the run that never stopped. The topology travels inside
+//! the serialized `NetCore`; the route *planner* is not captured and must
+//! be reconstructed deterministically from the same scenario spec, so a
+//! snapshot taken after a mid-run `reconfigure` must be restored into a
+//! simulator built with the post-reconfiguration planner.
 
-use crate::engine::ClockMode;
 use crate::netcore::NetCore;
 use crate::value::SpecError;
 use serde::{Deserialize, Serialize};
 
-/// A complete, serializable engine checkpoint. See the module docs for the
-/// resume contract.
+/// A serializable engine checkpoint. See the module docs for what it holds
+/// and for the resume contract.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineSnapshot {
     /// Cycle the snapshot was taken at (redundant with `core`'s clock,
     /// kept explicit for humans reading the JSON).
     pub time: u64,
-    /// The complete network state.
+    /// The network state; its architectural half is what serialises.
     pub core: NetCore,
     /// Raw state of the shared engine RNG (xoshiro256**).
     pub rng: [u64; 4],
-    /// Clock advance policy at capture time.
-    pub clock: ClockMode,
     /// Whether injection was halted.
     pub injection_halted: bool,
-    /// Whether the reference full-sweep allocator was active.
-    pub full_scan: bool,
-    /// Audit cadence.
-    pub audit_every: u64,
-    /// Cycles left until the next scheduled audit pass.
-    pub audit_countdown: u64,
     /// The plugin's state blob ([`crate::Plugin::snapshot_state`]).
     pub plugin: String,
     /// The traffic source's state blob

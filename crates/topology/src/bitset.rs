@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// to drive deterministic per-router loops (e.g. switch allocation) off a
 /// `NodeSet` instead of `0..n`: visiting the member subset in the same order
 /// as the full range visits it.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct NodeSet {
     words: Vec<u64>,
     capacity: usize,
@@ -156,16 +156,20 @@ impl NodeSet {
 
     /// Iterate members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &word)| {
-            let mut w = word;
-            std::iter::from_fn(move || {
-                if w == 0 {
-                    return None;
-                }
-                let b = w.trailing_zeros() as usize;
-                w &= w - 1;
-                Some(NodeId::from(wi * 64 + b))
-            })
+        (self.words.iter().enumerate()).flat_map(|(wi, &word)| Self::members_of(wi, word))
+    }
+
+    /// The ids `word` names as the `wi`-th backing word of a set, ascending
+    /// — for callers that combine the [`NodeSet::words`] of several sets.
+    #[inline]
+    pub fn members_of(wi: usize, mut word: u64) -> impl Iterator<Item = NodeId> {
+        std::iter::from_fn(move || {
+            if word == 0 {
+                return None;
+            }
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            Some(NodeId::from(wi * 64 + b))
         })
     }
 

@@ -108,6 +108,49 @@ fn engine_snapshot_is_byte_identical() {
     assert!(json::parse(&back.traffic).is_ok());
 }
 
+/// A snapshot holds what the network holds. Scheduler state (re-derived on
+/// restore) and how the run is driven (the restoring simulator's own) are
+/// not on the wire, so neither can become part of the format again unseen.
+#[test]
+fn engine_snapshot_holds_architectural_state_only() {
+    use static_bubble_repro::sim::value::Value;
+    let text = repo_file("tests/golden/engine_snapshot.json");
+    let Value::Map(top) = json::parse(&text).unwrap() else {
+        panic!("a snapshot is an object");
+    };
+    let keys = |entries: &[(String, Value)]| -> Vec<String> {
+        entries.iter().map(|(key, _)| key.clone()).collect()
+    };
+    let top_keys = keys(&top);
+    for driven in ["clock", "full_scan", "audit_every", "audit_countdown"] {
+        assert!(
+            !top_keys.iter().any(|k| k == driven),
+            "{driven} is on the wire"
+        );
+    }
+    let core = top.into_iter().find(|(key, _)| key == "core");
+    let Some((_, Value::Map(core))) = core else {
+        panic!("`core` is an object");
+    };
+    let core_keys = keys(&core);
+    for derived in [
+        "active",
+        "scan_set",
+        "wheel",
+        "freed_scratch",
+        "occ_mask",
+        "vc_head",
+        "bub_head",
+        "vcs",
+    ] {
+        assert!(
+            !core_keys.iter().any(|k| k == derived),
+            "{derived} is on the wire"
+        );
+    }
+    assert!(core_keys.iter().any(|k| k == "vc_occ"), "{core_keys:?}");
+}
+
 #[test]
 fn fingerprints_are_unchanged() {
     let scenario = example_scenario();

@@ -6,13 +6,17 @@
 //!
 //! * change-driven worklist vs the `scan_all_routers` reference sweep;
 //! * stepped clock vs leap clock (same geometric arrival sampler);
-//! * uninterrupted vs snapshot → restore into a fresh engine → continue.
+//! * uninterrupted vs snapshot → restore into a fresh engine → continue,
+//!   under both clocks and across the two scan modes.
 //!
 //! The last one is what catches a plugin index that is derived from its
-//! serialized state (Static Bubble's frozen-router list and FSM slot index,
-//! the escape plugin's stall mask) and not rebuilt by `restore_state`, and a
-//! traffic source that keeps state a snapshot does not carry: the snapshot
-//! is taken at a moment such state is populated.
+//! serialized state (Static Bubble's frozen-router list, FSM slot index and
+//! live sets, the escape plugin's stall mask) and not rebuilt by
+//! `restore_state`, a traffic source that keeps state a snapshot does not
+//! carry, and a wake the engine's own re-derived scheduler state fails to
+//! re-arm: snapshots are taken at moments such state is populated, and —
+//! scheduler history being no part of a snapshot — the runs must end in the
+//! same snapshot *bytes*, not just the same statistics.
 //!
 //! A fourth contract is the fleet's: a grid's aggregated report is the same
 //! bytes whether its runs were simulated, or served from a result cache.
@@ -33,6 +37,9 @@ enum Load {
     App(RodiniaApp),
 }
 
+/// Nothing to hold between a snapshot's source and its restored twin.
+fn nothing_to_hold(_: &dyn SimRunner, _: &dyn SimRunner) {}
+
 /// One design's contract run: `load` cycles of traffic, then the tap closes
 /// and the network drains.
 struct Contract {
@@ -42,20 +49,25 @@ struct Contract {
     /// Is the plugin's derived state populated right now? The snapshot is
     /// taken at the first cycle this holds.
     worth_snapshotting: fn(&dyn SimRunner) -> bool,
-    /// Held between the engine the snapshot was taken from and the fresh
-    /// one it was restored into, before either runs on.
+    /// Held between the engine the snapshot was taken from (at that
+    /// moment) and the fresh one it was restored into, before either runs
+    /// on.
     restored_like: fn(&dyn SimRunner, &dyn SimRunner),
+    /// Does the load phase ever leave nothing runnable (a leap pending)?
+    goes_quiet: bool,
 }
 
 /// Everything a run leaves behind that a user can observe, and the
 /// plugin's and the traffic source's own end states (their snapshot blobs).
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Observed {
     stats: Stats,
     end_time: u64,
     escapes: Option<u64>,
     plugin_state: String,
     traffic_state: String,
+    /// The whole final snapshot, as written.
+    snapshot: String,
 }
 
 impl Contract {
@@ -74,7 +86,8 @@ impl Contract {
             traffic,
             load,
             worth_snapshotting: |runner| runner.core().in_flight() > 0,
-            restored_like: |_, _| {},
+            restored_like: nothing_to_hold,
+            goes_quiet: false,
         }
     }
 
@@ -111,9 +124,62 @@ impl Contract {
             stats: runner.stats().clone(),
             end_time: runner.time(),
             escapes: runner.escapes(),
+            snapshot: end.to_json().expect("snapshot serializes"),
             plugin_state: end.plugin,
             traffic_state: end.traffic,
         }
+    }
+
+    /// The cycles worth interrupting a run at, each with what is populated
+    /// there: the contract's own moment; the first packet in the network,
+    /// its arrival wake on the wheel; and, from then on, the first cycle
+    /// whose tick leaves nothing runnable, so that a leap is pending after
+    /// it (absent when the load phase never goes quiet).
+    fn snapshot_points(&self) -> Vec<(&'static str, u64)> {
+        let mut scout = self.build();
+        let (mut own, mut wheel, mut leap) = (None, None, None);
+        while scout.time() < self.load && (own.is_none() || leap.is_none()) {
+            let now = scout.time();
+            if own.is_none() && (self.worth_snapshotting)(scout.as_ref()) {
+                own = Some(("its derived state populated", now));
+            }
+            if wheel.is_none() && scout.core().in_flight() > 0 {
+                wheel = Some(("a wake on the wheel", now));
+            }
+            scout.run(1);
+            if wheel.is_some() && leap.is_none() && scout.core().active_count() == 0 {
+                leap = Some(("one cycle before a pending leap", now));
+            }
+        }
+        assert!(own.is_some(), "never reached a state worth snapshotting");
+        assert_eq!(
+            leap.is_some(),
+            self.goes_quiet,
+            "a pending leap to stop before"
+        );
+        [own, wheel, leap].into_iter().flatten().collect()
+    }
+
+    /// Run to cycle `at`, snapshot, restore into a fresh engine and finish
+    /// there; `interrupted` and `resumed` set each engine up first, and
+    /// `restored_like` is held between the two at the restore.
+    fn resume_at(
+        &self,
+        at: u64,
+        interrupted: impl FnOnce(&mut dyn SimRunner),
+        resumed: impl FnOnce(&mut dyn SimRunner),
+        restored_like: fn(&dyn SimRunner, &dyn SimRunner),
+    ) -> Observed {
+        let mut from = self.build();
+        interrupted(from.as_mut());
+        from.run(at);
+        let snapshot = from.snapshot().expect("snapshot");
+        assert_eq!(snapshot.time, at);
+        let mut into = self.build();
+        resumed(into.as_mut());
+        into.restore(&snapshot).expect("restore");
+        restored_like(from.as_ref(), into.as_ref());
+        self.finish(into)
     }
 
     /// The reference run, and the three variants held against it.
@@ -133,29 +199,46 @@ impl Contract {
         // business.
         let mut leap = self.build();
         leap.set_clock(ClockMode::Leap);
-        let leaped = Observed {
+        let leaped = self.finish(leap);
+        let seen = Observed {
             plugin_state: reference.plugin_state.clone(),
-            ..self.finish(leap)
+            snapshot: reference.snapshot.clone(),
+            ..leaped.clone()
         };
-        assert_eq!(leaped, reference, "step vs leap");
+        assert_eq!(seen, reference, "step vs leap");
 
-        let mut interrupted = self.build();
-        while !(self.worth_snapshotting)(interrupted.as_ref()) {
-            assert!(
-                interrupted.time() < self.load,
-                "never reached a state worth snapshotting"
-            );
-            interrupted.run(1);
+        // Restored under the clock the run is held against, everything
+        // matches: a restored engine owes its uninterrupted twin the bytes.
+        let points = self.snapshot_points();
+        for (clock, uninterrupted) in [(ClockMode::Step, &reference), (ClockMode::Leap, &leaped)] {
+            for (i, &(what, at)) in points.iter().enumerate() {
+                let like = if i == 0 {
+                    self.restored_like
+                } else {
+                    nothing_to_hold
+                };
+                let set = |r: &mut dyn SimRunner| r.set_clock(clock);
+                let resumed = self.resume_at(at, set, set, like);
+                assert!(
+                    resumed == *uninterrupted,
+                    "{clock:?}: uninterrupted vs restored at cycle {at} ({what})"
+                );
+            }
         }
-        let snapshot = interrupted.snapshot().expect("snapshot");
-        let mut resumed = self.build();
-        resumed.restore(&snapshot).expect("restore");
-        (self.restored_like)(interrupted.as_ref(), resumed.as_ref());
-        assert_eq!(
-            self.finish(resumed),
-            reference,
-            "uninterrupted vs restored at cycle {}",
-            snapshot.time
+        // The scan mode is the restoring engine's own, whichever the
+        // snapshot was taken under.
+        let (_, at) = points[0];
+        let into_full_scan =
+            self.resume_at(at, |_| {}, |r| r.scan_all_routers(true), nothing_to_hold);
+        assert!(
+            into_full_scan == reference,
+            "worklist snapshot, full-scan engine"
+        );
+        let from_full_scan =
+            self.resume_at(at, |r| r.scan_all_routers(true), |_| {}, nothing_to_hold);
+        assert!(
+            from_full_scan == reference,
+            "full-scan snapshot, worklist engine"
         );
         reference
     }
@@ -177,6 +260,8 @@ fn static_bubble_recovers_identically_in_every_mode() {
     );
     // Mid-recovery: some router's injection restriction is in force.
     contract.worth_snapshotting = |runner| plugin(runner).frozen_routers() > 0;
+    // A deadlocked network has nothing runnable while the FSMs count.
+    contract.goes_quiet = true;
     // The node → FSM index finds, at every router, the FSM the snapshot
     // held there (some of them mid-round) or none.
     contract.restored_like = |interrupted, resumed| {
@@ -208,13 +293,14 @@ fn escape_vc_escalates_identically_in_every_mode() {
 #[test]
 fn spanning_tree_leaps_identically_in_every_mode() {
     // Sparse enough that the leap clock skips most cycles.
-    let contract = Contract::new(
+    let mut contract = Contract::new(
         Design::SpanningTree,
         SimConfig::single_vnet(),
         10,
         Load::Uniform(0.01),
         4_000,
     );
+    contract.goes_quiet = true;
     let seen = contract.check();
     assert!(seen.stats.delivered_packets > 100, "{seen:?}");
 }
@@ -226,6 +312,7 @@ fn closed_loop_traffic_resumes_identically_in_every_mode() {
     // Requests are in the network and replies are owed for others: a
     // restored source that forgot either never sends those replies.
     contract.worth_snapshotting = |runner| runner.core().in_flight() > 0 && runner.time() >= 1_500;
+    contract.goes_quiet = true;
     let seen = contract.check();
     let by_vnet = seen.stats.delivered_packets_vnet;
     assert!(by_vnet[0] > 1_000 && by_vnet[2] > 1_000, "{seen:?}");
