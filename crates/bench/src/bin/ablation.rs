@@ -2,7 +2,7 @@
 //! `DESIGN.md`: probe forking and the check-probe fast path, measured by
 //! recovery effectiveness on staged organic deadlocks.
 //!
-//! A fleet client at the `run_collect` level: the grid is a [`SweepSpec`]
+//! A fleet client at the `run_records` level: the grid is a [`SweepSpec`]
 //! over the four SB variants × the sampled topologies, with the historical
 //! per-topology simulation seeds (`700 + i`, paired with topology `i` as
 //! the pre-fleet version did) patched onto the expanded runs before they

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use sb_bench::{sweep::default_threads, Args, Table};
-use sb_fleet::{run_sweep, SweepSpec};
+use sb_fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
 use sb_scenario::Design;
 
 fn main() {
@@ -54,7 +54,8 @@ fn main() {
         .iter()
         .map(|r| (r.group.as_str(), (r.scenario.design, r.rate)))
         .collect();
-    let report = run_sweep(&spec, jobs).expect("loadsweep sweep");
+    let (report, _) = run_sweep(&spec, jobs, ExecOptions::default(), &CacheConfig::none())
+        .expect("loadsweep sweep");
     let mut cells: HashMap<(Design, u64), (f64, f64)> = HashMap::new();
     for point in &report.points {
         let (design, rate) = coords[point.group.as_str()];

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use sb_fleet::{run_sweep, run_sweep_cached, CacheConfig, ExecOptions, SweepSpec};
+use sb_fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
 
 fn main() {
     let mut spec = SweepSpec::new("fleet-smoke-fig12");
@@ -28,12 +28,15 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let jobs = cores.clamp(2, 4);
 
+    let opts = ExecOptions::default();
+    let uncached = CacheConfig::none();
+
     let t0 = Instant::now();
-    let seq = run_sweep(&spec, 1).expect("sequential sweep");
+    let (seq, _) = run_sweep(&spec, 1, opts, &uncached).expect("sequential sweep");
     let seq_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let par = run_sweep(&spec, jobs).expect("parallel sweep");
+    let (par, _) = run_sweep(&spec, jobs, opts, &uncached).expect("parallel sweep");
     let par_secs = t1.elapsed().as_secs_f64();
 
     let seq_json = seq.to_json().expect("serialize");
@@ -61,9 +64,8 @@ fn main() {
     // nothing and still emit identical bytes.
     let cache_dir = std::env::temp_dir().join(format!("sb-fleet-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_dir);
-    let opts = ExecOptions::default();
-    let (cold, cold_acct) = run_sweep_cached(&spec, jobs, opts, &CacheConfig::dir(&cache_dir))
-        .expect("cold cached sweep");
+    let cache = CacheConfig::dir(&cache_dir);
+    let (cold, cold_acct) = run_sweep(&spec, jobs, opts, &cache).expect("cold cached sweep");
     assert_eq!(
         cold.to_json().expect("serialize"),
         seq_json,
@@ -71,15 +73,10 @@ fn main() {
     );
     assert_eq!(cold_acct.simulated, cold_acct.unique_scenarios);
     let t2 = Instant::now();
-    let (warm, warm_acct) = run_sweep_cached(&spec, jobs, opts, &CacheConfig::resume(&cache_dir))
-        .expect("warm cached sweep");
+    let (warm, warm_acct) = run_sweep(&spec, jobs, opts, &cache).expect("warm cached sweep");
     let warm_secs = t2.elapsed().as_secs_f64();
     assert_eq!(warm_acct.simulated, 0, "warm cache must not simulate");
     assert_eq!(warm_acct.disk_hits, warm_acct.unique_scenarios);
-    assert_eq!(
-        warm_acct.journal_resumed, warm_acct.unique_scenarios,
-        "the resume journal must replay the whole grid"
-    );
     assert_eq!(
         warm.to_json().expect("serialize"),
         seq_json,

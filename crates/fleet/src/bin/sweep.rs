@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! sweep --spec grid.toml [--jobs N] [--out report.json] [--forensics]
-//!       [--drain CYCLES] [--cache-dir DIR] [--resume]
+//!       [--drain CYCLES] [--cache-dir DIR]
 //! ```
 //!
 //! `--jobs 1` is the sequential reference path; any other value produces
@@ -13,10 +13,10 @@
 //! (`DESIGN.md` §13). `--cache-dir` is one too: results memoize in a
 //! content-addressed store, a warm re-run of the same spec performs zero
 //! simulations and still emits byte-identical report bytes (the cold/warm
-//! axis of the same suite proves that), and `--resume` replays the grid's
-//! journal so an interrupted sweep only simulates the remainder. The
-//! servicing accounting goes to stderr as one JSON line; the report owns
-//! stdout.
+//! axis of the same suite proves that), and an interrupted sweep resumes by
+//! running again with the same directory — the store serves what finished,
+//! the remainder simulates. The servicing accounting goes to stderr as one
+//! JSON line; the report owns stdout.
 //!
 //! Exit status: `0` only for a clean, complete sweep — failed runs or
 //! sample-size erosion (`failed` / `shortfall` report sections) exit `1`
@@ -25,7 +25,7 @@
 
 use std::process::exit;
 
-use sb_fleet::{run_sweep_cached, CacheConfig, ExecOptions, SweepSpec};
+use sb_fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
 
 struct Cli {
     spec: String,
@@ -34,11 +34,10 @@ struct Cli {
     forensics: bool,
     drain: Option<u64>,
     cache_dir: Option<String>,
-    resume: bool,
 }
 
 const USAGE: &str = "usage: sweep --spec FILE [--jobs N] [--out FILE|-] [--forensics]
-             [--drain CYCLES] [--cache-dir DIR] [--resume]
+             [--drain CYCLES] [--cache-dir DIR]
   --spec FILE      sweep grid, TOML or JSON (required)
   --jobs N         worker threads, one scenario each (default: available
                    cores; 0 = auto-detect explicitly)
@@ -46,8 +45,8 @@ const USAGE: &str = "usage: sweep --spec FILE [--jobs N] [--out FILE|-] [--foren
   --forensics      capture deadlock forensics per wedged run
   --drain N        after the window, stop injection and drain up to N cycles
   --cache-dir DIR  memoize results in a content-addressed store; warm
-                   re-runs simulate nothing and emit identical bytes
-  --resume         replay this grid's journal from the cache (needs --cache-dir)";
+                   re-runs simulate nothing and emit identical bytes; an
+                   interrupted sweep re-run simulates only the remainder";
 
 /// `0` from an explicit `--jobs 0` means "use every core the machine
 /// reports"; platforms that cannot say run sequentially.
@@ -63,7 +62,6 @@ fn parse_cli() -> Result<Cli, String> {
         forensics: false,
         drain: None,
         cache_dir: None,
-        resume: false,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -86,7 +84,6 @@ fn parse_cli() -> Result<Cli, String> {
                 )
             }
             "--cache-dir" => cli.cache_dir = Some(value("--cache-dir")?),
-            "--resume" => cli.resume = true,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 exit(0);
@@ -96,9 +93,6 @@ fn parse_cli() -> Result<Cli, String> {
     }
     if cli.spec.is_empty() {
         return Err("--spec is required".to_string());
-    }
-    if cli.resume && cli.cache_dir.is_none() {
-        return Err("--resume needs --cache-dir (the journal lives in the cache)".to_string());
     }
     Ok(cli)
 }
@@ -124,9 +118,8 @@ fn main() {
     };
     let cache = CacheConfig {
         dir: cli.cache_dir.map(Into::into),
-        resume: cli.resume,
     };
-    let (report, acct) = match run_sweep_cached(&spec, cli.jobs, opts, &cache) {
+    let (report, acct) = match run_sweep(&spec, cli.jobs, opts, &cache) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("sweep: {e}");

@@ -1,5 +1,5 @@
-//! The content-addressed result cache: dedup keys, the on-disk store and
-//! the sweep journal (see `DESIGN.md` §11).
+//! The content-addressed result cache: dedup keys and the on-disk store
+//! (see `DESIGN.md` §11).
 //!
 //! The determinism contract (bit-identical `Stats` for a given spec)
 //! makes a scenario's result a pure function of its content, so results
@@ -15,18 +15,15 @@
 //!   writes, versioned single-line header), and *validates* the header
 //!   against the requested key on every load — a stale epoch, foreign
 //!   fingerprint, truncation or plain corruption is a **miss**, never a
-//!   crash and never a stale serve;
-//! * the [`Journal`] is an append-only ledger of which grid points of one
-//!   sweep completed, so `sweep --resume` can report progress and replay
-//!   an interrupted grid from the cache.
+//!   crash and never a stale serve. Resuming an interrupted sweep is
+//!   re-running it against the same directory: the store serves what
+//!   finished, the remainder simulates.
 //!
 //! Everything here is best-effort: a cache that cannot be read or written
 //! degrades to re-simulation, it never takes the sweep down with it.
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sb_scenario::{fnv1a, Scenario, SpecError};
@@ -36,7 +33,7 @@ use serde::{Deserialize, Serialize};
 use crate::agg::RunResult;
 use crate::ExecOptions;
 
-/// On-disk format version of cache entries and journals. Bump on any
+/// On-disk format version of cache entries. Bump on any
 /// change to the file layout; old files then fail header validation and
 /// fall back to re-simulation.
 pub const CACHE_FORMAT: u32 = 1;
@@ -116,7 +113,8 @@ pub struct CacheAccounting {
     pub disk_hits: usize,
     /// Results durably written to the on-disk store.
     pub stored: usize,
-    /// Unique scenarios the resume journal recorded as already complete.
+    /// Always 0: kept only because `benchmark/src/fleet.rs` names it
+    /// (ROADMAP item 4's benchmark-PR list).
     pub journal_resumed: usize,
 }
 
@@ -127,14 +125,13 @@ impl CacheAccounting {
         format!(
             "{{\"cache\": {{\"total_requested\": {}, \"unique_scenarios\": {}, \
              \"simulated\": {}, \"dedup_served\": {}, \"disk_hits\": {}, \
-             \"stored\": {}, \"journal_resumed\": {}}}}}",
+             \"stored\": {}}}}}",
             self.total_requested,
             self.unique_scenarios,
             self.simulated,
             self.dedup_served,
             self.disk_hits,
-            self.stored,
-            self.journal_resumed
+            self.stored
         )
     }
 }
@@ -180,11 +177,6 @@ impl DiskCache {
                 None
             }
         }
-    }
-
-    /// The directory entries live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Path of `key`'s entry file.
@@ -260,152 +252,6 @@ impl DiskCache {
     }
 }
 
-/// Append-only completion ledger of one sweep: which expanded runs have a
-/// durably cached result. Lives next to the entries as
-/// `<name>-<specfp>.journal`; the header pins the epoch, the spec
-/// fingerprint and the expansion size, so a journal can only ever resume
-/// *the grid that wrote it* — a changed spec or engine gets a fresh
-/// journal (and the old one is truncated, since its entries describe runs
-/// that no longer exist).
-///
-/// Format (line-oriented, human-greppable):
-///
-/// ```text
-/// sbjournal v1 epoch=<hex> spec=<hex> runs=<n>
-/// <index> <epoch-hex>-<fp-hex>
-/// <index> <epoch-hex>-<fp-hex>
-/// ...
-/// ```
-#[derive(Debug)]
-pub struct Journal {
-    path: PathBuf,
-    file: std::fs::File,
-    /// Completed entries replayed from an existing journal at open time:
-    /// expansion index → content key recorded for it.
-    pub resumed: BTreeMap<u32, CacheKey>,
-}
-
-impl Journal {
-    /// File name of the journal for sweep `name` over `spec_fp`.
-    pub fn file_name(name: &str, spec_fp: u64) -> String {
-        // Sweep names are free-form; keep only path-safe characters.
-        let safe: String = name
-            .chars()
-            .map(|c| {
-                if c.is_ascii_alphanumeric() || c == '-' || c == '_' {
-                    c
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        format!("{safe}-{spec_fp:016x}.journal")
-    }
-
-    /// Open the journal for `(name, spec_fp, total_runs)` inside `dir`,
-    /// replaying completed entries when `resume` is set and the existing
-    /// header matches. A mismatched or corrupt journal — different spec,
-    /// different epoch, different expansion size — is discarded and
-    /// restarted; resumption never crosses a content boundary.
-    pub fn open(
-        dir: &Path,
-        name: &str,
-        spec_fp: u64,
-        epoch: u64,
-        total_runs: usize,
-        resume: bool,
-    ) -> Option<Journal> {
-        let path = dir.join(Self::file_name(name, spec_fp));
-        let header = format!(
-            "sbjournal v{CACHE_FORMAT} epoch={epoch:016x} spec={spec_fp:016x} runs={total_runs}"
-        );
-        let mut resumed = BTreeMap::new();
-        if resume {
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                let mut lines = text.lines();
-                if lines.next() == Some(header.as_str()) {
-                    for line in lines {
-                        let Some((idx, key)) = parse_journal_line(line) else {
-                            // Torn tail write of an interrupted sweep:
-                            // everything before it still counts.
-                            break;
-                        };
-                        if (idx as usize) < total_runs {
-                            resumed.insert(idx, key);
-                        }
-                    }
-                }
-            }
-        }
-        // Start this execution's ledger clean (header only): every run
-        // serviced this time — from cache or fresh simulation — is
-        // re-recorded as it completes, so the journal always describes the
-        // latest execution and a half-written tail can never accumulate.
-        let mut file = match std::fs::File::create(&path) {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("sb-fleet: journal {} unusable ({e})", path.display());
-                return None;
-            }
-        };
-        if let Err(e) = file.write_all((header + "\n").as_bytes()) {
-            eprintln!("sb-fleet: journal {} write failed ({e})", path.display());
-            return None;
-        }
-        Some(Journal {
-            path,
-            file,
-            resumed,
-        })
-    }
-
-    /// Record that run `index` completed with `key`'s result durably
-    /// cached. Best-effort: an append failure warns once and the sweep
-    /// continues (resume would simply redo the run).
-    pub fn record(&mut self, index: u32, key: &CacheKey) {
-        if let Err(e) = self.file.write_all(format!("{index} {key}\n").as_bytes()) {
-            eprintln!(
-                "sb-fleet: journal {} append failed ({e})",
-                self.path.display()
-            );
-        }
-    }
-
-    /// Where this journal lives.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-/// Parse one `"<index> <epoch>-<fp>"` journal line.
-fn parse_journal_line(line: &str) -> Option<(u32, CacheKey)> {
-    let (idx, key) = line.split_once(' ')?;
-    let idx = idx.parse().ok()?;
-    let (epoch, fp) = key.split_once('-')?;
-    Some((
-        idx,
-        CacheKey {
-            epoch: u64::from_str_radix(epoch, 16).ok()?,
-            fp: u64::from_str_radix(fp, 16).ok()?,
-        },
-    ))
-}
-
-/// Content fingerprint of a whole expanded grid: FNV-1a over every run's
-/// key and content fingerprint, in expansion order. This is the journal's
-/// identity — any change that alters what the grid *means* (axes, order,
-/// patched seeds, merged batches) produces a different fingerprint, while
-/// purely cosmetic spec fields that don't reach the expansion leave
-/// resumability intact.
-pub fn grid_fingerprint(runs: &[crate::SweepRun]) -> u64 {
-    let mut text = String::new();
-    for run in runs {
-        let fp = run.scenario.content_fingerprint().unwrap_or(0);
-        text.push_str(&format!("{}\u{1}{fp:016x}\u{2}", run.id.key));
-    }
-    fnv1a(text.as_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -471,17 +317,5 @@ mod tests {
             content_key(&b, ExecOptions::default(), epoch).unwrap(),
             content_key(&c, ExecOptions::default(), epoch).unwrap()
         );
-    }
-
-    #[test]
-    fn journal_lines_round_trip() {
-        let key = CacheKey {
-            epoch: 0xDEAD_BEEF_0000_0001,
-            fp: 0x0123_4567_89AB_CDEF,
-        };
-        let line = format!("42 {key}");
-        assert_eq!(parse_journal_line(&line), Some((42, key)));
-        assert_eq!(parse_journal_line("garbage"), None);
-        assert_eq!(parse_journal_line("7 nothex-zz"), None);
     }
 }

@@ -31,7 +31,7 @@ pub use agg::{
     aggregate, FailedRow, PointSummary, RunResult, SampleStats, SaturationRow, ScenarioRecord,
     ScenarioRow, ShortfallRow, SweepReport,
 };
-pub use cache::{schema_epoch, CacheAccounting, CacheKey, DiskCache, Journal};
+pub use cache::{schema_epoch, CacheAccounting, CacheKey, DiskCache};
 pub use spec::{merge_runs, SweepRun, SweepSpec};
 
 use std::path::PathBuf;
@@ -82,18 +82,14 @@ pub fn execute_one(scenario: &Scenario, opts: ExecOptions) -> RunResult {
     }
 }
 
-/// Where memoized results live and whether to resume an interrupted sweep
-/// from them. [`CacheConfig::none`] keeps everything in process (the
-/// in-process dedup still applies — it is pure win and deterministic).
+/// Where memoized results live. [`CacheConfig::none`] keeps everything in
+/// process (the in-process dedup still applies — it is pure win and
+/// deterministic).
 #[derive(Debug, Clone, Default)]
 pub struct CacheConfig {
     /// Directory of the content-addressed store (`--cache-dir`). `None`
-    /// disables both memoization and journaling.
+    /// disables memoization.
     pub dir: Option<PathBuf>,
-    /// Validate and replay an existing sweep journal (`--resume`):
-    /// completed grid points are reported as resumed; the store serves
-    /// their results; only the remainder simulates.
-    pub resume: bool,
 }
 
 impl CacheConfig {
@@ -106,15 +102,6 @@ impl CacheConfig {
     pub fn dir(dir: impl Into<PathBuf>) -> Self {
         CacheConfig {
             dir: Some(dir.into()),
-            resume: false,
-        }
-    }
-
-    /// As [`CacheConfig::dir`], resuming the grid's journal.
-    pub fn resume(dir: impl Into<PathBuf>) -> Self {
-        CacheConfig {
-            dir: Some(dir.into()),
-            resume: true,
         }
     }
 }
@@ -133,12 +120,13 @@ impl CacheConfig {
 /// equal result, by the determinism contract), so aggregated reports are
 /// byte-identical whether a point was simulated, deduped or served warm.
 ///
-/// `name` labels the sweep's journal inside the cache directory; panics
-/// are isolated into `Err` payloads exactly as before (a panicking unique
-/// scenario fails every run that requested it, and is neither stored nor
-/// journaled).
+/// Panics are isolated into `Err` payloads (a panicking unique scenario
+/// fails every run that requested it, and is not stored). An interrupted
+/// sweep resumes by running again against the same `cache.dir`.
 pub fn run_records(
-    name: &str,
+    // Unused: kept only because `benchmark/src/fleet.rs` passes it
+    // (ROADMAP item 4's benchmark-PR list).
+    _name: &str,
     runs: &[SweepRun],
     jobs: usize,
     opts: ExecOptions,
@@ -173,24 +161,6 @@ pub fn run_records(
     acct.dedup_served = runs.len() - groups.len();
 
     let disk = cache.dir.as_ref().and_then(DiskCache::open);
-    let mut journal = disk.as_ref().and_then(|d| {
-        Journal::open(
-            d.dir(),
-            name,
-            cache::grid_fingerprint(runs),
-            epoch,
-            runs.len(),
-            cache.resume,
-        )
-    });
-    if let Some(j) = &journal {
-        let resumed_keys: std::collections::BTreeSet<CacheKey> =
-            j.resumed.values().copied().collect();
-        acct.journal_resumed = groups
-            .iter()
-            .filter(|(key, _)| key.is_some_and(|k| resumed_keys.contains(&k)))
-            .count();
-    }
 
     let mut records = Vec::with_capacity(runs.len());
     let mut fan_out = |group: &[u32], result: &Result<RunResult, String>| {
@@ -206,26 +176,18 @@ pub fn run_records(
     // header; any defect falls through to simulation).
     let mut misses: Vec<(usize, &SweepRun)> = Vec::new();
     for (slot, (key, group)) in groups.iter().enumerate() {
-        let served = key.as_ref().and_then(|k| {
-            let hit = disk.as_ref()?.load(k)?;
-            Some((k, hit))
-        });
+        let served = key.as_ref().and_then(|k| disk.as_ref()?.load(k));
         match served {
-            Some((k, hit)) => {
+            Some(hit) => {
                 acct.disk_hits += 1;
-                if let Some(j) = &mut journal {
-                    for &index in group {
-                        j.record(index, k);
-                    }
-                }
                 fan_out(group, &Ok(hit));
             }
             None => misses.push((slot, &runs[group[0] as usize])),
         }
     }
 
-    // Cold phase: simulate each remaining unique scenario once, store and
-    // journal it as it completes, and fan its result out.
+    // Cold phase: simulate each remaining unique scenario once, store it
+    // as it completes, and fan its result out.
     acct.simulated = misses.len();
     let slots: Vec<usize> = misses.iter().map(|(slot, _)| *slot).collect();
     sb_pool::run_stream(
@@ -237,16 +199,9 @@ pub fn run_records(
         &|_, run: &SweepRun| execute_one(&run.scenario, opts),
         |i, result| {
             let (key, group) = &groups[slots[i]];
-            if let (Some(key), Ok(res)) = (key, &result) {
-                if let Some(d) = &disk {
-                    if d.store(key, &runs[group[0] as usize].id.key, res) {
-                        acct.stored += 1;
-                        if let Some(j) = &mut journal {
-                            for &index in group {
-                                j.record(index, key);
-                            }
-                        }
-                    }
+            if let (Some(key), Ok(res), Some(d)) = (key, &result, &disk) {
+                if d.store(key, &runs[group[0] as usize].id.key, res) {
+                    acct.stored += 1;
                 }
             }
             fan_out(group, &result);
@@ -255,34 +210,13 @@ pub fn run_records(
     (records, acct)
 }
 
-/// Run every `SweepRun` across `jobs` workers and collect one
-/// [`ScenarioRecord`] per run (panics isolated into `Err` payloads).
-/// In-process dedup applies; no on-disk cache.
-pub fn run_collect(runs: &[SweepRun], jobs: usize, opts: ExecOptions) -> Vec<ScenarioRecord> {
-    run_records("adhoc", runs, jobs, opts, &CacheConfig::none()).0
-}
-
-/// Expand a spec, execute the grid on `jobs` workers, and aggregate.
-/// The output is byte-identical (after [`SweepReport::to_json`]) for any
-/// `jobs` value — `jobs == 1` is the inline sequential reference path.
-pub fn run_sweep(spec: &SweepSpec, jobs: usize) -> Result<SweepReport, SpecError> {
-    run_sweep_with(spec, jobs, ExecOptions::default())
-}
-
-/// [`run_sweep`] with explicit execution options.
-pub fn run_sweep_with(
-    spec: &SweepSpec,
-    jobs: usize,
-    opts: ExecOptions,
-) -> Result<SweepReport, SpecError> {
-    run_sweep_cached(spec, jobs, opts, &CacheConfig::none()).map(|(report, _)| report)
-}
-
-/// [`run_sweep_with`] through the content-addressed result cache: returns
-/// the aggregated report plus the servicing accounting. With a warm cache
-/// the report is byte-identical to the cold run's and
-/// `accounting.simulated == 0` — the determinism dividend.
-pub fn run_sweep_cached(
+/// Expand a spec, execute the grid on `jobs` workers through the
+/// content-addressed result cache, and aggregate: the report plus the
+/// servicing accounting. The report is byte-identical (after
+/// [`SweepReport::to_json`]) for any `jobs` value — `jobs == 1` is the
+/// inline sequential reference path — and for any cache state; with a warm
+/// cache `accounting.simulated == 0`, the determinism dividend.
+pub fn run_sweep(
     spec: &SweepSpec,
     jobs: usize,
     opts: ExecOptions,

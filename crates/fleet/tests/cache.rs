@@ -1,8 +1,8 @@
 //! The cache's safety contract: a content-addressed store may only ever
 //! say "here is *exactly* the result you would have computed" or "miss —
-//! go compute it". These tests attack every way an on-disk entry or
-//! journal can be wrong — corruption, truncation, a stale engine epoch, a
-//! hand-copied foreign entry, concurrent writers, a torn journal tail —
+//! go compute it". These tests attack every way an on-disk entry can be
+//! wrong or missing — corruption, truncation, a stale engine epoch, a
+//! hand-copied foreign entry, concurrent writers, an interrupted sweep —
 //! and assert the fleet always falls back to re-simulation with
 //! byte-identical aggregated output, never crashing and never serving
 //! stale bytes. Plus the in-process dedup ledger and the `sweep` binary's
@@ -12,8 +12,8 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use sb_fleet::{
-    aggregate, cache, execute_one, merge_runs, run_records, run_sweep_cached, schema_epoch,
-    CacheConfig, DiskCache, ExecOptions, Journal, SweepSpec,
+    aggregate, cache, execute_one, merge_runs, run_records, run_sweep, schema_epoch, CacheConfig,
+    DiskCache, ExecOptions, SweepSpec,
 };
 
 /// A private scratch directory under cargo's test tmpdir; wiped on entry
@@ -53,43 +53,11 @@ fn entries(dir: &Path) -> Vec<PathBuf> {
 }
 
 #[test]
-fn warm_rerun_is_byte_identical_and_simulates_nothing() {
-    let dir = scratch("warm");
-    let spec = grid("warm");
-    let opts = ExecOptions::default();
-
-    let plain = run_sweep_cached(&spec, 2, opts, &CacheConfig::none())
-        .expect("uncached sweep")
-        .0
-        .to_json()
-        .expect("serialize");
-
-    let (cold, ca) = run_sweep_cached(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("cold sweep");
-    assert_eq!(ca.total_requested, 8);
-    assert_eq!(ca.unique_scenarios, 8, "this grid has no duplicates");
-    assert_eq!(ca.simulated, 8);
-    assert_eq!(ca.stored, 8);
-    assert_eq!(ca.disk_hits, 0);
-    assert_eq!(
-        cold.to_json().expect("serialize"),
-        plain,
-        "caching must not change the report"
-    );
-
-    let (warm, wa) = run_sweep_cached(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("warm sweep");
-    assert_eq!(wa.simulated, 0, "a warm store serves everything");
-    assert_eq!(wa.disk_hits, 8);
-    assert_eq!(warm.to_json().expect("serialize"), plain);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn defective_entries_are_misses_never_crashes_or_stale_serves() {
     let dir = scratch("defects");
     let spec = grid("defects");
     let opts = ExecOptions::default();
-    let (cold, _) = run_sweep_cached(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("cold sweep");
+    let (cold, _) = run_sweep(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("cold sweep");
     let reference = cold.to_json().expect("serialize");
 
     let files = entries(&dir);
@@ -116,7 +84,7 @@ fn defective_entries_are_misses_never_crashes_or_stale_serves() {
     // bytes, wrong content — the header/key cross-check must reject it.
     std::fs::copy(&files[4], &files[3]).expect("foreign copy");
 
-    let (warm, wa) = run_sweep_cached(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("warm sweep");
+    let (warm, wa) = run_sweep(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("warm sweep");
     assert_eq!(wa.disk_hits, 4, "only the intact entries serve");
     assert_eq!(
         wa.simulated, 4,
@@ -126,8 +94,7 @@ fn defective_entries_are_misses_never_crashes_or_stale_serves() {
     assert_eq!(warm.to_json().expect("serialize"), reference);
 
     // The repaired store is fully warm again.
-    let (_, ra) =
-        run_sweep_cached(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("repaired sweep");
+    let (_, ra) = run_sweep(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("repaired sweep");
     assert_eq!(ra.simulated, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -181,62 +148,51 @@ fn concurrent_writers_race_benignly() {
 }
 
 #[test]
-fn journal_resume_replays_only_its_own_grid() {
-    let dir = scratch("journal");
-    let spec = grid("journal");
+fn an_interrupted_sweep_resumes_from_the_store() {
+    let dir = scratch("interrupted");
+    let spec = grid("interrupted");
     let opts = ExecOptions::default();
-    let (cold, _) = run_sweep_cached(&spec, 2, opts, &CacheConfig::dir(&dir)).expect("cold sweep");
-    let reference = cold.to_json().expect("serialize");
+    let cache = CacheConfig::dir(&dir);
+    let pass = |cache: &CacheConfig| {
+        let (report, acct) = run_sweep(&spec, 2, opts, cache).expect("sweep");
+        (report.to_json().expect("serialize"), acct)
+    };
+    let (reference, _) = pass(&CacheConfig::none());
 
-    // Resume replays the full ledger and the store serves everything.
-    let (resumed, ra) =
-        run_sweep_cached(&spec, 2, opts, &CacheConfig::resume(&dir)).expect("resume sweep");
-    assert_eq!(ra.journal_resumed, 8);
-    assert_eq!(ra.simulated, 0);
-    assert_eq!(resumed.to_json().expect("serialize"), reference);
+    let (cold, ca) = pass(&cache);
+    assert_eq!(cold, reference, "caching must not change the report");
+    assert_eq!((ca.total_requested, ca.unique_scenarios), (8, 8));
+    assert_eq!((ca.simulated, ca.stored, ca.disk_hits), (8, 8, 0));
 
-    // A different grid (one knob changed) is a different journal identity:
-    // nothing resumes, nothing is served across the content boundary.
-    let mut other = grid("journal");
+    let (warm, wa) = pass(&cache);
+    assert_eq!(warm, reference);
+    assert_eq!(
+        (wa.simulated, wa.disk_hits),
+        (0, 8),
+        "a warm store serves all"
+    );
+
+    // What a killed sweep leaves: some entries never written, one torn.
+    let files = entries(&dir);
+    assert_eq!(files.len(), 8);
+    for file in files.iter().step_by(2) {
+        std::fs::remove_file(file).expect("remove entry");
+    }
+    let text = std::fs::read_to_string(&files[1]).expect("read entry");
+    std::fs::write(&files[1], &text[..text.len() / 2]).expect("truncate");
+
+    // Running again against the same directory is the resume.
+    let (resumed, ra) = pass(&cache);
+    assert_eq!(resumed, reference);
+    assert_eq!(ra.simulated, 5, "exactly the removed entries re-simulate");
+    assert_eq!(ra.disk_hits, 3, "everything that finished is served");
+
+    // A different grid (one knob changed) is different content: nothing is
+    // served across the boundary.
+    let mut other = grid("interrupted");
     other.cycles = 250;
-    let (_, oa) =
-        run_sweep_cached(&other, 2, opts, &CacheConfig::resume(&dir)).expect("other sweep");
-    assert_eq!(oa.journal_resumed, 0);
+    let (_, oa) = run_sweep(&other, 2, opts, &cache).expect("other sweep");
     assert_eq!(oa.simulated, 8, "changed content must re-simulate");
-
-    // A journal whose header does not parse is discarded — but the store's
-    // intact entries still serve, so only the accounting changes.
-    let grid_fp = cache::grid_fingerprint(&spec.expand().expect("grid"));
-    let journal_path = dir.join(Journal::file_name("journal", grid_fp));
-    let intact = std::fs::read_to_string(&journal_path).expect("journal exists");
-    let records: Vec<&str> = intact.lines().skip(1).collect();
-    assert_eq!(records.len(), 8, "every run journaled");
-    std::fs::write(
-        &journal_path,
-        format!("sbjournal v99 nope\n{}", records.join("\n")),
-    )
-    .expect("tamper header");
-    let (after, ba) =
-        run_sweep_cached(&spec, 2, opts, &CacheConfig::resume(&dir)).expect("tampered resume");
-    assert_eq!(ba.journal_resumed, 0, "mismatched journal must not resume");
-    assert_eq!(ba.simulated, 0, "the store is independent of the journal");
-    assert_eq!(after.to_json().expect("serialize"), reference);
-
-    // A torn tail (interrupted append) keeps the complete prefix.
-    let header = std::fs::read_to_string(&journal_path)
-        .expect("rewritten journal")
-        .lines()
-        .next()
-        .expect("header")
-        .to_string();
-    std::fs::write(
-        &journal_path,
-        format!("{header}\n{}\n{}\n3 torn-mid-wri", records[0], records[1]),
-    )
-    .expect("tear tail");
-    let (_, ta) =
-        run_sweep_cached(&spec, 2, opts, &CacheConfig::resume(&dir)).expect("torn resume");
-    assert_eq!(ta.journal_resumed, 2, "the prefix before the tear counts");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -335,16 +291,12 @@ fn sweep_binary_degraded_grids_exit_nonzero() {
         "failures recorded in the report"
     );
 
-    // --resume without --cache-dir is a usage error.
+    // An option the binary does not have is a usage error.
     let status = Command::new(env!("CARGO_BIN_EXE_sweep"))
         .args(["--spec", clean.to_str().unwrap(), "--resume"])
         .status()
         .expect("run sweep");
-    assert_eq!(
-        status.code(),
-        Some(2),
-        "--resume without --cache-dir is a usage error"
-    );
+    assert_eq!(status.code(), Some(2), "unknown options are usage errors");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -13,7 +13,7 @@
 //! the full jobs × cold/warm cross.
 
 use proptest::prelude::*;
-use sb_fleet::{run_sweep_cached, run_sweep_with, CacheConfig, ExecOptions, SweepSpec};
+use sb_fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
 use sb_scenario::ClockMode;
 
 /// Run `spec` at jobs = 1, 4, 8 and assert the three serialized reports
@@ -22,13 +22,15 @@ use sb_scenario::ClockMode;
 /// while performing zero simulations. Returns the jobs=1 JSON for extra
 /// checks.
 fn assert_jobs_equivalent(spec: &SweepSpec, opts: ExecOptions) -> String {
-    let reference = run_sweep_with(spec, 1, opts)
+    let reference = run_sweep(spec, 1, opts, &CacheConfig::none())
         .expect("sequential sweep")
+        .0
         .to_json()
         .expect("serialize");
     for jobs in [4usize, 8] {
-        let report = run_sweep_with(spec, jobs, opts)
+        let report = run_sweep(spec, jobs, opts, &CacheConfig::none())
             .expect("parallel sweep")
+            .0
             .to_json()
             .expect("serialize");
         assert_eq!(
@@ -39,8 +41,8 @@ fn assert_jobs_equivalent(spec: &SweepSpec, opts: ExecOptions) -> String {
     }
 
     // Cold-vs-warm axis: populating the store must not change the report,
-    // and a warm re-run (here through `--resume`, exercising the journal
-    // too) must reproduce it byte-for-byte without simulating anything.
+    // and a warm re-run must reproduce it byte-for-byte without simulating
+    // anything.
     let safe: String = spec
         .name
         .chars()
@@ -49,8 +51,8 @@ fn assert_jobs_equivalent(spec: &SweepSpec, opts: ExecOptions) -> String {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
         .join(format!("equiv-{safe}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let (cold, ca) =
-        run_sweep_cached(spec, 4, opts, &CacheConfig::dir(&dir)).expect("cold cached sweep");
+    let cache = CacheConfig::dir(&dir);
+    let (cold, ca) = run_sweep(spec, 4, opts, &cache).expect("cold cached sweep");
     assert_eq!(
         cold.to_json().expect("serialize"),
         reference,
@@ -61,18 +63,13 @@ fn assert_jobs_equivalent(spec: &SweepSpec, opts: ExecOptions) -> String {
         ca.simulated, ca.unique_scenarios,
         "a cold store simulates everything"
     );
-    let (warm, wa) =
-        run_sweep_cached(spec, 8, opts, &CacheConfig::resume(&dir)).expect("warm cached sweep");
+    let (warm, wa) = run_sweep(spec, 8, opts, &cache).expect("warm cached sweep");
     assert_eq!(
         wa.simulated, 0,
         "sweep `{}`: a warm store must not simulate",
         spec.name
     );
     assert_eq!(wa.disk_hits, wa.unique_scenarios);
-    assert_eq!(
-        wa.journal_resumed, wa.unique_scenarios,
-        "the journal replays the whole grid"
-    );
     assert_eq!(
         warm.to_json().expect("serialize"),
         reference,

@@ -4,7 +4,7 @@
 //! other run of the sweep completes and aggregates normally — one bad grid
 //! point cannot take down an hours-long sweep.
 
-use sb_fleet::{aggregate, run_collect, ExecOptions, SweepSpec};
+use sb_fleet::{aggregate, run_records, CacheConfig, ExecOptions, SweepSpec};
 
 fn small_grid() -> SweepSpec {
     let mut spec = SweepSpec::new("panic-isolation");
@@ -27,7 +27,13 @@ fn panicking_scenario_is_reported_failed_and_the_sweep_completes() {
         // trips a constructor assert inside the worker.
         runs[2].scenario.config.vnets = 9;
 
-        let records = run_collect(&runs, jobs, ExecOptions::default());
+        let (records, _) = run_records(
+            &spec.name,
+            &runs,
+            jobs,
+            ExecOptions::default(),
+            &CacheConfig::none(),
+        );
         assert_eq!(records.len(), 6, "jobs={jobs}: the sweep must complete");
 
         let report = aggregate(&spec.name, spec.accept, &runs, records);

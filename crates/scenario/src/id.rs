@@ -73,16 +73,13 @@ impl Scenario {
     /// on-disk result cache key on. [`Scenario::threads`] is normalized
     /// away too: it only shards the all-pairs route-table build, whose
     /// rows do not depend on who computed them, so it is an execution knob
-    /// like the fleet's `--jobs`, not part of the experiment. So is
-    /// [`Scenario::snapshot_every`]: capturing into the ring reads the
-    /// engine and changes nothing, and no result field holds a snapshot.
-    /// Every *simulation-relevant* field (topology, design, traffic,
-    /// config, seeds, window, clock, audit cadence) still feeds the hash.
+    /// like the fleet's `--jobs`, not part of the experiment. Every
+    /// *simulation-relevant* field (topology, design, traffic, config,
+    /// seeds, window, clock, audit cadence) still feeds the hash.
     pub fn content_fingerprint(&self) -> Result<u64, SpecError> {
         let mut canon = self.clone();
         canon.name = String::new();
         canon.threads = 1;
-        canon.snapshot_every = 0;
         Ok(fnv1a(canon.to_json()?.as_bytes()))
     }
 }
@@ -133,7 +130,7 @@ mod tests {
     }
 
     #[test]
-    fn content_fingerprint_ignores_threads_and_the_snapshot_ring() {
+    fn content_fingerprint_ignores_threads() {
         // The route tables are identical at any thread count, so
         // `threads` must not split the result cache.
         let seq = Scenario::new("par", Design::StaticBubble).with_mesh(4, 4);
@@ -148,14 +145,6 @@ mod tests {
             seq.content_fingerprint().unwrap(),
             auto.content_fingerprint().unwrap()
         );
-        // Nor must the snapshot ring: capturing is read-only.
-        let ring = seq.clone().with_snapshot_every(250);
-        assert_ne!(seq.fingerprint().unwrap(), ring.fingerprint().unwrap());
-        assert_eq!(
-            seq.content_fingerprint().unwrap(),
-            ring.content_fingerprint().unwrap()
-        );
-        assert_eq!(seq.run().stats, ring.run().stats);
     }
 
     #[test]

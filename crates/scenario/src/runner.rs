@@ -55,16 +55,11 @@ pub trait SimRunner {
     /// Take the most recent forensics report (audit failure or detected
     /// deadlock), leaving `None` behind.
     fn take_forensics(&mut self) -> Option<ForensicsReport>;
-    /// Push a snapshot into the ring every `every` cycles (0 = off). See
+    /// Capture a snapshot of the full engine state. See
     /// [`sb_sim::EngineSnapshot`].
-    fn set_snapshot_every(&mut self, every: u64);
-    /// Capture an on-demand snapshot of the full engine state.
     fn snapshot(&self) -> Result<EngineSnapshot, String>;
     /// Rewind the simulation to a previously captured snapshot.
     fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), String>;
-    /// The most recent ring snapshot, if any (cloned out so the caller can
-    /// keep it across further runs).
-    fn last_snapshot(&self) -> Option<EngineSnapshot>;
     /// Toggle per-event protocol tracing on the deadlock plugin (see
     /// [`sb_sim::Plugin::set_tracing`]). Free when off; plugins without
     /// tracing ignore it.
@@ -148,20 +143,12 @@ impl<P: Plugin + 'static, T: TrafficSource + 'static> SimRunner for Runner<P, T>
         self.0.take_forensics()
     }
 
-    fn set_snapshot_every(&mut self, every: u64) {
-        self.0.set_snapshot_every(every);
-    }
-
     fn snapshot(&self) -> Result<EngineSnapshot, String> {
         self.0.snapshot()
     }
 
     fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), String> {
         self.0.restore(snap)
-    }
-
-    fn last_snapshot(&self) -> Option<EngineSnapshot> {
-        self.0.last_snapshot().cloned()
     }
 
     fn set_tracing(&mut self, enable: bool) {

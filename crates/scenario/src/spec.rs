@@ -132,12 +132,6 @@ pub struct Scenario {
     /// Run the invariant auditor every this-many cycles (0 = off, the
     /// production default). See [`sb_sim::audit`].
     pub audit_every: u64,
-    /// Capture an [`sb_sim::EngineSnapshot`] into the engine's ring every
-    /// this-many cycles (0 = off). The ring keeps the last
-    /// [`sb_sim::SNAPSHOT_RING`] captures, so after a wedge the snapshot
-    /// nearest-before the terminal deadlock is available for `--bisect`
-    /// replay.
-    pub snapshot_every: u64,
     /// Clock discipline: [`ClockMode::Step`] executes every cycle (the
     /// default); [`ClockMode::Leap`] jumps over provably-dead cycles and
     /// switches synthetic traffic to the equivalent geometric inter-arrival
@@ -182,7 +176,6 @@ impl Scenario {
             cycles: 10_000,
             seed: 1,
             audit_every: 0,
-            snapshot_every: 0,
             clock: ClockMode::Step,
             threads: 1,
         }
@@ -278,13 +271,6 @@ impl Scenario {
     /// Enable the invariant auditor every `every` cycles (0 = off).
     pub fn with_audit_every(mut self, every: u64) -> Self {
         self.audit_every = every;
-        self
-    }
-
-    /// Capture an engine snapshot into the ring every `every` cycles
-    /// (0 = off). See [`Scenario::snapshot_every`].
-    pub fn with_snapshot_every(mut self, every: u64) -> Self {
-        self.snapshot_every = every;
         self
     }
 
@@ -490,7 +476,6 @@ impl Scenario {
             }
         };
         runner.set_audit(self.audit_every);
-        runner.set_snapshot_every(self.snapshot_every);
         runner.set_clock(self.clock);
         runner
     }

@@ -17,12 +17,6 @@ use sb_topology::{Direction, NodeId, Topology};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// How many periodic snapshots the engine retains (oldest evicted first).
-/// Two is enough for deadlock bisection — the report of interest is the
-/// newest snapshot strictly before detection, with one older spare for
-/// context — while keeping the memory cost of `set_snapshot_every` flat.
-pub const SNAPSHOT_RING: usize = 2;
-
 /// Router + link pipeline depth: a granted head is switchable at the next
 /// router after 2 cycles (1-cycle router, 1-cycle link — Table II).
 pub const HOP_LATENCY: u64 = 2;
@@ -93,15 +87,6 @@ pub struct Simulator<P: Plugin, T: TrafficSource> {
     /// The most recent forensics report (violation or oracle-detected
     /// deadlock), retrieved with [`Simulator::take_forensics`].
     last_forensics: Option<ForensicsReport>,
-    /// Periodic snapshot cadence in cycles, 0 = off (see
-    /// [`Simulator::set_snapshot_every`]).
-    snapshot_every: u64,
-    /// Next cycle at which a periodic snapshot is due (compared against
-    /// simulated time, so leaps cannot skip past a capture silently —
-    /// a leap landing beyond the boundary captures on its first tick).
-    next_snapshot_at: u64,
-    /// Ring of the most recent periodic snapshots, newest last.
-    snapshot_ring: VecDeque<EngineSnapshot>,
     /// Allocator work counts (see [`Simulator::kernel_counters`]).
     counters: KernelCounters,
 }
@@ -145,9 +130,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             audit_every: 0,
             audit_countdown: 0,
             last_forensics: None,
-            snapshot_every: 0,
-            next_snapshot_at: 0,
-            snapshot_ring: VecDeque::new(),
             counters: KernelCounters::default(),
         }
     }
@@ -243,63 +225,12 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.rng = StdRng::from_state(snap.rng);
         self.injection_halted = snap.injection_halted;
         self.last_forensics = None;
-        self.next_snapshot_at = self.core.time().saturating_add(self.snapshot_every.max(1));
         Ok(())
     }
 
     fn restore_blobs(&mut self, plugin: &str, traffic: &str) -> Result<(), String> {
         (self.plugin.restore_state(plugin)).map_err(|e| format!("plugin restore: {e}"))?;
         (self.traffic.restore_state(traffic)).map_err(|e| format!("traffic restore: {e}"))
-    }
-
-    /// Enable periodic snapshot capture: every `every` cycles the engine
-    /// records an [`EngineSnapshot`] into a ring of the
-    /// [`SNAPSHOT_RING`] most recent. `0` disables (the default). Capture
-    /// is read-only — it cannot perturb the simulation — so a run with
-    /// snapshots enabled stays bit-identical to one without.
-    pub fn set_snapshot_every(&mut self, every: u64) {
-        self.snapshot_every = every;
-        self.next_snapshot_at = self.core.time().saturating_add(every.max(1));
-        if every == 0 {
-            self.snapshot_ring.clear();
-        }
-    }
-
-    /// The retained periodic snapshots, oldest first. After
-    /// [`Simulator::run_until_deadlock`] detects a deadlock, the last
-    /// entry is the capture nearest (at or) before detection — the bisect
-    /// replay point.
-    pub fn snapshots(&self) -> impl Iterator<Item = &EngineSnapshot> {
-        self.snapshot_ring.iter()
-    }
-
-    /// The most recent periodic snapshot, if any was captured.
-    pub fn last_snapshot(&self) -> Option<&EngineSnapshot> {
-        self.snapshot_ring.back()
-    }
-
-    /// Out-of-line periodic capture, cold for the same reason as
-    /// [`Simulator::audit_tick`].
-    #[cold]
-    #[inline(never)]
-    fn snapshot_tick(&mut self) {
-        if self.core.time() < self.next_snapshot_at {
-            return;
-        }
-        self.next_snapshot_at = self.core.time().saturating_add(self.snapshot_every.max(1));
-        match self.snapshot() {
-            Ok(snap) => {
-                if self.snapshot_ring.len() >= SNAPSHOT_RING {
-                    self.snapshot_ring.pop_front();
-                }
-                self.snapshot_ring.push_back(snap);
-            }
-            Err(e) => {
-                // A plugin without snapshot support cannot fail the run;
-                // periodic capture just stays empty.
-                debug_assert!(false, "periodic snapshot failed: {e}");
-            }
-        }
     }
 
     fn collect_violations(&mut self) -> Vec<Violation> {
@@ -321,7 +252,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// the allocator would grant right now — otherwise a wake was missed
     /// and the worklist has silently diverged from the reference sweep.
     fn audit_wakeup(&self, out: &mut Vec<Violation>) {
-        let t = self.core.time();
         for router in self.core.topology().alive_nodes() {
             if self.core.is_active(router) {
                 continue;
@@ -336,19 +266,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 if cand[out_idx] == 0 {
                     continue;
                 }
-                let o = if out_idx == EJECT {
-                    OutPort::Eject
-                } else {
-                    OutPort::Dir(Direction::from_index(out_idx))
-                };
-                if self.core.arch.out_busy[r5 + out_idx] > t {
+                let Some(o) = self.open_output(router, out_idx) else {
                     continue;
-                }
-                if let OutPort::Dir(d) = o {
-                    if !self.core.topology().link_alive(router, d) {
-                        continue;
-                    }
-                }
+                };
                 if let Some((_, input, _)) =
                     self.probe_winner(router, o, cand[out_idx], self.core.arch.rr[r5 + out_idx])
                 {
@@ -452,9 +372,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             audit_every: self.audit_every,
             audit_countdown: self.audit_countdown,
             last_forensics: self.last_forensics,
-            snapshot_every: self.snapshot_every,
-            next_snapshot_at: self.next_snapshot_at,
-            snapshot_ring: self.snapshot_ring,
             counters: self.counters,
         }
     }
@@ -490,9 +407,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             audit_every: self.audit_every,
             audit_countdown: self.audit_countdown,
             last_forensics: self.last_forensics,
-            snapshot_every: self.snapshot_every,
-            next_snapshot_at: self.next_snapshot_at,
-            snapshot_ring: self.snapshot_ring,
             counters: self.counters,
         }
     }
@@ -524,15 +438,12 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 let Some(pkt) = self.core.vc_occupant(vref) else {
                     continue;
                 };
-                let (len, vnet, dst) = (pkt.len_flits as u64, pkt.vnet, pkt.dst);
+                let (len, vnet, dst) = (pkt.len_flits, pkt.vnet, pkt.dst);
                 let remaining = Route::new(pkt.route().directions()[pkt.hop_index()..].to_vec());
                 let lose = |core: &mut NetCore| {
                     let h = core.vc_clear(vref).expect("checked occupied");
                     core.arch.arena.remove(h);
-                    let stats = core.stats_mut();
-                    stats.lost_packets += 1;
-                    stats.lost_flits += len;
-                    stats.lost_packets_vnet[vnet as usize] += 1;
+                    core.stats_mut().count_lost(vnet, len);
                 };
                 if router_dead {
                     lose(&mut self.core);
@@ -551,10 +462,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             if router_dead {
                 if let Some((h, _ready)) = self.core.bubble_take_occupant(router) {
                     let pkt = self.core.arch.arena.remove(h);
-                    let stats = self.core.stats_mut();
-                    stats.lost_packets += 1;
-                    stats.lost_flits += pkt.len_flits as u64;
-                    stats.lost_packets_vnet[pkt.vnet as usize] += 1;
+                    self.core.stats_mut().count_lost(pkt.vnet, pkt.len_flits);
                 }
             }
         }
@@ -576,10 +484,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     if router_dead {
                         let pkt = self.core.arch.arena.remove(head);
                         self.core.arch.inject[qi].head = PacketHandle::NONE;
-                        let stats = self.core.stats_mut();
-                        stats.lost_packets += 1;
-                        stats.lost_flits += pkt.len_flits as u64;
-                        stats.lost_packets_vnet[pkt.vnet as usize] += 1;
+                        self.core.stats_mut().count_lost(pkt.vnet, pkt.len_flits);
                     } else {
                         let dst = self.core.arch.arena.get(head).dst;
                         match self.planner.route(router, dst, &mut self.rng) {
@@ -593,10 +498,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                             None => {
                                 let pkt = self.core.arch.arena.remove(head);
                                 self.core.arch.inject[qi].head = PacketHandle::NONE;
-                                let stats = self.core.stats_mut();
-                                stats.dropped_packets += 1;
-                                stats.dropped_flits += pkt.len_flits as u64;
-                                stats.dropped_packets_vnet[pkt.vnet as usize] += 1;
+                                self.core.stats_mut().count_dropped(pkt.vnet, pkt.len_flits);
                             }
                         }
                     }
@@ -604,10 +506,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 let mut tail = std::mem::take(&mut self.core.arch.inject[qi].tail);
                 if router_dead {
                     for e in tail.drain(..) {
-                        let stats = self.core.stats_mut();
-                        stats.lost_packets += 1;
-                        stats.lost_flits += e.len_flits as u64;
-                        stats.lost_packets_vnet[e.vnet as usize] += 1;
+                        self.core.stats_mut().count_lost(e.vnet, e.len_flits);
                     }
                 } else {
                     let mut kept = VecDeque::with_capacity(tail.len());
@@ -618,10 +517,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                                 kept.push_back(e);
                             }
                             None => {
-                                let stats = self.core.stats_mut();
-                                stats.dropped_packets += 1;
-                                stats.dropped_flits += e.len_flits as u64;
-                                stats.dropped_packets_vnet[e.vnet as usize] += 1;
+                                self.core.stats_mut().count_dropped(e.vnet, e.len_flits);
                             }
                         }
                     }
@@ -653,9 +549,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.core.advance_time();
         if self.audit_every > 0 {
             self.audit_tick();
-        }
-        if self.snapshot_every > 0 {
-            self.snapshot_tick();
         }
     }
 
@@ -844,18 +737,13 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             stats.offered_packets_vnet[req.vnet as usize] += 1;
             if req.src == req.dst {
                 // Local delivery without entering the network.
-                stats.delivered_packets += 1;
-                stats.delivered_flits += req.len_flits as u64;
-                stats.delivered_packets_vnet[req.vnet as usize] += 1;
+                stats.count_delivered(req.vnet, req.len_flits);
                 stats.latency_sum += req.len_flits as u64;
                 continue;
             }
             if !self.planner.routable(req.src, req.dst) {
                 // Unreachable destination: dropped at the NI (Sec. V-A).
-                let stats = self.core.stats_mut();
-                stats.dropped_packets += 1;
-                stats.dropped_flits += req.len_flits as u64;
-                stats.dropped_packets_vnet[req.vnet as usize] += 1;
+                self.core.stats_mut().count_dropped(req.vnet, req.len_flits);
                 continue;
             }
             let id = self.core.fresh_packet_id();
@@ -891,10 +779,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 None => {
                     // `routable` said yes but the route draw failed —
                     // treat it as the same NI drop.
-                    let stats = self.core.stats_mut();
-                    stats.dropped_packets += 1;
-                    stats.dropped_flits += req.len_flits as u64;
-                    stats.dropped_packets_vnet[req.vnet as usize] += 1;
+                    self.core.stats_mut().count_dropped(req.vnet, req.len_flits);
                 }
             }
         }
@@ -968,7 +853,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             // mutation touches it again.
             return;
         }
-        let t = self.core.time();
         let r5 = router.index() * 5;
         let mut any_grant = false;
         // Input-side exclusion: rr indices whose input port already granted
@@ -980,19 +864,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             if mask == 0 {
                 continue;
             }
-            if self.core.arch.out_busy[r5 + out_idx] > t {
+            let Some(out) = self.open_output(router, out_idx) else {
                 continue;
-            }
-            let out = if out_idx == EJECT {
-                OutPort::Eject
-            } else {
-                OutPort::Dir(Direction::from_index(out_idx))
             };
-            if let OutPort::Dir(d) = out {
-                if !self.core.topology().link_alive(router, d) {
-                    continue;
-                }
-            }
             let (won, examined) =
                 self.find_winner(router, out, mask, self.core.arch.rr[r5 + out_idx]);
             self.counters.winner_searches += 1;
@@ -1028,6 +902,22 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             // that could create a candidate, or until a mutation wake.
             self.schedule_block_wake(router, &cand, next_ready);
         }
+    }
+
+    /// The allocator's per-output gate: the port behind `out_idx` if it can
+    /// take a grant this cycle — not mid-packet and, for a direction, over
+    /// a usable link. The wakeup audit asks here too, so it holds the
+    /// worklist against the gate the allocator runs.
+    #[inline]
+    fn open_output(&self, router: NodeId, out_idx: usize) -> Option<OutPort> {
+        if self.core.arch.out_busy[router.index() * 5 + out_idx] > self.core.time() {
+            return None;
+        }
+        if out_idx == EJECT {
+            return Some(OutPort::Eject);
+        }
+        let d = Direction::from_index(out_idx);
+        (self.core.topology().link_alive(router, d)).then_some(OutPort::Dir(d))
     }
 
     /// The rr indices excluded from further grants this cycle once index
@@ -1274,10 +1164,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                     return;
                 }
                 None => {
-                    let stats = self.core.stats_mut();
-                    stats.dropped_packets += 1;
-                    stats.dropped_flits += len_flits as u64;
-                    stats.dropped_packets_vnet[pkt_vnet as usize] += 1;
+                    self.core.stats_mut().count_dropped(pkt_vnet, len_flits);
                 }
             }
         }
@@ -1329,9 +1216,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 // removal points (the other is reconfiguration loss).
                 let pkt = self.core.arch.arena.remove(h);
                 let stats = self.core.stats_mut();
-                stats.delivered_packets += 1;
-                stats.delivered_flits += len;
-                stats.delivered_packets_vnet[vnet as usize] += 1;
+                stats.count_delivered(pkt.vnet, pkt.len_flits);
                 let latency = (t + len).saturating_sub(pkt.created_at);
                 stats.latency_sum += latency;
                 stats.latency_max = stats.latency_max.max(latency);

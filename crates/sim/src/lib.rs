@@ -66,7 +66,7 @@ pub use config::SimConfig;
 pub use deadlock::{
     describe_cycle, find_deadlock, find_dependency_cycle, is_deadlocked, WaitForEdge,
 };
-pub use engine::{ClockMode, KernelCounters, Simulator, SNAPSHOT_RING};
+pub use engine::{ClockMode, KernelCounters, Simulator};
 pub use escape::EscapeVcPlugin;
 pub use inspect::Snapshot;
 pub use netcore::{NetCore, Resident};

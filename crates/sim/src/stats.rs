@@ -160,6 +160,30 @@ impl Stats {
         *self = Stats::default();
     }
 
+    /// Count one packet delivered to its destination NI.
+    #[inline]
+    pub(crate) fn count_delivered(&mut self, vnet: u8, len_flits: u16) {
+        self.delivered_packets += 1;
+        self.delivered_flits += len_flits as u64;
+        self.delivered_packets_vnet[vnet as usize] += 1;
+    }
+
+    /// Count one packet dropped at its NI (destination unreachable).
+    #[inline]
+    pub(crate) fn count_dropped(&mut self, vnet: u8, len_flits: u16) {
+        self.dropped_packets += 1;
+        self.dropped_flits += len_flits as u64;
+        self.dropped_packets_vnet[vnet as usize] += 1;
+    }
+
+    /// Count one accepted packet lost to a reconfiguration.
+    #[inline]
+    pub(crate) fn count_lost(&mut self, vnet: u8, len_flits: u16) {
+        self.lost_packets += 1;
+        self.lost_flits += len_flits as u64;
+        self.lost_packets_vnet[vnet as usize] += 1;
+    }
+
     /// Fold another measurement window into this one, treating the two
     /// windows as one long window: every counter adds, maxima take the max.
     /// `cycles` add too, so ratio metrics ([`Stats::throughput`],

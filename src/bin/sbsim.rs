@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use static_bubble_repro::scenario::{
     ClockMode, Design, FaultSpec, Scenario, SimRunner, TrafficSpec,
 };
-use static_bubble_repro::sim::Stats;
+use static_bubble_repro::sim::{EngineSnapshot, Stats};
 
 struct Cli(HashMap<String, String>);
 
@@ -41,7 +41,6 @@ const KNOWN_KEYS: &[&str] = &[
     "scenario",
     "dump-scenario",
     "clock",
-    "snapshot-every",
     "bisect",
     "drain",
     "threads",
@@ -148,9 +147,6 @@ fn apply_flags(cli: &Cli, mut s: Scenario) -> Scenario {
             }
         });
     }
-    if cli.flag("snapshot-every") {
-        s = s.with_snapshot_every(cli.get("snapshot-every", 0u64));
-    }
     if cli.flag("threads") {
         s = s.with_threads(cli.get("threads", 1usize));
     }
@@ -160,27 +156,55 @@ fn apply_flags(cli: &Cli, mut s: Scenario) -> Scenario {
         .with_seed(seed)
 }
 
-/// Rewind a wedged run to its last ring snapshot and replay the tail with
+/// Longest stretch `--bisect` runs between replay points: close enough to
+/// the wedge to keep the audited replay short, while the replay tail stays
+/// long enough to cover several backed-off probe rounds.
+const BISECT_CHUNK: u64 = 1_000;
+
+/// Run one phase: `step(sim, cycles)`, which says whether it finished
+/// early. A plain run makes that one call. Bisect mode (`replay` is `Some`)
+/// hands `step` at most [`BISECT_CHUNK`] cycles a call, with `replay` the
+/// state the latest call started from; a run loop's deadline is a clock
+/// event and only a warm-up's last window reset stands, so the calls add up
+/// to the single one bit for bit.
+fn drive(
+    sim: &mut dyn SimRunner,
+    cycles: u64,
+    replay: &mut Option<EngineSnapshot>,
+    step: fn(&mut dyn SimRunner, u64) -> bool,
+) -> bool {
+    let Some(replay) = replay else {
+        return step(sim, cycles);
+    };
+    let mut left = cycles;
+    loop {
+        let chunk = left.min(BISECT_CHUNK);
+        *replay = sim.snapshot().expect("engine state serialises");
+        left -= chunk;
+        let done = step(sim, chunk);
+        if done || left == 0 {
+            return done;
+        }
+    }
+}
+
+/// Rewind a wedged run to `snap` and replay the tail with
 /// the auditor on every cycle and protocol tracing enabled, then print the
-/// forensics report. Replay is deterministic (the snapshot carries the RNG,
-/// clock and plugin state), so the wedge reproduces exactly — but this time
+/// forensics report. Replay is deterministic (the snapshot carries the RNG
+/// and plugin state), so the wedge reproduces exactly — but this time
 /// every probe hop, latch and drop is on the record.
-fn bisect(sim: &mut dyn SimRunner) {
+fn bisect(sim: &mut dyn SimRunner, snap: &EngineSnapshot) {
     let wedge_time = sim.time();
     if !sim.deadlocked_now() {
         println!("bisect: oracle sees no deadlock at t={wedge_time}; nothing to replay");
         return;
     }
-    let Some(snap) = sim.last_snapshot() else {
-        println!("bisect: wedged at t={wedge_time}, but the snapshot ring is empty");
-        return;
-    };
     println!(
         "bisect: wedged at t={wedge_time}; replaying t={}..{wedge_time} \
          with audit_every=1 and tracing",
         snap.time
     );
-    if let Err(e) = sim.restore(&snap) {
+    if let Err(e) = sim.restore(snap) {
         println!("bisect: restore failed: {e}");
         return;
     }
@@ -215,7 +239,7 @@ fn main() {
              \x20            [--rate 0.1] [--cycles 10000] [--warmup 1000] [--tdd 34]\n\
              \x20            [--seed 1] [--heatmap] [--clock step|leap]\n\
              \x20            [--scenario FILE.toml|FILE.json] [--dump-scenario]\n\
-             \x20            [--snapshot-every N] [--drain BUDGET] [--bisect]\n\
+             \x20            [--drain BUDGET] [--bisect]\n\
              \x20            [--threads N]\n\
              \n\
              --threads: worker threads for building the all-pairs route tables\n\
@@ -224,11 +248,11 @@ fn main() {
              --drain: after the measured window, halt injection and run until\n\
              the network empties (or BUDGET cycles pass) — the paper pipeline's\n\
              wedge probe.\n\
-             --bisect: run the scenario (and drain, default budget 200000) with\n\
-             periodic engine snapshots; if the network ends wedged, rewind to\n\
-             the last snapshot and replay it with audit_every=1 and protocol\n\
-             tracing, then print the forensics report (FSM states, proto\n\
-             counters, probe trajectory)."
+             --bisect: run the scenario (and drain, default budget 200000) at\n\
+             most 1000 cycles at a time, keeping a snapshot of where the latest\n\
+             stretch began; if the network ends wedged, rewind to it and replay\n\
+             with audit_every=1 and protocol tracing, then print the forensics\n\
+             report (FSM states, proto counters, probe trajectory)."
         );
         return;
     }
@@ -279,23 +303,27 @@ fn main() {
     }
 
     let mut sim: Box<dyn SimRunner> = scenario.build_on(&topo);
-    if cli.flag("bisect") && scenario.snapshot_every == 0 {
-        // Bisect needs something in the ring; a cadence of 1000 keeps the
-        // last snapshot close to the wedge while leaving the replay tail
-        // long enough to cover several backed-off probe rounds.
-        sim.set_snapshot_every(1000);
-    }
-    sim.warmup(scenario.warmup);
-    sim.run(scenario.cycles);
+    // Bisect mode holds its own replay point, starting with t = 0.
+    let mut replay = (cli.flag("bisect")).then(|| sim.snapshot().expect("engine state serialises"));
+    drive(sim.as_mut(), scenario.warmup, &mut replay, |sim, cycles| {
+        sim.warmup(cycles);
+        false
+    });
+    drive(sim.as_mut(), scenario.cycles, &mut replay, |sim, cycles| {
+        sim.run(cycles);
+        false
+    });
     report(sim.stats(), nodes);
-    if cli.flag("drain") || cli.flag("bisect") {
+    if cli.flag("drain") || replay.is_some() {
         // `--drain` works both bare (default budget) and with a value.
         let budget: u64 = match cli.0.get("drain").map(String::as_str) {
             None | Some("true") => 200_000,
             _ => cli.get("drain", 200_000u64),
         };
         sim.halt_injection();
-        let drained = sim.run_until_drained(budget);
+        let drained = drive(sim.as_mut(), budget, &mut replay, |sim, cycles| {
+            sim.run_until_drained(cycles)
+        });
         println!(
             "drain             : {} (t={}, {} packets in flight)",
             if drained { "complete" } else { "STUCK" },
@@ -303,8 +331,8 @@ fn main() {
             sim.core().in_flight(),
         );
     }
-    if cli.flag("bisect") {
-        bisect(sim.as_mut());
+    if let Some(replay) = &replay {
+        bisect(sim.as_mut(), replay);
         return;
     }
     if let Some(escapes) = sim.escapes() {

@@ -79,6 +79,28 @@ fn unknown_option_fails_cleanly() {
 }
 
 #[test]
+fn bisect_replays_a_wedge_that_forms_before_cycle_1000() {
+    // The whole run is shorter than one bisect chunk: it has a replay
+    // point only because every phase starts with one.
+    let (out, ok) = sbsim(&[
+        "--design", "none", "--rate", "0.4", "--warmup", "100", "--cycles", "300", "--drain",
+        "400", "--bisect",
+    ]);
+    assert!(ok);
+    assert!(out.contains("bisect: wedged at t=800"), "{out}");
+    assert!(out.contains("oracle re-fired"), "{out}");
+    assert!(out.contains("=== forensics @ cycle"), "{out}");
+
+    let gone = Command::new(env!("CARGO_BIN_EXE_sbsim"))
+        .args(["--snapshot-every", "500"])
+        .output()
+        .expect("sbsim runs");
+    let err = String::from_utf8_lossy(&gone.stderr);
+    assert_eq!(gone.status.code(), Some(2), "{err}");
+    assert!(err.contains("unknown option --snapshot-every"), "{err}");
+}
+
+#[test]
 fn example_scenario_file_drives_a_run() {
     // Flags layer over the loaded spec, so the committed example stays a
     // full-length experiment while the test runs a short slice of it.

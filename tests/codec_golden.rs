@@ -1,12 +1,14 @@
 //! Byte-level pin of everything the codec stack writes: cache keys,
-//! journals, snapshots and reports must not change when the codec does.
+//! snapshots and reports must not change when the codec does.
 //!
 //! The fixtures under `tests/golden/` were generated at the commit before
 //! the serde visitor layer was removed (PR 12). Each test asserts that the
 //! text written today is byte-identical to the fixture and that the fixture
 //! parses back to the value it was written from.
 
-use static_bubble_repro::fleet::{cache, run_sweep, SweepReport, SweepSpec};
+use static_bubble_repro::fleet::{
+    cache, run_sweep, CacheConfig, ExecOptions, SweepReport, SweepSpec,
+};
 use static_bubble_repro::scenario::{json, to_value, Scenario};
 use static_bubble_repro::sim::{EngineSnapshot, Stats};
 
@@ -89,7 +91,13 @@ fn stats_shape_is_byte_identical() {
 
 #[test]
 fn sweep_report_is_byte_identical() {
-    let report = run_sweep(&short_grid(), 1).expect("short grid runs");
+    let (report, _) = run_sweep(
+        &short_grid(),
+        1,
+        ExecOptions::default(),
+        &CacheConfig::none(),
+    )
+    .expect("short grid runs");
     let text = assert_golden("sweep_report.json", &report.to_json().unwrap());
     assert_eq!(SweepReport::from_json(&text), Ok(report));
 }
@@ -154,12 +162,10 @@ fn engine_snapshot_holds_architectural_state_only() {
 #[test]
 fn fingerprints_are_unchanged() {
     let scenario = example_scenario();
-    let runs = example_grid().expand().expect("grid expands");
     let text = format!(
-        "fingerprint={:016x}\ncontent_fingerprint={:016x}\ngrid_fingerprint={:016x}\nschema_epoch={:016x}\n",
+        "fingerprint={:016x}\ncontent_fingerprint={:016x}\nschema_epoch={:016x}\n",
         scenario.fingerprint().unwrap(),
         scenario.content_fingerprint().unwrap(),
-        cache::grid_fingerprint(&runs),
         cache::schema_epoch(),
     );
     assert_golden("fingerprints.txt", &text);

@@ -7,7 +7,9 @@
 //! * change-driven worklist vs the `scan_all_routers` reference sweep;
 //! * stepped clock vs leap clock (same geometric arrival sampler);
 //! * uninterrupted vs snapshot → restore into a fresh engine → continue,
-//!   under both clocks and across the two scan modes.
+//!   under both clocks and across the two scan modes;
+//! * every phase in one call vs a chunk of cycles at a time, under both
+//!   clocks (how `sbsim --bisect` keeps a replay point near the wedge).
 //!
 //! The last one is what catches a plugin index that is derived from its
 //! serialized state (Static Bubble's frozen-router list, FSM slot index and
@@ -22,7 +24,7 @@
 //! bytes whether its runs were simulated, or served from a result cache.
 
 use static_bubble_repro::core::StaticBubblePlugin;
-use static_bubble_repro::fleet::{run_sweep_cached, CacheConfig, ExecOptions, SweepSpec};
+use static_bubble_repro::fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
 use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
 use static_bubble_repro::sim::{SimConfig, Stats, UniformTraffic};
 use static_bubble_repro::topology::FaultKind;
@@ -128,6 +130,26 @@ impl Contract {
             plugin_state: end.plugin,
             traffic_state: end.traffic,
         }
+    }
+
+    /// A whole run the way `sbsim` drives one — warm-up, window, tap closed,
+    /// drain — at most `chunk` cycles a call; the final snapshot, as written.
+    fn driven(&self, clock: ClockMode, chunk: u64) -> String {
+        let mut runner = self.build();
+        runner.set_clock(clock);
+        let calls = |total: u64| {
+            (0..total)
+                .step_by(chunk as usize)
+                .map(move |at| chunk.min(total - at))
+        };
+        let warmup = self.load / 4;
+        calls(warmup).for_each(|n| runner.warmup(n));
+        calls(self.load - warmup).for_each(|n| runner.run(n));
+        runner.halt_injection();
+        let drained = calls(50_000).any(|n| runner.run_until_drained(n));
+        assert!(drained, "network must drain");
+        let end = runner.snapshot().expect("snapshot");
+        end.to_json().expect("snapshot serializes")
     }
 
     /// The cycles worth interrupting a run at, each with what is populated
@@ -240,6 +262,15 @@ impl Contract {
             from_full_scan == reference,
             "full-scan snapshot, worklist engine"
         );
+        // A run loop's deadline is a clock event and only a warm-up's last
+        // window reset stands, so where the calls are cut changes nothing:
+        // chunk ends fall inside every phase, some across a pending leap.
+        for clock in [ClockMode::Step, ClockMode::Leap] {
+            assert!(
+                self.driven(clock, 100) == self.driven(clock, u64::MAX),
+                "{clock:?}: a chunk at a time vs one call a phase"
+            );
+        }
         reference
     }
 }
@@ -331,7 +362,7 @@ fn a_grid_reports_identically_uncached_cold_and_warm() {
     let _ = std::fs::remove_dir_all(&dir);
     let pass = |cache: &CacheConfig| {
         let (report, acct) =
-            run_sweep_cached(&spec, 2, ExecOptions::default(), cache).expect("valid grid");
+            run_sweep(&spec, 2, ExecOptions::default(), cache).expect("valid grid");
         (report.to_json().expect("report serializes"), acct)
     };
     let (uncached, _) = pass(&CacheConfig::none());
