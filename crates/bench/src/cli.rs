@@ -29,16 +29,18 @@ pub enum ArgError {
 ///
 /// ```
 /// use sb_bench::Args;
-/// let args = Args::parse_from(["--topos", "16", "--sim"].iter().map(|s| s.to_string()));
+/// let argv = ["--topos", "16", "--sim"].map(String::from);
+/// let knobs = [("topos", "8"), ("cycles", "5000"), ("sim", "off")];
+/// let args = Args::try_parse_spec(argv, "fig02", "deadlock onset", &knobs).unwrap();
 /// assert_eq!(args.get_usize("topos", 8), 16);
 /// assert!(args.flag("sim"));
 /// assert_eq!(args.get_u64("cycles", 5000), 5000);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Args {
     values: HashMap<String, String>,
     flags: Vec<String>,
-    usage: Option<String>,
+    usage: String,
 }
 
 /// Keys every experiment binary accepts without declaring them. `--jobs`
@@ -81,8 +83,9 @@ impl Args {
     ) -> Result<Self, ArgError> {
         let usage = Self::usage_text(name, what, knobs);
         let mut args = Args {
-            usage: Some(usage.clone()),
-            ..Args::default()
+            values: HashMap::new(),
+            flags: Vec::new(),
+            usage: usage.clone(),
         };
         let mut iter = iter.into_iter().peekable();
         while let Some(a) = iter.next() {
@@ -121,38 +124,8 @@ impl Args {
         s
     }
 
-    /// Parse the process arguments (skipping the binary name), leniently.
-    ///
-    /// Prefer [`Args::parse_spec`] in binaries — it validates option names
-    /// and answers `--help`. This stays for quick scripts and tests.
-    pub fn parse() -> Self {
-        Self::parse_from(std::env::args().skip(1))
-    }
-
-    /// Parse from an explicit iterator, leniently (tests).
-    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Self {
-        let mut args = Args::default();
-        let mut iter = iter.into_iter().peekable();
-        while let Some(a) = iter.next() {
-            let Some(key) = a.strip_prefix("--") else {
-                continue;
-            };
-            match iter.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let v = iter.next().expect("peeked");
-                    args.values.insert(key.to_string(), v);
-                }
-                _ => args.flags.push(key.to_string()),
-            }
-        }
-        args
-    }
-
     fn bail(&self, msg: String) -> ! {
-        match &self.usage {
-            Some(usage) => eprintln!("{msg}\n{usage}"),
-            None => eprintln!("{msg}"),
-        }
+        eprintln!("{msg}\n{}", self.usage);
         std::process::exit(2);
     }
 
@@ -166,37 +139,26 @@ impl Args {
         }
     }
 
-    /// Integer option with default; `Err` describes the malformed value.
-    pub fn try_get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
-        Ok(self.try_parsed(key, "an integer")?.unwrap_or(default))
-    }
-
-    /// u64 option with default; `Err` describes the malformed value.
-    pub fn try_get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
-        Ok(self.try_parsed(key, "an integer")?.unwrap_or(default))
-    }
-
-    /// Float option with default; `Err` describes the malformed value.
-    pub fn try_get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
-        Ok(self.try_parsed(key, "a number")?.unwrap_or(default))
+    fn parsed<T: std::str::FromStr>(&self, key: &str, what: &str, default: T) -> T {
+        match self.try_parsed(key, what) {
+            Ok(v) => v.unwrap_or(default),
+            Err(e) => self.bail(e),
+        }
     }
 
     /// Integer option with default.
     pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.try_get_usize(key, default)
-            .unwrap_or_else(|e| self.bail(e))
+        self.parsed(key, "an integer", default)
     }
 
     /// u64 option with default.
     pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.try_get_u64(key, default)
-            .unwrap_or_else(|e| self.bail(e))
+        self.parsed(key, "an integer", default)
     }
 
     /// Float option with default.
     pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.try_get_f64(key, default)
-            .unwrap_or_else(|e| self.bail(e))
+        self.parsed(key, "a number", default)
     }
 
     /// String option, `None` if absent.
@@ -235,14 +197,10 @@ mod tests {
 
     #[test]
     fn parses_mixed() {
-        let a = Args::parse_from(
-            ["--x", "3", "--flag", "--y", "2.5"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
-        assert_eq!(a.get_usize("x", 0), 3);
-        assert_eq!(a.get_f64("y", 0.0), 2.5);
-        assert!(a.flag("flag"));
+        let a = strict(&["--topos", "3", "--sim", "--rate", "2.5"]).expect("valid argv");
+        assert_eq!(a.get_usize("topos", 0), 3);
+        assert_eq!(a.get_f64("rate", 0.0), 2.5);
+        assert!(a.flag("sim"));
         assert!(!a.flag("other"));
         assert_eq!(a.get_u64("missing", 7), 7);
     }
@@ -296,11 +254,11 @@ mod tests {
     #[test]
     fn malformed_values_report_key_and_value() {
         let a = strict(&["--rate", "fast"]).expect("parses; value checked at get");
-        let err = a.try_get_f64("rate", 0.05).unwrap_err();
+        let err = a.try_parsed::<f64>("rate", "a number").unwrap_err();
         assert!(err.contains("--rate"), "{err}");
         assert!(err.contains("fast"), "{err}");
-        assert_eq!(a.try_get_f64("missing", 0.25), Ok(0.25));
-        let err = a.try_get_usize("rate", 1).unwrap_err();
+        assert_eq!(a.try_parsed::<f64>("missing", "a number"), Ok(None));
+        let err = a.try_parsed::<usize>("rate", "an integer").unwrap_err();
         assert!(err.contains("an integer"), "{err}");
     }
 }

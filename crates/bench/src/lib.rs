@@ -33,7 +33,7 @@ pub use table::Table;
 /// contends every cycle and source queues grow for the whole run — where
 /// an unprotected mesh driven past saturation wedges within a few thousand
 /// cycles and times the worklist skipping a dead network (the `blocked`
-/// regime, pinned by count in `crates/sim/tests/active_kernel.rs`).
+/// regime, pinned by count in `crates/sim/tests/kernel_equivalence.rs`).
 ///
 /// Where a tree's knee lies depends on its root and its faults, so the
 /// fault pattern is pinned: this is the tree the repo benchmark's

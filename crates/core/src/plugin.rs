@@ -76,9 +76,9 @@ pub struct StaticBubblePlugin {
     restriction_ttl: u64,
     opts: SbOptions,
     /// Cycle of the last `before_cycle` call. FSM counters advance by the
-    /// elapsed time since then, so cycles skipped by the leap clock — during
-    /// which the counted condition provably held — are accounted exactly as
-    /// if they had been stepped through.
+    /// elapsed time since then, so cycles the engine skipped — during which
+    /// the counted condition provably held — are accounted exactly as if
+    /// they had been executed.
     last_tick: Option<u64>,
     /// Counters, transmission ring and event trace.
     trace: Recorder,
@@ -474,10 +474,10 @@ impl Plugin for StaticBubblePlugin {
     /// One cycle of protocol work, in a fixed order (DESIGN.md §3).
     fn before_cycle(&mut self, core: &mut NetCore) {
         let now = core.time();
-        // 1. Cycles the leap clock skipped since the previous executed tick
-        // (none under the step clock). Before the deliveries, so a counter
-        // a delivery restarts counts from this tick — as it does under the
-        // step clock — and not from the start of the gap.
+        // 1. Cycles the engine skipped since the previous executed tick.
+        // Before the deliveries, so a counter a delivery restarts counts
+        // from this tick — as it does when every cycle executes — and not
+        // from the start of the gap.
         let gap = (self.last_tick).map_or(0, |prev| (now - prev).saturating_sub(1));
         self.last_tick = Some(now);
         if gap > 0 {

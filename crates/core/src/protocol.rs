@@ -195,7 +195,7 @@ pub struct Arrival<'m> {
 pub enum Event<'m> {
     /// One executed cycle of the counter FSM.
     Tick,
-    /// The leap clock skipped this many cycles, during which nothing moved.
+    /// The engine skipped this many cycles, during which nothing moved.
     Gap(u64),
     /// A message this router sent came back.
     Returned(Arrival<'m>),
@@ -290,7 +290,7 @@ pub enum Deadline {
 
 /// The one rule for when a counter counts and when it fires. [`step`]'s
 /// tick and gap accounting and the plugin's `next_timer` all derive from
-/// it, so the step clock and the leap clock cannot disagree.
+/// it, so an executed cycle and a skipped one cannot disagree.
 pub fn deadline(fsm: &SbFsm, view: &impl RouterView) -> Deadline {
     match fsm.state {
         FsmState::SOff if view.occupancy() == 0 => Deadline::Idle,

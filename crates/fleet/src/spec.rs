@@ -56,7 +56,7 @@ pub struct SweepSpec {
     pub tdd: u64,
     /// Invariant-auditor cadence (0 = off).
     pub audit_every: u64,
-    /// Clock discipline for every scenario.
+    /// Arrival sampler for every scenario (see `Scenario::clock`).
     pub clock: ClockMode,
     /// Acceptance threshold for saturation-point detection.
     pub accept: f64,

@@ -7,8 +7,8 @@
 //! they must never leak into results.
 //!
 //! Two layers: an explicit matrix over the knobs the property most
-//! plausibly interacts with (invariant auditing on/off × step vs leap
-//! clock), then a property test over randomly drawn grids (mesh, faults,
+//! plausibly interacts with (invariant auditing on/off × arrival
+//! sampler), then a property test over randomly drawn grids (mesh, faults,
 //! design mix, ablation variants, loads, seeds, knobs). Every draw runs
 //! the full jobs × cold/warm cross.
 
@@ -134,7 +134,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random grids: mesh shape, fault count, design mix, ablation
-    /// variants, load ladder, seeds, audit cadence and clock mode all
+    /// variants, load ladder, seeds, audit cadence and arrival sampler all
     /// drawn at random; the three-way byte equality must hold for every
     /// draw.
     #[test]

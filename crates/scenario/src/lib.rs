@@ -44,8 +44,7 @@ pub use sb_sim::{json, toml, value};
 pub use design::{Design, RunOutcome, T_DD};
 pub use id::{fnv1a, ScenarioId};
 pub use runner::SimRunner;
-pub use sb_sim::ClockMode;
-pub use spec::{BubbleSpec, FaultSpec, Scenario, TrafficSpec};
+pub use spec::{BubbleSpec, ClockMode, FaultSpec, Scenario, TrafficSpec};
 pub use value::{from_value, to_value, SpecError, Value};
 
 impl Scenario {

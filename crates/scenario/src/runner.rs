@@ -11,8 +11,8 @@
 use std::any::Any;
 
 use sb_sim::{
-    ClockMode, EngineSnapshot, EscapeVcPlugin, ForensicsReport, KernelCounters, NetCore, Plugin,
-    Simulator, Stats, TrafficSource,
+    EngineSnapshot, EscapeVcPlugin, ForensicsReport, KernelCounters, NetCore, Plugin, Simulator,
+    Stats, TrafficSource,
 };
 
 /// A live simulation, abstracted over plugin and traffic types.
@@ -47,9 +47,6 @@ pub trait SimRunner {
     fn scan_all_routers(&mut self, enable: bool);
     /// Audit every `every` cycles (0 = off). See [`sb_sim::audit`].
     fn set_audit(&mut self, every: u64);
-    /// Select the clock discipline (step vs event-driven leaping). See
-    /// [`sb_sim::ClockMode`].
-    fn set_clock(&mut self, mode: ClockMode);
     /// Audit immediately; `Some` report if any invariant is violated.
     fn audit_now(&mut self) -> Option<ForensicsReport>;
     /// Take the most recent forensics report (audit failure or detected
@@ -129,10 +126,6 @@ impl<P: Plugin + 'static, T: TrafficSource + 'static> SimRunner for Runner<P, T>
 
     fn set_audit(&mut self, every: u64) {
         self.0.set_audit(every);
-    }
-
-    fn set_clock(&mut self, mode: ClockMode) {
-        self.0.set_clock(mode);
     }
 
     fn audit_now(&mut self) -> Option<ForensicsReport> {

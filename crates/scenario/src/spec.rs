@@ -9,8 +9,8 @@
 
 use rand::SeedableRng;
 use sb_sim::{
-    BitComplement, ClockMode, EscapeVcPlugin, NoTraffic, NullPlugin, Pattern, SimConfig, Simulator,
-    Synthetic, TrafficSource, Uniform,
+    BitComplement, EscapeVcPlugin, NoTraffic, NullPlugin, Pattern, SimConfig, Simulator, Synthetic,
+    TrafficSource, Uniform,
 };
 use sb_topology::{FaultKind, FaultModel, Mesh, NodeId, Topology};
 use serde::{Deserialize, Serialize};
@@ -77,6 +77,23 @@ pub enum TrafficSpec {
     },
 }
 
+/// The arrival sampler of a spec's synthetic traffic (see
+/// [`Scenario::clock`]). The two offer the same mean load from different
+/// RNG streams, so runs under them compare statistically, not packet for
+/// packet.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ClockMode {
+    /// One Bernoulli coin per node per cycle on the shared engine RNG — the
+    /// statistical reference. Every cycle draws, so every cycle executes
+    /// while traffic can still arrive.
+    #[default]
+    Step,
+    /// Geometric inter-arrival gaps on per-node streams
+    /// ([`Synthetic::geometric`]): a quiet cycle draws nothing, so the
+    /// engine skips it. Vastly faster at low load.
+    Leap,
+}
+
 /// One fully-described experiment: everything needed to reproduce a run.
 ///
 /// ```
@@ -132,12 +149,10 @@ pub struct Scenario {
     /// Run the invariant auditor every this-many cycles (0 = off, the
     /// production default). See [`sb_sim::audit`].
     pub audit_every: u64,
-    /// Clock discipline: [`ClockMode::Step`] executes every cycle (the
-    /// default); [`ClockMode::Leap`] jumps over provably-dead cycles and
-    /// switches synthetic traffic to the equivalent geometric inter-arrival
-    /// sampler (same mean load, different RNG stream — so a leap scenario is
-    /// *not* packet-identical to its step twin; it is statistically
-    /// equivalent and vastly faster at low load).
+    /// Arrival sampler of the synthetic traffic: [`ClockMode::Step`] flips
+    /// a Bernoulli coin per node per cycle (the default),
+    /// [`ClockMode::Leap`] draws geometric gaps, which lets the engine skip
+    /// the cycles between arrivals. Nothing else reads it.
     pub clock: ClockMode,
     /// Worker threads for the all-pairs route-table build of the minimal
     /// designs ([`sb_routing::MinimalRouting::new_with_threads`]; 1 =
@@ -274,7 +289,7 @@ impl Scenario {
         self
     }
 
-    /// Set the clock discipline (see [`Scenario::clock`]).
+    /// Set the arrival sampler (see [`Scenario::clock`]).
     pub fn with_clock(mut self, clock: ClockMode) -> Self {
         self.clock = clock;
         self
@@ -429,9 +444,6 @@ impl Scenario {
     fn synthetic<P: Pattern + Default>(&self, rate: f64, single_vnet: bool) -> Synthetic<P> {
         let t = Synthetic::new(rate);
         let t = if single_vnet { t.single_vnet() } else { t };
-        // The leap clock needs injectors that can name their next arrival
-        // cycle, so leap scenarios sample geometric inter-arrival gaps
-        // instead of per-cycle Bernoulli coins (same mean load).
         if self.clock == ClockMode::Leap {
             t.geometric()
         } else {
@@ -476,7 +488,6 @@ impl Scenario {
             }
         };
         runner.set_audit(self.audit_every);
-        runner.set_clock(self.clock);
         runner
     }
 

@@ -4,7 +4,7 @@
 //! (`sbsim --bisect`, DESIGN.md §12) stands on — a replayed window is only
 //! forensic evidence if it is the *same* window.
 //!
-//! Pinned three ways, property-tested across designs × clock modes ×
+//! Pinned three ways, property-tested across designs × arrival samplers ×
 //! split points:
 //!
 //!   A. uninterrupted: build, run the full window;
@@ -16,8 +16,8 @@
 //! and on the forensics of a subsequent deadlock probe.
 
 use proptest::prelude::*;
-use sb_scenario::{Design, FaultSpec, Scenario, SimRunner};
-use sb_sim::{json, ClockMode, Stats};
+use sb_scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
+use sb_sim::{json, Stats};
 use sb_topology::FaultKind;
 
 const TOTAL_CYCLES: u64 = 2_000;

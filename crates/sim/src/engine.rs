@@ -14,31 +14,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sb_routing::{Route, RouteSource};
 use sb_topology::{Direction, NodeId, Topology};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Router + link pipeline depth: a granted head is switchable at the next
 /// router after 2 cycles (1-cycle router, 1-cycle link — Table II).
 pub const HOP_LATENCY: u64 = 2;
-
-/// How the engine advances simulated time (see [`Simulator::set_clock`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ClockMode {
-    /// Execute every cycle, one tick at a time — the reference semantics.
-    #[default]
-    Step,
-    /// Discrete-event advance: after a tick that leaves the runnable set
-    /// empty, jump straight to the next scheduled event — the earliest of
-    /// time-wheel maturity, traffic arrival
-    /// ([`TrafficSource::next_arrival`]), plugin timer
-    /// ([`Plugin::next_timer`]), audit boundary, and the enclosing run
-    /// loop's own deadline. The skipped cycles are provably no-ops, so
-    /// [`crate::Stats`] stays bit-identical to [`ClockMode::Step`] under
-    /// the same arrival sampler; with the Bernoulli sampler (which draws
-    /// RNG every cycle) leaping simply never triggers while traffic can
-    /// still arrive.
-    Leap,
-}
 
 /// Work the switch allocator did since the simulator was constructed:
 /// plain monotonic counts, so — unlike a cycles-per-second reading on a
@@ -74,8 +54,6 @@ pub struct Simulator<P: Plugin, T: TrafficSource> {
     /// Reference mode: scan every alive router instead of the active-set
     /// worklist (see [`Simulator::scan_all_routers`]).
     full_scan: bool,
-    /// Clock advance policy (see [`Simulator::set_clock`]).
-    clock: ClockMode,
     /// Injection tap: when closed ([`Simulator::halt_injection`]), the
     /// traffic source is no longer polled and counts as exhausted for
     /// [`Simulator::run_until_drained`].
@@ -126,7 +104,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             rng: StdRng::seed_from_u64(seed),
             full_scan: false,
             injection_halted: false,
-            clock: ClockMode::Step,
             audit_every: 0,
             audit_countdown: 0,
             last_forensics: None,
@@ -199,7 +176,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// (`NetCore::rebuild_sched`) on every path, so everything observable
     /// about the following cycles is identical to the run the snapshot was
     /// captured from (see [`crate::snapshot`] module docs). How the run is
-    /// driven — clock, scan mode, audit cadence — stays this simulator's.
+    /// driven — scan mode, audit cadence — stays this simulator's.
     ///
     /// # Errors
     ///
@@ -302,26 +279,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.full_scan = enable;
     }
 
-    /// Select the clock advance policy. [`ClockMode::Leap`] turns the run
-    /// loops into a discrete-event scheduler: whenever a tick leaves the
-    /// runnable set empty, the clock jumps in O(1) to the next event
-    /// instead of stepping through the dead gap. Leaping is sound because
-    /// during skipped cycles state can only change through the passage of
-    /// time, and every time-driven change — wheel maturity, precomputed
-    /// traffic arrival, plugin timeout, audit boundary, loop deadline — is
-    /// enumerated in the jump target; [`crate::Stats`] is bit-identical to
-    /// [`ClockMode::Step`] under the same arrival sampler. Ignored in the
-    /// reference full-sweep mode ([`Simulator::scan_all_routers`]), whose
-    /// worklist is never empty.
-    pub fn set_clock(&mut self, clock: ClockMode) {
-        self.clock = clock;
-    }
-
-    /// The current clock advance policy.
-    pub fn clock(&self) -> ClockMode {
-        self.clock
-    }
-
     /// The network state.
     pub fn core(&self) -> &NetCore {
         &self.core
@@ -368,7 +325,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             rng: self.rng,
             full_scan: self.full_scan,
             injection_halted: self.injection_halted,
-            clock: self.clock,
             audit_every: self.audit_every,
             audit_countdown: self.audit_countdown,
             last_forensics: self.last_forensics,
@@ -403,7 +359,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             rng: self.rng,
             full_scan: self.full_scan,
             injection_halted: self.injection_halted,
-            clock: self.clock,
             audit_every: self.audit_every,
             audit_countdown: self.audit_countdown,
             last_forensics: self.last_forensics,
@@ -566,19 +521,33 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
     }
 
-    /// With the leap clock, jump from an empty runnable set to the next
-    /// event, but never past `end` (the enclosing loop's deadline). Called
-    /// after every tick; a no-op in step mode, full-scan mode, or whenever
-    /// anything is runnable.
+    /// The clock: with nothing runnable, jump to the next event — wheel
+    /// maturity, traffic arrival, plugin timer, audit boundary, or the last
+    /// cycle before `end`, the enclosing loop's deadline. Called after
+    /// every tick. The skipped cycles are no-ops by construction: state can
+    /// only change through the passage of time, and every time-driven
+    /// change bounds the jump. A loop's last cycle always executes, so a
+    /// call returns with the plugin and the traffic source caught up to
+    /// `time`: whatever the caller does next — snapshot, reconfigure, reach
+    /// in through [`Simulator::plugin_mut`] — meets the state a run that
+    /// executed every cycle would have left. The reference sweep
+    /// ([`Simulator::scan_all_routers`]) keeps every router runnable and so
+    /// executes every cycle.
     fn maybe_leap(&mut self, end: u64) {
-        if self.clock != ClockMode::Leap || self.full_scan {
-            return;
-        }
         let now = self.core.time();
-        if now >= end || self.core.active_count() != 0 {
+        if now + 1 >= end || self.full_scan || self.core.active_count() != 0 {
             return;
         }
-        let mut target = end;
+        let mut target = end - 1;
+        if !self.injection_halted {
+            // Asked first: a source that flips a coin every cycle answers
+            // `now`, and an idle tick under it costs this one call.
+            match self.traffic.next_arrival(now) {
+                Some(at) if at <= now => return,
+                Some(at) => target = target.min(at),
+                None => {}
+            }
+        }
         if self.audit_every > 0 {
             // After a tick the countdown is in 1..=audit_every; the next
             // audit runs at the end of the tick executing cycle
@@ -587,11 +556,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
         if let Some(at) = self.core.next_wheel_event() {
             target = target.min(at);
-        }
-        if !self.injection_halted {
-            if let Some(at) = self.traffic.next_arrival(now) {
-                target = target.min(at);
-            }
         }
         if let Some(at) = self.plugin.next_timer(&self.core) {
             target = target.min(at);
@@ -637,10 +601,10 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             }
             self.tick();
             // Leaping right after the tick that completed the drain would
-            // inflate the cycle count past the step-mode exit point; a
+            // run the clock past the cycle the loop exits at; a
             // still-undrained network is free to jump (a wedged one goes
-            // straight to the deadline).
-            if self.clock == ClockMode::Leap && !self.drained() {
+            // straight to the deadline's last cycle).
+            if self.core.active_count() == 0 && !self.drained() {
                 self.maybe_leap(end);
             }
         }
@@ -693,13 +657,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         while self.time() - start < max_cycles {
             let remaining = max_cycles - (self.time() - start);
             // The oracle cadence is itself a clock event: leaps stop at the
-            // batch boundary so every oracle call lands on the same cycle
-            // it would under the step clock.
-            let batch_end = self.time() + check_every.min(remaining);
-            while self.time() < batch_end {
-                self.tick();
-                self.maybe_leap(batch_end);
-            }
+            // batch boundary, so every oracle call lands on the cycle it
+            // would if every cycle executed.
+            self.run(check_every.min(remaining));
             if self.deadlocked_now() {
                 self.last_forensics = Some(ForensicsReport::capture(
                     &self.core,

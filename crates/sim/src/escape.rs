@@ -127,10 +127,9 @@ impl Plugin for EscapeVcPlugin {
             self.stalls = vec![None; n * 4 * vcs];
         }
         let now = core.time();
-        // Cycles elapsed since the previous executed tick. Under the step
-        // clock this is always 1; under the leap clock it covers the
-        // skipped gap, during which every stall condition provably held
-        // (occupancy, maturity and desired hop only change at executed
+        // Cycles elapsed since the previous executed tick: 1, or the gap
+        // the engine skipped, during which every stall condition provably
+        // held (occupancy, maturity and desired hop only change at executed
         // ticks), so advancing by `dt` reproduces the stepped counters.
         let dt = match self.last_tick {
             Some(prev) => now - prev,

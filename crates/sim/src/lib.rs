@@ -66,7 +66,7 @@ pub use config::SimConfig;
 pub use deadlock::{
     describe_cycle, find_deadlock, find_dependency_cycle, is_deadlocked, WaitForEdge,
 };
-pub use engine::{ClockMode, KernelCounters, Simulator};
+pub use engine::{KernelCounters, Simulator};
 pub use escape::EscapeVcPlugin;
 pub use inspect::Snapshot;
 pub use netcore::{NetCore, Resident};
@@ -95,8 +95,8 @@ pub use vc::VcRef;
 /// automatically: cache epochs also hash the serialized shape of
 /// `Stats::default()`.)
 ///
-/// History: 2 — the Static Bubble plugin accounts cycles the leap clock
+/// History: 2 — the Static Bubble plugin accounts cycles the engine
 /// skipped *before* a tick's special-message deliveries, so a counter a
-/// delivery restarts no longer absorbs the gap; leap-clock runs with a
-/// recovery in them changed (to what the step clock always computed).
+/// delivery restarts no longer absorbs the gap; runs that leaped through a
+/// recovery changed (to what executing every cycle always computed).
 pub const RESULT_EPOCH: u32 = 2;

@@ -375,9 +375,9 @@ impl NetCore {
         self.arch.time += 1;
     }
 
-    /// Jump the clock forward by `gap` dead cycles at once (the leap
-    /// clock's O(1) time advance). The caller — [`crate::Simulator`]'s
-    /// leap logic — is responsible for proving the skipped cycles are
+    /// Jump the clock forward by `gap` dead cycles at once, in O(1). The
+    /// caller — [`crate::Simulator`]'s run loops — is responsible for
+    /// proving the skipped cycles are
     /// no-ops: empty runnable set, no wheel maturity, no traffic arrival,
     /// no plugin timer strictly before `time + gap`. The skipped cycles
     /// still count as simulated time, so `Stats` stays bit-identical to a

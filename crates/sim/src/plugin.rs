@@ -180,21 +180,20 @@ pub trait Plugin {
 
     /// The earliest future cycle at which this plugin's *time-driven* state
     /// can change: a timeout counter crossing its threshold, an in-flight
-    /// special message arriving, a TTL expiring. Consulted by the leap
-    /// clock ([`crate::ClockMode::Leap`]) when the runnable set is empty;
-    /// the engine will not execute any cycle strictly before the returned
-    /// value, and the plugin's `before_cycle`/`after_cycle` must account
-    /// for the skipped cycles (e.g. by advancing counters by the elapsed
-    /// time rather than by 1).
+    /// special message arriving, a TTL expiring. Consulted by the engine
+    /// when the runnable set is empty; it will not execute any cycle
+    /// strictly before the returned value, and the plugin's
+    /// `before_cycle`/`after_cycle` must account for the skipped cycles
+    /// (e.g. by advancing counters by the elapsed time rather than by 1).
     ///
     /// The bound may be conservative (earlier than the true event — the
     /// extra cycles are merely executed), but must never be later than the
     /// first cycle whose execution differs from a no-op. `None` means "no
-    /// timed state at all" (the default); any value `<= core.time()` means
-    /// "do not leap".
+    /// timed state at all"; any value `<= core.time()` means "execute
+    /// every cycle", which is the default: a plugin that does not say when
+    /// its next event is sees every cycle.
     fn next_timer(&self, core: &NetCore) -> Option<u64> {
-        let _ = core;
-        None
+        Some(core.time())
     }
 
     /// Serialize the plugin's complete mutable state as a JSON blob for an
@@ -234,7 +233,11 @@ pub trait Plugin {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NullPlugin;
 
-impl Plugin for NullPlugin {}
+impl Plugin for NullPlugin {
+    fn next_timer(&self, _core: &NetCore) -> Option<u64> {
+        None
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -11,8 +11,8 @@
 //! [`crate::traffic::TrafficSource::snapshot_state`]). It does not hold
 //! scheduler state (occupancy words, cached head bytes, worklist, time
 //! wheel: [`crate::Simulator::restore`] re-derives them from the tables) or
-//! how the run is driven (clock, scan mode, audit cadence: the restoring
-//! simulator keeps its own).
+//! how the run is driven (scan mode, audit cadence: the restoring simulator
+//! keeps its own).
 //!
 //! The determinism contract: build a fresh simulator from the same
 //! scenario, [`crate::Simulator::restore`] the snapshot into it, and

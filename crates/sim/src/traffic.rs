@@ -13,8 +13,8 @@
 //! a derived RNG stream and a precomputed next-arrival cycle. A
 //! Bernoulli(p) process injects after i.i.d. geometric gaps with mean 1/p,
 //! so both samplers offer the same mean load; the geometric form consumes
-//! no randomness on quiet cycles, which is what lets the leap clock
-//! ([`crate::ClockMode::Leap`]) skip them wholesale.
+//! no randomness on quiet cycles, which is what lets the engine skip them
+//! wholesale.
 
 use crate::packet::{NewPacket, Packet};
 use rand::rngs::StdRng;
@@ -52,14 +52,14 @@ pub trait TrafficSource {
 
     /// The earliest cycle at or after `now + 1` at which this source may
     /// produce a packet, viewed from cycle `now` (whose `generate` call
-    /// has already happened). The leap clock uses this to skip dead
-    /// cycles, so an implementation must guarantee that `generate` would
-    /// return an empty vector — *without consuming any shared RNG state* —
-    /// for every cycle strictly before the returned value.
+    /// has already happened). The engine uses this to skip dead cycles,
+    /// so an implementation must guarantee that `generate` would return an
+    /// empty vector — *without consuming any shared RNG state* — for every
+    /// cycle strictly before the returned value.
     ///
-    /// `None` means "never again". Any value `<= now` means "unknown; do
-    /// not leap", which is the conservative default and exactly right for
-    /// the Bernoulli sampler (it flips a coin every cycle).
+    /// `None` means "never again". Any value `<= now` means "unknown;
+    /// execute every cycle", which is the conservative default and exactly
+    /// right for the Bernoulli sampler (it flips a coin every cycle).
     fn next_arrival(&self, now: u64) -> Option<u64> {
         Some(now)
     }
@@ -187,7 +187,7 @@ pub fn check_injectable(rate: f64) -> Result<(), String> {
 enum Sampler {
     /// One coin per node per cycle from the shared engine RNG — the
     /// statistical reference. Consumes randomness on every cycle, so
-    /// `next_arrival` stays at the conservative "do not leap" default.
+    /// `next_arrival` stays at the conservative "every cycle" default.
     Bernoulli,
     /// Precomputed geometric inter-arrival gaps on per-node RNG streams.
     Geometric(GeomState),
@@ -195,7 +195,7 @@ enum Sampler {
 
 /// State of the geometric sampler. Lazily seeded on the first `generate`
 /// call: one `next_u64` is drawn from the shared engine RNG (the same
-/// single draw in step and leap mode, at the same cycle) and fanned out
+/// single draw at the same cycle however the run is driven) and fanned out
 /// into per-node streams, after which the engine RNG is never touched
 /// again by this source.
 #[derive(Debug, Clone, Default)]
@@ -381,7 +381,7 @@ impl<P: Pattern> Synthetic<P> {
     /// Switch to geometric inter-arrival sampling: same mean offered load,
     /// but each node precomputes its next arrival cycle on a private RNG
     /// stream, so quiet cycles consume no randomness and [`TrafficSource::
-    /// next_arrival`] is exact. Required for the leap clock to skip
+    /// next_arrival`] is exact. Required for the engine to skip
     /// traffic-free gaps; the Bernoulli default remains the statistical
     /// reference (the two draw different streams, so per-run numbers
     /// differ while distributions agree).

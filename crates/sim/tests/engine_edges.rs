@@ -1,78 +1,48 @@
 //! Engine edge cases: argument validation, vnet clamping, arbitration
-//! fairness.
+//! fairness, hook defaults.
 
 use sb_routing::XyRouting;
-use sb_sim::{NewPacket, NullPlugin, ScriptedTraffic, SimConfig, Simulator};
+use sb_sim::{NetCore, NewPacket, NoTraffic, NullPlugin, Plugin, ScriptedTraffic, SimConfig};
+use sb_sim::{Simulator, TrafficSource};
 use sb_topology::{Mesh, NodeId, Topology};
+
+/// A no-mechanism engine with XY routes over `topo`.
+fn xy<T: TrafficSource>(topo: &Topology, cfg: SimConfig, traffic: T) -> Simulator<NullPlugin, T> {
+    let planner = Box::new(XyRouting::new(topo));
+    Simulator::new(topo, cfg, planner, NullPlugin, traffic, 0)
+}
+
+/// One packet from node 0 at cycle 0.
+fn one_packet(dst: u16, vnet: u8, len_flits: u16) -> ScriptedTraffic {
+    let (src, dst) = (NodeId(0), NodeId(dst));
+    let packet = NewPacket {
+        src,
+        dst,
+        vnet,
+        len_flits,
+    };
+    ScriptedTraffic::new(vec![(0, packet)])
+}
 
 #[test]
 #[should_panic(expected = "packet length")]
 fn oversized_packets_are_rejected() {
-    let mesh = Mesh::new(2, 2);
-    let topo = Topology::full(mesh);
-    let mut sim = Simulator::new(
-        &topo,
-        SimConfig::tiny(), // max 5 flits
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
-        ScriptedTraffic::new(vec![(
-            0,
-            NewPacket {
-                src: NodeId(0),
-                dst: NodeId(3),
-                vnet: 0,
-                len_flits: 6,
-            },
-        )]),
-        0,
-    );
-    sim.tick();
+    let topo = Topology::full(Mesh::new(2, 2));
+    xy(&topo, SimConfig::tiny(), one_packet(3, 0, 6)).tick(); // max 5 flits
 }
 
 #[test]
 #[should_panic(expected = "packet length")]
 fn zero_length_packets_are_rejected() {
-    let mesh = Mesh::new(2, 2);
-    let topo = Topology::full(mesh);
-    let mut sim = Simulator::new(
-        &topo,
-        SimConfig::tiny(),
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
-        ScriptedTraffic::new(vec![(
-            0,
-            NewPacket {
-                src: NodeId(0),
-                dst: NodeId(3),
-                vnet: 0,
-                len_flits: 0,
-            },
-        )]),
-        0,
-    );
-    sim.tick();
+    let topo = Topology::full(Mesh::new(2, 2));
+    xy(&topo, SimConfig::tiny(), one_packet(3, 0, 0)).tick();
 }
 
 #[test]
 fn out_of_range_vnets_are_clamped() {
-    let mesh = Mesh::new(3, 1);
-    let topo = Topology::full(mesh);
-    let mut sim = Simulator::new(
-        &topo,
-        SimConfig::tiny(), // 1 vnet
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
-        ScriptedTraffic::new(vec![(
-            0,
-            NewPacket {
-                src: NodeId(0),
-                dst: NodeId(2),
-                vnet: 7, // clamped to 0
-                len_flits: 1,
-            },
-        )]),
-        0,
-    );
+    let topo = Topology::full(Mesh::new(3, 1));
+    // One vnet: vnet 7 is clamped to 0.
+    let mut sim = xy(&topo, SimConfig::tiny(), one_packet(2, 7, 1));
     assert!(sim.run_until_drained(100));
     assert_eq!(sim.core().stats().delivered_packets, 1);
 }
@@ -108,69 +78,27 @@ fn round_robin_shares_a_contended_output() {
             },
         ));
     }
-    let mut sim = Simulator::new(
+    let mut sim = xy(
         &topo,
         SimConfig::single_vnet(),
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
         ScriptedTraffic::new(script),
-        0,
     );
     assert!(sim.run_until_drained(20_000));
     assert_eq!(sim.core().stats().delivered_packets, 400);
 }
 
-#[test]
-fn run_until_deadlock_respects_budget() {
-    let topo = Topology::full(Mesh::new(3, 3));
-    let mut sim = Simulator::new(
-        &topo,
-        SimConfig::single_vnet(),
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
-        sb_sim::NoTraffic,
-        0,
-    );
-    let before = sim.time();
-    assert_eq!(sim.run_until_deadlock(100, 10), None);
-    assert!(sim.time() >= before + 100);
-    assert!(sim.time() <= before + 110);
-}
-
+/// The last inner batch is clamped to the remaining budget, so a check
+/// interval that does not divide `max_cycles`, or exceeds it, still ends
+/// exactly on budget — it used to round up to the next multiple of
+/// `check_every`.
 #[test]
 fn run_until_deadlock_never_overshoots_the_budget() {
-    // The last inner batch is clamped to the remaining budget, so a
-    // check interval that does not divide max_cycles still ends exactly
-    // on budget — it used to round up to the next multiple of
-    // check_every.
     let topo = Topology::full(Mesh::new(3, 3));
-    let mut sim = Simulator::new(
-        &topo,
-        SimConfig::single_vnet(),
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
-        sb_sim::NoTraffic,
-        0,
-    );
-    let before = sim.time();
-    assert_eq!(sim.run_until_deadlock(100, 7), None);
-    assert_eq!(sim.time(), before + 100);
-}
-
-#[test]
-fn run_until_deadlock_check_interval_larger_than_budget() {
-    let topo = Topology::full(Mesh::new(3, 3));
-    let mut sim = Simulator::new(
-        &topo,
-        SimConfig::single_vnet(),
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
-        sb_sim::NoTraffic,
-        0,
-    );
-    let before = sim.time();
-    assert_eq!(sim.run_until_deadlock(42, 1_000), None);
-    assert_eq!(sim.time(), before + 42);
+    for (budget, check_every) in [(100, 10), (100, 7), (42, 1_000)] {
+        let mut sim = xy(&topo, SimConfig::single_vnet(), NoTraffic);
+        assert_eq!(sim.run_until_deadlock(budget, check_every), None);
+        assert_eq!(sim.time(), budget, "checking every {check_every}");
+    }
 }
 
 #[test]
@@ -228,13 +156,39 @@ fn fairness_index_distinguishes_uniform_from_hotspot() {
 #[test]
 fn fairness_is_none_before_any_delivery() {
     let topo = Topology::full(Mesh::new(2, 2));
-    let sim = Simulator::new(
-        &topo,
-        SimConfig::tiny(),
-        Box::new(XyRouting::new(&topo)),
-        NullPlugin,
-        sb_sim::NoTraffic,
-        0,
-    );
+    let sim = xy(&topo, SimConfig::tiny(), NoTraffic);
     assert_eq!(sim.core().delivery_fairness(), None);
+}
+
+/// A plugin with a private countdown that does not say when it fires.
+#[derive(Default)]
+struct Counting {
+    cycles_seen: u64,
+}
+
+impl Plugin for Counting {
+    fn before_cycle(&mut self, _core: &mut NetCore) {
+        self.cycles_seen += 1;
+    }
+}
+
+/// Both hook defaults veto skipping: a plugin that does not override
+/// `next_timer` sees every cycle of an idle network, however the run is
+/// cut into calls (`NullPlugin`, which has no timed state, says so and is
+/// skipped over).
+#[test]
+fn a_plugin_without_next_timer_sees_every_cycle() {
+    let topo = Topology::full(Mesh::new(4, 4));
+    let n = 500;
+    let seen = |chunk: u64| {
+        let planner = Box::new(XyRouting::new(&topo));
+        let cfg = SimConfig::tiny();
+        let mut sim = Simulator::new(&topo, cfg, planner, Counting::default(), NoTraffic, 0);
+        (0..n / chunk).for_each(|_| sim.run(chunk));
+        assert_eq!(sim.core().active_count(), 0, "an idle network");
+        assert_eq!(sim.time(), n);
+        sim.plugin().cycles_seen
+    };
+    assert_eq!(seen(1), n);
+    assert_eq!(seen(n), n);
 }

@@ -232,7 +232,7 @@ mod tests {
             assert!(next > t, "next_arrival({t}) = {next} is not in the future");
             if next > t + 1 {
                 // A probe strictly inside the gap is empty and must not
-                // disturb the schedule — the leap-clock contract.
+                // disturb the schedule — the `next_arrival` contract.
                 assert!(src.generate(t + 1, &topo, &mut rng).is_empty());
                 assert_eq!(src.next_arrival(t + 1), Some(next));
             }

@@ -242,6 +242,10 @@ fn main() {
              \x20            [--drain BUDGET] [--bisect]\n\
              \x20            [--threads N]\n\
              \n\
+             --clock: arrival sampler of the synthetic traffic. step (default)\n\
+             flips a Bernoulli coin per node per cycle; leap draws geometric\n\
+             gaps, and the engine skips the cycles between arrivals. Same mean\n\
+             load, different packets.\n\
              --threads: worker threads for building the all-pairs route tables\n\
              of the minimal designs (1 = sequential, 0 = auto-detect). The\n\
              simulation itself is single-threaded; results do not depend on it.\n\

@@ -4,12 +4,14 @@
 //! per deadlock design through the three ways a run may legitimately be
 //! executed differently and asserts that nothing observable moves:
 //!
-//! * change-driven worklist vs the `scan_all_routers` reference sweep;
-//! * stepped clock vs leap clock (same geometric arrival sampler);
+//! * change-driven worklist vs the `scan_all_routers` reference sweep,
+//!   which executes every cycle;
+//! * every phase in one call (the engine skips whatever is dead) vs one
+//!   cycle a call (a call's last cycle always executes, so every cycle
+//!   does) vs a chunk of cycles at a time (how `sbsim --bisect` keeps a
+//!   replay point near the wedge);
 //! * uninterrupted vs snapshot → restore into a fresh engine → continue,
-//!   under both clocks and across the two scan modes;
-//! * every phase in one call vs a chunk of cycles at a time, under both
-//!   clocks (how `sbsim --bisect` keeps a replay point near the wedge).
+//!   driven either way and across the two scan modes.
 //!
 //! The last one is what catches a plugin index that is derived from its
 //! serialized state (Static Bubble's frozen-router list, FSM slot index and
@@ -25,7 +27,7 @@
 
 use static_bubble_repro::core::StaticBubblePlugin;
 use static_bubble_repro::fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
-use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
+use static_bubble_repro::scenario::{Design, FaultSpec, Scenario, SimRunner};
 use static_bubble_repro::sim::{SimConfig, Stats, UniformTraffic};
 use static_bubble_repro::topology::FaultKind;
 use static_bubble_repro::workloads::{AppTraffic, RodiniaApp};
@@ -33,10 +35,23 @@ use static_bubble_repro::workloads::{AppTraffic, RodiniaApp};
 /// What a contract run offers the network.
 enum Load {
     /// Open loop: uniform-random at this rate, geometric inter-arrival gaps
-    /// (the one sampler both clocks can run).
+    /// (the sampler that leaves the engine cycles to skip).
     Uniform(f64),
     /// Closed loop: requests, and the replies owed for them.
     App(RodiniaApp),
+}
+
+/// How a run is driven: `run(1)` a cycle at a time is the stepper — a
+/// call's last cycle always executes, so every cycle does — and one call a
+/// phase lets the engine skip what is dead.
+const A_CYCLE_A_CALL: u64 = 1;
+const ONE_CALL: u64 = u64::MAX;
+
+/// `total` cycles as calls of at most `chunk`.
+fn calls(total: u64, chunk: u64) -> impl Iterator<Item = u64> {
+    (0..total)
+        .step_by(chunk as usize)
+        .map(move |at| chunk.min(total - at))
 }
 
 /// Nothing to hold between a snapshot's source and its restored twin.
@@ -59,16 +74,14 @@ struct Contract {
     goes_quiet: bool,
 }
 
-/// Everything a run leaves behind that a user can observe, and the
-/// plugin's and the traffic source's own end states (their snapshot blobs).
+/// Everything a run leaves behind that a user can observe, and the whole
+/// final snapshot, as written (the plugin's and the traffic source's own
+/// end states are blobs in it).
 #[derive(Debug, Clone, PartialEq)]
 struct Observed {
     stats: Stats,
     end_time: u64,
     escapes: Option<u64>,
-    plugin_state: String,
-    traffic_state: String,
-    /// The whole final snapshot, as written.
     snapshot: String,
 }
 
@@ -113,11 +126,13 @@ impl Contract {
         }
     }
 
-    /// Run the rest of the load phase, close the tap, drain, audit.
-    fn finish(&self, mut runner: Box<dyn SimRunner>) -> Observed {
-        runner.run(self.load - runner.time());
+    /// Run the rest of the load phase, close the tap, drain, audit — at
+    /// most `chunk` cycles a call.
+    fn finish(&self, mut runner: Box<dyn SimRunner>, chunk: u64) -> Observed {
+        calls(self.load - runner.time(), chunk).for_each(|n| runner.run(n));
         runner.halt_injection();
-        assert!(runner.run_until_drained(50_000), "network must drain");
+        let drained = calls(50_000, chunk).any(|n| runner.run_until_drained(n));
+        assert!(drained, "network must drain");
         if let Some(report) = runner.audit_now() {
             panic!("end-of-run audit failed:\n{report}");
         }
@@ -127,21 +142,14 @@ impl Contract {
             end_time: runner.time(),
             escapes: runner.escapes(),
             snapshot: end.to_json().expect("snapshot serializes"),
-            plugin_state: end.plugin,
-            traffic_state: end.traffic,
         }
     }
 
     /// A whole run the way `sbsim` drives one — warm-up, window, tap closed,
     /// drain — at most `chunk` cycles a call; the final snapshot, as written.
-    fn driven(&self, clock: ClockMode, chunk: u64) -> String {
+    fn driven(&self, chunk: u64) -> String {
         let mut runner = self.build();
-        runner.set_clock(clock);
-        let calls = |total: u64| {
-            (0..total)
-                .step_by(chunk as usize)
-                .map(move |at| chunk.min(total - at))
-        };
+        let calls = |total| calls(total, chunk);
         let warmup = self.load / 4;
         calls(warmup).for_each(|n| runner.warmup(n));
         calls(self.load - warmup).for_each(|n| runner.run(n));
@@ -183,81 +191,78 @@ impl Contract {
     }
 
     /// Run to cycle `at`, snapshot, restore into a fresh engine and finish
-    /// there; `interrupted` and `resumed` set each engine up first, and
-    /// `restored_like` is held between the two at the restore.
+    /// there, both at most `chunk` cycles a call; `interrupted` and
+    /// `resumed` set each engine up first, and `restored_like` is held
+    /// between the two at the restore.
     fn resume_at(
         &self,
         at: u64,
+        chunk: u64,
         interrupted: impl FnOnce(&mut dyn SimRunner),
         resumed: impl FnOnce(&mut dyn SimRunner),
         restored_like: fn(&dyn SimRunner, &dyn SimRunner),
     ) -> Observed {
         let mut from = self.build();
         interrupted(from.as_mut());
-        from.run(at);
+        calls(at, chunk).for_each(|n| from.run(n));
         let snapshot = from.snapshot().expect("snapshot");
         assert_eq!(snapshot.time, at);
         let mut into = self.build();
         resumed(into.as_mut());
         into.restore(&snapshot).expect("restore");
         restored_like(from.as_ref(), into.as_ref());
-        self.finish(into)
+        self.finish(into, chunk)
     }
 
-    /// The reference run, and the three variants held against it.
+    /// The reference run — every cycle executed, a call each — and the
+    /// variants held against it.
     fn check(&self) -> Observed {
-        let reference = self.finish(self.build());
+        let reference = self.finish(self.build(), A_CYCLE_A_CALL);
 
         let mut full_scan = self.build();
         full_scan.scan_all_routers(true);
         assert_eq!(
-            self.finish(full_scan),
+            self.finish(full_scan, ONE_CALL),
             reference,
             "worklist vs scan_all_routers"
         );
 
-        // The clocks agree on what a user observes; a plugin's counters sit
-        // where its last executed tick left them, which is the clock's
-        // business.
-        let mut leap = self.build();
-        leap.set_clock(ClockMode::Leap);
-        let leaped = self.finish(leap);
-        let seen = Observed {
-            plugin_state: reference.plugin_state.clone(),
-            snapshot: reference.snapshot.clone(),
-            ..leaped.clone()
-        };
-        assert_eq!(seen, reference, "step vs leap");
+        // Skipping the dead cycles moves nothing, down to the bytes of the
+        // final snapshot: a plugin catches its counters up on the next
+        // executed tick, and the last cycle of every call is one.
+        assert_eq!(
+            self.finish(self.build(), ONE_CALL),
+            reference,
+            "a cycle a call vs one call a phase"
+        );
 
-        // Restored under the clock the run is held against, everything
-        // matches: a restored engine owes its uninterrupted twin the bytes.
+        // Driven either way, a restored engine owes its uninterrupted twin
+        // the bytes.
         let points = self.snapshot_points();
-        for (clock, uninterrupted) in [(ClockMode::Step, &reference), (ClockMode::Leap, &leaped)] {
+        for chunk in [A_CYCLE_A_CALL, ONE_CALL] {
             for (i, &(what, at)) in points.iter().enumerate() {
                 let like = if i == 0 {
                     self.restored_like
                 } else {
                     nothing_to_hold
                 };
-                let set = |r: &mut dyn SimRunner| r.set_clock(clock);
-                let resumed = self.resume_at(at, set, set, like);
+                let resumed = self.resume_at(at, chunk, |_| {}, |_| {}, like);
                 assert!(
-                    resumed == *uninterrupted,
-                    "{clock:?}: uninterrupted vs restored at cycle {at} ({what})"
+                    resumed == reference,
+                    "chunk {chunk}: uninterrupted vs restored at cycle {at} ({what})"
                 );
             }
         }
         // The scan mode is the restoring engine's own, whichever the
         // snapshot was taken under.
         let (_, at) = points[0];
-        let into_full_scan =
-            self.resume_at(at, |_| {}, |r| r.scan_all_routers(true), nothing_to_hold);
+        let full = |r: &mut dyn SimRunner| r.scan_all_routers(true);
+        let into_full_scan = self.resume_at(at, A_CYCLE_A_CALL, |_| {}, full, nothing_to_hold);
         assert!(
             into_full_scan == reference,
             "worklist snapshot, full-scan engine"
         );
-        let from_full_scan =
-            self.resume_at(at, |r| r.scan_all_routers(true), |_| {}, nothing_to_hold);
+        let from_full_scan = self.resume_at(at, A_CYCLE_A_CALL, full, |_| {}, nothing_to_hold);
         assert!(
             from_full_scan == reference,
             "full-scan snapshot, worklist engine"
@@ -265,12 +270,12 @@ impl Contract {
         // A run loop's deadline is a clock event and only a warm-up's last
         // window reset stands, so where the calls are cut changes nothing:
         // chunk ends fall inside every phase, some across a pending leap.
-        for clock in [ClockMode::Step, ClockMode::Leap] {
-            assert!(
-                self.driven(clock, 100) == self.driven(clock, u64::MAX),
-                "{clock:?}: a chunk at a time vs one call a phase"
-            );
-        }
+        let whole = self.driven(ONE_CALL);
+        assert!(self.driven(100) == whole, "100 cycles a call vs one call");
+        assert!(
+            self.driven(A_CYCLE_A_CALL) == whole,
+            "a cycle a call vs one call"
+        );
         reference
     }
 }
@@ -323,7 +328,7 @@ fn escape_vc_escalates_identically_in_every_mode() {
 
 #[test]
 fn spanning_tree_leaps_identically_in_every_mode() {
-    // Sparse enough that the leap clock skips most cycles.
+    // Sparse enough that the engine skips most cycles.
     let mut contract = Contract::new(
         Design::SpanningTree,
         SimConfig::single_vnet(),
