@@ -8,7 +8,7 @@
 //! the pre-fleet version did) patched onto the expanded runs before they
 //! fan out over the pool.
 
-use sb_bench::{cache_from_args, sample_seeds, sweep::default_threads, Args, Design, Table};
+use sb_bench::{cache_from_args, sample_seeds, sweep::jobs_from_args, Args, Design, Table};
 use sb_fleet::{aggregate, run_records, ExecOptions, SweepSpec};
 use sb_sim::SpecialClass;
 
@@ -26,7 +26,7 @@ fn main() {
     let topos = args.get_usize("topos", 6);
     let cycles = args.get_u64("cycles", 8_000);
     let rate = args.get_f64("rate", 0.30);
-    let jobs = default_threads(&args);
+    let jobs = jobs_from_args(&args);
 
     let variants = ["full", "no-forking", "no-check-probe", "neither"];
 

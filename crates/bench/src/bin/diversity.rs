@@ -7,7 +7,7 @@
 //! fraction of pairs left with a *single* minimal path — the pairs that
 //! deadlock-prone minimal routing cannot spread at all.
 
-use sb_bench::{parallel_map, sweep::default_threads, Args, Table};
+use sb_bench::{sweep::jobs_from_args, Args, Table};
 use sb_routing::MinimalRouting;
 use sb_topology::{FaultKind, FaultModel, Mesh};
 
@@ -20,7 +20,7 @@ fn main() {
     let topos = args.get_usize("topos", 12);
     let cap = args.get_u64("cap", 64) as u128;
     let mesh = Mesh::new(8, 8);
-    let threads = default_threads(&args);
+    let jobs = jobs_from_args(&args);
 
     let mut table = Table::new(
         "Path diversity vs faults (avg minimal paths per pair, capped; % single-path pairs)",
@@ -30,7 +30,7 @@ fn main() {
         (FaultKind::Links, vec![0usize, 5, 10, 20, 30, 40, 50]),
         (FaultKind::Routers, vec![4usize, 8, 16, 24, 32]),
     ] {
-        let rows = parallel_map(points, threads, |&faults| {
+        let rows = sb_pool::ordered_map_unwrap(points, jobs, |_, faults| {
             let model = FaultModel::new(kind, faults);
             let batch = model.sample_topologies(mesh, 0xD1F + faults as u64, topos);
             let mut div = 0.0;

@@ -6,7 +6,7 @@
 //! unrestricted minimal routing and watching for deadlock; pass `--sim` to
 //! run that verification too).
 
-use sb_bench::{parallel_map, sweep::default_threads, Args, Table};
+use sb_bench::{sweep::jobs_from_args, Args, Table};
 use sb_routing::MinimalRouting;
 use sb_sim::{NullPlugin, SimConfig, Simulator, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh};
@@ -26,7 +26,7 @@ fn main() {
     let step = args.get_usize("step", 5);
     let do_sim = args.flag("sim");
     let mesh = Mesh::new(8, 8);
-    let threads = default_threads(&args);
+    let jobs = jobs_from_args(&args);
 
     let mut table = Table::new(
         "Fig. 2: % deadlock-prone topologies (cycle in the surviving graph)",
@@ -34,7 +34,7 @@ fn main() {
     );
     for (kind, max) in [(FaultKind::Links, 96usize), (FaultKind::Routers, 60)] {
         let points: Vec<usize> = (1..=max).step_by(step).collect();
-        let rows = parallel_map(points, threads, |&faults| {
+        let rows = sb_pool::ordered_map_unwrap(points, jobs, |_, faults| {
             let model = FaultModel::new(kind, faults);
             let batch = model.sample_topologies(mesh, 0xF16_0002 + faults as u64, topos);
             let prone = batch.iter().filter(|t| t.has_undirected_cycle()).count();

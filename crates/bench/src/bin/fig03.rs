@@ -5,7 +5,7 @@
 //! running unrestricted minimal routing at each ladder rate until the
 //! oracle reports a deadlock or the budget expires.
 
-use sb_bench::{parallel_map, sweep::default_threads, Args, Table};
+use sb_bench::{sweep::jobs_from_args, Args, Table};
 use sb_routing::MinimalRouting;
 use sb_sim::{NullPlugin, SimConfig, Simulator, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh};
@@ -21,7 +21,7 @@ fn main() {
     let mesh = Mesh::new(8, 8);
     let rates = [0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5];
     let fault_points = [1usize, 5, 10, 15, 20, 25, 30, 40, 50];
-    let threads = default_threads(&args);
+    let jobs = jobs_from_args(&args);
 
     let mut headers: Vec<String> = vec!["faulty_links".into()];
     headers.extend(rates.iter().map(|r| format!("r{r}")));
@@ -31,7 +31,7 @@ fn main() {
         &headers_ref,
     );
 
-    let rows = parallel_map(fault_points.to_vec(), threads, |&faults| {
+    let rows = sb_pool::ordered_map_unwrap(fault_points.to_vec(), jobs, |_, faults| {
         let model = FaultModel::new(FaultKind::Links, faults);
         let batch = model.sample_topologies(mesh, 0xF16_0003 + faults as u64, topos);
         // Minimum deadlocking rate index per topology (None = never).

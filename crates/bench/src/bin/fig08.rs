@@ -11,7 +11,7 @@
 //! `sample_topologies` per-sample seeds and whose simulation seeds
 //! (`100 + topology index`) are patched onto the expanded runs, so the
 //! numbers match the pre-fleet version bit for bit while the whole grid
-//! fans out over one work-stealing pool and through the content-addressed
+//! fans out over one pool and through the content-addressed
 //! result cache (`--cache-dir`).
 
 use sb_bench::{fleet_results, sample_seeds, Args, Design, Table};

@@ -4,13 +4,11 @@
 //!
 //! Application traffic has no serialized form, so this stays a pool-level
 //! fleet client: the full app × fault-point grid is flattened into one
-//! work list and fanned over the work-stealing pool (`--jobs 1` runs it
+//! work list and fanned over the pool (`--jobs 1` runs it
 //! sequentially in grid order), instead of the pre-fleet per-app batches
 //! that left workers idle at each app boundary.
 
-use sb_bench::{
-    parallel_map, sample_topologies_filtered, sweep::default_threads, Args, Design, Table,
-};
+use sb_bench::{sample_topologies_filtered, sweep::jobs_from_args, Args, Design, Table};
 use sb_sim::SimConfig;
 use sb_topology::{FaultKind, Mesh};
 use sb_workloads::{default_memory_controllers, AppTraffic, RodiniaApp};
@@ -24,7 +22,7 @@ fn main() {
     let topos = args.get_usize("topos", 4);
     let cycles = args.get_u64("cycles", 20_000);
     let mesh = Mesh::new(8, 8);
-    let jobs = default_threads(&args);
+    let jobs = jobs_from_args(&args);
 
     let mut table = Table::new(
         "Fig. 12: Rodinia app throughput (txn/kcycle), normalized to sp-tree",
@@ -43,13 +41,13 @@ fn main() {
     ];
 
     // One flat work list: every (app, fault point) cell is an independent
-    // task, so a slow cell steals help instead of serializing its app.
+    // task, so a slow cell does not serialize its app.
     let grid: Vec<(RodiniaApp, FaultKind, usize)> = RodiniaApp::ALL
         .iter()
         .flat_map(|&app| fault_points.iter().map(move |&(k, f)| (app, k, f)))
         .collect();
 
-    let rows = parallel_map(grid, jobs, |&(app, kind, faults)| {
+    let rows = sb_pool::ordered_map_unwrap(grid, jobs, |_, (app, kind, faults)| {
         let mcs = default_memory_controllers(mesh);
         let (batch, attempts) = sample_topologies_filtered(
             mesh,

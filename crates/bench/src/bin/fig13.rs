@@ -5,12 +5,10 @@
 //! full-system runtime stand-in); EDP = network energy × runtime.
 //!
 //! Application traffic has no serialized form, so this stays a pool-level
-//! fleet client: the per-app work list fans out over the work-stealing
-//! pool (`--jobs 1` runs it sequentially in app order).
+//! fleet client: the per-app work list fans out over the pool (`--jobs 1`
+//! runs it sequentially in app order).
 
-use sb_bench::{
-    parallel_map, sample_topologies_filtered, sweep::default_threads, Args, Design, Table,
-};
+use sb_bench::{sample_topologies_filtered, sweep::jobs_from_args, Args, Design, Table};
 use sb_energy::EnergyModel;
 use sb_sim::SimConfig;
 use sb_topology::{FaultKind, Mesh};
@@ -32,7 +30,7 @@ fn main() {
     let max_cycles = args.get_u64("max-cycles", 400_000);
     let mesh = Mesh::new(8, 8);
     let model = EnergyModel::dsent_32nm();
-    let jobs = default_threads(&args);
+    let jobs = jobs_from_args(&args);
 
     let mut table = Table::new(
         "Fig. 13: PARSEC runtime and network EDP normalized to sp-tree (4 link faults)",
@@ -48,7 +46,7 @@ fn main() {
     );
 
     let apps: Vec<ParsecApp> = ParsecApp::ALL.to_vec();
-    let rows = parallel_map(apps, jobs, |&app| {
+    let rows = sb_pool::ordered_map_unwrap(apps, jobs, |_, app| {
         let (batch, attempts) =
             sample_topologies_filtered(mesh, FaultKind::Links, 4, topos, 0xF16_0013, |t| {
                 AppTraffic::new(app.profile(), t).is_some()

@@ -3,14 +3,14 @@
 //! curve whose knees Fig. 9 summarizes).
 //!
 //! A thin fleet client: the grid is a [`SweepSpec`], execution fans out
-//! over the work-stealing pool (`--jobs 1` is the sequential reference
-//! path), and the cells come from the aggregated report — so the printed
-//! table is identical for any `--jobs` value.
+//! one run per worker (`--jobs 1` is the sequential reference path,
+//! `--cache-dir` memoizes the runs), and the cells come from the aggregated
+//! report — so the printed table is identical for any `--jobs` value.
 
 use std::collections::HashMap;
 
-use sb_bench::{sweep::default_threads, Args, Table};
-use sb_fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
+use sb_bench::{cache_from_args, sweep::jobs_from_args, Args, Table};
+use sb_fleet::{run_sweep, ExecOptions, SweepSpec};
 use sb_scenario::Design;
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
     let faults = args.get_usize("faults", 15);
     let seed = args.get_u64("seed", 1);
     let window = args.get_u64("window", 6_000);
-    let jobs = default_threads(&args);
+    let jobs = jobs_from_args(&args);
 
     let designs = [
         Design::SpanningTree,
@@ -54,8 +54,12 @@ fn main() {
         .iter()
         .map(|r| (r.group.as_str(), (r.scenario.design, r.rate)))
         .collect();
-    let (report, _) = run_sweep(&spec, jobs, ExecOptions::default(), &CacheConfig::none())
-        .expect("loadsweep sweep");
+    let cache = cache_from_args(&args);
+    let (report, acct) =
+        run_sweep(&spec, jobs, ExecOptions::default(), &cache).expect("loadsweep sweep");
+    if cache.dir.is_some() {
+        eprintln!("{}", acct.to_json_line());
+    }
     let mut cells: HashMap<(Design, u64), (f64, f64)> = HashMap::new();
     for point in &report.points {
         let (design, rate) = coords[point.group.as_str()];

@@ -44,7 +44,7 @@ pub struct Args {
 }
 
 /// Keys every experiment binary accepts without declaring them. `--jobs`
-/// feeds [`crate::sweep::default_threads`]. `--cache-dir` points the
+/// feeds [`crate::sweep::jobs_from_args`]. `--cache-dir` points the
 /// fleet's content-addressed result cache at a directory
 /// ([`crate::sweep::cache_from_args`]).
 const BUILTIN_KEYS: &[&str] = &["jobs", "cache-dir", "help"];
@@ -55,7 +55,7 @@ impl Args {
     /// Prints the familiar `== name: what` banner to stderr, then parses.
     /// `--help` prints usage and exits 0; unknown options or stray positional
     /// arguments print the usage banner and exit 2. `--jobs` is accepted
-    /// by every binary (see [`crate::sweep::default_threads`]).
+    /// by every binary (see [`crate::sweep::jobs_from_args`]).
     pub fn parse_spec(name: &str, what: &str, knobs: &[(&str, &str)]) -> Self {
         match Self::try_parse_spec(std::env::args().skip(1), name, what, knobs) {
             Ok(args) => {
@@ -118,7 +118,7 @@ impl Args {
             writeln!(s, "    --{k:<12} (default {d})").expect("write to string");
         }
         s.push_str(
-            "    --jobs         worker threads; 1 = sequential (default: available cores)\n    \
+            "    --jobs         worker threads; 1 = sequential, 0 = all cores (default)\n    \
              --cache-dir    memoize simulation results in this directory\n    --help\n",
         );
         s
@@ -214,9 +214,25 @@ mod tests {
     }
 
     #[test]
+    fn jobs_zero_is_all_cores_and_the_default() {
+        // One meaning, resolved where the threads start (`sb_pool`): absent
+        // and an explicit 0 both reach the pool as 0.
+        use crate::sweep::jobs_from_args;
+        assert_eq!(jobs_from_args(&strict(&[]).expect("valid argv")), 0);
+        let zero = strict(&["--jobs", "0"]).expect("valid argv");
+        assert_eq!(jobs_from_args(&zero), 0);
+        let one = strict(&["--jobs", "1"]).expect("valid argv");
+        assert_eq!(jobs_from_args(&one), 1);
+        assert!(
+            zero.usage.contains("0 = all cores (default)"),
+            "{}",
+            zero.usage
+        );
+    }
+
+    #[test]
     fn spec_rejects_the_retired_threads_alias() {
-        // `--threads` is `sbsim`'s route-table build knob; the figure
-        // binaries' worker count has one spelling, `--jobs`.
+        // The worker count has one spelling, `--jobs`.
         let Err(ArgError::Bad(msg)) = strict(&["--threads", "2"]) else {
             panic!("--threads must be rejected");
         };

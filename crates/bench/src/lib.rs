@@ -21,9 +21,7 @@ pub mod table;
 pub use cli::{ArgError, Args};
 pub use sb_scenario::design;
 pub use sb_scenario::{Design, RunOutcome, Scenario};
-pub use sweep::{
-    cache_from_args, fleet_results, parallel_map, sample_seeds, sample_topologies_filtered,
-};
+pub use sweep::{cache_from_args, fleet_results, sample_seeds, sample_topologies_filtered};
 pub use table::Table;
 
 /// The `saturated` regime of `saturated_smoke` and of the `BENCH_kernel.json`

@@ -1,4 +1,4 @@
-//! Topology sampling and parallel execution.
+//! Topology sampling and the `--jobs` / `--cache-dir` plumbing.
 
 use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
 
@@ -41,24 +41,10 @@ pub fn sample_topologies_filtered(
     (out, attempts)
 }
 
-/// Map `f` over `items` on up to `threads` OS threads (order-preserving).
-/// A thin wrapper over the shared work-stealing pool
-/// ([`sb_pool::ordered_map_unwrap`]); kept because every figure binary
-/// closes over `&T`.
-pub fn parallel_map<T, R, F>(items: Vec<T>, threads: usize, f: F) -> Vec<R>
-where
-    T: Send + Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    sb_pool::ordered_map_unwrap(items, threads, |_, item| f(&item))
-}
-
-/// Number of worker threads: `--jobs`, defaulting to available
-/// parallelism. `--jobs 1` is the sequential reference path.
-pub fn default_threads(args: &crate::Args) -> usize {
-    let auto = std::thread::available_parallelism().map_or(4, |n| n.get());
-    args.get_usize("jobs", auto)
+/// `--jobs`: worker threads, `0` (the default) = one per core, `1` = the
+/// sequential reference path. [`sb_pool::run_stream`] resolves the `0`.
+pub fn jobs_from_args(args: &crate::Args) -> usize {
+    args.get_usize("jobs", 0)
 }
 
 /// The fleet cache configuration selected by `--cache-dir` (a builtin knob
@@ -85,7 +71,7 @@ pub fn fleet_results(
     let (records, acct) = sb_fleet::run_records(
         name,
         runs,
-        default_threads(args),
+        jobs_from_args(args),
         sb_fleet::ExecOptions::default(),
         &cache,
     );
@@ -116,13 +102,6 @@ pub fn sample_seeds(base_seed: u64, samples: usize) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<u64> = (0..37).collect();
-        let out = parallel_map(items.clone(), 8, |&x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn sampling_respects_filter() {

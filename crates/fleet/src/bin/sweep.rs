@@ -8,7 +8,7 @@
 //!
 //! `--jobs 1` is the sequential reference path; any other value produces
 //! byte-identical output (the equivalence suite proves it), so the flag is
-//! purely a wall-clock knob (`0` auto-detects the machine's core count) and
+//! purely a wall-clock knob (`0`, the default, is one worker per core) and
 //! the only parallelism there is: the tick inside a run is single-threaded
 //! (`DESIGN.md` §13). `--cache-dir` is one too: results memoize in a
 //! content-addressed store, a warm re-run of the same spec performs zero
@@ -39,8 +39,7 @@ struct Cli {
 const USAGE: &str = "usage: sweep --spec FILE [--jobs N] [--out FILE|-] [--forensics]
              [--drain CYCLES] [--cache-dir DIR]
   --spec FILE      sweep grid, TOML or JSON (required)
-  --jobs N         worker threads, one scenario each (default: available
-                   cores; 0 = auto-detect explicitly)
+  --jobs N         worker threads, one scenario each; 0 = all cores (default)
   --out FILE|-     report destination (default: stdout)
   --forensics      capture deadlock forensics per wedged run
   --drain N        after the window, stop injection and drain up to N cycles
@@ -48,16 +47,10 @@ const USAGE: &str = "usage: sweep --spec FILE [--jobs N] [--out FILE|-] [--foren
                    re-runs simulate nothing and emit identical bytes; an
                    interrupted sweep re-run simulates only the remainder";
 
-/// `0` from an explicit `--jobs 0` means "use every core the machine
-/// reports"; platforms that cannot say run sequentially.
-fn auto_detect() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 fn parse_cli() -> Result<Cli, String> {
     let mut cli = Cli {
         spec: String::new(),
-        jobs: auto_detect(),
+        jobs: 0,
         out: "-".to_string(),
         forensics: false,
         drain: None,
@@ -69,10 +62,9 @@ fn parse_cli() -> Result<Cli, String> {
         match arg.as_str() {
             "--spec" => cli.spec = value("--spec")?,
             "--jobs" => {
-                let n: usize = value("--jobs")?
+                cli.jobs = value("--jobs")?
                     .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?;
-                cli.jobs = if n == 0 { auto_detect() } else { n };
+                    .map_err(|e| format!("--jobs: {e}"))?
             }
             "--out" => cli.out = value("--out")?,
             "--forensics" => cli.forensics = true,

@@ -291,12 +291,13 @@ mod tests {
 
     #[test]
     fn thread_counts_share_one_content_key() {
-        // `threads` only shards the route-table build, whose result does
-        // not depend on it, so the scenario's field may not split the cache.
+        // Nothing reads `threads`, so the scenario's field may not split
+        // the cache.
         let epoch = schema_epoch();
         let sc = Scenario::new("k", sb_scenario::Design::StaticBubble);
         let base = content_key(&sc, ExecOptions::default(), epoch).unwrap();
-        let spec_threads = sc.clone().with_threads(8);
+        let mut spec_threads = sc.clone();
+        spec_threads.threads = 8;
         assert_eq!(
             base,
             content_key(&spec_threads, ExecOptions::default(), epoch).unwrap()

@@ -2,7 +2,7 @@
 #![warn(missing_docs)]
 
 //! Parallel sweep fleet (system **S12**, see `DESIGN.md` §10): fan a grid
-//! of [`Scenario`]s across a work-stealing thread pool and fold the
+//! of [`Scenario`]s across worker threads, one run each, and fold the
 //! streamed results into a byte-identical-for-any-`--jobs` report.
 //!
 //! The pipeline:
@@ -10,7 +10,7 @@
 //! ```text
 //! SweepSpec ──expand()──▶ Vec<SweepRun>          (stable ScenarioIds)
 //!     │                        │
-//!     │                   sb_pool::run_stream    (N workers, stealing)
+//!     │                   sb_pool::run_stream    (N workers, one cursor)
 //!     │                        │  (index, Result<RunResult, panic>)
 //!     └──────── agg::aggregate ◀┘                (index-sorted finalize)
 //!                    │
@@ -114,7 +114,7 @@ impl CacheConfig {
 /// (`cache::content_key`: schema epoch + name-normalized scenario
 /// fingerprint + execution options). Each distinct key is serviced
 /// **once** — from the on-disk store when `cache.dir` holds a valid
-/// entry, otherwise by one simulation on the work-stealing pool — and the
+/// entry, otherwise by one simulation on the pool — and the
 /// result fans out to every requesting `ScenarioId`. The records are
 /// value-identical to simulating every run individually (equal content ⇒
 /// equal result, by the determinism contract), so aggregated reports are

@@ -1,53 +1,37 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Shared thread pools (std threads only; crates.io is unreachable, so no
-//! crossbeam or rayon). Two shapes, two lifecycles:
+//! The one place this repo starts a second thread (std threads only;
+//! crates.io is unreachable, so no crossbeam or rayon).
 //!
-//! * [`run_stream`] / [`ordered_map`] / [`ordered_map_unwrap`] — a *scoped*
-//!   work-stealing parallel-for. Threads are spawned per call inside
-//!   `std::thread::scope`, so the closure may borrow from the caller's
-//!   stack. Right for coarse tasks (one simulation, one BFS row batch)
-//!   where the microseconds of thread spawn are noise. Lifted verbatim
-//!   from the fleet, which remains its heaviest user.
-//! * [`WorkerPool`] — a *persistent* pool of parked workers fed over a
-//!   shared channel. Jobs are `'static` boxed closures; results come back
-//!   keyed by submission index. Right for fine-grained fan-out where
-//!   spawning threads every call would dominate the work. Its one user,
-//!   the engine's parallel candidate pre-pass, was deleted (`DESIGN.md`
-//!   §13); only the repo benchmark's round-trip probe still constructs
-//!   one, and the type goes when that probe does. Shared data crosses
-//!   into jobs via `Arc` handoff — the caller temporarily parts with
-//!   ownership and reclaims it with `Arc::try_unwrap` after the batch
-//!   completes.
-//!
-//! Work-stealing architecture of the scoped pool: all tasks start in a
-//! global FIFO *injector*; each worker owns a local deque it refills from
-//! the injector in small batches and works through front-to-back; a worker
-//! whose local deque and the injector are both empty *steals* one task from
-//! the back of a victim's deque (scanning victims in deterministic
-//! round-robin order from its own slot). Tasks never re-enter a queue once
-//! claimed, so an all-empty scan is a correct termination condition.
+//! [`run_stream`] / [`ordered_map`] / [`ordered_map_unwrap`] are a *scoped*
+//! parallel-for: threads are spawned per call inside `std::thread::scope`,
+//! so the closure may borrow from the caller's stack. Tasks are coarse —
+//! one simulation, one figure cell — so the microseconds of thread spawn
+//! are noise, and scheduling is one shared cursor: the workers pull the
+//! next `(index, item)` from a mutex-guarded enumerated iterator, which is
+//! greedy list scheduling (a free worker takes the next task, so nothing
+//! queues behind a long one).
 //!
 //! Results stream back over an `mpsc` channel to the *caller's* thread,
 //! keyed by task index, so the consumer never needs a lock and the
 //! completion order is free to be nondeterministic — determinism is the
 //! consumer's job (sort by index before any arithmetic).
 //!
-//! Panic isolation: each scoped task runs under `catch_unwind`; a panicking
-//! task yields `Err(payload)` for its index and the pool keeps running.
-//! [`WorkerPool`] jobs are also guarded — a panicking job poisons only its
-//! own batch (the collecting caller panics with the payload), and the
-//! worker thread survives to serve later batches.
+//! Panic isolation: each task runs under `catch_unwind`, outside the
+//! cursor's lock; a panicking task yields `Err(payload)` for its index and
+//! every other task still runs.
+//!
+//! [`WorkerPool`] is a benchmark-gated residue: a *persistent* pool of
+//! parked workers fed `'static` boxed closures over a shared channel. Its
+//! one user, the engine's parallel candidate pre-pass, was deleted
+//! (`DESIGN.md` §13); only the repo benchmark's round-trip probe still
+//! constructs one, and the type goes when that probe does. A panicking job
+//! fails only its own batch, and the worker survives to serve later ones.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-
-/// How many tasks a worker moves from the injector to its local deque per
-/// refill. Small enough that stealing stays effective on skewed workloads.
-const REFILL_BATCH: usize = 4;
 
 /// Render a panic payload as a printable string.
 fn payload_to_string(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -69,50 +53,14 @@ fn run_guarded<T, R>(
     catch_unwind(AssertUnwindSafe(|| f(index, item))).map_err(payload_to_string)
 }
 
-/// The shared queues: one injector plus one deque per worker.
-struct Queues<T> {
-    injector: Mutex<VecDeque<(usize, T)>>,
-    locals: Vec<Mutex<VecDeque<(usize, T)>>>,
-}
-
-impl<T> Queues<T> {
-    /// Claim the next task for worker `w`: local front, else injector batch
-    /// refill, else steal one from a victim's back. `None` = nothing left
-    /// anywhere, worker may exit.
-    fn claim(&self, w: usize) -> Option<(usize, T)> {
-        if let Some(t) = self.locals[w].lock().expect("local deque").pop_front() {
-            return Some(t);
-        }
-        {
-            let mut inj = self.injector.lock().expect("injector");
-            if let Some(first) = inj.pop_front() {
-                let mut local = self.locals[w].lock().expect("local deque");
-                for _ in 1..REFILL_BATCH {
-                    match inj.pop_front() {
-                        Some(t) => local.push_back(t),
-                        None => break,
-                    }
-                }
-                return Some(first);
-            }
-        }
-        let n = self.locals.len();
-        for off in 1..n {
-            let victim = (w + off) % n;
-            if let Some(t) = self.locals[victim].lock().expect("victim deque").pop_back() {
-                return Some(t);
-            }
-        }
-        None
-    }
-}
-
-/// Fan `items` out over `jobs` worker threads and stream `(index, result)`
-/// pairs into `sink` **on the calling thread**, in completion order (i.e.
-/// nondeterministic for `jobs > 1`). A task that panics is delivered as
-/// `Err(panic payload)` and does not disturb the other tasks or the pool.
+/// Fan `items` out over `jobs` worker threads — `0` = one per
+/// `std::thread::available_parallelism()`, 1 if the platform cannot say — and
+/// stream `(index, result)` pairs into `sink` **on the calling thread**, in
+/// completion order (i.e. nondeterministic for more than one worker). A
+/// task that panics is delivered as `Err(panic payload)` and does not
+/// disturb the other tasks or later calls.
 ///
-/// `jobs <= 1` runs everything inline on the calling thread in index order
+/// One worker runs everything inline on the calling thread in index order
 /// — same closure, same guarded execution, zero threads — which is the
 /// fleet's `--jobs 1` sequential reference path.
 pub fn run_stream<T, R, F, S>(items: Vec<T>, jobs: usize, f: &F, mut sink: S)
@@ -122,30 +70,33 @@ where
     F: Fn(usize, T) -> R + Sync,
     S: FnMut(usize, Result<R, String>),
 {
-    let n = items.len();
-    let jobs = jobs.max(1).min(n.max(1));
-    if jobs == 1 {
+    // The one place `0` is resolved, because the one place threads start.
+    let workers = match jobs {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    }
+    .min(items.len());
+    if workers <= 1 {
         for (i, item) in items.into_iter().enumerate() {
             let r = run_guarded(f, i, item);
             sink(i, r);
         }
         return;
     }
-    let queues = Queues {
-        injector: Mutex::new(items.into_iter().enumerate().collect()),
-        locals: (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect(),
-    };
+    let cursor = Mutex::new(items.into_iter().enumerate());
     let (tx, rx) = mpsc::channel::<(usize, Result<R, String>)>();
     std::thread::scope(|scope| {
-        for w in 0..jobs {
+        for _ in 0..workers {
             let tx = tx.clone();
-            let queues = &queues;
-            scope.spawn(move || {
-                while let Some((i, item)) = queues.claim(w) {
-                    let r = run_guarded(f, i, item);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
+            let cursor = &cursor;
+            scope.spawn(move || loop {
+                // The guard is a temporary of this statement: the lock is
+                // released before the task runs, so a panicking task cannot
+                // poison it.
+                let next = cursor.lock().expect("no task runs under the lock").next();
+                let Some((i, item)) = next else { break };
+                if tx.send((i, run_guarded(f, i, item))).is_err() {
+                    break;
                 }
             });
         }
@@ -337,61 +288,84 @@ mod tests {
     #[test]
     fn ordered_map_preserves_order_any_job_count() {
         let items: Vec<u64> = (0..53).collect();
-        for jobs in [1, 2, 4, 8] {
+        for jobs in [0, 1, 2, 4, 8] {
             let out = ordered_map_unwrap(items.clone(), jobs, |_, x| x * 3);
             assert_eq!(out, items.iter().map(|x| x * 3).collect::<Vec<_>>());
         }
     }
 
     #[test]
-    fn panicking_task_is_isolated() {
-        for jobs in [1, 4] {
-            let out = ordered_map((0..10).collect::<Vec<u32>>(), jobs, |_, x| {
-                if x == 3 {
-                    panic!("task {x} exploded");
-                }
-                x + 1
-            });
-            assert_eq!(out.len(), 10);
-            for (i, r) in out.iter().enumerate() {
-                if i == 3 {
-                    assert_eq!(r.as_ref().unwrap_err(), "task 3 exploded");
-                } else {
-                    assert_eq!(*r.as_ref().unwrap(), i as u32 + 1);
-                }
+    fn every_index_is_delivered_exactly_once() {
+        // 0 = one worker per core; 8 > 3 covers more workers than items.
+        for jobs in [0, 1, 2, 8] {
+            for n in [0usize, 3, 40] {
+                let mut seen = vec![0u32; n];
+                run_stream((0..n).collect(), jobs, &|_, x: usize| x, |i, r| {
+                    assert_eq!(r.unwrap(), i);
+                    seen[i] += 1;
+                });
+                assert!(seen.iter().all(|&c| c == 1), "jobs {jobs}, {n} items");
             }
         }
     }
 
     #[test]
-    fn stream_delivers_every_index_exactly_once() {
-        let mut seen = [0u32; 40];
-        run_stream((0..40).collect::<Vec<usize>>(), 4, &|_, x| x, |i, r| {
-            assert_eq!(r.unwrap(), i);
-            seen[i] += 1;
-        });
-        assert!(seen.iter().all(|&c| c == 1));
+    fn a_long_first_task_does_not_hold_the_short_ones() {
+        // Task 0 finishes only once the sink has seen the other fifteen, so
+        // they cannot be queued behind it: the second worker has to pull
+        // them all off the cursor. (A scheduler that parked any of them
+        // behind task 0 fails the order check once the timeout lets go.)
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let mut order = Vec::new();
+        run_stream(
+            (0..16).collect::<Vec<u64>>(),
+            2,
+            &|_, x| {
+                if x == 0 {
+                    let _ = gate
+                        .lock()
+                        .expect("only task 0 takes the gate")
+                        .recv_timeout(std::time::Duration::from_secs(10));
+                }
+                x
+            },
+            |i, r| {
+                assert_eq!(r.unwrap(), i as u64);
+                order.push(i);
+                if order.len() == 15 {
+                    let _ = release.send(());
+                }
+            },
+        );
+        assert_eq!(order.len(), 16);
+        assert_eq!(order.last(), Some(&0), "{order:?}");
     }
 
     #[test]
-    fn empty_input_is_fine() {
-        let out = ordered_map(Vec::<u8>::new(), 8, |_, x| x);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn skewed_workloads_get_stolen() {
-        // One long task first; with 2 workers the remaining tasks must not
-        // all wait behind it. We can't assert timing, but we can assert the
-        // pool completes with a task distribution that required stealing
-        // (the long task plus all short ones finish).
-        let out = ordered_map_unwrap((0..16).collect::<Vec<u64>>(), 2, |_, x| {
-            if x == 0 {
-                std::thread::sleep(std::time::Duration::from_millis(30));
+    fn panicking_task_is_isolated() {
+        // The panicking task sits between slow ones; its `Err` is delivered,
+        // every later index still runs, and the next call works (nothing
+        // the workers share was poisoned).
+        for jobs in [1, 2, 8] {
+            let out = ordered_map((0..24u64).collect(), jobs, |_, x| {
+                if x % 5 == 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(2));
+                }
+                if x == 11 {
+                    panic!("task {x} exploded");
+                }
+                x * 2
+            });
+            for (i, r) in out.iter().enumerate() {
+                match i {
+                    11 => assert_eq!(r.as_ref().unwrap_err(), "task 11 exploded"),
+                    _ => assert_eq!(*r.as_ref().unwrap(), i as u64 * 2, "jobs {jobs}"),
+                }
             }
-            x
-        });
-        assert_eq!(out.len(), 16);
+            let again = ordered_map_unwrap((0..24u64).collect(), jobs, |_, x| x + 1);
+            assert_eq!(again, (1..=24).collect::<Vec<u64>>());
+        }
     }
 
     #[test]

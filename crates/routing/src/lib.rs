@@ -32,7 +32,7 @@ pub use cdg::ChannelDependencyGraph;
 pub use minimal::MinimalRouting;
 pub use route::{Route, RouteSource};
 pub use tree::TreeOnlyRouting;
-pub use updown::{RootPolicy, UpDownRouting};
+pub use updown::UpDownRouting;
 pub use xy::XyRouting;
 
 #[cfg(test)]

@@ -52,44 +52,17 @@ pub struct MinimalRouting {
 /// Sentinel distance for "no surviving path".
 const UNREACHABLE: u32 = u32::MAX;
 
-/// Below this node count a parallel table rebuild costs more in thread
-/// coordination than the BFS rows it distributes; stay sequential.
-const PAR_MIN_NODES: usize = 64;
-
 impl MinimalRouting {
     /// Precompute shortest-path distances over `topo`.
     pub fn new(topo: &Topology) -> Self {
-        Self::new_with_threads(topo, 1)
-    }
-
-    /// As [`MinimalRouting::new`], distributing the per-destination BFS
-    /// rows over `threads` scoped workers. Each row `dist[dst * n ..]` is
-    /// an independent BFS from `dst`, so rows are computed in parallel and
-    /// concatenated in destination order — the table is bit-identical to
-    /// the sequential build at any thread count ([`RouteSource::route`]
-    /// draws its RNG per query, never during construction).
-    pub fn new_with_threads(topo: &Topology, threads: usize) -> Self {
         let n = topo.mesh().node_count();
         let mut dist = Vec::with_capacity(n * n);
-        if threads <= 1 || n < PAR_MIN_NODES {
-            for dst in topo.mesh().nodes() {
-                dist.extend(
-                    distances_from(topo, dst)
-                        .into_iter()
-                        .map(|d| d.unwrap_or(UNREACHABLE)),
-                );
-            }
-        } else {
-            let dsts: Vec<NodeId> = topo.mesh().nodes().collect();
-            let rows = sb_pool::ordered_map_unwrap(dsts, threads, |_, dst| {
+        for dst in topo.mesh().nodes() {
+            dist.extend(
                 distances_from(topo, dst)
                     .into_iter()
-                    .map(|d| d.unwrap_or(UNREACHABLE))
-                    .collect::<Vec<u32>>()
-            });
-            for row in rows {
-                dist.extend(row);
-            }
+                    .map(|d| d.unwrap_or(UNREACHABLE)),
+            );
         }
         MinimalRouting {
             topo: topo.clone(),

@@ -122,7 +122,7 @@ pub trait RouteSource {
 mod tests {
     use super::*;
     use crate::testing::arb_faulty_topology;
-    use crate::{MinimalRouting, RootPolicy, TreeOnlyRouting, UpDownRouting, XyRouting};
+    use crate::{MinimalRouting, TreeOnlyRouting, UpDownRouting, XyRouting};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use sb_topology::Mesh;
@@ -136,14 +136,12 @@ mod tests {
         #[test]
         fn routable_agrees_with_route_in_every_source(
             topo in arb_faulty_topology(),
-            center in any::<bool>(),
             seed in any::<u64>(),
         ) {
-            let policy = if center { RootPolicy::Center } else { RootPolicy::Arbitrary };
             let sources: [(&str, Box<dyn RouteSource>); 4] = [
                 ("minimal", Box::new(MinimalRouting::new(&topo))),
-                ("up-down", Box::new(UpDownRouting::with_root_policy(&topo, policy))),
-                ("tree-only", Box::new(TreeOnlyRouting::with_root_policy(&topo, policy))),
+                ("up-down", Box::new(UpDownRouting::new(&topo))),
+                ("tree-only", Box::new(TreeOnlyRouting::new(&topo))),
                 ("xy", Box::new(XyRouting::new(&topo))),
             ];
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

@@ -11,7 +11,6 @@
 //! either.
 
 use crate::route::{Route, RouteSource};
-use crate::updown::RootPolicy;
 use sb_topology::{connected_components, ComponentMap, Direction, NodeId, Topology};
 
 /// Unique-path routing over a BFS spanning tree.
@@ -26,24 +25,15 @@ pub struct TreeOnlyRouting {
 }
 
 impl TreeOnlyRouting {
-    /// Build BFS trees with the default Ariadne-style arbitrary roots.
+    /// Build one BFS tree per component, rooted at its lowest-id alive node
+    /// (as [`crate::UpDownRouting`] does).
     pub fn new(topo: &Topology) -> Self {
-        Self::with_root_policy(topo, RootPolicy::default())
-    }
-
-    /// Build with an explicit root policy.
-    pub fn with_root_policy(topo: &Topology, policy: RootPolicy) -> Self {
         let components = connected_components(topo);
         let n = topo.mesh().node_count();
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut depth: Vec<Option<u32>> = vec![None; n];
         for c in 0..components.count() {
-            let root = match policy {
-                RootPolicy::Center => topo
-                    .center_of_component(&components, c)
-                    .expect("non-empty component"),
-                RootPolicy::Arbitrary => components.members(c).next().expect("non-empty component"),
-            };
+            let root = components.members(c).next().expect("non-empty component");
             // BFS assigning parents.
             depth[root.index()] = Some(0);
             let mut queue = std::collections::VecDeque::from([root]);

@@ -36,22 +36,6 @@ const PREV_DOWN: u8 = 0x04;
 /// [`Direction::index`] of the move into the state.
 const DIR_MASK: u8 = 0x03;
 
-/// How the spanning-tree root of each component is chosen.
-///
-/// Ariadne's distributed construction roots the tree at an effectively
-/// arbitrary "winner" node (the first to flood); uDIREC and software
-/// approaches optimize the choice. [`RootPolicy::Arbitrary`] models the
-/// former (lowest alive id), [`RootPolicy::Center`] the latter (minimum
-/// eccentricity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RootPolicy {
-    /// Lowest-id alive node of the component (Ariadne-style winner).
-    #[default]
-    Arbitrary,
-    /// A component center: minimal eccentricity, ties to the lowest id.
-    Center,
-}
-
 /// Up-down routing over an irregular topology.
 ///
 /// ```
@@ -84,28 +68,19 @@ pub struct UpDownRouting {
 }
 
 impl UpDownRouting {
-    /// Build the spanning trees (one per component, with the default
-    /// [`RootPolicy::Arbitrary`] Ariadne-style roots) and the up/down link
+    /// Build the spanning trees — one per component, rooted at its
+    /// lowest-id alive node, as Ariadne's distributed construction roots
+    /// the tree at an effectively arbitrary "winner" — and the up/down link
     /// orientation.
     pub fn new(topo: &Topology) -> Self {
-        Self::with_root_policy(topo, RootPolicy::default())
-    }
-
-    /// Build with an explicit root policy.
-    pub fn with_root_policy(topo: &Topology, policy: RootPolicy) -> Self {
         let components = connected_components(topo);
         let mut level = vec![None; topo.mesh().node_count()];
         let mut roots = Vec::with_capacity(components.count() as usize);
         for c in 0..components.count() {
-            let root = match policy {
-                RootPolicy::Center => topo
-                    .center_of_component(&components, c)
-                    .expect("component is non-empty"),
-                RootPolicy::Arbitrary => components
-                    .members(c)
-                    .next()
-                    .expect("component is non-empty"),
-            };
+            let root = components
+                .members(c)
+                .next()
+                .expect("component is non-empty");
             roots.push(root);
             for (i, d) in distances_from(topo, root).into_iter().enumerate() {
                 if components.component_of(NodeId::from(i)) == Some(c) {
@@ -311,12 +286,8 @@ mod tests {
         /// route the per-call search returns, in whatever order sources are
         /// first queried, and a clone (trees built or not) routes the same.
         #[test]
-        fn memoised_routes_equal_the_search(
-            topo in arb_faulty_topology(),
-            center in any::<bool>(),
-        ) {
-            let policy = if center { RootPolicy::Center } else { RootPolicy::Arbitrary };
-            let routing = UpDownRouting::with_root_policy(&topo, policy);
+        fn memoised_routes_equal_the_search(topo in arb_faulty_topology()) {
+            let routing = UpDownRouting::new(&topo);
             let cold = routing.clone();
             let mut rng = StdRng::seed_from_u64(0);
             let nodes: Vec<NodeId> = topo.mesh().nodes().collect();

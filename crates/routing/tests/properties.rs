@@ -104,48 +104,3 @@ proptest! {
         }
     }
 }
-
-/// Meshes big enough to clear the parallel rebuild's node-count gate, so
-/// these cases genuinely exercise the sharded path.
-fn arb_large_faulty_topology() -> impl Strategy<Value = sb_topology::Topology> {
-    (8u16..12, 8u16..12, any::<u64>(), 0usize..40).prop_map(|(w, h, seed, faults)| {
-        let mesh = Mesh::new(w, h);
-        let faults = faults.min(mesh.link_count() / 2);
-        let mut rng = StdRng::seed_from_u64(seed);
-        FaultModel::new(FaultKind::Links, faults).inject(mesh, &mut rng)
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The parallel table rebuild is construction-only parallelism: the
-    /// per-destination BFS rows are independent, so the assembled distance
-    /// table — and therefore every sampled route under an equal RNG
-    /// stream — must be bit-identical to the sequential build.
-    #[test]
-    fn parallel_rebuild_matches_sequential_table(
-        topo in arb_large_faulty_topology(),
-        threads in 2usize..6,
-        seed in any::<u64>(),
-    ) {
-        let sequential = MinimalRouting::new(&topo);
-        let parallel = MinimalRouting::new_with_threads(&topo, threads);
-        for a in topo.alive_nodes() {
-            for b in topo.alive_nodes() {
-                prop_assert_eq!(sequential.distance(a, b), parallel.distance(a, b));
-            }
-        }
-        // Equal tables + equal RNG stream => identical sampled routes.
-        let mut rng_seq = StdRng::seed_from_u64(seed);
-        let mut rng_par = StdRng::seed_from_u64(seed);
-        for a in topo.alive_nodes().step_by(5) {
-            for b in topo.alive_nodes().step_by(7) {
-                prop_assert_eq!(
-                    sequential.route(a, b, &mut rng_seq),
-                    parallel.route(a, b, &mut rng_par)
-                );
-            }
-        }
-    }
-}

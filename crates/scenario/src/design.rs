@@ -87,18 +87,10 @@ impl Design {
 
     /// The route planner this design injects packets with.
     pub fn planner(self, topo: &Topology) -> Box<dyn RouteSource> {
-        self.planner_with_threads(topo, 1)
-    }
-
-    /// As [`Design::planner`], but rebuild the route tables with up to
-    /// `threads` workers where the construction parallelizes (the minimal
-    /// table's per-destination BFS rows are independent). The resulting
-    /// tables are identical to the sequential build.
-    pub fn planner_with_threads(self, topo: &Topology, threads: usize) -> Box<dyn RouteSource> {
         match self {
             Design::SpanningTree => Box::new(UpDownRouting::new(topo)),
             Design::TreeOnly => Box::new(TreeOnlyRouting::new(topo)),
-            _ => Box::new(MinimalRouting::new_with_threads(topo, threads)),
+            _ => Box::new(MinimalRouting::new(topo)),
         }
     }
 

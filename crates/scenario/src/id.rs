@@ -71,9 +71,8 @@ impl Scenario {
     /// human-readable keys but identical physics therefore share one
     /// content fingerprint — the property the fleet's cross-grid dedup and
     /// on-disk result cache key on. [`Scenario::threads`] is normalized
-    /// away too: it only shards the all-pairs route-table build, whose
-    /// rows do not depend on who computed them, so it is an execution knob
-    /// like the fleet's `--jobs`, not part of the experiment. Every
+    /// away too: nothing reads it, and a spec that says `threads = 4` must
+    /// still hit the entry written for `threads = 1`. Every
     /// *simulation-relevant* field (topology, design, traffic, config,
     /// seeds, window, clock, audit cadence) still feeds the hash.
     pub fn content_fingerprint(&self) -> Result<u64, SpecError> {
@@ -131,11 +130,11 @@ mod tests {
 
     #[test]
     fn content_fingerprint_ignores_threads() {
-        // The route tables are identical at any thread count, so
-        // `threads` must not split the result cache.
+        // Nothing reads `threads`, so it must not split the result cache.
         let seq = Scenario::new("par", Design::StaticBubble).with_mesh(4, 4);
-        let par = seq.clone().with_threads(4);
-        let auto = seq.clone().with_threads(0);
+        let (mut par, mut auto) = (seq.clone(), seq.clone());
+        par.threads = 4;
+        auto.threads = 0;
         assert_ne!(seq.fingerprint().unwrap(), par.fingerprint().unwrap());
         assert_eq!(
             seq.content_fingerprint().unwrap(),

@@ -154,14 +154,8 @@ pub struct Scenario {
     /// [`ClockMode::Leap`] draws geometric gaps, which lets the engine skip
     /// the cycles between arrivals. Nothing else reads it.
     pub clock: ClockMode,
-    /// Worker threads for the all-pairs route-table build of the minimal
-    /// designs ([`sb_routing::MinimalRouting::new_with_threads`]; 1 =
-    /// sequential, the default; 0 = auto-detect via
-    /// `std::thread::available_parallelism` at build time). Nothing else
-    /// reads it: the tick itself is single-threaded (`DESIGN.md` §13) and
-    /// the tables are identical at any count, so content-addressed result
-    /// caching ignores it. Kept as a field because committed spec files
-    /// name it.
+    /// Parsed, serialised and ignored (cache keys canonicalise it away);
+    /// it goes when `benchmark/` stops assigning it (ROADMAP item 4).
     pub threads: usize,
 }
 
@@ -293,23 +287,6 @@ impl Scenario {
     pub fn with_clock(mut self, clock: ClockMode) -> Self {
         self.clock = clock;
         self
-    }
-
-    /// Set the route-table build thread count (see [`Scenario::threads`]):
-    /// 1 = sequential, 0 = auto-detect at build time.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// The thread count a build actually uses: the configured value, with
-    /// 0 resolved through `std::thread::available_parallelism` (falling
-    /// back to 1 if the platform cannot say).
-    pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            n => n,
-        }
     }
 
     /// Check that the spec describes something buildable, so that a bad
@@ -459,9 +436,7 @@ impl Scenario {
         topo: &Topology,
         traffic: T,
     ) -> Box<dyn SimRunner> {
-        let planner = self
-            .design
-            .planner_with_threads(topo, self.effective_threads());
+        let planner = self.design.planner(topo);
         let mut runner: Box<dyn SimRunner> = match self.design {
             Design::SpanningTree | Design::TreeOnly | Design::Unprotected => Box::new(Runner(
                 Simulator::new(topo, self.config, planner, NullPlugin, traffic, self.seed),

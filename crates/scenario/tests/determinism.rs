@@ -1,7 +1,7 @@
 //! Regression: simulations are deterministic functions of the scenario.
 //! Same spec, same seed → bit-identical [`sb_sim::Stats`], for all three
 //! paper designs on a faulted 8×8 mesh, with the worklist kernel and with
-//! the reference full sweep, and at any route-table build thread count.
+//! the reference full sweep.
 
 use sb_scenario::{Design, FaultSpec, Scenario};
 use sb_sim::Stats;
@@ -68,33 +68,4 @@ fn run_twice_through_serde_is_identical() {
         .run()
         .stats;
     assert_eq!(direct, reloaded);
-}
-
-#[test]
-fn route_table_threads_are_invisible_in_results() {
-    // `threads` shards only the all-pairs route-table build (64 nodes is
-    // the smallest mesh that takes the sharded path); the tables, and so
-    // everything downstream, are the same at any count — the reason the
-    // field may stay out of cache keys.
-    let observe = |threads: usize| {
-        let scenario = faulted(Design::StaticBubble, 11)
-            .with_faults(FaultSpec::Model {
-                kind: FaultKind::Links,
-                count: 12,
-                seed: 0xF00D,
-            })
-            .with_threads(threads);
-        let mut runner = scenario.build();
-        runner.warmup(scenario.warmup);
-        runner.run(scenario.cycles);
-        (
-            runner.stats().clone(),
-            runner.time(),
-            scenario.content_fingerprint().unwrap(),
-        )
-    };
-    let sequential = observe(1);
-    assert!(sequential.0.delivered_packets > 0);
-    assert_eq!(observe(4), sequential, "threads = 4");
-    assert_eq!(observe(0), sequential, "threads = 0 (auto-detect)");
 }

@@ -3,7 +3,7 @@
 //! These are the primitives behind the design-space sweeps (Figs. 2 and 3)
 //! and behind spanning-tree construction in `sb-routing`.
 
-use crate::geom::NodeId;
+use crate::geom::{NodeId, DIRECTIONS};
 use crate::topology::Topology;
 use std::collections::VecDeque;
 
@@ -79,7 +79,14 @@ pub fn connected_components(topo: &Topology) -> ComponentMap {
         let mut queue = VecDeque::from([start]);
         component[start.index()] = Some(c);
         while let Some(u) = queue.pop_front() {
-            for (_, v) in topo.neighbors(u) {
+            // One indexed load a direction, not `Topology::neighbors`:
+            // whether that iterator's loop unrolls here turned on what else
+            // this module held, and rolled it cost `distances_from` (the
+            // all-pairs table build) 40 %.
+            for dir in DIRECTIONS {
+                let Some(v) = topo.neighbor(u, dir) else {
+                    continue;
+                };
                 if component[v.index()].is_none() {
                     component[v.index()] = Some(c);
                     queue.push_back(v);
@@ -103,7 +110,11 @@ pub fn distances_from(topo: &Topology, src: NodeId) -> Vec<Option<u32>> {
     let mut queue = VecDeque::from([src]);
     while let Some(u) = queue.pop_front() {
         let du = dist[u.index()].expect("queued node has distance");
-        for (_, v) in topo.neighbors(u) {
+        // One indexed load a direction, as in `connected_components`.
+        for dir in DIRECTIONS {
+            let Some(v) = topo.neighbor(u, dir) else {
+                continue;
+            };
             if dist[v.index()].is_none() {
                 dist[v.index()] = Some(du + 1);
                 queue.push_back(v);
@@ -142,27 +153,6 @@ impl Topology {
             return self.router_alive(a);
         }
         connected_components(self).connected(a, b)
-    }
-
-    /// Eccentricity of `node` within its component (max BFS distance), or
-    /// `None` for a dead router.
-    pub fn eccentricity(&self, node: NodeId) -> Option<u32> {
-        if !self.router_alive(node) {
-            return None;
-        }
-        distances_from(self, node).into_iter().flatten().max()
-    }
-
-    /// A central node of the given component: minimal eccentricity, ties to
-    /// the lowest id. Used as the spanning-tree root (Sec. II-A: the baselines
-    /// construct an optimized tree; a center-rooted BFS tree is our
-    /// deterministic stand-in).
-    pub fn center_of_component(&self, components: &ComponentMap, c: u32) -> Option<NodeId> {
-        components
-            .members(c)
-            .map(|n| (self.eccentricity(n).expect("member is alive"), n))
-            .min()
-            .map(|(_, n)| n)
     }
 }
 
@@ -215,7 +205,6 @@ mod tests {
         let n = mesh.node_at(1, 1);
         topo.remove_router(n);
         assert!(distances_from(&topo, n).iter().all(Option::is_none));
-        assert_eq!(topo.eccentricity(n), None);
     }
 
     #[test]
@@ -230,21 +219,5 @@ mod tests {
         }
         assert!(!topo.has_undirected_cycle());
         assert_eq!(connected_components(&topo).count(), 1);
-    }
-
-    #[test]
-    fn center_of_full_mesh_is_inner_node() {
-        let mesh = Mesh::new(5, 5);
-        let topo = Topology::full(mesh);
-        let comps = connected_components(&topo);
-        let center = topo.center_of_component(&comps, 0).unwrap();
-        assert_eq!(center, mesh.node_at(2, 2));
-    }
-
-    #[test]
-    fn eccentricity_of_corner() {
-        let mesh = Mesh::new(8, 8);
-        let topo = Topology::full(mesh);
-        assert_eq!(topo.eccentricity(mesh.node_at(0, 0)), Some(14));
     }
 }

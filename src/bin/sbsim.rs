@@ -43,7 +43,6 @@ const KNOWN_KEYS: &[&str] = &[
     "clock",
     "bisect",
     "drain",
-    "threads",
 ];
 
 impl Cli {
@@ -147,9 +146,6 @@ fn apply_flags(cli: &Cli, mut s: Scenario) -> Scenario {
             }
         });
     }
-    if cli.flag("threads") {
-        s = s.with_threads(cli.get("threads", 1usize));
-    }
     s.with_warmup(warmup)
         .with_cycles(cycles)
         .with_tdd(tdd)
@@ -240,15 +236,11 @@ fn main() {
              \x20            [--seed 1] [--heatmap] [--clock step|leap]\n\
              \x20            [--scenario FILE.toml|FILE.json] [--dump-scenario]\n\
              \x20            [--drain BUDGET] [--bisect]\n\
-             \x20            [--threads N]\n\
              \n\
              --clock: arrival sampler of the synthetic traffic. step (default)\n\
              flips a Bernoulli coin per node per cycle; leap draws geometric\n\
              gaps, and the engine skips the cycles between arrivals. Same mean\n\
              load, different packets.\n\
-             --threads: worker threads for building the all-pairs route tables\n\
-             of the minimal designs (1 = sequential, 0 = auto-detect). The\n\
-             simulation itself is single-threaded; results do not depend on it.\n\
              --drain: after the measured window, halt injection and run until\n\
              the network empties (or BUDGET cycles pass) — the paper pipeline's\n\
              wedge probe.\n\

@@ -76,6 +76,17 @@ fn unknown_design_fails_cleanly() {
 fn unknown_option_fails_cleanly() {
     let (_, ok) = sbsim(&["--desing", "static-bubble"]);
     assert!(!ok);
+
+    // Retired flags are usage errors, not silently accepted.
+    for flag in ["--snapshot-every", "--threads"] {
+        let gone = Command::new(env!("CARGO_BIN_EXE_sbsim"))
+            .args([flag, "2"])
+            .output()
+            .expect("sbsim runs");
+        let err = String::from_utf8_lossy(&gone.stderr);
+        assert_eq!(gone.status.code(), Some(2), "{err}");
+        assert!(err.contains(&format!("unknown option {flag}")), "{err}");
+    }
 }
 
 #[test]
@@ -90,14 +101,6 @@ fn bisect_replays_a_wedge_that_forms_before_cycle_1000() {
     assert!(out.contains("bisect: wedged at t=800"), "{out}");
     assert!(out.contains("oracle re-fired"), "{out}");
     assert!(out.contains("=== forensics @ cycle"), "{out}");
-
-    let gone = Command::new(env!("CARGO_BIN_EXE_sbsim"))
-        .args(["--snapshot-every", "500"])
-        .output()
-        .expect("sbsim runs");
-    let err = String::from_utf8_lossy(&gone.stderr);
-    assert_eq!(gone.status.code(), Some(2), "{err}");
-    assert!(err.contains("unknown option --snapshot-every"), "{err}");
 }
 
 #[test]
