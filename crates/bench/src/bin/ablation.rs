@@ -2,15 +2,24 @@
 //! `DESIGN.md`: probe forking and the check-probe fast path, measured by
 //! recovery effectiveness on staged organic deadlocks.
 //!
-//! A fleet client at the `run_records` level: the grid is a [`SweepSpec`]
-//! over the four SB variants × the sampled topologies, with the historical
-//! per-topology simulation seeds (`700 + i`, paired with topology `i` as
-//! the pre-fleet version did) patched onto the expanded runs before they
-//! fan out over the pool.
+//! A fleet client: the sampled topologies × the four SB variants are one
+//! list of scenarios, with the historical per-topology simulation seeds
+//! (`700 + i`, paired with topology `i` as the pre-fleet version did), run
+//! by [`run_grid`] over the pool.
 
-use sb_bench::{cache_from_args, sample_seeds, sweep::jobs_from_args, Args, Design, Table};
-use sb_fleet::{aggregate, run_records, ExecOptions, SweepSpec};
+use sb_bench::{run_grid, sample_seeds, Args, Design, Scenario, Table};
+use sb_scenario::FaultSpec;
 use sb_sim::SpecialClass;
+use sb_topology::FaultKind;
+use static_bubble::SbOptions;
+
+/// The variants: name, probe forking, check-probe fast path.
+const VARIANTS: [(&str, bool, bool); 4] = [
+    ("full", true, true),
+    ("no-forking", false, true),
+    ("no-check-probe", true, false),
+    ("neither", false, false),
+];
 
 fn main() {
     let args = Args::parse_spec(
@@ -21,49 +30,38 @@ fn main() {
             ("cycles", "8000"),
             ("rate", "0.30"),
             ("csv", "-"),
+            ("jobs", "0"),
+            ("cache-dir", "-"),
         ],
     );
-    let topos = args.get_usize("topos", 6);
-    let cycles = args.get_u64("cycles", 8_000);
-    let rate = args.get_f64("rate", 0.30);
-    let jobs = jobs_from_args(&args);
-
-    let variants = ["full", "no-forking", "no-check-probe", "neither"];
+    let topos: usize = args.get("topos", 6);
+    let cycles: u64 = args.get("cycles", 8_000);
+    let rate: f64 = args.get("rate", 0.30);
 
     // The same topology batch `FaultModel::sample_topologies(mesh,
     // 0x00AB_1A7E, topos)` drew before the fleet port: per-sample seeds are
     // derived the same way and fed through `FaultSpec::Model`.
-    let topo_seeds = sample_seeds(0x00AB_1A7E, topos);
-
-    let mut spec = SweepSpec::new("ablation");
-    spec.meshes = vec!["8x8".into()];
-    spec.link_faults = vec![15];
-    spec.topo_seeds = topo_seeds.clone();
-    spec.designs = vec![Design::StaticBubble.label().to_string()];
-    spec.sb_variants = variants.iter().map(|v| v.to_string()).collect();
-    spec.rates = vec![rate];
-    spec.warmup = 500;
-    spec.cycles = cycles;
-    spec.tdd = 34;
-
-    // Expansion order is topo_seed (outer) → variant → rate → seed, so the
-    // topology index of run `i` is `i / variants.len()`; restore the
-    // historical pairing of simulation seed 700+topo onto each run.
-    let mut runs = spec.expand().expect("ablation grid");
-    for (i, run) in runs.iter_mut().enumerate() {
-        run.scenario.seed = 700 + (i / variants.len()) as u64;
+    let (kind, count) = (FaultKind::Links, 15);
+    let mut scenarios = Vec::new();
+    for (t, seed) in sample_seeds(0x00AB_1A7E, topos).into_iter().enumerate() {
+        for (name, forking, check_probe) in VARIANTS {
+            let opts = SbOptions {
+                forking,
+                check_probe,
+                ..SbOptions::default()
+            };
+            scenarios.push(
+                Scenario::new(format!("ablation/{name}/t{t}"), Design::StaticBubble)
+                    .with_faults(FaultSpec::Model { kind, count, seed })
+                    .with_rate(rate)
+                    .with_sb_options(opts)
+                    .with_warmup(500)
+                    .with_cycles(cycles)
+                    .with_seed(700 + t as u64),
+            );
+        }
     }
-    let cache = cache_from_args(&args);
-    let (records, acct) = run_records(&spec.name, &runs, jobs, ExecOptions::default(), &cache);
-    if cache.dir.is_some() {
-        eprintln!("{}", acct.to_json_line());
-    }
-    let report = aggregate(&spec.name, spec.accept, &runs, records);
-    assert!(
-        report.failed.is_empty(),
-        "ablation runs failed: {:?}",
-        report.failed
-    );
+    let results = run_grid(&scenarios, &args);
 
     let mut table = Table::new(
         "Ablation: SB variants under deadlock-prone load (UR, 15 link faults)",
@@ -76,41 +74,27 @@ fn main() {
             "checkprobe_hops",
         ],
     );
-    for name in variants {
-        let marker = format!("/{name}/");
+    for (v, (name, ..)) in VARIANTS.into_iter().enumerate() {
         let mut delivered = 0u64;
         let mut thr = 0.0;
         let mut probes = 0u64;
         let mut recovered = 0u64;
         let mut cp_hops = 0u64;
-        let mut n = 0usize;
-        for row in report
-            .scenarios
-            .iter()
-            .filter(|r| r.id.key.contains(&marker))
-        {
-            let stats = row.stats.as_ref().expect("no failures above");
-            delivered += stats.delivered_packets;
-            thr += stats.throughput(row.nodes);
-            probes += stats.probes_sent;
-            recovered += stats.deadlocks_recovered;
-            cp_hops += stats.special_link_flits[SpecialClass::CheckProbe.index()];
-            n += 1;
+        for res in results.iter().skip(v).step_by(VARIANTS.len()) {
+            delivered += res.stats.delivered_packets;
+            thr += res.stats.throughput(res.nodes);
+            probes += res.stats.probes_sent;
+            recovered += res.stats.deadlocks_recovered;
+            cp_hops += res.stats.special_link_flits[SpecialClass::CheckProbe.index()];
         }
-        assert_eq!(n, topos, "variant {name} must cover every topology");
         table.row(&[
             name.to_string(),
             delivered.to_string(),
-            format!("{:.3}", thr / n as f64),
+            format!("{:.3}", thr / topos as f64),
             probes.to_string(),
             recovered.to_string(),
             cp_hops.to_string(),
         ]);
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

@@ -15,10 +15,10 @@ fn main() {
     let args = Args::parse_spec(
         "diversity",
         "minimal-path diversity vs faults",
-        &[("topos", "12"), ("cap", "64"), ("csv", "-")],
+        &[("topos", "12"), ("cap", "64"), ("csv", "-"), ("jobs", "0")],
     );
-    let topos = args.get_usize("topos", 12);
-    let cap = args.get_u64("cap", 64) as u128;
+    let topos: usize = args.get("topos", 12);
+    let cap: u128 = args.get("cap", 64);
     let mesh = Mesh::new(8, 8);
     let jobs = jobs_from_args(&args);
 
@@ -65,10 +65,5 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

@@ -14,8 +14,8 @@ fn main() {
         "worst tree-vs-minimal stretch pairs (the Fig. 1(b) motivation)",
         &[("topos", "20"), ("faults", "10")],
     );
-    let topos = args.get_usize("topos", 20);
-    let faults = args.get_usize("faults", 10);
+    let topos: u64 = args.get("topos", 20);
+    let faults: usize = args.get("faults", 10);
     let mesh = Mesh::new(8, 8);
 
     let mut table = Table::new(
@@ -29,7 +29,7 @@ fn main() {
         ],
     );
     let mut overall_worst = (0.0f64, None);
-    for seed in 0..topos as u64 {
+    for seed in 0..topos {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let topo = FaultModel::new(FaultKind::Links, faults).inject(mesh, &mut rng);
         let minimal = MinimalRouting::new(&topo);

@@ -20,10 +20,11 @@ fn main() {
             ("step", "5"),
             ("sim", "off"),
             ("csv", "-"),
+            ("jobs", "0"),
         ],
     );
-    let topos = args.get_usize("topos", 100);
-    let step = args.get_usize("step", 5);
+    let topos: usize = args.get("topos", 100);
+    let step: usize = args.get("step", 5);
     let do_sim = args.flag("sim");
     let mesh = Mesh::new(8, 8);
     let jobs = jobs_from_args(&args);
@@ -68,10 +69,5 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

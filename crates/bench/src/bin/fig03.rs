@@ -14,10 +14,15 @@ fn main() {
     let args = Args::parse_spec(
         "fig03",
         "cumulative % of topologies deadlocked vs injection rate and faulty links",
-        &[("topos", "40"), ("cycles", "20000"), ("csv", "-")],
+        &[
+            ("topos", "40"),
+            ("cycles", "20000"),
+            ("csv", "-"),
+            ("jobs", "0"),
+        ],
     );
-    let topos = args.get_usize("topos", 40);
-    let cycles = args.get_u64("cycles", 20_000);
+    let topos: usize = args.get("topos", 40);
+    let cycles: u64 = args.get("cycles", 20_000);
     let mesh = Mesh::new(8, 8);
     let rates = [0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5];
     let fault_points = [1usize, 5, 10, 15, 20, 25, 30, 40, 50];
@@ -68,10 +73,5 @@ fn main() {
         row.extend(cum.iter().map(|c| format!("{c:.0}")));
         table.row(&row);
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

@@ -6,16 +6,14 @@
 //! At low load no deadlocks occur, so SB and escape VC perform identically;
 //! both beat the spanning tree because their routes stay minimal.
 //!
-//! A fleet client: every (pattern × fault point) cell is a one-point
-//! [`SweepSpec`] whose topology-seed axis carries the historical
-//! `sample_topologies` per-sample seeds and whose simulation seeds
-//! (`100 + topology index`) are patched onto the expanded runs, so the
-//! numbers match the pre-fleet version bit for bit while the whole grid
-//! fans out over one pool and through the content-addressed
-//! result cache (`--cache-dir`).
+//! A fleet client: the pattern × fault point × topology × design grid is
+//! one list of scenarios — the historical `sample_topologies` seeds
+//! through `FaultSpec::Model`, simulation seed `100 + topology index` — run
+//! by [`run_grid`] over the pool and the result cache (`--cache-dir`), and
+//! the table folds the results in the order the list was built.
 
-use sb_bench::{fleet_results, sample_seeds, Args, Design, Table};
-use sb_fleet::{merge_runs, SweepRun, SweepSpec};
+use sb_bench::{run_grid, sample_seeds, Args, Design, Scenario, Table};
+use sb_scenario::{FaultSpec, TrafficSpec};
 use sb_topology::FaultKind;
 
 const DESIGNS: [Design; 4] = [
@@ -24,36 +22,6 @@ const DESIGNS: [Design; 4] = [
     Design::EscapeVc,
     Design::StaticBubble,
 ];
-
-fn batch(pattern: &str, kind: FaultKind, faults: usize, args: &Args) -> Vec<SweepRun> {
-    let topos = args.get_usize("topos", 10);
-    let mut spec = SweepSpec::new("fig08");
-    spec.link_faults = vec![];
-    spec.router_faults = vec![];
-    match kind {
-        FaultKind::Links => spec.link_faults = vec![faults],
-        FaultKind::Routers => spec.router_faults = vec![faults],
-    }
-    spec.topo_seeds = sample_seeds(0xF16_0008 + faults as u64, topos);
-    spec.designs = DESIGNS.iter().map(|d| d.label().to_string()).collect();
-    spec.rates = vec![args.get_f64("rate", 0.05)];
-    spec.seeds = vec![0]; // placeholder; patched per topology below
-    spec.pattern = if pattern == "uniform" {
-        "uniform".into()
-    } else {
-        "bit-complement".into()
-    };
-    spec.warmup = 1_000;
-    spec.cycles = args.get_u64("cycles", 4_000);
-    // Expansion order is topo_seed (outer) → design → rate → seed, so run
-    // `j` pairs with topology `j / DESIGNS.len()`; restore the historical
-    // simulation seed 100+topo onto each run.
-    let mut runs = spec.expand().expect("fig08 grid");
-    for (j, run) in runs.iter_mut().enumerate() {
-        run.scenario.seed = 100 + (j / DESIGNS.len()) as u64;
-    }
-    runs
-}
 
 fn main() {
     let args = Args::parse_spec(
@@ -64,35 +32,51 @@ fn main() {
             ("cycles", "4000"),
             ("rate", "0.05"),
             ("csv", "-"),
+            ("jobs", "0"),
+            ("cache-dir", "-"),
         ],
     );
-    let topos = args.get_usize("topos", 10);
+    let topos: usize = args.get("topos", 10);
+    let cycles: u64 = args.get("cycles", 4_000);
+    let rate: f64 = args.get("rate", 0.05);
 
     let link_points = [1usize, 5, 13, 21, 29, 37, 45, 53, 61];
     let router_points = [1usize, 4, 8, 12, 16, 21, 26, 31];
-    let cells: Vec<(&str, FaultKind, usize)> = ["uniform", "bitcomp"]
-        .iter()
-        .flat_map(|&pattern| {
-            [
-                (FaultKind::Links, link_points.as_slice()),
-                (FaultKind::Routers, router_points.as_slice()),
-            ]
-            .into_iter()
-            .flat_map(move |(kind, points)| {
-                points.iter().map(move |&faults| (pattern, kind, faults))
-            })
-        })
-        .collect();
-
-    // One merged grid: the pool schedules every cell's runs together (no
-    // idle workers at cell boundaries) and the cache dedups across cells.
-    let batches: Vec<(String, Vec<SweepRun>)> = cells
-        .iter()
-        .map(|&(pattern, kind, faults)| (pattern.to_string(), batch(pattern, kind, faults, &args)))
-        .collect();
-    let cell_sizes: Vec<usize> = batches.iter().map(|(_, b)| b.len()).collect();
-    let runs = merge_runs(batches).expect("fig08 cells have distinct keys");
-    let results = fleet_results("fig08", &runs, &args);
+    let mut cells = Vec::new();
+    let mut scenarios = Vec::new();
+    for pattern in ["uniform", "bitcomp"] {
+        let traffic = match pattern {
+            "uniform" => TrafficSpec::Uniform {
+                rate,
+                single_vnet: true,
+            },
+            _ => TrafficSpec::BitComplement {
+                rate,
+                single_vnet: true,
+            },
+        };
+        for (kind, points) in [
+            (FaultKind::Links, &link_points[..]),
+            (FaultKind::Routers, &router_points[..]),
+        ] {
+            for &count in points {
+                cells.push((pattern, kind, count));
+                let seeds = sample_seeds(0xF16_0008 + count as u64, topos);
+                for (t, seed) in seeds.into_iter().enumerate() {
+                    for design in DESIGNS {
+                        scenarios.push(
+                            Scenario::new(format!("fig08/{pattern}/{kind:?}:{count}/t{t}"), design)
+                                .with_faults(FaultSpec::Model { kind, count, seed })
+                                .with_traffic(traffic)
+                                .with_cycles(cycles)
+                                .with_seed(100 + t as u64),
+                        );
+                    }
+                }
+            }
+        }
+    }
+    let results = run_grid(&scenarios, &args);
 
     let mut table = Table::new(
         "Fig. 8: avg low-load latency normalized to spanning tree (lower is better)",
@@ -106,26 +90,16 @@ fn main() {
             "static_bubble_norm",
         ],
     );
-    let mut offset = 0usize;
-    for (&(pattern, kind, faults), &size) in cells.iter().zip(&cell_sizes) {
-        let cell = &results[offset..offset + size];
-        offset += size;
+    let per_cell = topos * DESIGNS.len();
+    for ((pattern, kind, faults), cell) in cells.into_iter().zip(results.chunks(per_cell)) {
         let mut sums = [0.0f64; 4];
         let mut n = 0usize;
-        for topo_idx in 0..topos {
-            let lat: Vec<Option<f64>> = (0..DESIGNS.len())
-                .map(|k| {
-                    let res = cell[topo_idx * DESIGNS.len() + k]
-                        .as_ref()
-                        .unwrap_or_else(|e| panic!("fig08 run failed: {e}"));
-                    res.stats.avg_latency()
-                })
-                .collect();
-            if let (Some(a), Some(b), Some(c), Some(d2)) = (lat[0], lat[1], lat[2], lat[3]) {
-                sums[0] += a;
-                sums[1] += b;
-                sums[2] += c;
-                sums[3] += d2;
+        for topo in cell.chunks(DESIGNS.len()) {
+            let lat: Vec<f64> = topo.iter().filter_map(|r| r.stats.avg_latency()).collect();
+            if lat.len() == DESIGNS.len() {
+                for (sum, l) in sums.iter_mut().zip(lat) {
+                    *sum += l;
+                }
                 n += 1;
             }
         }
@@ -143,10 +117,5 @@ fn main() {
             format!("{:.3}", sums[3] / n as f64 / sp),
         ]);
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

@@ -2,36 +2,18 @@
 //! dynamic/leakage) for the three designs at 2 / 7 / 15 / 30
 //! faulty/power-gated routers, uniform-random traffic at medium load.
 //!
-//! A fleet client: the fault-count × topology × design grid expands from
-//! one-point [`SweepSpec`]s (historical `sample_topologies` seeds on the
-//! topology axis, simulation seed `300 + topology index` patched per run)
-//! and fans out over the pool / result cache. Energy pricing is
-//! simulation-free — the hardware inventory comes from the rematerialized
-//! topology — so it stays client-side, applied to the returned stats.
+//! A fleet client: the fault-count × topology × design grid is one list
+//! of scenarios (historical `sample_topologies` seeds on the topology axis,
+//! simulation seed `300 + topology index`) run by [`run_grid`] over the
+//! pool / result cache. Energy pricing is simulation-free — the hardware
+//! inventory comes from each scenario's topology — so it stays client-side,
+//! applied to the returned stats.
 
-use sb_bench::{fleet_results, sample_seeds, Args, Design, Table};
-use sb_energy::EnergyModel;
-use sb_fleet::{merge_runs, SweepRun, SweepSpec};
+use sb_bench::{run_grid, sample_seeds, Args, Design, Scenario, Table};
+use sb_energy::{EnergyBreakdown, EnergyModel};
+use sb_scenario::FaultSpec;
 use sb_sim::SimConfig;
-
-fn batch(faults: usize, args: &Args) -> Vec<SweepRun> {
-    let topos = args.get_usize("topos", 8);
-    let mut spec = SweepSpec::new("fig10");
-    spec.link_faults = vec![];
-    spec.router_faults = vec![faults];
-    spec.topo_seeds = sample_seeds(0xF16_0010 + faults as u64, topos);
-    spec.designs = Design::ALL.iter().map(|d| d.label().to_string()).collect();
-    spec.rates = vec![args.get_f64("rate", 0.08)];
-    spec.seeds = vec![0]; // placeholder; patched per topology below
-    spec.warmup = 1_000;
-    spec.cycles = args.get_u64("cycles", 6_000);
-    // Expansion order: topo_seed → design → rate → seed.
-    let mut runs = spec.expand().expect("fig10 grid");
-    for (j, run) in runs.iter_mut().enumerate() {
-        run.scenario.seed = 300 + (j / Design::ALL.len()) as u64;
-    }
-    runs
-}
+use sb_topology::FaultKind;
 
 fn main() {
     let args = Args::parse_spec(
@@ -42,19 +24,32 @@ fn main() {
             ("cycles", "6000"),
             ("rate", "0.08"),
             ("csv", "-"),
+            ("jobs", "0"),
+            ("cache-dir", "-"),
         ],
     );
-    let topos = args.get_usize("topos", 8);
+    let topos: usize = args.get("topos", 8);
+    let cycles: u64 = args.get("cycles", 6_000);
+    let rate: f64 = args.get("rate", 0.08);
     let model = EnergyModel::dsent_32nm();
 
-    let fault_points = [2usize, 7, 15, 30];
-    let batches: Vec<(String, Vec<SweepRun>)> = fault_points
-        .iter()
-        .map(|&faults| (String::new(), batch(faults, &args)))
-        .collect();
-    let cell_sizes: Vec<usize> = batches.iter().map(|(_, b)| b.len()).collect();
-    let runs = merge_runs(batches).expect("fig10 cells have distinct keys");
-    let results = fleet_results("fig10", &runs, &args);
+    let (kind, fault_points) = (FaultKind::Routers, [2usize, 7, 15, 30]);
+    let mut scenarios = Vec::new();
+    for count in fault_points {
+        let seeds = sample_seeds(0xF16_0010 + count as u64, topos);
+        for (t, seed) in seeds.into_iter().enumerate() {
+            for design in Design::ALL {
+                scenarios.push(
+                    Scenario::new(format!("fig10/{kind:?}:{count}/t{t}"), design)
+                        .with_faults(FaultSpec::Model { kind, count, seed })
+                        .with_rate(rate)
+                        .with_cycles(cycles)
+                        .with_seed(300 + t as u64),
+                );
+            }
+        }
+    }
+    let results = run_grid(&scenarios, &args);
 
     let mut table = Table::new(
         "Fig. 10: avg network energy (pJ, normalized to sp-tree total at each fault count)",
@@ -68,39 +63,30 @@ fn main() {
             "total_norm",
         ],
     );
-    let mut offset = 0usize;
-    for (&faults, &size) in fault_points.iter().zip(&cell_sizes) {
-        let cell = offset..offset + size;
-        offset += size;
-        let per_design: Vec<sb_energy::EnergyBreakdown> = Design::ALL
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| {
-                let mut sum = sb_energy::EnergyBreakdown::default();
-                for topo_idx in 0..topos {
-                    let i = cell.start + topo_idx * Design::ALL.len() + k;
-                    let res = results[i]
-                        .as_ref()
-                        .unwrap_or_else(|e| panic!("fig10 run failed: {e}"));
-                    // The inventory the pricing needs is a pure function of
-                    // (design, topology); the topology rematerializes from
-                    // the run's own spec.
-                    let topo = runs[i].scenario.topology();
-                    let b = model.price(&res.stats, d.cost(&topo, SimConfig::single_vnet()));
-                    sum.router_dynamic += b.router_dynamic;
-                    sum.link_dynamic += b.link_dynamic;
-                    sum.router_leakage += b.router_leakage;
-                    sum.link_leakage += b.link_leakage;
-                }
-                let n = topos as f64;
-                sb_energy::EnergyBreakdown {
-                    router_dynamic: sum.router_dynamic / n,
-                    link_dynamic: sum.link_dynamic / n,
-                    router_leakage: sum.router_leakage / n,
-                    link_leakage: sum.link_leakage / n,
-                }
-            })
-            .collect();
+    let per_cell = topos * Design::ALL.len();
+    let cells = scenarios.chunks(per_cell).zip(results.chunks(per_cell));
+    for (faults, (scenarios, results)) in fault_points.into_iter().zip(cells) {
+        let mut per_design = [EnergyBreakdown::default(); 3];
+        for (i, (scenario, res)) in scenarios.iter().zip(results).enumerate() {
+            // The inventory the pricing needs is a pure function of
+            // (design, topology); the topology rematerializes from the
+            // run's own spec.
+            let topo = scenario.topology();
+            let cost = scenario.design.cost(&topo, SimConfig::single_vnet());
+            let b = model.price(&res.stats, cost);
+            let sum = &mut per_design[i % Design::ALL.len()];
+            sum.router_dynamic += b.router_dynamic;
+            sum.link_dynamic += b.link_dynamic;
+            sum.router_leakage += b.router_leakage;
+            sum.link_leakage += b.link_leakage;
+        }
+        let n = topos as f64;
+        for sum in &mut per_design {
+            sum.router_dynamic /= n;
+            sum.link_dynamic /= n;
+            sum.router_leakage /= n;
+            sum.link_leakage /= n;
+        }
         let sp_total = per_design[0].total();
         for (d, b) in Design::ALL.iter().zip(&per_design) {
             table.row(&[
@@ -114,10 +100,5 @@ fn main() {
             ]);
         }
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

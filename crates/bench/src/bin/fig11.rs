@@ -2,36 +2,15 @@
 //! with 20 router faults: probes sent over 10K cycles, link utilization per
 //! message class, and average packet latency.
 //!
-//! A fleet client: the scalar-array [`SweepSpec`] has no `t_DD` axis, so
-//! the sweep is one single-`t_DD` spec per rung merged into one grid
-//! ([`merge_runs`], batch labels `tdd5`…`tdd100`), with the historical
-//! topology seeds and per-topology simulation seeds (`400 + index`)
-//! restored onto the expanded runs. Per-class link utilization needs the
-//! alive-link count, which rematerializes from each run's own spec.
+//! A fleet client: the `t_DD` × topology grid is one list of scenarios
+//! with the historical topology seeds and per-topology simulation seeds
+//! (`400 + index`), run by [`run_grid`]. Per-class link utilization needs
+//! the alive-link count, which rematerializes from each scenario.
 
-use sb_bench::{fleet_results, sample_seeds, Args, Design, Table};
-use sb_fleet::{merge_runs, SweepRun, SweepSpec};
+use sb_bench::{run_grid, sample_seeds, Args, Design, Scenario, Table};
+use sb_scenario::FaultSpec;
 use sb_sim::SpecialClass;
-
-fn batch(tdd: u64, args: &Args) -> Vec<SweepRun> {
-    let topos = args.get_usize("topos", 8);
-    let mut spec = SweepSpec::new("fig11");
-    spec.link_faults = vec![];
-    spec.router_faults = vec![20];
-    spec.topo_seeds = sample_seeds(0xF16_0011, topos);
-    spec.designs = vec![Design::StaticBubble.label().to_string()];
-    spec.rates = vec![args.get_f64("rate", 0.30)];
-    spec.seeds = vec![0]; // placeholder; patched per topology below
-    spec.warmup = 0;
-    spec.cycles = args.get_u64("cycles", 10_000);
-    spec.tdd = tdd;
-    // One design × one rate × one seed: run `j` IS topology `j`.
-    let mut runs = spec.expand().expect("fig11 grid");
-    for (j, run) in runs.iter_mut().enumerate() {
-        run.scenario.seed = 400 + j as u64;
-    }
-    runs
-}
+use sb_topology::FaultKind;
 
 fn main() {
     let args = Args::parse_spec(
@@ -42,17 +21,32 @@ fn main() {
             ("cycles", "10000"),
             ("rate", "0.30"),
             ("csv", "-"),
+            ("jobs", "0"),
+            ("cache-dir", "-"),
         ],
     );
-    let topos = args.get_usize("topos", 8);
+    let topos: usize = args.get("topos", 8);
+    let cycles: u64 = args.get("cycles", 10_000);
+    let rate: f64 = args.get("rate", 0.30);
 
     let tdds = [5u64, 10, 20, 34, 60, 100];
-    let batches: Vec<(String, Vec<SweepRun>)> = tdds
-        .iter()
-        .map(|&tdd| (format!("tdd{tdd}"), batch(tdd, &args)))
-        .collect();
-    let runs = merge_runs(batches).expect("fig11 rungs are label-namespaced");
-    let results = fleet_results("fig11", &runs, &args);
+    let (kind, count) = (FaultKind::Routers, 20);
+    let seeds = sample_seeds(0xF16_0011, topos);
+    let mut scenarios = Vec::new();
+    for tdd in tdds {
+        for (t, &seed) in seeds.iter().enumerate() {
+            scenarios.push(
+                Scenario::new(format!("fig11/tdd{tdd}/t{t}"), Design::StaticBubble)
+                    .with_faults(FaultSpec::Model { kind, count, seed })
+                    .with_rate(rate)
+                    .with_warmup(0)
+                    .with_cycles(cycles)
+                    .with_tdd(tdd)
+                    .with_seed(400 + t as u64),
+            );
+        }
+    }
+    let results = run_grid(&scenarios, &args);
 
     let mut table = Table::new(
         "Fig. 11: t_DD sweep (SB, 20 router faults, high load, 10K cycles)",
@@ -68,19 +62,16 @@ fn main() {
             "recovered",
         ],
     );
-    for (t, &tdd) in tdds.iter().enumerate() {
+    let cells = scenarios.chunks(topos).zip(results.chunks(topos));
+    for (tdd, (scenarios, results)) in tdds.into_iter().zip(cells) {
         let mut probes = 0.0;
         let mut util = [0.0f64; 4];
         let mut flit_util = 0.0;
         let mut lat = 0.0;
         let mut lat_n = 0usize;
         let mut recovered = 0u64;
-        for topo_idx in 0..topos {
-            let i = t * topos + topo_idx;
-            let res = results[i]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("fig11 run failed: {e}"));
-            let links = runs[i].scenario.topology().alive_links().count() * 2;
+        for (scenario, res) in scenarios.iter().zip(results) {
+            let links = scenario.topology().alive_links().count() * 2;
             probes += res.stats.probes_sent as f64;
             recovered += res.stats.deadlocks_recovered;
             for c in SpecialClass::ALL {
@@ -112,10 +103,5 @@ fn main() {
             recovered.to_string(),
         ]);
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

@@ -17,10 +17,15 @@ fn main() {
     let args = Args::parse_spec(
         "fig12",
         "Rodinia app throughput normalized to spanning tree",
-        &[("topos", "4"), ("cycles", "20000"), ("csv", "-")],
+        &[
+            ("topos", "4"),
+            ("cycles", "20000"),
+            ("csv", "-"),
+            ("jobs", "0"),
+        ],
     );
-    let topos = args.get_usize("topos", 4);
-    let cycles = args.get_u64("cycles", 20_000);
+    let topos: usize = args.get("topos", 4);
+    let cycles: u64 = args.get("cycles", 20_000);
     let mesh = Mesh::new(8, 8);
     let jobs = jobs_from_args(&args);
 
@@ -108,10 +113,5 @@ fn main() {
             format!("{:.2}", sb / sp.max(1e-9)),
         ]);
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

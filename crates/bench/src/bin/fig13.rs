@@ -23,11 +23,12 @@ fn main() {
             ("budget", "3000"),
             ("max-cycles", "400000"),
             ("csv", "-"),
+            ("jobs", "0"),
         ],
     );
-    let topos = args.get_usize("topos", 3);
-    let budget = args.get_u64("budget", 3_000);
-    let max_cycles = args.get_u64("max-cycles", 400_000);
+    let topos: usize = args.get("topos", 3);
+    let budget: u64 = args.get("budget", 3_000);
+    let max_cycles: u64 = args.get("max-cycles", 400_000);
     let mesh = Mesh::new(8, 8);
     let model = EnergyModel::dsent_32nm();
     let jobs = jobs_from_args(&args);
@@ -113,10 +114,5 @@ fn main() {
             format!("{:.3}", edp[3] / edp[0]),
         ]);
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

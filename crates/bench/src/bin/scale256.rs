@@ -2,28 +2,34 @@
 //! on a 16×16 mesh (Table I), with recovery exercised at deadlock-prone
 //! load on regular and irregular instances.
 //!
-//! A fleet client: the three topology instances × three designs expand
-//! from one [`SweepSpec`] (fault points `links:0`, `links:30`,
-//! `routers:20`, all drawn with seed 256) and run through the pool and the
+//! A fleet client: the three topology instances × three designs are one
+//! list of scenarios (the faulted instances are `FaultSpec::Model` draws
+//! with seed 256) run by [`run_grid`] through the pool and the
 //! content-addressed result cache. The pre-fleet version drew the two
 //! faulted instances from one *shared* RNG stream, which no serialized
-//! spec can address; they are now independent `FaultSpec::Model` draws
-//! from the same seed, so the sampled instances (and their numbers) differ
-//! from pre-fleet output while everything is reproducible from the spec.
+//! spec can address; they are now independent draws from the same seed,
+//! so the sampled instances (and their numbers) differ from pre-fleet
+//! output while everything is reproducible from the spec.
 
-use sb_bench::{fleet_results, Args, Design, Table};
-use sb_fleet::SweepSpec;
-use sb_topology::Mesh;
+use sb_bench::{run_grid, Args, Design, Scenario, Table};
+use sb_scenario::FaultSpec;
+use sb_topology::{FaultKind, Mesh};
 use static_bubble::placement;
 
 fn main() {
     let args = Args::parse_spec(
         "scale256",
         "16x16 (256-core) placement and recovery scale check",
-        &[("cycles", "6000"), ("rate", "0.08"), ("csv", "-")],
+        &[
+            ("cycles", "6000"),
+            ("rate", "0.08"),
+            ("csv", "-"),
+            ("jobs", "0"),
+            ("cache-dir", "-"),
+        ],
     );
-    let cycles = args.get_u64("cycles", 6_000);
-    let rate = args.get_f64("rate", 0.08);
+    let cycles: u64 = args.get("cycles", 6_000);
+    let rate: f64 = args.get("rate", 0.08);
     let mesh = Mesh::new(16, 16);
 
     println!(
@@ -32,19 +38,29 @@ fn main() {
         placement::coverage_holds(mesh)
     );
 
-    let mut spec = SweepSpec::new("scale256");
-    spec.meshes = vec!["16x16".into()];
-    spec.link_faults = vec![0, 30];
-    spec.router_faults = vec![20];
-    spec.topo_seeds = vec![256];
-    spec.designs = Design::ALL.iter().map(|d| d.label().to_string()).collect();
-    spec.rates = vec![rate];
-    spec.seeds = vec![1];
-    spec.warmup = 1_000;
-    spec.cycles = cycles;
-    // Expansion order: fault point → design; three designs per instance.
-    let runs = spec.expand().expect("scale256 grid");
-    let results = fleet_results("scale256", &runs, &args);
+    let model = |kind, count| FaultSpec::Model {
+        kind,
+        count,
+        seed: 256,
+    };
+    let instances = [
+        ("full", FaultSpec::Pristine),
+        ("30-link-faults", model(FaultKind::Links, 30)),
+        ("20-router-faults", model(FaultKind::Routers, 20)),
+    ];
+    let mut scenarios = Vec::new();
+    for (name, faults) in instances {
+        for design in Design::ALL {
+            scenarios.push(
+                Scenario::new(format!("scale256/{name}"), design)
+                    .with_mesh(16, 16)
+                    .with_faults(faults)
+                    .with_rate(rate)
+                    .with_cycles(cycles),
+            );
+        }
+    }
+    let results = run_grid(&scenarios, &args);
 
     let mut table = Table::new(
         "256-core: throughput and recovery at deadlock-prone load",
@@ -57,25 +73,17 @@ fn main() {
             "recovered",
         ],
     );
-    let names = ["full", "30-link-faults", "20-router-faults"];
-    for (i, res) in results.iter().enumerate() {
-        let res = res
-            .as_ref()
-            .unwrap_or_else(|e| panic!("scale256 run failed: {e}"));
-        let d = runs[i].scenario.design;
-        table.row(&[
-            names[i / Design::ALL.len()].to_string(),
-            d.label().to_string(),
-            format!("{:.3}", res.stats.throughput(res.nodes)),
-            format!("{:.1}", res.stats.avg_latency().unwrap_or(f64::NAN)),
-            res.stats.probes_sent.to_string(),
-            res.stats.deadlocks_recovered.to_string(),
-        ]);
+    for ((name, _), instance) in instances.into_iter().zip(results.chunks(Design::ALL.len())) {
+        for (design, res) in Design::ALL.into_iter().zip(instance) {
+            table.row(&[
+                name.to_string(),
+                design.label().to_string(),
+                format!("{:.3}", res.stats.throughput(res.nodes)),
+                format!("{:.1}", res.stats.avg_latency().unwrap_or(f64::NAN)),
+                res.stats.probes_sent.to_string(),
+                res.stats.deadlocks_recovered.to_string(),
+            ]);
+        }
     }
-    table.print();
-    if let Some(path) = args.get_str("csv") {
-        table
-            .write_csv(std::path::Path::new(path))
-            .expect("write csv");
-    }
+    table.finish(args.get_str("csv"));
 }

@@ -1,8 +1,12 @@
-//! A minimal `--key value` argument parser (no extra dependencies).
+//! The one command-line parser of the experiment binaries — `sbsim`,
+//! `sweep` and every figure — with no extra dependencies.
 //!
-//! Experiment binaries declare their knobs up front with [`Args::parse_spec`],
-//! which gets them `--help`, rejection of unknown options, and friendly
-//! errors on malformed values for free:
+//! A binary declares its knobs up front with [`Args::parse_spec`] and
+//! accepts exactly those: `--help` lists them, and an unknown option, a
+//! stray positional, a valued knob given bare and a switch given a value
+//! are usage errors (exit 2) naming the key. A knob declared with the
+//! default `off` is a switch. Reading a key the binary did not declare
+//! panics: that is a bug in the binary, not in its command line.
 //!
 //! ```no_run
 //! use sb_bench::Args;
@@ -11,7 +15,7 @@
 //!     "low-load latency normalized to spanning tree",
 //!     &[("topos", "10"), ("cycles", "4000"), ("rate", "0.05"), ("csv", "-")],
 //! );
-//! let topos = args.get_usize("topos", 10);
+//! let topos: usize = args.get("topos", 10);
 //! ```
 
 use std::collections::HashMap;
@@ -25,43 +29,35 @@ pub enum ArgError {
     Bad(String),
 }
 
-/// Parsed command-line arguments: `--key value` pairs plus bare flags.
+/// Parsed command-line arguments: `--key value` pairs plus bare switches.
 ///
 /// ```
 /// use sb_bench::Args;
 /// let argv = ["--topos", "16", "--sim"].map(String::from);
 /// let knobs = [("topos", "8"), ("cycles", "5000"), ("sim", "off")];
 /// let args = Args::try_parse_spec(argv, "fig02", "deadlock onset", &knobs).unwrap();
-/// assert_eq!(args.get_usize("topos", 8), 16);
+/// assert_eq!(args.get("topos", 8usize), 16);
 /// assert!(args.flag("sim"));
-/// assert_eq!(args.get_u64("cycles", 5000), 5000);
+/// assert_eq!(args.get("cycles", 5000u64), 5000);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Args {
+    declared: Vec<String>,
     values: HashMap<String, String>,
     flags: Vec<String>,
     usage: String,
 }
 
-/// Keys every experiment binary accepts without declaring them. `--jobs`
-/// feeds [`crate::sweep::jobs_from_args`]. `--cache-dir` points the
-/// fleet's content-addressed result cache at a directory
-/// ([`crate::sweep::cache_from_args`]).
-const BUILTIN_KEYS: &[&str] = &["jobs", "cache-dir", "help"];
+/// The default that declares a knob a switch.
+const SWITCH: &str = "off";
 
 impl Args {
     /// Strictly parse the process arguments against a declared knob list.
-    ///
-    /// Prints the familiar `== name: what` banner to stderr, then parses.
-    /// `--help` prints usage and exits 0; unknown options or stray positional
-    /// arguments print the usage banner and exit 2. `--jobs` is accepted
-    /// by every binary (see [`crate::sweep::jobs_from_args`]).
+    /// `--help` prints usage and exits 0; a malformed command line prints
+    /// what is wrong plus the usage and exits 2.
     pub fn parse_spec(name: &str, what: &str, knobs: &[(&str, &str)]) -> Self {
         match Self::try_parse_spec(std::env::args().skip(1), name, what, knobs) {
-            Ok(args) => {
-                Self::banner(name, what, knobs);
-                args
-            }
+            Ok(args) => args,
             Err(ArgError::Help(usage)) => {
                 println!("{usage}");
                 std::process::exit(0);
@@ -82,7 +78,9 @@ impl Args {
         knobs: &[(&str, &str)],
     ) -> Result<Self, ArgError> {
         let usage = Self::usage_text(name, what, knobs);
+        let bad = |msg: String| Err(ArgError::Bad(format!("{msg}\n{usage}")));
         let mut args = Args {
+            declared: knobs.iter().map(|(k, _)| k.to_string()).collect(),
             values: HashMap::new(),
             flags: Vec::new(),
             usage: usage.clone(),
@@ -90,22 +88,27 @@ impl Args {
         let mut iter = iter.into_iter().peekable();
         while let Some(a) = iter.next() {
             let Some(key) = a.strip_prefix("--") else {
-                return Err(ArgError::Bad(format!(
-                    "stray argument {a:?}; options are --key value pairs\n{usage}"
-                )));
+                return bad(format!(
+                    "stray argument {a:?}; options are --key value pairs"
+                ));
             };
             if key == "help" {
                 return Err(ArgError::Help(usage));
             }
-            if !knobs.iter().any(|(k, _)| *k == key) && !BUILTIN_KEYS.contains(&key) {
-                return Err(ArgError::Bad(format!("unknown option --{key}\n{usage}")));
-            }
-            match iter.peek() {
-                Some(v) if !v.starts_with("--") => {
-                    let v = iter.next().expect("peeked");
+            let Some(&(_, default)) = knobs.iter().find(|(k, _)| *k == key) else {
+                return bad(format!("unknown option --{key}"));
+            };
+            match (default == SWITCH, iter.next_if(|v| !v.starts_with("--"))) {
+                (true, None) => args.flags.push(key.to_string()),
+                (true, Some(v)) => {
+                    return bad(format!(
+                        "--{key} is a switch and takes no value (got {v:?})"
+                    ))
+                }
+                (false, Some(v)) => {
                     args.values.insert(key.to_string(), v);
                 }
-                _ => args.flags.push(key.to_string()),
+                (false, None) => return bad(format!("--{key} needs a value")),
             }
         }
         Ok(args)
@@ -115,70 +118,59 @@ impl Args {
         use std::fmt::Write;
         let mut s = format!("usage: {name} [--KNOB VALUE]...\n  {what}\n  knobs:\n");
         for (k, d) in knobs {
-            writeln!(s, "    --{k:<12} (default {d})").expect("write to string");
+            let help = match *k {
+                "jobs" => "worker threads; 1 = sequential, 0 = all cores (default)".to_string(),
+                "cache-dir" => "memoize simulation results in this directory".to_string(),
+                _ => format!("(default {d})"),
+            };
+            writeln!(s, "    --{k:<14} {help}").expect("write to string");
         }
-        s.push_str(
-            "    --jobs         worker threads; 1 = sequential, 0 = all cores (default)\n    \
-             --cache-dir    memoize simulation results in this directory\n    --help\n",
-        );
+        s.push_str("    --help\n");
         s
     }
 
-    fn bail(&self, msg: String) -> ! {
-        eprintln!("{msg}\n{}", self.usage);
-        std::process::exit(2);
+    fn check_declared(&self, key: &str) {
+        assert!(
+            self.declared.iter().any(|k| k == key),
+            "--{key} is read but not declared"
+        );
     }
 
-    fn try_parsed<T: std::str::FromStr>(&self, key: &str, what: &str) -> Result<Option<T>, String> {
+    fn try_get<T: std::str::FromStr>(&self, key: &str) -> Result<Option<T>, String> {
+        self.check_declared(key);
         match self.values.get(key) {
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("--{key} got {v:?}; expected {what}")),
+            Some(v) => v.parse().map(Some).map_err(|_| {
+                format!(
+                    "--{key} got {v:?}; expected a value of type {}",
+                    std::any::type_name::<T>()
+                )
+            }),
             None => Ok(None),
         }
     }
 
-    fn parsed<T: std::str::FromStr>(&self, key: &str, what: &str, default: T) -> T {
-        match self.try_parsed(key, what) {
+    /// The value of `--key` parsed as `T`, or `default` when absent. A value
+    /// that does not parse is a usage error (exit 2).
+    pub fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
+        match self.try_get(key) {
             Ok(v) => v.unwrap_or(default),
-            Err(e) => self.bail(e),
+            Err(msg) => {
+                eprintln!("{msg}\n{}", self.usage);
+                std::process::exit(2);
+            }
         }
-    }
-
-    /// Integer option with default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.parsed(key, "an integer", default)
-    }
-
-    /// u64 option with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.parsed(key, "an integer", default)
-    }
-
-    /// Float option with default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.parsed(key, "a number", default)
     }
 
     /// String option, `None` if absent.
     pub fn get_str(&self, key: &str) -> Option<&str> {
+        self.check_declared(key);
         self.values.get(key).map(String::as_str)
     }
 
-    /// Bare flag presence.
+    /// Was the switch given?
     pub fn flag(&self, key: &str) -> bool {
+        self.check_declared(key);
         self.flags.iter().any(|f| f == key)
-    }
-
-    /// Print a standard usage banner for an experiment binary.
-    pub fn banner(name: &str, what: &str, knobs: &[(&str, &str)]) {
-        eprintln!("== {name}: {what}");
-        eprint!("   knobs:");
-        for (k, d) in knobs {
-            eprint!(" --{k} (default {d})");
-        }
-        eprintln!();
     }
 }
 
@@ -191,26 +183,30 @@ mod tests {
             argv.iter().map(|s| s.to_string()),
             "figX",
             "a test binary",
-            &[("topos", "10"), ("rate", "0.05"), ("sim", "off")],
+            &[
+                ("topos", "10"),
+                ("rate", "0.05"),
+                ("sim", "off"),
+                ("jobs", "0"),
+            ],
         )
+    }
+
+    fn bad(argv: &[&str]) -> String {
+        match strict(argv) {
+            Err(ArgError::Bad(msg)) => msg,
+            other => panic!("{argv:?} must be a usage error, got {other:?}"),
+        }
     }
 
     #[test]
     fn parses_mixed() {
         let a = strict(&["--topos", "3", "--sim", "--rate", "2.5"]).expect("valid argv");
-        assert_eq!(a.get_usize("topos", 0), 3);
-        assert_eq!(a.get_f64("rate", 0.0), 2.5);
+        assert_eq!(a.get("topos", 0usize), 3);
+        assert_eq!(a.get("rate", 0.0f64), 2.5);
         assert!(a.flag("sim"));
-        assert!(!a.flag("other"));
-        assert_eq!(a.get_u64("missing", 7), 7);
-    }
-
-    #[test]
-    fn spec_accepts_declared_knobs_and_builtins() {
-        let a = strict(&["--topos", "16", "--sim", "--jobs", "2"]).expect("valid argv");
-        assert_eq!(a.get_usize("topos", 10), 16);
-        assert!(a.flag("sim"));
-        assert_eq!(a.get_usize("jobs", 4), 2);
+        assert_eq!(a.get("jobs", 7usize), 7);
+        assert_eq!(a.get_str("jobs"), None);
     }
 
     #[test]
@@ -231,35 +227,48 @@ mod tests {
     }
 
     #[test]
-    fn spec_rejects_the_retired_threads_alias() {
-        // The worker count has one spelling, `--jobs`.
-        let Err(ArgError::Bad(msg)) = strict(&["--threads", "2"]) else {
-            panic!("--threads must be rejected");
-        };
-        assert!(msg.contains("unknown option --threads"), "{msg}");
+    fn only_declared_knobs_are_accepted() {
+        // No built-in keys: `--cache-dir` is unknown unless declared, and
+        // the worker count has one spelling, `--jobs`.
+        for key in ["--bogus", "--cache-dir", "--threads"] {
+            let msg = bad(&[key, "1"]);
+            assert!(msg.contains(&format!("unknown option {key}")), "{msg}");
+            assert!(msg.contains("usage: figX"), "{msg}");
+            assert!(msg.contains("--topos"), "{msg}");
+        }
+        let usage = strict(&[]).expect("valid argv").usage;
+        assert!(!usage.contains("cache-dir"), "{usage}");
     }
 
     #[test]
-    fn spec_rejects_unknown_key_with_usage() {
-        let Err(ArgError::Bad(msg)) = strict(&["--bogus", "1"]) else {
-            panic!("--bogus must be rejected");
-        };
-        assert!(msg.contains("unknown option --bogus"), "{msg}");
-        assert!(msg.contains("usage: figX"), "{msg}");
-        assert!(msg.contains("--topos"), "{msg}");
+    fn a_valued_knob_given_bare_names_the_key() {
+        for argv in [&["--topos"][..], &["--topos", "--sim"]] {
+            let msg = bad(argv);
+            assert!(msg.contains("--topos needs a value"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn a_switch_given_a_value_names_the_key() {
+        let msg = bad(&["--sim", "yes"]);
+        assert!(msg.contains("--sim is a switch"), "{msg}");
+        assert!(msg.contains("\"yes\""), "{msg}");
+    }
+
+    #[test]
+    #[should_panic(expected = "--cycles is read but not declared")]
+    fn reading_an_undeclared_key_panics() {
+        strict(&[]).expect("valid argv").get("cycles", 1u64);
     }
 
     #[test]
     fn spec_rejects_stray_positional() {
-        let Err(ArgError::Bad(msg)) = strict(&["whoops"]) else {
-            panic!("positional args must be rejected");
-        };
-        assert!(msg.contains("stray argument"), "{msg}");
+        assert!(bad(&["whoops"]).contains("stray argument"));
     }
 
     #[test]
     fn spec_answers_help() {
-        let Err(ArgError::Help(usage)) = strict(&["--help"]) else {
+        let Err(ArgError::Help(usage)) = strict(&["--topos", "3", "--help"]) else {
             panic!("--help must short-circuit");
         };
         assert!(usage.contains("a test binary"), "{usage}");
@@ -270,11 +279,10 @@ mod tests {
     #[test]
     fn malformed_values_report_key_and_value() {
         let a = strict(&["--rate", "fast"]).expect("parses; value checked at get");
-        let err = a.try_parsed::<f64>("rate", "a number").unwrap_err();
+        let err = a.try_get::<f64>("rate").unwrap_err();
         assert!(err.contains("--rate"), "{err}");
         assert!(err.contains("fast"), "{err}");
-        assert_eq!(a.try_parsed::<f64>("missing", "a number"), Ok(None));
-        let err = a.try_parsed::<usize>("rate", "an integer").unwrap_err();
-        assert!(err.contains("an integer"), "{err}");
+        assert!(err.contains("f64"), "{err}");
+        assert_eq!(a.try_get::<f64>("topos"), Ok(None));
     }
 }

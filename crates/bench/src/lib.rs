@@ -1,8 +1,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Experiment harness (system **S9**, `DESIGN.md`): shared machinery for
-//! the per-figure binaries in `src/bin/`.
+//! Experiment harness (system **S9**, `DESIGN.md`): the front end every
+//! experiment binary shares — the one argument parser ([`Args`]), the one
+//! call that runs a figure's scenarios through the fleet ([`run_grid`]) and
+//! the result table ([`Table`]) — plus the binaries themselves in
+//! `src/bin/`: one per paper figure, and `sweep`, which runs a sweep-spec
+//! file. (`sbsim` lives in the root package and parses with [`Args`] too.)
 //!
 //! Run any experiment with, e.g.:
 //!
@@ -11,8 +15,9 @@
 //! ```
 //!
 //! Every binary prints the paper's rows/series to stdout; `--help` lists the
-//! knobs. Defaults are sized to finish on a laptop; `EXPERIMENTS.md` records
-//! the settings used for the committed results.
+//! knobs it accepts, and it accepts no others. Defaults are sized to finish
+//! on a laptop; `EXPERIMENTS.md` records the settings used for the
+//! committed results.
 
 pub mod cli;
 pub mod sweep;
@@ -21,13 +26,13 @@ pub mod table;
 pub use cli::{ArgError, Args};
 pub use sb_scenario::design;
 pub use sb_scenario::{Design, RunOutcome, Scenario};
-pub use sweep::{cache_from_args, fleet_results, sample_seeds, sample_topologies_filtered};
+pub use sweep::{cache_from_args, run_grid, sample_seeds, sample_topologies_filtered};
 pub use table::Table;
 
-/// The `saturated` regime of `saturated_smoke` and of the `BENCH_kernel.json`
-/// ledger: up*/down* routing on a 16×16 mesh with 20 link faults
-/// at 0.08 flits/node/cycle. Up*/down* is deadlock-free, so the network
-/// stays live however far past its knee it is pushed — every router
+/// The `saturated` regime of `tests/saturated.rs` and of the
+/// `BENCH_kernel.json` ledger: up*/down* routing on a 16×16 mesh with 20
+/// link faults at 0.08 flits/node/cycle. Up*/down* is deadlock-free, so the
+/// network stays live however far past its knee it is pushed — every router
 /// contends every cycle and source queues grow for the whole run — where
 /// an unprotected mesh driven past saturation wedges within a few thousand
 /// cycles and times the worklist skipping a dead network (the `blocked`

@@ -1,5 +1,8 @@
-//! Topology sampling and the `--jobs` / `--cache-dir` plumbing.
+//! Topology sampling, the `--jobs` / `--cache-dir` plumbing, and the one
+//! call that runs a figure's grid.
 
+use sb_fleet::{CacheConfig, ExecOptions, RunResult, SweepRun};
+use sb_scenario::{Scenario, ScenarioId};
 use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
 
 /// Sample `count` random topologies for a fault point, keeping only those
@@ -44,48 +47,67 @@ pub fn sample_topologies_filtered(
 /// `--jobs`: worker threads, `0` (the default) = one per core, `1` = the
 /// sequential reference path. [`sb_pool::run_stream`] resolves the `0`.
 pub fn jobs_from_args(args: &crate::Args) -> usize {
-    args.get_usize("jobs", 0)
+    args.get("jobs", 0)
 }
 
-/// The fleet cache configuration selected by `--cache-dir` (a builtin knob
-/// of every experiment binary): memoize simulation results there when
-/// given, run in-process-only otherwise.
-pub fn cache_from_args(args: &crate::Args) -> sb_fleet::CacheConfig {
+/// The fleet cache configuration selected by `--cache-dir`: memoize
+/// simulation results there when given, run in-process-only otherwise.
+pub fn cache_from_args(args: &crate::Args) -> CacheConfig {
     match args.get_str("cache-dir") {
-        Some(dir) => sb_fleet::CacheConfig::dir(dir),
-        None => sb_fleet::CacheConfig::none(),
+        Some(dir) => CacheConfig::dir(dir),
+        None => CacheConfig::none(),
     }
 }
 
-/// Execute pre-built fleet runs through the content-addressed servicing
-/// layer ([`sb_fleet::run_records`]) and return one result per run **in
-/// expansion order**. Honors `--jobs` and `--cache-dir`; when a cache
-/// directory is in play the servicing accounting is printed to stderr as
-/// one JSON line (never to stdout — the tables own stdout).
-pub fn fleet_results(
-    name: &str,
-    runs: &[sb_fleet::SweepRun],
-    args: &crate::Args,
-) -> Vec<Result<sb_fleet::RunResult, String>> {
+/// Run a figure's grid — its scenarios in the order it built them — on
+/// `--jobs` workers through the fleet's content-addressed servicing
+/// ([`sb_fleet::run_records`]: equal content simulates once, `--cache-dir`
+/// memoizes across processes), and return one result per scenario in that
+/// order. A scenario that fails [`Scenario::validate`] or panics panics
+/// here, named. With a cache directory the servicing accounting goes to
+/// stderr as one JSON line (the tables own stdout).
+pub fn run_grid(scenarios: &[Scenario], args: &crate::Args) -> Vec<RunResult> {
+    let named = |i: usize| format!("run {i} ({})", scenarios[i].name);
+    // `run_records` reads a run's scenario and, as the cache entry's label,
+    // its key; the aggregation coordinates stay empty.
+    let runs: Vec<SweepRun> = scenarios
+        .iter()
+        .enumerate()
+        .map(|(i, scenario)| {
+            if let Err(e) = scenario.validate() {
+                panic!("{}: {e}", named(i));
+            }
+            SweepRun {
+                id: ScenarioId::new(i as u32, scenario.name.clone()),
+                group: String::new(),
+                series: String::new(),
+                rate: 0.0,
+                scenario: scenario.clone(),
+            }
+        })
+        .collect();
     let cache = cache_from_args(args);
     let (records, acct) = sb_fleet::run_records(
-        name,
-        runs,
+        "",
+        &runs,
         jobs_from_args(args),
-        sb_fleet::ExecOptions::default(),
+        ExecOptions::default(),
         &cache,
     );
     if cache.dir.is_some() {
         eprintln!("{}", acct.to_json_line());
     }
-    let mut slots: Vec<Option<Result<sb_fleet::RunResult, String>>> =
-        (0..runs.len()).map(|_| None).collect();
+    let mut slots: Vec<Option<Result<RunResult, String>>> = vec![None; runs.len()];
     for rec in records {
         slots[rec.index as usize] = Some(rec.result);
     }
     slots
         .into_iter()
-        .map(|s| s.expect("every run serviced exactly once"))
+        .enumerate()
+        .map(|(i, slot)| {
+            let result = slot.expect("every run serviced exactly once");
+            result.unwrap_or_else(|e| panic!("{} failed: {e}", named(i)))
+        })
         .collect()
 }
 

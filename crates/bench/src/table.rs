@@ -1,6 +1,7 @@
 //! Aligned-column result tables with optional CSV output.
 
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// A simple results table: print aligned to stdout and/or dump CSV.
 ///
@@ -37,19 +38,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: format `f64` cells with 3 decimals, keeping strings.
-    pub fn row_mixed(&mut self, cells: &[Cell]) {
-        let cells: Vec<String> = cells
-            .iter()
-            .map(|c| match c {
-                Cell::S(s) => s.clone(),
-                Cell::I(i) => i.to_string(),
-                Cell::F(f) => format!("{f:.3}"),
-            })
-            .collect();
-        self.row(&cells);
-    }
-
     /// Render aligned text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
@@ -79,6 +67,23 @@ impl Table {
         print!("{}", self.render());
     }
 
+    /// The end of every figure binary: print to stdout, then write the CSV
+    /// to `csv` — the `--csv` value — creating directories as needed.
+    /// Absent or `-` (the default `--help` prints) writes no file.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the path, if the file cannot be written.
+    pub fn finish(&self, csv: Option<&str>) {
+        self.print();
+        if let Some(path) = csv_path(csv) {
+            let dir = path.parent().unwrap_or(Path::new(""));
+            std::fs::create_dir_all(dir)
+                .and_then(|()| std::fs::write(path, self.to_csv()))
+                .unwrap_or_else(|e| panic!("write csv {}: {e}", path.display()));
+        }
+    }
+
     /// CSV form (header row + data rows).
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
@@ -88,29 +93,11 @@ impl Table {
         }
         out
     }
-
-    /// Write CSV to `path` (directories created as needed).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from creating the directory or writing the file.
-    pub fn write_csv(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        std::fs::write(path, self.to_csv())
-    }
 }
 
-/// Heterogeneous table cell.
-#[derive(Debug, Clone)]
-pub enum Cell {
-    /// String cell.
-    S(String),
-    /// Integer cell.
-    I(i64),
-    /// Float cell (3 decimals).
-    F(f64),
+/// Where a `--csv` value asks for the file: nowhere when absent or `-`.
+fn csv_path(csv: Option<&str>) -> Option<&Path> {
+    csv.filter(|&p| p != "-").map(Path::new)
 }
 
 #[cfg(test)]
@@ -128,10 +115,22 @@ mod tests {
     }
 
     #[test]
-    fn mixed_cells() {
-        let mut t = Table::new("t", &["s", "i", "f"]);
-        t.row_mixed(&[Cell::S("x".into()), Cell::I(7), Cell::F(1.23456)]);
-        assert!(t.to_csv().contains("x,7,1.235"));
+    fn dash_writes_no_csv() {
+        assert_eq!(csv_path(None), None);
+        assert_eq!(csv_path(Some("-")), None);
+        assert_eq!(csv_path(Some("out/t.csv")), Some(Path::new("out/t.csv")));
+    }
+
+    #[test]
+    fn finish_writes_the_csv_where_asked() {
+        let dir = std::env::temp_dir().join(format!("sb-table-{}", std::process::id()));
+        let path = dir.join("nested/t.csv");
+        let mut t = Table::new("t", &["a", "b"]);
+        t.row(&["1".into(), "2".into()]);
+        t.finish(path.to_str());
+        let written = std::fs::read_to_string(&path).expect("csv written");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(written, "a,b\n1,2\n");
     }
 
     #[test]

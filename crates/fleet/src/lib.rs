@@ -22,6 +22,10 @@
 //! function of its `SweepRun`; and the aggregator defers all arithmetic
 //! to a finalize pass over index-sorted records, so float summation order
 //! is fixed. `tests/equivalence.rs` property-tests the composition.
+//!
+//! A library only: the `sweep` CLI, which runs a spec file through
+//! [`run_sweep`], and the figure binaries, which hand [`run_records`] a
+//! list of scenarios, live in `sb-bench`.
 
 pub mod agg;
 pub mod cache;
@@ -32,7 +36,7 @@ pub use agg::{
     ScenarioRow, ShortfallRow, SweepReport,
 };
 pub use cache::{schema_epoch, CacheAccounting, CacheKey, DiskCache};
-pub use spec::{merge_runs, SweepRun, SweepSpec};
+pub use spec::{SweepRun, SweepSpec};
 
 use std::path::PathBuf;
 

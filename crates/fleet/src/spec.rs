@@ -348,40 +348,6 @@ fn parse_variant(label: &str) -> Result<SbOptions, SpecError> {
     })
 }
 
-/// Concatenate several expanded batches into one grid, namespacing each
-/// batch's keys with its label (`"{label}/..."`; an empty label keeps keys
-/// untouched) and re-indexing the ids sequentially.
-///
-/// This is how clients compose grids the scalar-array [`SweepSpec`] cannot
-/// express directly — e.g. a per-batch `tdd` or traffic-pattern axis built
-/// from several single-value specs. Because the merged runs flow through
-/// the same fleet entry points, cross-batch content dedup still applies:
-/// two batches that share grid points simulate them once. Duplicate keys
-/// after prefixing are an error (aggregation keys on them).
-pub fn merge_runs(batches: Vec<(String, Vec<SweepRun>)>) -> Result<Vec<SweepRun>, SpecError> {
-    let mut runs: Vec<SweepRun> = Vec::new();
-    for (label, batch) in batches {
-        for mut run in batch {
-            if !label.is_empty() {
-                run.id.key = format!("{label}/{}", run.id.key);
-                run.group = format!("{label}/{}", run.group);
-                run.series = format!("{label}/{}", run.series);
-            }
-            run.id.index = runs.len() as u32;
-            runs.push(run);
-        }
-    }
-    let mut keys: Vec<&str> = runs.iter().map(|r| r.id.key.as_str()).collect();
-    keys.sort_unstable();
-    if let Some(dup) = keys.windows(2).find(|w| w[0] == w[1]) {
-        return Err(SpecError(format!(
-            "merged grid has duplicate key `{}` (label the batches uniquely)",
-            dup[0]
-        )));
-    }
-    Ok(runs)
-}
-
 /// One expanded scenario plus its aggregation coordinates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepRun {
@@ -494,44 +460,6 @@ mod tests {
         assert_eq!(SweepSpec::from_json(&json).unwrap(), spec);
         let toml = spec.to_toml().unwrap();
         assert_eq!(SweepSpec::from_toml(&toml).unwrap(), spec);
-    }
-
-    #[test]
-    fn merge_namespaces_and_reindexes() {
-        let mut a = SweepSpec::new("a");
-        a.tdd = 10;
-        let mut b = SweepSpec::new("b");
-        b.tdd = 34;
-        let merged = merge_runs(vec![
-            ("tdd10".into(), a.expand().unwrap()),
-            ("tdd34".into(), b.expand().unwrap()),
-        ])
-        .unwrap();
-        assert_eq!(merged.len(), 2);
-        assert!(merged[0].id.key.starts_with("tdd10/"));
-        assert!(merged[1].id.key.starts_with("tdd34/"));
-        assert!(merged[1].group.starts_with("tdd34/"));
-        assert!(merged[1].series.starts_with("tdd34/"));
-        for (i, run) in merged.iter().enumerate() {
-            assert_eq!(run.id.index, i as u32);
-        }
-        // Same spec under both labels: distinct keys, but identical physics
-        // (the content-dedup case).
-        let twice = merge_runs(vec![
-            ("x".into(), a.expand().unwrap()),
-            ("y".into(), a.expand().unwrap()),
-        ])
-        .unwrap();
-        assert_eq!(
-            twice[0].scenario.content_fingerprint().unwrap(),
-            twice[1].scenario.content_fingerprint().unwrap()
-        );
-        // Identical labels collide on keys and are rejected.
-        let dup = merge_runs(vec![
-            ("x".into(), a.expand().unwrap()),
-            ("x".into(), a.expand().unwrap()),
-        ]);
-        assert!(dup.is_err());
     }
 
     #[test]

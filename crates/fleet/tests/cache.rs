@@ -5,15 +5,13 @@
 //! hand-copied foreign entry, concurrent writers, an interrupted sweep —
 //! and assert the fleet always falls back to re-simulation with
 //! byte-identical aggregated output, never crashing and never serving
-//! stale bytes. Plus the in-process dedup ledger and the `sweep` binary's
-//! degraded-grid exit status.
+//! stale bytes. Plus the in-process dedup ledger.
 
 use std::path::{Path, PathBuf};
-use std::process::Command;
 
 use sb_fleet::{
-    aggregate, cache, execute_one, merge_runs, run_records, run_sweep, schema_epoch, CacheConfig,
-    DiskCache, ExecOptions, SweepSpec,
+    aggregate, cache, execute_one, run_records, run_sweep, schema_epoch, CacheConfig, DiskCache,
+    ExecOptions, SweepSpec,
 };
 
 /// A private scratch directory under cargo's test tmpdir; wiped on entry
@@ -198,15 +196,12 @@ fn an_interrupted_sweep_resumes_from_the_store() {
 }
 
 #[test]
-fn merged_duplicate_batches_dedup_in_process() {
-    let spec = grid("dedup");
-    let one = spec.expand().expect("grid");
-    let runs = merge_runs(vec![
-        ("a".to_string(), spec.expand().expect("grid")),
-        ("b".to_string(), spec.expand().expect("grid")),
-    ])
-    .expect("merged grid");
-    assert_eq!(runs.len(), one.len() * 2);
+fn duplicate_points_dedup_in_process() {
+    // A repeated seed asks for every point twice.
+    let mut spec = grid("dedup");
+    spec.seeds = vec![1, 2, 1, 2];
+    let runs = spec.expand().expect("grid");
+    assert_eq!(runs.len(), 16);
 
     let (records, acct) = run_records(
         "dedup",
@@ -216,10 +211,7 @@ fn merged_duplicate_batches_dedup_in_process() {
         &CacheConfig::none(),
     );
     assert_eq!(acct.total_requested, 16);
-    assert_eq!(
-        acct.unique_scenarios, 8,
-        "each point appears in both batches"
-    );
+    assert_eq!(acct.unique_scenarios, 8, "each point is asked for twice");
     assert_eq!(acct.dedup_served, 8);
     assert_eq!(
         acct.simulated, 8,
@@ -227,13 +219,15 @@ fn merged_duplicate_batches_dedup_in_process() {
     );
     assert_eq!(acct.disk_hits, 0);
 
-    // Fan-out delivers the *same* result to both requesters.
+    // Fan-out delivers the *same* result to both requesters: seeds run
+    // innermost, so run `i` and run `i + 2` are the same point.
     let mut by_index = records.clone();
     by_index.sort_by_key(|r| r.index);
-    for i in 0..one.len() {
+    for (i, run) in runs.iter().enumerate().filter(|(i, _)| i % 4 < 2) {
+        assert_eq!(run.scenario, runs[i + 2].scenario);
         assert_eq!(
             by_index[i].result,
-            by_index[i + one.len()].result,
+            by_index[i + 2].result,
             "duplicate requesters must receive identical results"
         );
     }
@@ -242,61 +236,4 @@ fn merged_duplicate_batches_dedup_in_process() {
     let report = aggregate("dedup", spec.accept, &runs, records);
     assert_eq!(report.total_runs, 16);
     assert_eq!(report.unique_scenarios, 8);
-}
-
-#[test]
-fn sweep_binary_degraded_grids_exit_nonzero() {
-    let dir = scratch("bin");
-    let out = dir.join("report.json");
-
-    // The scalar-array spec format has no field defaults: every spec
-    // spells out the whole grid.
-    let spec_toml = |name: &str, link_faults: &str| {
-        format!(
-            "name = \"{name}\"\nmeshes = [\"4x4\"]\nlink_faults = [{link_faults}]\n\
-             router_faults = []\ntopo_seeds = [1]\ndesigns = [\"static-bubble\"]\n\
-             sb_variants = [\"full\"]\nrates = [0.05]\nseeds = [1]\npattern = \"uniform\"\n\
-             single_vnet = true\nwarmup = 50\ncycles = 200\ntdd = 34\naudit_every = 0\n\
-             clock = \"Step\"\naccept = 0.85\n\n[config]\nvnets = 1\nvcs_per_vnet = 4\n\
-             max_packet_flits = 5\n"
-        )
-    };
-
-    // Clean grid: exit 0.
-    let clean = dir.join("clean.toml");
-    std::fs::write(&clean, spec_toml("bin-clean", "0")).expect("write spec");
-    let status = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args(["--spec", clean.to_str().unwrap(), "--jobs", "2"])
-        .arg("--out")
-        .arg(&out)
-        .status()
-        .expect("run sweep");
-    assert!(status.success(), "clean grid must exit 0");
-
-    // Infeasible fault count: the runs panic, the report records them
-    // under `failed`, and the exit status flags the degradation — but the
-    // report is still written first.
-    let broken = dir.join("broken.toml");
-    std::fs::write(&broken, spec_toml("bin-broken", "1000")).expect("write spec");
-    let status = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args(["--spec", broken.to_str().unwrap(), "--jobs", "2"])
-        .arg("--out")
-        .arg(&out)
-        .status()
-        .expect("run sweep");
-    assert_eq!(status.code(), Some(1), "failed runs must exit 1");
-    let report = std::fs::read_to_string(&out).expect("report written despite failures");
-    assert!(
-        report.contains("\"failed\""),
-        "failures recorded in the report"
-    );
-
-    // An option the binary does not have is a usage error.
-    let status = Command::new(env!("CARGO_BIN_EXE_sweep"))
-        .args(["--spec", clean.to_str().unwrap(), "--resume"])
-        .status()
-        .expect("run sweep");
-    assert_eq!(status.code(), Some(2), "unknown options are usage errors");
-
-    let _ = std::fs::remove_dir_all(&dir);
 }

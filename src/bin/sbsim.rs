@@ -14,74 +14,50 @@
 //! The CLI is a thin skin over the scenario layer: flags assemble an
 //! `sb_scenario::Scenario`, `--scenario FILE` loads one from TOML/JSON
 //! instead, and `--dump-scenario` prints the assembled spec as JSON without
-//! running it — so every run is reproducible from a text file.
+//! running it — so every run is reproducible from a text file. Options
+//! parse with `sb_bench::Args`, the one parser of the experiment binaries.
 
-use std::collections::HashMap;
-
+use sb_bench::Args;
 use static_bubble_repro::scenario::{
     ClockMode, Design, FaultSpec, Scenario, SimRunner, TrafficSpec,
 };
 use static_bubble_repro::sim::{EngineSnapshot, Stats};
 
-struct Cli(HashMap<String, String>);
-
-const KNOWN_KEYS: &[&str] = &[
-    "help",
-    "design",
-    "width",
-    "height",
-    "link-faults",
-    "router-faults",
-    "rate",
-    "cycles",
-    "warmup",
-    "tdd",
-    "seed",
-    "heatmap",
-    "scenario",
-    "dump-scenario",
-    "clock",
-    "bisect",
-    "drain",
+/// Every option. The defaults are the built-in scenario's; under
+/// `--scenario FILE` an absent flag keeps the file's value.
+const KNOBS: &[(&str, &str)] = &[
+    ("design", "static-bubble"),
+    ("width", "8"),
+    ("height", "8"),
+    ("link-faults", "0"),
+    ("router-faults", "0"),
+    ("rate", "0.1"),
+    ("cycles", "10000"),
+    ("warmup", "1000"),
+    ("tdd", "34"),
+    ("seed", "1"),
+    ("clock", "step"),
+    ("scenario", "none"),
+    ("dump-scenario", "off"),
+    ("drain", "none"),
+    ("bisect", "off"),
+    ("heatmap", "off"),
 ];
 
-impl Cli {
-    fn parse() -> Self {
-        let mut map = HashMap::new();
-        let mut args = std::env::args().skip(1).peekable();
-        while let Some(a) = args.next() {
-            if let Some(k) = a.strip_prefix("--") {
-                if !KNOWN_KEYS.contains(&k) {
-                    eprintln!("unknown option --{k}; try --help");
-                    std::process::exit(2);
-                }
-                let v = match args.peek() {
-                    Some(v) if !v.starts_with("--") => args.next().expect("peeked"),
-                    _ => "true".to_string(),
-                };
-                map.insert(k.to_string(), v);
-            } else {
-                eprintln!("stray argument {a:?}; options are --key value pairs");
-                std::process::exit(2);
-            }
-        }
-        Cli(map)
-    }
-
-    fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> T {
-        match self.0.get(key) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("--{key} got {v:?}; expected a value like {key}'s default");
-                std::process::exit(2);
-            }),
-            None => default,
-        }
-    }
-
-    fn flag(&self, key: &str) -> bool {
-        self.0.contains_key(key)
-    }
-}
+const WHAT: &str = "drive one simulation and print its stats block
+  designs: static-bubble | escape-vc | sp-tree | tree-only | none
+  --clock step|leap: arrival sampler of the synthetic traffic. step flips a
+    Bernoulli coin per node per cycle; leap draws geometric gaps, and the
+    engine skips the cycles between arrivals. Same mean load, different
+    packets.
+  --drain BUDGET: after the measured window, halt injection and run until
+    the network empties (or BUDGET cycles pass) — the paper pipeline's
+    wedge probe.
+  --bisect: run the scenario (and drain, default budget 200000) at most
+    1000 cycles at a time, keeping a snapshot of where the latest stretch
+    began; if the network ends wedged, rewind to it and replay with
+    audit_every=1 and protocol tracing, then print the forensics report
+    (FSM states, proto counters, probe trajectory).";
 
 fn report(stats: &Stats, nodes: usize) {
     println!("delivered packets : {}", stats.delivered_packets);
@@ -105,24 +81,24 @@ fn report(stats: &Stats, nodes: usize) {
 
 /// Layer the command-line flags over a base scenario (the built-in defaults,
 /// or a spec loaded with `--scenario`). Flags always win.
-fn apply_flags(cli: &Cli, mut s: Scenario) -> Scenario {
-    if let Some(label) = cli.0.get("design") {
+fn apply_flags(args: &Args, mut s: Scenario) -> Scenario {
+    if let Some(label) = args.get_str("design") {
         let Some(design) = Design::from_label(label) else {
             eprintln!("unknown --design {label}; try --help");
             std::process::exit(2);
         };
         s = s.with_design(design);
     }
-    let width = cli.get("width", s.width);
-    let height = cli.get("height", s.height);
-    let seed = cli.get("seed", s.seed);
-    let warmup = cli.get("warmup", s.warmup);
-    let cycles = cli.get("cycles", s.cycles);
-    let tdd = cli.get("tdd", s.tdd);
+    let width = args.get("width", s.width);
+    let height = args.get("height", s.height);
+    let seed = args.get("seed", s.seed);
+    let warmup = args.get("warmup", s.warmup);
+    let cycles = args.get("cycles", s.cycles);
+    let tdd = args.get("tdd", s.tdd);
     s = s.with_mesh(width, height);
-    if cli.flag("link-faults") || cli.flag("router-faults") {
-        let links: usize = cli.get("link-faults", 0usize);
-        let routers: usize = cli.get("router-faults", 0usize);
+    if args.get_str("link-faults").is_some() || args.get_str("router-faults").is_some() {
+        let links: usize = args.get("link-faults", 0);
+        let routers: usize = args.get("router-faults", 0);
         s = s.with_faults(if links == 0 && routers == 0 {
             FaultSpec::Pristine
         } else {
@@ -133,11 +109,11 @@ fn apply_flags(cli: &Cli, mut s: Scenario) -> Scenario {
             }
         });
     }
-    if cli.flag("rate") {
-        s = s.with_rate(cli.get("rate", 0.1f64));
+    if args.get_str("rate").is_some() {
+        s = s.with_rate(args.get("rate", 0.1));
     }
-    if let Some(mode) = cli.0.get("clock") {
-        s = s.with_clock(match mode.as_str() {
+    if let Some(mode) = args.get_str("clock") {
+        s = s.with_clock(match mode {
             "step" => ClockMode::Step,
             "leap" => ClockMode::Leap,
             other => {
@@ -227,33 +203,8 @@ fn bisect(sim: &mut dyn SimRunner, snap: &EngineSnapshot) {
 }
 
 fn main() {
-    let cli = Cli::parse();
-    if cli.flag("help") {
-        println!(
-            "usage: sbsim [--design static-bubble|escape-vc|sp-tree|tree-only|none]\n\
-             \x20            [--width 8] [--height 8] [--link-faults 0] [--router-faults 0]\n\
-             \x20            [--rate 0.1] [--cycles 10000] [--warmup 1000] [--tdd 34]\n\
-             \x20            [--seed 1] [--heatmap] [--clock step|leap]\n\
-             \x20            [--scenario FILE.toml|FILE.json] [--dump-scenario]\n\
-             \x20            [--drain BUDGET] [--bisect]\n\
-             \n\
-             --clock: arrival sampler of the synthetic traffic. step (default)\n\
-             flips a Bernoulli coin per node per cycle; leap draws geometric\n\
-             gaps, and the engine skips the cycles between arrivals. Same mean\n\
-             load, different packets.\n\
-             --drain: after the measured window, halt injection and run until\n\
-             the network empties (or BUDGET cycles pass) — the paper pipeline's\n\
-             wedge probe.\n\
-             --bisect: run the scenario (and drain, default budget 200000) at\n\
-             most 1000 cycles at a time, keeping a snapshot of where the latest\n\
-             stretch began; if the network ends wedged, rewind to it and replay\n\
-             with audit_every=1 and protocol tracing, then print the forensics\n\
-             report (FSM states, proto counters, probe trajectory)."
-        );
-        return;
-    }
-
-    let base = match cli.0.get("scenario") {
+    let args = Args::parse_spec("sbsim", WHAT, KNOBS);
+    let base = match args.get_str("scenario") {
         Some(path) => match Scenario::load(path) {
             Ok(s) => s,
             Err(e) => {
@@ -263,13 +214,13 @@ fn main() {
         },
         None => Scenario::new("sbsim", Design::StaticBubble),
     };
-    let scenario = apply_flags(&cli, base);
+    let scenario = apply_flags(&args, base);
     if let Err(e) = scenario.validate() {
         eprintln!("sbsim: {e}");
         std::process::exit(2);
     }
 
-    if cli.flag("dump-scenario") {
+    if args.flag("dump-scenario") {
         print!("{}", scenario.to_json().expect("scenario serializes"));
         return;
     }
@@ -300,7 +251,9 @@ fn main() {
 
     let mut sim: Box<dyn SimRunner> = scenario.build_on(&topo);
     // Bisect mode holds its own replay point, starting with t = 0.
-    let mut replay = (cli.flag("bisect")).then(|| sim.snapshot().expect("engine state serialises"));
+    let mut replay = args
+        .flag("bisect")
+        .then(|| sim.snapshot().expect("engine state serialises"));
     drive(sim.as_mut(), scenario.warmup, &mut replay, |sim, cycles| {
         sim.warmup(cycles);
         false
@@ -310,12 +263,8 @@ fn main() {
         false
     });
     report(sim.stats(), nodes);
-    if cli.flag("drain") || replay.is_some() {
-        // `--drain` works both bare (default budget) and with a value.
-        let budget: u64 = match cli.0.get("drain").map(String::as_str) {
-            None | Some("true") => 200_000,
-            _ => cli.get("drain", 200_000u64),
-        };
+    if args.get_str("drain").is_some() || replay.is_some() {
+        let budget: u64 = args.get("drain", 200_000);
         sim.halt_injection();
         let drained = drive(sim.as_mut(), budget, &mut replay, |sim, cycles| {
             sim.run_until_drained(cycles)
@@ -337,7 +286,7 @@ fn main() {
     if design == Design::Unprotected && sim.deadlocked_now() {
         println!("NOTE: the network is deadlocked (no recovery mechanism attached)");
     }
-    if cli.flag("heatmap") {
+    if args.flag("heatmap") {
         println!("final buffer occupancy:\n{}", sim.core().occupancy_art());
     }
 }

@@ -90,6 +90,20 @@ fn unknown_option_fails_cleanly() {
 }
 
 #[test]
+fn drain_takes_a_value() {
+    // One meaning: `--drain BUDGET`. A bare `--drain` is a usage error
+    // naming the key, not a run with a default budget.
+    let out = Command::new(env!("CARGO_BIN_EXE_sbsim"))
+        .arg("--drain")
+        .output()
+        .expect("sbsim runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("--drain needs a value"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing may run");
+}
+
+#[test]
 fn bisect_replays_a_wedge_that_forms_before_cycle_1000() {
     // The whole run is shorter than one bisect chunk: it has a replay
     // point only because every phase starts with one.
