@@ -6,8 +6,7 @@
 //! it depends only on the expansion order and the human-readable grid
 //! coordinates, never on scheduling. [`Scenario::fingerprint`] adds a
 //! content hash over the canonical JSON form — two specs with equal
-//! fingerprints describe byte-identical experiments (the future
-//! result-cache key of the simulation service, ROADMAP item 3).
+//! fingerprints describe byte-identical experiments.
 
 use std::fmt;
 

@@ -25,7 +25,7 @@ pub const HOP_LATENCY: u64 = 2;
 /// shared box — they repeat exactly and their per-grant ratios are
 /// machine-independent. Owned by [`Simulator`], not [`NetCore`]: never
 /// serialized, not part of [`crate::Stats`], digests or content keys, and
-/// not rewound by [`Simulator::restore`]. When ROADMAP item 3's `Observer`
+/// not rewound by [`Simulator::restore`]. When ROADMAP item 6's `Observer`
 /// lands these move behind it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
@@ -752,7 +752,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     ///
     /// The worklist is consumed each cycle. A scanned router re-enters it
     /// only through an event that can create a new candidate: it granted
-    /// something (more heads may be switchable next cycle), a mutation
+    /// something and still holds a candidate that lost or an injection
+    /// head (more may be switchable next cycle), a mutation
     /// touched it ([`NetCore::touch`] — fresh injection, plugin state
     /// change), or a timed wake matured ([`NetCore::wake_at`] — an arriving
     /// packet's `ready_at`, the drain deadline of a slot at the port it
@@ -854,9 +855,16 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             return;
         }
         if any_grant {
-            // Something moved; remaining or newly-ready heads may be
-            // switchable next cycle.
-            self.core.touch(router);
+            // Re-scan next cycle only what can still compete there: a
+            // candidate that lost (input exclusion, busy output, veto) or an
+            // injection head (an injection grant surfaces the next one).
+            // Otherwise only the hop pipeline is left; re-arm its wake here,
+            // as the block path would, since a restore starts an empty wheel.
+            if cand.iter().any(|&m| m != 0) || self.core.has_inject_head(router) {
+                self.core.touch(router);
+            } else if let Some(at) = next_ready {
+                self.core.wake_at(router, at);
+            }
         } else {
             // Quiescent-blocked: sleep until the earliest timed event
             // that could create a candidate, or until a mutation wake.

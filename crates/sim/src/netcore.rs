@@ -775,8 +775,11 @@ impl NetCore {
 
     /// Remove the occupant of `vc` for a grant, leaving the slot draining
     /// until the packet's tail has streamed out (`now + len_flits`). The
-    /// router re-enters the scan set; the feeding (alive) neighbour is woken
-    /// at the drain deadline, the first cycle the slot is a credit it can use.
+    /// feeding (alive) neighbour is woken at the drain deadline, the first
+    /// cycle the slot is a credit it can use, if it holds a packet to send:
+    /// an empty feeder that receives one later finds the slot draining and
+    /// notes the deadline itself when it blocks. Whether the granting router
+    /// is scanned again is the allocator's decision.
     ///
     /// # Panics
     ///
@@ -789,11 +792,27 @@ impl NetCore {
         self.arch.vc_occ[flat] = PacketHandle::NONE;
         self.arch.vc_drain[flat] = self.arch.time + len;
         self.mark(vc, false);
-        self.touch(vc.router);
         if let Some(feeder) = self.arch.topo.neighbor(vc.router, vc.port) {
-            self.wake_at(feeder, self.arch.time + len);
+            if self.holds_packet(feeder) {
+                self.wake_at(feeder, self.arch.time + len);
+            }
         }
         h
+    }
+
+    /// Does `router` hold a packet it could send: a VC or bubble occupant,
+    /// or an injection-queue head?
+    fn holds_packet(&self, router: NodeId) -> bool {
+        self.sched.occ_mask[router.index()] != 0
+            || self.arch.bub_occ[router.index()].is_some()
+            || self.has_inject_head(router)
+    }
+
+    /// Does any of `router`'s injection queues have a head?
+    pub(crate) fn has_inject_head(&self, router: NodeId) -> bool {
+        let vnets = self.arch.cfg.vnets as usize;
+        let queues = &self.arch.inject[router.index() * vnets..][..vnets];
+        queues.iter().any(|q| q.head.is_some())
     }
 
     /// Force `vc` fully free (no drain), returning the evicted occupant's
@@ -1313,6 +1332,18 @@ mod tests {
         (vref, feeder.expect("interior"))
     }
 
+    /// Give `feeder` a packet to send (switchable at once, so no wheel
+    /// entry), then empty the scan set.
+    fn load_feeder(core: &mut NetCore, feeder: NodeId) {
+        let vref = VcRef {
+            router: feeder,
+            port: Direction::West,
+            vc: 0,
+        };
+        core.place_packet(vref, dummy_packet(99, 0), core.time());
+        core.clear_active_for_test();
+    }
+
     #[test]
     fn a_router_across_a_dead_link_is_not_a_feeder() {
         let mut topo = Topology::full(Mesh::new(4, 4));
@@ -1321,34 +1352,58 @@ mod tests {
             port: Direction::North,
             vc: 0,
         };
+        let across = topo.neighbor(vref.router, vref.port).expect("interior");
         topo.remove_link(vref.router, vref.port);
         let mut core = NetCore::new(&topo, SimConfig::default(), &[]);
+        // The router the dead link used to join holds a packet, so only
+        // the fault keeps it from being woken.
+        load_feeder(&mut core, across);
         // A packet the fault stranded at the dead port still leaves through
         // the crossbar, but nobody can use the credit it returns.
         core.place_packet(vref, dummy_packet(1, 0), 0);
         core.clear_active_for_test();
         core.vc_take(vref);
-        assert!(core.is_active(vref.router));
+        assert_eq!(core.active_count(), 0, "a take touches no router");
         assert_eq!(core.next_wheel_event(), None, "no feeder to wake");
-        core.clear_active_for_test();
         core.vc_clear(vref);
         assert_eq!(core.active_count(), 1, "only the router itself");
+        assert!(core.is_active(vref.router));
     }
 
     #[test]
-    fn a_take_wakes_the_feeder_at_the_drain_deadline() {
+    fn a_take_wakes_a_feeder_holding_a_packet_at_the_drain_deadline() {
         let (mut core, _) = core_with_bubble();
         let (vref, feeder) = slot_and_feeder(&core);
         core.place_packet(vref, dummy_packet(1, 0), 0);
-        core.clear_active_for_test();
+        load_feeder(&mut core, feeder);
         core.vc_take(vref); // 5 flits at t = 0: the credit returns at 5
-        assert!(core.is_active(vref.router), "the granting router, at once");
+        assert!(!core.is_active(vref.router), "re-entry is the allocator's");
         assert!(!core.is_active(feeder));
         advance_to(&mut core, 4);
         assert!(!core.is_active(feeder), "no credit to use before 5");
         advance_to(&mut core, 5);
         assert!(core.is_active(feeder));
         assert!(core.vc_is_free(vref));
+    }
+
+    #[test]
+    fn a_take_wakes_an_empty_feeder_not_at_all() {
+        let (mut core, _) = core_with_bubble();
+        let (vref, feeder) = slot_and_feeder(&core);
+        core.place_packet(vref, dummy_packet(1, 0), 0);
+        core.clear_active_for_test();
+        core.vc_take(vref);
+        assert_eq!(core.next_wheel_event(), None, "nothing to send into it");
+        advance_to(&mut core, 5);
+        assert_eq!(core.active_count(), 0);
+        // A bubble occupant or an injection head is a packet to send too.
+        core.arch.bub_occ[feeder.index()] = core.arch.arena.insert(dummy_packet(2, 0));
+        assert!(core.holds_packet(feeder));
+        core.arch.bub_occ[feeder.index()] = PacketHandle::NONE;
+        let qi = core.inject_idx(feeder, 1);
+        core.arch.inject[qi].head = core.arch.arena.insert(dummy_packet(3, 1));
+        assert!(core.holds_packet(feeder));
+        assert!(core.has_inject_head(feeder));
     }
 
     #[test]
@@ -1374,9 +1429,10 @@ mod tests {
         // A head already switchable (`ready_at <= now`) wakes at once.
         core.place_packet(vref, packet_of_len(1, 0, 200), 3);
         assert!(core.is_active(vref.router));
-        // A 200-flit tail drains past the 64-slot wheel horizon: the feeder
-        // is woken early, at the horizon, where the block path re-arms it.
-        core.clear_active_for_test();
+        // A 200-flit tail drains past the 64-slot wheel horizon: a feeder
+        // with a packet is woken early, at the horizon, where the block path
+        // re-arms it.
+        load_feeder(&mut core, feeder);
         core.vc_take(vref);
         assert_eq!(core.vc_draining_until(vref), Some(203));
         assert_eq!(core.next_wheel_event(), Some(3 + WHEEL_SLOTS as u64 - 1));

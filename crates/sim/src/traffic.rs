@@ -330,12 +330,22 @@ pub struct Synthetic<P> {
     pattern: P,
     load: SyntheticLoad,
     sampler: Sampler,
-    /// The alive nodes in id order, memoized: rebuilding the list is a full
-    /// node walk, which every `generate` call would otherwise pay. `None`
-    /// after [`TrafficSource::on_topology_change`] — liveness only changes
-    /// through engine reconfiguration, which emits that hook — and after a
-    /// restore: a function of the topology, it is not part of a snapshot.
-    alive: Option<Vec<NodeId>>,
+    /// The alive nodes, memoized: rebuilding them is a full node walk, which
+    /// every `generate` call would otherwise pay. `None` after
+    /// [`TrafficSource::on_topology_change`] — liveness only changes through
+    /// engine reconfiguration, which emits that hook — and after a restore:
+    /// a function of the topology, it is not part of a snapshot.
+    nodes: Option<Nodes>,
+}
+
+/// The memo behind [`Synthetic`]'s `nodes`.
+#[derive(Debug, Clone)]
+struct Nodes {
+    /// The alive nodes in id order.
+    alive: Vec<NodeId>,
+    /// Those of them that [`Pattern::can_send`]: the nodes that flip the
+    /// Bernoulli coin.
+    senders: Vec<NodeId>,
 }
 
 impl<P: Pattern> Synthetic<P> {
@@ -351,7 +361,7 @@ impl<P: Pattern> Synthetic<P> {
             pattern,
             load: SyntheticLoad::new(rate),
             sampler: Sampler::Bernoulli,
-            alive: None,
+            nodes: None,
         }
     }
 
@@ -402,9 +412,14 @@ impl<P: Pattern> TrafficSource for Synthetic<P> {
             pattern,
             load,
             sampler,
-            alive,
+            nodes,
         } = self;
-        let alive: &[NodeId] = alive.get_or_insert_with(|| topo.alive_nodes().collect());
+        let Nodes { alive, senders } = &*nodes.get_or_insert_with(|| {
+            let alive: Vec<NodeId> = topo.alive_nodes().collect();
+            let can_send = |&&src: &&NodeId| pattern.can_send(src, topo, &alive);
+            let senders = alive.iter().filter(can_send).copied().collect();
+            Nodes { alive, senders }
+        });
         let p = load.packet_prob();
         let mut out = Vec::new();
         // One arrival at `src`: destination draws, then the shape.
@@ -420,11 +435,21 @@ impl<P: Pattern> TrafficSource for Synthetic<P> {
             }
         };
         match sampler {
+            // `gen_bool(1.0)` draws nothing: every sender arrives.
+            Sampler::Bernoulli if p >= 1.0 => senders.iter().for_each(|&src| arrive(src, rng)),
             Sampler::Bernoulli => {
-                for &src in alive {
-                    if pattern.can_send(src, topo, alive) && rng.gen_bool(p) {
-                        arrive(src, rng);
-                    }
+                // A `gen_bool` coin per sender, as one call per arrival:
+                // each call flips the coins of the senders left until one
+                // lands.
+                let thresh = (p * (u64::MAX as f64 + 1.0)) as u64;
+                let mut rest = &senders[..];
+                loop {
+                    let misses = rng.draws_until_below(rest.len(), thresh);
+                    let Some((&src, after)) = rest[misses..].split_first() else {
+                        break;
+                    };
+                    arrive(src, rng);
+                    rest = after;
                 }
             }
             Sampler::Geometric(st) => {
@@ -464,7 +489,7 @@ impl<P: Pattern> TrafficSource for Synthetic<P> {
     }
 
     fn on_topology_change(&mut self) {
-        self.alive = None;
+        self.nodes = None;
     }
 
     fn snapshot_state(&self) -> Result<String, String> {
@@ -474,7 +499,7 @@ impl<P: Pattern> TrafficSource for Synthetic<P> {
     fn restore_state(&mut self, blob: &str) -> Result<(), String> {
         let state: SamplerState = crate::json::from_json_str(blob).map_err(|e| e.0)?;
         self.sampler = Sampler::restore(state);
-        self.alive = None;
+        self.nodes = None;
         Ok(())
     }
 }
@@ -676,6 +701,61 @@ mod tests {
             }
             assert!(total > 0);
         }
+    }
+
+    /// The Bernoulli arm as it was: one `gen_bool` per alive node that can
+    /// send, in id order — the reference the batched coin must equal.
+    fn coin_per_node<P: Pattern>(
+        src: &Synthetic<P>,
+        topo: &Topology,
+        rng: &mut dyn RngCore,
+    ) -> Vec<NewPacket> {
+        let alive: Vec<NodeId> = topo.alive_nodes().collect();
+        let prob = src.load.packet_prob();
+        let mut out = Vec::new();
+        for &node in &alive {
+            if src.pattern.can_send(node, topo, &alive) && rng.gen_bool(prob) {
+                if let Some(dst) = src.pattern.pick(node, topo, &alive, rng) {
+                    let (vnet, len_flits) = src.load.draw_shape(rng);
+                    out.push(NewPacket {
+                        src: node,
+                        dst,
+                        vnet,
+                        len_flits,
+                    });
+                }
+            }
+        }
+        out
+    }
+
+    fn batched_coin_equals_coin_per_node<P: Pattern + Clone>(pattern: P) {
+        // A 5x5 with its centre (12, its own complement) and two more
+        // routers dead: some alive nodes cannot send under bit-complement.
+        let mut topo = Topology::full(Mesh::new(5, 5));
+        for dead in [NodeId(3), NodeId(12), NodeId(18)] {
+            topo.remove_router(dead);
+        }
+        for p in [0.0, 1e-4, 0.0067, 0.5, 1.0] {
+            let mut batched = Synthetic::with_pattern(pattern.clone(), 3.0 * p);
+            let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            for t in 0..400 {
+                let got = batched.generate(t, &topo, &mut rng);
+                let want = coin_per_node(&batched, &topo, &mut reference_rng);
+                assert_eq!(got, want, "p {p} cycle {t}");
+                assert_eq!(rng, reference_rng, "p {p} cycle {t}: RNG state");
+            }
+        }
+    }
+
+    #[test]
+    fn batched_coin_equals_coin_per_node_uniform() {
+        batched_coin_equals_coin_per_node(Uniform);
+    }
+
+    #[test]
+    fn batched_coin_equals_coin_per_node_bit_complement() {
+        batched_coin_equals_coin_per_node(BitComplement);
     }
 
     #[test]

@@ -318,9 +318,14 @@ fn traffic_reactivates_and_drains_back_to_idle() {
     let mut sim = bare(&topo, SimConfig::default(), script, 0);
     sim.run(4); // idle prelude: everything retires
     assert_eq!(sim.core().active_count(), 0);
-    sim.run(2); // injection at t=5 touches the source
-    assert!(sim.core().is_active(mesh.node_at(0, 0)));
-    assert!(sim.core().active_count() >= 1);
+    // The offer at t=5 touches the source, which grants it the same cycle.
+    // With nothing left to send the source retires at once: the packet's
+    // only wake is its arrival downstream, on the wheel.
+    sim.run(2);
+    assert_eq!(sim.core().stats().injected_packets, 1);
+    assert!(!sim.core().is_active(mesh.node_at(0, 0)));
+    assert_eq!(sim.core().active_count(), 0);
+    assert_eq!(sim.core().in_flight(), 1);
     assert!(sim.run_until_drained(10_000));
     sim.run(8); // a few cycles to retire the last draining router
     assert_eq!(

@@ -322,6 +322,9 @@ fn escape_vc_escalates_identically_in_every_mode() {
     // a slot that empties after the restore is not refilled, so a clock the
     // restored sweep failed to visit stays in the end state.
     contract.worth_snapshotting = |runner| runner.escapes() > Some(0) && runner.time() >= 590;
+    // A router whose grant emptied it is not re-scanned, so between bursts
+    // of arrivals nothing is runnable.
+    contract.goes_quiet = true;
     let seen = contract.check();
     assert!(seen.escapes > Some(100), "stalls must escalate: {seen:?}");
 }
