@@ -170,7 +170,8 @@ impl StaticBubblePlugin {
     /// for seeding auditor violations. Production transitions go through
     /// [`protocol::step`]. Whatever the caller writes, the FSM is visited
     /// on the next tick.
-    pub fn fsm_mut(&mut self, node: NodeId) -> Option<&mut SbFsm> {
+    #[cfg(test)]
+    pub(crate) fn fsm_mut(&mut self, node: NodeId) -> Option<&mut SbFsm> {
         let slot = self.slot(node)?;
         self.armed.insert(node);
         Some(&mut self.fsms[slot])
@@ -1090,12 +1091,12 @@ mod tests {
         assert_eq!(v, []);
     }
 
-    #[test]
-    fn idle_network_sends_no_messages() {
+    /// A pristine 8×8 with the paper's placement and no traffic.
+    fn idle_sim() -> (Simulator<StaticBubblePlugin, NoTraffic>, Vec<NodeId>) {
         let mesh = Mesh::new(8, 8);
         let topo = sb_topology::Topology::full(mesh);
         let bubbles = placement::placement(mesh);
-        let mut sim = Simulator::with_bubbles(
+        let sim = Simulator::with_bubbles(
             &topo,
             SimConfig::single_vnet(),
             Box::new(sb_routing::MinimalRouting::new(&topo)),
@@ -1104,6 +1105,61 @@ mod tests {
             0,
             &bubbles,
         );
+        (sim, bubbles)
+    }
+
+    #[test]
+    fn auditor_catches_seeded_illegal_fsm_transition() {
+        let (mut sim, bubbles) = idle_sim();
+        sim.run(50);
+        assert!(sim.audit_now().is_none(), "idle network audits clean");
+        // SOff -> SEnable skips detection and the whole disable handshake:
+        // not an edge of the Fig. 5 diagram.
+        let b = bubbles[0];
+        sim.plugin_mut().fsm_mut(b).unwrap().goto(FsmState::SEnable);
+        let report = sim.audit_now().expect("illegal edge must be caught");
+        let v = (report.violations.iter())
+            .find(|v| v.class == AuditClass::FsmLegality)
+            .expect("an fsm-legality violation");
+        assert_eq!(v.router, Some(b));
+        assert!(v.detail.contains("SOff -> SEnable"), "{}", v.detail);
+        // The recorded edge is drained by the audit; repairing the state by
+        // hand leaves nothing for a second audit to find.
+        sim.plugin_mut().fsm_mut(b).unwrap().state = FsmState::SOff;
+        assert!(sim.audit_now().is_none());
+    }
+
+    #[test]
+    fn auditor_catches_bubble_fsm_disagreement() {
+        let (mut sim, bubbles) = idle_sim();
+        sim.run(10);
+        // Claim the bubble is active without attaching it: protocol state
+        // and network state now disagree. Direct field write, so no illegal
+        // *edge* is recorded — the state cross-check must catch it alone.
+        let b = bubbles[1];
+        sim.plugin_mut().fsm_mut(b).unwrap().state = FsmState::SSbActive;
+        let report = sim.audit_now().expect("disagreement must be caught");
+        assert!(report.violations.iter().any(|v| {
+            v.class == AuditClass::FsmLegality
+                && v.router == Some(b)
+                && v.detail.contains("deactivated")
+        }));
+    }
+
+    #[test]
+    #[should_panic(expected = "invariant audit failed")]
+    fn periodic_audit_panics_on_illegal_fsm_edge() {
+        let (mut sim, bubbles) = idle_sim();
+        sim.run(10);
+        sim.set_audit(1);
+        let fsm = sim.plugin_mut().fsm_mut(bubbles[2]).unwrap();
+        fsm.goto(FsmState::SDisable);
+        sim.run(2);
+    }
+
+    #[test]
+    fn idle_network_sends_no_messages() {
+        let (mut sim, bubbles) = idle_sim();
         sim.run(500);
         let s = sim.core().stats();
         assert_eq!(s.probes_sent, 0, "FSMs stay in SOff with empty VCs");

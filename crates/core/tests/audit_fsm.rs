@@ -1,84 +1,12 @@
-//! FSM-legality auditing: seeded illegal transitions are caught and
-//! reported, legal recoveries audit clean at every cycle.
+//! FSM-legality auditing end to end: a legal recovery audits clean at
+//! every cycle. (The seeded illegal transitions are unit tests in
+//! `crates/core/src/plugin.rs`, next to the hook that seeds them.)
 
 use rand::SeedableRng;
 use sb_routing::MinimalRouting;
-use sb_sim::{AuditClass, NoTraffic, SimConfig, Simulator, UniformTraffic};
-use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
-use static_bubble::{placement, FsmState, StaticBubblePlugin};
-
-fn idle_sb_sim(
-    mesh: Mesh,
-) -> (
-    Simulator<StaticBubblePlugin, NoTraffic>,
-    Vec<sb_topology::NodeId>,
-) {
-    let topo = Topology::full(mesh);
-    let bubbles = placement::placement(mesh);
-    let sim = Simulator::with_bubbles(
-        &topo,
-        SimConfig::single_vnet(),
-        Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 5),
-        NoTraffic,
-        0,
-        &bubbles,
-    );
-    (sim, bubbles)
-}
-
-#[test]
-fn auditor_catches_seeded_illegal_fsm_transition() {
-    let (mut sim, bubbles) = idle_sb_sim(Mesh::new(8, 8));
-    sim.run(50);
-    assert!(sim.audit_now().is_none(), "idle network audits clean");
-    // SOff -> SEnable skips detection and the whole disable handshake: not
-    // an edge of the Fig. 5 diagram.
-    let b = bubbles[0];
-    sim.plugin_mut().fsm_mut(b).unwrap().goto(FsmState::SEnable);
-    let report = sim.audit_now().expect("illegal edge must be caught");
-    let v = report
-        .violations
-        .iter()
-        .find(|v| v.class == AuditClass::FsmLegality)
-        .expect("an fsm-legality violation");
-    assert_eq!(v.router, Some(b));
-    assert!(v.detail.contains("SOff -> SEnable"), "{}", v.detail);
-    // The recorded edge is drained by the audit; repairing the state by
-    // hand leaves nothing for a second audit to find.
-    sim.plugin_mut().fsm_mut(b).unwrap().state = FsmState::SOff;
-    assert!(sim.audit_now().is_none());
-}
-
-#[test]
-fn auditor_catches_bubble_fsm_disagreement() {
-    let (mut sim, bubbles) = idle_sb_sim(Mesh::new(8, 8));
-    sim.run(10);
-    // Claim the bubble is active without attaching it: protocol state and
-    // network state now disagree. Direct field write, so no illegal *edge*
-    // is recorded — the state cross-check must catch it on its own.
-    let b = bubbles[1];
-    sim.plugin_mut().fsm_mut(b).unwrap().state = FsmState::SSbActive;
-    let report = sim.audit_now().expect("disagreement must be caught");
-    assert!(report.violations.iter().any(|v| {
-        v.class == AuditClass::FsmLegality
-            && v.router == Some(b)
-            && v.detail.contains("deactivated")
-    }));
-}
-
-#[test]
-#[should_panic(expected = "invariant audit failed")]
-fn periodic_audit_panics_on_illegal_fsm_edge() {
-    let (mut sim, bubbles) = idle_sb_sim(Mesh::new(8, 8));
-    sim.run(10);
-    sim.set_audit(1);
-    sim.plugin_mut()
-        .fsm_mut(bubbles[2])
-        .unwrap()
-        .goto(FsmState::SDisable);
-    sim.run(2);
-}
+use sb_sim::{SimConfig, Simulator, UniformTraffic};
+use sb_topology::{FaultKind, FaultModel, Mesh};
+use static_bubble::{placement, StaticBubblePlugin};
 
 #[test]
 fn organic_deadlock_recovery_audits_clean_every_cycle() {

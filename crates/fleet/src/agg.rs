@@ -6,7 +6,8 @@
 //! order. Floating-point summation order is therefore fixed, percentiles
 //! are computed on value-sorted copies, and the serialized
 //! [`SweepReport`] is byte-identical for any worker count or completion
-//! permutation — the property `tests/equivalence.rs` proves.
+//! permutation — `tests/aggregator.rs` shuffles completion order, and the
+//! root package's `tests/contracts.rs` compares worker counts.
 //!
 //! Degenerate points do not erode silently: a group that completed fewer
 //! runs than the grid expanded (worker panic, filtered sample) appears in

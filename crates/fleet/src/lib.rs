@@ -21,7 +21,8 @@
 //! from the spec, never from ambient state), so a run's result is a pure
 //! function of its `SweepRun`; and the aggregator defers all arithmetic
 //! to a finalize pass over index-sorted records, so float summation order
-//! is fixed. `tests/equivalence.rs` property-tests the composition.
+//! is fixed. The root package's `tests/contracts.rs` checks the composition
+//! across worker counts and cache temperature.
 //!
 //! A library only: the `sweep` CLI, which runs a spec file through
 //! [`run_sweep`], and the figure binaries, which hand [`run_records`] a

@@ -627,10 +627,11 @@ impl NetCore {
         self.sched.active.fill();
     }
 
-    /// Empty the scan set from outside the crate. **Test hook only**: this
+    /// Empty the scan set. **Test hook only**: this
     /// deliberately violates the wakeup invariant so audit tests can seed a
     /// "quiescent-blocked router with a grantable candidate" violation.
-    pub fn clear_active_for_test(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear_active_for_test(&mut self) {
         self.sched.active.clear();
     }
 
@@ -846,7 +847,8 @@ impl NetCore {
     /// # Panics
     ///
     /// Panics if `vc` is occupied.
-    pub fn set_drain_for_test(&mut self, vc: VcRef, until: u64) {
+    #[cfg(test)]
+    pub(crate) fn set_drain_for_test(&mut self, vc: VcRef, until: u64) {
         let flat = self.flat_vc(vc);
         assert!(
             self.arch.vc_occ[flat].is_none(),

@@ -1,5 +1,6 @@
 //! Property-based tests of engine invariants: conservation, delivery,
-//! latency lower bounds, determinism.
+//! latency lower bounds. (Determinism is the harness in
+//! `tests/contracts.rs`.)
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -103,25 +104,6 @@ proptest! {
             // An unloaded network also meets the bound exactly.
             prop_assert_eq!(lat, 2 * hops + len as u64);
         }
-    }
-
-    /// Identical seeds give identical executions (the engine is
-    /// deterministic, which every experiment relies on).
-    #[test]
-    fn engine_is_deterministic(topo in arb_topology(), seed in any::<u64>()) {
-        let run = || {
-            let mut sim = Simulator::new(
-                &topo,
-                SimConfig::single_vnet(),
-                Box::new(UpDownRouting::new(&topo)),
-                NullPlugin,
-                UniformTraffic::new(0.1).single_vnet(),
-                seed,
-            );
-            sim.run(800);
-            sim.core().stats().clone()
-        };
-        prop_assert_eq!(run(), run());
     }
 
     /// Throughput equals offered load below saturation on the fault-free

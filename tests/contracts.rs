@@ -1,8 +1,6 @@
-//! Tier-1 representatives of the engine's determinism contracts (ROADMAP
-//! 4c): the full equivalence suites live in the member crates and only
-//! `cargo test --workspace` sees them, so this file runs one short scenario
-//! per deadlock design through the three ways a run may legitimately be
-//! executed differently and asserts that nothing observable moves:
+//! Tier-1's determinism harness. One short scenario at a time runs through
+//! the ways a run may legitimately be executed differently, and nothing
+//! observable may move:
 //!
 //! * change-driven worklist vs the `scan_all_routers` reference sweep,
 //!   which executes every cycle;
@@ -10,8 +8,8 @@
 //!   cycle a call (a call's last cycle always executes, so every cycle
 //!   does) vs a chunk of cycles at a time (how `sbsim --bisect` keeps a
 //!   replay point near the wedge);
-//! * uninterrupted vs snapshot → restore into a fresh engine → continue,
-//!   driven either way and across the two scan modes.
+//! * uninterrupted vs snapshot → JSON → restore into a fresh engine →
+//!   continue, driven either way and across the two scan modes.
 //!
 //! The last one is what catches a plugin index that is derived from its
 //! serialized state (Static Bubble's frozen-router list, FSM slot index and
@@ -22,21 +20,30 @@
 //! scheduler history being no part of a snapshot — the runs must end in the
 //! same snapshot *bytes*, not just the same statistics.
 //!
-//! A fourth contract is the fleet's: a grid's aggregated report is the same
-//! bytes whether its runs were simulated, or served from a result cache.
+//! The inputs are four named contracts, one per deadlock design and the
+//! closed loop, and a property test that draws the rest: design, fault
+//! count, load from near-idle to past the knee (then a halted drain, which
+//! may wedge), audit cadence, arrival sampler, seeds and a split point.
+//! `tests/mutants/run.sh` measures what they guard (`results/mutants.txt`).
+//!
+//! A fifth contract is the fleet's: a grid's aggregated report is the same
+//! bytes whatever the worker count, and whether its runs were simulated or
+//! served from a result cache.
 
+use proptest::prelude::*;
 use static_bubble_repro::core::StaticBubblePlugin;
 use static_bubble_repro::fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
-use static_bubble_repro::scenario::{Design, FaultSpec, Scenario, SimRunner};
-use static_bubble_repro::sim::{SimConfig, Stats, UniformTraffic};
+use static_bubble_repro::scenario::TrafficSpec;
+use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
+use static_bubble_repro::sim::{EngineSnapshot, SimConfig, Stats};
 use static_bubble_repro::topology::FaultKind;
 use static_bubble_repro::workloads::{AppTraffic, RodiniaApp};
 
 /// What a contract run offers the network.
 enum Load {
-    /// Open loop: uniform-random at this rate, geometric inter-arrival gaps
-    /// (the sampler that leaves the engine cycles to skip).
-    Uniform(f64),
+    /// Open loop: the scenario's own synthetic traffic, at its rate and
+    /// under its `clock`'s arrival sampler.
+    Synthetic,
     /// Closed loop: requests, and the replies owed for them.
     App(RodiniaApp),
 }
@@ -57,12 +64,15 @@ fn calls(total: u64, chunk: u64) -> impl Iterator<Item = u64> {
 /// Nothing to hold between a snapshot's source and its restored twin.
 fn nothing_to_hold(_: &dyn SimRunner, _: &dyn SimRunner) {}
 
-/// One design's contract run: `load` cycles of traffic, then the tap closes
-/// and the network drains.
+/// One contract run: `load` cycles of traffic, then the tap closes and the
+/// network drains for at most `drain` cycles.
 struct Contract {
     scenario: Scenario,
     traffic: Load,
     load: u64,
+    drain: u64,
+    /// Must the drain empty the network? (A drawn input may wedge it.)
+    drains: bool,
     /// Is the plugin's derived state populated right now? The snapshot is
     /// taken at the first cycle this holds.
     worth_snapshotting: fn(&dyn SimRunner) -> bool,
@@ -71,7 +81,10 @@ struct Contract {
     /// on.
     restored_like: fn(&dyn SimRunner, &dyn SimRunner),
     /// Does the load phase ever leave nothing runnable (a leap pending)?
-    goes_quiet: bool,
+    /// `None`: not pinned.
+    goes_quiet: Option<bool>,
+    /// One more cycle to interrupt the run at.
+    split: Option<u64>,
 }
 
 /// Everything a run leaves behind that a user can observe, and the whole
@@ -81,44 +94,57 @@ struct Contract {
 struct Observed {
     stats: Stats,
     end_time: u64,
+    wedge: Option<(Option<u64>, Option<String>)>,
     escapes: Option<u64>,
     snapshot: String,
 }
 
 impl Contract {
     fn new(design: Design, config: SimConfig, faults: usize, traffic: Load, load: u64) -> Self {
+        let faults = match faults {
+            0 => FaultSpec::Pristine,
+            count => FaultSpec::Model {
+                kind: FaultKind::Links,
+                count,
+                seed: 2,
+            },
+        };
         Contract {
             scenario: Scenario::new("contract", design)
                 .with_mesh(8, 8)
-                .with_faults(FaultSpec::Model {
-                    kind: FaultKind::Links,
-                    count: faults,
-                    seed: 2,
-                })
+                .with_faults(faults)
                 .with_config(config)
                 .with_tdd(10)
                 .with_seed(1),
             traffic,
             load,
+            drain: 50_000,
+            drains: true,
             worth_snapshotting: |runner| runner.core().in_flight() > 0,
             restored_like: nothing_to_hold,
-            goes_quiet: false,
+            goes_quiet: None,
+            split: None,
         }
+    }
+
+    /// Uniform-random traffic at `rate`, all of it in vnet 0 of a one-vnet
+    /// network or the 50/50 control / data mix over Table II's three, with
+    /// geometric inter-arrival gaps (the sampler that leaves the engine
+    /// cycles to skip).
+    fn open_loop(design: Design, config: SimConfig, faults: usize, rate: f64, load: u64) -> Self {
+        let single_vnet = config.vnets == 1;
+        let mut contract = Contract::new(design, config, faults, Load::Synthetic, load);
+        contract.scenario = (contract.scenario)
+            .with_traffic(TrafficSpec::Uniform { rate, single_vnet })
+            .with_clock(ClockMode::Leap);
+        contract
     }
 
     /// A fresh engine.
     fn build(&self) -> Box<dyn SimRunner> {
         let topo = self.scenario.topology();
         match self.traffic {
-            Load::Uniform(rate) => {
-                let traffic = UniformTraffic::new(rate).geometric();
-                let traffic = if self.scenario.config.vnets == 1 {
-                    traffic.single_vnet()
-                } else {
-                    traffic
-                };
-                self.scenario.build_with(&topo, traffic)
-            }
+            Load::Synthetic => self.scenario.build_on(&topo),
             Load::App(app) => {
                 let traffic = AppTraffic::new(app.profile(), &topo).expect("a usable topology");
                 self.scenario.build_with(&topo, traffic)
@@ -126,20 +152,33 @@ impl Contract {
         }
     }
 
-    /// Run the rest of the load phase, close the tap, drain, audit — at
-    /// most `chunk` cycles a call.
+    /// Close the tap and drain, at most `chunk` cycles a call.
+    fn drain(&self, runner: &mut dyn SimRunner, chunk: u64) -> bool {
+        runner.halt_injection();
+        let drained = calls(self.drain, chunk).any(|n| runner.run_until_drained(n));
+        assert!(drained || !self.drains, "network must drain");
+        drained
+    }
+
+    /// Run the rest of the load phase, drain, audit — at most `chunk`
+    /// cycles a call.
     fn finish(&self, mut runner: Box<dyn SimRunner>, chunk: u64) -> Observed {
         calls(self.load - runner.time(), chunk).for_each(|n| runner.run(n));
-        runner.halt_injection();
-        let drained = calls(50_000, chunk).any(|n| runner.run_until_drained(n));
-        assert!(drained, "network must drain");
+        let drained = self.drain(runner.as_mut(), chunk);
         if let Some(report) = runner.audit_now() {
             panic!("end-of-run audit failed:\n{report}");
         }
+        // A network the drain left wedged: the oracle's verdict, and what
+        // its forensics report says.
+        let wedge = (!drained).then(|| {
+            let at = runner.run_until_deadlock(1_000, 7);
+            (at, runner.take_forensics().map(|report| report.to_string()))
+        });
         let end = runner.snapshot().expect("snapshot");
         Observed {
             stats: runner.stats().clone(),
             end_time: runner.time(),
+            wedge,
             escapes: runner.escapes(),
             snapshot: end.to_json().expect("snapshot serializes"),
         }
@@ -153,18 +192,16 @@ impl Contract {
         let warmup = self.load / 4;
         calls(warmup).for_each(|n| runner.warmup(n));
         calls(self.load - warmup).for_each(|n| runner.run(n));
-        runner.halt_injection();
-        let drained = calls(50_000).any(|n| runner.run_until_drained(n));
-        assert!(drained, "network must drain");
+        self.drain(runner.as_mut(), chunk);
         let end = runner.snapshot().expect("snapshot");
         end.to_json().expect("snapshot serializes")
     }
 
     /// The cycles worth interrupting a run at, each with what is populated
     /// there: the contract's own moment; the first packet in the network,
-    /// its arrival wake on the wheel; and, from then on, the first cycle
-    /// whose tick leaves nothing runnable, so that a leap is pending after
-    /// it (absent when the load phase never goes quiet).
+    /// its arrival wake on the wheel; from then on, the first cycle whose
+    /// tick leaves nothing runnable, so that a leap is pending after it
+    /// (absent when the load phase never goes quiet); and the drawn split.
     fn snapshot_points(&self) -> Vec<(&'static str, u64)> {
         let mut scout = self.build();
         let (mut own, mut wheel, mut leap) = (None, None, None);
@@ -182,18 +219,17 @@ impl Contract {
             }
         }
         assert!(own.is_some(), "never reached a state worth snapshotting");
-        assert_eq!(
-            leap.is_some(),
-            self.goes_quiet,
-            "a pending leap to stop before"
-        );
-        [own, wheel, leap].into_iter().flatten().collect()
+        if let Some(quiet) = self.goes_quiet {
+            assert_eq!(leap.is_some(), quiet, "a pending leap to stop before");
+        }
+        let split = self.split.map(|at| ("the drawn split", at));
+        [own, wheel, leap, split].into_iter().flatten().collect()
     }
 
-    /// Run to cycle `at`, snapshot, restore into a fresh engine and finish
-    /// there, both at most `chunk` cycles a call; `interrupted` and
-    /// `resumed` set each engine up first, and `restored_like` is held
-    /// between the two at the restore.
+    /// Run to cycle `at`, snapshot, write the snapshot as JSON and read it
+    /// back, restore into a fresh engine and finish there, both at most
+    /// `chunk` cycles a call; `interrupted` and `resumed` set each engine up
+    /// first, and `restored_like` is held between the two at the restore.
     fn resume_at(
         &self,
         at: u64,
@@ -205,7 +241,9 @@ impl Contract {
         let mut from = self.build();
         interrupted(from.as_mut());
         calls(at, chunk).for_each(|n| from.run(n));
-        let snapshot = from.snapshot().expect("snapshot");
+        let written = from.snapshot().expect("snapshot").to_json();
+        let snapshot = EngineSnapshot::from_json(&written.expect("snapshot serializes"));
+        let snapshot = snapshot.expect("snapshot parses");
         assert_eq!(snapshot.time, at);
         let mut into = self.build();
         resumed(into.as_mut());
@@ -286,18 +324,12 @@ fn static_bubble_recovers_identically_in_every_mode() {
         let plugin = runner.plugin_any().downcast_ref::<StaticBubblePlugin>();
         plugin.expect("static-bubble run")
     }
-    let load = Load::Uniform(0.3);
-    let mut contract = Contract::new(
-        Design::StaticBubble,
-        SimConfig::single_vnet(),
-        12,
-        load,
-        600,
-    );
+    let mut contract =
+        Contract::open_loop(Design::StaticBubble, SimConfig::single_vnet(), 12, 0.3, 600);
     // Mid-recovery: some router's injection restriction is in force.
     contract.worth_snapshotting = |runner| plugin(runner).frozen_routers() > 0;
     // A deadlocked network has nothing runnable while the FSMs count.
-    contract.goes_quiet = true;
+    contract.goes_quiet = Some(true);
     // The node → FSM index finds, at every router, the FSM the snapshot
     // held there (some of them mid-round) or none.
     contract.restored_like = |interrupted, resumed| {
@@ -316,15 +348,14 @@ fn static_bubble_recovers_identically_in_every_mode() {
 
 #[test]
 fn escape_vc_escalates_identically_in_every_mode() {
-    let load = Load::Uniform(0.3);
-    let mut contract = Contract::new(Design::EscapeVc, SimConfig::default(), 10, load, 600);
+    let mut contract = Contract::open_loop(Design::EscapeVc, SimConfig::default(), 10, 0.3, 600);
     // Stall clocks are being tracked, and the load phase is about to end:
     // a slot that empties after the restore is not refilled, so a clock the
     // restored sweep failed to visit stays in the end state.
     contract.worth_snapshotting = |runner| runner.escapes() > Some(0) && runner.time() >= 590;
     // A router whose grant emptied it is not re-scanned, so between bursts
     // of arrivals nothing is runnable.
-    contract.goes_quiet = true;
+    contract.goes_quiet = Some(true);
     let seen = contract.check();
     assert!(seen.escapes > Some(100), "stalls must escalate: {seen:?}");
 }
@@ -332,14 +363,14 @@ fn escape_vc_escalates_identically_in_every_mode() {
 #[test]
 fn spanning_tree_leaps_identically_in_every_mode() {
     // Sparse enough that the engine skips most cycles.
-    let mut contract = Contract::new(
+    let mut contract = Contract::open_loop(
         Design::SpanningTree,
         SimConfig::single_vnet(),
         10,
-        Load::Uniform(0.01),
+        0.01,
         4_000,
     );
-    contract.goes_quiet = true;
+    contract.goes_quiet = Some(true);
     let seen = contract.check();
     assert!(seen.stats.delivered_packets > 100, "{seen:?}");
 }
@@ -351,40 +382,114 @@ fn closed_loop_traffic_resumes_identically_in_every_mode() {
     // Requests are in the network and replies are owed for others: a
     // restored source that forgot either never sends those replies.
     contract.worth_snapshotting = |runner| runner.core().in_flight() > 0 && runner.time() >= 1_500;
-    contract.goes_quiet = true;
+    contract.goes_quiet = Some(true);
     let seen = contract.check();
     let by_vnet = seen.stats.delivered_packets_vnet;
     assert!(by_vnet[0] > 1_000 && by_vnet[2] > 1_000, "{seen:?}");
 }
 
+/// The load phase of a drawn input.
+const DRAWN_LOAD: u64 = 300;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The axes the older equivalence suites swept, drawn, as inputs to the
+    /// same check: each deadlock design and none (minimal routes, no
+    /// mechanism), 0–12 faulty links, uniform or bit-complement traffic at
+    /// a load from near-idle to past the knee and then a halted drain,
+    /// which may wedge; an audit every cycle (a missed wake fails the cycle
+    /// it happens), every 64 or never; either arrival sampler; t_DD, the
+    /// seeds and a split point.
+    fn drawn_runs_agree_in_every_mode(
+        (design_ix, faults, fault_seed) in (0usize..4, 0usize..13, any::<u64>()),
+        (rate_centi, complement) in (1u32..45, any::<bool>()),
+        (audit_ix, geometric) in (0usize..3, any::<bool>()),
+        (tdd, seed) in (10u64..40, any::<u64>()),
+        split_permille in 1u64..1000,
+    ) {
+        let design = [
+            Design::Unprotected,
+            Design::SpanningTree,
+            Design::EscapeVc,
+            Design::StaticBubble,
+        ][design_ix];
+        // Escape-VC on Table II's three vnets, where a vnet can be refused
+        // downstream while its escape VC is still free.
+        let config = match design {
+            Design::EscapeVc => SimConfig::default(),
+            _ => SimConfig::single_vnet(),
+        };
+        let rate = f64::from(rate_centi) / 100.0;
+        let mut contract = Contract::open_loop(design, config, 0, rate, DRAWN_LOAD);
+        if faults > 0 {
+            let (kind, count, seed) = (FaultKind::Links, faults, fault_seed);
+            contract.scenario.faults = FaultSpec::Model { kind, count, seed };
+        }
+        if complement {
+            let single_vnet = config.vnets == 1;
+            contract.scenario.traffic = TrafficSpec::BitComplement { rate, single_vnet };
+        }
+        let clock = if geometric { ClockMode::Leap } else { ClockMode::Step };
+        contract.scenario = (contract.scenario)
+            .with_mesh(5, 5)
+            .with_tdd(tdd)
+            .with_seed(seed)
+            .with_audit_every([0, 1, 64][audit_ix])
+            .with_clock(clock);
+        contract.drain = 2_000;
+        contract.drains = false;
+        contract.split = Some((DRAWN_LOAD * split_permille / 1000).max(1));
+        // Printed only when the case fails.
+        println!("{:?}", contract.scenario);
+        contract.check();
+    }
+}
+
+/// The fleet's contract, one input a row: the worker count of the cached
+/// passes, the grid's audit cadence and arrival sampler, and whether the
+/// executor's extra phases (injection halt, drain probe, forensics) run.
 #[test]
 fn a_grid_reports_identically_uncached_cold_and_warm() {
-    let mut spec = SweepSpec::new("contract-grid");
-    spec.designs = vec!["static-bubble".into(), "escape-vc".into()];
-    spec.rates = vec![0.05, 0.2];
-    spec.warmup = 50;
-    spec.cycles = 350;
-
-    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
-        .join(format!("contract-cache-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let pass = |cache: &CacheConfig| {
-        let (report, acct) =
-            run_sweep(&spec, 2, ExecOptions::default(), cache).expect("valid grid");
-        (report.to_json().expect("report serializes"), acct)
+    let drain_and_forensics = ExecOptions {
+        forensics: true,
+        drain_budget: Some(5_000),
     };
-    let (uncached, _) = pass(&CacheConfig::none());
-    let (cold, cold_acct) = pass(&CacheConfig::dir(&dir));
-    let (warm, warm_acct) = pass(&CacheConfig::dir(&dir));
-    let _ = std::fs::remove_dir_all(&dir);
+    let inputs = [
+        (2, 0, ClockMode::Step, ExecOptions::default()),
+        (3, 64, ClockMode::Leap, drain_and_forensics),
+    ];
+    for (jobs, audit_every, clock, opts) in inputs {
+        let mut spec = SweepSpec::new("contract-grid");
+        spec.designs = vec!["static-bubble".into(), "escape-vc".into()];
+        spec.rates = vec![0.05, 0.2];
+        spec.warmup = 50;
+        spec.cycles = 350;
+        spec.audit_every = audit_every;
+        spec.clock = clock;
 
-    assert!(uncached.contains("\"contract-grid\""), "{uncached}");
-    assert_eq!(cold, uncached, "cold cache vs no cache");
-    assert_eq!(warm, uncached, "warm cache vs no cache");
-    assert_eq!(cold_acct.simulated, 4, "{cold_acct:?}");
-    assert_eq!(
-        (warm_acct.simulated, warm_acct.disk_hits),
-        (0, 4),
-        "{warm_acct:?}"
-    );
+        let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
+            .join(format!("contract-cache-{jobs}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let pass = |jobs, cache: &CacheConfig| {
+            let (report, acct) = run_sweep(&spec, jobs, opts, cache).expect("valid grid");
+            (report.to_json().expect("report serializes"), acct)
+        };
+        let (uncached, _) = pass(1, &CacheConfig::none());
+        let (parallel, _) = pass(jobs, &CacheConfig::none());
+        let (cold, cold_acct) = pass(jobs, &CacheConfig::dir(&dir));
+        let (warm, warm_acct) = pass(jobs, &CacheConfig::dir(&dir));
+        let _ = std::fs::remove_dir_all(&dir);
+
+        assert!(uncached.contains("\"contract-grid\""), "{uncached}");
+        assert_eq!(parallel, uncached, "--jobs {jobs} vs --jobs 1");
+        assert_eq!(cold, uncached, "cold cache vs no cache");
+        assert_eq!(warm, uncached, "warm cache vs no cache");
+        assert_eq!(cold_acct.simulated, 4, "{cold_acct:?}");
+        assert_eq!(
+            (warm_acct.simulated, warm_acct.disk_hits),
+            (0, 4),
+            "{warm_acct:?}"
+        );
+    }
 }

@@ -1,15 +1,18 @@
 //! The protocol kernel driven from tables: no `Simulator`, no network —
 //! `protocol::step` and `protocol::deadline` over hand-built registers and a
-//! plain-table [`RouterView`].
+//! plain-table [`RouterView`], and `protocol::beats` over message pairs.
+//! Fig. 5's counter thresholds and Section IV-C's output priority are held
+//! to literal numbers here, so a threshold moved by one cycle fails in
+//! tier-1 whether or not any simulated run reaches it.
 
-use sb_sim::{OutPort, PacketId};
-use sb_topology::{Direction, NodeId, Turn, DIRECTIONS};
-use static_bubble::fsm::VcPointer;
-use static_bubble::protocol::{
+use static_bubble_repro::core::fsm::VcPointer;
+use static_bubble_repro::core::protocol::{
     beats, deadline, step, Action, ActionBuf, Arrival, Deadline, Event, Local, Occupant, ProtState,
     RouterView,
 };
-use static_bubble::{FsmState, MsgKind, SbFsm, SbOptions, SpecialMsg};
+use static_bubble_repro::core::{FsmState, MsgKind, SbFsm, SbOptions, SpecialMsg};
+use static_bubble_repro::sim::{OutPort, PacketId};
+use static_bubble_repro::topology::{Direction, NodeId, Turn, DIRECTIONS};
 
 const NODE: NodeId = NodeId(5);
 const VCS: usize = 2;
@@ -236,9 +239,38 @@ fn every_event_in_every_state_stays_on_fig5() {
     assert!(checked > 5_000, "the table is not vacuous: {checked}");
 }
 
-/// (b) Step ≡ leap at the kernel: from every count, one-cycle ticks fire on
-/// exactly the cycle `deadline` predicts, and `gap(dt)` followed by one
-/// tick leaves the same registers and actions as `dt + 1` ticks.
+/// Fig. 5's thresholds at `fsm_in`'s registers as the counts `deadline`
+/// must name, one row per arm: t_DD = 8, doubled per backed-off probe plus
+/// the retry stagger (5); t_DR = 2 × the latched path's 6 hops = 12. A
+/// state's timeout fires on the tick that brings its counter to the count.
+fn fig5_deadline(state: FsmState, view: &Table, backoff: u32) -> Deadline {
+    const T_DD: u64 = 8;
+    const T_DR: u64 = 12;
+    let empty = view.slots.iter().all(Option::is_none);
+    // The watched packet, South VC 0, still waits for a mesh output.
+    let watched = view.slots[Direction::South.index() * VCS];
+    let waiting = watched.is_some_and(|p| p.wants.is_some());
+    match state {
+        FsmState::SOff if empty => Deadline::Idle,
+        FsmState::SOff => Deadline::Now,
+        FsmState::SDd if !waiting => Deadline::Now,
+        FsmState::SDd if backoff == 0 => Deadline::FiresAt(T_DD),
+        FsmState::SDd => Deadline::FiresAt((T_DD << backoff) + 5),
+        FsmState::SDisable | FsmState::SCheckProbe | FsmState::SEnable => {
+            Deadline::FiresAt(T_DR + 1)
+        }
+        // The two bubble watchdogs: unclaimed for t_DR, or an occupant
+        // stuck for 8 t_DR (longer than 4 t_DD here).
+        FsmState::SSbActive if view.bubble_empty => Deadline::FiresAt(T_DR + 1),
+        FsmState::SSbActive => Deadline::FiresAt(8 * T_DR + 1),
+    }
+}
+
+/// (b) Step ≡ leap at the kernel: `deadline` names Fig. 5's count, and
+/// from every count one-cycle ticks fire on exactly that cycle (so a tick
+/// from one below the count fires and from two below does not), and
+/// `gap(dt)` followed by one tick leaves the same registers and actions as
+/// `dt + 1` ticks.
 #[test]
 fn ticking_fires_when_deadline_says_and_gap_equals_ticks() {
     let prot = ProtState::default();
@@ -249,6 +281,11 @@ fn ticking_fires_when_deadline_says_and_gap_equals_ticks() {
                 let mut fresh = fsm_in(state);
                 fresh.probe_backoff = backoff;
                 fresh.retry_stagger = 5;
+                assert_eq!(
+                    deadline(&fresh, &view),
+                    fig5_deadline(state, &view, backoff),
+                    "{state:?}, backoff {backoff}, {view:?}"
+                );
                 let Deadline::FiresAt(at) = deadline(&fresh, &view) else {
                     // Not counting: a gap changes nothing.
                     let mut fsm = fresh.clone();
@@ -293,41 +330,43 @@ fn ticking_fires_when_deadline_says_and_gap_equals_ticks() {
     assert!(counted > 10_000, "the table is not vacuous: {counted}");
 }
 
-/// (c) Section IV-C: one special message per output port per cycle.
+/// (c) Section IV-C: one special message per output port per cycle, and
+/// which — one row per case of `beats`: (message, rival, the local
+/// `is_deadlock` bit, does the message win).
 #[test]
 fn output_conflicts_follow_section_iv_c() {
-    let free = ProtState::default();
-    let frozen = ProtState {
-        is_deadlock: true,
-        ..ProtState::default()
-    };
-    let m = |kind, sender| msg(kind, sender, 0);
-    // Priority classes.
-    assert!(beats(
-        &m(MsgKind::CheckProbe, 1),
-        &m(MsgKind::Disable, 9),
-        &free
-    ));
-    assert!(beats(&m(MsgKind::Disable, 1), &m(MsgKind::Probe, 9), &free));
-    // Same kind: higher sender wins.
-    assert!(beats(&m(MsgKind::Probe, 9), &m(MsgKind::Probe, 3), &free));
-    assert!(!beats(&m(MsgKind::Probe, 3), &m(MsgKind::Probe, 9), &free));
-    // Disable vs enable resolved by the local is_deadlock bit.
-    assert!(beats(
-        &m(MsgKind::Enable, 1),
-        &m(MsgKind::Disable, 9),
-        &frozen
-    ));
-    assert!(!beats(
-        &m(MsgKind::Enable, 1),
-        &m(MsgKind::Disable, 9),
-        &free
-    ));
-    assert!(beats(
-        &m(MsgKind::Disable, 1),
-        &m(MsgKind::Enable, 9),
-        &free
-    ));
+    use MsgKind::{CheckProbe, Disable, Enable, Probe};
+    let rows = [
+        // Priority classes, whatever the senders: check-probe, then
+        // disable and enable, then probe.
+        ((CheckProbe, 1), (Disable, 9), false, true),
+        ((Disable, 9), (CheckProbe, 1), false, false),
+        ((CheckProbe, 1), (Probe, 9), true, true),
+        ((Enable, 1), (Probe, 9), false, true),
+        ((Probe, 9), (Enable, 1), true, false),
+        // Disable against enable: the local is_deadlock bit.
+        ((Enable, 1), (Disable, 9), true, true),
+        ((Enable, 9), (Disable, 1), false, false),
+        ((Disable, 1), (Enable, 9), false, true),
+        ((Disable, 9), (Enable, 1), true, false),
+        // Otherwise the higher sender id.
+        ((Probe, 9), (Probe, 3), false, true),
+        ((Probe, 3), (Probe, 9), false, false),
+        ((Disable, 3), (Disable, 9), true, false),
+        ((CheckProbe, 9), (CheckProbe, 3), false, true),
+    ];
+    for ((kind, sender), (rival, rival_sender), is_deadlock, wins) in rows {
+        let prot = ProtState {
+            is_deadlock,
+            ..ProtState::default()
+        };
+        let (a, b) = (msg(kind, sender, 0), msg(rival, rival_sender, 0));
+        assert_eq!(
+            beats(&a, &b, &prot),
+            wins,
+            "{kind:?} from {sender} vs {rival:?} from {rival_sender}, is_deadlock {is_deadlock}"
+        );
+    }
 }
 
 #[test]
