@@ -9,7 +9,7 @@ use std::path::Path;
 /// use sb_bench::Table;
 /// let mut t = Table::new("demo", &["x", "y"]);
 /// t.row(&["1".into(), "2.5".into()]);
-/// assert!(t.to_csv().contains("x,y"));
+/// t.finish(None); // prints; `Some(path)` also writes the CSV there
 /// ```
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -39,7 +39,7 @@ impl Table {
     }
 
     /// Render aligned text.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {
@@ -85,7 +85,7 @@ impl Table {
     }
 
     /// CSV form (header row + data rows).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.headers.join(","));
         for row in &self.rows {

@@ -81,7 +81,7 @@ impl FsmState {
     /// * `SCheckProbe -> SEnable` (check-probe timed out),
     /// * `SEnable -> SOff` (enable returned or the FSM gave up).
     ///
-    /// The runtime auditor ([`sb_sim::audit`]) treats any other edge as an
+    /// The runtime auditor (`sb_sim::audit`) treats any other edge as an
     /// FSM-legality violation.
     pub fn transition_allowed(from: FsmState, to: FsmState) -> bool {
         use FsmState::*;
@@ -103,7 +103,7 @@ impl FsmState {
 }
 
 /// An FSM transition outside the Fig. 5 edge set, recorded by
-/// [`SbFsm::goto`] at transition time and drained by the runtime auditor.
+/// `SbFsm::goto` at transition time and drained by the runtime auditor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct IllegalTransition {
     /// The state the FSM left.
@@ -156,7 +156,7 @@ pub struct SbFsm {
     /// distinct, so collision phases drift and a clean probe round
     /// eventually arrives (the pinned pipeline wedge; DESIGN.md §12).
     pub retry_stagger: u64,
-    /// Illegal transitions recorded by [`SbFsm::goto`], awaiting drain by
+    /// Illegal transitions recorded by `SbFsm::goto`, awaiting drain by
     /// the runtime auditor ([`SbFsm::take_illegal`]). Recording at
     /// transition time makes the FSM-legality audit exact at any audit
     /// cadence — a sampled state check would miss edges taken and undone
@@ -188,7 +188,7 @@ impl SbFsm {
     /// Move to `to`, recording the edge if it is outside the Fig. 5
     /// transition diagram. All plugin-driven state changes go through here
     /// so the auditor sees every transition, not just sampled states.
-    pub fn goto(&mut self, to: FsmState) {
+    pub(crate) fn goto(&mut self, to: FsmState) {
         if !FsmState::transition_allowed(self.state, to) {
             self.illegal.push(IllegalTransition {
                 from: self.state,
@@ -204,14 +204,14 @@ impl SbFsm {
     }
 
     /// Restart the counter ("rsc" in Fig. 5).
-    pub fn restart_counter(&mut self) {
+    pub(crate) fn restart_counter(&mut self) {
         self.count = 0;
     }
 
     /// Effective detection threshold including probe backoff. Retries
     /// (backoff > 0) additionally carry [`SbFsm::retry_stagger`] so that no
     /// two routers back off onto the same period; first detection is exact.
-    pub fn effective_tdd(&self) -> u64 {
+    pub(crate) fn effective_tdd(&self) -> u64 {
         let backed = self.tdd << self.probe_backoff.min(4);
         if self.probe_backoff == 0 {
             backed
@@ -242,7 +242,7 @@ impl SbFsm {
 
     /// Clear all recovery registers and return to detection (`watching`
     /// will be re-pointed by the plugin).
-    pub fn clear_recovery(&mut self) {
+    pub(crate) fn clear_recovery(&mut self) {
         self.enable_retries = 0;
         self.turn_buffer.clear();
         self.tdr = 0;

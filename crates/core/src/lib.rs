@@ -11,13 +11,14 @@
 //!    subset of mesh routers (21 in an 8×8, 89 in a 16×16) with one extra
 //!    packet-sized buffer — the *static bubble* — such that **every possible
 //!    cycle in the mesh passes through at least one static-bubble router**.
-//! 2. [`fsm`] + [`msg`] — the runtime microarchitecture (Section IV): a
+//! 2. [`fsm`] + [`SpecialMsg`] — the runtime microarchitecture (Section IV): a
 //!    6-state counter FSM at each static-bubble router that detects deadlocks
 //!    with **probe** messages, freezes the deadlocked ring with **disable**,
 //!    opens the bubble to let the ring advance, re-checks with
 //!    **check-probe**, and releases with **enable**. [`protocol`] decides
-//!    (pure functions of one router's registers), [`plugin`] gathers each
-//!    cycle's events and applies the decisions, [`trace`] records them.
+//!    (pure functions of one router's registers), [`StaticBubblePlugin`]
+//!    gathers each cycle's events and applies the decisions, and its trace
+//!    records them.
 //!
 //! All flows use minimal routes all the time — no spanning trees, no escape
 //! paths, no routing restrictions before a deadlock actually occurs.
@@ -50,15 +51,15 @@
 
 pub mod fsm;
 pub mod microarch;
-pub mod msg;
+mod msg;
 pub mod placement;
-pub mod plugin;
+mod plugin;
 pub mod protocol;
-pub mod trace;
+mod trace;
 
 pub use fsm::{FsmState, IllegalTransition, SbFsm};
 pub use microarch::{MessageBudget, RouterStateBits};
-pub use msg::{MsgKind, SpecialMsg, TURN_CAPACITY};
+pub use msg::{MsgKind, SpecialMsg};
 pub use placement::{
     bubble_count, coverage_holds, covers_all_cycles, greedy_placement, is_static_bubble_node,
     placement,

@@ -4,7 +4,7 @@
 //! module makes the paper's bit-level arithmetic explicit and testable:
 //! with 128-bit links, 3 bits of message type and 6 bits of sender id, a
 //! probe can carry ⌊(128 − 3 − 6) / 2⌋ = 59 two-bit turns — the capacity
-//! the protocol enforces ([`crate::TURN_CAPACITY`]).
+//! the protocol enforces (`TURN_CAPACITY`).
 
 use sb_topology::Mesh;
 use serde::{Deserialize, Serialize};
@@ -107,7 +107,7 @@ mod tests {
         // sender node-id)".
         let b = MessageBudget::paper_64core();
         assert_eq!(b.turn_capacity(), 59);
-        assert_eq!(b.turn_capacity(), crate::TURN_CAPACITY);
+        assert_eq!(b.turn_capacity(), crate::msg::TURN_CAPACITY);
         assert_eq!(b.max_path_routers(), 60);
     }
 

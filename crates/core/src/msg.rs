@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// Maximum turns a special message can carry: with 128-bit links, 3 bits of
 /// message type and 6 bits of sender id, 59 two-bit turns fit (Section IV-B,
 /// "Can a probe loop around infinitely?").
-pub const TURN_CAPACITY: usize = 59;
+pub(crate) const TURN_CAPACITY: usize = 59;
 
 /// The kind of a special message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -31,7 +31,7 @@ pub enum MsgKind {
 impl MsgKind {
     /// Output-mux priority (Section IV-C):
     /// `check_probe > disable/enable > probe` (flits are below all).
-    pub fn priority(self) -> u8 {
+    pub(crate) fn priority(self) -> u8 {
         match self {
             MsgKind::CheckProbe => 3,
             MsgKind::Disable | MsgKind::Enable => 2,
@@ -67,7 +67,7 @@ pub struct SpecialMsg {
 
 impl SpecialMsg {
     /// A fresh probe with an empty turn list.
-    pub fn probe(sender: NodeId, vnet: u8) -> Self {
+    pub(crate) fn probe(sender: NodeId, vnet: u8) -> Self {
         SpecialMsg {
             kind: MsgKind::Probe,
             sender,
@@ -77,7 +77,7 @@ impl SpecialMsg {
     }
 
     /// A disable / check-probe / enable carrying the latched path.
-    pub fn with_path(kind: MsgKind, sender: NodeId, vnet: u8, turns: Vec<Turn>) -> Self {
+    pub(crate) fn with_path(kind: MsgKind, sender: NodeId, vnet: u8, turns: Vec<Turn>) -> Self {
         debug_assert!(kind != MsgKind::Probe);
         SpecialMsg {
             kind,
@@ -90,7 +90,7 @@ impl SpecialMsg {
     /// Probe: append the turn taken at this router; `false` (drop) if the
     /// turn capacity is exhausted.
     #[must_use]
-    pub fn push_turn(&mut self, turn: Turn) -> bool {
+    pub(crate) fn push_turn(&mut self, turn: Turn) -> bool {
         if self.turns.len() >= TURN_CAPACITY {
             return false;
         }
@@ -103,7 +103,7 @@ impl SpecialMsg {
     ///
     /// Returns `None` when no turns remain (the message is back at its
     /// sender).
-    pub fn strip_turn(&mut self, travel: Direction) -> Option<Direction> {
+    pub(crate) fn strip_turn(&mut self, travel: Direction) -> Option<Direction> {
         if self.turns.is_empty() {
             return None;
         }
@@ -115,7 +115,7 @@ impl SpecialMsg {
     /// given the direction it was travelling when it arrived back at its
     /// sender. The sender appends no turn, so walking the turn list
     /// backwards from the final travel direction recovers the first hop.
-    pub fn origin_out(&self, final_travel: Direction) -> Direction {
+    pub(crate) fn origin_out(&self, final_travel: Direction) -> Direction {
         let mut d = final_travel;
         for t in self.turns.iter().rev() {
             d = t.unapply(d);
@@ -127,7 +127,7 @@ impl SpecialMsg {
 /// A special message travelling a link: arrives at `to` on input port
 /// `in_port` at cycle `arrive_at`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct InFlightMsg {
+pub(crate) struct InFlightMsg {
     /// The message.
     pub msg: SpecialMsg,
     /// Destination router of this hop.

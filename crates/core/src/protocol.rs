@@ -3,7 +3,7 @@
 //! registers ([`SbFsm`], [`ProtState`]), a read-only [`RouterView`] of its
 //! buffers and one [`Event`]. A decision changes only the FSM it was handed
 //! and appends [`Action`]s to a reused [`ActionBuf`]; it never reaches the
-//! network. [`crate::plugin`] gathers each cycle's events in a fixed order
+//! network. [`crate::StaticBubblePlugin`] gathers each cycle's events in a fixed order
 //! and applies the actions, so a checker can drive [`step`] from a table
 //! instead of a simulator.
 //!
@@ -102,7 +102,7 @@ pub enum DropReason {
     /// No legal output existed: every wanted output was the ejection port
     /// or a u-turn.
     NoLegalFork,
-    /// The probe's turn capacity ([`crate::msg::TURN_CAPACITY`]) is
+    /// The probe's turn capacity (`crate::msg::TURN_CAPACITY`) is
     /// exhausted.
     TurnCapacity,
     /// Lost the one-message-per-output-port arbitration (Section IV-C).
@@ -210,7 +210,7 @@ pub enum Event<'m> {
     BubbleFreed,
 }
 
-/// A counter the plugin keeps (see [`crate::trace::ProtoCounters`]).
+/// A counter the plugin keeps (see `crate::trace::ProtoCounters`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stat {
     /// A probe left its sender.

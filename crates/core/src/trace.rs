@@ -152,7 +152,7 @@ pub enum ProtoEvent {
 
 impl ProtoEvent {
     /// One-line human-readable rendering (the `trace_lines` format).
-    pub fn line(&self) -> String {
+    pub(crate) fn line(&self) -> String {
         match self {
             ProtoEvent::Forward {
                 time,

@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 /// Area of one router, in relative units where a conventional 4-VC-per-vnet
 /// mesh router is ~1.0. Buffers and crossbar dominate, per Section IV-C.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RouterArea {
+pub(crate) struct RouterArea {
     /// Input buffer area (per packet-sized buffer).
     pub per_buffer: f64,
     /// Crossbar + allocators + pipeline.
@@ -39,18 +39,18 @@ impl AreaModel {
     }
 
     /// Area of one conventional router with `buffers` packet buffers.
-    pub fn plain_router(&self, buffers: usize) -> f64 {
+    pub(crate) fn plain_router(&self, buffers: usize) -> f64 {
         self.router.base + buffers as f64 * self.router.per_buffer
     }
 
     /// Area of a Static Bubble router (one extra buffer + FSM/registers).
-    pub fn sb_router(&self, buffers: usize) -> f64 {
+    pub(crate) fn sb_router(&self, buffers: usize) -> f64 {
         self.plain_router(buffers + 1) + self.router.sb_control
     }
 
     /// Area of an escape-VC router: `buffers` regular + `vnets` escape VCs
     /// + a routing table.
-    pub fn escape_router(&self, buffers: usize, vnets: usize) -> f64 {
+    pub(crate) fn escape_router(&self, buffers: usize, vnets: usize) -> f64 {
         self.plain_router(buffers + vnets) + self.router.escape_table
     }
 

@@ -22,12 +22,13 @@
 //! let model = EnergyModel::dsent_32nm();
 //! let stats = Stats { cycles: 1_000, data_link_flits: 5_000,
 //!                     data_router_flits: 5_000, ..Stats::default() };
-//! let cfg = NetworkConfigCost::new(64, 64 * 48 + 21, 224);
+//! let cfg = NetworkConfigCost { alive_routers: 64, total_buffers: 64 * 48 + 21,
+//!                               alive_links: 224 };
 //! assert!(model.price(&stats, cfg).total() > 0.0);
 //! ```
 
-pub mod area;
-pub mod model;
+mod area;
+mod model;
 
-pub use area::{AreaModel, RouterArea};
+pub use area::AreaModel;
 pub use model::{EnergyBreakdown, EnergyModel, NetworkConfigCost};

@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 
 /// Hardware inventory of one simulated network configuration, used to scale
 /// leakage and area. Build one per design point with
-/// [`NetworkConfigCost::new`] and the designated helpers.
+/// [`NetworkConfigCost::for_topology`], or as a struct literal.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NetworkConfigCost {
     /// Powered (alive) routers.
@@ -18,16 +18,6 @@ pub struct NetworkConfigCost {
 }
 
 impl NetworkConfigCost {
-    /// Describe a network: `alive_routers` powered routers carrying
-    /// `total_buffers` packet buffers and `alive_links` unidirectional links.
-    pub fn new(alive_routers: usize, total_buffers: usize, alive_links: usize) -> Self {
-        NetworkConfigCost {
-            alive_routers,
-            total_buffers,
-            alive_links,
-        }
-    }
-
     /// Inventory for a design on `topo`: `vcs_per_port` buffers at each of
     /// the 4 mesh ports of every alive router, plus `extra_buffers`
     /// (static bubbles for SB, 0 otherwise).
@@ -164,7 +154,11 @@ mod tests {
     #[test]
     fn breakdown_sums() {
         let model = EnergyModel::dsent_32nm();
-        let cfg = NetworkConfigCost::new(64, 64 * 48, 224);
+        let cfg = NetworkConfigCost {
+            alive_routers: 64,
+            total_buffers: 64 * 48,
+            alive_links: 224,
+        };
         let b = model.price(&stats(1000, 10_000), cfg);
         assert!(b.total() > 0.0);
         assert!((b.total() - (b.router_dynamic + b.link_dynamic + b.leakage())).abs() < 1e-9);
@@ -203,7 +197,11 @@ mod tests {
     #[test]
     fn edp_requires_deliveries() {
         let model = EnergyModel::dsent_32nm();
-        let cfg = NetworkConfigCost::new(64, 100, 224);
+        let cfg = NetworkConfigCost {
+            alive_routers: 64,
+            total_buffers: 100,
+            alive_links: 224,
+        };
         assert!(model.edp(&Stats::default(), cfg).is_none());
         assert!(model.edp(&stats(1000, 10_000), cfg).unwrap() > 0.0);
     }
@@ -211,7 +209,11 @@ mod tests {
     #[test]
     fn special_messages_cost_energy() {
         let model = EnergyModel::dsent_32nm();
-        let cfg = NetworkConfigCost::new(64, 100, 224);
+        let cfg = NetworkConfigCost {
+            alive_routers: 64,
+            total_buffers: 100,
+            alive_links: 224,
+        };
         let mut s = stats(1000, 10_000);
         let base = model.price(&s, cfg).total();
         s.special_link_flits = [100, 10, 10, 10];

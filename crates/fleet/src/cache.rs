@@ -36,7 +36,7 @@ use crate::ExecOptions;
 /// On-disk format version of cache entries. Bump on any
 /// change to the file layout; old files then fail header validation and
 /// fall back to re-simulation.
-pub const CACHE_FORMAT: u32 = 1;
+pub(crate) const CACHE_FORMAT: u32 = 1;
 
 /// The schema/epoch hash every cache key folds in: FNV-1a over a manifest
 /// naming the cache format, the engine's [`sb_sim::RESULT_EPOCH`], and the
@@ -65,7 +65,7 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// The entry's file name inside a cache directory.
-    pub fn file_name(&self) -> String {
+    pub(crate) fn file_name(&self) -> String {
         format!("sb-{:016x}-{:016x}.entry", self.epoch, self.fp)
     }
 }

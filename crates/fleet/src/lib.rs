@@ -28,9 +28,9 @@
 //! [`run_sweep`], and the figure binaries, which hand [`run_records`] a
 //! list of scenarios, live in `sb-bench`.
 
-pub mod agg;
+mod agg;
 pub mod cache;
-pub mod spec;
+mod spec;
 
 pub use agg::{
     aggregate, FailedRow, PointSummary, RunResult, SampleStats, SaturationRow, ScenarioRecord,

@@ -25,7 +25,7 @@ fn chan(node: NodeId, dir: Direction) -> usize {
 
 impl ChannelDependencyGraph {
     /// An empty CDG over the channels of `topo`.
-    pub fn new(topo: &Topology) -> Self {
+    pub(crate) fn new(topo: &Topology) -> Self {
         ChannelDependencyGraph {
             edges: vec![Vec::new(); topo.mesh().node_count() * 4],
             topo: topo.clone(),
@@ -39,7 +39,7 @@ impl ChannelDependencyGraph {
     ///
     /// Panics if the route crosses a dead link (use
     /// [`Route::trace`] to validate first).
-    pub fn add_route(&mut self, src: NodeId, route: &Route) {
+    pub(crate) fn add_route(&mut self, src: NodeId, route: &Route) {
         let mut cur = src;
         let mut prev: Option<usize> = None;
         for &d in route.directions() {

@@ -17,16 +17,16 @@
 //! * [`XyRouting`] — classic dimension-ordered routing, valid only on the
 //!   fault-free mesh (kept as a reference and for sanity tests).
 //!
-//! The [`cdg`] module builds channel-dependency graphs so tests can *prove*
+//! The `cdg` module builds channel-dependency graphs so tests can *prove*
 //! acyclicity of up-down/XY route sets and exhibit cycles under minimal
 //! routing.
 
-pub mod cdg;
-pub mod minimal;
-pub mod route;
-pub mod tree;
-pub mod updown;
-pub mod xy;
+mod cdg;
+mod minimal;
+mod route;
+mod tree;
+mod updown;
+mod xy;
 
 pub use cdg::ChannelDependencyGraph;
 pub use minimal::MinimalRouting;

@@ -145,7 +145,7 @@ impl UpDownRouting {
 
     /// Is the move from `node` along alive link `dir` an *up* move (towards
     /// the up end of that link)? `None` for dead links.
-    pub fn is_up_move(&self, node: NodeId, dir: Direction) -> Option<bool> {
+    pub(crate) fn is_up_move(&self, node: NodeId, dir: Direction) -> Option<bool> {
         let other = self.topo.neighbor(node, dir)?;
         let (ln, lo) = (self.level[node.index()]?, self.level[other.index()]?);
         // The up end is the endpoint closer to the root, ties to lower id.

@@ -32,20 +32,21 @@
 //! ```
 
 pub mod design;
-pub mod id;
-pub mod runner;
-pub mod spec;
+mod id;
+mod runner;
+mod spec;
 
 // The codecs live in `sb-sim` (engine snapshots serialize through JSON, and
 // the two text backends share one lexer); re-exported here so the
 // `sb_scenario::{json, toml, value}` paths are unchanged.
-pub use sb_sim::{json, toml, value};
+use sb_sim::value;
+pub use sb_sim::{json, toml};
 
 pub use design::{Design, RunOutcome, T_DD};
 pub use id::{fnv1a, ScenarioId};
 pub use runner::SimRunner;
 pub use spec::{BubbleSpec, ClockMode, FaultSpec, Scenario, TrafficSpec};
-pub use value::{from_value, to_value, SpecError, Value};
+pub use value::{to_value, SpecError};
 
 impl Scenario {
     /// Serialize this scenario as pretty JSON.

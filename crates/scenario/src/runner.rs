@@ -45,7 +45,7 @@ pub trait SimRunner {
     fn run_until_deadlock(&mut self, max_cycles: u64, check_every: u64) -> Option<u64>;
     /// Toggle the reference full-sweep kernel (A/B testing the worklist).
     fn scan_all_routers(&mut self, enable: bool);
-    /// Audit every `every` cycles (0 = off). See [`sb_sim::audit`].
+    /// Audit every `every` cycles (0 = off). See `sb_sim::audit`.
     fn set_audit(&mut self, every: u64);
     /// Audit immediately; `Some` report if any invariant is violated.
     fn audit_now(&mut self) -> Option<ForensicsReport>;

@@ -147,7 +147,7 @@ pub struct Scenario {
     /// Simulation seed (injection process and VC tie-breaks).
     pub seed: u64,
     /// Run the invariant auditor every this-many cycles (0 = off, the
-    /// production default). See [`sb_sim::audit`].
+    /// production default). See `sb_sim::audit`.
     pub audit_every: u64,
     /// Arrival sampler of the synthetic traffic: [`ClockMode::Step`] flips
     /// a Bernoulli coin per node per cycle (the default),
@@ -352,7 +352,7 @@ impl Scenario {
     }
 
     /// The Static Bubble ablation options as the plugin consumes them.
-    pub fn sb_options(&self) -> SbOptions {
+    pub(crate) fn sb_options(&self) -> SbOptions {
         SbOptions {
             forking: self.sb_forking,
             check_probe: self.sb_check_probe,
@@ -472,7 +472,7 @@ impl Scenario {
     }
 
     /// As [`Scenario::run`] on an externally supplied topology.
-    pub fn run_on(&self, topo: &Topology) -> RunOutcome {
+    pub(crate) fn run_on(&self, topo: &Topology) -> RunOutcome {
         let mut runner = self.build_on(topo);
         runner.warmup(self.warmup);
         runner.run(self.cycles);

@@ -158,7 +158,7 @@ impl ForensicsReport {
     /// [`crate::Plugin::forensic_lines`]; `probe_trace` from
     /// [`crate::Plugin::trace_lines`] (pass empty when tracing is off or
     /// the plugin is only borrowed immutably).
-    pub fn capture(
+    pub(crate) fn capture(
         core: &NetCore,
         violations: Vec<Violation>,
         plugin_lines: Vec<String>,
@@ -181,7 +181,7 @@ impl ForensicsReport {
 /// Check packet and flit conservation: every offer must be accounted for as
 /// in-network (VC, bubble, or source queue), delivered, dropped, or lost —
 /// globally and per vnet. Pushes one violation per unbalanced equation.
-pub fn check_conservation(core: &NetCore, out: &mut Vec<Violation>) {
+pub(crate) fn check_conservation(core: &NetCore, out: &mut Vec<Violation>) {
     let res = core.resident();
     let s = core.stats();
     let push = |out: &mut Vec<Violation>, detail: String| {
@@ -261,7 +261,7 @@ pub fn check_conservation(core: &NetCore, out: &mut Vec<Violation>) {
 /// occupants consistent with the attach, and no drain deadline on an
 /// occupied slot. (That the caches agree with these tables is
 /// [`check_derived`]'s.)
-pub fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
+pub(crate) fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
     let cfg = core.config();
     let now = core.time();
     let vcs = cfg.vcs_per_port();
@@ -358,7 +358,7 @@ pub fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
 /// no time of its own — its slot is its maturity, inside
 /// `[time, time + 64)` as long as no leap crosses one, which
 /// `NetCore::leap` asserts.)
-pub fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
+pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
     let (have, want) = (&core.sched, core.rebuild_sched());
     let mut fail = |router: Option<NodeId>, detail: String| {
         let class = AuditClass::Derived;

@@ -28,7 +28,7 @@ impl SimConfig {
     }
 
     /// The vnet of flat VC index `vc`.
-    pub fn vnet_of(&self, vc: u8) -> u8 {
+    pub(crate) fn vnet_of(&self, vc: u8) -> u8 {
         vc / self.vcs_per_vnet
     }
 
@@ -41,7 +41,7 @@ impl SimConfig {
     /// Entries one router puts before the switch allocator: every VC of its
     /// four mesh ports, the static bubble, and one injection queue per
     /// vnet. They are arbitrated through one `u64` candidate mask.
-    pub fn arbitration_slots(&self) -> usize {
+    pub(crate) fn arbitration_slots(&self) -> usize {
         4 * self.vcs_per_port() + 1 + self.vnets as usize
     }
 
@@ -49,7 +49,7 @@ impl SimConfig {
     /// only hold packets of `vnet`: its VC group at each of the four mesh
     /// ports and its injection queue. The bubble's slot is in no vnet's
     /// mask — its occupant's vnet is not a function of the index.
-    pub fn arbitration_mask_of_vnet(&self, vnet: u8) -> u64 {
+    pub(crate) fn arbitration_mask_of_vnet(&self, vnet: u8) -> u64 {
         let vcs = self.vcs_per_port();
         let group = ((1u64 << self.vcs_per_vnet) - 1) << (vnet * self.vcs_per_vnet);
         let ports = (0..4).fold(0u64, |m, port| m | group << (port * vcs));

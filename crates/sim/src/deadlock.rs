@@ -138,7 +138,7 @@ pub fn find_deadlock(core: &NetCore) -> Vec<InputRef> {
 }
 
 /// Is the network deadlocked right now?
-pub fn is_deadlocked(core: &NetCore) -> bool {
+pub(crate) fn is_deadlocked(core: &NetCore) -> bool {
     !find_deadlock(core).is_empty()
 }
 
@@ -247,7 +247,7 @@ pub struct WaitForEdge {
 /// Annotate the dependency cycle of [`find_dependency_cycle`] with the
 /// blocked packets and wanted directions, for forensics dumps. Empty when
 /// the network has no dependency cycle.
-pub fn describe_cycle(core: &NetCore) -> Vec<WaitForEdge> {
+pub(crate) fn describe_cycle(core: &NetCore) -> Vec<WaitForEdge> {
     let Some(cycle) = find_dependency_cycle(core) else {
         return Vec::new();
     };

@@ -18,7 +18,7 @@ use std::collections::VecDeque;
 
 /// Router + link pipeline depth: a granted head is switchable at the next
 /// router after 2 cycles (1-cycle router, 1-cycle link — Table II).
-pub const HOP_LATENCY: u64 = 2;
+pub(crate) const HOP_LATENCY: u64 = 2;
 
 /// Work the switch allocator did since the simulator was constructed:
 /// plain monotonic counts, so — unlike a cycles-per-second reading on a
@@ -114,7 +114,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// Enable the invariant auditor: every `every` cycles (and at every
     /// deadlock-oracle call) the engine re-derives conservation, VC
     /// legality, plugin/FSM legality, the wakeup invariant and every
-    /// derived index (see [`crate::audit`]). A violation during
+    /// derived index (see `crate::audit`). A violation during
     /// [`Simulator::tick`] panics
     /// with a full [`ForensicsReport`] rendered into the message; use
     /// [`Simulator::audit_now`] for a non-panicking check. `0` disables
@@ -175,7 +175,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// replaced wholesale and the scheduler state re-derived from it
     /// (`NetCore::rebuild_sched`) on every path, so everything observable
     /// about the following cycles is identical to the run the snapshot was
-    /// captured from (see [`crate::snapshot`] module docs). How the run is
+    /// captured from (see `crate::snapshot` module docs). How the run is
     /// driven — scan mode, audit cadence — stays this simulator's.
     ///
     /// # Errors

@@ -73,7 +73,7 @@ impl EscapeVcPlugin {
 
     /// The escape VC (flat index) of `vnet`: the last VC of the vnet's
     /// group.
-    pub fn escape_vc(core: &NetCore, vnet: u8) -> u8 {
+    pub(crate) fn escape_vc(core: &NetCore, vnet: u8) -> u8 {
         core.config().vcs_of_vnet(vnet).end - 1
     }
 
@@ -265,10 +265,74 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::Simulator;
-    use crate::packet::NewPacket;
+    use crate::packet::{NewPacket, PacketMode};
     use crate::traffic::{ScriptedTraffic, UniformTraffic};
-    use sb_routing::MinimalRouting;
+    use crate::vc::VcRef;
+    use sb_routing::{MinimalRouting, UpDownRouting};
     use sb_topology::{Mesh, Topology, DIRECTIONS};
+
+    fn cfg_2vc() -> SimConfig {
+        SimConfig {
+            vnets: 1,
+            vcs_per_vnet: 2,
+            max_packet_flits: 5,
+        }
+    }
+
+    /// Once packets escalate, they sit only in escape VCs and their re-stamped
+    /// routes are legal up-down paths.
+    #[test]
+    fn escaped_packets_obey_the_escape_discipline() {
+        let mesh = Mesh::new(5, 5);
+        let topo = Topology::full(mesh);
+        let updown = UpDownRouting::new(&topo);
+        let mut sim = Simulator::new(
+            &topo,
+            cfg_2vc(),
+            Box::new(MinimalRouting::new(&topo)),
+            EscapeVcPlugin::new(&topo, 8),
+            UniformTraffic::new(0.5).single_vnet(),
+            21,
+        );
+        let mut saw_escape = false;
+        for _ in 0..4_000 {
+            sim.tick();
+            let core = sim.core();
+            for router in core.topology().alive_nodes() {
+                for port in DIRECTIONS {
+                    for vc in 0..core.config().vcs_per_port() as u8 {
+                        let r = VcRef { router, port, vc };
+                        let Some(pkt) = core.vc_occupant(r) else {
+                            continue;
+                        };
+                        if pkt.mode == PacketMode::Escape {
+                            saw_escape = true;
+                            // Escape packets sit in the escape VC only (once
+                            // they have moved at least one hop after
+                            // escalation, i.e. when their hop index is > 0).
+                            if pkt.hop_index() > 0 {
+                                assert_eq!(
+                                    vc,
+                                    EscapeVcPlugin::escape_vc(core, pkt.vnet),
+                                    "escape packet in a regular VC at {router}"
+                                );
+                            }
+                            // Its remaining route is an up-down legal path.
+                            let remaining = sb_routing::Route::new(
+                                pkt.route().directions()[pkt.hop_index()..].to_vec(),
+                            );
+                            assert!(
+                                updown.is_legal(router, &remaining),
+                                "escape route not up-down legal"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(saw_escape, "the load should have triggered escalations");
+        assert!(sim.plugin().escapes() > 0);
+    }
 
     #[test]
     fn escape_vc_index_is_last_of_vnet() {

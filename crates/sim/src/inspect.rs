@@ -22,7 +22,7 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Capture the current state of `core`.
-    pub fn capture(core: &NetCore) -> Self {
+    pub(crate) fn capture(core: &NetCore) -> Self {
         let mesh = core.topology().mesh();
         let mut occupancy = Vec::with_capacity(mesh.node_count());
         let mut backlogged = 0usize;
@@ -48,7 +48,7 @@ impl Snapshot {
     }
 
     /// Occupancy of `node`.
-    pub fn occupancy_of(&self, node: NodeId) -> u8 {
+    pub(crate) fn occupancy_of(&self, node: NodeId) -> u8 {
         self.occupancy[node.index()]
     }
 }

@@ -17,7 +17,7 @@ use serde::ser::Serialize;
 /// Deepest array/object/table nesting either text parser accepts. Real
 /// specs and snapshots stay under ten; the bound turns a hostile
 /// `[[[[...` into an error instead of a stack overflow.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Serialize any value as pretty-printed JSON.
 pub fn to_json_string<T: Serialize + ?Sized>(value: &T) -> Result<String, SpecError> {

@@ -18,7 +18,7 @@
 //!   attached: the null plugin (spanning-tree avoidance needs no mechanism),
 //!   the [`EscapeVcPlugin`] baseline, and the Static Bubble plugin from the
 //!   `static-bubble` crate;
-//! * a deadlock *oracle* ([`deadlock`]) used by experiments to classify
+//! * a deadlock *oracle* (`deadlock`) used by experiments to classify
 //!   network states — never by the recovery mechanisms themselves.
 //!
 //! # Quick start
@@ -41,39 +41,37 @@
 //! assert!(sim.core().stats().delivered_packets > 0);
 //! ```
 
-pub mod arena;
-pub mod audit;
-pub mod config;
-pub mod deadlock;
-pub mod engine;
-pub mod escape;
-pub mod inspect;
+mod arena;
+mod audit;
+mod config;
+mod deadlock;
+mod engine;
+mod escape;
+mod inspect;
 pub mod json;
-pub mod netcore;
-pub mod packet;
-pub mod plugin;
-pub mod snapshot;
-pub mod stats;
+mod netcore;
+mod packet;
+mod plugin;
+mod snapshot;
+mod stats;
 pub mod toml;
-pub mod trace;
-pub mod traffic;
+mod trace;
+mod traffic;
 pub mod value;
-pub mod vc;
+mod vc;
 
-pub use arena::{PacketArena, PacketHandle};
+pub use arena::PacketHandle;
 pub use audit::{AuditClass, ForensicsReport, Violation};
 pub use config::SimConfig;
-pub use deadlock::{
-    describe_cycle, find_deadlock, find_dependency_cycle, is_deadlocked, WaitForEdge,
-};
+pub use deadlock::{find_deadlock, find_dependency_cycle, WaitForEdge};
 pub use engine::{KernelCounters, Simulator};
 pub use escape::EscapeVcPlugin;
 pub use inspect::Snapshot;
-pub use netcore::{NetCore, Resident};
+pub use netcore::NetCore;
 pub use packet::{NewPacket, Packet, PacketId, PacketMode};
 pub use plugin::{InputRef, NullPlugin, OutPort, Plugin, SlotRef};
 pub use snapshot::EngineSnapshot;
-pub use stats::{SpecialClass, Stats, MAX_VNETS};
+pub use stats::{SpecialClass, Stats};
 pub use trace::{TraceEvent, Traced};
 pub use traffic::{
     check_injectable, BitComplement, BitComplementTraffic, NoTraffic, Pattern, ScriptedTraffic,

@@ -68,7 +68,7 @@ pub(crate) fn head_of(pkt: &Packet) -> u8 {
 /// [`NetCore::resident`]. Split into in-network (VCs + bubbles) and
 /// source-queue populations, with flit totals and per-vnet breakdowns.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Resident {
+pub(crate) struct Resident {
     /// Packets in VCs and bubbles.
     pub packets: u64,
     /// Flits of those packets.
@@ -460,7 +460,7 @@ impl NetCore {
     /// and waiting in source queues, with flit totals and per-vnet packet
     /// breakdowns. Used by the measurement-window carry and the conservation
     /// audit.
-    pub fn resident(&self) -> Resident {
+    pub(crate) fn resident(&self) -> Resident {
         fn count(res: &mut Resident, pkt: &Packet, queued: bool) {
             if queued {
                 res.queued_packets += 1;
@@ -623,7 +623,7 @@ impl NetCore {
     /// Re-enter every router into the scan set. Used when wake bookkeeping
     /// is invalidated wholesale: a plugin swap, a switch back from the
     /// reference full-sweep mode, a topology reconfiguration.
-    pub fn wake_all(&mut self) {
+    pub(crate) fn wake_all(&mut self) {
         self.sched.active.fill();
     }
 
@@ -679,7 +679,7 @@ impl NetCore {
 
     /// The flat index of `vc` into the SoA VC tables:
     /// `(router * 4 + port) * vcs_per_port + vc`.
-    pub fn flat_vc(&self, vc: VcRef) -> usize {
+    pub(crate) fn flat_vc(&self, vc: VcRef) -> usize {
         (vc.router.index() * 4 + vc.port.index()) * self.sched.vcs + vc.vc as usize
     }
 
@@ -694,13 +694,13 @@ impl NetCore {
         h.is_some().then(|| self.arch.arena.get(h))
     }
 
-    /// The occupant handle of `vc` ([`PacketHandle::NONE`] if empty).
+    /// The occupant handle of `vc` (`PacketHandle::NONE` if empty).
     pub fn vc_handle(&self, vc: VcRef) -> PacketHandle {
         self.arch.vc_occ[self.flat_vc(vc)]
     }
 
     /// The occupant's first switchable cycle, if `vc` is occupied.
-    pub fn vc_ready_at(&self, vc: VcRef) -> Option<u64> {
+    pub(crate) fn vc_ready_at(&self, vc: VcRef) -> Option<u64> {
         let flat = self.flat_vc(vc);
         let occupied = self.arch.vc_occ[flat].is_some();
         occupied.then(|| self.arch.vc_ready[flat])
@@ -785,7 +785,7 @@ impl NetCore {
     /// # Panics
     ///
     /// Panics if `vc` is unoccupied.
-    pub fn vc_take(&mut self, vc: VcRef) -> PacketHandle {
+    pub(crate) fn vc_take(&mut self, vc: VcRef) -> PacketHandle {
         let flat = self.flat_vc(vc);
         let h = self.arch.vc_occ[flat];
         assert!(h.is_some(), "take() on non-occupied slot {vc:?}");
@@ -860,7 +860,7 @@ impl NetCore {
     }
 
     /// Iterate over every VC reference of `router`'s mesh ports.
-    pub fn vc_refs(&self, router: NodeId) -> impl Iterator<Item = VcRef> + '_ {
+    pub(crate) fn vc_refs(&self, router: NodeId) -> impl Iterator<Item = VcRef> + '_ {
         let vcs = self.arch.cfg.vcs_per_port() as u8;
         DIRECTIONS
             .into_iter()
@@ -880,7 +880,7 @@ impl NetCore {
     /// indices `range` at `(router, port)`, if any. Visits the clear bits of
     /// the occupancy word in ascending order, so the first hit is the one a
     /// slot-by-slot probe of `range` would return.
-    pub fn first_free_vc_in(
+    pub(crate) fn first_free_vc_in(
         &self,
         router: NodeId,
         port: Direction,
@@ -909,7 +909,7 @@ impl NetCore {
     /// the router's bubble attached there for it? By the slot contract of
     /// [`crate::Plugin::pick_slot`], `false` means every plugin answers
     /// `None` for every packet of `vnet` at this port.
-    pub fn vnet_has_free_slot(&self, router: NodeId, port: Direction, vnet: u8) -> bool {
+    pub(crate) fn vnet_has_free_slot(&self, router: NodeId, port: Direction, vnet: u8) -> bool {
         self.first_free_regular_vc(router, port, vnet).is_some()
             || self.bubble_available(router, port, vnet)
     }
@@ -962,7 +962,7 @@ impl NetCore {
     }
 
     /// Number of occupied mesh-port VCs at `router`.
-    pub fn occupied_vcs(&self, router: NodeId) -> u32 {
+    pub(crate) fn occupied_vcs(&self, router: NodeId) -> u32 {
         self.sched.occ_mask[router.index()].count_ones()
     }
 
@@ -986,7 +986,7 @@ impl NetCore {
     /// Queue tails are plain descriptors and hold no arena slot, so the
     /// arena census is `in-network packets + queued_heads()`, not
     /// `+ queued()`.
-    pub fn queued_heads(&self) -> usize {
+    pub(crate) fn queued_heads(&self) -> usize {
         self.arch.inject.iter().filter(|q| q.head.is_some()).count()
     }
 
@@ -1125,7 +1125,7 @@ impl NetCore {
     // ------------------------------------------------------------------
 
     /// The packet arena (every live packet, addressed by handle).
-    pub fn arena(&self) -> &PacketArena {
+    pub(crate) fn arena(&self) -> &PacketArena {
         &self.arch.arena
     }
 
@@ -1192,7 +1192,7 @@ impl NetCore {
     }
 
     /// The packet held at `input`, if any and if its head is switchable.
-    pub fn packet_at(&self, input: InputRef) -> Option<&Packet> {
+    pub(crate) fn packet_at(&self, input: InputRef) -> Option<&Packet> {
         let h = match input {
             InputRef::Vc(v) => self.arch.vc_occ[self.flat_vc(v)],
             InputRef::Bubble(r) => self.arch.bub_occ[r.index()],

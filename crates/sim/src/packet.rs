@@ -93,18 +93,13 @@ impl Packet {
         self.head
     }
 
-    /// Remaining hops to the destination router.
-    pub fn remaining_hops(&self) -> usize {
-        self.route.hops() - self.hop
-    }
-
     /// The stamped route.
-    pub fn route(&self) -> &Route {
+    pub(crate) fn route(&self) -> &Route {
         &self.route
     }
 
     /// Index of the next hop within the route.
-    pub fn hop_index(&self) -> usize {
+    pub(crate) fn hop_index(&self) -> usize {
         self.hop
     }
 
@@ -117,7 +112,7 @@ impl Packet {
 
     /// Replace the remaining route (used when the escape-VC baseline
     /// re-stamps a deadlock-free route from the packet's current router).
-    pub fn restamp(&mut self, route: Route, mode: PacketMode) {
+    pub(crate) fn restamp(&mut self, route: Route, mode: PacketMode) {
         self.head = route.hop(0);
         self.route = route;
         self.hop = 0;
@@ -152,7 +147,7 @@ mod tests {
         assert_eq!(p.desired_hop(), Some(Direction::North));
         p.advance_hop();
         assert_eq!(p.desired_hop(), None);
-        assert_eq!(p.remaining_hops(), 0);
+        assert_eq!(p.hop_index(), p.route().hops());
     }
 
     #[test]
@@ -162,6 +157,6 @@ mod tests {
         p.restamp(Route::new(vec![Direction::North]), PacketMode::Escape);
         assert_eq!(p.desired_hop(), Some(Direction::North));
         assert_eq!(p.mode, PacketMode::Escape);
-        assert_eq!(p.remaining_hops(), 1);
+        assert_eq!((p.hop_index(), p.route().hops()), (0, 1));
     }
 }

@@ -142,7 +142,7 @@ pub trait Plugin {
     /// [`NetCore::bubble_available`]`(router, port, pkt.vnet)`. A plugin may
     /// narrow that set by its own policy (the escape-VC plugin splits the
     /// group by packet mode) but never widen it. The winner search relies
-    /// on it: once [`NetCore::vnet_has_free_slot`] is false for a vnet at a
+    /// on it: once `NetCore::vnet_has_free_slot` is false for a vnet at a
     /// downstream port, it stops asking for that vnet's remaining
     /// candidates. Debug builds assert the contract on every grant.
     fn pick_slot(
@@ -165,7 +165,7 @@ pub trait Plugin {
     /// Invariant audit hook: push one [`crate::audit::Violation`] per
     /// protocol-level invariant the plugin's own state breaks (illegal FSM
     /// transitions, orphaned restrictions, bubble/FSM disagreement). Called
-    /// by the engine's [`crate::audit`] pass; `&mut self` lets the plugin
+    /// by the engine's `crate::audit` pass; `&mut self` lets the plugin
     /// drain internally-accumulated evidence.
     fn audit_check(&mut self, core: &NetCore, out: &mut Vec<crate::audit::Violation>) {
         let _ = (core, out);

@@ -38,12 +38,12 @@ impl SpecialClass {
 
 /// Maximum number of virtual networks the per-vnet conservation counters
 /// cover. [`crate::NetCore`] rejects configurations beyond this.
-pub const MAX_VNETS: usize = 8;
+pub(crate) const MAX_VNETS: usize = 8;
 
 /// Aggregate simulation statistics.
 ///
 /// All counters are cumulative since construction or the last
-/// [`Stats::reset_measurement`] (which is how warmup is excluded — the
+/// `Stats::reset_measurement` (which is how warmup is excluded — the
 /// engine carries offers for packets still in flight across the reset so
 /// conservation and `acceptance()` stay meaningful; see `DESIGN.md`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
@@ -156,7 +156,7 @@ impl Stats {
 
     /// Zero every counter: begin a fresh measurement window (call after
     /// warmup).
-    pub fn reset_measurement(&mut self) {
+    pub(crate) fn reset_measurement(&mut self) {
         *self = Stats::default();
     }
 

@@ -69,12 +69,12 @@ impl<T> Traced<T> {
     /// engine calls this through
     /// [`TrafficSource::on_measurement_reset`] at the end of warmup so
     /// reported distributions contain measurement-window packets only.
-    pub fn clear_events(&mut self) {
+    pub(crate) fn clear_events(&mut self) {
         self.events.clear();
     }
 
     /// Delivery latencies, in delivery order.
-    pub fn latencies(&self) -> Vec<u64> {
+    pub(crate) fn latencies(&self) -> Vec<u64> {
         self.events
             .iter()
             .filter_map(|e| match e {

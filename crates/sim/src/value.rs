@@ -17,6 +17,6 @@ pub fn to_value<T: Serialize + ?Sized>(value: &T) -> Result<Value, SpecError> {
 }
 
 /// Unfold a [`Value`] into any deserializable type.
-pub fn from_value<T: DeserializeOwned>(value: Value) -> Result<T, SpecError> {
+pub(crate) fn from_value<T: DeserializeOwned>(value: Value) -> Result<T, SpecError> {
     T::from_value(value)
 }

@@ -130,7 +130,7 @@ fn acceptance_stays_physical_with_warmup_packets_in_flight() {
     sim.set_audit(1);
     sim.warmup(200);
     assert!(
-        sim.core().resident().packets > 0,
+        sim.core().in_flight() > 0,
         "burst must still be in flight when the window opens"
     );
     sim.run(1_000);

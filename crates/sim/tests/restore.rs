@@ -5,6 +5,7 @@
 use sb_routing::UpDownRouting;
 use sb_sim::{json, EngineSnapshot, EscapeVcPlugin, SimConfig, Simulator, UniformTraffic};
 use sb_topology::{Mesh, Topology};
+use serde::Deserialize;
 
 fn loaded_sim() -> Simulator<EscapeVcPlugin, UniformTraffic> {
     let topo = Topology::full(Mesh::new(4, 4));
@@ -73,25 +74,24 @@ fn a_snapshot_in_the_previous_format_is_refused_by_key() {
         .into_iter()
         .find(|(key, _)| key == "core")
         .expect("core");
-    let err =
-        sb_sim::value::from_value::<sb_sim::NetCore>(core).expect_err("derived fields on the wire");
+    let err = sb_sim::NetCore::from_value(core).expect_err("derived fields on the wire");
     assert!(err.0.contains("unknown field `vcs`"), "{err}");
 }
 
 #[test]
 fn a_table_that_does_not_fit_the_mesh_is_an_error() {
-    use sb_sim::value::{from_value, to_value, Value};
+    use sb_sim::value::{to_value, Value};
     let mut sim = loaded_sim();
     sim.run(20);
     let Value::Map(mut core) = to_value(sim.core()).expect("serializes") else {
         panic!("a network is an object");
     };
-    from_value::<sb_sim::NetCore>(Value::Map(core.clone())).expect("round trip");
+    sb_sim::NetCore::from_value(Value::Map(core.clone())).expect("round trip");
     let table = core.iter_mut().find(|(key, _)| key == "vc_ready");
     let Some((_, Value::Seq(ready))) = table else {
         panic!("vc_ready is a list");
     };
     ready.pop();
-    let err = from_value::<sb_sim::NetCore>(Value::Map(core)).expect_err("one slot short");
+    let err = sb_sim::NetCore::from_value(Value::Map(core)).expect_err("one slot short");
     assert!(err.0.contains("do not fit a 16-router mesh"), "{err}");
 }

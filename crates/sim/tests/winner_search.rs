@@ -30,9 +30,7 @@ fn packet(id: u64, vnet: u8, mode: PacketMode) -> Packet {
         len_flits: 5,
     };
     let mut pkt = Packet::new(PacketId(id), req, Route::new(vec![Direction::East]), 0);
-    if mode == PacketMode::Escape {
-        pkt.restamp(Route::new(vec![Direction::East]), mode);
-    }
+    pkt.mode = mode;
     pkt
 }
 

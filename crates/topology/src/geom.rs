@@ -123,7 +123,7 @@ impl Direction {
     }
 
     /// Direction after a 90° left (counter-clockwise) turn.
-    pub fn left(self) -> Direction {
+    pub(crate) fn left(self) -> Direction {
         match self {
             Direction::North => Direction::West,
             Direction::West => Direction::South,
@@ -133,7 +133,7 @@ impl Direction {
     }
 
     /// Direction after a 90° right (clockwise) turn.
-    pub fn right(self) -> Direction {
+    pub(crate) fn right(self) -> Direction {
         match self {
             Direction::North => Direction::East,
             Direction::East => Direction::South,
@@ -162,7 +162,7 @@ impl Direction {
     }
 
     /// The (dx, dy) unit step of this direction.
-    pub fn delta(self) -> (i32, i32) {
+    pub(crate) fn delta(self) -> (i32, i32) {
         match self {
             Direction::North => (0, 1),
             Direction::East => (1, 0),

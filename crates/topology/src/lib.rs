@@ -6,10 +6,11 @@
 //! This crate implements system **S1** of the reproduction (see `DESIGN.md`):
 //! the `n×m` mesh that every topology in the paper is derived from, the
 //! [`Topology`] type describing an irregular topology (a mesh with some links
-//! and/or routers absent, faulty, or power-gated), seeded [fault
-//! models](faults) used for the design-space sweeps of Figs. 2, 3, 8–12, and
-//! graph [`analysis`] helpers (connectivity, undirected cycles,
-//! distances) that the routing layer and the experiments build on.
+//! and/or routers absent, faulty, or power-gated), seeded fault models
+//! ([`FaultModel`]) used for the design-space sweeps of Figs. 2, 3, 8–12,
+//! and graph helpers ([`connected_components`], [`distances_from`], cycle
+//! detection on [`Topology`]) that the routing layer and the experiments
+//! build on.
 //!
 //! # Example
 //!
@@ -24,13 +25,13 @@
 //! assert!(topo.has_undirected_cycle());
 //! ```
 
-pub mod analysis;
-pub mod bitset;
-pub mod faults;
-pub mod geom;
-pub mod mesh;
-pub mod soc;
-pub mod topology;
+mod analysis;
+mod bitset;
+mod faults;
+mod geom;
+mod mesh;
+mod soc;
+mod topology;
 
 pub use analysis::{connected_components, distances_from, ComponentMap};
 pub use bitset::NodeSet;

@@ -110,7 +110,7 @@ impl Mesh {
 
     /// Iterate over all bidirectional links as `(node, direction)` pairs with
     /// the canonical orientation (East and North only), each link once.
-    pub fn links(self) -> impl Iterator<Item = (NodeId, Direction)> {
+    pub(crate) fn links(self) -> impl Iterator<Item = (NodeId, Direction)> {
         let mesh = self;
         mesh.nodes().flat_map(move |n| {
             [Direction::East, Direction::North]

@@ -186,44 +186,24 @@ impl Topology {
         self.neighbor(node, dir).is_some()
     }
 
-    fn set_link(&mut self, node: NodeId, dir: Direction, bit: bool) {
-        if let Some(other) = self.mesh.neighbor(node, dir) {
-            self.links[node.index()][dir.index()] = bit;
-            self.links[other.index()][dir.opposite().index()] = bit;
-            self.patch(node, dir);
-        }
-    }
-
-    fn set_router(&mut self, node: NodeId, alive: bool) {
-        self.routers[node.index()] = alive;
-        for dir in DIRECTIONS {
-            self.patch(node, dir);
-        }
-    }
-
     /// Disable the bidirectional link `(node, dir)`.
     ///
     /// Idempotent. Does nothing if the link falls off the mesh edge.
     pub fn remove_link(&mut self, node: NodeId, dir: Direction) {
-        self.set_link(node, dir, false);
-    }
-
-    /// Re-enable the bidirectional link `(node, dir)` (e.g. power-gating
-    /// reversal). Does nothing off the mesh edge.
-    pub fn restore_link(&mut self, node: NodeId, dir: Direction) {
-        self.set_link(node, dir, true);
+        if let Some(other) = self.mesh.neighbor(node, dir) {
+            self.links[node.index()][dir.index()] = false;
+            self.links[other.index()][dir.opposite().index()] = false;
+            self.patch(node, dir);
+        }
     }
 
     /// Disable a router (fault or power-gating). Its links become unusable
-    /// but their bits are preserved, so [`Topology::restore_router`] brings
-    /// them back.
+    /// but their bits are preserved.
     pub fn remove_router(&mut self, node: NodeId) {
-        self.set_router(node, false);
-    }
-
-    /// Re-enable a router.
-    pub fn restore_router(&mut self, node: NodeId) {
-        self.set_router(node, true);
+        self.routers[node.index()] = false;
+        for dir in DIRECTIONS {
+            self.patch(node, dir);
+        }
     }
 
     /// Disable every router inside the rectangle `[x0, x0+w) × [y0, y0+h)`,
@@ -364,7 +344,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// The mutators patch the table; none of them rebuilds it. Whatever
-        /// the order — re-removing, restoring a link under a dead endpoint,
+        /// the order — re-removing, removing a link under a dead endpoint,
         /// edge nodes and off-mesh directions included — it stays equal to
         /// the definition, and it never reaches the serialised form.
         fn adjacency_equals_its_definition_after_every_mutation(
@@ -378,11 +358,9 @@ mod tests {
             for _ in 0..40 {
                 let node = NodeId(rng.gen_range(0..mesh.node_count() as u16));
                 let dir = DIRECTIONS[rng.gen_range(0..4usize)];
-                match rng.gen_range(0..9u8) {
+                match rng.gen_range(0..6u8) {
                     0..=2 => topo.remove_link(node, dir),
-                    3 | 4 => topo.restore_link(node, dir),
-                    5 | 6 => topo.remove_router(node),
-                    7 => topo.restore_router(node),
+                    3 | 4 => topo.remove_router(node),
                     _ => {
                         let c = mesh.coord(node);
                         let (tw, th) = (rng.gen_range(1..=w - c.x), rng.gen_range(1..=h - c.y));
@@ -423,18 +401,18 @@ mod tests {
     }
 
     #[test]
-    fn remove_restore_link_roundtrip() {
+    fn a_removed_link_is_dead_from_both_ends() {
         let mesh = Mesh::new(4, 4);
         let mut topo = Topology::full(mesh);
         let n = mesh.node_at(2, 2);
         topo.remove_link(n, Direction::West);
+        assert!(!topo.link_alive(n, Direction::West));
         assert!(!topo.link_alive(mesh.node_at(1, 2), Direction::East));
-        topo.restore_link(n, Direction::West);
-        assert_eq!(topo, Topology::full(mesh));
+        assert_eq!(topo.alive_links().count(), mesh.link_count() - 1);
     }
 
     #[test]
-    fn dead_router_kills_incident_links_but_restores() {
+    fn dead_router_kills_incident_links() {
         let mesh = Mesh::new(4, 4);
         let mut topo = Topology::full(mesh);
         let n = mesh.node_at(1, 1);
@@ -444,8 +422,6 @@ mod tests {
         for (_, m) in full.neighbors(n) {
             assert_eq!(topo.degree(m), full.degree(m) - 1);
         }
-        topo.restore_router(n);
-        assert_eq!(topo, Topology::full(mesh));
     }
 
     #[test]

@@ -16,9 +16,9 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Request message class (1-flit, like a coherence GetS).
-pub const REQ_VNET: u8 = 0;
+pub(crate) const REQ_VNET: u8 = 0;
 /// Reply message class (5-flit data).
-pub const REPLY_VNET: u8 = 2;
+pub(crate) const REPLY_VNET: u8 = 2;
 
 /// The tunable knobs of one application profile.
 #[derive(Debug, Clone, PartialEq, Serialize)]

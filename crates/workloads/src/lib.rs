@@ -22,12 +22,12 @@
 //! and runtime as cycles to finish a fixed transaction count, mirroring the
 //! metrics of Figs. 12 and 13.
 
-pub mod apps;
+mod apps;
 pub mod mc;
-pub mod patterns;
+mod patterns;
 
 pub use apps::{AppProfile, AppTraffic, ParsecApp, RodiniaApp};
-pub use mc::{default_memory_controllers, usable_cores};
+pub use mc::default_memory_controllers;
 pub use patterns::{
     Hotspot, HotspotTraffic, Neighbor, NeighborTraffic, Shuffle, ShuffleTraffic, Transpose,
     TransposeTraffic,

@@ -32,7 +32,7 @@ pub fn default_memory_controllers(mesh: Mesh) -> Vec<NodeId> {
 /// component that contains at least one alive memory controller, or `None`
 /// if every MC is dead or unreachable (the topology is unusable, as the
 /// paper discards such instances).
-pub fn usable_cores(topo: &Topology, mcs: &[NodeId]) -> Option<Vec<NodeId>> {
+pub(crate) fn usable_cores(topo: &Topology, mcs: &[NodeId]) -> Option<Vec<NodeId>> {
     let comps = connected_components(topo);
     // Components that contain an alive MC, largest first.
     let mut candidates: Vec<(usize, u32)> = (0..comps.count())
