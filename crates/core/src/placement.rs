@@ -19,7 +19,7 @@
 //! residue-class closed form, validated against direct enumeration for all
 //! mesh sizes up to 32×32 in this module's tests.
 
-use sb_topology::{connected_components, Coord, Mesh, NodeId, Topology};
+use sb_topology::{Coord, Mesh, NodeId, Topology};
 
 /// Does the placement rule put a static bubble at `coord`?
 ///
@@ -124,12 +124,6 @@ pub fn alive_bubbles(topo: &Topology) -> Vec<NodeId> {
         .into_iter()
         .filter(|&n| topo.router_alive(n))
         .collect()
-}
-
-/// Number of connected components the placement would need to cover — used
-/// by diagnostics in the experiments.
-pub fn component_count(topo: &Topology) -> u32 {
-    connected_components(topo).count()
 }
 
 /// An *alternative* placement via a greedy feedback-vertex-set heuristic

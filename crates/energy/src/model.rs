@@ -116,12 +116,6 @@ impl EnergyModel {
         }
     }
 
-    /// Energy–delay product of a window: total energy × average packet
-    /// latency. `None` when nothing was delivered.
-    pub fn edp(&self, stats: &Stats, cfg: NetworkConfigCost) -> Option<f64> {
-        Some(self.price(stats, cfg).total() * stats.avg_latency()?)
-    }
-
     /// Energy × runtime (for the application-level EDP of Fig. 13, where
     /// delay = execution time rather than packet latency).
     pub fn edp_runtime(&self, stats: &Stats, cfg: NetworkConfigCost, runtime_cycles: u64) -> f64 {
@@ -192,18 +186,6 @@ mod tests {
         }
         let gated = NetworkConfigCost::for_topology(&topo, 4, 0);
         assert!(model.price(&s, gated).leakage() < model.price(&s, full).leakage());
-    }
-
-    #[test]
-    fn edp_requires_deliveries() {
-        let model = EnergyModel::dsent_32nm();
-        let cfg = NetworkConfigCost {
-            alive_routers: 64,
-            total_buffers: 100,
-            alive_links: 224,
-        };
-        assert!(model.edp(&Stats::default(), cfg).is_none());
-        assert!(model.edp(&stats(1000, 10_000), cfg).unwrap() > 0.0);
     }
 
     #[test]

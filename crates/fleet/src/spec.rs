@@ -290,12 +290,6 @@ impl SweepSpec {
             .with_audit_every(self.audit_every)
             .with_clock(self.clock)
     }
-
-    /// Check every axis label and every expanded run
-    /// ([`Scenario::validate`]) without keeping the expansion.
-    pub fn validate(&self) -> Result<(), SpecError> {
-        self.expand().map(|_| ())
-    }
 }
 
 fn parse_mesh(text: &str) -> Result<(u16, u16), SpecError> {
@@ -426,7 +420,7 @@ mod tests {
         assert!(spec.expand().is_err());
         let mut spec = SweepSpec::new("t");
         spec.pattern = "tornado".into();
-        assert!(spec.validate().is_err());
+        assert!(spec.expand().is_err());
     }
 
     #[test]
@@ -435,13 +429,13 @@ mod tests {
         // than its mesh has (`Scenario::validate`).
         let mut spec = SweepSpec::new("t");
         spec.link_faults = vec![5, 9999];
-        let err = spec.validate().expect_err("9999 of 112 links").0;
+        let err = spec.expand().expect_err("9999 of 112 links").0;
         assert!(err.contains("links:9999"), "names the run: {err}");
         assert!(err.contains("has 112 links"), "names the limit: {err}");
         // The same goes for a network configuration nothing can be built on.
         let mut spec = SweepSpec::new("t");
         spec.config.vcs_per_vnet = 0;
-        let err = spec.validate().expect_err("no VCs").0;
+        let err = spec.expand().expect_err("no VCs").0;
         assert!(
             err.contains("run 8x8/") && err.contains("config.vcs_per_vnet: 0"),
             "{err}"

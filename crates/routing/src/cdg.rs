@@ -112,22 +112,6 @@ impl ChannelDependencyGraph {
         }
         true
     }
-
-    /// Number of distinct dependency edges recorded.
-    pub fn edge_count(&self) -> usize {
-        let mut total = 0;
-        let mut seen = std::collections::HashSet::new();
-        for (u, vs) in self.edges.iter().enumerate() {
-            seen.clear();
-            for &v in vs {
-                if seen.insert(v) {
-                    total += 1;
-                }
-            }
-            let _ = u;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +126,6 @@ mod tests {
     fn empty_cdg_is_acyclic() {
         let topo = Topology::full(Mesh::new(4, 4));
         assert!(ChannelDependencyGraph::new(&topo).is_acyclic());
-        assert_eq!(ChannelDependencyGraph::new(&topo).edge_count(), 0);
     }
 
     #[test]
@@ -195,6 +178,5 @@ mod tests {
         cdg.add_route(mesh.node_at(1, 1), &Route::new(vec![South, West]));
         cdg.add_route(mesh.node_at(1, 0), &Route::new(vec![West, North]));
         assert!(!cdg.is_acyclic());
-        assert_eq!(cdg.edge_count(), 4);
     }
 }

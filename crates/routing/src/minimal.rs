@@ -84,28 +84,6 @@ impl MinimalRouting {
         self.distance(src, dst).is_some()
     }
 
-    /// The minimal next-hop directions from `cur` towards `dst` (empty if
-    /// unreachable or `cur == dst`): the alive neighbours of `cur`, one
-    /// adjacency row, that are one hop closer, one distance load each.
-    pub fn minimal_next_hops(&self, cur: NodeId, dst: NodeId) -> Vec<Direction> {
-        let Some(d) = self.distance(cur, dst) else {
-            return Vec::new();
-        };
-        if d == 0 {
-            return Vec::new();
-        }
-        self.topo
-            .neighbors(cur)
-            .filter(|&(_, v)| self.distance(v, dst) == Some(d - 1))
-            .map(|(dir, _)| dir)
-            .collect()
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// The number of distinct minimal paths from `src` to `dst` (dynamic
     /// programming over the shortest-path DAG), or 0 if unreachable.
     ///
@@ -242,10 +220,10 @@ impl RouteSource for MinimalRouting {
         let dist_to_dst = &self.dist[dst.index() * self.n..][..self.n];
         let mut cur = src;
         while d > 0 {
-            // Stack-allocated equivalent of [`Self::minimal_next_hops`]
-            // (same direction order, same RNG draws): this runs once per
-            // hop of every injected packet, and the per-hop `Vec` was the
-            // hottest allocation in the saturated injection path.
+            // The alive neighbours one hop closer, in `DIRECTIONS` order,
+            // on the stack: this runs once per hop of every injected
+            // packet, and a per-hop `Vec` was the hottest allocation in the
+            // saturated injection path.
             let mut nexts = [(Direction::North, cur); 4];
             let mut n = 0;
             for (dir, v) in self.topo.neighbors(cur) {
@@ -296,7 +274,11 @@ mod tests {
             let mut hops = Vec::new();
             let mut cur = a;
             while cur != b {
-                let nexts = routing.minimal_next_hops(cur, b);
+                let d = routing.distance(cur, b).unwrap();
+                let nexts: Vec<Direction> = (routing.topo.neighbors(cur))
+                    .filter(|&(_, v)| routing.distance(v, b) == Some(d - 1))
+                    .map(|(dir, _)| dir)
+                    .collect();
                 let dir = nexts[rng.gen_range(0..nexts.len())];
                 hops.push(dir);
                 cur = mesh.neighbor(cur, dir).expect("alive link");

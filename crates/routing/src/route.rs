@@ -63,18 +63,6 @@ impl Route {
             .windows(2)
             .any(|w| Turn::between(w[0], w[1]).is_none())
     }
-
-    /// The routers visited, including `src` and the destination.
-    pub fn waypoints(&self, topo: &Topology, src: NodeId) -> Option<Vec<NodeId>> {
-        let mut cur = src;
-        let mut out = Vec::with_capacity(self.hops.len() + 1);
-        out.push(cur);
-        for &d in &self.hops {
-            cur = topo.neighbor(cur, d)?;
-            out.push(cur);
-        }
-        Some(out)
-    }
 }
 
 impl FromIterator<Direction> for Route {
@@ -170,7 +158,6 @@ mod tests {
         topo.remove_link(mesh.node_at(0, 0), Direction::East);
         let route = Route::new(vec![Direction::East]);
         assert_eq!(route.trace(&topo, mesh.node_at(0, 0)), None);
-        assert_eq!(route.waypoints(&topo, mesh.node_at(0, 0)), None);
     }
 
     #[test]
@@ -189,17 +176,6 @@ mod tests {
     fn u_turn_detection() {
         assert!(Route::new(vec![Direction::East, Direction::West]).has_u_turn());
         assert!(!Route::new(vec![Direction::East, Direction::North]).has_u_turn());
-    }
-
-    #[test]
-    fn waypoints_include_endpoints() {
-        let mesh = Mesh::new(4, 4);
-        let topo = Topology::full(mesh);
-        let route = Route::new(vec![Direction::North, Direction::North, Direction::East]);
-        let wps = route.waypoints(&topo, mesh.node_at(0, 0)).unwrap();
-        assert_eq!(wps.len(), 4);
-        assert_eq!(wps[0], mesh.node_at(0, 0));
-        assert_eq!(wps[3], mesh.node_at(1, 2));
     }
 
     #[test]

@@ -61,16 +61,6 @@ impl TreeOnlyRouting {
     fn parent_of(&self, node: NodeId) -> NodeId {
         self.parent[node.index()].expect("below the common ancestor")
     }
-
-    /// Tree depth of `node`.
-    pub fn depth(&self, node: NodeId) -> Option<u32> {
-        self.depth[node.index()]
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
 }
 
 impl RouteSource for TreeOnlyRouting {
@@ -150,11 +140,13 @@ mod tests {
                         // over tree edges that never doubles back is *the*
                         // tree path.
                         assert!(!r.has_u_turn(), "{a}->{b} doubles back: {r}");
-                        let wps = r.waypoints(&topo, a).unwrap();
-                        for w in wps.windows(2) {
-                            let tree_edge = tree.parent[w[0].index()] == Some(w[1])
-                                || tree.parent[w[1].index()] == Some(w[0]);
-                            assert!(tree_edge, "{} -> {} is not a tree edge", w[0], w[1]);
+                        let mut cur = a;
+                        for &d in r.directions() {
+                            let next = topo.neighbor(cur, d).unwrap();
+                            let tree_edge = tree.parent[cur.index()] == Some(next)
+                                || tree.parent[next.index()] == Some(cur);
+                            assert!(tree_edge, "{cur} -> {next} is not a tree edge");
+                            cur = next;
                         }
                     }
                     None => assert!(!topo.reachable(a, b)),

@@ -58,8 +58,6 @@ pub struct UpDownRouting {
     components: ComponentMap,
     /// BFS level from the component root; `None` for dead routers.
     level: Vec<Option<u32>>,
-    /// Root of each component.
-    roots: Vec<NodeId>,
     /// Per-source BFS predecessor trees over the `(node, gone_down)` state
     /// graph (state index `node * 2 + gone_down`), built by the source's
     /// first [`RouteSource::route`] call — never at construction, so a
@@ -75,13 +73,11 @@ impl UpDownRouting {
     pub fn new(topo: &Topology) -> Self {
         let components = connected_components(topo);
         let mut level = vec![None; topo.mesh().node_count()];
-        let mut roots = Vec::with_capacity(components.count() as usize);
         for c in 0..components.count() {
             let root = components
                 .members(c)
                 .next()
                 .expect("component is non-empty");
-            roots.push(root);
             for (i, d) in distances_from(topo, root).into_iter().enumerate() {
                 if components.component_of(NodeId::from(i)) == Some(c) {
                     level[i] = d;
@@ -92,7 +88,6 @@ impl UpDownRouting {
             topo: topo.clone(),
             components,
             level,
-            roots,
             trees: vec![OnceLock::new(); topo.mesh().node_count()],
         }
     }
@@ -131,18 +126,6 @@ impl UpDownRouting {
         tree
     }
 
-    /// The spanning-tree root of the component containing `node`.
-    pub fn root_of(&self, node: NodeId) -> Option<NodeId> {
-        self.components
-            .component_of(node)
-            .map(|c| self.roots[c as usize])
-    }
-
-    /// BFS level of `node` from its component root.
-    pub fn level(&self, node: NodeId) -> Option<u32> {
-        self.level[node.index()]
-    }
-
     /// Is the move from `node` along alive link `dir` an *up* move (towards
     /// the up end of that link)? `None` for dead links.
     pub(crate) fn is_up_move(&self, node: NodeId, dir: Direction) -> Option<bool> {
@@ -169,11 +152,6 @@ impl UpDownRouting {
             cur = self.topo.neighbor(cur, d).expect("checked alive");
         }
         true
-    }
-
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
     }
 }
 
@@ -315,7 +293,7 @@ mod tests {
     }
 
     fn all_pairs_routes(routing: &UpDownRouting) -> Vec<(NodeId, Route)> {
-        let mesh = routing.topology().mesh();
+        let mesh = routing.topo.mesh();
         let mut rng = StdRng::seed_from_u64(0);
         let mut out = Vec::new();
         for a in mesh.nodes() {
@@ -401,9 +379,8 @@ mod tests {
         let topo = Topology::full(mesh);
         let routing = UpDownRouting::new(&topo);
         // Default policy roots at the lowest alive id.
-        assert_eq!(routing.root_of(mesh.node_at(5, 5)), Some(NodeId(0)));
-        let root = routing.root_of(mesh.node_at(0, 0)).unwrap();
-        assert_eq!(routing.level(root), Some(0));
+        let root = NodeId(0);
+        assert_eq!(routing.level[root.index()], Some(0));
         for (dir, _) in topo.neighbors(root) {
             assert_eq!(routing.is_up_move(root, dir), Some(false));
         }

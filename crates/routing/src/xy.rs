@@ -35,11 +35,6 @@ impl XyRouting {
         XyRouting { topo: topo.clone() }
     }
 
-    /// The underlying topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
-    }
-
     /// The dimension-ordered walk from `src` to `dst`: `(direction, hops)`
     /// along X, then along Y.
     fn legs(&self, src: NodeId, dst: NodeId) -> [(Direction, u16); 2] {

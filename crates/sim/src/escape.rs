@@ -77,12 +77,6 @@ impl EscapeVcPlugin {
         core.config().vcs_of_vnet(vnet).end - 1
     }
 
-    /// Is flat index `vc` an escape VC under `core`'s configuration?
-    pub fn is_escape_vc(core: &NetCore, vc: u8) -> bool {
-        let cfg = core.config();
-        vc % cfg.vcs_per_vnet == cfg.vcs_per_vnet - 1
-    }
-
     /// Stop tracking slot `slot` of router `r`, whose flat vc id is `i`.
     fn clear_stall(&mut self, r: usize, slot: usize, i: usize) {
         if self.stalls[i].take().is_some() {
@@ -340,8 +334,6 @@ mod tests {
         let core = NetCore::new(&topo, SimConfig::default(), &[]);
         assert_eq!(EscapeVcPlugin::escape_vc(&core, 0), 3);
         assert_eq!(EscapeVcPlugin::escape_vc(&core, 2), 11);
-        assert!(EscapeVcPlugin::is_escape_vc(&core, 7));
-        assert!(!EscapeVcPlugin::is_escape_vc(&core, 6));
     }
 
     #[test]

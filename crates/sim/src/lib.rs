@@ -72,7 +72,7 @@ pub use packet::{NewPacket, Packet, PacketId, PacketMode};
 pub use plugin::{InputRef, NullPlugin, OutPort, Plugin, SlotRef};
 pub use snapshot::EngineSnapshot;
 pub use stats::{SpecialClass, Stats};
-pub use trace::{TraceEvent, Traced};
+pub use trace::Traced;
 pub use traffic::{
     check_injectable, BitComplement, BitComplementTraffic, NoTraffic, Pattern, ScriptedTraffic,
     Synthetic, TrafficSource, Uniform, UniformTraffic, CTRL_FLITS, DATA_FLITS,

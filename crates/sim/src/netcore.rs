@@ -694,11 +694,6 @@ impl NetCore {
         h.is_some().then(|| self.arch.arena.get(h))
     }
 
-    /// The occupant handle of `vc` (`PacketHandle::NONE` if empty).
-    pub fn vc_handle(&self, vc: VcRef) -> PacketHandle {
-        self.arch.vc_occ[self.flat_vc(vc)]
-    }
-
     /// The occupant's first switchable cycle, if `vc` is occupied.
     pub(crate) fn vc_ready_at(&self, vc: VcRef) -> Option<u64> {
         let flat = self.flat_vc(vc);
@@ -1312,7 +1307,7 @@ mod tests {
         };
         let h = core.place_packet(vref, dummy_packet(1, 0), 3);
         assert_eq!(core.vc_ready_at(vref), Some(3));
-        assert_eq!(core.vc_handle(vref), h);
+        assert_eq!(core.arch.vc_occ[core.flat_vc(vref)], h);
         assert!(!core.vc_is_free(vref));
         let taken = core.vc_take(vref);
         assert_eq!(taken, h);
@@ -1471,7 +1466,7 @@ mod tests {
                         let ready_at = core.arch.time + rng.gen_range(0..3u64);
                         core.place_packet(vref, dummy_packet(step, 0), ready_at);
                     }
-                    2 if core.vc_handle(vref).is_some() => {
+                    2 if core.vc_occupant(vref).is_some() => {
                         let h = core.vc_take(vref);
                         core.arch.arena.remove(h);
                     }

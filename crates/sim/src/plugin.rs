@@ -43,19 +43,6 @@ pub enum InputRef {
     },
 }
 
-impl InputRef {
-    /// The input *port* this buffer reads through (for the one-grant-per-
-    /// input-port crossbar constraint). Bubbles read through their attached
-    /// port but are tracked separately; injection uses the local port.
-    pub fn router(&self) -> NodeId {
-        match *self {
-            InputRef::Vc(v) => v.router,
-            InputRef::Bubble(r) => r,
-            InputRef::Inject { node, .. } => node,
-        }
-    }
-}
-
 /// The downstream buffer selected for a granted transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SlotRef {
@@ -236,29 +223,5 @@ pub struct NullPlugin;
 impl Plugin for NullPlugin {
     fn next_timer(&self, _core: &NetCore) -> Option<u64> {
         None
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn input_ref_router() {
-        let vc = InputRef::Vc(VcRef {
-            router: NodeId(3),
-            port: Direction::North,
-            vc: 2,
-        });
-        assert_eq!(vc.router(), NodeId(3));
-        assert_eq!(InputRef::Bubble(NodeId(5)).router(), NodeId(5));
-        assert_eq!(
-            InputRef::Inject {
-                node: NodeId(9),
-                vnet: 1
-            }
-            .router(),
-            NodeId(9)
-        );
     }
 }

@@ -59,13 +59,6 @@ impl EngineSnapshot {
         crate::json::from_json_str(text)
     }
 
-    /// Write to a file as JSON.
-    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), SpecError> {
-        let path = path.as_ref();
-        let text = self.to_json()?;
-        std::fs::write(path, text).map_err(|e| SpecError(format!("write {}: {e}", path.display())))
-    }
-
     /// Load from a JSON file.
     pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, SpecError> {
         let path = path.as_ref();

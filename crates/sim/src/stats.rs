@@ -221,15 +221,6 @@ impl Stats {
         self.probes_dropped += other.probes_dropped;
         self.deadlocks_recovered += other.deadlocks_recovered;
     }
-
-    /// Merge an iterator of windows into one (see [`Stats::merge`]).
-    pub fn merged<'a>(windows: impl IntoIterator<Item = &'a Stats>) -> Stats {
-        let mut out = Stats::default();
-        for w in windows {
-            out.merge(w);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -304,9 +295,6 @@ mod tests {
         let mut n = b.clone();
         n.merge(&a);
         assert_eq!(m, n);
-        // merged() over a slice agrees with pairwise folding.
-        assert_eq!(Stats::merged([&a, &b]), m);
-        assert_eq!(Stats::merged([] as [&Stats; 0]), Stats::default());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 
 /// One recorded event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceEvent {
+pub(crate) enum TraceEvent {
     /// A packet was offered to the network.
     Offered {
         /// Cycle of the offer.
@@ -50,21 +50,6 @@ impl<T> Traced<T> {
         }
     }
 
-    /// The recorded events, in order.
-    pub fn events(&self) -> &[TraceEvent] {
-        &self.events
-    }
-
-    /// The wrapped source.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Consume the decorator and return `(inner, events)`.
-    pub fn into_parts(self) -> (T, Vec<TraceEvent>) {
-        (self.inner, self.events)
-    }
-
     /// Discard all recorded events (start a clean observation window). The
     /// engine calls this through
     /// [`TrafficSource::on_measurement_reset`] at the end of warmup so
@@ -98,76 +83,6 @@ impl<T> Traced<T> {
         lats.sort_unstable();
         let idx = ((p / 100.0) * (lats.len() - 1) as f64).round() as usize;
         Some(lats[idx.min(lats.len() - 1)])
-    }
-
-    /// Serialize the events to a compact line format
-    /// (`O,time,src,dst,len` / `D,time,src,dst,latency`), parseable with
-    /// [`TraceEvent::parse_lines`].
-    pub fn to_lines(&self) -> String {
-        self.events
-            .iter()
-            .map(TraceEvent::to_line)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-}
-
-impl TraceEvent {
-    /// One-line compact form.
-    pub fn to_line(&self) -> String {
-        match *self {
-            TraceEvent::Offered {
-                time,
-                src,
-                dst,
-                len_flits,
-            } => {
-                format!("O,{time},{},{},{len_flits}", src.0, dst.0)
-            }
-            TraceEvent::Delivered {
-                time,
-                src,
-                dst,
-                latency,
-            } => {
-                format!("D,{time},{},{},{latency}", src.0, dst.0)
-            }
-        }
-    }
-
-    /// Parse the output of [`Traced::to_lines`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the offending line on malformed input.
-    pub fn parse_lines(text: &str) -> Result<Vec<TraceEvent>, String> {
-        text.lines()
-            .filter(|l| !l.trim().is_empty())
-            .map(|line| {
-                let parts: Vec<&str> = line.split(',').collect();
-                let bad = || line.to_string();
-                if parts.len() != 5 {
-                    return Err(bad());
-                }
-                let num = |i: usize| parts[i].parse::<u64>().map_err(|_| bad());
-                let node = |i: usize| parts[i].parse::<u16>().map(NodeId).map_err(|_| bad());
-                match parts[0] {
-                    "O" => Ok(TraceEvent::Offered {
-                        time: num(1)?,
-                        src: node(2)?,
-                        dst: node(3)?,
-                        len_flits: parts[4].parse().map_err(|_| bad())?,
-                    }),
-                    "D" => Ok(TraceEvent::Delivered {
-                        time: num(1)?,
-                        src: node(2)?,
-                        dst: node(3)?,
-                        latency: num(4)?,
-                    }),
-                    _ => Err(bad()),
-                }
-            })
-            .collect()
     }
 }
 
@@ -283,7 +198,7 @@ mod tests {
     fn records_offers_and_deliveries() {
         let traced = traced_run();
         let offers = traced
-            .events()
+            .events
             .iter()
             .filter(|e| matches!(e, TraceEvent::Offered { .. }))
             .count();
@@ -330,32 +245,19 @@ mod tests {
             7,
         );
         sim.run(200);
-        assert!(
-            !sim.traffic().events().is_empty(),
-            "warmup generated events"
-        );
+        assert!(!sim.traffic().events.is_empty(), "warmup generated events");
         sim.warmup(0); // reset only: the 200 cycles above were the warmup
         assert!(
-            sim.traffic().events().is_empty(),
+            sim.traffic().events.is_empty(),
             "measurement reset discards warmup events"
         );
         sim.run(200);
-        let events = sim.traffic().events();
+        let events = &sim.traffic().events;
         assert!(!events.is_empty());
         // Every surviving offer is post-reset.
         assert!(events.iter().all(|e| match *e {
             TraceEvent::Offered { time, .. } => time >= 200,
             TraceEvent::Delivered { time, .. } => time >= 200,
         }));
-    }
-
-    #[test]
-    fn line_format_roundtrips() {
-        let traced = traced_run();
-        let text = traced.to_lines();
-        let parsed = TraceEvent::parse_lines(&text).unwrap();
-        assert_eq!(parsed, traced.events());
-        assert!(TraceEvent::parse_lines("bogus,1").is_err());
-        assert!(TraceEvent::parse_lines("X,1,2,3,4").is_err());
     }
 }

@@ -43,20 +43,6 @@ impl ComponentMap {
             .filter(move |(_, comp)| **comp == Some(c))
             .map(|(i, _)| NodeId::from(i))
     }
-
-    /// The index of the largest component (most members), or `None` if all
-    /// routers are dead. Ties break to the lower index.
-    pub fn largest(&self) -> Option<u32> {
-        let mut sizes = vec![0usize; self.count as usize];
-        for comp in self.component.iter().flatten() {
-            sizes[*comp as usize] += 1;
-        }
-        sizes
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
-            .map(|(i, _)| i as u32)
-    }
 }
 
 /// Compute connected components of the surviving graph.
@@ -168,7 +154,6 @@ mod tests {
         let comps = connected_components(&topo);
         assert_eq!(comps.count(), 1);
         assert_eq!(comps.members(0).count(), 64);
-        assert_eq!(comps.largest(), Some(0));
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl NodeSet {
         s
     }
 
-    /// Maximum id + 1 this set can hold.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Add `node`. Returns `true` if it was not already present.
     ///
     /// # Panics
@@ -131,29 +126,6 @@ impl NodeSet {
         }
     }
 
-    /// Remove every member with id in `lo..hi` (clamped to capacity).
-    pub fn clear_range(&mut self, lo: usize, hi: usize) {
-        let hi = hi.min(self.capacity);
-        if lo >= hi {
-            return;
-        }
-        let (lw, lb) = (lo / 64, lo % 64);
-        let (hw, hb) = (hi / 64, hi % 64);
-        let lo_mask = !0u64 << lb; // bits >= lb
-        let hi_mask = if hb == 0 { 0 } else { !0u64 >> (64 - hb) }; // bits < hb
-        if lw == hw {
-            self.words[lw] &= !(lo_mask & hi_mask);
-            return;
-        }
-        self.words[lw] &= !lo_mask;
-        for w in &mut self.words[lw + 1..hw] {
-            *w = 0;
-        }
-        if hw < self.words.len() {
-            self.words[hw] &= !hi_mask;
-        }
-    }
-
     /// Iterate members in ascending id order.
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
         (self.words.iter().enumerate()).flat_map(|(wi, &word)| Self::members_of(wi, word))
@@ -171,12 +143,6 @@ impl NodeSet {
             word &= word - 1;
             Some(NodeId::from(wi * 64 + b))
         })
-    }
-
-    /// Append members in ascending id order to `out` (reusing its storage).
-    pub fn collect_into(&self, out: &mut Vec<NodeId>) {
-        out.clear();
-        out.extend(self.iter());
     }
 }
 
@@ -209,10 +175,6 @@ mod tests {
         }
         let got: Vec<u16> = s.iter().map(|n| n.0).collect();
         assert_eq!(got, vec![0, 7, 63, 64, 65, 150, 199]);
-        let mut buf = vec![NodeId(1); 3]; // stale storage is reused
-        s.collect_into(&mut buf);
-        assert_eq!(buf.len(), 7);
-        assert_eq!(buf[0], NodeId(0));
     }
 
     #[test]
@@ -274,32 +236,5 @@ mod tests {
         // `from` pointing at a member returns that member.
         assert_eq!(s.first_set_from(64), Some(NodeId(64)));
         assert_eq!(s.first_set_from(66), Some(NodeId(190)));
-    }
-
-    #[test]
-    fn clear_range_within_one_word_and_across_words() {
-        let mut s = NodeSet::full(200);
-        s.clear_range(10, 20); // single word
-        assert!(s.contains(NodeId(9)));
-        assert!(!s.contains(NodeId(10)));
-        assert!(!s.contains(NodeId(19)));
-        assert!(s.contains(NodeId(20)));
-        s.clear_range(60, 130); // spans three words
-        assert!(s.contains(NodeId(59)));
-        assert!(!s.contains(NodeId(60)));
-        assert!(!s.contains(NodeId(64)));
-        assert!(!s.contains(NodeId(129)));
-        assert!(s.contains(NodeId(130)));
-        // Degenerate and clamped ranges.
-        s.clear_range(150, 150);
-        assert!(s.contains(NodeId(150)));
-        s.clear_range(190, 10_000);
-        assert!(!s.contains(NodeId(199)));
-        assert!(s.contains(NodeId(189)));
-        // Word-aligned upper bound.
-        let mut a = NodeSet::full(128);
-        a.clear_range(0, 64);
-        assert_eq!(a.len(), 64);
-        assert!(a.contains(NodeId(64)));
     }
 }

@@ -43,16 +43,6 @@ impl FaultModel {
         FaultModel { kind, count }
     }
 
-    /// The fault kind.
-    pub fn kind(&self) -> FaultKind {
-        self.kind
-    }
-
-    /// The number of faults.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
     /// Derive a random irregular topology from `mesh`.
     ///
     /// # Panics

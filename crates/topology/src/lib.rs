@@ -30,7 +30,6 @@ mod bitset;
 mod faults;
 mod geom;
 mod mesh;
-mod soc;
 mod topology;
 
 pub use analysis::{connected_components, distances_from, ComponentMap};
@@ -38,5 +37,4 @@ pub use bitset::NodeSet;
 pub use faults::{FaultKind, FaultModel};
 pub use geom::{Coord, Direction, NodeId, Turn, DIRECTIONS};
 pub use mesh::Mesh;
-pub use soc::{Floorplan, Tile};
 pub use topology::{Link, Topology};

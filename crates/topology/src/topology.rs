@@ -14,23 +14,6 @@ pub struct Link {
     pub dir: Direction,
 }
 
-impl Link {
-    /// Canonicalize an arbitrary `(node, direction)` pair to the unique
-    /// representative of the bidirectional link, given the mesh.
-    ///
-    /// Returns `None` if the link falls off the mesh edge.
-    pub fn canonical(mesh: Mesh, node: NodeId, dir: Direction) -> Option<Link> {
-        let other = mesh.neighbor(node, dir)?;
-        Some(match dir {
-            Direction::East | Direction::North => Link { node, dir },
-            Direction::West | Direction::South => Link {
-                node: other,
-                dir: dir.opposite(),
-            },
-        })
-    }
-}
-
 /// An irregular topology derived from a [`Mesh`] by disabling routers and
 /// links.
 ///
@@ -445,20 +428,6 @@ mod tests {
     fn carve_tile_out_of_range() {
         let mesh = Mesh::new(4, 4);
         Topology::full(mesh).carve_tile(3, 3, 2, 2);
-    }
-
-    #[test]
-    fn canonical_link_identities() {
-        let mesh = Mesh::new(4, 4);
-        let a = mesh.node_at(1, 1);
-        let b = mesh.node_at(2, 1);
-        let l1 = Link::canonical(mesh, a, Direction::East).unwrap();
-        let l2 = Link::canonical(mesh, b, Direction::West).unwrap();
-        assert_eq!(l1, l2);
-        assert_eq!(
-            Link::canonical(mesh, mesh.node_at(0, 0), Direction::West),
-            None
-        );
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! Serde round-trips for the data-structure types (C-SERDE): topologies and
-//! floorplans survive serialization, so experiment configurations can be
+//! Serde round-trips for the data-structure types (C-SERDE): topologies
+//! survive serialization, so experiment configurations can be
 //! checked in and replayed.
 
 use rand::SeedableRng;
-use sb_topology::{FaultKind, FaultModel, Floorplan, Mesh, Topology};
+use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
 use serde::{Deserialize, Serialize};
 
 /// `x → Value → x`, through the same tree the JSON/TOML backends render.
@@ -24,13 +24,4 @@ fn topology_round_trips() {
         );
         assert_eq!(round_trip(&topo), topo);
     }
-}
-
-#[test]
-fn floorplan_round_trips() {
-    let mesh = Mesh::new(8, 8);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let plan = Floorplan::generate(mesh, 2, 3, &mut rng);
-    assert!(!plan.tiles.is_empty());
-    assert_eq!(round_trip(&plan), plan);
 }

@@ -256,19 +256,9 @@ impl AppTraffic {
         self.state.completed
     }
 
-    /// Issued requests.
-    pub fn issued(&self) -> u64 {
-        self.state.issued
-    }
-
     /// Has the transaction budget been fully completed?
     pub fn finished(&self) -> bool {
         self.state.completed >= self.budget
-    }
-
-    /// The cores the app is mapped on.
-    pub fn cores(&self) -> &[NodeId] {
-        &self.cores
     }
 
     fn phase_multiplier(&self, time: u64) -> f64 {
@@ -395,7 +385,7 @@ mod tests {
             11,
         );
         sim.run(cycles);
-        (sim.traffic().issued(), sim.traffic().completed())
+        (sim.traffic().state.issued, sim.traffic().completed())
     }
 
     #[test]
