@@ -11,21 +11,19 @@ use rand::SeedableRng;
 use sb_routing::MinimalRouting;
 use sb_sim::{Plugin, SimConfig, Simulator, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh};
-use static_bubble::{placement, StaticBubblePlugin};
+use static_bubble::StaticBubblePlugin;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let topo = FaultModel::new(FaultKind::Links, 15).inject(mesh, &mut rng);
-    let bubbles = placement::alive_bubbles(&topo);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         UniformTraffic::new(0.5).single_vnet(),
         1,
-        &bubbles,
     );
     sim.plugin_mut().set_tracing(true);
     let mut last_del = 0u64;
@@ -59,17 +57,17 @@ fn main() {
             f.map(|x| x.state)
         );
     }
-    for b in &bubbles {
-        let f = sim.plugin().fsm(*b).unwrap();
+    for b in sim.plugin().bubble_routers() {
+        let f = sim.plugin().fsm(b).unwrap();
         if !matches!(
             f.state,
             static_bubble::FsmState::SOff | static_bubble::FsmState::SDd
         ) {
             let core = sim.core();
             println!("node {}: {:?} count={} tdr={} bubble_attach={:?} bubble_occupied={} occupant_wants={:?}",
-                b.0, f.state, f.count, f.tdr, core.bubble_attach(*b),
-                core.bubble_occupant(*b).is_some(),
-                core.bubble_occupant(*b).map(|p| p.desired_hop()));
+                b.0, f.state, f.count, f.tdr, core.bubble_attach(b),
+                core.bubble_occupant(b).is_some(),
+                core.bubble_occupant(b).map(|p| p.desired_hop()));
         }
     }
 }

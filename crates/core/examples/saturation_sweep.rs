@@ -10,7 +10,7 @@ use rand::SeedableRng;
 use sb_routing::MinimalRouting;
 use sb_sim::{NoTraffic, SimConfig, Simulator, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh, Topology};
-use static_bubble::{placement, StaticBubblePlugin};
+use static_bubble::StaticBubblePlugin;
 
 fn main() {
     let mesh = Mesh::new(8, 8);
@@ -21,16 +21,14 @@ fn main() {
             let mut rng = rand::rngs::StdRng::seed_from_u64(1);
             FaultModel::new(FaultKind::Links, faults).inject(mesh, &mut rng)
         };
-        let bubbles = placement::alive_bubbles(&topo);
         for rate in [0.10, 0.15, 0.20, 0.25, 0.30, 0.40] {
-            let mut sim = Simulator::with_bubbles(
+            let mut sim = Simulator::new(
                 &topo,
                 SimConfig::single_vnet(),
                 Box::new(MinimalRouting::new(&topo)),
-                StaticBubblePlugin::new(mesh, 34),
+                StaticBubblePlugin::new(&topo, 34),
                 UniformTraffic::new(rate).single_vnet(),
                 7,
-                &bubbles,
             );
             sim.warmup(3_000);
             sim.run(15_000);

@@ -33,17 +33,15 @@
 //!
 //! let mesh = Mesh::new(8, 8);
 //! let topo = Topology::full(mesh);
-//! let bubbles = placement::placement(mesh);
-//! assert_eq!(bubbles.len(), 21);
+//! assert_eq!(placement::placement(mesh).len(), 21);
 //!
-//! let mut sim = Simulator::with_bubbles(
+//! let mut sim = Simulator::new(
 //!     &topo,
 //!     SimConfig::single_vnet(),
 //!     Box::new(MinimalRouting::new(&topo)),
-//!     StaticBubblePlugin::new(mesh, 34),
+//!     StaticBubblePlugin::new(&topo, 34),
 //!     UniformTraffic::new(0.05).single_vnet(),
 //!     1,
-//!     &bubbles,
 //! );
 //! sim.run(2_000);
 //! assert!(sim.core().stats().delivered_packets > 0);

@@ -15,7 +15,7 @@ use crate::protocol::{self, Action, ActionBuf, Arrival, Deadline, DropReason, Ev
 use crate::protocol::{Occupant, ProtState, RouterView, SbOptions};
 use crate::trace::{MsgRecord, ProtoCounters, ProtoEvent, Recorder};
 use sb_sim::{AuditClass, InputRef, NetCore, OutPort, Plugin, SlotRef, VcRef, Violation};
-use sb_topology::{Direction, Mesh, NodeId, NodeSet};
+use sb_topology::{Direction, Mesh, NodeId, NodeSet, Topology};
 use serde::{Deserialize, Serialize};
 
 /// The kernel's window onto one router of the live network.
@@ -95,26 +95,25 @@ pub struct StaticBubblePlugin {
 }
 
 impl StaticBubblePlugin {
-    /// Build the plugin for a mesh, installing an FSM at every placement
-    /// node (use [`placement::placement`] for the bubble list passed to
-    /// [`sb_sim::Simulator::with_bubbles`]).
+    /// Build the plugin for `topo`, installing a static bubble and its FSM
+    /// at every alive placement router ([`placement::alive_bubbles`]).
     ///
     /// `tdd` is the deadlock-detection threshold (Table II uses 34).
-    pub fn new(mesh: Mesh, tdd: u64) -> Self {
-        Self::with_options(mesh, tdd, SbOptions::default())
+    pub fn new(topo: &Topology, tdd: u64) -> Self {
+        Self::with_options(topo, tdd, SbOptions::default())
     }
 
     /// Build the plugin with explicit ablation options.
-    pub fn with_options(mesh: Mesh, tdd: u64, opts: SbOptions) -> Self {
-        Self::with_bubble_nodes(mesh, tdd, opts, &placement::placement(mesh))
+    pub fn with_options(topo: &Topology, tdd: u64, opts: SbOptions) -> Self {
+        Self::with_bubble_nodes(topo.mesh(), tdd, opts, &placement::alive_bubbles(topo))
     }
 
     /// Build the plugin with an explicit static-bubble router set (the paper
     /// notes that "alternate hand-optimized placements, some with fewer
     /// static bubbles, are also possible" — see
-    /// [`placement::greedy_placement`]). The caller must pass the same
-    /// set to [`sb_sim::Simulator::with_bubbles`]. The order of `nodes` is
-    /// immaterial and a repeated id counts once.
+    /// [`placement::greedy_placement`]). Each of `nodes` gets a bubble and
+    /// its FSM. The order of `nodes` is immaterial and a repeated id counts
+    /// once.
     ///
     /// # Panics
     ///
@@ -441,6 +440,10 @@ impl StaticBubblePlugin {
 }
 
 impl Plugin for StaticBubblePlugin {
+    fn bubble_routers(&self) -> Vec<NodeId> {
+        self.fsms.iter().map(|fsm| fsm.node).collect()
+    }
+
     /// Footnote 6 of the paper: a packet sitting in the static bubble that
     /// is waiting for some *other* output port moves sideways into a regular
     /// VC of its vnet at the attached input port as soon as one frees (the
@@ -833,7 +836,8 @@ mod tests {
     #[test]
     fn plugin_installs_an_fsm_per_placement_node() {
         let mesh = Mesh::new(8, 8);
-        let plugin = StaticBubblePlugin::new(mesh, 34);
+        let plugin = StaticBubblePlugin::new(&Topology::full(mesh), 34);
+        assert_eq!(plugin.bubble_routers(), placement::placement(mesh));
         for n in placement::placement(mesh) {
             assert!(plugin.fsm(n).is_some());
         }
@@ -892,14 +896,13 @@ mod tests {
         let mut shuffled: Vec<NodeId> = ascending.iter().rev().copied().collect();
         shuffled.extend_from_slice(&ascending[..3]);
         let run = |nodes: &[NodeId]| {
-            let mut sim = Simulator::with_bubbles(
+            let mut sim = Simulator::new(
                 &topo,
                 SimConfig::single_vnet(),
                 Box::new(sb_routing::MinimalRouting::new(&topo)),
                 StaticBubblePlugin::with_bubble_nodes(mesh, 10, SbOptions::default(), nodes),
                 sb_sim::UniformTraffic::new(0.3).single_vnet(),
                 1,
-                &ascending,
             );
             sim.run(600);
             assert!(sim.core().stats().deadlocks_recovered > 0, "must recover");
@@ -922,7 +925,7 @@ mod tests {
         assert_eq!(other.fsm(NodeId(5)).map(|fsm| fsm.node), Some(NodeId(5)));
         assert!(other.fsm(NodeId(6)).is_none());
         assert_eq!(other.snapshot_state().unwrap(), blob);
-        let mut smaller = StaticBubblePlugin::new(Mesh::new(3, 3), 8);
+        let mut smaller = StaticBubblePlugin::new(&Topology::full(Mesh::new(3, 3)), 8);
         let err = smaller.restore_state(&blob).unwrap_err();
         assert!(
             err.contains("16-router mesh restored into a 9-router"),
@@ -970,14 +973,13 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let faults = sb_topology::FaultModel::new(sb_topology::FaultKind::Links, 12);
             let topo = faults.inject(mesh, &mut rng);
-            let mut sim = Simulator::with_bubbles(
+            let mut sim = Simulator::new(
                 &topo,
                 SimConfig::single_vnet(),
                 Box::new(sb_routing::MinimalRouting::new(&topo)),
-                StaticBubblePlugin::new(mesh, 10),
+                StaticBubblePlugin::new(&topo, 10),
                 sb_sim::UniformTraffic::new(0.3).single_vnet(),
                 seed,
-                &placement::alive_bubbles(&topo),
             );
             for round in 0..60u64 {
                 sim.run(rng.gen_range(1..20u64));
@@ -999,7 +1001,7 @@ mod tests {
                 // and through the tick's own walk (a zero gap counts nothing).
                 let snap = sim.snapshot().expect("snapshot");
                 let mut core = snap.core;
-                let mut plugin = StaticBubblePlugin::new(mesh, 10);
+                let mut plugin = StaticBubblePlugin::new(&topo, 10);
                 plugin.restore_state(&snap.plugin).expect("restore");
                 plugin.run_fsms(&mut core, Event::Gap(0));
                 proptest::prop_assert_eq!(live_walk(&plugin, &core), table_walk(&plugin, &core));
@@ -1016,17 +1018,16 @@ mod tests {
     #[test]
     fn an_executed_tick_loads_no_idle_fsm() {
         let mesh = Mesh::new(16, 16);
-        let topo = sb_topology::Topology::full(mesh);
+        let topo = Topology::full(mesh);
         let bubbles = placement::placement(mesh);
         assert_eq!(bubbles.len(), 89);
-        let mut sim = Simulator::with_bubbles(
+        let mut sim = Simulator::new(
             &topo,
             SimConfig::single_vnet(),
             Box::new(sb_routing::MinimalRouting::new(&topo)),
-            StaticBubblePlugin::new(mesh, 34),
+            StaticBubblePlugin::new(&topo, 34),
             NoTraffic,
             0,
-            &bubbles,
         );
         let parked = mesh
             .nodes()
@@ -1057,7 +1058,8 @@ mod tests {
     #[test]
     fn each_stale_plugin_index_is_caught() {
         let mesh = Mesh::new(4, 4);
-        let core = NetCore::new(&sb_topology::Topology::full(mesh), SimConfig::tiny(), &[]);
+        let topo = Topology::full(mesh);
+        let core = NetCore::new(&topo, SimConfig::tiny(), &[]);
         let nodes = [NodeId(5), NodeId(10)];
         type Seed = fn(&mut StaticBubblePlugin);
         let rows: [(&str, Seed); 4] = [
@@ -1084,7 +1086,7 @@ mod tests {
             assert!(v[0].detail.contains(row), "{row}: {}", v[0].detail);
         }
         // More than it must hold is what `armed` is allowed.
-        let mut plugin = StaticBubblePlugin::new(mesh, 8);
+        let mut plugin = StaticBubblePlugin::new(&topo, 8);
         plugin.armed.fill();
         let mut v = Vec::new();
         plugin.audit_check(&core, &mut v);
@@ -1094,16 +1096,15 @@ mod tests {
     /// A pristine 8×8 with the paper's placement and no traffic.
     fn idle_sim() -> (Simulator<StaticBubblePlugin, NoTraffic>, Vec<NodeId>) {
         let mesh = Mesh::new(8, 8);
-        let topo = sb_topology::Topology::full(mesh);
+        let topo = Topology::full(mesh);
         let bubbles = placement::placement(mesh);
-        let sim = Simulator::with_bubbles(
+        let sim = Simulator::new(
             &topo,
             SimConfig::single_vnet(),
             Box::new(sb_routing::MinimalRouting::new(&topo)),
-            StaticBubblePlugin::new(mesh, 5),
+            StaticBubblePlugin::new(&topo, 5),
             NoTraffic,
             0,
-            &bubbles,
         );
         (sim, bubbles)
     }

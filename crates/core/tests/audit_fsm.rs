@@ -6,7 +6,7 @@ use rand::SeedableRng;
 use sb_routing::MinimalRouting;
 use sb_sim::{SimConfig, Simulator, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh};
-use static_bubble::{placement, StaticBubblePlugin};
+use static_bubble::StaticBubblePlugin;
 
 #[test]
 fn organic_deadlock_recovery_audits_clean_every_cycle() {
@@ -16,15 +16,13 @@ fn organic_deadlock_recovery_audits_clean_every_cycle() {
     let mesh = Mesh::new(8, 8);
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let topo = FaultModel::new(FaultKind::Links, 15).inject(mesh, &mut rng);
-    let bubbles = placement::alive_bubbles(&topo);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         UniformTraffic::new(0.3).single_vnet(),
         42,
-        &bubbles,
     );
     sim.set_audit(1);
     sim.run(3_000);

@@ -61,14 +61,13 @@ fn higher_id_bubble_owns_the_cycle() {
     let low = mesh.node_at(1, 1); // id 5
     let high = mesh.node_at(2, 2); // id 10
     let bubbles = [low, high];
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::tiny(),
         Box::new(MinimalRouting::new(&topo)),
         StaticBubblePlugin::with_bubble_nodes(mesh, 6, SbOptions::default(), &bubbles),
         NoTraffic,
         0,
-        &bubbles,
     );
     stage_ring(&mut sim, mesh, 1, 1, 100);
     assert!(sim.deadlocked_now());
@@ -105,14 +104,13 @@ fn one_bubble_resolves_two_cycles_serially() {
     // them serially.
     let hub = mesh.node_at(1, 1);
     let bubbles = [hub];
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::tiny(),
         Box::new(MinimalRouting::new(&topo)),
         StaticBubblePlugin::with_bubble_nodes(mesh, 6, SbOptions::default(), &bubbles),
         NoTraffic,
         0,
-        &bubbles,
     );
     stage_ring(&mut sim, mesh, 1, 0, 200); // ring A through the hub
     stage_ring(&mut sim, mesh, 0, 1, 300); // ring B through the hub
@@ -135,14 +133,13 @@ fn uncovered_cycle_stays_deadlocked() {
     let topo = Topology::full(mesh);
     // Bubble far away from the ring.
     let bubbles = [mesh.node_at(3, 3)];
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::tiny(),
         Box::new(MinimalRouting::new(&topo)),
         StaticBubblePlugin::with_bubble_nodes(mesh, 6, SbOptions::default(), &bubbles),
         NoTraffic,
         0,
-        &bubbles,
     );
     stage_ring(&mut sim, mesh, 0, 0, 400);
     assert!(sim.deadlocked_now());
@@ -159,16 +156,14 @@ fn uncovered_cycle_stays_deadlocked() {
 fn real_placement_covers_every_staging() {
     let mesh = Mesh::new(8, 8);
     let topo = Topology::full(mesh);
-    let bubbles = static_bubble::placement(mesh);
     for (x0, y0) in [(0u16, 0u16), (3, 0), (0, 3), (5, 5), (6, 0), (0, 6)] {
-        let mut sim = Simulator::with_bubbles(
+        let mut sim = Simulator::new(
             &topo,
             SimConfig::tiny(),
             Box::new(MinimalRouting::new(&topo)),
-            StaticBubblePlugin::new(mesh, 6),
+            StaticBubblePlugin::new(&topo, 6),
             NoTraffic,
             0,
-            &bubbles,
         );
         stage_ring(&mut sim, mesh, x0, y0, 500);
         assert!(sim.deadlocked_now());

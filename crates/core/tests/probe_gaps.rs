@@ -7,7 +7,7 @@ use sb_sim::{
     NewPacket, NoTraffic, Packet, PacketId, Plugin, SimConfig, Simulator, UniformTraffic, VcRef,
 };
 use sb_topology::{Direction, FaultKind, FaultModel, Mesh, NodeId, Topology};
-use static_bubble::{placement, FsmState, SbOptions, StaticBubblePlugin};
+use static_bubble::{FsmState, SbOptions, StaticBubblePlugin};
 
 type SbSim = Simulator<StaticBubblePlugin, NoTraffic>;
 
@@ -73,15 +73,13 @@ fn stage_knot(sim: &mut SbSim) {
 fn knot_sim(opts: SbOptions) -> SbSim {
     let mesh = Mesh::new(4, 4);
     let topo = Topology::full(mesh);
-    let bubbles = placement::alive_bubbles(&topo);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         two_vc_config(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::with_options(mesh, 5, opts),
+        StaticBubblePlugin::with_options(&topo, 5, opts),
         NoTraffic,
         0,
-        &bubbles,
     );
     stage_knot(&mut sim);
     assert!(sim.deadlocked_now(), "staging must create a deadlock");
@@ -175,15 +173,13 @@ fn overlapping_recoveries_reject_disables_cleanly() {
     let mesh = Mesh::new(8, 8);
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let topo = FaultModel::new(FaultKind::Links, 12).inject(mesh, &mut rng);
-    let bubbles = placement::alive_bubbles(&topo);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::with_options(mesh, 12, SbOptions::default()),
+        StaticBubblePlugin::with_options(&topo, 12, SbOptions::default()),
         UniformTraffic::new(0.3).single_vnet(),
         7,
-        &bubbles,
     );
     sim.run(6_000);
     assert!(

@@ -52,15 +52,13 @@ proptest! {
         use Direction::*;
         let mesh = Mesh::new(8, 8);
         let topo = Topology::full(mesh);
-        let bubbles = placement::placement(mesh);
-        let mut sim = Simulator::with_bubbles(
+        let mut sim = Simulator::new(
             &topo,
             SimConfig::tiny(),
             Box::new(MinimalRouting::new(&topo)),
-            StaticBubblePlugin::new(mesh, 6),
+            StaticBubblePlugin::new(&topo, 6),
             NoTraffic,
             0,
-            &bubbles,
         );
         let (a, b, c, d) = (
             mesh.node_at(x0, y0),

@@ -6,7 +6,7 @@ use sb_sim::{
     NewPacket, NoTraffic, NullPlugin, Packet, PacketId, SimConfig, Simulator, UniformTraffic,
 };
 use sb_topology::{Direction, FaultKind, FaultModel, Mesh, NodeId, Topology};
-use static_bubble::{placement, FsmState, StaticBubblePlugin};
+use static_bubble::{FsmState, StaticBubblePlugin};
 
 type SbSim<T> = Simulator<StaticBubblePlugin, T>;
 
@@ -19,15 +19,13 @@ fn sb_sim<T: sb_sim::TrafficSource>(
     traffic: T,
     seed: u64,
 ) -> SbSim<T> {
-    let bubbles = placement::alive_bubbles(topo);
-    Simulator::with_bubbles(
+    Simulator::new(
         topo,
         cfg,
         Box::new(MinimalRouting::new(topo)),
-        StaticBubblePlugin::new(topo.mesh(), tdd),
+        StaticBubblePlugin::new(topo, tdd),
         traffic,
         seed,
-        &bubbles,
     )
 }
 
@@ -218,18 +216,16 @@ fn static_bubble_matches_null_plugin_when_no_deadlocks() {
     // plain network with the same seed).
     let mesh = Mesh::new(8, 8);
     let topo = Topology::full(mesh);
-    let bubbles = placement::placement(mesh);
     let mk_stats = |with_sb: bool| {
         let traffic = UniformTraffic::new(0.05).single_vnet();
         if with_sb {
-            let mut sim = Simulator::with_bubbles(
+            let mut sim = Simulator::new(
                 &topo,
                 SimConfig::single_vnet(),
                 Box::new(MinimalRouting::new(&topo)),
-                StaticBubblePlugin::new(mesh, 34),
+                StaticBubblePlugin::new(&topo, 34),
                 traffic,
                 99,
-                &bubbles,
             );
             sim.run(4_000);
             sim.core().stats().clone()

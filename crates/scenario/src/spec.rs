@@ -449,18 +449,19 @@ impl Scenario {
                 traffic,
                 self.seed,
             ))),
-            Design::StaticBubble => {
-                let bubbles = self.bubble_routers(topo);
-                Box::new(Runner(Simulator::with_bubbles(
-                    topo,
-                    self.config,
-                    planner,
-                    StaticBubblePlugin::with_options(topo.mesh(), self.tdd, self.sb_options()),
-                    traffic,
-                    self.seed,
-                    &bubbles,
-                )))
-            }
+            Design::StaticBubble => Box::new(Runner(Simulator::new(
+                topo,
+                self.config,
+                planner,
+                StaticBubblePlugin::with_bubble_nodes(
+                    topo.mesh(),
+                    self.tdd,
+                    self.sb_options(),
+                    &self.bubble_routers(topo),
+                ),
+                traffic,
+                self.seed,
+            ))),
         };
         runner.set_audit(self.audit_every);
         runner

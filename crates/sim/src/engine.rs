@@ -70,10 +70,9 @@ pub struct Simulator<P: Plugin, T: TrafficSource> {
 }
 
 impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
-    /// Build a simulator over `topo`.
-    ///
-    /// `bubble_routers` of the attached plugin are configured through
-    /// [`Simulator::with_bubbles`]; the plain constructor creates none.
+    /// Build a simulator over `topo`. The routers the plugin names in
+    /// [`Plugin::bubble_routers`] get a static-bubble buffer; no other
+    /// router does.
     pub fn new(
         topo: &Topology,
         cfg: SimConfig,
@@ -82,22 +81,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         traffic: T,
         seed: u64,
     ) -> Self {
-        Self::with_bubbles(topo, cfg, planner, plugin, traffic, seed, &[])
-    }
-
-    /// Build a simulator whose routers in `bubble_routers` carry a
-    /// static-bubble buffer (used by the Static Bubble plugin).
-    pub fn with_bubbles(
-        topo: &Topology,
-        cfg: SimConfig,
-        planner: Box<dyn RouteSource>,
-        plugin: P,
-        traffic: T,
-        seed: u64,
-        bubble_routers: &[NodeId],
-    ) -> Self {
         Simulator {
-            core: NetCore::new(topo, cfg, bubble_routers),
+            core: NetCore::new(topo, cfg, &plugin.bubble_routers()),
             plugin,
             traffic,
             planner,
@@ -339,31 +324,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// through a type-erased runner) because the traffic type stays put.
     pub fn halt_injection(&mut self) {
         self.injection_halted = true;
-    }
-
-    /// Swap the attached plugin, keeping all network state. Needed when a
-    /// reconfiguration invalidates a plugin's internal tables (the
-    /// escape-VC baseline holds a spanning tree of the *old* topology; the
-    /// Static Bubble plugin holds only design-time state and never needs
-    /// this — which is the paper's "plug-and-play" argument).
-    pub fn replace_plugin<Q: Plugin>(self, plugin: Q) -> Simulator<Q, T> {
-        let mut core = self.core;
-        // The new plugin may allow grants the old one vetoed; routers that
-        // went quiescent under the old policy must be re-examined.
-        core.wake_all();
-        Simulator {
-            core,
-            plugin,
-            traffic: self.traffic,
-            planner: self.planner,
-            rng: self.rng,
-            full_scan: self.full_scan,
-            injection_halted: self.injection_halted,
-            audit_every: self.audit_every,
-            audit_countdown: self.audit_countdown,
-            last_forensics: self.last_forensics,
-            counters: self.counters,
-        }
     }
 
     /// Runtime reconfiguration: switch to a new topology (same mesh, e.g.

@@ -89,6 +89,13 @@ pub enum SlotRef {
 /// derived state: rebuild it in [`Plugin::restore_state`], do not
 /// serialize it.
 pub trait Plugin {
+    /// The routers that carry a static-bubble buffer. [`crate::Simulator::new`]
+    /// asks once and builds exactly these buffers, so the plugin that drives
+    /// the bubbles is the one place their set is stated. None by default.
+    fn bubble_routers(&self) -> Vec<NodeId> {
+        Vec::new()
+    }
+
     /// Called at the start of every executed cycle, before allocation.
     /// Special message delivery and FSM transitions happen here. Bound by
     /// the hook cost contract above.

@@ -16,10 +16,10 @@ const CENTRE: NodeId = NodeId(4);
 const EAST: NodeId = NodeId(5);
 const OUT: OutPort = OutPort::Dir(Direction::East);
 
-fn sim<P: Plugin>(cfg: SimConfig, plugin: P, bubbles: &[NodeId]) -> Simulator<P, NoTraffic> {
+fn sim<P: Plugin>(cfg: SimConfig, plugin: P) -> Simulator<P, NoTraffic> {
     let topo = Topology::full(Mesh::new(3, 3));
     let planner = Box::new(XyRouting::new(&topo));
-    Simulator::with_bubbles(&topo, cfg, planner, plugin, NoTraffic, 0, bubbles)
+    Simulator::new(&topo, cfg, planner, plugin, NoTraffic, 0)
 }
 
 fn packet(id: u64, vnet: u8, mode: PacketMode) -> Packet {
@@ -71,7 +71,7 @@ fn probe<P: Plugin>(sim: &Simulator<P, NoTraffic>) -> Option<(InputRef, Option<S
 fn a_live_vnet_behind_a_dead_one_is_still_granted() {
     // Table II: 3 vnets x 4 VCs. Downstream, vnet 0 (VCs 0..4) is full and
     // vnet 1 (VCs 4..8) is free.
-    let mut sim = sim(SimConfig::default(), NullPlugin, &[]);
+    let mut sim = sim(SimConfig::default(), NullPlugin);
     let core = sim.core_mut();
     for vc in 0..4 {
         fill_downstream(core, vc);
@@ -90,7 +90,7 @@ fn a_live_vnet_behind_a_dead_one_is_still_granted() {
 
 #[test]
 fn a_full_single_vnet_port_costs_one_candidate() {
-    let mut sim = sim(SimConfig::single_vnet(), NullPlugin, &[]);
+    let mut sim = sim(SimConfig::single_vnet(), NullPlugin);
     let core = sim.core_mut();
     for vc in 0..4 {
         fill_downstream(core, vc);
@@ -114,7 +114,6 @@ fn the_escape_vc_alone_keeps_its_vnet_in_the_search() {
     let mut sim = sim(
         SimConfig::single_vnet(),
         EscapeVcPlugin::new(&topo, 1_000_000),
-        &[],
     );
     let core = sim.core_mut();
     for vc in 0..3 {
@@ -133,10 +132,15 @@ fn the_escape_vc_alone_keeps_its_vnet_in_the_search() {
 
 /// Static Bubble's slot rule — first free regular VC, else the attached
 /// bubble — narrowed, as the slot contract allows, to refuse odd packet
-/// ids: a plugin that can say no while a buffer of the vnet is free.
+/// ids: a plugin that can say no while a buffer of the vnet is free. Its
+/// one bubble sits at [`EAST`].
 struct PickyBubbleSlots;
 
 impl Plugin for PickyBubbleSlots {
+    fn bubble_routers(&self) -> Vec<NodeId> {
+        vec![EAST]
+    }
+
     fn pick_slot(
         &self,
         core: &NetCore,
@@ -157,7 +161,7 @@ impl Plugin for PickyBubbleSlots {
 
 #[test]
 fn a_free_attached_bubble_keeps_its_vnet_in_the_search() {
-    let mut sim = sim(SimConfig::single_vnet(), PickyBubbleSlots, &[EAST]);
+    let mut sim = sim(SimConfig::single_vnet(), PickyBubbleSlots);
     let core = sim.core_mut();
     for vc in 0..4 {
         fill_downstream(core, vc);

@@ -7,7 +7,7 @@ use sb_routing::MinimalRouting;
 use sb_sim::{NullPlugin, SimConfig, Simulator};
 use sb_topology::{Mesh, Topology};
 use sb_workloads::{AppTraffic, RodiniaApp};
-use static_bubble::{placement, StaticBubblePlugin};
+use static_bubble::StaticBubblePlugin;
 
 /// The hadoop profile slams the memory controllers with requests; replies
 /// still flow because they use their own vnet, so the closed loop keeps
@@ -51,15 +51,13 @@ fn apps_with_recovery_make_monotone_progress() {
     let Some(app) = AppTraffic::new(RodiniaApp::Hadoop.profile(), &topo) else {
         panic!("topology should be usable at 12 link faults");
     };
-    let bubbles = placement::alive_bubbles(&topo);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::default(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         app,
         32,
-        &bubbles,
     );
     let mut last_completed = 0;
     for window in 0..10 {

@@ -8,7 +8,7 @@
 //! ```
 
 use rand::SeedableRng;
-use static_bubble_repro::core::{placement, StaticBubblePlugin};
+use static_bubble_repro::core::StaticBubblePlugin;
 use static_bubble_repro::routing::MinimalRouting;
 use static_bubble_repro::sim::{
     find_dependency_cycle, InputRef, NullPlugin, SimConfig, Simulator, Traced, UniformTraffic,
@@ -21,15 +21,13 @@ fn main() {
     let topo = FaultModel::new(FaultKind::Links, 12).inject(mesh, &mut rng);
 
     // 1. A healthy Static Bubble run with full tracing.
-    let bubbles = placement::alive_bubbles(&topo);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         Traced::new(UniformTraffic::new(0.12).single_vnet()),
         9,
-        &bubbles,
     );
     sim.warmup(1_000);
     sim.run(8_000);

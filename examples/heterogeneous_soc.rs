@@ -40,14 +40,13 @@ fn main() {
     let app = AppTraffic::new(RodiniaApp::Kmeans.profile(), &topo)
         .expect("memory controllers reachable")
         .with_budget(4_000);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::default(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         app,
         17,
-        &bubbles,
     );
     let mut runtime = None;
     while sim.time() < 2_000_000 {

@@ -28,14 +28,13 @@ fn main() {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let topo = FaultModel::new(FaultKind::Routers, gated).inject(mesh, &mut rng);
         let bubbles = placement::alive_bubbles(&topo);
-        let mut sim = Simulator::with_bubbles(
+        let mut sim = Simulator::new(
             &topo,
             cfg,
             Box::new(MinimalRouting::new(&topo)),
-            StaticBubblePlugin::new(mesh, 34),
+            StaticBubblePlugin::new(&topo, 34),
             UniformTraffic::new(0.05).single_vnet(),
             3,
-            &bubbles,
         );
         sim.warmup(500);
         sim.run(5_000);

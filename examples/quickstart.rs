@@ -24,14 +24,13 @@ fn main() {
     // 2. The runtime: unrestricted minimal routing (deadlock-prone!) plus
     //    the Static Bubble recovery plugin.
     let topo = Topology::full(mesh);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         UniformTraffic::new(0.28).single_vnet(), // near saturation
         42,
-        &bubbles,
     );
 
     // 3. Run and report.

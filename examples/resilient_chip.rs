@@ -11,7 +11,7 @@ use rand::SeedableRng;
 use static_bubble_repro::core::{placement, StaticBubblePlugin};
 use static_bubble_repro::routing::{MinimalRouting, RouteSource, TreeOnlyRouting, UpDownRouting};
 use static_bubble_repro::sim::{NullPlugin, SimConfig, Simulator, UniformTraffic};
-use static_bubble_repro::topology::{FaultKind, FaultModel, Mesh, NodeId};
+use static_bubble_repro::topology::{FaultKind, FaultModel, Mesh};
 
 fn main() {
     let mesh = Mesh::new(8, 8);
@@ -53,15 +53,13 @@ fn main() {
         }
 
         // Run Static Bubble at a deadlock-prone load on this topology.
-        let alive_bubbles: Vec<NodeId> = placement::alive_bubbles(&topo);
-        let mut sim = Simulator::with_bubbles(
+        let mut sim = Simulator::new(
             &topo,
             SimConfig::single_vnet(),
             Box::new(MinimalRouting::new(&topo)),
-            StaticBubblePlugin::new(mesh, 34),
+            StaticBubblePlugin::new(&topo, 34),
             UniformTraffic::new(0.2).single_vnet(),
             7,
-            &alive_bubbles,
         );
         sim.run(6_000);
         let recovered = sim.core().stats().deadlocks_recovered;

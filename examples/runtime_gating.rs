@@ -17,16 +17,14 @@ fn main() {
     let mesh = Mesh::new(8, 8);
     let cfg = SimConfig::single_vnet();
     let model = EnergyModel::dsent_32nm();
-    let bubbles = placement::placement(mesh);
     let mut topo = Topology::full(mesh);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         cfg,
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         UniformTraffic::new(0.10).single_vnet(),
         3,
-        &bubbles,
     );
 
     // The controller: every epoch, gate the interior routers that delivered

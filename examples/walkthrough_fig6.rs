@@ -24,14 +24,13 @@ fn main() {
         vcs_per_vnet: 2,
         max_packet_flits: 5,
     };
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         cfg,
         Box::new(MinimalRouting::new(&topo)),
         StaticBubblePlugin::with_bubble_nodes(mesh, 8, SbOptions::default(), &[node5]),
         NoTraffic,
         0,
-        &[node5],
     );
 
     let (n0, n1, n4, n8, n9) = (

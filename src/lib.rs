@@ -13,15 +13,13 @@
 ///
 /// let mesh = Mesh::new(4, 4);
 /// let topo = Topology::full(mesh);
-/// let bubbles = placement::placement(mesh);
-/// let mut sim = Simulator::with_bubbles(
+/// let mut sim = Simulator::new(
 ///     &topo,
 ///     SimConfig::single_vnet(),
 ///     Box::new(MinimalRouting::new(&topo)),
-///     StaticBubblePlugin::new(mesh, 34),
+///     StaticBubblePlugin::new(&topo, 34),
 ///     UniformTraffic::new(0.05).single_vnet(),
 ///     1,
-///     &bubbles,
 /// );
 /// sim.run(500);
 /// ```

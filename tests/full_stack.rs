@@ -52,14 +52,13 @@ fn paper_pipeline_end_to_end() {
     // pinned with their forensic signature in
     // `crates/fleet/tests/wedge_seed.rs`.
     let cfg = SimConfig::single_vnet();
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         cfg,
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         UniformTraffic::new(0.18).single_vnet(),
         1,
-        &bubbles,
     );
     sim.run(4_000);
     let delivered = sim.core().stats().delivered_packets;
@@ -136,14 +135,13 @@ fn apps_run_on_carved_soc() {
         .expect("usable")
         .with_budget(300);
     let bubbles = placement::alive_bubbles(&topo);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::default(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         app,
         2,
-        &bubbles,
     );
     assert!(sim.run_until_drained(500_000));
     assert_eq!(sim.traffic().completed(), 300);
@@ -191,14 +189,13 @@ fn energy_ordering_matches_fig10() {
     let model = EnergyModel::dsent_32nm();
     let run_sb = {
         let bubbles = placement::alive_bubbles(&topo);
-        let mut sim = Simulator::with_bubbles(
+        let mut sim = Simulator::new(
             &topo,
             cfg,
             Box::new(MinimalRouting::new(&topo)),
-            StaticBubblePlugin::new(mesh, 34),
+            StaticBubblePlugin::new(&topo, 34),
             UniformTraffic::new(0.08).single_vnet(),
             4,
-            &bubbles,
         );
         sim.warmup(1_000);
         sim.run(4_000);

@@ -18,15 +18,13 @@ fn static_bubble_survives_a_lifetime_of_faults() {
     let mesh = Mesh::new(8, 8);
     let mut topo = Topology::full(mesh);
     // Design time: bubbles and the plugin are fixed here, once.
-    let bubbles = placement::placement(mesh);
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         UniformTraffic::new(0.12).single_vnet(),
         11,
-        &bubbles,
     );
 
     // Lifetime: four successive fault events, each killing more links. The
@@ -85,14 +83,13 @@ fn dead_bubble_routers_are_harmless() {
     let alive = placement::alive_bubbles(&topo);
     assert!(alive.len() < all_bubbles.len());
 
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
-        StaticBubblePlugin::new(mesh, 34),
+        StaticBubblePlugin::new(&topo, 34),
         UniformTraffic::new(0.15).single_vnet(),
         13,
-        &alive,
     );
     sim.run(4_000);
     assert!(sim.core().stats().delivered_packets > 2_000);

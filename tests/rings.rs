@@ -86,14 +86,13 @@ impl Ring {
             vcs_per_vnet: vcs,
             max_packet_flits: 5,
         };
-        Simulator::with_bubbles(
+        Simulator::new(
             &self.topo,
             cfg,
             Box::new(MinimalRouting::new(&self.topo)),
             StaticBubblePlugin::with_bubble_nodes(self.mesh, TDD, SbOptions::default(), &bubbles),
             traffic,
             seed,
-            &bubbles,
         )
     }
 

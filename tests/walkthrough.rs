@@ -169,14 +169,13 @@ fn figure6_without_bubble_stays_deadlocked() {
         vcs_per_vnet: 2,
         max_packet_flits: 5,
     };
-    let mut sim = Simulator::with_bubbles(
+    let mut sim = Simulator::new(
         &topo,
         cfg,
         Box::new(MinimalRouting::new(&topo)),
         StaticBubblePlugin::with_bubble_nodes(mesh, 8, SbOptions::default(), &[]),
         NoTraffic,
         0,
-        &[],
     );
     let node5 = mesh.node_at(1, 1);
     let (n0, n1, n4, n8, n9) = (

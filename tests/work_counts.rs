@@ -169,10 +169,14 @@ const F: NodeId = NodeId(6);
 const PORT: Direction = Direction::East;
 
 /// No mechanism, except that a free attached bubble is taken before any
-/// VC, so that a packet can be staged in one.
+/// VC, so that a packet can be staged in one. Its one bubble sits at `R`.
 struct BubbleFirst;
 
 impl Plugin for BubbleFirst {
+    fn bubble_routers(&self) -> Vec<NodeId> {
+        vec![R]
+    }
+
     fn pick_slot(
         &self,
         core: &NetCore,
@@ -200,7 +204,7 @@ fn rig<T: TrafficSource>(traffic: T) -> Simulator<BubbleFirst, T> {
     assert_eq!(topo.neighbor(R, PORT), Some(F));
     let planner = Box::new(MinimalRouting::new(&topo));
     let cfg = SimConfig::single_vnet();
-    Simulator::with_bubbles(&topo, cfg, planner, BubbleFirst, traffic, 0, &[R])
+    Simulator::new(&topo, cfg, planner, BubbleFirst, traffic, 0)
 }
 
 /// A packet travelling West through `R`, switchable from `ready_at`.
