@@ -94,9 +94,11 @@ impl Design {
         }
     }
 
-    /// Run a closed-loop application to completion (or `max_cycles`).
-    /// Returns `(runtime, completed, outcome)`: `runtime` is `None` if the
-    /// budget did not finish (counts as the maximum for runtime comparisons).
+    /// Run a closed-loop application to completion, never past `max_cycles`.
+    /// Returns `(runtime, completed, outcome)`: `runtime` is the cycle the
+    /// budget's last transaction completed ([`AppTraffic::finished_at`]), or
+    /// `None` if the budget did not finish (counts as the maximum for runtime
+    /// comparisons).
     pub fn run_app(
         self,
         topo: &Topology,
@@ -114,17 +116,15 @@ impl Design {
                 .downcast_ref::<AppTraffic>()
                 .expect("run_app drives AppTraffic")
         }
-        let mut runtime = None;
-        while runner.time() < max_cycles {
-            runner.run(256);
-            if app_of(&*runner).finished() && runner.core().in_flight() == 0 {
-                runtime = Some(runner.time());
-                break;
-            }
+        // Whole chunks keep the call overhead off the cycle loop; the last
+        // one is cut at `max_cycles`.
+        while app_of(&*runner).finished_at().is_none() && runner.time() < max_cycles {
+            runner.run((max_cycles - runner.time()).min(256));
         }
-        let completed = app_of(&*runner).completed();
+        let app = app_of(&*runner);
+        let completed = app.completed();
         (
-            runtime,
+            app.finished_at(),
             completed,
             RunOutcome {
                 design: self,
@@ -187,6 +187,44 @@ mod tests {
             Design::StaticBubble.run_app(&topo, SimConfig::default(), app, 5, 300_000);
         assert_eq!(completed, 200);
         assert!(runtime.is_some());
+    }
+
+    /// Chunked stepping reports what a cycle-by-cycle run does, and a window
+    /// the budget outlasts ends at `max_cycles`, not at a chunk boundary.
+    #[test]
+    fn app_runtime_matches_a_cycle_by_cycle_run() {
+        let topo = Topology::full(Mesh::new(4, 4));
+        let app = AppTraffic::new(sb_workloads::RodiniaApp::Bfs.profile(), &topo)
+            .unwrap()
+            .with_budget(60);
+        let cfg = SimConfig::default();
+        let (runtime, completed, _) =
+            Design::StaticBubble.run_app(&topo, cfg, app.clone(), 5, 1 << 20);
+        assert_eq!(completed, 60);
+        let runtime = runtime.expect("a 60-transaction budget finishes");
+
+        let sc = Scenario::new("stepped", Design::StaticBubble)
+            .with_config(cfg)
+            .with_seed(5);
+        let mut runner = sc.build_with(&topo, app.clone());
+        let finished = |r: &dyn SimRunner| {
+            r.traffic_any()
+                .downcast_ref::<AppTraffic>()
+                .unwrap()
+                .finished_at()
+        };
+        while finished(&*runner).is_none() {
+            runner.run(1);
+        }
+        // The last reply ejects in the cycle before `time()`, and its tail
+        // reaches the core a packet length after that.
+        let ejected = runner.time() - 1;
+        assert_eq!(finished(&*runner), Some(runtime));
+        assert_eq!(runtime, ejected + u64::from(sb_sim::DATA_FLITS));
+
+        let window = runtime - 100;
+        let (cut, _, out) = Design::StaticBubble.run_app(&topo, cfg, app, 5, window);
+        assert_eq!((cut, out.stats.cycles), (None, window));
     }
 
     #[test]

@@ -211,6 +211,8 @@ struct AppState {
     pending_replies: VecDeque<(u64, NewPacket)>,
     issued: u64,
     completed: u64,
+    /// The cycle the budget's last transaction completed, once it has.
+    finished_at: Option<u64>,
 }
 
 impl AppTraffic {
@@ -240,6 +242,7 @@ impl AppTraffic {
                 pending_replies: VecDeque::new(),
                 issued: 0,
                 completed: 0,
+                finished_at: None,
             },
         })
     }
@@ -256,9 +259,10 @@ impl AppTraffic {
         self.state.completed
     }
 
-    /// Has the transaction budget been fully completed?
-    pub fn finished(&self) -> bool {
-        self.state.completed >= self.budget
+    /// The cycle the budget's last transaction completed (its reply's tail
+    /// reached the core), or `None` while the budget is unfinished.
+    pub fn finished_at(&self) -> Option<u64> {
+        self.state.finished_at
     }
 
     fn phase_multiplier(&self, time: u64) -> f64 {
@@ -339,6 +343,9 @@ impl TrafficSource for AppTraffic {
         } else {
             // Reply came home: transaction complete.
             self.state.completed += 1;
+            if self.state.completed == self.budget {
+                self.state.finished_at = Some(time);
+            }
             let o = &mut self.state.outstanding[pkt.dst.index()];
             *o = o.saturating_sub(1);
         }
@@ -426,7 +433,7 @@ mod tests {
             3,
         );
         assert!(sim.run_until_drained(100_000));
-        assert!(sim.traffic().finished());
+        assert!(sim.traffic().finished_at().is_some());
         assert_eq!(sim.traffic().completed(), 50);
     }
 

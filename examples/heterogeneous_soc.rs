@@ -48,14 +48,10 @@ fn main() {
         app,
         17,
     );
-    let mut runtime = None;
-    while sim.time() < 2_000_000 {
+    while sim.traffic().finished_at().is_none() && sim.time() < 2_000_000 {
         sim.run(512);
-        if sim.traffic().finished() && sim.core().in_flight() == 0 {
-            runtime = Some(sim.time());
-            break;
-        }
     }
+    let runtime = sim.traffic().finished_at();
     let s = sim.core().stats();
     match runtime {
         Some(t) => println!(
