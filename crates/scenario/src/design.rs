@@ -111,11 +111,6 @@ impl Design {
             .with_config(cfg)
             .with_seed(seed);
         let mut runner = scenario.build_with(topo, app);
-        fn app_of(r: &dyn SimRunner) -> &AppTraffic {
-            r.traffic_any()
-                .downcast_ref::<AppTraffic>()
-                .expect("run_app drives AppTraffic")
-        }
         // Whole chunks keep the call overhead off the cycle loop; the last
         // one is cut at `max_cycles`.
         while app_of(&*runner).finished_at().is_none() && runner.time() < max_cycles {
@@ -133,6 +128,12 @@ impl Design {
             },
         )
     }
+}
+
+fn app_of(r: &dyn SimRunner) -> &AppTraffic {
+    r.traffic_any()
+        .downcast_ref::<AppTraffic>()
+        .expect("run_app drives AppTraffic")
 }
 
 /// The result of one design run.
@@ -177,54 +178,32 @@ mod tests {
         assert_eq!(evc.total_buffers, sp.total_buffers + 64 * 4);
     }
 
+    /// `run_app` finishes a budget at the cycle a cycle-by-cycle run
+    /// reports, and ends a window the budget outlasts at `max_cycles`, not
+    /// at a chunk boundary.
     #[test]
     fn app_run_finishes_on_full_mesh() {
         let topo = Topology::full(Mesh::new(8, 8));
         let app = AppTraffic::new(sb_workloads::ParsecApp::Canneal.profile(), &topo)
             .unwrap()
             .with_budget(200);
-        let (runtime, completed, _) =
-            Design::StaticBubble.run_app(&topo, SimConfig::default(), app, 5, 300_000);
+        let (sb, cfg) = (Design::StaticBubble, SimConfig::default());
+        let (runtime, completed, _) = sb.run_app(&topo, cfg, app.clone(), 5, 300_000);
         assert_eq!(completed, 200);
-        assert!(runtime.is_some());
-    }
+        let runtime = runtime.expect("the budget finishes");
 
-    /// Chunked stepping reports what a cycle-by-cycle run does, and a window
-    /// the budget outlasts ends at `max_cycles`, not at a chunk boundary.
-    #[test]
-    fn app_runtime_matches_a_cycle_by_cycle_run() {
-        let topo = Topology::full(Mesh::new(4, 4));
-        let app = AppTraffic::new(sb_workloads::RodiniaApp::Bfs.profile(), &topo)
-            .unwrap()
-            .with_budget(60);
-        let cfg = SimConfig::default();
-        let (runtime, completed, _) =
-            Design::StaticBubble.run_app(&topo, cfg, app.clone(), 5, 1 << 20);
-        assert_eq!(completed, 60);
-        let runtime = runtime.expect("a 60-transaction budget finishes");
-
-        let sc = Scenario::new("stepped", Design::StaticBubble)
-            .with_config(cfg)
-            .with_seed(5);
+        let sc = Scenario::new("stepped", sb).with_config(cfg).with_seed(5);
         let mut runner = sc.build_with(&topo, app.clone());
-        let finished = |r: &dyn SimRunner| {
-            r.traffic_any()
-                .downcast_ref::<AppTraffic>()
-                .unwrap()
-                .finished_at()
-        };
-        while finished(&*runner).is_none() {
+        while app_of(&*runner).finished_at().is_none() {
             runner.run(1);
         }
-        // The last reply ejects in the cycle before `time()`, and its tail
-        // reaches the core a packet length after that.
-        let ejected = runner.time() - 1;
-        assert_eq!(finished(&*runner), Some(runtime));
-        assert_eq!(runtime, ejected + u64::from(sb_sim::DATA_FLITS));
+        // The last reply ejects in the cycle before `time()`; its tail
+        // reaches the core a packet length later.
+        assert_eq!(app_of(&*runner).finished_at(), Some(runtime));
+        assert_eq!(runtime + 1, runner.time() + u64::from(sb_sim::DATA_FLITS));
 
-        let window = runtime - 100;
-        let (cut, _, out) = Design::StaticBubble.run_app(&topo, cfg, app, 5, window);
-        assert_eq!((cut, out.stats.cycles), (None, window));
+        let (cut, _, out) = sb.run_app(&topo, cfg, app, 5, runtime - 100);
+        assert_eq!((cut, out.stats.cycles), (None, runtime - 100));
     }
 
     #[test]

@@ -24,20 +24,16 @@ fn scenario(bubbles: BubbleSpec) -> Scenario {
         .with_bubbles(bubbles)
 }
 
-/// The routers holding an FSM and the routers holding a buffer.
-fn fsms_and_buffers(runner: &dyn SimRunner) -> (Vec<NodeId>, Vec<NodeId>) {
+/// Build `sc` on `topo` and check that the routers holding an FSM and the
+/// routers holding a buffer are both `expected`.
+fn build_one_set(sc: &Scenario, topo: &Topology, expected: &[NodeId]) -> Box<dyn SimRunner> {
+    let runner = sc.build_on(topo);
     let plugin = (runner.plugin_any().downcast_ref::<StaticBubblePlugin>())
         .expect("a Static Bubble runner holds the Static Bubble plugin");
     let core = runner.core();
-    let nodes = || core.topology().mesh().nodes();
-    let fsms = nodes().filter(|&n| plugin.fsm(n).is_some()).collect();
-    let buffers = nodes().filter(|&n| core.has_bubble(n)).collect();
-    (fsms, buffers)
-}
-
-fn assert_one_set(sc: &Scenario, topo: &Topology, expected: &[NodeId]) -> Box<dyn SimRunner> {
-    let runner = sc.build_on(topo);
-    let (fsms, buffers) = fsms_and_buffers(&*runner);
+    let nodes = || topo.mesh().nodes();
+    let fsms: Vec<NodeId> = nodes().filter(|&n| plugin.fsm(n).is_some()).collect();
+    let buffers: Vec<NodeId> = nodes().filter(|&n| core.has_bubble(n)).collect();
     assert_eq!(fsms, buffers, "{:?}: FSMs and buffers disagree", sc.bubbles);
     assert_eq!(fsms, expected, "{:?}", sc.bubbles);
     runner
@@ -45,29 +41,25 @@ fn assert_one_set(sc: &Scenario, topo: &Topology, expected: &[NodeId]) -> Box<dy
 
 #[test]
 fn auto_is_the_alive_placement_on_a_router_faulty_topology() {
-    let faults = FaultSpec::Model {
-        kind: FaultKind::Routers,
-        count: 12,
-        seed: 5,
-    };
+    let (kind, count, seed) = (FaultKind::Routers, 12, 5);
+    let faults = FaultSpec::Model { kind, count, seed };
     let sc = scenario(BubbleSpec::Auto).with_faults(faults);
     let topo = sc.topology();
     let alive = placement::alive_bubbles(&topo);
-    let dead = placement::placement(topo.mesh()).len() - alive.len();
-    assert!(dead > 0, "the faults must kill a placement router");
-    assert_one_set(&sc, &topo, &alive);
+    assert!(alive.len() < 21, "the faults must kill a placement router");
+    build_one_set(&sc, &topo, &alive);
 }
 
 #[test]
 fn an_explicit_list_is_the_bubble_set() {
     let sc = scenario(BubbleSpec::Explicit(ids(&[63, 0])));
-    assert_one_set(&sc, &sc.topology(), &ids(&[0, 63]));
+    build_one_set(&sc, &sc.topology(), &ids(&[0, 63]));
 }
 
 #[test]
 fn an_empty_list_has_no_bubble_and_sends_no_probe() {
     let sc = scenario(BubbleSpec::Explicit(Vec::new()));
-    let mut runner = assert_one_set(&sc, &sc.topology(), &[]);
+    let mut runner = build_one_set(&sc, &sc.topology(), &[]);
     runner.run(3_000);
     assert_eq!(runner.stats().probes_sent, 0);
 }
@@ -75,7 +67,7 @@ fn an_empty_list_has_no_bubble_and_sends_no_probe() {
 #[test]
 fn eleven_of_the_placement_recover_deadlocks() {
     let sc = scenario(BubbleSpec::Explicit(ids(&ELEVEN)));
-    let mut runner = assert_one_set(&sc, &sc.topology(), &ids(&ELEVEN));
+    let mut runner = build_one_set(&sc, &sc.topology(), &ids(&ELEVEN));
     runner.warmup(500);
     runner.run(8_000);
     let stats = runner.stats();
