@@ -49,8 +49,9 @@ pub enum AuditClass {
     /// The change-driven kernel's wakeup invariant: quiescent-blocked
     /// routers have no grantable candidate.
     Wakeup,
-    /// Derived == recomputed: occupancy words, cached head bytes, the
-    /// occupied-router set, the wheel occupancy word, a plugin's indices.
+    /// Derived == recomputed: occupancy, request and pipeline words, cached
+    /// head bytes, the occupied-router set, the wheel occupancy word, a
+    /// plugin's indices.
     Derived,
 }
 
@@ -352,9 +353,12 @@ pub(crate) fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
 }
 
 /// Check the scheduler half of `core` against a fresh derivation from the
-/// architectural half (`NetCore::rebuild_sched`): occupancy words, the
-/// head bytes of occupied slots, the occupied-router set, and the wheel
-/// occupancy word against the slots it summarises. (A wheel entry carries
+/// architectural half (`NetCore::rebuild_sched`): occupancy and request
+/// words, the head bytes of occupied slots, the occupied-router set, and
+/// the wheel occupancy word against the slots it summarises. The pipeline
+/// word may still name occupants whose `ready_at` has passed, until the
+/// allocator next scans the router, so it is held to lie between its
+/// rebuild and the occupancy word. (A wheel entry carries
 /// no time of its own — its slot is its maturity, inside
 /// `[time, time + 64)` as long as no leap crosses one, which
 /// `NetCore::leap` asserts.)
@@ -370,10 +374,29 @@ pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
     };
     let slots = 4 * core.config().vcs_per_port();
     for (r, router) in core.topology().mesh().nodes().enumerate() {
-        if have.occ_mask[r] != want.occ_mask[r] {
-            let (have, want) = (have.occ_mask[r], want.occ_mask[r]);
+        let (words, derived) = (&have.words[r], &want.words[r]);
+        if words.occ != derived.occ {
+            let (have, want) = (words.occ, derived.occ);
             let detail =
                 format!("occupancy word {have:#x} != {want:#x} derived from occupant handles");
+            fail(Some(router), detail);
+        }
+        for out in 0..5 {
+            let (have, want) = (words.req[out], derived.req[out]);
+            if have != want {
+                let detail = format!(
+                    "request word {out}: {have:#x} != {want:#x} derived from the occupants' heads"
+                );
+                fail(Some(router), detail);
+            }
+        }
+        let (pipe, waiting) = (words.pipe, derived.pipe);
+        if waiting & !pipe != 0 || pipe & !derived.occ != 0 {
+            let detail = format!(
+                "pipeline word {pipe:#x} does not lie between {waiting:#x} (occupants in the \
+                 hop pipeline) and {:#x} (occupied VCs)",
+                derived.occ
+            );
             fail(Some(router), detail);
         }
         if core.arch.bub_occ[r].is_some() && have.bub_head[r] != want.bub_head[r] {
@@ -453,8 +476,16 @@ mod tests {
         let h = core.arch.arena.insert(packet(2));
         core.bubble_put(NodeId(5), h, 2);
         type Seed = fn(&mut NetCore);
-        let rows: [(&str, Seed); 5] = [
-            ("occupancy word", |c| c.sched.occ_mask[9] = 0),
+        let rows: [(&str, Seed); 8] = [
+            ("occupancy word", |c| c.sched.words[9].occ = 0),
+            ("request word", |c| {
+                let head = c.sched.vc_head[c.flat_vc(SLOT)] as usize;
+                c.sched.words[9].req[head] = 0;
+            }),
+            // The occupant is switchable from cycle 2, so it is still in the
+            // hop pipeline; a word that names an empty VC is stale too.
+            ("pipeline word", |c| c.sched.words[9].pipe = 0),
+            ("pipeline word", |c| c.sched.words[10].pipe = 1),
             ("slot 0: cached head", |c| {
                 let flat = c.flat_vc(SLOT);
                 c.sched.vc_head[flat] ^= 1;

@@ -711,9 +711,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// cycle.
     ///
     /// The worklist is consumed each cycle. A scanned router re-enters it
-    /// only through an event that can create a new candidate: it granted
-    /// something and still holds a candidate that lost or an injection
-    /// head (more may be switchable next cycle), a mutation
+    /// only through an event that can create a new candidate: a grant left
+    /// a candidate untried (its input port won at another output) or
+    /// surfaced an injection head, a mutation
     /// touched it ([`NetCore::touch`] — fresh injection, plugin state
     /// change), or a timed wake matured ([`NetCore::wake_at`] — an arriving
     /// packet's `ready_at`, the drain deadline of a slot at the port it
@@ -768,7 +768,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
         self.counters.scans += 1;
         let mut cand = [0u64; 5];
-        let next_ready = self.core.candidate_masks(router, &mut cand);
+        let next_ready = self.core.collect_candidates(router, &mut cand);
         if cand.iter().all(|&m| m == 0) && next_ready.is_none() {
             // Completely empty: cannot produce a candidate until some
             // mutation touches it again.
@@ -776,35 +776,58 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
         let r5 = router.index() * 5;
         let mut any_grant = false;
+        // Is a candidate left that nothing but another scan will retry?
+        let mut rescan = false;
         // Input-side exclusion: rr indices whose input port already granted
         // this cycle (one grant per input port per cycle).
         let mut blocked: u64 = 0;
         // Ejection first, then the four directions.
         for out_idx in [EJECT, 0, 1, 2, 3] {
-            let mask = cand[out_idx] & !blocked;
-            if mask == 0 {
+            let want = cand[out_idx];
+            if want == 0 {
                 continue;
             }
             let Some(out) = self.open_output(router, out_idx) else {
                 continue;
             };
-            let (won, examined) =
-                self.find_winner(router, out, mask, self.core.arch.rr[r5 + out_idx]);
+            let downstream = self.downstream(router, out);
+            if downstream.is_some_and(|(nb, port)| !self.core.port_has_room(nb, port)) {
+                continue;
+            }
+            let mask = want & !blocked;
+            if mask == 0 {
+                // Every candidate here lost its input port to a grant at an
+                // earlier output: it is untried, and may win next cycle.
+                rescan = true;
+                continue;
+            }
+            let (won, examined) = self.find_winner(
+                router,
+                out,
+                downstream,
+                mask,
+                self.core.arch.rr[r5 + out_idx],
+            );
             self.counters.winner_searches += 1;
             self.counters.candidates_examined += u64::from(examined);
             let Some((winner, input, slot)) = won else {
+                rescan |= mask != want;
                 continue;
             };
             self.counters.grants += 1;
             blocked |= self.input_block_mask(winner);
-            // The committed packet is gone; a later output port must not
-            // re-select it.
-            for m in cand.iter_mut() {
-                *m &= !(1u64 << winner);
-            }
+            // The committed packet is gone; the output's other candidates
+            // wait for the link this grant keeps busy.
+            cand[out_idx] &= !(1u64 << winner);
             self.core.arch.rr[r5 + out_idx] = winner as u32 + 1;
             if let Some(freed) = self.commit(router, input, out, slot) {
                 freed_bubbles.push(freed);
+            }
+            // An injection grant surfaces the queue's next head, which no
+            // mask of this scan holds.
+            if let InputRef::Inject { node, vnet } = input {
+                let qi = self.core.inject_idx(node, vnet);
+                rescan |= self.core.arch.inject[qi].head.is_some();
             }
             any_grant = true;
         }
@@ -814,20 +837,18 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         if self.full_scan {
             return;
         }
-        if any_grant {
-            // Re-scan next cycle only what can still compete there: a
-            // candidate that lost (input exclusion, busy output, veto) or an
-            // injection head (an injection grant surfaces the next one).
-            // Otherwise only the hop pipeline is left; re-arm its wake here,
-            // as the block path would, since a restore starts an empty wheel.
-            if cand.iter().any(|&m| m != 0) || self.core.has_inject_head(router) {
-                self.core.touch(router);
-            } else if let Some(at) = next_ready {
+        if rescan {
+            self.core.touch(router);
+        } else if cand.iter().all(|&m| m == 0) {
+            // Nothing left but the hop pipeline, if that: the block path's
+            // answer without its walk, the common case below saturation.
+            if let Some(at) = next_ready {
                 self.core.wake_at(router, at);
             }
         } else {
-            // Quiescent-blocked: sleep until the earliest timed event
-            // that could create a candidate, or until a mutation wake.
+            // Every candidate left waits on a busy link, a full or draining
+            // downstream port, the hop pipeline or a veto: sleep until the
+            // earliest timed event among them, or until a mutation wake.
             self.schedule_block_wake(router, &cand, next_ready);
         }
     }
@@ -848,6 +869,17 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         (self.core.topology().link_alive(router, d)).then_some(OutPort::Dir(d))
     }
 
+    /// The input port a grant to `out` sends into — the neighbour across an
+    /// open output and the port facing back — or `None` for ejection.
+    #[inline]
+    fn downstream(&self, router: NodeId, out: OutPort) -> Option<(NodeId, Direction)> {
+        let OutPort::Dir(d) = out else {
+            return None;
+        };
+        let neighbor = self.core.topology().neighbor(router, d);
+        Some((neighbor.expect("alive link has endpoint"), d.opposite()))
+    }
+
     /// The rr indices excluded from further grants this cycle once index
     /// `i` won: all VCs of the same input port, the bubble, or every
     /// injection vnet (one local injection per cycle).
@@ -864,14 +896,15 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
     }
 
-    /// A scanned router granted nothing this cycle. Schedule its next wake
-    /// at the earliest *timed* event that could hand it a candidate: an
-    /// occupant finishing the hop pipeline (`next_ready`), a wanted output
-    /// link going idle, or a draining buffer on a wanted downstream port
-    /// returning its credit. Every unblocking path with no deadline to read
-    /// yet — a downstream grant (its buffer take wakes this feeder at the
-    /// new drain deadline), a plugin lifting a veto, a fresh injection, a
-    /// reconfiguration — wakes the router from the mutation site instead.
+    /// A scanned router has nothing left it can grant this cycle. Schedule
+    /// its next wake at the earliest *timed* event that could hand it a
+    /// candidate: an occupant finishing the hop pipeline (`next_ready`), a
+    /// wanted output link going idle (a grant's own link included), or a
+    /// draining buffer on a wanted downstream port returning its credit.
+    /// Every unblocking path with no deadline to read yet — a downstream
+    /// grant (its buffer take wakes this feeder, which wants that port, at
+    /// the new drain deadline), a plugin lifting a veto, a fresh injection,
+    /// a reconfiguration — wakes the router from the mutation site instead.
     /// If no timed event exists the router is fully quiescent (e.g. inside
     /// a deadlock) and sleeps until a mutation arrives.
     fn schedule_block_wake(&mut self, router: NodeId, cand: &[u64; 5], next_ready: Option<u64>) {
@@ -958,8 +991,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// asks once whether the downstream port has *any* free buffer of that
     /// vnet, and if not drops the vnet's VCs and injection queue from the
     /// rest of the search — by the slot contract on [`Plugin::pick_slot`]
-    /// every one of them would be refused too. A full single-vnet port
-    /// therefore costs one candidate, not one per queued head. The question
+    /// every one of them would be refused too. (A port with no unoccupied
+    /// buffer at all costs no candidate: the allocator skips it before the
+    /// search, and only [`Simulator::probe_winner`] searches it.) The question
     /// is asked once per vnet per search, not per refusal: a vnet can be
     /// refused and alive at once (escape-VC `Normal` packets while only the
     /// escape VC is free), and would otherwise pay it on every candidate.
@@ -967,6 +1001,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         &self,
         router: NodeId,
         out: OutPort,
+        downstream: Option<(NodeId, Direction)>,
         mask: u64,
         rr_ptr: u32,
     ) -> (Option<(usize, InputRef, Option<SlotRef>)>, u32) {
@@ -976,14 +1011,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         let total = 4 * vcs + 1 + cfg.vnets as usize;
         let start = rr_ptr as usize % total; // start <= 63: the shift is safe
         let above = !0u64 << start;
-        // The downstream input port, the same for every candidate.
-        let downstream = match out {
-            OutPort::Eject => None,
-            OutPort::Dir(d) => {
-                let neighbor = core.topology().neighbor(router, d);
-                Some((neighbor.expect("alive link has endpoint"), d.opposite()))
-            }
-        };
         let mut live = mask;
         let mut asked = 0u8; // vnets whose downstream buffers were checked
         let mut examined = 0u32;
@@ -1032,7 +1059,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         mask: u64,
         rr_ptr: u32,
     ) -> Option<(usize, InputRef, Option<SlotRef>)> {
-        self.find_winner(router, out, mask, rr_ptr).0
+        (self.find_winner(router, out, self.downstream(router, out), mask, rr_ptr)).0
     }
 
     /// The slot contract of [`Plugin::pick_slot`]: a free buffer of the

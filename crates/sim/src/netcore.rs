@@ -19,9 +19,13 @@
 //!   packets are at least one flit long). `vc_head` caches the occupant's
 //!   desired output (0–3 = [`Direction::index`], 4 = ejection) so the
 //!   allocator never chases the packet pointer during candidate collection.
-//! * `occ_mask` holds one `u64` per router with bit `port * vcs + vc` set
-//!   iff that VC is occupied — the word the allocator scans with
-//!   trailing-zeros iteration (ascending order = the reference loop order).
+//! * Each router's allocation words share one cache line ([`RouterWords`]):
+//!   the occupancy word (bit `port * vcs + vc` set iff that VC is
+//!   occupied), five request words splitting it by the occupant's head
+//!   byte, and the pipeline word covering the occupants still in the hop
+//!   pipeline. The allocator's candidate masks are the request words minus
+//!   the pipeline word — five word operations, with no walk over the
+//!   occupied VCs.
 //! * `out_busy`/`rr` are flat `router * 5 + out` arrays (4 directions +
 //!   ejection).
 //! * Bubble state is a set of parallel per-router arrays mirroring the VC
@@ -198,6 +202,25 @@ pub(crate) struct Arch {
 /// What the stepping loop keeps about the architectural tables so it need
 /// not re-read them: caches, indices and the pending-wake bookkeeping.
 /// Deliberately carries no serde derive (CI greps for one).
+/// A router's allocation words, aligned to share one cache line: what a
+/// put or a take updates and what a scan reads. Bits are rr indices
+/// `port * vcs + vc` over the router's mesh-port VCs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(align(64))]
+pub(crate) struct RouterWords {
+    /// Bit `i` is set iff VC `i` holds a packet.
+    pub(crate) occ: u64,
+    /// Request words: bit `i` of `req[out]` is set iff VC `i` holds a
+    /// packet whose cached head wants output `out` (0–3 = direction index,
+    /// 4 = ejection). Written by [`NetCore::mark`] and by a restamp.
+    pub(crate) req: [u64; 5],
+    /// Every occupied VC whose occupant is still in the hop pipeline
+    /// (`vc_ready > now`), and possibly some occupied VCs whose `ready_at`
+    /// has passed since: set by a put, cleared by a take, settled by the
+    /// allocator's next scan of the router.
+    pub(crate) pipe: u64,
+}
+
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Sched {
     /// Cached `cfg.vcs_per_port()`.
@@ -206,9 +229,9 @@ pub(crate) struct Sched {
     pub(crate) vc_head: Vec<u8>,
     /// Cached desired output of the bubble occupant (valid iff occupied).
     pub(crate) bub_head: Vec<u8>,
-    /// Per-router VC occupancy mask over rr indices `0..4 * vcs`.
-    pub(crate) occ_mask: Vec<u64>,
-    /// The routers whose `occ_mask` is non-zero. Written only by
+    /// Each router's occupancy, request and pipeline words.
+    pub(crate) words: Vec<RouterWords>,
+    /// The routers whose occupancy word is non-zero. Written only by
     /// [`NetCore::mark`], under `vc_put`, `vc_take` and `vc_clear`.
     pub(crate) occupied: NodeSet,
     /// Routers that may produce an allocation grant *this cycle*: the
@@ -327,8 +350,8 @@ impl NetCore {
 
     /// The scheduler half the architectural half implies — the one function
     /// that builds a [`Sched`], at construction, on every restore and for
-    /// the auditor to compare against: occupancy words and head bytes from
-    /// the occupant tables, the wheel empty, every router in the scan set
+    /// the auditor to compare against: occupancy, request and pipeline words
+    /// and head bytes from the occupant tables, the wheel empty, every router in the scan set
     /// (the allocator prunes the idle ones on its first pass). What
     /// [`NetCore::wake_all`] does when wake bookkeeping is invalidated, and
     /// sound for the same reason: a scan that grants nothing has no side
@@ -339,7 +362,7 @@ impl NetCore {
             vcs,
             vc_head: vec![0; n * 4 * vcs],
             bub_head: vec![0; n],
-            occ_mask: vec![0; n],
+            words: vec![RouterWords::default(); n],
             occupied: NodeSet::new(n),
             active: NodeSet::full(n),
             scan_set: NodeSet::new(n),
@@ -352,9 +375,15 @@ impl NetCore {
         }
         for (flat, &h) in self.arch.vc_occ.iter().enumerate() {
             if h.is_some() {
-                let router = flat / (4 * vcs);
-                sched.vc_head[flat] = head_of(self.arch.arena.get(h));
-                sched.occ_mask[router] |= 1 << (flat % (4 * vcs));
+                let (router, bit) = (flat / (4 * vcs), 1 << (flat % (4 * vcs)));
+                let head = head_of(self.arch.arena.get(h));
+                sched.vc_head[flat] = head;
+                let words = &mut sched.words[router];
+                words.occ |= bit;
+                words.req[head as usize] |= bit;
+                if self.arch.vc_ready[flat] > self.arch.time {
+                    words.pipe |= bit;
+                }
                 sched.occupied.insert(NodeId::from(router));
             }
         }
@@ -475,7 +504,7 @@ impl NetCore {
         let mut res = Resident::default();
         for r in 0..self.arch.topo.mesh().node_count() {
             let base = r * 4 * self.sched.vcs;
-            let mut mask = self.sched.occ_mask[r];
+            let mut mask = self.sched.words[r].occ;
             while mask != 0 {
                 let i = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
@@ -503,31 +532,58 @@ impl NetCore {
 
     /// Build `router`'s per-output candidate masks: bit `i` of `cand[out]`
     /// is set iff the buffer at rr index `i` holds a switchable head that
-    /// wants output `out` (0–3 = direction index, 4 = ejection). Walks the
-    /// occupancy word (trailing-zeros, so ascending rr order) using the
-    /// cached head bytes — the packet itself is only dereferenced for
-    /// injection-queue heads. Returns the earliest `ready_at` among
-    /// occupants still in the hop pipeline, if any.
+    /// wants output `out` (0–3 = direction index, 4 = ejection). The VC
+    /// bits are the router's request words minus the occupants still in the
+    /// hop pipeline, which the pipeline word names — the packet itself is
+    /// only dereferenced for injection-queue heads. Returns the earliest
+    /// `ready_at` among occupants still in the hop pipeline, if any.
     ///
-    /// Reads **only this router's rows** of the SoA tables (occupancy word,
-    /// VC/bubble ready times and head bytes, its own injection-queue heads)
+    /// Reads **only this router's rows** of the SoA tables (request and
+    /// pipeline words, VC/bubble ready times, its own injection-queue heads)
     /// plus the current time, never a neighbor's state.
     pub fn candidate_masks(&self, router: NodeId, cand: &mut [u64; 5]) -> Option<u64> {
+        self.requests(router, cand).1
+    }
+
+    /// [`NetCore::candidate_masks`] for the allocator's scan, which also
+    /// settles the pipeline word: the VCs whose `ready_at` has passed
+    /// leave it.
+    pub(crate) fn collect_candidates(
+        &mut self,
+        router: NodeId,
+        cand: &mut [u64; 5],
+    ) -> Option<u64> {
+        let (waiting, next_ready) = self.requests(router, cand);
+        self.sched.words[router.index()].pipe = waiting;
+        next_ready
+    }
+
+    /// The candidate masks of [`NetCore::candidate_masks`], the VCs still
+    /// in the hop pipeline and the earliest `ready_at` among those and the
+    /// bubble occupant.
+    #[inline(always)]
+    fn requests(&self, router: NodeId, cand: &mut [u64; 5]) -> (u64, Option<u64>) {
         let vcs = self.sched.vcs;
         let t = self.arch.time;
         let r = router.index();
         let base = self.vc_base(router);
         let mut next_ready: Option<u64> = None;
-        let mut mask = self.sched.occ_mask[r];
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
+        let mut waiting = 0u64;
+        let words = &self.sched.words[r];
+        let mut pipe = words.pipe;
+        while pipe != 0 {
+            let i = pipe.trailing_zeros() as usize;
+            pipe &= pipe - 1;
             let ready = self.arch.vc_ready[base + i];
-            if ready <= t {
-                cand[self.sched.vc_head[base + i] as usize] |= 1u64 << i;
-            } else if next_ready.is_none_or(|w| ready < w) {
-                next_ready = Some(ready);
+            if ready > t {
+                waiting |= 1u64 << i;
+                if next_ready.is_none_or(|w| ready < w) {
+                    next_ready = Some(ready);
+                }
             }
+        }
+        for (c, want) in cand.iter_mut().zip(words.req) {
+            *c |= want & !waiting;
         }
         if self.arch.bub_occ[r].is_some() {
             let ready = self.arch.bub_ready[r];
@@ -543,7 +599,7 @@ impl NetCore {
                 cand[head_of(self.arch.arena.get(h)) as usize] |= 1u64 << (4 * vcs + 1 + vnet);
             }
         }
-        next_ready
+        (waiting, next_ready)
     }
 
     /// Jain's fairness index over per-node deliveries of **alive, receiving**
@@ -716,20 +772,34 @@ impl NetCore {
             .then(|| self.arch.vc_drain[flat])
     }
 
-    /// Record `vc` as occupied or not in its router's occupancy word; the
-    /// occupied-router set moves only when the word leaves or reaches zero.
+    /// The router of `vc`, and the slot's bit in that router's occupancy,
+    /// request and pipeline words.
     #[inline]
-    fn mark(&mut self, vc: VcRef, occupied: bool) {
-        let word = &mut self.sched.occ_mask[vc.router.index()];
-        let bit = 1u64 << (vc.port.index() * self.sched.vcs + vc.vc as usize);
+    fn slot_bit(&self, vc: VcRef) -> (usize, u64) {
+        let i = vc.port.index() * self.sched.vcs + vc.vc as usize;
+        (vc.router.index(), 1u64 << i)
+    }
+
+    /// Record `vc` as holding a packet whose head is `head`, or as empty
+    /// (`head` then names the request word the slot leaves), in its
+    /// router's occupancy and request words; an emptied slot leaves the
+    /// pipeline word too. The occupied-router set moves only when the
+    /// occupancy word leaves or reaches zero.
+    #[inline(always)]
+    fn mark(&mut self, vc: VcRef, head: u8, occupied: bool) {
+        let (r, bit) = self.slot_bit(vc);
+        let words = &mut self.sched.words[r];
         if occupied {
-            if *word == 0 {
+            words.req[head as usize] |= bit;
+            if words.occ == 0 {
                 self.sched.occupied.insert(vc.router);
             }
-            *word |= bit;
+            words.occ |= bit;
         } else {
-            *word &= !bit;
-            if *word == 0 {
+            words.req[head as usize] &= !bit;
+            words.pipe &= !bit;
+            words.occ &= !bit;
+            if words.occ == 0 {
                 self.sched.occupied.remove(vc.router);
             }
         }
@@ -752,8 +822,13 @@ impl NetCore {
         self.arch.vc_occ[flat] = h;
         self.arch.vc_ready[flat] = ready_at;
         self.arch.vc_drain[flat] = 0;
-        self.sched.vc_head[flat] = head_of(self.arch.arena.get(h));
-        self.mark(vc, true);
+        let head = head_of(self.arch.arena.get(h));
+        self.sched.vc_head[flat] = head;
+        self.mark(vc, head, true);
+        if ready_at > self.arch.time {
+            let (r, bit) = self.slot_bit(vc);
+            self.sched.words[r].pipe |= bit;
+        }
         self.wake_at(vc.router, ready_at);
     }
 
@@ -772,10 +847,12 @@ impl NetCore {
     /// Remove the occupant of `vc` for a grant, leaving the slot draining
     /// until the packet's tail has streamed out (`now + len_flits`). The
     /// feeding (alive) neighbour is woken at the drain deadline, the first
-    /// cycle the slot is a credit it can use, if it holds a packet to send:
-    /// an empty feeder that receives one later finds the slot draining and
-    /// notes the deadline itself when it blocks. Whether the granting router
-    /// is scanned again is the allocator's decision.
+    /// cycle the slot is a credit it can use, if it holds a packet that
+    /// wants the output crossing into this port: a feeder whose packets all
+    /// go elsewhere, or that holds none, and later comes to hold one that
+    /// wants it is woken at that packet's `ready_at` (or touched), finds the
+    /// slot draining and notes the deadline itself when it blocks. Whether
+    /// the granting router is scanned again is the allocator's decision.
     ///
     /// # Panics
     ///
@@ -787,28 +864,31 @@ impl NetCore {
         let len = self.arch.arena.get(h).len_flits as u64;
         self.arch.vc_occ[flat] = PacketHandle::NONE;
         self.arch.vc_drain[flat] = self.arch.time + len;
-        self.mark(vc, false);
+        self.mark(vc, self.sched.vc_head[flat], false);
         if let Some(feeder) = self.arch.topo.neighbor(vc.router, vc.port) {
-            if self.holds_packet(feeder) {
+            if self.wants(feeder, vc.port.opposite().index() as u8) {
                 self.wake_at(feeder, self.arch.time + len);
             }
         }
         h
     }
 
-    /// Does `router` hold a packet it could send: a VC or bubble occupant,
-    /// or an injection-queue head?
-    fn holds_packet(&self, router: NodeId) -> bool {
-        self.sched.occ_mask[router.index()] != 0
-            || self.arch.bub_occ[router.index()].is_some()
-            || self.has_inject_head(router)
-    }
-
-    /// Does any of `router`'s injection queues have a head?
-    pub(crate) fn has_inject_head(&self, router: NodeId) -> bool {
+    /// Does `router` hold a packet whose head wants output `out`: a VC
+    /// occupant (its request word), the bubble occupant or an
+    /// injection-queue head? Occupants still in the hop pipeline count.
+    fn wants(&self, router: NodeId, out: u8) -> bool {
+        let r = router.index();
+        if self.sched.words[r].req[out as usize] != 0 {
+            return true;
+        }
+        if self.arch.bub_occ[r].is_some() && self.sched.bub_head[r] == out {
+            return true;
+        }
         let vnets = self.arch.cfg.vnets as usize;
-        let queues = &self.arch.inject[router.index() * vnets..][..vnets];
-        queues.iter().any(|q| q.head.is_some())
+        let queues = &self.arch.inject[r * vnets..][..vnets];
+        queues
+            .iter()
+            .any(|q| q.head.is_some() && head_of(self.arch.arena.get(q.head)) == out)
     }
 
     /// Force `vc` fully free (no drain), returning the evicted occupant's
@@ -819,7 +899,7 @@ impl NetCore {
         let h = self.arch.vc_occ[flat];
         self.arch.vc_occ[flat] = PacketHandle::NONE;
         self.arch.vc_drain[flat] = 0;
-        self.mark(vc, false);
+        self.mark(vc, self.sched.vc_head[flat], false);
         self.touch(vc.router);
         self.wake_feeder(vc.router, vc.port);
         h.is_some().then_some(h)
@@ -867,8 +947,21 @@ impl NetCore {
     /// port — the common case past the knee — the word is zero and a probe
     /// over its set bits reads no per-VC state at all.
     pub(crate) fn empty_vcs(&self, router: NodeId, port: Direction) -> u64 {
-        (!self.sched.occ_mask[router.index()] >> (port.index() * self.sched.vcs))
+        (!self.sched.words[router.index()].occ >> (port.index() * self.sched.vcs))
             & ((1u64 << self.sched.vcs) - 1)
+    }
+
+    /// Could `(router, port)` take a packet at all: has it an unoccupied VC
+    /// (perhaps still draining), or the router's bubble attached there and
+    /// unoccupied? By the slot contract of [`crate::Plugin::pick_slot`],
+    /// `false` means every plugin refuses every packet at this port, so the
+    /// allocator asks before its winner search dereferences any packet.
+    #[inline]
+    pub(crate) fn port_has_room(&self, router: NodeId, port: Direction) -> bool {
+        let r = router.index();
+        self.empty_vcs(router, port) != 0
+            || (self.arch.bub_occ[r].is_none()
+                && matches!(self.arch.bub_attach[r], Some((p, _)) if p == port))
     }
 
     /// First allocatable VC (empty and done draining) among the flat
@@ -915,7 +1008,7 @@ impl NetCore {
         let range = self.arch.cfg.vcs_of_vnet(vnet);
         let lo = port.index() * self.sched.vcs + range.start as usize;
         let need = ((1u64 << (range.end - range.start)) - 1) << lo;
-        self.sched.occ_mask[router.index()] & need == need
+        self.sched.words[router.index()].occ & need == need
     }
 
     /// The set of outputs wanted by head packets of `vnet` at
@@ -942,7 +1035,7 @@ impl NetCore {
     /// iff that VC holds a packet. Lets plugins visit occupied slots in
     /// ascending `(port, vc)` order without probing the empty ones.
     pub fn occupancy_mask(&self, router: NodeId) -> u64 {
-        self.sched.occ_mask[router.index()]
+        self.sched.words[router.index()].occ
     }
 
     /// The routers with at least one occupied mesh-port VC (the non-zero
@@ -953,20 +1046,20 @@ impl NetCore {
 
     /// Does any mesh-port VC of `router` hold a packet?
     pub fn any_occupied(&self, router: NodeId) -> bool {
-        self.sched.occ_mask[router.index()] != 0
+        self.sched.words[router.index()].occ != 0
     }
 
     /// Number of occupied mesh-port VCs at `router`.
     pub(crate) fn occupied_vcs(&self, router: NodeId) -> u32 {
-        self.sched.occ_mask[router.index()].count_ones()
+        self.sched.words[router.index()].occ.count_ones()
     }
 
     /// Number of packets resident in VCs and bubbles (not source queues).
     pub fn in_flight(&self) -> usize {
         self.sched
-            .occ_mask
+            .words
             .iter()
-            .map(|m| m.count_ones() as usize)
+            .map(|w| w.occ.count_ones() as usize)
             .sum::<usize>()
             + self.arch.bub_occ.iter().filter(|h| h.is_some()).count()
     }
@@ -1142,7 +1235,13 @@ impl NetCore {
                     return None;
                 }
                 let out = f(self.arch.arena.get_mut(h));
-                self.sched.vc_head[flat] = head_of(self.arch.arena.get(h));
+                // The slot's request bit follows its new head.
+                let (r, bit) = self.slot_bit(v);
+                let head = head_of(self.arch.arena.get(h));
+                let req = &mut self.sched.words[r].req;
+                req[self.sched.vc_head[flat] as usize] &= !bit;
+                req[head as usize] |= bit;
+                self.sched.vc_head[flat] = head;
                 self.touch(v.router);
                 self.wake_feeder(v.router, v.port);
                 Some(out)
@@ -1215,6 +1314,11 @@ mod tests {
     }
 
     fn packet_of_len(id: u64, vnet: u8, len_flits: u16) -> Packet {
+        packet_towards(id, vnet, len_flits, Direction::East)
+    }
+
+    /// A packet whose head wants output `towards`.
+    fn packet_towards(id: u64, vnet: u8, len_flits: u16, towards: Direction) -> Packet {
         Packet::new(
             PacketId(id),
             NewPacket {
@@ -1223,7 +1327,7 @@ mod tests {
                 vnet,
                 len_flits,
             },
-            Route::new(vec![Direction::East]),
+            Route::new(vec![towards]),
             0,
         )
     }
@@ -1329,15 +1433,16 @@ mod tests {
         (vref, feeder.expect("interior"))
     }
 
-    /// Give `feeder` a packet to send (switchable at once, so no wheel
-    /// entry), then empty the scan set.
-    fn load_feeder(core: &mut NetCore, feeder: NodeId) {
-        let vref = VcRef {
+    /// Give `feeder` a packet to send towards `vref`'s port (switchable at
+    /// once, so no wheel entry), then empty the scan set.
+    fn load_feeder(core: &mut NetCore, feeder: NodeId, vref: VcRef) {
+        let slot = VcRef {
             router: feeder,
             port: Direction::West,
             vc: 0,
         };
-        core.place_packet(vref, dummy_packet(99, 0), core.time());
+        let pkt = packet_towards(99, 0, 5, vref.port.opposite());
+        core.place_packet(slot, pkt, core.time());
         core.clear_active_for_test();
     }
 
@@ -1352,9 +1457,9 @@ mod tests {
         let across = topo.neighbor(vref.router, vref.port).expect("interior");
         topo.remove_link(vref.router, vref.port);
         let mut core = NetCore::new(&topo, SimConfig::default(), &[]);
-        // The router the dead link used to join holds a packet, so only
-        // the fault keeps it from being woken.
-        load_feeder(&mut core, across);
+        // The router the dead link used to join holds a packet for it, so
+        // only the fault keeps it from being woken.
+        load_feeder(&mut core, across, vref);
         // A packet the fault stranded at the dead port still leaves through
         // the crossbar, but nobody can use the credit it returns.
         core.place_packet(vref, dummy_packet(1, 0), 0);
@@ -1368,11 +1473,11 @@ mod tests {
     }
 
     #[test]
-    fn a_take_wakes_a_feeder_holding_a_packet_at_the_drain_deadline() {
+    fn a_take_wakes_a_feeder_wanting_the_port_at_the_drain_deadline() {
         let (mut core, _) = core_with_bubble();
         let (vref, feeder) = slot_and_feeder(&core);
         core.place_packet(vref, dummy_packet(1, 0), 0);
-        load_feeder(&mut core, feeder);
+        load_feeder(&mut core, feeder, vref);
         core.vc_take(vref); // 5 flits at t = 0: the credit returns at 5
         assert!(!core.is_active(vref.router), "re-entry is the allocator's");
         assert!(!core.is_active(feeder));
@@ -1383,24 +1488,55 @@ mod tests {
         assert!(core.vc_is_free(vref));
     }
 
+    /// A take wakes the feeder only if it holds a packet for the output
+    /// that crosses into the freed port: in a VC (its request word), in its
+    /// bubble, or at an injection-queue head. Packets that all go elsewhere
+    /// are no reason to wake it, and neither is holding none.
     #[test]
-    fn a_take_wakes_an_empty_feeder_not_at_all() {
-        let (mut core, _) = core_with_bubble();
+    fn a_take_wakes_no_feeder_whose_packets_all_want_other_outputs() {
+        let (core, _) = core_with_bubble();
         let (vref, feeder) = slot_and_feeder(&core);
-        core.place_packet(vref, dummy_packet(1, 0), 0);
-        core.clear_active_for_test();
-        core.vc_take(vref);
-        assert_eq!(core.next_wheel_event(), None, "nothing to send into it");
-        advance_to(&mut core, 5);
-        assert_eq!(core.active_count(), 0);
-        // A bubble occupant or an injection head is a packet to send too.
-        core.arch.bub_occ[feeder.index()] = core.arch.arena.insert(dummy_packet(2, 0));
-        assert!(core.holds_packet(feeder));
-        core.arch.bub_occ[feeder.index()] = PacketHandle::NONE;
-        let qi = core.inject_idx(feeder, 1);
-        core.arch.inject[qi].head = core.arch.arena.insert(dummy_packet(3, 1));
-        assert!(core.holds_packet(feeder));
-        assert!(core.has_inject_head(feeder));
+        let into_port = vref.port.opposite();
+        let elsewhere = vref.port; // any output but `into_port`
+                                   // Whether a 5-flit take at `vref` schedules a wake at all.
+        let woken = |core: &NetCore| {
+            let mut core = core.clone();
+            core.place_packet(vref, dummy_packet(1, 0), core.time());
+            core.clear_active_for_test();
+            core.vc_take(vref);
+            core.next_wheel_event().is_some()
+        };
+        assert!(!woken(&core), "an empty feeder");
+        // One packet of each kind the feeder can send, first going elsewhere
+        // and then towards the port.
+        type Load = fn(&mut NetCore, NodeId, Packet);
+        let kinds: [(&str, Load); 3] = [
+            ("a VC occupant", |core, feeder, pkt| {
+                let slot = VcRef {
+                    router: feeder,
+                    port: Direction::West,
+                    vc: 0,
+                };
+                core.place_packet(slot, pkt, core.time());
+            }),
+            ("a bubble occupant", |core, feeder, pkt| {
+                let h = core.arch.arena.insert(pkt);
+                core.arch.bub_exists[feeder.index()] = true;
+                core.bubble_put(feeder, h, core.time());
+            }),
+            ("an injection-queue head", |core, feeder, pkt| {
+                let qi = core.inject_idx(feeder, 1);
+                core.arch.inject[qi].head = core.arch.arena.insert(pkt);
+            }),
+        ];
+        for (kind, load) in kinds {
+            let mut away = core.clone();
+            load(&mut away, feeder, packet_towards(2, 1, 5, elsewhere));
+            assert!(!woken(&away), "{kind} going elsewhere");
+            let mut towards = core.clone();
+            load(&mut towards, feeder, packet_towards(2, 1, 5, into_port));
+            assert!(woken(&towards), "{kind} wanting the port");
+        }
     }
 
     #[test]
@@ -1427,9 +1563,9 @@ mod tests {
         core.place_packet(vref, packet_of_len(1, 0, 200), 3);
         assert!(core.is_active(vref.router));
         // A 200-flit tail drains past the 64-slot wheel horizon: a feeder
-        // with a packet is woken early, at the horizon, where the block path
-        // re-arms it.
-        load_feeder(&mut core, feeder);
+        // with a packet for the port is woken early, at the horizon, where
+        // the block path re-arms it.
+        load_feeder(&mut core, feeder, vref);
         core.vc_take(vref);
         assert_eq!(core.vc_draining_until(vref), Some(203));
         assert_eq!(core.next_wheel_event(), Some(3 + WHEEL_SLOTS as u64 - 1));
@@ -1450,9 +1586,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
-        /// Whatever puts, takes, clears, wakes and ticks do, the wheel word
-        /// answers as the slot scan does, every index equals its rebuild,
-        /// and rebuilding changes nothing a reader of the caches can see.
+        /// Whatever puts, takes, clears, restamps, scans, wakes and ticks
+        /// do, the wheel word answers as the slot scan does, every index
+        /// equals its rebuild (the request and pipeline words included), and
+        /// rebuilding changes nothing a reader of the caches can see.
         fn the_indices_follow_random_mutations(seed in proptest::any::<u64>()) {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -1461,7 +1598,7 @@ mod tests {
                 let router = NodeId(rng.gen_range(0..16u16));
                 let port = DIRECTIONS[rng.gen_range(0..4usize)];
                 let vref = VcRef { router, port, vc: rng.gen_range(0..12u8) };
-                match rng.gen_range(0..6u32) {
+                match rng.gen_range(0..8u32) {
                     0 | 1 if core.vc_is_free(vref) => {
                         let ready_at = core.arch.time + rng.gen_range(0..3u64);
                         core.place_packet(vref, dummy_packet(step, 0), ready_at);
@@ -1472,6 +1609,21 @@ mod tests {
                     }
                     3 => drop(core.remove_packet(vref)),
                     4 => core.wake_at(router, core.arch.time + rng.gen_range(0..100u64)),
+                    5 if core.vc_occupant(vref).is_some() => {
+                        let towards = DIRECTIONS[rng.gen_range(0..4usize)];
+                        let route = Route::new(vec![towards]);
+                        core.with_packet_mut(InputRef::Vc(vref), |p| {
+                            p.restamp(route, crate::packet::PacketMode::Normal)
+                        });
+                    }
+                    6 => {
+                        // The allocator's scan settles the pipeline word and
+                        // reads what the read-only probe reads.
+                        let (mut read, mut settled) = ([0u64; 5], [0u64; 5]);
+                        let next_ready = core.candidate_masks(router, &mut read);
+                        let settling = core.collect_candidates(router, &mut settled);
+                        proptest::prop_assert_eq!((read, next_ready), (settled, settling));
+                    }
                     _ => {
                         let next = core.arch.time + 1;
                         advance_to(&mut core, next);
