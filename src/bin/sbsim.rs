@@ -18,6 +18,7 @@
 //! parse with `sb_bench::Args`, the one parser of the experiment binaries.
 
 use sb_bench::Args;
+use static_bubble_repro::core::StaticBubblePlugin;
 use static_bubble_repro::scenario::{
     ClockMode, Design, FaultSpec, Scenario, SimRunner, TrafficSpec,
 };
@@ -275,6 +276,12 @@ fn main() {
             sim.time(),
             sim.core().in_flight(),
         );
+    }
+    // The protocol's own counters: what separates a livelock that drops
+    // its disables (`d_frozen` tracking `latches`) from one whose owner
+    // fails its disables (`disfail`). Printed here, never part of `Stats`.
+    if let Some(plugin) = sim.plugin_any().downcast_ref::<StaticBubblePlugin>() {
+        println!("proto counters    : {}", plugin.counters().summary());
     }
     if let Some(replay) = &replay {
         bisect(sim.as_mut(), replay);

@@ -37,6 +37,16 @@ fn static_bubble_run_reports_stats() {
     assert!(out.contains("static bubbles: 21 routers"));
     assert!(out.contains("delivered packets"));
     assert!(out.contains("throughput"));
+    // The protocol counters ride along on every Static Bubble run, after
+    // the stats block, and on no other design's.
+    let counters = out.lines().find(|l| l.starts_with("proto counters    : "));
+    let counters = counters.unwrap_or_else(|| panic!("no counters line in:\n{out}"));
+    for field in ["latches=", "disfail=", "d_frozen=", "lower=", "other="] {
+        assert!(counters.contains(field), "{field} missing: {counters}");
+    }
+    let (out, ok) = sbsim(&["--design", "sp-tree", "--cycles", "500", "--warmup", "0"]);
+    assert!(ok);
+    assert!(!out.contains("proto counters"), "{out}");
 }
 
 #[test]
