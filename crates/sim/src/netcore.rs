@@ -199,9 +199,6 @@ pub(crate) struct Arch {
     pub(crate) last_movement: u64,
 }
 
-/// What the stepping loop keeps about the architectural tables so it need
-/// not re-read them: caches, indices and the pending-wake bookkeeping.
-/// Deliberately carries no serde derive (CI greps for one).
 /// A router's allocation words, aligned to share one cache line: what a
 /// put or a take updates and what a scan reads. Bits are rr indices
 /// `port * vcs + vc` over the router's mesh-port VCs.
@@ -221,6 +218,9 @@ pub(crate) struct RouterWords {
     pub(crate) pipe: u64,
 }
 
+/// What the stepping loop keeps about the architectural tables so it need
+/// not re-read them: caches, indices and the pending-wake bookkeeping.
+/// Deliberately carries no serde derive (CI greps for one).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Sched {
     /// Cached `cfg.vcs_per_port()`.
@@ -1498,7 +1498,8 @@ mod tests {
         let (vref, feeder) = slot_and_feeder(&core);
         let into_port = vref.port.opposite();
         let elsewhere = vref.port; // any output but `into_port`
-                                   // Whether a 5-flit take at `vref` schedules a wake at all.
+
+        // Whether a 5-flit take at `vref` schedules a wake at all.
         let woken = |core: &NetCore| {
             let mut core = core.clone();
             core.place_packet(vref, dummy_packet(1, 0), core.time());

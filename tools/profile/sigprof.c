@@ -8,9 +8,9 @@
  *   gcc -O2 -shared -fPIC -o libsigprof.so tools/profile/sigprof.c
  *   SIGPROF_OUT=samples.txt LD_PRELOAD=./libsigprof.so target/release/sbsim ...
  *
- * SIGPROF_HZ sets the requested rate (default 1000). The kernel delivers
- * the timer on its own tick, so the rate reached is at most its CONFIG_HZ
- * (about 250 samples a second on a 4 ms tick). Samples outside the
+ * The timer asks for a sample every millisecond; the kernel delivers it on
+ * its own tick, so the rate reached is at most its CONFIG_HZ (about 250
+ * samples a second on a 4 ms tick). Samples outside the
  * executable (libc, the vDSO) are counted, not recorded; the fold reports
  * their share. Linux, x86-64 only, and meant for single-threaded runs
  * (`sbsim`, `bench --workload W`): the handler keeps no lock, so two
@@ -67,12 +67,7 @@ __attribute__((constructor)) static void arm(void) {
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigemptyset(&sa.sa_mask);
     sigaction(SIGPROF, &sa, NULL);
-    const char *hz_env = getenv("SIGPROF_HZ");
-    long hz = hz_env ? atol(hz_env) : 1000;
-    if (hz < 1 || hz > 1000000) {
-        hz = 1000;
-    }
-    struct itimerval timer = {{0, 1000000 / hz}, {0, 1000000 / hz}};
+    struct itimerval timer = {{0, 1000}, {0, 1000}};
     setitimer(ITIMER_PROF, &timer, NULL);
 }
 
