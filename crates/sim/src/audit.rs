@@ -49,9 +49,9 @@ pub enum AuditClass {
     /// The change-driven kernel's wakeup invariant: quiescent-blocked
     /// routers have no grantable candidate.
     Wakeup,
-    /// Derived == recomputed: occupancy, request and pipeline words, cached
-    /// head bytes, the occupied-router set, the wheel occupancy word, a
-    /// plugin's indices.
+    /// Derived == recomputed: occupancy and request words, cached head
+    /// bytes, the occupied-router set, the wheel occupancy word, a plugin's
+    /// indices.
     Derived,
 }
 
@@ -355,11 +355,8 @@ pub(crate) fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
 /// Check the scheduler half of `core` against a fresh derivation from the
 /// architectural half (`NetCore::rebuild_sched`): occupancy and request
 /// words, the head bytes of occupied slots, the occupied-router set, and
-/// the wheel occupancy word against the slots it summarises. The pipeline
-/// word may still name occupants whose `ready_at` has passed, until the
-/// allocator next scans the router, so it is held to lie between its
-/// rebuild and the occupancy word. (A wheel entry carries
-/// no time of its own — its slot is its maturity, inside
+/// the wheel occupancy word against the slots it summarises. (A wheel
+/// entry carries no time of its own — its slot is its maturity, inside
 /// `[time, time + 64)` as long as no leap crosses one, which
 /// `NetCore::leap` asserts.)
 pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
@@ -389,15 +386,6 @@ pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
                 );
                 fail(Some(router), detail);
             }
-        }
-        let (pipe, waiting) = (words.pipe, derived.pipe);
-        if waiting & !pipe != 0 || pipe & !derived.occ != 0 {
-            let detail = format!(
-                "pipeline word {pipe:#x} does not lie between {waiting:#x} (occupants in the \
-                 hop pipeline) and {:#x} (occupied VCs)",
-                derived.occ
-            );
-            fail(Some(router), detail);
         }
         if core.arch.bub_occ[r].is_some() && have.bub_head[r] != want.bub_head[r] {
             let (have, want) = (have.bub_head[r], want.bub_head[r]);
@@ -476,16 +464,12 @@ mod tests {
         let h = core.arch.arena.insert(packet(2));
         core.bubble_put(NodeId(5), h, 2);
         type Seed = fn(&mut NetCore);
-        let rows: [(&str, Seed); 8] = [
+        let rows: [(&str, Seed); 6] = [
             ("occupancy word", |c| c.sched.words[9].occ = 0),
             ("request word", |c| {
                 let head = c.sched.vc_head[c.flat_vc(SLOT)] as usize;
                 c.sched.words[9].req[head] = 0;
             }),
-            // The occupant is switchable from cycle 2, so it is still in the
-            // hop pipeline; a word that names an empty VC is stale too.
-            ("pipeline word", |c| c.sched.words[9].pipe = 0),
-            ("pipeline word", |c| c.sched.words[10].pipe = 1),
             ("slot 0: cached head", |c| {
                 let flat = c.flat_vc(SLOT);
                 c.sched.vc_head[flat] ^= 1;

@@ -768,7 +768,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
         self.counters.scans += 1;
         let mut cand = [0u64; 5];
-        let next_ready = self.core.collect_candidates(router, &mut cand);
+        let next_ready = self.core.candidate_masks(router, &mut cand);
         if cand.iter().all(|&m| m == 0) && next_ready.is_none() {
             // Completely empty: cannot produce a candidate until some
             // mutation touches it again.
