@@ -1205,7 +1205,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             }
         }
         self.core.stats_mut().movements += 1;
-        self.core.arch.last_movement = t;
         freed_bubble
     }
 }

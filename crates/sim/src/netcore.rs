@@ -193,8 +193,6 @@ pub(crate) struct Arch {
     /// Packets delivered per destination router (measurement window).
     pub(crate) delivered_per_node: Vec<u64>,
     pub(crate) next_pkt: u64,
-    /// Cycle of the most recent packet movement anywhere in the network.
-    pub(crate) last_movement: u64,
 }
 
 /// A router's allocation words, aligned to share one cache line: what a
@@ -329,7 +327,6 @@ impl NetCore {
             stats: Stats::new(),
             delivered_per_node: vec![0; n],
             next_pkt: 0,
-            last_movement: 0,
         };
         NetCore::from_arch(arch)
     }
@@ -587,11 +584,6 @@ impl NetCore {
         }
         let sq_sum: f64 = values.iter().map(|v| v * v).sum();
         Some(sum * sum / (values.len() as f64 * sq_sum))
-    }
-
-    /// Cycle of the most recent packet movement.
-    pub fn last_movement(&self) -> u64 {
-        self.arch.last_movement
     }
 
     // ------------------------------------------------------------------
