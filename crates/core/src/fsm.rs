@@ -19,11 +19,11 @@
 
 use sb_sim::PacketId;
 use sb_topology::{Direction, NodeId, Turn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A pointer to the VC the detection counter is watching: input port + flat
 /// VC index + the packet id that was resident when we started counting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct VcPointer {
     /// Input port.
     pub port: Direction,
@@ -34,7 +34,7 @@ pub struct VcPointer {
 }
 
 /// FSM state (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FsmState {
     /// Counter off, router idle.
     SOff,
@@ -104,7 +104,7 @@ impl FsmState {
 
 /// An FSM transition outside the Fig. 5 edge set, recorded by
 /// `SbFsm::goto` at transition time and drained by the runtime auditor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct IllegalTransition {
     /// The state the FSM left.
     pub from: FsmState,
@@ -113,7 +113,7 @@ pub struct IllegalTransition {
 }
 
 /// The per-router FSM + counter + turn buffer + recovery-local registers.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SbFsm {
     /// This static-bubble router.
     pub node: NodeId,
@@ -154,7 +154,8 @@ pub struct SbFsm {
     /// between them then recurs at the same cycle of every retry round,
     /// forever. A node-unique additive term makes every pair of periods
     /// distinct, so collision phases drift and a clean probe round
-    /// eventually arrives (the pinned pipeline wedge; DESIGN.md §12).
+    /// eventually arrives (the pinned pipeline wedge;
+    /// `crates/fleet/tests/wedge_seed.rs`).
     pub retry_stagger: u64,
     /// Illegal transitions recorded by `SbFsm::goto`, awaiting drain by
     /// the runtime auditor ([`SbFsm::take_illegal`]). Recording at

@@ -8,7 +8,7 @@
 //! *strip* the front turn at each hop.
 
 use sb_topology::{Direction, NodeId, Turn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Maximum turns a special message can carry: with 128-bit links, 3 bits of
 /// message type and 6 bits of sender id, 59 two-bit turns fit (Section IV-B,
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const TURN_CAPACITY: usize = 59;
 
 /// The kind of a special message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MsgKind {
     /// Trace a suspected dependence chain (forked at every router).
     Probe,
@@ -51,7 +51,7 @@ impl MsgKind {
 }
 
 /// A special message in flight or being processed.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SpecialMsg {
     /// Message type.
     pub kind: MsgKind,
@@ -126,7 +126,7 @@ impl SpecialMsg {
 
 /// A special message travelling a link: arrives at `to` on input port
 /// `in_port` at cycle `arrive_at`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub(crate) struct InFlightMsg {
     /// The message.
     pub msg: SpecialMsg,

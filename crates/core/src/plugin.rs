@@ -16,7 +16,7 @@ use crate::protocol::{Occupant, ProtState, RouterView, SbOptions};
 use crate::trace::{MsgRecord, ProtoCounters, ProtoEvent, Recorder};
 use sb_sim::{AuditClass, InputRef, NetCore, OutPort, Plugin, SlotRef, VcRef, Violation};
 use sb_topology::{Direction, Mesh, NodeId, NodeSet, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The kernel's window onto one router of the live network.
 struct CoreView<'c>(&'c NetCore, NodeId);
@@ -60,8 +60,8 @@ pub struct StaticBubblePlugin {
     /// The routers that hold an FSM. Derived from `fsms` like `slot_of`.
     placement: NodeSet,
     /// The routers whose FSM is not in `SOff` — at least those: refreshed
-    /// after every [`protocol::step`] at a router ([`Self::step`]), rebuilt
-    /// on restore, and a stale member costs one re-test.
+    /// after every [`protocol::step`] at a router ([`Self::step`]), and a
+    /// stale member costs one re-test.
     armed: NodeSet,
     /// The FSMs the live walks loaded, in order (the pin that an idle one
     /// is not).
@@ -84,9 +84,8 @@ pub struct StaticBubblePlugin {
     trace: Recorder,
     /// The routers whose `prot` entry has `is_deadlock` set, in no
     /// particular order: what the TTL sweep and [`Plugin::next_timer`]
-    /// visit instead of every router. Derived from `prot` (rebuilt on
-    /// restore, cross-checked by the audit), maintained by
-    /// [`Self::set_restriction`].
+    /// visit instead of every router. Derived from `prot` (cross-checked by
+    /// the audit), maintained by [`Self::set_restriction`].
     frozen: Vec<NodeId>,
     /// Per-tick scratch, kept for its capacity: the kernel's output, one
     /// router's transit messages.
@@ -602,7 +601,7 @@ impl Plugin for StaticBubblePlugin {
 
     fn audit_check(&mut self, core: &NetCore, out: &mut Vec<Violation>) {
         // Derived == recomputed: each index against the function that
-        // rebuilds it on restore. `armed` may hold more than it must.
+        // builds it. `armed` may hold more than it must.
         let n = self.prot.len();
         let (placement, armed) = live_sets(n, &self.fsms);
         let mut frozen = self.frozen.clone();
@@ -726,35 +725,6 @@ impl Plugin for StaticBubblePlugin {
         .map_err(|e| e.0)
     }
 
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let state: SbState = sb_sim::json::from_json_str(blob).map_err(|e| e.0)?;
-        if state.prot.len() != self.prot.len() {
-            return Err(format!(
-                "snapshot of a {}-router mesh restored into a {}-router plugin",
-                state.prot.len(),
-                self.prot.len()
-            ));
-        }
-        (self.fsms, self.slot_of) = fsm_table(state.prot.len(), state.fsms)?;
-        (self.placement, self.armed) = live_sets(state.prot.len(), &self.fsms);
-        self.prot = state.prot;
-        self.frozen = frozen_index(&self.prot);
-        self.in_flight = state.in_flight;
-        self.tdd = state.tdd;
-        self.restriction_ttl = state.restriction_ttl;
-        self.opts = state.opts;
-        self.last_tick = state.last_tick;
-        self.actions.tracing = state.trace_on;
-        self.trace = Recorder {
-            counters: state.counters,
-            recent: state.recent.into(),
-            trace_on: state.trace_on,
-            events: state.events.into(),
-            events_lost: state.events_lost,
-        };
-        Ok(())
-    }
-
     fn forensic_lines(&self, _core: &NetCore) -> Vec<String> {
         (self.trace).forensic_lines(self.fsms.iter(), &self.prot, &self.in_flight)
     }
@@ -763,7 +733,7 @@ impl Plugin for StaticBubblePlugin {
 /// Snapshot blob of the plugin's complete mutable state
 /// ([`sb_sim::Plugin::snapshot_state`]). The FSMs travel as the plain
 /// vector they are kept in (each [`SbFsm`] carries its node id).
-#[derive(Serialize, Deserialize)]
+#[derive(Serialize)]
 struct SbState {
     fsms: Vec<SbFsm>,
     prot: Vec<ProtState>,
@@ -911,28 +881,6 @@ mod tests {
         assert_eq!(run(&shuffled), run(&ascending));
     }
 
-    #[test]
-    fn restore_rebuilds_the_slot_index() {
-        let mesh = Mesh::new(4, 4);
-        let opts = SbOptions::default();
-        let mut saved =
-            StaticBubblePlugin::with_bubble_nodes(mesh, 8, opts, &[NodeId(10), NodeId(5)]);
-        saved.fsm_mut(NodeId(10)).unwrap().count = 7;
-        let blob = saved.snapshot_state().unwrap();
-        let mut other = StaticBubblePlugin::with_bubble_nodes(mesh, 8, opts, &[NodeId(6)]);
-        other.restore_state(&blob).unwrap();
-        assert_eq!(other.fsm(NodeId(10)).map(|fsm| fsm.count), Some(7));
-        assert_eq!(other.fsm(NodeId(5)).map(|fsm| fsm.node), Some(NodeId(5)));
-        assert!(other.fsm(NodeId(6)).is_none());
-        assert_eq!(other.snapshot_state().unwrap(), blob);
-        let mut smaller = StaticBubblePlugin::new(&Topology::full(Mesh::new(3, 3)), 8);
-        let err = smaller.restore_state(&blob).unwrap_err();
-        assert!(
-            err.contains("16-router mesh restored into a 9-router"),
-            "{err}"
-        );
-    }
-
     /// The walk over the whole FSM table the live walks replaced, kept as
     /// their oracle: the routers it would hand a tick, in its order.
     fn table_walk(plugin: &StaticBubblePlugin, core: &NetCore) -> Vec<NodeId> {
@@ -964,9 +912,9 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(6))]
 
-        /// Through recoveries, hand-placed and hand-removed packets and a
-        /// restore, the timer query and the tick dispatch visit exactly
-        /// what a walk over the whole table would, in its order.
+        /// Through recoveries and hand-placed and hand-removed packets, the
+        /// timer query and the tick dispatch visit exactly what a walk over
+        /// the whole table would, in its order.
         fn the_live_walks_are_the_table_walk(seed in 0u64..1_000) {
             use rand::{Rng, SeedableRng};
             let mesh = Mesh::new(8, 8);
@@ -996,16 +944,6 @@ mod tests {
                 sim.plugin().next_timer(sim.core());
                 let (plugin, core) = (sim.plugin(), sim.core());
                 proptest::prop_assert_eq!(live_walk(plugin, core), table_walk(plugin, core));
-
-                // The same through a restore, which rebuilds the live sets,
-                // and through the tick's own walk (a zero gap counts nothing).
-                let snap = sim.snapshot().expect("snapshot");
-                let mut core = snap.core;
-                let mut plugin = StaticBubblePlugin::new(&topo, 10);
-                plugin.restore_state(&snap.plugin).expect("restore");
-                plugin.run_fsms(&mut core, Event::Gap(0));
-                proptest::prop_assert_eq!(live_walk(&plugin, &core), table_walk(&plugin, &core));
-                proptest::prop_assert_eq!(plugin.snapshot_state().expect("blob"), snap.plugin);
             }
             // (Four of the six cases also recover a deadlock on the way.)
             proptest::prop_assert!(sim.core().stats().probes_sent > 0, "FSMs must leave SOff");

@@ -29,11 +29,11 @@ use crate::msg::{MsgKind, SpecialMsg, TURN_CAPACITY};
 use crate::trace::ProtoEvent;
 use sb_sim::{OutPort, PacketId};
 use sb_topology::{Direction, NodeId, Turn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-router protocol registers present in **every** router (SB or not):
 /// the `is_deadlock` bit, the IO-priority buffer and the source-id buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct ProtState {
     /// Injection into `io.1` is restricted to input `io.0` while set.
     pub is_deadlock: bool,
@@ -49,7 +49,7 @@ pub struct ProtState {
 }
 
 /// Ablation switches for the design choices called out in `DESIGN.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct SbOptions {
     /// Fork probes toward every wanted output (paper's design). When off,
     /// a probe is forwarded only if all VCs at the input port agree on one
@@ -72,7 +72,7 @@ pub struct SbOptions {
     /// [`SbFsm::retry_stagger`]). When off, routers whose ids fall in the
     /// same base-stagger class back off onto bit-identical periods and
     /// mid-walk probe collisions phase-lock — the root cause of the pinned
-    /// pipeline wedge (seeds 2 and 5); see `DESIGN.md` §12.
+    /// pipeline wedge (seeds 2 and 5); see `crates/fleet/tests/wedge_seed.rs`.
     pub probe_desync: bool,
 }
 
@@ -88,7 +88,7 @@ impl Default for SbOptions {
 }
 
 /// Why a special message was discarded instead of forwarded or processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum DropReason {
     /// Probe from a lower-id sender at an SB node whose bubble is usable
     /// (the higher-id node owns any cycle through both).

@@ -8,7 +8,7 @@ use crate::fsm::{FsmState, SbFsm};
 use crate::msg::{InFlightMsg, MsgKind};
 use crate::protocol::{DropReason, ProtState, Stat};
 use sb_topology::{Direction, NodeId};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Capacity of the recent special-message ring kept for forensics.
@@ -21,7 +21,7 @@ const TRACE_EVENT_CAP: usize = 1 << 16;
 
 /// One transmission in the recent special-message ring (forensics only; no
 /// protocol behaviour depends on it).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct MsgRecord {
     pub(crate) time: u64,
     pub(crate) from: NodeId,
@@ -39,7 +39,7 @@ pub(crate) struct MsgRecord {
 /// process-global `DBG_*` atomics and `eprintln!` tracing: events are
 /// per-plugin (parallel fleets don't interleave), capturable in tests, and
 /// free when disabled (one branch per would-be event).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub enum ProtoEvent {
     /// A transit message won its output port and was forwarded (probes:
     /// one event per fork copy).
@@ -239,7 +239,7 @@ impl ProtoEvent {
 /// `DBG_*` atomics; see the `overload_monitor` example). Plain adds on the
 /// plugin — maintained whether or not event tracing is on, and captured by
 /// snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ProtoCounters {
     /// Probes that arrived back at their sender.
     pub probe_returns: u64,

@@ -1,7 +1,7 @@
 //! Source routes: the hop-by-hop port sequence a packet carries.
 
 use sb_topology::{Direction, NodeId, Topology, Turn};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A source route: the sequence of output directions from the source router
@@ -18,7 +18,7 @@ use std::fmt;
 /// assert_eq!(route.hops(), 2);
 /// assert_eq!(route.trace(&topo, mesh.node_at(0, 0)), Some(mesh.node_at(1, 1)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Default)]
 pub struct Route {
     hops: Vec<Direction>,
 }

@@ -52,11 +52,9 @@ pub trait SimRunner {
     /// Take the most recent forensics report (audit failure or detected
     /// deadlock), leaving `None` behind.
     fn take_forensics(&mut self) -> Option<ForensicsReport>;
-    /// Capture a snapshot of the full engine state. See
+    /// Dump the full engine state (write-only). See
     /// [`sb_sim::EngineSnapshot`].
     fn snapshot(&self) -> Result<EngineSnapshot, String>;
-    /// Rewind the simulation to a previously captured snapshot.
-    fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), String>;
     /// Toggle per-event protocol tracing on the deadlock plugin (see
     /// [`sb_sim::Plugin::set_tracing`]). Free when off; plugins without
     /// tracing ignore it.
@@ -138,10 +136,6 @@ impl<P: Plugin + 'static, T: TrafficSource + 'static> SimRunner for Runner<P, T>
 
     fn snapshot(&self) -> Result<EngineSnapshot, String> {
         self.0.snapshot()
-    }
-
-    fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), String> {
-        self.0.restore(snap)
     }
 
     fn set_tracing(&mut self, enable: bool) {

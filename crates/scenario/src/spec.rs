@@ -138,7 +138,7 @@ pub struct Scenario {
     /// Probe-retry desynchronization ablation switch (on: backed-off
     /// retry periods carry a node-unique term; off reproduces the
     /// phase-locked probe collisions that wedge the pinned pipeline
-    /// seeds — see `DESIGN.md` §12).
+    /// seeds — see `crates/fleet/tests/wedge_seed.rs`).
     pub sb_probe_desync: bool,
     /// Warmup cycles before the measurement window.
     pub warmup: u64,

@@ -24,7 +24,7 @@
 //! every audited cycle.)
 
 use crate::packet::Packet;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Bits of a [`PacketHandle`] used for the slot index (the rest hold the
 /// generation). 16.7M concurrently-live packets bounds any reachable
@@ -35,7 +35,7 @@ const INDEX_MASK: u32 = (1 << INDEX_BITS) - 1;
 
 /// A 4-byte generational reference to a packet in a `PacketArena`:
 /// 24 bits of slot index, 8 bits of generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PacketHandle(u32);
 
 impl PacketHandle {
@@ -79,9 +79,8 @@ impl Default for PacketHandle {
 /// Slab storage for every live [`Packet`], addressed by [`PacketHandle`].
 ///
 /// Serializes losslessly — slots, generations and the free list all travel
-/// — so handles captured in an [`crate::EngineSnapshot`] stay valid after
-/// a restore.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// — so an [`crate::EngineSnapshot`] names every handle the tables hold.
+#[derive(Debug, Clone, Default, Serialize)]
 pub(crate) struct PacketArena {
     slots: Vec<Option<Packet>>,
     gens: Vec<u8>,

@@ -24,9 +24,8 @@ pub(crate) const HOP_LATENCY: u64 = 2;
 /// plain monotonic counts, so — unlike a cycles-per-second reading on a
 /// shared box — they repeat exactly and their per-grant ratios are
 /// machine-independent. Owned by [`Simulator`], not [`NetCore`]: never
-/// serialized, not part of [`crate::Stats`], digests or content keys, and
-/// not rewound by [`Simulator::restore`]. When ROADMAP item 6's `Observer`
-/// lands these move behind it.
+/// serialized, not part of [`crate::Stats`], digests or content keys. When
+/// ROADMAP item 6's `Observer` lands these move behind it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCounters {
     /// Alive routers the allocator scanned.
@@ -137,7 +136,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.last_forensics.take()
     }
 
-    /// Capture an [`EngineSnapshot`] of the current architectural state.
+    /// Dump the current architectural state as an [`EngineSnapshot`]
+    /// (write-only: nothing reads one back into an engine).
     ///
     /// # Errors
     ///
@@ -152,47 +152,6 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             plugin: self.plugin.snapshot_state()?,
             traffic: self.traffic.snapshot_state()?,
         })
-    }
-
-    /// Restore a snapshot into this simulator, which must have been built
-    /// from the **same scenario** (same topology, config, planner, plugin
-    /// and traffic constructor arguments). The architectural state is
-    /// replaced wholesale and the scheduler state re-derived from it
-    /// (`NetCore::rebuild_sched`) on every path, so everything observable
-    /// about the following cycles is identical to the run the snapshot was
-    /// captured from (see `crate::snapshot` module docs). How the run is
-    /// driven — scan mode, audit cadence — stays this simulator's.
-    ///
-    /// # Errors
-    ///
-    /// Fails on a config/mesh mismatch or if the plugin/traffic blobs do
-    /// not restore; the simulator is then exactly as it was.
-    pub fn restore(&mut self, snap: &EngineSnapshot) -> Result<(), String> {
-        if snap.core.config() != self.core.config() {
-            return Err("snapshot config differs from this simulator's".to_string());
-        }
-        if snap.core.topology().mesh() != self.core.topology().mesh() {
-            return Err("snapshot mesh differs from this simulator's".to_string());
-        }
-        let plugin_was = self.plugin.snapshot_state()?;
-        let traffic_was = self.traffic.snapshot_state()?;
-        if let Err(e) = self.restore_blobs(&snap.plugin, &snap.traffic) {
-            // Whichever of the two took the snapshot's blob gets its own back.
-            (self.restore_blobs(&plugin_was, &traffic_was))
-                .expect("a blob written a moment ago restores");
-            return Err(e);
-        }
-        self.core = snap.core.clone();
-        self.core.sched = self.core.rebuild_sched();
-        self.rng = StdRng::from_state(snap.rng);
-        self.injection_halted = snap.injection_halted;
-        self.last_forensics = None;
-        Ok(())
-    }
-
-    fn restore_blobs(&mut self, plugin: &str, traffic: &str) -> Result<(), String> {
-        (self.plugin.restore_state(plugin)).map_err(|e| format!("plugin restore: {e}"))?;
-        (self.traffic.restore_state(traffic)).map_err(|e| format!("traffic restore: {e}"))
     }
 
     fn collect_violations(&mut self) -> Vec<Violation> {

@@ -37,8 +37,8 @@ pub struct EscapeVcPlugin {
     tracked: usize,
     /// Per-router mask of the `Some` entries in `stalls`, in the bit layout
     /// of [`NetCore::occupancy_mask`]: with the occupancy word it names
-    /// every slot the stall sweep has to visit. Derived from `stalls`
-    /// (rebuilt on restore, never serialized).
+    /// every slot the stall sweep has to visit. Derived from `stalls`,
+    /// never serialized.
     stall_mask: Vec<u64>,
     escapes: u64,
     /// Cycle of the last `after_cycle` call. Stall counters advance by the
@@ -223,29 +223,11 @@ impl Plugin for EscapeVcPlugin {
         })
         .map_err(|e| e.0)
     }
-
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let state: EscapeState = crate::json::from_json_str(blob).map_err(|e| e.0)?;
-        self.stalls = state.stalls;
-        self.tracked = state.tracked;
-        let per_router = self.stalls.len() / self.stall_mask.len().max(1);
-        for (r, mask) in self.stall_mask.iter_mut().enumerate() {
-            let slots = self.stalls.iter().skip(r * per_router).take(per_router);
-            *mask = (slots.enumerate())
-                .filter(|(_, stall)| stall.is_some())
-                .fold(0, |mask, (slot, _)| mask | 1 << slot);
-        }
-        self.escapes = state.escapes;
-        self.last_tick = state.last_tick;
-        self.rng = rand::rngs::StdRng::from_state(state.rng);
-        Ok(())
-    }
 }
 
 /// Snapshot blob of the escape plugin's mutable state. The up*/down*
-/// spanning tree is a pure function of the topology and is rebuilt by the
-/// constructor on restore.
-#[derive(serde::Serialize, serde::Deserialize)]
+/// spanning tree is a pure function of the topology and is not in it.
+#[derive(serde::Serialize)]
 struct EscapeState {
     stalls: Vec<Option<(PacketId, u64)>>,
     tracked: usize,

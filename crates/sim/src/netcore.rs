@@ -42,7 +42,7 @@ use crate::stats::{Stats, MAX_VNETS};
 use crate::vc::VcRef;
 use sb_routing::Route;
 use sb_topology::{Direction, NodeId, NodeSet, Topology, DIRECTIONS};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 
 /// Index of the ejection "link" in per-output busy arrays.
@@ -91,7 +91,7 @@ pub(crate) struct Resident {
 /// the descriptor reaches the head of its queue — under saturation a
 /// source queues far more packets than it ever injects, and the deferred
 /// work dominates the per-offer cost.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct QueuedPacket {
     /// Packet id, assigned in offer order at the NI.
     pub(crate) id: PacketId,
@@ -114,7 +114,7 @@ pub(crate) struct QueuedPacket {
 /// materialized — routed, arena-resident, and competing for the crossbar;
 /// the tail holds [`QueuedPacket`] descriptors in offer order. Invariant:
 /// a non-empty tail implies a materialized head.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct InjectQueue {
     /// Arena handle of the head packet (`NONE` = queue empty).
     pub(crate) head: PacketHandle,
@@ -148,8 +148,9 @@ impl InjectQueue {
 /// The **architectural** half, `arch`, is what a chip would hold and is all
 /// that reaches the wire: its field list is the one list of what a snapshot
 /// holds of the network. The **scheduler** half, `sched`, is a function of
-/// it and is re-derived by `NetCore::rebuild_sched` on every restore, so an
-/// index added there cannot change the snapshot format.
+/// it (`NetCore::rebuild_sched` derives it, for construction and for the
+/// auditor to compare against), so an index added there cannot change the
+/// snapshot format.
 #[derive(Debug, Clone)]
 pub struct NetCore {
     pub(crate) arch: Arch,
@@ -157,7 +158,7 @@ pub struct NetCore {
 }
 
 /// The architectural half of [`NetCore`], and its wire form.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub(crate) struct Arch {
     pub(crate) topo: Topology,
     pub(crate) cfg: SimConfig,
@@ -260,35 +261,6 @@ impl Serialize for NetCore {
     }
 }
 
-impl Deserialize for NetCore {
-    fn from_value(value: serde::Value) -> Result<Self, serde::Error> {
-        let arch = Arch::from_value(value)?;
-        arch.cfg.check().map_err(serde::Error)?;
-        let n = arch.topo.mesh().node_count();
-        let vcs = arch.cfg.vcs_per_port();
-        // (length, entries per router) of every table indexed by router.
-        let tables = [
-            (arch.vc_occ.len(), 4 * vcs),
-            (arch.vc_ready.len(), 4 * vcs),
-            (arch.vc_drain.len(), 4 * vcs),
-            (arch.out_busy.len(), 5),
-            (arch.rr.len(), 5),
-            (arch.bub_exists.len(), 1),
-            (arch.bub_attach.len(), 1),
-            (arch.bub_occ.len(), 1),
-            (arch.bub_ready.len(), 1),
-            (arch.bub_drain.len(), 1),
-            (arch.inject.len(), arch.cfg.vnets as usize),
-            (arch.delivered_per_node.len(), 1),
-        ];
-        if tables.iter().any(|&(len, each)| len != n * each) {
-            let misfit = format!("network tables do not fit a {n}-router mesh, {vcs} VCs a port");
-            return Err(serde::Error(misfit));
-        }
-        Ok(NetCore::from_arch(arch))
-    }
-}
-
 impl NetCore {
     /// Build the network over `topo`, creating a static-bubble buffer at
     /// each router in `bubble_routers` (empty for the baselines).
@@ -328,19 +300,17 @@ impl NetCore {
             delivered_per_node: vec![0; n],
             next_pkt: 0,
         };
-        NetCore::from_arch(arch)
-    }
-
-    fn from_arch(arch: Arch) -> Self {
-        let sched = Sched::default();
-        let mut core = NetCore { arch, sched };
+        let mut core = NetCore {
+            arch,
+            sched: Sched::default(),
+        };
         core.sched = core.rebuild_sched();
         core
     }
 
     /// The scheduler half the architectural half implies — the one function
-    /// that builds a [`Sched`], at construction, on every restore and for
-    /// the auditor to compare against: occupancy and request words and head
+    /// that builds a [`Sched`], at construction and for the auditor to
+    /// compare against: occupancy and request words and head
     /// bytes from the occupant tables, the wheel empty, every router in the
     /// scan set (the allocator prunes the idle ones on its first pass). What
     /// [`NetCore::wake_all`] does when wake bookkeeping is invalidated, and

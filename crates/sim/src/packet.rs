@@ -12,7 +12,7 @@ pub struct PacketId(pub u64);
 
 /// Which buffer class a packet may occupy — interpreted by the attached
 /// deadlock-handling plugin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum PacketMode {
     /// Ordinary packet: regular VCs, its stamped (possibly deadlock-prone)
     /// route.
@@ -24,7 +24,7 @@ pub enum PacketMode {
 }
 
 /// A request to inject a packet, produced by traffic sources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct NewPacket {
     /// Source router.
     pub src: NodeId,
@@ -41,7 +41,7 @@ pub struct NewPacket {
 /// Carries its full source route and the index of the next hop to take;
 /// `desired_hop` is `None` once the packet has arrived at its destination
 /// router and wants ejection.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Packet {
     /// Unique id.
     pub id: PacketId,

@@ -86,8 +86,7 @@ pub enum SlotRef {
 /// state or every VC** — on a 16×16 mesh at low load such a sweep, not the
 /// traffic, was most of the tick. A quiet tick (nothing occupied, nothing
 /// tracked) allocates nothing. An index a plugin keeps for this purpose is
-/// derived state: rebuild it in [`Plugin::restore_state`], do not
-/// serialize it.
+/// derived state: keep it out of [`Plugin::snapshot_state`].
 pub trait Plugin {
     /// The routers that carry a static-bubble buffer. [`crate::Simulator::new`]
     /// asks once and builds exactly these buffers, so the plugin that drives
@@ -191,19 +190,10 @@ pub trait Plugin {
     }
 
     /// Serialize the plugin's complete mutable state as a JSON blob for an
-    /// [`crate::EngineSnapshot`]. The contract: restoring this blob into a
-    /// freshly built plugin (same constructor arguments) via
-    /// [`Plugin::restore_state`] must resume bit-identically to never
-    /// having snapshotted at all. The default suits stateless plugins.
+    /// [`crate::EngineSnapshot`], the write-only dump two runs are compared
+    /// by. The default suits stateless plugins.
     fn snapshot_state(&self) -> Result<String, String> {
         Ok("null".to_string())
-    }
-
-    /// Restore state captured by [`Plugin::snapshot_state`] into `self`
-    /// (freshly constructed for the same scenario).
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let _ = blob;
-        Ok(())
     }
 
     /// Drain accumulated protocol trace events as human-readable lines

@@ -1,5 +1,4 @@
-//! Engine snapshots for checkpoint / resume / deadlock bisection (system
-//! **S13**, see `DESIGN.md` §12).
+//! A write-only dump of an engine's state (`DESIGN.md` §12).
 //!
 //! An [`EngineSnapshot`] holds the **architectural** state that determines
 //! the future of a simulation — what the network holds: the serialised half
@@ -8,29 +7,23 @@
 //! the shared engine RNG, the injection tap, and the plugin's and traffic
 //! source's own state as opaque JSON blobs (via
 //! [`crate::Plugin::snapshot_state`] /
-//! [`crate::traffic::TrafficSource::snapshot_state`]). It does not hold
+//! [`crate::traffic::TrafficSource::snapshot_state`]). It holds no
 //! scheduler state (occupancy words, cached head bytes, worklist, time
-//! wheel: [`crate::Simulator::restore`] re-derives them from the tables) or
-//! how the run is driven (scan mode, audit cadence: the restoring simulator
-//! keeps its own).
+//! wheel) and nothing of how the run is driven (scan mode, audit cadence).
 //!
-//! The determinism contract: build a fresh simulator from the same
-//! scenario, [`crate::Simulator::restore`] the snapshot into it, and
-//! everything observable about every subsequent cycle — Stats,
-//! ForensicsReports, RNG draws, the bytes of any later snapshot — is
-//! identical to the run that never stopped. The topology travels inside
-//! the serialized `NetCore`; the route *planner* is not captured and must
-//! be reconstructed deterministically from the same scenario spec, so a
-//! snapshot taken after a mid-run `reconfigure` must be restored into a
-//! simulator built with the post-reconfiguration planner.
+//! Nothing reads a snapshot back into an engine: the one way to get state
+//! into a simulator is to build it and run it. The dump exists so that two
+//! runs can be compared by their end state: runs of one scenario that were
+//! driven differently (scan mode, chunking, audit cadence, tracing) must
+//! end in the same bytes (`tests/contracts.rs`).
 
 use crate::netcore::NetCore;
 use crate::value::SpecError;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
-/// A serializable engine checkpoint. See the module docs for what it holds
-/// and for the resume contract.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A serializable dump of an engine's state. See the module docs for what
+/// it holds.
+#[derive(Debug, Clone, Serialize)]
 pub struct EngineSnapshot {
     /// Cycle the snapshot was taken at (redundant with `core`'s clock,
     /// kept explicit for humans reading the JSON).
@@ -52,18 +45,5 @@ impl EngineSnapshot {
     /// Serialize as pretty JSON.
     pub fn to_json(&self) -> Result<String, SpecError> {
         crate::json::to_json_string(self)
-    }
-
-    /// Parse from JSON text.
-    pub fn from_json(text: &str) -> Result<Self, SpecError> {
-        crate::json::from_json_str(text)
-    }
-
-    /// Load from a JSON file.
-    pub fn load(path: impl AsRef<std::path::Path>) -> Result<Self, SpecError> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| SpecError(format!("read {}: {e}", path.display())))?;
-        Self::from_json(&text).map_err(|e| SpecError(format!("parse {}: {e}", path.display())))
     }
 }

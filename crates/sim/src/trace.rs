@@ -5,10 +5,10 @@
 use crate::packet::{NewPacket, Packet};
 use crate::traffic::TrafficSource;
 use sb_topology::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One recorded event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub(crate) enum TraceEvent {
     /// A packet was offered to the network.
     Offered {
@@ -139,17 +139,11 @@ impl<T: TrafficSource> TrafficSource for Traced<T> {
         })
         .map_err(|e| e.0)
     }
-
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let state: TracedState = crate::json::from_json_str(blob).map_err(|e| e.0)?;
-        self.events = state.events;
-        self.inner.restore_state(&state.inner)
-    }
 }
 
 /// Snapshot blob of a [`Traced`] decorator: the recorded events plus the
 /// wrapped source's own blob, nested as an opaque string.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct TracedState {
     events: Vec<TraceEvent>,
     inner: String,

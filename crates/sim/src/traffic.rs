@@ -20,7 +20,7 @@ use crate::packet::{NewPacket, Packet};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use sb_topology::{NodeId, Topology};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Produces injection requests each cycle and observes deliveries (for
 /// closed-loop workloads).
@@ -71,19 +71,11 @@ pub trait TrafficSource {
     fn on_topology_change(&mut self) {}
 
     /// Serialize the source's complete mutable state as a JSON blob for an
-    /// [`crate::EngineSnapshot`]. Restoring it into a freshly built source
-    /// (same constructor arguments) via [`TrafficSource::restore_state`]
-    /// must resume bit-identically. The default suits stateless sources;
-    /// sources with private RNG streams or cursors must override both.
+    /// [`crate::EngineSnapshot`], the write-only dump two runs are compared
+    /// by. The default suits stateless sources; sources with private RNG
+    /// streams or cursors override it.
     fn snapshot_state(&self) -> Result<String, String> {
         Ok("null".to_string())
-    }
-
-    /// Restore state captured by [`TrafficSource::snapshot_state`] into
-    /// `self` (freshly constructed for the same scenario).
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let _ = blob;
-        Ok(())
     }
 }
 
@@ -228,7 +220,7 @@ impl GeomState {
 
 /// Serializable mirror of a [`Sampler`] for [`crate::EngineSnapshot`]
 /// blobs: RNG streams travel as raw xoshiro words.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 struct SamplerState {
     geometric: bool,
     streams: Vec<[u64; 4]>,
@@ -252,17 +244,6 @@ impl Sampler {
                 next_min: st.next_min,
             },
         }
-    }
-
-    fn restore(state: SamplerState) -> Self {
-        if !state.geometric {
-            return Sampler::Bernoulli;
-        }
-        Sampler::Geometric(GeomState {
-            streams: state.streams.into_iter().map(StdRng::from_state).collect(),
-            next: state.next,
-            next_min: state.next_min,
-        })
     }
 }
 
@@ -333,8 +314,8 @@ pub struct Synthetic<P> {
     /// The alive nodes, memoized: rebuilding them is a full node walk, which
     /// every `generate` call would otherwise pay. `None` after
     /// [`TrafficSource::on_topology_change`] — liveness only changes through
-    /// engine reconfiguration, which emits that hook — and after a restore:
-    /// a function of the topology, it is not part of a snapshot.
+    /// engine reconfiguration, which emits that hook. A function of the
+    /// topology, it is not part of a snapshot.
     nodes: Option<Nodes>,
 }
 
@@ -495,13 +476,6 @@ impl<P: Pattern> TrafficSource for Synthetic<P> {
     fn snapshot_state(&self) -> Result<String, String> {
         crate::json::to_json_string(&self.sampler.snapshot()).map_err(|e| e.0)
     }
-
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let state: SamplerState = crate::json::from_json_str(blob).map_err(|e| e.0)?;
-        self.sampler = Sampler::restore(state);
-        self.nodes = None;
-        Ok(())
-    }
 }
 
 /// Uniform-random destinations: any alive node but the source.
@@ -636,19 +610,6 @@ impl TrafficSource for ScriptedTraffic {
     fn snapshot_state(&self) -> Result<String, String> {
         // The event list is constructor input; only the cursor is state.
         crate::json::to_json_string(&self.cursor).map_err(|e| e.0)
-    }
-
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        self.cursor = crate::json::from_json_str(blob).map_err(|e| e.0)?;
-        if self.cursor > self.events.len() {
-            return Err(format!(
-                "scripted cursor {} beyond {} events — snapshot from a \
-                 different script?",
-                self.cursor,
-                self.events.len()
-            ));
-        }
-        Ok(())
     }
 }
 

@@ -201,8 +201,8 @@ pub struct AppTraffic {
 }
 
 /// What a run changes in an [`AppTraffic`], and so what a snapshot of one
-/// carries; the rest is rebuilt from the constructor arguments.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// carries; the rest is constructor input.
+#[derive(Debug, Clone, Serialize)]
 struct AppState {
     /// Requests awaiting their reply, per core, indexed by node id over the
     /// whole mesh.
@@ -357,19 +357,6 @@ impl TrafficSource for AppTraffic {
 
     fn snapshot_state(&self) -> Result<String, String> {
         sb_sim::json::to_json_string(&self.state).map_err(|e| e.0)
-    }
-
-    fn restore_state(&mut self, blob: &str) -> Result<(), String> {
-        let state: AppState = sb_sim::json::from_json_str(blob).map_err(|e| e.0)?;
-        if state.outstanding.len() != self.is_mc.len() {
-            return Err(format!(
-                "application state of a {}-router mesh restored into a {}-router one",
-                state.outstanding.len(),
-                self.is_mc.len()
-            ));
-        }
-        self.state = state;
-        Ok(())
     }
 }
 

@@ -22,7 +22,7 @@ use static_bubble_repro::core::StaticBubblePlugin;
 use static_bubble_repro::scenario::{
     ClockMode, Design, FaultSpec, Scenario, SimRunner, TrafficSpec,
 };
-use static_bubble_repro::sim::{EngineSnapshot, Stats};
+use static_bubble_repro::sim::Stats;
 
 /// Every option. The defaults are the built-in scenario's; under
 /// `--scenario FILE` an absent flag keeps the file's value.
@@ -54,11 +54,11 @@ const WHAT: &str = "drive one simulation and print its stats block
   --drain BUDGET: after the measured window, halt injection and run until
     the network empties (or BUDGET cycles pass) — the paper pipeline's
     wedge probe.
-  --bisect: run the scenario (and drain, default budget 200000) at most
-    1000 cycles at a time, keeping a snapshot of where the latest stretch
-    began; if the network ends wedged, rewind to it and replay with
-    audit_every=1 and protocol tracing, then print the forensics report
-    (FSM states, proto counters, probe trajectory).";
+  --bisect: run the scenario and drain (default budget 200000), the
+    drain's last stretch of at most 1000 cycles with audit_every=1 and
+    protocol tracing; if the network ends wedged, run 3000 cycles more and
+    print the forensics report (FSM states, proto counters, probe
+    trajectory).";
 
 fn report(stats: &Stats, nodes: usize) {
     println!("delivered packets : {}", stats.delivered_packets);
@@ -129,67 +129,48 @@ fn apply_flags(args: &Args, mut s: Scenario) -> Scenario {
         .with_seed(seed)
 }
 
-/// Longest stretch `--bisect` runs between replay points: close enough to
-/// the wedge to keep the audited replay short, while the replay tail stays
-/// long enough to cover several backed-off probe rounds.
+/// `--bisect` traces the drain's last stretch of at most this many cycles:
+/// close enough to the wedge to keep the audited stretch short, long enough
+/// to cover several backed-off probe rounds.
 const BISECT_CHUNK: u64 = 1_000;
 
-/// Run one phase: `step(sim, cycles)`, which says whether it finished
-/// early. A plain run makes that one call. Bisect mode (`replay` is `Some`)
-/// hands `step` at most [`BISECT_CHUNK`] cycles a call, with `replay` the
-/// state the latest call started from; a run loop's deadline is a clock
-/// event and only a warm-up's last window reset stands, so the calls add up
-/// to the single one bit for bit.
-fn drive(
-    sim: &mut dyn SimRunner,
-    cycles: u64,
-    replay: &mut Option<EngineSnapshot>,
-    step: fn(&mut dyn SimRunner, u64) -> bool,
-) -> bool {
-    let Some(replay) = replay else {
-        return step(sim, cycles);
+/// Drain for at most `budget` cycles; `true` if the network emptied. From
+/// cycle `traced_from` on (bisect mode), the auditor runs every cycle and
+/// protocol tracing is on. Turning either on moves nothing, so the drain is
+/// the untraced one bit for bit, and what its last stretch did is on the
+/// record.
+fn drain(sim: &mut dyn SimRunner, budget: u64, traced_from: Option<u64>) -> bool {
+    let end = sim.time() + budget;
+    let Some(from) = traced_from else {
+        return sim.run_until_drained(budget);
     };
-    let mut left = cycles;
-    loop {
-        let chunk = left.min(BISECT_CHUNK);
-        *replay = sim.snapshot().expect("engine state serialises");
-        left -= chunk;
-        let done = step(sim, chunk);
-        if done || left == 0 {
-            return done;
-        }
+    if from > sim.time() && sim.run_until_drained(from - sim.time()) {
+        return true;
     }
+    sim.set_tracing(true);
+    sim.set_audit(1);
+    sim.run_until_drained(end - sim.time())
 }
 
-/// Rewind a wedged run to `snap` and replay the tail with
-/// the auditor on every cycle and protocol tracing enabled, then print the
-/// forensics report. Replay is deterministic (the snapshot carries the RNG
-/// and plugin state), so the wedge reproduces exactly — but this time
-/// every probe hop, latch and drop is on the record.
-fn bisect(sim: &mut dyn SimRunner, snap: &EngineSnapshot) {
+/// After a drain whose last chunk was traced from `traced_from`: if the
+/// network is wedged, run on while it stays stuck and print the forensics
+/// report. The wedge is a *recovery* failure, so the evidence is in what the
+/// probes do while the network stays stuck.
+fn report_wedge(sim: &mut dyn SimRunner, traced_from: u64) {
     let wedge_time = sim.time();
     if !sim.deadlocked_now() {
         println!("bisect: oracle sees no deadlock at t={wedge_time}; nothing to replay");
         return;
     }
     println!(
-        "bisect: wedged at t={wedge_time}; replaying t={}..{wedge_time} \
-         with audit_every=1 and tracing",
-        snap.time
+        "bisect: wedged at t={wedge_time}; replaying t={traced_from}..{wedge_time} \
+         with audit_every=1 and tracing"
     );
-    if let Err(e) = sim.restore(snap) {
-        println!("bisect: restore failed: {e}");
-        return;
-    }
-    sim.set_tracing(true);
-    sim.set_audit(1);
-    // Replay to the original wedge time, plus a window long enough to cover
-    // several probe rounds even at maximum detection backoff — the wedge is
-    // a *recovery* failure, so the evidence is in what the probes do while
-    // the network stays stuck.
-    sim.run(wedge_time - sim.time() + 3_000);
-    // One more cycle so the oracle check lands after the replay and the
-    // capture drains the accumulated trace ring into the report.
+    // A window long enough to cover several probe rounds even at maximum
+    // detection backoff.
+    sim.run(3_000);
+    // One more cycle so the oracle check lands after it and the capture
+    // drains the accumulated trace ring into the report.
     match sim.run_until_deadlock(1, 1) {
         Some(t) => println!("bisect: oracle re-fired at t={t}"),
         None => println!(
@@ -251,25 +232,20 @@ fn main() {
     }
 
     let mut sim: Box<dyn SimRunner> = scenario.build_on(&topo);
-    // Bisect mode holds its own replay point, starting with t = 0.
-    let mut replay = args
-        .flag("bisect")
-        .then(|| sim.snapshot().expect("engine state serialises"));
-    drive(sim.as_mut(), scenario.warmup, &mut replay, |sim, cycles| {
-        sim.warmup(cycles);
-        false
-    });
-    drive(sim.as_mut(), scenario.cycles, &mut replay, |sim, cycles| {
-        sim.run(cycles);
-        false
-    });
+    sim.warmup(scenario.warmup);
+    sim.run(scenario.cycles);
     report(sim.stats(), nodes);
-    if args.get_str("drain").is_some() || replay.is_some() {
+    let bisect = args.flag("bisect");
+    let mut traced_from = None;
+    if args.get_str("drain").is_some() || bisect {
         let budget: u64 = args.get("drain", 200_000);
         sim.halt_injection();
-        let drained = drive(sim.as_mut(), budget, &mut replay, |sim, cycles| {
-            sim.run_until_drained(cycles)
-        });
+        if bisect {
+            // The start of the drain's last chunk.
+            let chunks = budget.saturating_sub(1) / BISECT_CHUNK;
+            traced_from = Some(sim.time() + chunks * BISECT_CHUNK);
+        }
+        let drained = drain(sim.as_mut(), budget, traced_from);
         println!(
             "drain             : {} (t={}, {} packets in flight)",
             if drained { "complete" } else { "STUCK" },
@@ -283,8 +259,8 @@ fn main() {
     if let Some(plugin) = sim.plugin_any().downcast_ref::<StaticBubblePlugin>() {
         println!("proto counters    : {}", plugin.counters().summary());
     }
-    if let Some(replay) = &replay {
-        bisect(sim.as_mut(), replay);
+    if let Some(traced_from) = traced_from {
+        report_wedge(sim.as_mut(), traced_from);
         return;
     }
     if let Some(escapes) = sim.escapes() {

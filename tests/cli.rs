@@ -115,8 +115,7 @@ fn drain_takes_a_value() {
 
 #[test]
 fn bisect_replays_a_wedge_that_forms_before_cycle_1000() {
-    // The whole run is shorter than one bisect chunk: it has a replay
-    // point only because every phase starts with one.
+    // The drain is shorter than one bisect chunk, so all of it is traced.
     let (out, ok) = sbsim(&[
         "--design", "none", "--rate", "0.4", "--warmup", "100", "--cycles", "300", "--drain",
         "400", "--bisect",
@@ -124,6 +123,20 @@ fn bisect_replays_a_wedge_that_forms_before_cycle_1000() {
     assert!(ok);
     assert!(out.contains("bisect: wedged at t=800"), "{out}");
     assert!(out.contains("oracle re-fired"), "{out}");
+    assert!(out.contains("=== forensics @ cycle"), "{out}");
+}
+
+#[test]
+fn bisect_traces_the_last_chunk_of_a_longer_drain() {
+    // A 1,500-cycle drain from t=400 is chunks [400, 1400) and
+    // [1400, 1900); only the last one is traced.
+    let (out, ok) = sbsim(&[
+        "--design", "none", "--rate", "0.4", "--warmup", "100", "--cycles", "300", "--drain",
+        "1500", "--bisect",
+    ]);
+    assert!(ok);
+    let header = "bisect: wedged at t=1900; replaying t=1400..1900 with audit_every=1 and tracing";
+    assert!(out.contains(header), "{out}");
     assert!(out.contains("=== forensics @ cycle"), "{out}");
 }
 

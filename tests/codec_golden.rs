@@ -4,7 +4,8 @@
 //! The fixtures under `tests/golden/` were generated at the commit before
 //! the serde visitor layer was removed (PR 12). Each test asserts that the
 //! text written today is byte-identical to the fixture and that the fixture
-//! parses back to the value it was written from.
+//! parses back to the value it was written from (the write-only engine
+//! snapshot: to the tree it was written from).
 
 use static_bubble_repro::fleet::{
     cache, run_sweep, CacheConfig, ExecOptions, SweepReport, SweepSpec,
@@ -106,19 +107,17 @@ fn sweep_report_is_byte_identical() {
 fn engine_snapshot_is_byte_identical() {
     let snap = mid_run_snapshot();
     let text = assert_golden("engine_snapshot.json", &snap.to_json().unwrap());
-    // `EngineSnapshot` has no `PartialEq`; compare the trees and the
-    // re-rendered text instead.
+    // A snapshot is write-only: the fixture parses to the tree it was
+    // written from.
     assert_eq!(json::parse(&text).unwrap(), to_value(&snap).unwrap());
-    let back = EngineSnapshot::from_json(&text).expect("snapshot parses");
-    assert_eq!(back.to_json().unwrap(), text);
     // The nested plugin/traffic blobs are JSON documents in their own right.
-    assert!(json::parse(&back.plugin).is_ok());
-    assert!(json::parse(&back.traffic).is_ok());
+    assert!(json::parse(&snap.plugin).is_ok());
+    assert!(json::parse(&snap.traffic).is_ok());
 }
 
-/// A snapshot holds what the network holds. Scheduler state (re-derived on
-/// restore) and how the run is driven (the restoring simulator's own) are
-/// not on the wire, so neither can become part of the format again unseen.
+/// A snapshot holds what the network holds. Scheduler state (derived from
+/// it) and how the run is driven (scan mode, audit cadence) are not on the
+/// wire, so neither can become part of the format again unseen.
 #[test]
 fn engine_snapshot_holds_architectural_state_only() {
     use static_bubble_repro::sim::value::Value;

@@ -6,19 +6,17 @@
 //!   which executes every cycle;
 //! * every phase in one call (the engine skips whatever is dead) vs one
 //!   cycle a call (a call's last cycle always executes, so every cycle
-//!   does) vs a chunk of cycles at a time (how `sbsim --bisect` keeps a
-//!   replay point near the wedge);
-//! * uninterrupted vs snapshot → JSON → restore into a fresh engine →
-//!   continue, driven either way and across the two scan modes.
+//!   does) vs a chunk of cycles at a time;
+//! * untraced vs a run that turns the auditor (every cycle) and protocol
+//!   tracing on part-way, at a moment the plugin's derived state is
+//!   populated, a wake is on the wheel or a leap is pending. That is what
+//!   `sbsim --bisect` does at the start of the drain's last chunk, in its
+//!   one and only pass.
 //!
-//! The last one is what catches a plugin index that is derived from its
-//! serialized state (Static Bubble's frozen-router list, FSM slot index and
-//! live sets, the escape plugin's stall mask) and not rebuilt by
-//! `restore_state`, a traffic source that keeps state a snapshot does not
-//! carry, and a wake the engine's own re-derived scheduler state fails to
-//! re-arm: snapshots are taken at moments such state is populated, and —
-//! scheduler history being no part of a snapshot — the runs must end in the
-//! same snapshot *bytes*, not just the same statistics.
+//! Runs are compared by everything a user can observe and by the bytes of
+//! the engine's end-state dump (`EngineSnapshot`, write-only), not just the
+//! statistics. A traced run is exempt only in what tracing itself writes:
+//! the plugin's trace ring and the `trace:` lines of a forensics report.
 //!
 //! The inputs are four named contracts, one per deadlock design and the
 //! closed loop, and a property test that draws the rest: design, fault
@@ -34,8 +32,9 @@ use proptest::prelude::*;
 use static_bubble_repro::core::StaticBubblePlugin;
 use static_bubble_repro::fleet::{run_sweep, CacheConfig, ExecOptions, SweepSpec};
 use static_bubble_repro::scenario::TrafficSpec;
-use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, SimRunner};
-use static_bubble_repro::sim::{EngineSnapshot, SimConfig, Stats};
+use static_bubble_repro::scenario::{json, ClockMode, Design, FaultSpec, Scenario, SimRunner};
+use static_bubble_repro::sim::value::Value;
+use static_bubble_repro::sim::{SimConfig, Stats};
 use static_bubble_repro::topology::FaultKind;
 use static_bubble_repro::workloads::{AppTraffic, RodiniaApp};
 
@@ -61,9 +60,6 @@ fn calls(total: u64, chunk: u64) -> impl Iterator<Item = u64> {
         .map(move |at| chunk.min(total - at))
 }
 
-/// Nothing to hold between a snapshot's source and its restored twin.
-fn nothing_to_hold(_: &dyn SimRunner, _: &dyn SimRunner) {}
-
 /// One contract run: `load` cycles of traffic, then the tap closes and the
 /// network drains for at most `drain` cycles.
 struct Contract {
@@ -73,13 +69,9 @@ struct Contract {
     drain: u64,
     /// Must the drain empty the network? (A drawn input may wedge it.)
     drains: bool,
-    /// Is the plugin's derived state populated right now? The snapshot is
-    /// taken at the first cycle this holds.
-    worth_snapshotting: fn(&dyn SimRunner) -> bool,
-    /// Held between the engine the snapshot was taken from (at that
-    /// moment) and the fresh one it was restored into, before either runs
-    /// on.
-    restored_like: fn(&dyn SimRunner, &dyn SimRunner),
+    /// Is the plugin's derived state populated right now? The first cycle
+    /// this holds is a split point.
+    worth_splitting: fn(&dyn SimRunner) -> bool,
     /// Does the load phase ever leave nothing runnable (a leap pending)?
     /// `None`: not pinned.
     goes_quiet: Option<bool>,
@@ -88,7 +80,7 @@ struct Contract {
 }
 
 /// Everything a run leaves behind that a user can observe, and the whole
-/// final snapshot, as written (the plugin's and the traffic source's own
+/// end-state dump, as written (the plugin's and the traffic source's own
 /// end states are blobs in it).
 #[derive(Debug, Clone, PartialEq)]
 struct Observed {
@@ -97,6 +89,33 @@ struct Observed {
     wedge: Option<(Option<u64>, Option<String>)>,
     escapes: Option<u64>,
     snapshot: String,
+}
+
+/// The keys of a plugin's blob that tracing writes: its switch and its
+/// event ring.
+const TRACE_KEYS: [&str; 3] = ["trace_on", "events", "events_lost"];
+
+impl Observed {
+    /// What the run left behind, less what tracing itself writes.
+    fn untraced(mut self) -> Self {
+        if let Some((_, Some(report))) = &mut self.wedge {
+            let kept = report.lines().filter(|line| !line.starts_with("trace: "));
+            *report = kept.collect::<Vec<_>>().join("\n");
+        }
+        let mut dump = json::parse(&self.snapshot).expect("dump parses");
+        let Value::Map(fields) = &mut dump else {
+            panic!("a dump is an object");
+        };
+        let plugin = fields.iter_mut().find(|(key, _)| key == "plugin");
+        if let Some((_, Value::Str(blob))) = plugin {
+            if let Ok(Value::Map(mut state)) = json::parse(blob) {
+                state.retain(|(key, _)| !TRACE_KEYS.contains(&key.as_str()));
+                *blob = json::render(&Value::Map(state));
+            }
+        }
+        self.snapshot = json::render(&dump);
+        self
+    }
 }
 
 impl Contract {
@@ -120,8 +139,7 @@ impl Contract {
             load,
             drain: 50_000,
             drains: true,
-            worth_snapshotting: |runner| runner.core().in_flight() > 0,
-            restored_like: nothing_to_hold,
+            worth_splitting: |runner| runner.core().in_flight() > 0,
             goes_quiet: None,
             split: None,
         }
@@ -185,7 +203,7 @@ impl Contract {
     }
 
     /// A whole run the way `sbsim` drives one — warm-up, window, tap closed,
-    /// drain — at most `chunk` cycles a call; the final snapshot, as written.
+    /// drain — at most `chunk` cycles a call; the end-state dump, as written.
     fn driven(&self, chunk: u64) -> String {
         let mut runner = self.build();
         let calls = |total| calls(total, chunk);
@@ -197,17 +215,17 @@ impl Contract {
         end.to_json().expect("snapshot serializes")
     }
 
-    /// The cycles worth interrupting a run at, each with what is populated
+    /// The cycles worth splitting a run at, each with what is populated
     /// there: the contract's own moment; the first packet in the network,
     /// its arrival wake on the wheel; from then on, the first cycle whose
     /// tick leaves nothing runnable, so that a leap is pending after it
     /// (absent when the load phase never goes quiet); and the drawn split.
-    fn snapshot_points(&self) -> Vec<(&'static str, u64)> {
+    fn split_points(&self) -> Vec<(&'static str, u64)> {
         let mut scout = self.build();
         let (mut own, mut wheel, mut leap) = (None, None, None);
         while scout.time() < self.load && (own.is_none() || leap.is_none()) {
             let now = scout.time();
-            if own.is_none() && (self.worth_snapshotting)(scout.as_ref()) {
+            if own.is_none() && (self.worth_splitting)(scout.as_ref()) {
                 own = Some(("its derived state populated", now));
             }
             if wheel.is_none() && scout.core().in_flight() > 0 {
@@ -218,38 +236,12 @@ impl Contract {
                 leap = Some(("one cycle before a pending leap", now));
             }
         }
-        assert!(own.is_some(), "never reached a state worth snapshotting");
+        assert!(own.is_some(), "never reached a state worth splitting at");
         if let Some(quiet) = self.goes_quiet {
             assert_eq!(leap.is_some(), quiet, "a pending leap to stop before");
         }
         let split = self.split.map(|at| ("the drawn split", at));
         [own, wheel, leap, split].into_iter().flatten().collect()
-    }
-
-    /// Run to cycle `at`, snapshot, write the snapshot as JSON and read it
-    /// back, restore into a fresh engine and finish there, both at most
-    /// `chunk` cycles a call; `interrupted` and `resumed` set each engine up
-    /// first, and `restored_like` is held between the two at the restore.
-    fn resume_at(
-        &self,
-        at: u64,
-        chunk: u64,
-        interrupted: impl FnOnce(&mut dyn SimRunner),
-        resumed: impl FnOnce(&mut dyn SimRunner),
-        restored_like: fn(&dyn SimRunner, &dyn SimRunner),
-    ) -> Observed {
-        let mut from = self.build();
-        interrupted(from.as_mut());
-        calls(at, chunk).for_each(|n| from.run(n));
-        let written = from.snapshot().expect("snapshot").to_json();
-        let snapshot = EngineSnapshot::from_json(&written.expect("snapshot serializes"));
-        let snapshot = snapshot.expect("snapshot parses");
-        assert_eq!(snapshot.time, at);
-        let mut into = self.build();
-        resumed(into.as_mut());
-        into.restore(&snapshot).expect("restore");
-        restored_like(from.as_ref(), into.as_ref());
-        self.finish(into, chunk)
     }
 
     /// The reference run — every cycle executed, a call each — and the
@@ -266,7 +258,7 @@ impl Contract {
         );
 
         // Skipping the dead cycles moves nothing, down to the bytes of the
-        // final snapshot: a plugin catches its counters up on the next
+        // end-state dump: a plugin catches its counters up on the next
         // executed tick, and the last cycle of every call is one.
         assert_eq!(
             self.finish(self.build(), ONE_CALL),
@@ -274,37 +266,19 @@ impl Contract {
             "a cycle a call vs one call a phase"
         );
 
-        // Driven either way, a restored engine owes its uninterrupted twin
-        // the bytes.
-        let points = self.snapshot_points();
-        for chunk in [A_CYCLE_A_CALL, ONE_CALL] {
-            for (i, &(what, at)) in points.iter().enumerate() {
-                let like = if i == 0 {
-                    self.restored_like
-                } else {
-                    nothing_to_hold
-                };
-                let resumed = self.resume_at(at, chunk, |_| {}, |_| {}, like);
-                assert!(
-                    resumed == reference,
-                    "chunk {chunk}: uninterrupted vs restored at cycle {at} ({what})"
-                );
-            }
+        // Turning the auditor and tracing on part-way moves nothing but
+        // what tracing writes.
+        let untraced = reference.clone().untraced();
+        for (what, at) in self.split_points() {
+            let mut traced = self.build();
+            traced.run(at);
+            traced.set_tracing(true);
+            traced.set_audit(1);
+            assert!(
+                self.finish(traced, ONE_CALL).untraced() == untraced,
+                "untraced vs traced from cycle {at} ({what})"
+            );
         }
-        // The scan mode is the restoring engine's own, whichever the
-        // snapshot was taken under.
-        let (_, at) = points[0];
-        let full = |r: &mut dyn SimRunner| r.scan_all_routers(true);
-        let into_full_scan = self.resume_at(at, A_CYCLE_A_CALL, |_| {}, full, nothing_to_hold);
-        assert!(
-            into_full_scan == reference,
-            "worklist snapshot, full-scan engine"
-        );
-        let from_full_scan = self.resume_at(at, A_CYCLE_A_CALL, full, |_| {}, nothing_to_hold);
-        assert!(
-            from_full_scan == reference,
-            "full-scan snapshot, worklist engine"
-        );
         // A run loop's deadline is a clock event and only a warm-up's last
         // window reset stands, so where the calls are cut changes nothing:
         // chunk ends fall inside every phase, some across a pending leap.
@@ -327,18 +301,9 @@ fn static_bubble_recovers_identically_in_every_mode() {
     let mut contract =
         Contract::open_loop(Design::StaticBubble, SimConfig::single_vnet(), 12, 0.3, 600);
     // Mid-recovery: some router's injection restriction is in force.
-    contract.worth_snapshotting = |runner| plugin(runner).frozen_routers() > 0;
+    contract.worth_splitting = |runner| plugin(runner).frozen_routers() > 0;
     // A deadlocked network has nothing runnable while the FSMs count.
     contract.goes_quiet = Some(true);
-    // The node → FSM index finds, at every router, the FSM the snapshot
-    // held there (some of them mid-round) or none.
-    contract.restored_like = |interrupted, resumed| {
-        let mesh = interrupted.core().topology().mesh();
-        let fsms = |runner| -> Vec<_> { mesh.nodes().map(|n| plugin(runner).fsm(n)).collect() };
-        let before = fsms(interrupted);
-        assert!(before.iter().flatten().any(|fsm| fsm.in_recovery()));
-        assert_eq!(fsms(resumed), before);
-    };
     let seen = contract.check();
     assert!(
         seen.stats.deadlocks_recovered > 0,
@@ -350,9 +315,9 @@ fn static_bubble_recovers_identically_in_every_mode() {
 fn escape_vc_escalates_identically_in_every_mode() {
     let mut contract = Contract::open_loop(Design::EscapeVc, SimConfig::default(), 10, 0.3, 600);
     // Stall clocks are being tracked, and the load phase is about to end:
-    // a slot that empties after the restore is not refilled, so a clock the
-    // restored sweep failed to visit stays in the end state.
-    contract.worth_snapshotting = |runner| runner.escapes() > Some(0) && runner.time() >= 590;
+    // a slot that empties after the split is not refilled, so a clock the
+    // audited sweep disturbed stays in the end state.
+    contract.worth_splitting = |runner| runner.escapes() > Some(0) && runner.time() >= 590;
     // A router whose grant emptied it is not re-scanned, so between bursts
     // of arrivals nothing is runnable.
     contract.goes_quiet = Some(true);
@@ -379,9 +344,8 @@ fn spanning_tree_leaps_identically_in_every_mode() {
 fn closed_loop_traffic_resumes_identically_in_every_mode() {
     let load = Load::App(RodiniaApp::Kmeans);
     let mut contract = Contract::new(Design::EscapeVc, SimConfig::default(), 10, load, 4_000);
-    // Requests are in the network and replies are owed for others: a
-    // restored source that forgot either never sends those replies.
-    contract.worth_snapshotting = |runner| runner.core().in_flight() > 0 && runner.time() >= 1_500;
+    // Requests are in the network and replies are owed for others.
+    contract.worth_splitting = |runner| runner.core().in_flight() > 0 && runner.time() >= 1_500;
     contract.goes_quiet = Some(true);
     let seen = contract.check();
     let by_vnet = seen.stats.delivered_packets_vnet;
