@@ -14,38 +14,32 @@
 //! buffer at 21 routers for Static Bubble), which is where the throughput
 //! gap of Fig. 9 comes from.
 
+use crate::audit::{AuditClass, Violation};
 use crate::netcore::NetCore;
-use crate::packet::{PacketId, PacketMode};
+use crate::packet::PacketMode;
 use crate::plugin::{InputRef, Plugin, SlotRef};
 use crate::vc::VcRef;
 use sb_routing::{RouteSource, UpDownRouting};
 use sb_topology::{Direction, NodeId, Topology};
 
 /// The escape-VC recovery plugin.
+///
+/// No stall clock is stored. While a packet stays in its slot, its head and
+/// mode change only through this plugin's restamp, so a Normal occupant
+/// that is not waiting to eject has stalled `t − ready_at + 1` cycles at
+/// tick `t` and escalates at the ticks `ready_at + k·t_DD − 1`, `k ≥ 1`.
+/// Reconfiguring under this plugin is not supported: its up*/down* tree is
+/// built for one topology, and [`crate::Simulator::reconfigure`] re-stamps
+/// survivors Normal behind its back.
 #[derive(Debug)]
 pub struct EscapeVcPlugin {
     updown: UpDownRouting,
     tdd: u64,
-    /// Per-VC stall clocks, indexed by flat vc id ([`NetCore::flat_vc`]) and
-    /// sized lazily on first use. `Some((pkt, count))` means the slot's head
-    /// has been switchable-but-stalled for `count` cycles. A flat table:
-    /// the hot sweep hashes nothing, and clearing a lapsed entry is one
-    /// store.
-    stalls: Vec<Option<(PacketId, u64)>>,
-    /// Number of `Some` entries in `stalls`, so `next_timer` can bail out
-    /// without scanning the table when nothing is stalled (the common case).
-    tracked: usize,
-    /// Per-router mask of the `Some` entries in `stalls`, in the bit layout
-    /// of [`NetCore::occupancy_mask`]: with the occupancy word it names
-    /// every slot the stall sweep has to visit. Derived from `stalls`,
-    /// never serialized.
-    stall_mask: Vec<u64>,
+    /// No occupant escalates before this tick, so `after_cycle` sweeps
+    /// only from here on. Scheduling state derived from the VC ready
+    /// times: never serialized.
+    next_sweep: u64,
     escapes: u64,
-    /// Cycle of the last `after_cycle` call. Stall counters advance by the
-    /// elapsed time since then, so skipped (leaped-over) cycles — during
-    /// which a stall condition cannot change — are accounted exactly as if
-    /// they had been stepped through.
-    last_tick: Option<u64>,
     rng: rand::rngs::StdRng,
 }
 
@@ -57,11 +51,8 @@ impl EscapeVcPlugin {
         EscapeVcPlugin {
             updown: UpDownRouting::new(topo),
             tdd: tdd.max(1),
-            stalls: Vec::new(),
-            tracked: 0,
-            stall_mask: vec![0; topo.mesh().node_count()],
+            next_sweep: 0,
             escapes: 0,
-            last_tick: None,
             rng: rand::rngs::StdRng::seed_from_u64(0xE5CA),
         }
     }
@@ -77,11 +68,38 @@ impl EscapeVcPlugin {
         core.config().vcs_of_vnet(vnet).end - 1
     }
 
-    /// Stop tracking slot `slot` of router `r`, whose flat vc id is `i`.
-    fn clear_stall(&mut self, r: usize, slot: usize, i: usize) {
-        if self.stalls[i].take().is_some() {
-            self.tracked -= 1;
-            self.stall_mask[r] &= !(1 << slot);
+    /// The first tick `>= at` at which an occupant switchable from
+    /// `ready_at` has stalled a positive multiple of `t_DD` cycles.
+    fn next_fire(&self, ready_at: u64, at: u64) -> u64 {
+        let first = ready_at.saturating_add(self.tdd - 1);
+        match at.saturating_sub(first) % self.tdd {
+            0 => at.max(first),
+            late => at + self.tdd - late,
+        }
+    }
+
+    /// Call `f` with the slot and ready time of every occupied VC whose
+    /// occupant is Normal and not waiting to eject, in ascending router
+    /// and `(port, vc)` order.
+    fn for_each_stallable(core: &NetCore, mut f: impl FnMut(VcRef, u64)) {
+        let vcs = core.config().vcs_per_port();
+        let mut from = 0;
+        while let Some(router) = core.occupied_routers().first_set_from(from) {
+            from = router.index() + 1;
+            let mut occ = core.occupancy_mask(router);
+            while occ != 0 {
+                let slot = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let vref = VcRef {
+                    router,
+                    port: Direction::from_index(slot / vcs),
+                    vc: (slot % vcs) as u8,
+                };
+                let pkt = core.vc_occupant(vref).expect("occupancy word");
+                if pkt.mode == PacketMode::Normal && pkt.desired_hop().is_some() {
+                    f(vref, core.vc_ready_at(vref).expect("occupied"));
+                }
+            }
         }
     }
 }
@@ -113,112 +131,57 @@ impl Plugin for EscapeVcPlugin {
     }
 
     fn after_cycle(&mut self, core: &mut NetCore) {
-        // Advance stall counters; escalate to the escape network on timeout.
-        let vcs = core.config().vcs_per_port();
-        let n = core.topology().mesh().node_count();
-        if self.stalls.is_empty() {
-            // First tick: the constructor does not know the VC count.
-            self.stalls = vec![None; n * 4 * vcs];
-        }
         let now = core.time();
-        // Cycles elapsed since the previous executed tick: 1, or the gap
-        // the engine skipped, during which every stall condition provably
-        // held (occupancy, maturity and desired hop only change at executed
-        // ticks), so advancing by `dt` reproduces the stepped counters.
-        let dt = match self.last_tick {
-            Some(prev) => now - prev,
-            None => 1,
-        };
-        self.last_tick = Some(now);
-        for r in 0..n {
-            let router = NodeId::from(r);
-            // Only an occupied slot can stall and only a tracked one has a
-            // clock to clear; every other slot of an alive router is a
-            // no-op. Ascending bits are ascending `(port, vc)`.
-            let mut visit = core.occupancy_mask(router) | self.stall_mask[r];
-            if visit == 0 || !core.topology().router_alive(router) {
-                continue;
-            }
-            while visit != 0 {
-                let slot = visit.trailing_zeros() as usize;
-                visit &= visit - 1;
-                let vref = VcRef {
-                    router,
-                    port: Direction::from_index(slot / vcs),
-                    vc: (slot % vcs) as u8,
-                };
-                let i = core.flat_vc(vref);
-                let Some(pkt) = core.vc_occupant(vref) else {
-                    self.clear_stall(r, slot, i);
-                    continue;
-                };
-                if core.vc_ready_at(vref).expect("occupied") > now || pkt.desired_hop().is_none() {
-                    // Still arriving, or waiting only on the ejection port.
-                    self.clear_stall(r, slot, i);
-                    continue;
-                }
-                let (id, dst, mode) = (pkt.id, pkt.dst, pkt.mode);
-                // A fresh (or re-owned) entry starts its stall clock at
-                // this very tick — entry creation always happens on the
-                // first cycle the condition holds, which is never inside a
-                // leaped gap. An existing entry accounts every cycle since
-                // the last tick.
-                let entry = &mut self.stalls[i];
-                match entry {
-                    Some(v) if v.0 == id => v.1 += dt,
-                    Some(v) => *v = (id, 1),
-                    None => {
-                        *entry = Some((id, 1));
-                        self.tracked += 1;
-                        self.stall_mask[r] |= 1 << slot;
-                    }
-                }
-                let count = &mut self.stalls[i].as_mut().expect("just set").1;
-                if *count >= self.tdd {
-                    *count = 0;
-                    if mode == PacketMode::Escape {
-                        continue;
-                    }
-                    if let Some(route) = self.updown.route(router, dst, &mut self.rng) {
-                        core.with_packet_mut(InputRef::Vc(vref), |p| {
-                            p.restamp(route, PacketMode::Escape)
-                        });
-                        self.escapes += 1;
-                    }
-                }
+        if now < self.next_sweep {
+            return;
+        }
+        // A packet put after this tick is switchable from `now + 1` at the
+        // earliest, so it escalates at `now + t_DD` at the earliest.
+        let mut next = now.saturating_add(self.tdd);
+        let mut due = Vec::new();
+        Self::for_each_stallable(core, |vref, ready_at| match self.next_fire(ready_at, now) {
+            fire if fire == now => due.push(vref),
+            fire => next = next.min(fire),
+        });
+        // An escalated packet never escalates again; one with no up*/down*
+        // route stays Normal and next fires at the `now + t_DD` bound.
+        for vref in due {
+            let dst = core.vc_occupant(vref).expect("occupied").dst;
+            if let Some(route) = self.updown.route(vref.router, dst, &mut self.rng) {
+                core.with_packet_mut(InputRef::Vc(vref), |p| p.restamp(route, PacketMode::Escape));
+                self.escapes += 1;
             }
         }
+        self.next_sweep = next;
+    }
+
+    fn audit_check(&mut self, core: &NetCore, out: &mut Vec<Violation>) {
+        // Derived == recomputed: no occupant escalates before the bound.
+        let now = core.time();
+        Self::for_each_stallable(core, |vref, ready_at| {
+            let fire = self.next_fire(ready_at, now);
+            if fire < self.next_sweep {
+                out.push(Violation {
+                    class: AuditClass::Derived,
+                    router: Some(vref.router),
+                    detail: format!(
+                        "the escape sweep bound {} is past {vref:?}'s escalation at {fire}",
+                        self.next_sweep
+                    ),
+                });
+            }
+        });
     }
 
     fn next_timer(&self, core: &NetCore) -> Option<u64> {
-        // Each tracked stall fires (escape or counter reset) at the tick
-        // where its counter reaches `tdd`; counters advance one per cycle,
-        // so an entry at `count` after the last executed tick fires at
-        // `(now - 1) + (tdd - count)`. Entries whose condition lapsed are
-        // pruned at the next tick anyway; their stale bound only wakes the
-        // engine early, never late.
-        if self.tracked == 0 {
-            return None;
-        }
-        let now = core.time();
-        let mut best: Option<u64> = None;
-        for &(_, count) in self.stalls.iter().flatten() {
-            let at = (now + self.tdd.saturating_sub(count))
-                .saturating_sub(1)
-                .max(now);
-            if best.is_none_or(|b| at < b) {
-                best = Some(at);
-            }
-        }
-        best
+        // With no VC occupied nothing escalates before a put, and a put
+        // happens on an executed tick.
+        (!core.occupied_routers().is_empty()).then(|| self.next_sweep.max(core.time()))
     }
 
     fn snapshot_state(&self) -> Result<String, String> {
         crate::json::to_json_string(&EscapeState {
-            stalls: self.stalls.clone(),
-            tracked: self.tracked,
             escapes: self.escapes,
-            last_tick: self.last_tick,
             rng: self.rng.state(),
         })
         .map_err(|e| e.0)
@@ -229,10 +192,7 @@ impl Plugin for EscapeVcPlugin {
 /// spanning tree is a pure function of the topology and is not in it.
 #[derive(serde::Serialize)]
 struct EscapeState {
-    stalls: Vec<Option<(PacketId, u64)>>,
-    tracked: usize,
     escapes: u64,
-    last_tick: Option<u64>,
     rng: [u64; 4],
 }
 
@@ -241,7 +201,7 @@ mod tests {
     use super::*;
     use crate::config::SimConfig;
     use crate::engine::Simulator;
-    use crate::packet::{NewPacket, PacketMode};
+    use crate::packet::{NewPacket, Packet, PacketId, PacketMode};
     use crate::traffic::{ScriptedTraffic, UniformTraffic};
     use crate::vc::VcRef;
     use sb_routing::{MinimalRouting, UpDownRouting};
@@ -310,6 +270,49 @@ mod tests {
         assert!(sim.plugin().escapes() > 0);
     }
 
+    /// A sweep bound past a stalled occupant's escalation tick is caught,
+    /// and the bound a sweep leaves is the tick itself.
+    #[test]
+    fn a_stale_sweep_bound_is_caught() {
+        let topo = Topology::full(Mesh::new(3, 3));
+        let mut core = NetCore::new(&topo, cfg_2vc(), &[]);
+        let req = NewPacket {
+            src: NodeId(4),
+            dst: NodeId(5),
+            vnet: 0,
+            len_flits: 5,
+        };
+        let route = sb_routing::Route::new(vec![Direction::East]);
+        let slot = VcRef {
+            router: NodeId(4),
+            port: Direction::West,
+            vc: 0,
+        };
+        // Switchable from 0: it escalates at 0 + t_DD - 1 = 4.
+        core.place_packet(slot, Packet::new(PacketId(1), req, route, 0), 0);
+        let mut plugin = EscapeVcPlugin::new(&topo, 5);
+        plugin.after_cycle(&mut core);
+        assert_eq!(plugin.next_sweep, 4);
+        let audit = |plugin: &mut EscapeVcPlugin| {
+            let mut v = Vec::new();
+            plugin.audit_check(&core, &mut v);
+            v
+        };
+        assert_eq!(audit(&mut plugin), []);
+        plugin.next_sweep = 5;
+        let v = audit(&mut plugin);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(
+            (v[0].class, v[0].router),
+            (AuditClass::Derived, Some(NodeId(4)))
+        );
+        assert!(
+            v[0].detail.contains("escape sweep bound"),
+            "{}",
+            v[0].detail
+        );
+    }
+
     #[test]
     fn escape_vc_index_is_last_of_vnet() {
         let topo = Topology::full(Mesh::new(2, 2));
@@ -356,11 +359,6 @@ mod tests {
         // Single-VC-ish config: 2 VCs per vnet (1 regular + 1 escape).
         let mesh = Mesh::new(3, 3);
         let topo = Topology::full(mesh);
-        let cfg = SimConfig {
-            vnets: 1,
-            vcs_per_vnet: 2,
-            max_packet_flits: 5,
-        };
         // Deterministic single packet; it cannot deadlock alone, so instead
         // verify the escape machinery by forcing tdd = 1 so it escapes at
         // the first stall (behind its own serialization none occurs — so
@@ -382,7 +380,7 @@ mod tests {
         let n = script.len() as u64;
         let mut sim = Simulator::new(
             &topo,
-            cfg,
+            cfg_2vc(),
             Box::new(MinimalRouting::new(&topo)),
             EscapeVcPlugin::new(&topo, 2),
             ScriptedTraffic::new(script),

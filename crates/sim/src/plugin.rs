@@ -80,12 +80,16 @@ pub enum SlotRef {
 /// executed tick**, next to an allocator whose own cost tracks the routers
 /// that changed. A hook must therefore cost O(occupied or tracked state):
 /// it visits the slots [`NetCore::occupancy_mask`] names and the entries of
-/// the plugin's own side tables (in-flight messages, restricted routers,
-/// stall clocks), and spends at most one word-sized test on a router or
-/// protocol engine that has neither. It must **never sweep every router's
-/// state or every VC** — on a 16×16 mesh at low load such a sweep, not the
-/// traffic, was most of the tick. A quiet tick (nothing occupied, nothing
-/// tracked) allocates nothing. An index a plugin keeps for this purpose is
+/// the plugin's own side tables (in-flight messages, restricted routers),
+/// and spends at most one word-sized test on a router or protocol engine
+/// that has neither. It must **never sweep every router's state or every
+/// VC** — on a 16×16 mesh at low load such a sweep, not the traffic, was
+/// most of the tick. A counter that is a function of a stored time is
+/// derived, not bumped each tick (the escape-VC stall clock is
+/// `now − ready_at + 1`), and a hook visits state only on a tick where it
+/// can fire (the escape plugin keeps the earliest such tick and returns at
+/// once before it). A quiet tick (nothing occupied, nothing tracked)
+/// allocates nothing. An index or bound a plugin keeps for this purpose is
 /// derived state: keep it out of [`Plugin::snapshot_state`].
 pub trait Plugin {
     /// The routers that carry a static-bubble buffer. [`crate::Simulator::new`]
@@ -177,7 +181,8 @@ pub trait Plugin {
     /// when the runnable set is empty; it will not execute any cycle
     /// strictly before the returned value, and the plugin's
     /// `before_cycle`/`after_cycle` must account for the skipped cycles
-    /// (e.g. by advancing counters by the elapsed time rather than by 1).
+    /// (e.g. by advancing counters by the elapsed time rather than by 1, or
+    /// by deriving them from a stored time).
     ///
     /// The bound may be conservative (earlier than the true event — the
     /// extra cycles are merely executed), but must never be later than the
