@@ -14,7 +14,8 @@
 //!   until it returns.
 //!
 //! The transitions that need network state (VC occupancy, message arrivals)
-//! are decided by [`crate::protocol::step`]; this module holds the state,
+//! are decided by [`crate::protocol::step`] (detection by
+//! [`crate::protocol::detect`]); this module holds the state,
 //! thresholds and pure bookkeeping so it can be unit-tested in isolation.
 
 use sb_sim::PacketId;

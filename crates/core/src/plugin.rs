@@ -6,7 +6,9 @@
 //! events in one fixed order (see `before_cycle`), hands them one at a time
 //! to [`protocol::step`] together with a read-only view of the router, and
 //! applies the actions it gets back — each kind at exactly one site
-//! (`apply`). What happened is kept by [`crate::trace`].
+//! (`apply`). A tick of an FSM in detection goes to [`protocol::detect`]
+//! instead, and on to `step` only on the tick it fires. What happened is
+//! kept by [`crate::trace`].
 
 use crate::fsm::{FsmState, SbFsm};
 use crate::msg::{InFlightMsg, SpecialMsg};
@@ -28,13 +30,14 @@ impl RouterView for CoreView<'_> {
     fn occupancy(&self) -> u64 {
         self.0.occupancy_mask(self.1)
     }
+    #[inline(always)]
     fn occupant(&self, port: Direction, vc: u8) -> Option<Occupant> {
         let router = self.1;
-        let pkt = self.0.vc_occupant(VcRef { router, port, vc })?;
+        let (id, wants) = self.0.vc_resident(VcRef { router, port, vc })?;
         Some(Occupant {
-            id: pkt.id,
-            vnet: pkt.vnet,
-            wants: pkt.desired_hop(),
+            id,
+            vnet: self.0.config().vnet_of(vc),
+            wants,
         })
     }
     fn all_vcs_occupied(&self, port: Direction, vnet: u8) -> bool {
@@ -60,9 +63,15 @@ pub struct StaticBubblePlugin {
     /// The routers that hold an FSM. Derived from `fsms` like `slot_of`.
     placement: NodeSet,
     /// The routers whose FSM is not in `SOff` — at least those: refreshed
-    /// after every [`protocol::step`] at a router ([`Self::step`]), and a
-    /// stale member costs one re-test.
+    /// after every [`protocol::step`] at a router ([`Self::step`]) and on
+    /// every `SOff`/`SDd` edge [`protocol::detect`] takes ([`Self::detect`]),
+    /// and a stale member costs one re-test.
     armed: NodeSet,
+    /// The routers whose FSM is in `SSbActive` — at least those, refreshed
+    /// like `armed` (detection never enters or leaves the state): the
+    /// only routers with a bubble attached, which the footnote-6
+    /// relocation visits.
+    bubble_on: NodeSet,
     /// The FSMs the live walks loaded, in order (the pin that an idle one
     /// is not).
     #[cfg(test)]
@@ -133,12 +142,13 @@ impl StaticBubblePlugin {
             })
             .collect();
         let (fsms, slot_of) = fsm_table(mesh.node_count(), fsms).unwrap_or_else(|e| panic!("{e}"));
-        let (placement, armed) = live_sets(mesh.node_count(), &fsms);
+        let [placement, armed, bubble_on] = live_sets(mesh.node_count(), &fsms);
         StaticBubblePlugin {
             fsms,
             slot_of,
             placement,
             armed,
+            bubble_on,
             #[cfg(test)]
             visited: Default::default(),
             prot: vec![ProtState::default(); mesh.node_count()],
@@ -166,12 +176,13 @@ impl StaticBubblePlugin {
 
     /// Mutable access to the FSM of a static-bubble router — a test hook
     /// for seeding auditor violations. Production transitions go through
-    /// [`protocol::step`]. Whatever the caller writes, the FSM is visited
-    /// on the next tick.
+    /// [`protocol::step`] and [`protocol::detect`]. Whatever the caller
+    /// writes, the FSM is visited on the next tick.
     #[cfg(test)]
     pub(crate) fn fsm_mut(&mut self, node: NodeId) -> Option<&mut SbFsm> {
         let slot = self.slot(node)?;
         self.armed.insert(node);
+        self.bubble_on.insert(node);
         Some(&mut self.fsms[slot])
     }
 
@@ -214,15 +225,24 @@ impl StaticBubblePlugin {
     }
 
     /// Run the kernel for one event at `router` into `buf`, and keep
-    /// `armed` in step with where that left the router's FSM.
+    /// `armed` and `bubble_on` in step with where that left the router's
+    /// FSM.
     fn step(&mut self, core: &NetCore, router: NodeId, event: Event<'_>, buf: &mut ActionBuf) {
         let mut local = self.local(core.time(), router);
         protocol::step(&mut local, &CoreView(core, router), event, buf);
-        match local.fsm {
-            Some(fsm) if fsm.state == FsmState::SOff => self.armed.remove(router),
-            Some(_) => self.armed.insert(router),
-            None => false,
+        let Some(state) = local.fsm.map(|fsm| fsm.state) else {
+            return;
         };
+        if state == FsmState::SOff {
+            self.armed.remove(router);
+        } else {
+            self.armed.insert(router);
+        }
+        if state == FsmState::SSbActive {
+            self.bubble_on.insert(router);
+        } else {
+            self.bubble_on.remove(router);
+        }
     }
 
     /// Word `w` of the live set `(occupied ∩ placement) ∪ armed` (DESIGN.md
@@ -420,21 +440,44 @@ impl StaticBubblePlugin {
     fn run_fsms(&mut self, core: &mut NetCore, event: Event<'static>) {
         for w in 0..self.armed.words().len() {
             for router in NodeSet::members_of(w, self.live_word(core, w)) {
-                if self.concerned(core, router).is_some() {
-                    self.dispatch(core, router, event);
+                let Some(slot) = self.concerned(core, router) else {
+                    continue;
+                };
+                match event {
+                    Event::Tick if !self.fsms[slot].in_recovery() => {
+                        self.detect(core, router, slot);
+                    }
+                    _ => self.dispatch(core, router, event),
                 }
             }
         }
     }
 
-    /// The FSM of live router `router`, if the predicate the live set
-    /// over-approximates holds: it is out of `SOff`, or a VC there holds a
-    /// packet for it to start counting.
-    fn concerned(&self, core: &NetCore, router: NodeId) -> Option<&SbFsm> {
+    /// One executed tick of the FSM in `slot`, at `router`, in detection:
+    /// [`protocol::detect`] on its registers, and the dispatch that sends
+    /// the probe only on the tick it fires.
+    fn detect(&mut self, core: &mut NetCore, router: NodeId, slot: usize) {
+        let fsm = &mut self.fsms[slot];
+        let was_off = fsm.state == FsmState::SOff;
+        let fires = protocol::detect(fsm, &CoreView(core, router));
+        match (was_off, fsm.state == FsmState::SOff) {
+            (true, false) => self.armed.insert(router),
+            (false, true) => self.armed.remove(router),
+            _ => false,
+        };
+        if fires {
+            self.dispatch(core, router, Event::Tick);
+        }
+    }
+
+    /// The slot of live router `router`'s FSM, if the predicate the live
+    /// set over-approximates holds: it is out of `SOff`, or a VC there
+    /// holds a packet for it to start counting.
+    fn concerned(&self, core: &NetCore, router: NodeId) -> Option<usize> {
         #[cfg(test)]
         self.visited.borrow_mut().push(router);
-        let fsm = self.fsm(router).expect("live, so on the placement");
-        (fsm.state != FsmState::SOff || core.any_occupied(router)).then_some(fsm)
+        let slot = self.slot(router).expect("live, so on the placement");
+        (self.fsms[slot].state != FsmState::SOff || core.any_occupied(router)).then_some(slot)
     }
 }
 
@@ -451,26 +494,29 @@ impl Plugin for StaticBubblePlugin {
     /// behind unrelated congestion.
     ///
     /// A bubble is attached only while its FSM is in `SSbActive`, so the
-    /// armed routers are the only ones to look at.
+    /// `bubble_on` routers are the only ones to look at, in id order (a
+    /// re-claim changes only its own router's bit, so a word read once is
+    /// still right at its last bit).
     fn after_cycle(&mut self, core: &mut NetCore) {
-        let mut cur = 0;
-        while let Some(router) = self.armed.first_set_from(cur) {
-            cur = router.index() + 1;
-            let Some((port, vnet)) = core.bubble_attach(router) else {
-                continue;
-            };
-            if core.bubble_occupant(router).is_none() {
-                continue;
+        for w in 0..self.bubble_on.words().len() {
+            for router in NodeSet::members_of(w, self.bubble_on.words()[w]) {
+                let Some((port, vnet)) = core.bubble_attach(router) else {
+                    continue;
+                };
+                if core.bubble_occupant(router).is_none() {
+                    continue;
+                }
+                let Some(vc) = core.first_free_regular_vc(router, port, vnet) else {
+                    continue;
+                };
+                // Move the packet bubble → regular VC (intra-router, no
+                // link), keeping its hop-pipeline readiness.
+                let (h, ready) = core.bubble_take_occupant(router).expect("checked occupied");
+                core.vc_put(VcRef { router, port, vc }, h, ready);
+                // The bubble is re-claimed: same transition as
+                // on_bubble_freed.
+                self.on_bubble_freed(core, router);
             }
-            let Some(vc) = core.first_free_regular_vc(router, port, vnet) else {
-                continue;
-            };
-            // Move the packet bubble → regular VC (intra-router, no link),
-            // keeping its hop-pipeline readiness.
-            let (h, ready) = core.bubble_take_occupant(router).expect("checked occupied");
-            core.vc_put(VcRef { router, port, vc }, h, ready);
-            // The bubble is re-claimed: same transition as on_bubble_freed.
-            self.on_bubble_freed(core, router);
         }
     }
 
@@ -531,7 +577,8 @@ impl Plugin for StaticBubblePlugin {
         // `Idle`.
         let live = (0..self.armed.words().len())
             .flat_map(|w| NodeSet::members_of(w, self.live_word(core, w)));
-        for fsm in live.filter_map(|router| self.concerned(core, router)) {
+        for slot in live.filter_map(|router| self.concerned(core, router)) {
+            let fsm = &self.fsms[slot];
             let router = fsm.node;
             match protocol::deadline(fsm, &CoreView(core, router)) {
                 Deadline::Idle => {}
@@ -601,18 +648,19 @@ impl Plugin for StaticBubblePlugin {
 
     fn audit_check(&mut self, core: &NetCore, out: &mut Vec<Violation>) {
         // Derived == recomputed: each index against the function that
-        // builds it. `armed` may hold more than it must.
+        // builds it. `armed` and `bubble_on` may hold more than they must.
         let n = self.prot.len();
-        let (placement, armed) = live_sets(n, &self.fsms);
+        let [placement, armed, bubble_on] = live_sets(n, &self.fsms);
         let mut frozen = self.frozen.clone();
         frozen.sort_unstable();
         let table = fsm_table(n, self.fsms.clone());
         let table_stale = |(fsms, slot_of)| fsms != self.fsms || slot_of != self.slot_of;
-        let unarmed = armed.iter().any(|node| !self.armed.contains(node));
+        let missing = |want: &NodeSet, have: &NodeSet| want.iter().any(|n| !have.contains(n));
         let stale = [
             ("FSM table and slot index", table.map_or(true, table_stale)),
             ("placement set", placement != self.placement),
-            ("armed set", unarmed),
+            ("armed set", missing(&armed, &self.armed)),
+            ("bubble-on set", missing(&bubble_on, &self.bubble_on)),
             ("frozen-router index", frozen != frozen_index(&self.prot)),
         ];
         for (index, _) in stale.iter().filter(|(_, stale)| *stale) {
@@ -777,17 +825,21 @@ fn fsm_table(n: usize, mut fsms: Vec<SbFsm>) -> Result<(Vec<SbFsm>, Vec<Option<u
     Ok((table, slot_of))
 }
 
-/// The placement and the armed set of an `n`-router mesh holding `fsms`: the
-/// routers with an FSM, and those whose FSM is not in `SOff`.
-fn live_sets(n: usize, fsms: &[SbFsm]) -> (NodeSet, NodeSet) {
-    let (mut placement, mut armed) = (NodeSet::new(n), NodeSet::new(n));
+/// The placement, the armed set and the bubble-on set of an `n`-router
+/// mesh holding `fsms`: the routers with an FSM, those whose FSM is not in
+/// `SOff`, and those whose FSM is in `SSbActive`.
+fn live_sets(n: usize, fsms: &[SbFsm]) -> [NodeSet; 3] {
+    let [mut placement, mut armed, mut bubble_on] = [(); 3].map(|_| NodeSet::new(n));
     for fsm in fsms {
         placement.insert(fsm.node);
         if fsm.state != FsmState::SOff {
             armed.insert(fsm.node);
         }
+        if fsm.state == FsmState::SSbActive {
+            bubble_on.insert(fsm.node);
+        }
     }
-    (placement, armed)
+    [placement, armed, bubble_on]
 }
 
 /// The routers whose `is_deadlock` bit is set, ascending.
@@ -1000,7 +1052,7 @@ mod tests {
         let core = NetCore::new(&topo, SimConfig::tiny(), &[]);
         let nodes = [NodeId(5), NodeId(10)];
         type Seed = fn(&mut StaticBubblePlugin);
-        let rows: [(&str, Seed); 4] = [
+        let rows: [(&str, Seed); 5] = [
             ("FSM table and slot index", |p| p.slot_of.swap(5, 6)),
             ("placement set", |p| {
                 p.placement.insert(NodeId(6));
@@ -1008,6 +1060,10 @@ mod tests {
             ("armed set", |p| {
                 p.fsm_mut(NodeId(10)).unwrap().state = FsmState::SDd;
                 p.armed.clear();
+            }),
+            ("bubble-on set", |p| {
+                p.fsm_mut(NodeId(10)).unwrap().state = FsmState::SSbActive;
+                p.bubble_on.clear();
             }),
             ("frozen-router index", |p| p.frozen.push(NodeId(3))),
         ];
@@ -1023,9 +1079,11 @@ mod tests {
             assert_eq!(v.len(), 1, "{row}: {v:?}");
             assert!(v[0].detail.contains(row), "{row}: {}", v[0].detail);
         }
-        // More than it must hold is what `armed` is allowed.
+        // More than they must hold is what `armed` and `bubble_on` are
+        // allowed.
         let mut plugin = StaticBubblePlugin::new(&topo, 8);
         plugin.armed.fill();
+        plugin.bubble_on.fill();
         let mut v = Vec::new();
         plugin.audit_check(&core, &mut v);
         assert_eq!(v, []);

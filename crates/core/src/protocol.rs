@@ -153,7 +153,9 @@ pub trait RouterView {
     /// Occupancy word: bit `port * vcs_per_port + vc` is set iff that VC
     /// holds a packet.
     fn occupancy(&self) -> u64;
-    /// The packet in VC `(port, vc)`, if any.
+    /// The packet in VC `(port, vc)`, if any. Detection calls this on every
+    /// executed tick, so the plugin answers it from the network's cached
+    /// per-VC columns without reading the packet.
     fn occupant(&self, port: Direction, vc: u8) -> Option<Occupant>;
     /// Are all VCs of `vnet` at `port` occupied (the probe fork condition)?
     fn all_vcs_occupied(&self, port: Direction, vnet: u8) -> bool;
@@ -288,9 +290,10 @@ pub enum Deadline {
     FiresAt(u64),
 }
 
-/// The one rule for when a counter counts and when it fires. [`step`]'s
-/// tick and gap accounting and the plugin's `next_timer` all derive from
-/// it, so an executed cycle and a skipped one cannot disagree.
+/// The one rule for when a counter counts and when it fires. [`detect`],
+/// [`step`]'s tick and gap accounting and the plugin's `next_timer` all
+/// derive from it, so an executed cycle and a skipped one cannot disagree.
+#[inline(always)]
 pub fn deadline(fsm: &SbFsm, view: &impl RouterView) -> Deadline {
     match fsm.state {
         FsmState::SOff if view.occupancy() == 0 => Deadline::Idle,
@@ -374,6 +377,7 @@ pub fn beats(a: &SpecialMsg, b: &SpecialMsg, prot: &ProtState) -> bool {
 
 /// The first occupied VC after `after` in the cyclic `(port, vc)` order of
 /// the round-robin VC pointer.
+#[inline(always)]
 fn next_occupied_vc(view: &impl RouterView, after: Option<VcPointer>) -> Option<VcPointer> {
     let vcs = view.vcs_per_port();
     let start = after.map_or(0, |w| w.port.index() * vcs + w.vc as usize + 1);
@@ -387,13 +391,17 @@ fn next_occupied_vc(view: &impl RouterView, after: Option<VcPointer>) -> Option<
         return None;
     }
     let i = first.trailing_zeros() as usize;
-    let (port, vc) = (Direction::from_index(i / vcs), (i % vcs) as u8);
+    // `i / vcs` by three compares: a divide is the slowest step of a
+    // re-point, which detection takes on most ticks.
+    let port = usize::from(i >= vcs) + usize::from(i >= 2 * vcs) + usize::from(i >= 3 * vcs);
+    let (port, vc) = (Direction::from_index(port), (i - port * vcs) as u8);
     let pkt = view.occupant(port, vc).expect("occupancy bit set").id;
     Some(VcPointer { port, vc, pkt })
 }
 
 /// The packet the VC pointer watches, while it still sits in that VC and
 /// waits for a mesh output (the `SDd` counting condition).
+#[inline(always)]
 fn watched_waiting(fsm: &SbFsm, view: &impl RouterView) -> Option<Occupant> {
     let watched = fsm.watching.expect("SDd has a pointer");
     view.occupant(watched.port, watched.vc)
@@ -421,6 +429,7 @@ fn frozen(local: &Local<'_>, io: (Direction, Direction), source: NodeId) -> Prot
 
 /// Point the counter at the next occupied VC after `after` and count from
 /// zero, or switch off when nothing is buffered.
+#[inline(always)]
 fn repoint(fsm: &mut SbFsm, view: &impl RouterView, after: Option<VcPointer>) {
     fsm.watching = next_occupied_vc(view, after);
     fsm.goto(match fsm.watching {
@@ -454,12 +463,22 @@ fn release(fsm: &mut SbFsm, view: &impl RouterView, buf: &mut ActionBuf) {
     repoint(fsm, view, after);
 }
 
-fn tick(local: &mut Local<'_>, view: &impl RouterView, buf: &mut ActionBuf) {
-    let Some(fsm) = local.fsm.as_deref_mut() else {
-        return;
-    };
+/// One executed tick of detection (`SOff` and `SDd`), the half of Fig. 5
+/// that runs while no deadlock is suspected: a VC filling starts the count,
+/// the watched packet waiting for a mesh output counts it, and a departed
+/// or ejecting occupant moves the pointer on. Returns `true` on the tick
+/// the count reaches `SbFsm::effective_tdd`: the probe is due, and the
+/// registers are left as they stand for [`step`]'s tick, which sends it,
+/// to decide the same. Writes only the FSM's pointer, count, backoff and
+/// state, and the plugin calls it directly on every executed tick: it
+/// enters [`step`] only when this fires. The helpers under it are
+/// `#[inline(always)]` so that a detection tick compiles into the
+/// plugin's loop: out of line they hand their answers back through memory.
+#[inline]
+pub fn detect(fsm: &mut SbFsm, view: &impl RouterView) -> bool {
+    debug_assert!(!fsm.in_recovery(), "detection runs in SOff and SDd");
     match deadline(fsm, view) {
-        Deadline::Idle => {}
+        Deadline::Idle => false,
         // SOff (no pointer): a VC filled, start counting it. SDd: the flit
         // left (or wants ejection) — local movement, so detection urgency
         // resets; point to the next active VC round-robin, or switch off.
@@ -468,12 +487,31 @@ fn tick(local: &mut Local<'_>, view: &impl RouterView, buf: &mut ActionBuf) {
                 fsm.probe_backoff = 0;
             }
             repoint(fsm, view, fsm.watching);
+            false
         }
-        Deadline::FiresAt(at) => {
-            if advance(fsm, 1, at) {
-                timeout(fsm, view, buf);
-            }
+        Deadline::FiresAt(at) if fsm.count + 1 >= at => true,
+        Deadline::FiresAt(_) => {
+            fsm.count += 1;
+            false
         }
+    }
+}
+
+fn tick(local: &mut Local<'_>, view: &impl RouterView, buf: &mut ActionBuf) {
+    let Some(fsm) = local.fsm.as_deref_mut() else {
+        return;
+    };
+    if !fsm.in_recovery() {
+        if detect(fsm, view) {
+            timeout(fsm, view, buf);
+        }
+        return;
+    }
+    let Deadline::FiresAt(at) = deadline(fsm, view) else {
+        unreachable!("a recovery state always counts");
+    };
+    if advance(fsm, 1, at) {
+        timeout(fsm, view, buf);
     }
 }
 

@@ -354,11 +354,11 @@ pub(crate) fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
 
 /// Check the scheduler half of `core` against a fresh derivation from the
 /// architectural half (`NetCore::rebuild_sched`): occupancy and request
-/// words, the head bytes of occupied slots, the occupied-router set, and
-/// the wheel occupancy word against the slots it summarises. (A wheel
-/// entry carries no time of its own — its slot is its maturity, inside
-/// `[time, time + 64)` as long as no leap crosses one, which
-/// `NetCore::leap` asserts.)
+/// words, the head bytes and packet ids of occupied slots, the
+/// occupied-router set, and the wheel occupancy word against the slots it
+/// summarises. (A wheel entry carries no time of its own — its slot is its
+/// maturity, inside `[time, time + 64)` as long as no leap crosses one,
+/// which `NetCore::leap` asserts.)
 pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
     let (have, want) = (&core.sched, core.rebuild_sched());
     let mut fail = |router: Option<NodeId>, detail: String| {
@@ -401,6 +401,11 @@ pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
                 "slot {slot}: cached head {have} != packet's desired output {want} \
                  (stale after a restamp?)"
             );
+            fail(Some(NodeId::from(flat / slots)), detail);
+        }
+        if have.vc_pkt[flat] != want.vc_pkt[flat] {
+            let (slot, have, want) = (flat % slots, have.vc_pkt[flat].0, want.vc_pkt[flat].0);
+            let detail = format!("slot {slot}: cached id {have} != occupant's id {want}");
             fail(Some(NodeId::from(flat / slots)), detail);
         }
     }
@@ -464,7 +469,7 @@ mod tests {
         let h = core.arch.arena.insert(packet(2));
         core.bubble_put(NodeId(5), h, 2);
         type Seed = fn(&mut NetCore);
-        let rows: [(&str, Seed); 6] = [
+        let rows: [(&str, Seed); 7] = [
             ("occupancy word", |c| c.sched.words[9].occ = 0),
             ("request word", |c| {
                 let head = c.sched.vc_head[c.flat_vc(SLOT)] as usize;
@@ -473,6 +478,10 @@ mod tests {
             ("slot 0: cached head", |c| {
                 let flat = c.flat_vc(SLOT);
                 c.sched.vc_head[flat] ^= 1;
+            }),
+            ("slot 0: cached id", |c| {
+                let flat = c.flat_vc(SLOT);
+                c.sched.vc_pkt[flat].0 ^= 1;
             }),
             ("bubble: cached head", |c| c.sched.bub_head[5] ^= 1),
             ("occupied-router set", |c| {

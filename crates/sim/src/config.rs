@@ -28,7 +28,8 @@ impl SimConfig {
     }
 
     /// The vnet of flat VC index `vc`.
-    pub(crate) fn vnet_of(&self, vc: u8) -> u8 {
+    #[inline]
+    pub fn vnet_of(&self, vc: u8) -> u8 {
         vc / self.vcs_per_vnet
     }
 

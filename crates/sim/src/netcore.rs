@@ -9,8 +9,8 @@
 //! All hot allocation state lives in flat struct-of-arrays tables instead of
 //! per-router nested structs:
 //!
-//! * Regular VC slots are four parallel arrays (`vc_occ`, `vc_ready`,
-//!   `vc_drain`, `vc_head`) indexed by the **flat vc id**
+//! * Regular VC slots are five parallel arrays (`vc_occ`, `vc_ready`,
+//!   `vc_drain`, `vc_head`, `vc_pkt`) indexed by the **flat vc id**
 //!   `(router * 4 + port) * vcs_per_port + vc` ([`NetCore::flat_vc`]).
 //!   A slot's occupant is a 4-byte [`PacketHandle`] into the shared
 //!   [`PacketArena`] (`NONE` = empty); `vc_drain == 0` means fully free,
@@ -18,7 +18,9 @@
 //!   until cycle `until` (every real drain deadline is `>= 1` because
 //!   packets are at least one flit long). `vc_head` caches the occupant's
 //!   desired output (0–3 = [`Direction::index`], 4 = ejection) so the
-//!   allocator never chases the packet pointer during candidate collection.
+//!   allocator never chases the packet pointer during candidate collection;
+//!   `vc_pkt` caches its id, so that a plugin watching one packet (Static
+//!   Bubble's detection, through [`NetCore::vc_resident`]) need not either.
 //! * Each router's allocation words share one cache line ([`RouterWords`]):
 //!   the occupancy word (bit `port * vcs + vc` set iff that VC is
 //!   occupied) and five request words splitting it by the occupant's head
@@ -219,6 +221,8 @@ pub(crate) struct Sched {
     vcs: usize,
     /// Cached desired output of each VC's occupant (valid iff occupied).
     pub(crate) vc_head: Vec<u8>,
+    /// Cached id of each VC's occupant (valid iff occupied).
+    pub(crate) vc_pkt: Vec<PacketId>,
     /// Cached desired output of the bubble occupant (valid iff occupied).
     pub(crate) bub_head: Vec<u8>,
     /// Each router's occupancy and request words.
@@ -321,6 +325,7 @@ impl NetCore {
         let mut sched = Sched {
             vcs,
             vc_head: vec![0; n * 4 * vcs],
+            vc_pkt: vec![PacketId::default(); n * 4 * vcs],
             bub_head: vec![0; n],
             words: vec![RouterWords::default(); n],
             occupied: NodeSet::new(n),
@@ -336,8 +341,10 @@ impl NetCore {
         for (flat, &h) in self.arch.vc_occ.iter().enumerate() {
             if h.is_some() {
                 let (router, bit) = (flat / (4 * vcs), 1 << (flat % (4 * vcs)));
-                let head = head_of(self.arch.arena.get(h));
+                let pkt = self.arch.arena.get(h);
+                let head = head_of(pkt);
                 sched.vc_head[flat] = head;
+                sched.vc_pkt[flat] = pkt.id;
                 let words = &mut sched.words[router];
                 words.occ |= bit;
                 words.req[head as usize] |= bit;
@@ -666,6 +673,7 @@ impl NetCore {
 
     /// The flat index of `vc` into the SoA VC tables:
     /// `(router * 4 + port) * vcs_per_port + vc`.
+    #[inline]
     pub(crate) fn flat_vc(&self, vc: VcRef) -> usize {
         (vc.router.index() * 4 + vc.port.index()) * self.sched.vcs + vc.vc as usize
     }
@@ -679,6 +687,23 @@ impl NetCore {
     pub fn vc_occupant(&self, vc: VcRef) -> Option<&Packet> {
         let h = self.arch.vc_occ[self.flat_vc(vc)];
         h.is_some().then(|| self.arch.arena.get(h))
+    }
+
+    /// The id of the packet occupying `vc` and the output it waits for
+    /// (`None`: ejection), if any — read off the scheduler's columns, so
+    /// the packet itself is not touched.
+    #[inline(always)]
+    pub fn vc_resident(&self, vc: VcRef) -> Option<(PacketId, Option<Direction>)> {
+        let (r, bit) = self.slot_bit(vc);
+        if self.sched.words[r].occ & bit == 0 {
+            return None;
+        }
+        let flat = self.flat_vc(vc);
+        let wants = match self.sched.vc_head[flat] {
+            HEAD_EJECT => None,
+            d => Some(Direction::from_index(d as usize)),
+        };
+        Some((self.sched.vc_pkt[flat], wants))
     }
 
     /// The occupant's first switchable cycle, if `vc` is occupied.
@@ -751,8 +776,10 @@ impl NetCore {
         self.arch.vc_occ[flat] = h;
         self.arch.vc_ready[flat] = ready_at;
         self.arch.vc_drain[flat] = 0;
-        let head = head_of(self.arch.arena.get(h));
+        let pkt = self.arch.arena.get(h);
+        let head = head_of(pkt);
         self.sched.vc_head[flat] = head;
+        self.sched.vc_pkt[flat] = pkt.id;
         self.mark(vc, head, true);
         self.wake_at(vc.router, ready_at);
     }

@@ -34,6 +34,7 @@ impl From<u16> for NodeId {
 }
 
 impl From<usize> for NodeId {
+    #[inline]
     fn from(v: usize) -> Self {
         NodeId(u16::try_from(v).expect("node id out of range"))
     }
