@@ -8,16 +8,17 @@
 
 use crate::route::{Route, RouteSource};
 use rand::Rng;
-use sb_topology::{distances_from, Direction, NodeId, Topology};
+use sb_topology::{Direction, NodeId, Topology};
 
 /// All-pairs shortest-path routing with uniform random choice among minimal
 /// next hops (the paper: "Each flit randomly chooses from one of its possible
 /// minimal routes without any routing restrictions").
 ///
-/// Construction runs one BFS per node (`O(V·E)`), after which route queries
-/// are `O(path length)`: a hop reads one row of the topology's adjacency
-/// table and at most four entries of the destination's distance row — no
-/// coordinate arithmetic, no liveness test.
+/// Construction fills two `n × n` tables: hop distances by a breadth-first
+/// search from 64 sources at once, then one byte per `(node, destination)`
+/// naming the directions one hop closer. A
+/// route query is `O(path length)`: a hop reads one byte, draws one choice
+/// and steps across one adjacency entry.
 ///
 /// ```
 /// use sb_routing::{MinimalRouting, RouteSource};
@@ -35,48 +36,133 @@ use sb_topology::{distances_from, Direction, NodeId, Topology};
 #[derive(Debug, Clone)]
 pub struct MinimalRouting {
     topo: Topology,
-    /// Flat row-major distance table: `dist[dst * n + src]` = hops from
-    /// `src` to `dst`, [`UNREACHABLE`] when disconnected. One contiguous
-    /// allocation and one indexed load per query — the injection path
-    /// consults this once per offered packet, so the former
-    /// `Vec<Vec<Option<u32>>>` double indirection was measurable.
-    dist: Vec<u32>,
+    /// Hop distances, `dist[a * n + b]`, [`UNREACHABLE`] when disconnected.
+    /// The graph is undirected, so the table is symmetric: row `a` is both
+    /// "from `a`" and "to `a`".
+    dist: Vec<u16>,
+    /// Next-hop masks, `hop[cur * n + dst]`: bit [`Direction::index`] set
+    /// iff the link that way is usable and its far end is one hop closer to
+    /// `dst`.
+    hop: Vec<u8>,
     /// Row stride (node count).
     n: usize,
-    /// On a fully-functional mesh the minimal next hops are exactly the
-    /// coordinate-reducing directions, so `route` can skip the distance
-    /// tables entirely.
-    pristine: bool,
 }
 
 /// Sentinel distance for "no surviving path".
-const UNREACHABLE: u32 = u32::MAX;
+const UNREACHABLE: u16 = u16::MAX;
+
+/// Sources one breadth-first sweep carries: one bit each of a `u64`.
+const BATCH: usize = 64;
+
+/// `SELECT[mask][pick]` is the [`Direction::index`] of the `pick`-th set bit
+/// of a next-hop mask, counting N, E, S, W.
+const SELECT: [[u8; 4]; 16] = {
+    let mut table = [[0; 4]; 16];
+    let mut mask = 0;
+    while mask < 16 {
+        let mut k = 0;
+        let mut i = 0;
+        while i < 4 {
+            // Candidates are counted N, E, S, W: the order a draw indexes.
+            let dir = i;
+            if mask >> dir & 1 != 0 {
+                table[mask][k] = dir as u8;
+                k += 1;
+            }
+            i += 1;
+        }
+        mask += 1;
+    }
+    table
+};
 
 impl MinimalRouting {
-    /// Precompute shortest-path distances over `topo`.
+    /// Precompute shortest-path distances and next-hop masks over `topo`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a mesh of `u16::MAX` or more routers, whose distances would
+    /// not fit the table.
     pub fn new(topo: &Topology) -> Self {
         let n = topo.mesh().node_count();
-        let mut dist = Vec::with_capacity(n * n);
-        for dst in topo.mesh().nodes() {
-            dist.extend(
-                distances_from(topo, dst)
-                    .into_iter()
-                    .map(|d| d.unwrap_or(UNREACHABLE)),
-            );
+        assert!(
+            n < usize::from(UNREACHABLE),
+            "{n} routers overflow u16 distances"
+        );
+        let adj = topo.adjacency();
+        let mut dist = vec![UNREACHABLE; n * n];
+        // Per node, one bit per source of the batch: reached so far, and
+        // reached at the current level.
+        let mut seen = vec![0u64; n];
+        let mut front = vec![0u64; n];
+        let mut next = vec![0u64; n];
+        for batch in 0..n.div_ceil(BATCH) {
+            let base = batch * BATCH;
+            let width = BATCH.min(n - base);
+            seen.fill(0);
+            front.fill(0);
+            for (bit, src) in (base..base + width).enumerate() {
+                if topo.router_alive(NodeId::from(src)) {
+                    seen[src] = 1 << bit;
+                    front[src] = 1 << bit;
+                    dist[src * n + src] = 0;
+                }
+            }
+            let mut level = 0;
+            loop {
+                level += 1;
+                let mut grew = 0;
+                // A missing link points back at the node itself, whose own
+                // front bits are already seen: no branch per link.
+                for (v, around) in adj.iter().enumerate() {
+                    let reached = around.iter().fold(0, |acc, u| acc | front[u.index()]);
+                    let mut fresh = reached & !seen[v];
+                    next[v] = fresh;
+                    if fresh == 0 {
+                        continue;
+                    }
+                    seen[v] |= fresh;
+                    grew |= fresh;
+                    // Symmetry: the distances from this batch's sources to
+                    // `v` are row `v`'s columns of the batch.
+                    let row = &mut dist[v * n + base..][..width];
+                    while fresh != 0 {
+                        row[fresh.trailing_zeros() as usize] = level;
+                        fresh &= fresh - 1;
+                    }
+                }
+                if grew == 0 {
+                    break;
+                }
+                std::mem::swap(&mut front, &mut next);
+            }
+        }
+        let mut hop = vec![0u8; n * n];
+        let rows = dist.chunks_exact(n).zip(hop.chunks_exact_mut(n));
+        for (around, (here, masks)) in adj.iter().zip(rows) {
+            // A missing link is the node itself, never one closer.
+            let [n0, n1, n2, n3] = around.map(|nb| &dist[nb.index() * n..][..n]);
+            for (j, (mask, &h)) in masks.iter_mut().zip(here).enumerate() {
+                // An unreachable neighbour's `u16::MAX` wraps to 0, and only
+                // the destination sits at 0, whose usable neighbours reach it.
+                let closer = |t: u16| u8::from(t.wrapping_add(1) == h);
+                *mask =
+                    closer(n0[j]) | closer(n1[j]) << 1 | closer(n2[j]) << 2 | closer(n3[j]) << 3;
+            }
         }
         MinimalRouting {
             topo: topo.clone(),
             dist,
+            hop,
             n,
-            pristine: topo.is_pristine(),
         }
     }
 
     /// Hops from `src` to `dst` over the surviving graph, `None` if
     /// unreachable.
     pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        let d = self.dist[dst.index() * self.n + src.index()];
-        (d != UNREACHABLE).then_some(d)
+        let d = self.dist[src.index() * self.n + dst.index()];
+        (d != UNREACHABLE).then_some(u32::from(d))
     }
 
     /// Is `dst` reachable from `src`?
@@ -88,7 +174,7 @@ impl MinimalRouting {
     /// programming over the shortest-path DAG), or 0 if unreachable.
     ///
     /// This is the paper's *path diversity*: irregular topologies offer far
-    /// less of it than the pristine mesh, which is why they are more prone
+    /// less of it than the fault-free mesh, which is why they are more prone
     /// to deadlock and why spanning-tree routing hurts them so much.
     ///
     /// ```
@@ -106,32 +192,29 @@ impl MinimalRouting {
         if total == 0 {
             return 1;
         }
-        // Process nodes in increasing distance-from-src, counting paths that
-        // stay on the shortest-path DAG towards dst.
-        let mesh = self.topo.mesh();
-        let dist_from_src = &self.dist_from(src);
-        let mut count = vec![0u128; mesh.node_count()];
+        // Process the nodes on a shortest src→dst path in increasing
+        // distance from src, pushing each one's count along its next hops.
+        let from_src = &self.dist[src.index() * self.n..][..self.n];
+        let to_dst = &self.dist[dst.index() * self.n..][..self.n];
+        let mut count = vec![0u128; self.n];
         count[src.index()] = 1;
         let mut order: Vec<NodeId> = self
             .topo
             .alive_nodes()
-            .filter(|&n| {
-                matches!(
-                    (dist_from_src[n.index()], self.distance(n, dst)),
-                    (Some(a), Some(b)) if a + b == total
-                )
-            })
+            // An unreachable end's `u16::MAX` overshoots every distance.
+            .filter(|n| u32::from(from_src[n.index()]) + u32::from(to_dst[n.index()]) == total)
             .collect();
-        order.sort_by_key(|n| dist_from_src[n.index()]);
+        order.sort_by_key(|n| from_src[n.index()]);
+        let adj = self.topo.adjacency();
         for &u in &order {
-            if count[u.index()] == 0 {
+            let here = count[u.index()];
+            if here == 0 {
                 continue;
             }
-            let du = self.distance(u, dst).expect("on DAG");
-            for (_, v) in self.topo.neighbors(u) {
-                if self.distance(v, dst) == Some(du.wrapping_sub(1)) && du > 0 {
-                    count[v.index()] = count[v.index()].saturating_add(count[u.index()]);
-                }
+            let mask = self.hop[u.index() * self.n + dst.index()];
+            for &pick in &SELECT[usize::from(mask)][..mask.count_ones() as usize] {
+                let v = adj[u.index()][usize::from(pick)].index();
+                count[v] = count[v].saturating_add(here);
             }
         }
         count[dst.index()]
@@ -158,93 +241,32 @@ impl MinimalRouting {
             sum as f64 / pairs as f64
         }
     }
-
-    fn dist_from(&self, src: NodeId) -> Vec<Option<u32>> {
-        // dist[dst * n + src] is stored; gather per-src view.
-        self.topo
-            .mesh()
-            .nodes()
-            .map(|dst| self.distance(src, dst))
-            .collect()
-    }
 }
 
 impl RouteSource for MinimalRouting {
     fn route(&self, src: NodeId, dst: NodeId, rng: &mut dyn rand::RngCore) -> Option<Route> {
-        let mut d = self.distance(src, dst)?;
+        let d = self.distance(src, dst)?;
         let mut hops = Vec::with_capacity(d as usize);
-        if self.pristine {
-            // Closed-form staircase walk. The candidate set and its order
-            // match the general path below exactly (DIRECTIONS order:
-            // N, E, S, W), so the RNG draws — and therefore every route —
-            // are identical to the table-driven version.
-            let mesh = self.topo.mesh();
-            let (mut x, mut y) = {
-                let c = mesh.coord(src);
-                (c.x, c.y)
-            };
-            let (tx, ty) = {
-                let c = mesh.coord(dst);
-                (c.x, c.y)
-            };
-            while (x, y) != (tx, ty) {
-                let mut nexts = [Direction::North; 2];
-                let mut n = 0;
-                if ty > y {
-                    nexts[n] = Direction::North;
-                    n += 1;
-                }
-                if tx > x {
-                    nexts[n] = Direction::East;
-                    n += 1;
-                }
-                if ty < y {
-                    nexts[n] = Direction::South;
-                    n += 1;
-                }
-                if tx < x {
-                    nexts[n] = Direction::West;
-                    n += 1;
-                }
-                let dir = nexts[rng.gen_range(0..n)];
-                match dir {
-                    Direction::North => y += 1,
-                    Direction::East => x += 1,
-                    Direction::South => y -= 1,
-                    Direction::West => x -= 1,
-                }
-                hops.push(dir);
-            }
-            return Some(Route::new(hops));
-        }
-        let dist_to_dst = &self.dist[dst.index() * self.n..][..self.n];
+        let adj = self.topo.adjacency();
         let mut cur = src;
-        while d > 0 {
-            // The alive neighbours one hop closer, in `DIRECTIONS` order,
-            // on the stack: this runs once per hop of every injected
-            // packet, and a per-hop `Vec` was the hottest allocation in the
-            // saturated injection path.
-            let mut nexts = [(Direction::North, cur); 4];
-            let mut n = 0;
-            for (dir, v) in self.topo.neighbors(cur) {
-                // `d - 1` can never equal the UNREACHABLE sentinel.
-                if dist_to_dst[v.index()] == d - 1 {
-                    nexts[n] = (dir, v);
-                    n += 1;
-                }
-            }
-            debug_assert!(n > 0, "positive distance implies a next hop");
-            let (dir, next) = nexts[rng.gen_range(0..n)];
-            hops.push(dir);
-            cur = next;
-            d -= 1;
+        for _ in 0..d {
+            // One draw a hop, whatever the number of candidates: the RNG
+            // stream is that of a walk over the distance table.
+            let mask = self.hop[cur.index() * self.n + dst.index()];
+            let k = mask.count_ones() as usize;
+            debug_assert!(k > 0, "positive distance implies a next hop");
+            let pick = rng.gen_range(0..k);
+            let dir = usize::from(SELECT[usize::from(mask)][pick]);
+            hops.push(Direction::from_index(dir));
+            cur = adj[cur.index()][dir];
         }
+        debug_assert_eq!(cur, dst, "a minimal walk ends at its destination");
         Some(Route::new(hops))
     }
 
     /// One load from the distance table.
     fn routable(&self, src: NodeId, dst: NodeId) -> bool {
-        self.dist[dst.index() * self.n + src.index()] != UNREACHABLE
+        self.dist[src.index() * self.n + dst.index()] != UNREACHABLE
     }
 }
 
@@ -254,38 +276,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sb_topology::{FaultKind, FaultModel, Mesh};
-
-    #[test]
-    fn pristine_fast_path_matches_table_walk() {
-        // The closed-form staircase in `route` must reproduce the
-        // table-driven walk draw for draw: same candidate sets, same
-        // order, same RNG consumption.
-        let mesh = Mesh::new(5, 7);
-        let routing = MinimalRouting::new(&Topology::full(mesh));
-        assert!(routing.pristine);
-        for (i, (a, b)) in mesh
-            .nodes()
-            .flat_map(|a| mesh.nodes().map(move |b| (a, b)))
-            .enumerate()
-        {
-            let seed = i as u64;
-            let fast = routing.route(a, b, &mut StdRng::seed_from_u64(seed));
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut hops = Vec::new();
-            let mut cur = a;
-            while cur != b {
-                let d = routing.distance(cur, b).unwrap();
-                let nexts: Vec<Direction> = (routing.topo.neighbors(cur))
-                    .filter(|&(_, v)| routing.distance(v, b) == Some(d - 1))
-                    .map(|(dir, _)| dir)
-                    .collect();
-                let dir = nexts[rng.gen_range(0..nexts.len())];
-                hops.push(dir);
-                cur = mesh.neighbor(cur, dir).expect("alive link");
-            }
-            assert_eq!(fast, Some(Route::new(hops)));
-        }
-    }
 
     #[test]
     fn full_mesh_distance_is_manhattan() {

@@ -58,6 +58,11 @@ pub struct UpDownRouting {
     components: ComponentMap,
     /// BFS level from the component root; `None` for dead routers.
     level: Vec<Option<u32>>,
+    /// Per node, one byte of move masks: bit [`Direction::index`] of the
+    /// low nibble set iff that link is usable, of the high nibble iff the
+    /// move along it is up. Filled by the first [`RouteSource::route`] call,
+    /// like the trees it serves.
+    moves: OnceLock<Box<[u8]>>,
     /// Per-source BFS predecessor trees over the `(node, gone_down)` state
     /// graph (state index `node * 2 + gone_down`), built by the source's
     /// first [`RouteSource::route`] call — never at construction, so a
@@ -88,8 +93,26 @@ impl UpDownRouting {
             topo: topo.clone(),
             components,
             level,
+            moves: OnceLock::new(),
             trees: vec![OnceLock::new(); topo.mesh().node_count()],
         }
+    }
+
+    /// Every node's usable and up directions, packed as the `moves` field
+    /// holds them.
+    fn move_masks(&self) -> Box<[u8]> {
+        (self.topo.mesh().nodes())
+            .map(|node| {
+                DIRECTIONS.into_iter().fold(0, |masks, dir| {
+                    masks
+                        | match self.is_up_move(node, dir) {
+                            None => 0,
+                            Some(false) => 1 << dir.index(),
+                            Some(true) => 0x11 << dir.index(),
+                        }
+                })
+            })
+            .collect()
     }
 
     /// The full BFS from `src` over `(node, gone_down)` states, one byte per
@@ -98,29 +121,37 @@ impl UpDownRouting {
     /// its destination, so walking back from a node's [`FIRST`] state yields
     /// the route such a search returns.
     fn build_tree(&self, src: NodeId) -> Box<[u8]> {
-        let mut tree = vec![0u8; self.topo.mesh().node_count() * 2].into_boxed_slice();
+        let moves = self.moves.get_or_init(|| self.move_masks());
+        let adj = self.topo.adjacency();
+        let states = self.topo.mesh().node_count() * 2;
+        let mut tree = vec![0u8; states].into_boxed_slice();
         let start = src.index() * 2;
         tree[start] = REACHED | FIRST;
-        let mut queue = std::collections::VecDeque::from([start]);
-        while let Some(state) = queue.pop_front() {
-            let node = NodeId::from(state / 2);
+        // Every state is queued at most once.
+        let mut queue = vec![0; states];
+        queue[0] = start;
+        let (mut head, mut tail) = (0, 1);
+        while head < tail {
+            let state = queue[head];
+            head += 1;
+            let node = state / 2;
             let gone_down = state % 2 == 1;
-            for dir in DIRECTIONS {
-                let Some(up) = self.is_up_move(node, dir) else {
-                    continue;
-                };
-                if gone_down && up {
-                    continue;
-                }
-                let next_node = self.topo.neighbor(node, dir).expect("alive link");
-                let next_state = next_node.index() * 2 + usize::from(gone_down || !up);
+            let (alive, up) = (moves[node] & 0xF, moves[node] >> 4);
+            // Once down, an up move is illegal.
+            let mut legal = if gone_down { alive & !up } else { alive };
+            while legal != 0 {
+                let dir = legal.trailing_zeros() as usize;
+                legal &= legal - 1;
+                let down = gone_down || up >> dir & 1 == 0;
+                let next_state = adj[node][dir].index() * 2 + usize::from(down);
                 if tree[next_state] != 0 {
                     continue;
                 }
                 let first = if tree[next_state ^ 1] == 0 { FIRST } else { 0 };
                 let prev_down = if gone_down { PREV_DOWN } else { 0 };
-                tree[next_state] = REACHED | first | prev_down | dir.index() as u8;
-                queue.push_back(next_state);
+                tree[next_state] = REACHED | first | prev_down | dir as u8;
+                queue[tail] = next_state;
+                tail += 1;
             }
         }
         tree

@@ -143,12 +143,13 @@ impl Topology {
         self.routers[node.index()]
     }
 
-    /// Is the topology fully functional — every router alive and every
-    /// in-mesh link usable? Pristine meshes admit closed-form answers
-    /// (Manhattan distances, coordinate-derived minimal next hops) that
-    /// routing layers use as fast paths.
-    pub fn is_pristine(&self) -> bool {
-        self.routers.iter().all(|&r| r) && self.alive_links().count() == self.mesh.link_count()
+    /// The whole alive-adjacency table, indexed by node id then
+    /// [`Direction::index`]: the far end of each usable link, the node's own
+    /// id where there is none. Table builders sweep it without a branch per
+    /// missing link.
+    #[inline]
+    pub fn adjacency(&self) -> &[[NodeId; 4]] {
+        &self.adj
     }
 
     /// The router across the usable link out of `node` towards `dir`:
@@ -307,6 +308,10 @@ mod tests {
                     let expect = self.neighbor_by_definition(node, dir);
                     prop_assert_eq!(self.neighbor(node, dir), expect, "{} {:?}", node, dir);
                     prop_assert_eq!(self.link_alive(node, dir), expect.is_some());
+                    prop_assert_eq!(
+                        self.adjacency()[node.index()][dir.index()],
+                        expect.unwrap_or(node)
+                    );
                     around.extend(expect.map(|other| (dir, other)));
                 }
                 prop_assert_eq!(self.degree(node), around.len());
@@ -317,7 +322,6 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(self.is_pristine(), links.len() == self.mesh.link_count());
             prop_assert_eq!(self.alive_links().collect::<Vec<_>>(), links);
             Ok(())
         }
