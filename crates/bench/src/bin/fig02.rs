@@ -6,10 +6,40 @@
 //! unrestricted minimal routing and watching for deadlock; pass `--sim` to
 //! run that verification too).
 
+use rand::{Rng, RngCore};
 use sb_bench::{sweep::jobs_from_args, Args, Table};
 use sb_routing::MinimalRouting;
-use sb_sim::{NullPlugin, SimConfig, Simulator, UniformTraffic};
-use sb_topology::{FaultKind, FaultModel, Mesh};
+use sb_sim::{
+    NewPacket, NullPlugin, Pattern, SimConfig, Simulator, TrafficSource, Uniform, DATA_FLITS,
+};
+use sb_topology::{FaultKind, FaultModel, Mesh, NodeId, Topology};
+
+/// The footnote's load: each cycle every alive node offers, with
+/// probability 1/5, a 5-flit packet to a uniformly random other node — one
+/// flit per node per cycle on average. Holds the alive nodes in id order
+/// (the run never changes the topology).
+struct Flood(Vec<NodeId>);
+
+impl TrafficSource for Flood {
+    fn generate(&mut self, _time: u64, topo: &Topology, rng: &mut dyn RngCore) -> Vec<NewPacket> {
+        let alive = &self.0;
+        let mut out = Vec::new();
+        if alive.len() < 2 {
+            return out;
+        }
+        for &src in alive {
+            if rng.gen_bool(0.2) {
+                out.push(NewPacket {
+                    src,
+                    dst: Uniform.pick(src, topo, alive, rng),
+                    vnet: 0,
+                    len_flits: DATA_FLITS,
+                });
+            }
+        }
+        out
+    }
+}
 
 fn main() {
     let args = Args::parse_spec(
@@ -48,7 +78,7 @@ fn main() {
                             SimConfig::tiny(),
                             Box::new(MinimalRouting::new(t)),
                             NullPlugin,
-                            UniformTraffic::new(1.0).single_vnet().data_fraction(1.0),
+                            Flood(t.alive_nodes().collect()),
                             7,
                         );
                         sim.run_until_deadlock(20_000, 32).is_some()

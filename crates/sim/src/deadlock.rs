@@ -19,186 +19,147 @@ use crate::netcore::NetCore;
 use crate::packet::PacketId;
 use crate::plugin::InputRef;
 use crate::vc::VcRef;
-use sb_topology::{Direction, NodeId, DIRECTIONS};
+use sb_topology::{Direction, NodeId};
 use serde::{Deserialize, Serialize};
 
-use std::collections::VecDeque;
-
-/// One occupied buffer position considered by the oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum Buf {
-    Vc(VcRef),
-    Bubble(NodeId),
+/// The wait-for graph over the occupied buffers, from which both of this
+/// module's questions are answered.
+struct WaitFor {
+    /// The occupied buffers: the alive routers in id order, each router's
+    /// VCs (port-major, in flat VC order) and then its bubble.
+    bufs: Vec<InputRef>,
+    /// `bufs[i]` waits on the buffers at `edges[ends[i]..ends[i + 1]]`
+    /// (positions in `bufs`): the occupied VCs of its head's vnet at the
+    /// downstream input port, in VC order, then the downstream bubble if it
+    /// is occupied and attached to that port and vnet (otherwise it is not
+    /// a candidate at all).
+    ends: Vec<u32>,
+    edges: Vec<u32>,
+    /// Does `bufs[i]` drain by itself? Its head wants ejection, or a
+    /// candidate downstream buffer is free now or draining — a draining
+    /// slot frees in bounded time, so it is as good as free for liveness.
+    /// A head aimed at a dead link never moves: no seed and no edges
+    /// (routes should prevent this).
+    seed: Vec<bool>,
 }
 
-/// Find the set of non-live (deadlocked or blocked-behind-deadlock) occupied
-/// buffers. Empty means no deadlock.
-pub fn find_deadlock(core: &NetCore) -> Vec<InputRef> {
-    let topo = core.topology();
-    let cfg = core.config();
-    let _now = core.time();
-
-    // Enumerate occupied buffers and index them.
-    let mut bufs: Vec<Buf> = Vec::new();
-    let mut index = std::collections::HashMap::new();
-    for router in topo.alive_nodes() {
-        for port in DIRECTIONS {
-            for vc in 0..cfg.vcs_per_port() as u8 {
-                let r = VcRef { router, port, vc };
+impl WaitFor {
+    fn new(core: &NetCore) -> Self {
+        let topo = core.topology();
+        let cfg = core.config();
+        let nodes = topo.mesh().node_count();
+        // Position in `bufs` by flat VC id, then one slot per bubble;
+        // `u32::MAX` marks a free buffer.
+        let vcs = nodes * 4 * cfg.vcs_per_port();
+        let bubble = |r: NodeId| vcs + r.index();
+        let mut index = vec![u32::MAX; vcs + nodes];
+        let mut bufs = Vec::new();
+        for router in topo.alive_nodes() {
+            for r in core.vc_refs(router) {
                 if core.vc_occupant(r).is_some() {
-                    index.insert(Buf::Vc(r), bufs.len());
-                    bufs.push(Buf::Vc(r));
+                    index[core.flat_vc(r)] = bufs.len() as u32;
+                    bufs.push(InputRef::Vc(r));
+                }
+            }
+            if core.bubble_occupant(router).is_some() {
+                index[bubble(router)] = bufs.len() as u32;
+                bufs.push(InputRef::Bubble(router));
+            }
+        }
+        let (mut ends, mut edges, mut seed) = (vec![0], Vec::new(), Vec::new());
+        for &input in &bufs {
+            let (router, pkt) = match input {
+                InputRef::Vc(r) => (r.router, core.vc_occupant(r)),
+                InputRef::Bubble(r) => (r, core.bubble_occupant(r)),
+                InputRef::Inject { .. } => unreachable!("a source queue is not a buffer"),
+            };
+            let pkt = pkt.expect("indexed occupied");
+            // A head that wants ejection always eventually drains.
+            let mut free = pkt.desired_hop().is_none();
+            let downstream = (pkt.desired_hop())
+                .and_then(|dir| Some((topo.neighbor(router, dir)?, dir.opposite())));
+            if let Some((neighbor, port)) = downstream {
+                let mut wait_on = |at: usize| match index[at] {
+                    u32::MAX => free = true,
+                    j => edges.push(j),
+                };
+                for vc in cfg.vcs_of_vnet(pkt.vnet) {
+                    let r = VcRef {
+                        router: neighbor,
+                        port,
+                        vc,
+                    };
+                    wait_on(core.flat_vc(r));
+                }
+                if core.bubble_attach(neighbor) == Some((port, pkt.vnet)) {
+                    wait_on(bubble(neighbor));
+                }
+            }
+            seed.push(free);
+            ends.push(edges.len() as u32);
+        }
+        WaitFor {
+            bufs,
+            ends,
+            edges,
+            seed,
+        }
+    }
+
+    fn waits_on(&self, i: usize) -> &[u32] {
+        &self.edges[self.ends[i] as usize..self.ends[i + 1] as usize]
+    }
+
+    /// The buffers not live: a buffer is live iff it is a seed or waits on
+    /// a live buffer (that one will eventually free, at which point
+    /// *somebody* makes progress). Computed backwards from the seeds.
+    fn not_live(&self) -> Vec<InputRef> {
+        let n = self.bufs.len();
+        let mut waiters: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for &j in self.waits_on(i) {
+                waiters[j as usize].push(i as u32);
+            }
+        }
+        let mut live = self.seed.clone();
+        let mut stack: Vec<usize> = (0..n).filter(|&i| live[i]).collect();
+        while let Some(j) = stack.pop() {
+            for &w in &waiters[j] {
+                if !live[w as usize] {
+                    live[w as usize] = true;
+                    stack.push(w as usize);
                 }
             }
         }
-        if core.bubble_occupant(router).is_some() {
-            index.insert(Buf::Bubble(router), bufs.len());
-            bufs.push(Buf::Bubble(router));
-        }
+        let dead = self.bufs.iter().zip(&live).filter(|(_, &l)| !l);
+        dead.map(|(&b, _)| b).collect()
     }
 
-    // Build reverse dependency edges and live seeds.
-    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); bufs.len()];
-    let mut live = vec![false; bufs.len()];
-    let mut queue = VecDeque::new();
-    for (i, &buf) in bufs.iter().enumerate() {
-        let pkt = match buf {
-            Buf::Vc(r) => core.vc_occupant(r).expect("indexed occupied"),
-            Buf::Bubble(r) => core.bubble_occupant(r).expect("indexed occupied"),
-        };
-        let router = match buf {
-            Buf::Vc(r) => r.router,
-            Buf::Bubble(r) => r,
-        };
-        let Some(dir) = pkt.desired_hop() else {
-            // Wants ejection: always eventually drains.
-            live[i] = true;
-            queue.push_back(i);
-            continue;
-        };
-        let Some(neighbor) = topo.neighbor(router, dir) else {
-            // A packet aimed at a dead link can never move; count it as
-            // non-live with no escape (routes should prevent this).
-            continue;
-        };
-        let port = dir.opposite();
-        let mut any_free = false;
-        for vc in cfg.vcs_of_vnet(pkt.vnet) {
-            let r = VcRef {
-                router: neighbor,
-                port,
-                vc,
-            };
-            if core.vc_occupant(r).is_none() {
-                // Free now, or draining — a draining slot frees in bounded
-                // time, so it is as good as free for liveness.
-                any_free = true;
-            } else if let Some(&j) = index.get(&Buf::Vc(r)) {
-                rev[j].push(i as u32);
+    /// One cycle among the occupied VCs, found by an iterative DFS with
+    /// parent reconstruction. Bubbles are left out: they are the recovery
+    /// mechanism, not part of the steady dependency structure.
+    fn vc_cycle(&self) -> Option<Vec<InputRef>> {
+        let n = self.bufs.len();
+        let is_vc = |i: usize| matches!(self.bufs[i], InputRef::Vc(_));
+        let mut color = vec![0u8; n];
+        let mut parent = vec![usize::MAX; n];
+        for start in (0..n).filter(|&i| is_vc(i)) {
+            if color[start] != 0 {
+                continue;
             }
-        }
-        // An active, attached, empty (or draining) bubble downstream is a
-        // usable buffer.
-        if core.bubble_attach(neighbor) == Some((port, pkt.vnet)) {
-            if core.bubble_occupant(neighbor).is_none() {
-                any_free = true;
-            } else if let Some(&j) = index.get(&Buf::Bubble(neighbor)) {
-                // Occupied bubble: depend on it only because it is attached
-                // to our port/vnet (otherwise it is not a candidate at all).
-                rev[j].push(i as u32);
-            }
-        }
-        if any_free {
-            live[i] = true;
-            queue.push_back(i);
-        }
-    }
-
-    // Backwards propagation of liveness.
-    while let Some(j) = queue.pop_front() {
-        // rev[j]: buffers waiting (partly) on j.
-        let waiters = std::mem::take(&mut rev[j]);
-        for w in waiters {
-            let w = w as usize;
-            if !live[w] {
-                live[w] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-
-    bufs.iter()
-        .zip(&live)
-        .filter(|(_, &l)| !l)
-        .map(|(&b, _)| match b {
-            Buf::Vc(r) => InputRef::Vc(r),
-            Buf::Bubble(r) => InputRef::Bubble(r),
-        })
-        .collect()
-}
-
-/// Is the network deadlocked right now?
-pub(crate) fn is_deadlocked(core: &NetCore) -> bool {
-    !find_deadlock(core).is_empty()
-}
-
-/// Post-mortem: extract one concrete buffer-dependency **cycle** from the
-/// current state (a sequence of occupied buffers, each waiting on the
-/// next), or `None` if no cycle exists. This is the structure a Static
-/// Bubble probe traces; exposing it makes wedged states debuggable.
-pub fn find_dependency_cycle(core: &NetCore) -> Option<Vec<InputRef>> {
-    let topo = core.topology();
-    let cfg = core.config();
-
-    // Wait edges between occupied VCs (bubbles excluded: they are the
-    // recovery mechanism, not part of the steady dependency structure).
-    let mut nodes: Vec<VcRef> = Vec::new();
-    let mut index = std::collections::HashMap::new();
-    for router in topo.alive_nodes() {
-        for port in DIRECTIONS {
-            for vc in 0..cfg.vcs_per_port() as u8 {
-                let r = VcRef { router, port, vc };
-                if core.vc_occupant(r).is_some() {
-                    index.insert(r, nodes.len());
-                    nodes.push(r);
-                }
-            }
-        }
-    }
-    let mut edges: Vec<Vec<u32>> = vec![Vec::new(); nodes.len()];
-    for (i, r) in nodes.iter().enumerate() {
-        let pkt = core.vc_occupant(*r).expect("indexed");
-        let Some(dir) = pkt.desired_hop() else {
-            continue;
-        };
-        let Some(neighbor) = topo.neighbor(r.router, dir) else {
-            continue;
-        };
-        for vc in cfg.vcs_of_vnet(pkt.vnet) {
-            let w = VcRef {
-                router: neighbor,
-                port: dir.opposite(),
-                vc,
-            };
-            if let Some(&j) = index.get(&w) {
-                edges[i].push(j as u32);
-            }
-        }
-    }
-    // Iterative DFS for a cycle, with parent reconstruction.
-    let n = nodes.len();
-    let mut color = vec![0u8; n];
-    let mut parent = vec![usize::MAX; n];
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        color[start] = 1;
-        while let Some(&mut (u, ref mut k)) = stack.last_mut() {
-            if *k < edges[u].len() {
-                let v = edges[u][*k] as usize;
+            let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
+            color[start] = 1;
+            while let Some(&mut (u, ref mut k)) = stack.last_mut() {
+                let Some(&v) = self.waits_on(u).get(*k) else {
+                    color[u] = 2;
+                    stack.pop();
+                    continue;
+                };
+                let v = v as usize;
                 *k += 1;
+                if !is_vc(v) {
+                    continue;
+                }
                 match color[v] {
                     0 => {
                         color[v] = 1;
@@ -214,17 +175,33 @@ pub fn find_dependency_cycle(core: &NetCore) -> Option<Vec<InputRef>> {
                             cycle.push(x);
                         }
                         cycle.reverse();
-                        return Some(cycle.into_iter().map(|i| InputRef::Vc(nodes[i])).collect());
+                        return Some(cycle.into_iter().map(|i| self.bufs[i]).collect());
                     }
                     _ => {}
                 }
-            } else {
-                color[u] = 2;
-                stack.pop();
             }
         }
+        None
     }
-    None
+}
+
+/// Find the set of non-live (deadlocked or blocked-behind-deadlock) occupied
+/// buffers. Empty means no deadlock.
+pub fn find_deadlock(core: &NetCore) -> Vec<InputRef> {
+    WaitFor::new(core).not_live()
+}
+
+/// Is the network deadlocked right now?
+pub(crate) fn is_deadlocked(core: &NetCore) -> bool {
+    !find_deadlock(core).is_empty()
+}
+
+/// Post-mortem: extract one concrete buffer-dependency **cycle** from the
+/// current state (a sequence of occupied buffers, each waiting on the
+/// next), or `None` if no cycle exists. This is the structure a Static
+/// Bubble probe traces; exposing it makes wedged states debuggable.
+pub fn find_dependency_cycle(core: &NetCore) -> Option<Vec<InputRef>> {
+    WaitFor::new(core).vc_cycle()
 }
 
 /// One edge of an annotated wait-for cycle: the occupied buffer, the packet

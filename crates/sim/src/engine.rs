@@ -500,13 +500,10 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     /// Run `warmup` cycles and then reset the measurement window, so
     /// subsequent statistics exclude the cold start. Offers for packets
     /// still in flight carry into the new window (see
-    /// [`NetCore::reset_measurement`]); the traffic source is told through
-    /// [`TrafficSource::on_measurement_reset`] so tracing decorators can
-    /// drop warmup samples.
+    /// [`NetCore::reset_measurement`]).
     pub fn warmup(&mut self, warmup: u64) {
         self.run(warmup);
         self.core.reset_measurement();
-        self.traffic.on_measurement_reset();
     }
 
     /// Run until the network is empty (traffic exhausted, queues and VCs

@@ -55,7 +55,6 @@ mod plugin;
 mod snapshot;
 mod stats;
 pub mod toml;
-mod trace;
 mod traffic;
 pub mod value;
 mod vc;
@@ -72,7 +71,6 @@ pub use packet::{NewPacket, Packet, PacketId, PacketMode};
 pub use plugin::{InputRef, NullPlugin, OutPort, Plugin, SlotRef};
 pub use snapshot::EngineSnapshot;
 pub use stats::{SpecialClass, Stats};
-pub use trace::Traced;
 pub use traffic::{
     check_injectable, BitComplement, BitComplementTraffic, NoTraffic, Pattern, ScriptedTraffic,
     Synthetic, TrafficSource, Uniform, UniformTraffic, CTRL_FLITS, DATA_FLITS,

@@ -2,9 +2,9 @@
 //!
 //! [`Synthetic`] is the one open-loop injector: it owns the arrival
 //! process, the packet mix and the load bound, and asks a [`Pattern`] only
-//! where a packet goes. The two patterns of Table II live here, four more
-//! in `sb-workloads`, next to the closed-loop application profiles (PARSEC
-//! / Rodinia stand-ins).
+//! where a packet goes: uniform random or bit-complement, the two patterns
+//! of Table II. The closed-loop application profiles (PARSEC / Rodinia
+//! stand-ins) are in `sb-workloads`.
 //!
 //! The injector offers two statistically equivalent samplers: the
 //! per-cycle **Bernoulli** coin (the historical reference — one `gen_bool`
@@ -44,12 +44,6 @@ pub trait TrafficSource {
         false
     }
 
-    /// Called when the engine resets the measurement window (end of
-    /// warmup). Sources that record per-delivery observations (e.g.
-    /// [`crate::Traced`]) discard warmup samples here; open-loop sources
-    /// need not do anything.
-    fn on_measurement_reset(&mut self) {}
-
     /// The earliest cycle at or after `now + 1` at which this source may
     /// produce a packet, viewed from cycle `now` (whose `generate` call
     /// has already happened). The engine uses this to skip dead cycles,
@@ -84,94 +78,39 @@ pub const DATA_FLITS: u16 = 5;
 /// Flit length used for control packets by the synthetic sources.
 pub const CTRL_FLITS: u16 = 1;
 
-/// Common knobs of the synthetic injection patterns: offered load in
-/// flits/node/cycle with the paper's mix of 1-flit and 5-flit packets.
-#[derive(Debug, Clone, Copy)]
-struct SyntheticLoad {
-    rate: f64,
-    data_fraction: f64,
-    ctrl_vnet: u8,
-    data_vnet: u8,
-}
+/// Mean flits a synthetic packet: the paper's 50/50 mix of 1-flit control
+/// and 5-flit data packets.
+const AVG_FLITS: f64 = (CTRL_FLITS + DATA_FLITS) as f64 / 2.0;
 
-impl SyntheticLoad {
-    fn new(rate: f64) -> Self {
-        let load = Self::default_mix(rate);
-        load.validate();
-        load
-    }
-
-    /// `rate` at the default packet mix, bound not yet checked.
-    fn default_mix(rate: f64) -> Self {
-        SyntheticLoad {
-            rate,
-            data_fraction: 0.5,
-            ctrl_vnet: 0,
-            data_vnet: 2,
-        }
-    }
-
-    /// An injector can offer at most one packet per node per cycle, i.e.
-    /// `rate / avg_flits ≤ 1`. Loads beyond that used to be clamped
-    /// silently (`gen_bool(p.min(1.0))`), flattening saturation sweeps
-    /// without telling anyone; now they are rejected at construction.
-    fn validate(&self) {
-        if let Err(why) = self.check() {
-            panic!("{why}");
-        }
-    }
-
-    /// The bound behind [`SyntheticLoad::validate`], as a value.
-    fn check(&self) -> Result<(), String> {
-        if self.rate.is_nan() || self.rate < 0.0 {
-            return Err(format!(
-                "injection rate must be non-negative, got {}",
-                self.rate
-            ));
-        }
-        let p = self.packet_prob();
-        if p > 1.0 {
-            return Err(format!(
-                "offered load {} flits/node/cycle is not injectable: it needs \
-                 {p:.3} packets/node/cycle at {} flits/packet average, and the \
-                 injector caps at one packet per node per cycle (at most {} \
-                 flits/node/cycle)",
-                self.rate,
-                self.avg_flits(),
-                self.avg_flits(),
-            ));
-        }
-        Ok(())
-    }
-
-    // `#[inline]` here and below: `Synthetic::generate` is monomorphised in
-    // the crate that names the pattern, where these would be real calls.
-    #[inline]
-    fn avg_flits(&self) -> f64 {
-        self.data_fraction * DATA_FLITS as f64 + (1.0 - self.data_fraction) * CTRL_FLITS as f64
-    }
-
-    /// Probability a given node injects a packet this cycle.
-    #[inline]
-    fn packet_prob(&self) -> f64 {
-        self.rate / self.avg_flits()
-    }
-
-    #[inline]
-    fn draw_shape(&self, rng: &mut dyn rand::RngCore) -> (u8, u16) {
-        if rng.gen_bool(self.data_fraction) {
-            (self.data_vnet, DATA_FLITS)
-        } else {
-            (self.ctrl_vnet, CTRL_FLITS)
-        }
-    }
-}
-
-/// Can a synthetic source offer `rate` flits/node/cycle at the default
-/// packet mix? `Err` carries the reason [`Synthetic::new`] would panic
-/// with, so a spec validator can refuse the load before anything is built.
+/// Can a synthetic source offer `rate` flits/node/cycle? It can offer at
+/// most one packet per node per cycle, i.e. `rate / AVG_FLITS ≤ 1`. `Err`
+/// carries the reason [`Synthetic::new`] panics with, so a spec validator
+/// can refuse the load before anything is built.
 pub fn check_injectable(rate: f64) -> Result<(), String> {
-    SyntheticLoad::default_mix(rate).check()
+    if rate.is_nan() || rate < 0.0 {
+        return Err(format!("injection rate must be non-negative, got {rate}"));
+    }
+    let p = rate / AVG_FLITS;
+    if p > 1.0 {
+        return Err(format!(
+            "offered load {rate} flits/node/cycle is not injectable: it needs \
+             {p:.3} packets/node/cycle at {AVG_FLITS} flits/packet average, and the \
+             injector caps at one packet per node per cycle (at most {AVG_FLITS} \
+             flits/node/cycle)",
+        ));
+    }
+    Ok(())
+}
+
+/// One packet's shape, drawn after its destination: a fair coin between a
+/// data packet on `data_vnet` and a control packet on vnet 0.
+#[inline]
+fn draw_shape(data_vnet: u8, rng: &mut dyn RngCore) -> (u8, u16) {
+    if rng.gen_bool(0.5) {
+        (data_vnet, DATA_FLITS)
+    } else {
+        (0, CTRL_FLITS)
+    }
 }
 
 /// How a synthetic source decides *when* each node injects.
@@ -280,25 +219,19 @@ fn sample_gap(p: f64, rng: &mut StdRng) -> u64 {
 /// The two methods fix the order in which a source consumes randomness,
 /// which is what keeps a pattern's packet stream stable: arrival, then the
 /// draws of `pick`, then the packet's shape. `can_send` takes no RNG so
-/// that a node with nowhere to send (a permutation partner that is itself
-/// or dead, no alive neighbour, nobody else alive) never flips the arrival
-/// coin; under the geometric sampler its arrivals are discarded while its
-/// private stream advances, so the schedule stays deterministic when the
-/// fault map changes mid-run.
+/// that a node with nowhere to send (a bit-complement partner that is
+/// itself or dead, nobody else alive) never flips the arrival coin; under
+/// the geometric sampler its arrivals are discarded while its private
+/// stream advances, so the schedule stays deterministic when the fault map
+/// changes mid-run.
 pub trait Pattern {
     /// Has alive `src` any destination on `topo`? `alive` is the alive
     /// nodes in id order.
     fn can_send(&self, src: NodeId, topo: &Topology, alive: &[NodeId]) -> bool;
 
-    /// The destination of one arrival at a `src` that `can_send`. `None`
-    /// drops the arrival after its draws; no shape is drawn for it.
-    fn pick(
-        &self,
-        src: NodeId,
-        topo: &Topology,
-        alive: &[NodeId],
-        rng: &mut dyn RngCore,
-    ) -> Option<NodeId>;
+    /// The destination of one arrival at a `src` that `can_send`.
+    fn pick(&self, src: NodeId, topo: &Topology, alive: &[NodeId], rng: &mut dyn RngCore)
+        -> NodeId;
 }
 
 /// The open-loop injector: every alive node that [`Pattern::can_send`]
@@ -309,7 +242,10 @@ pub trait Pattern {
 #[derive(Debug, Clone)]
 pub struct Synthetic<P> {
     pattern: P,
-    load: SyntheticLoad,
+    /// Probability a node injects a packet in a cycle: `rate / AVG_FLITS`.
+    packet_prob: f64,
+    /// The vnet of data packets; control packets ride vnet 0.
+    data_vnet: u8,
     sampler: Sampler,
     /// The alive nodes, memoized: rebuilding them is a full node walk, which
     /// every `generate` call would otherwise pay. `None` after
@@ -329,43 +265,30 @@ struct Nodes {
     senders: Vec<NodeId>,
 }
 
-impl<P: Pattern> Synthetic<P> {
-    /// `pattern` at `rate` flits/node/cycle, 50/50 mix of 1-flit (vnet 0)
+impl<P: Pattern + Default> Synthetic<P> {
+    /// The pattern at `rate` flits/node/cycle, 50/50 mix of 1-flit (vnet 0)
     /// and 5-flit (vnet 2) packets.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is negative, NaN or more than the mix can inject
     /// ([`check_injectable`]).
-    pub fn with_pattern(pattern: P, rate: f64) -> Self {
+    pub fn new(rate: f64) -> Self {
+        if let Err(why) = check_injectable(rate) {
+            panic!("{why}");
+        }
         Synthetic {
-            pattern,
-            load: SyntheticLoad::new(rate),
+            pattern: P::default(),
+            packet_prob: rate / AVG_FLITS,
+            data_vnet: 2,
             sampler: Sampler::Bernoulli,
             nodes: None,
         }
     }
 
-    /// [`Synthetic::with_pattern`] for a pattern with no parameters.
-    pub fn new(rate: f64) -> Self
-    where
-        P: Default,
-    {
-        Self::with_pattern(P::default(), rate)
-    }
-
     /// Put all packets in one vnet (for single-vnet configurations).
     pub fn single_vnet(mut self) -> Self {
-        self.load.ctrl_vnet = 0;
-        self.load.data_vnet = 0;
-        self
-    }
-
-    /// Override the fraction of 5-flit data packets (default 0.5).
-    pub fn data_fraction(mut self, f: f64) -> Self {
-        assert!((0.0..=1.0).contains(&f));
-        self.load.data_fraction = f;
-        self.load.validate();
+        self.data_vnet = 0;
         self
     }
 
@@ -391,7 +314,8 @@ impl<P: Pattern> TrafficSource for Synthetic<P> {
     ) -> Vec<NewPacket> {
         let Synthetic {
             pattern,
-            load,
+            packet_prob,
+            data_vnet,
             sampler,
             nodes,
         } = self;
@@ -401,19 +325,18 @@ impl<P: Pattern> TrafficSource for Synthetic<P> {
             let senders = alive.iter().filter(can_send).copied().collect();
             Nodes { alive, senders }
         });
-        let p = load.packet_prob();
+        let p = *packet_prob;
         let mut out = Vec::new();
         // One arrival at `src`: destination draws, then the shape.
         let mut arrive = |src, rng: &mut dyn RngCore| {
-            if let Some(dst) = pattern.pick(src, topo, alive, rng) {
-                let (vnet, len_flits) = load.draw_shape(rng);
-                out.push(NewPacket {
-                    src,
-                    dst,
-                    vnet,
-                    len_flits,
-                });
-            }
+            let dst = pattern.pick(src, topo, alive, rng);
+            let (vnet, len_flits) = draw_shape(*data_vnet, rng);
+            out.push(NewPacket {
+                src,
+                dst,
+                vnet,
+                len_flits,
+            });
         };
         match sampler {
             // `gen_bool(1.0)` draws nothing: every sender arrives.
@@ -498,11 +421,11 @@ impl Pattern for Uniform {
         _topo: &Topology,
         alive: &[NodeId],
         rng: &mut dyn RngCore,
-    ) -> Option<NodeId> {
+    ) -> NodeId {
         loop {
             let dst = alive[rng.gen_range(0..alive.len())];
             if dst != src {
-                return Some(dst);
+                return dst;
             }
         }
     }
@@ -538,8 +461,8 @@ impl Pattern for BitComplement {
         topo: &Topology,
         _alive: &[NodeId],
         _rng: &mut dyn RngCore,
-    ) -> Option<NodeId> {
-        Some(complement(src, topo))
+    ) -> NodeId {
+        complement(src, topo)
     }
 }
 
@@ -672,25 +595,23 @@ mod tests {
         rng: &mut dyn RngCore,
     ) -> Vec<NewPacket> {
         let alive: Vec<NodeId> = topo.alive_nodes().collect();
-        let prob = src.load.packet_prob();
         let mut out = Vec::new();
         for &node in &alive {
-            if src.pattern.can_send(node, topo, &alive) && rng.gen_bool(prob) {
-                if let Some(dst) = src.pattern.pick(node, topo, &alive, rng) {
-                    let (vnet, len_flits) = src.load.draw_shape(rng);
-                    out.push(NewPacket {
-                        src: node,
-                        dst,
-                        vnet,
-                        len_flits,
-                    });
-                }
+            if src.pattern.can_send(node, topo, &alive) && rng.gen_bool(src.packet_prob) {
+                let dst = src.pattern.pick(node, topo, &alive, rng);
+                let (vnet, len_flits) = draw_shape(src.data_vnet, rng);
+                out.push(NewPacket {
+                    src: node,
+                    dst,
+                    vnet,
+                    len_flits,
+                });
             }
         }
         out
     }
 
-    fn batched_coin_equals_coin_per_node<P: Pattern + Clone>(pattern: P) {
+    fn batched_coin_equals_coin_per_node<P: Pattern + Default>() {
         // A 5x5 with its centre (12, its own complement) and two more
         // routers dead: some alive nodes cannot send under bit-complement.
         let mut topo = Topology::full(Mesh::new(5, 5));
@@ -698,7 +619,7 @@ mod tests {
             topo.remove_router(dead);
         }
         for p in [0.0, 1e-4, 0.0067, 0.5, 1.0] {
-            let mut batched = Synthetic::with_pattern(pattern.clone(), 3.0 * p);
+            let mut batched = Synthetic::<P>::new(3.0 * p);
             let (mut rng, mut reference_rng) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
             for t in 0..400 {
                 let got = batched.generate(t, &topo, &mut rng);
@@ -711,12 +632,12 @@ mod tests {
 
     #[test]
     fn batched_coin_equals_coin_per_node_uniform() {
-        batched_coin_equals_coin_per_node(Uniform);
+        batched_coin_equals_coin_per_node::<Uniform>();
     }
 
     #[test]
     fn batched_coin_equals_coin_per_node_bit_complement() {
-        batched_coin_equals_coin_per_node(BitComplement);
+        batched_coin_equals_coin_per_node::<BitComplement>();
     }
 
     #[test]
@@ -725,14 +646,6 @@ mod tests {
         // 3.5 flits/node/cycle at 3 flits/packet average would need more
         // than one packet per node per cycle.
         let _ = UniformTraffic::new(3.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "not injectable")]
-    fn data_fraction_revalidates_load() {
-        // 2.0 is fine at the default 3-flit average but not with
-        // all-control 1-flit packets.
-        let _ = UniformTraffic::new(2.0).data_fraction(0.0);
     }
 
     #[test]

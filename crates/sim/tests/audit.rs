@@ -1,12 +1,15 @@
 //! The invariant auditor must catch seeded violations in every class it
-//! claims to check — and the measurement-window carry must keep acceptance
-//! physical (≤ 1.0) when warmup packets drain into the window. (The
+//! claims to check — and the measurement window must open clean, with the
+//! carry keeping acceptance physical (≤ 1.0) when warmup packets drain into
+//! it. (The
 //! seeded VC-legality and wakeup violations need test-only hooks, so they
 //! are unit tests in `crates/sim/src/audit.rs`.)
 
+use rand::RngCore;
 use sb_routing::XyRouting;
 use sb_sim::{
-    AuditClass, NewPacket, NullPlugin, ScriptedTraffic, SimConfig, Simulator, UniformTraffic,
+    AuditClass, NewPacket, NullPlugin, Packet, ScriptedTraffic, SimConfig, Simulator,
+    TrafficSource, UniformTraffic,
 };
 use sb_topology::{Mesh, Topology};
 
@@ -79,8 +82,68 @@ fn disabled_audit_never_fires() {
 }
 
 // ----------------------------------------------------------------------
-// Measurement-window carry (the acceptance > 1.0 regression)
+// Measurement window: a clean start, and the carry (the acceptance > 1.0
+// regression)
 // ----------------------------------------------------------------------
+
+/// Uniform traffic that records each delivery as `(grant cycle, latency)`.
+struct Recorded {
+    inner: UniformTraffic,
+    deliveries: Vec<(u64, u64)>,
+}
+
+impl TrafficSource for Recorded {
+    fn generate(&mut self, time: u64, topo: &Topology, rng: &mut dyn RngCore) -> Vec<NewPacket> {
+        self.inner.generate(time, topo, rng)
+    }
+
+    fn on_delivered(&mut self, pkt: &Packet, time: u64) {
+        // `time` is the tail's arrival; the engine counts the delivery at
+        // the head's ejection grant, `len_flits` cycles earlier.
+        let granted = time - u64::from(pkt.len_flits);
+        self.deliveries.push((granted, time - pkt.created_at));
+    }
+}
+
+#[test]
+fn warmup_opens_a_window_of_post_reset_deliveries_only() {
+    let (before, after) = (300, 500);
+    let topo = Topology::full(Mesh::new(4, 4));
+    let traffic = Recorded {
+        inner: UniformTraffic::new(0.3),
+        deliveries: Vec::new(),
+    };
+    let mut sim = Simulator::new(
+        &topo,
+        SimConfig::default(),
+        Box::new(XyRouting::new(&topo)),
+        NullPlugin,
+        traffic,
+        5,
+    );
+    sim.set_audit(1);
+    sim.run(before);
+    assert!(sim.core().stats().delivered_packets > 0);
+    sim.warmup(0); // reset only: the cycles above were the warmup
+    assert!(
+        sim.core().in_flight() > 0,
+        "packets must be in flight when the window opens for the carry to bite"
+    );
+    sim.run(after);
+    let stats = sim.core().stats();
+    assert_eq!(stats.cycles, after);
+    let window: Vec<u64> = (sim.traffic().deliveries.iter())
+        .filter(|&&(granted, _)| granted >= before)
+        .map(|&(_, latency)| latency)
+        .collect();
+    assert!(window.len() < sim.traffic().deliveries.len());
+    assert_eq!(stats.delivered_packets, window.len() as u64);
+    assert_eq!(stats.latency_sum, window.iter().sum::<u64>());
+    assert_eq!(Some(stats.latency_max), window.iter().copied().max());
+    // The offers of packets in flight at the reset carried over.
+    assert!(stats.offered_packets >= stats.delivered_packets);
+    assert!(stats.acceptance() <= 1.0);
+}
 
 #[test]
 fn acceptance_stays_physical_with_warmup_packets_in_flight() {

@@ -1,10 +1,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-//! Synthetic traffic patterns and application profiles (system **S8**).
+//! Application profiles (system **S8**).
 //!
 //! The paper evaluates with uniform-random and bit-complement synthetic
-//! traffic (provided by `sb-sim`), full-system PARSEC 2.0 runs on gem5, and
+//! traffic (`sb_sim::Synthetic`), full-system PARSEC 2.0 runs on gem5, and
 //! Rodinia GPU traces. The full-system stack is proprietary-scale
 //! infrastructure, so this crate provides the documented substitution
 //! (`DESIGN.md` §2): **closed-loop request/reply application profiles**.
@@ -24,11 +24,6 @@
 
 mod apps;
 pub mod mc;
-mod patterns;
 
 pub use apps::{AppProfile, AppTraffic, ParsecApp, RodiniaApp};
 pub use mc::default_memory_controllers;
-pub use patterns::{
-    Hotspot, HotspotTraffic, Neighbor, NeighborTraffic, Shuffle, ShuffleTraffic, Transpose,
-    TransposeTraffic,
-};

@@ -3,20 +3,15 @@
 //! shared RNG, with no simulator in the loop.
 //!
 //! `tests/fixtures/packet_stream.txt` was written by this generator at the
-//! commit before the six sources were folded into `sb_sim::Synthetic`
-//! (582b7ec), so it holds every configuration that commit could express:
-//! uniform with both samplers, both vnet layouts and two packet mixes,
-//! bit-complement with both samplers and both layouts, and the four
-//! `sb-workloads` patterns as they then were (Bernoulli, vnet 0, 50/50
-//! mix). There `source` named six separate types, the four here had no
-//! `single_vnet`, and the hot set was an argument of `HotspotTraffic::new`;
-//! nothing else differed. `PACKET_STREAM_REGEN=1` rewrites the file.
+//! commit before the synthetic sources were folded into `sb_sim::Synthetic`
+//! (582b7ec): uniform and bit-complement with both samplers and both vnet
+//! layouts, at the paper's 50/50 packet mix. `PACKET_STREAM_REGEN=1`
+//! rewrites the file.
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use sb_sim::{BitComplementTraffic, Pattern, Synthetic, TrafficSource, UniformTraffic};
 use sb_topology::{FaultKind, FaultModel, Mesh, NodeId, Topology};
-use sb_workloads::{Hotspot, HotspotTraffic, NeighborTraffic, ShuffleTraffic, TransposeTraffic};
 
 const FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -26,35 +21,30 @@ const CYCLES: u64 = 3_000;
 /// The cycle at which the topology is swapped under the running source.
 const SWAP_AT: u64 = 1_500;
 
-/// `(pattern, geometric, single_vnet, data_fraction)`.
-type Variant = (&'static str, bool, bool, f64);
+/// `(pattern, geometric, single_vnet)`.
+type Variant = (&'static str, bool, bool);
 
 fn variants() -> Vec<Variant> {
     let mut out = Vec::new();
     for (geometric, single) in [(false, true), (false, false), (true, true), (true, false)] {
-        out.push(("uniform", geometric, single, 0.5));
-        out.push(("uniform", geometric, single, 0.2));
-        out.push(("bit-complement", geometric, single, 0.5));
+        out.push(("uniform", geometric, single));
+        out.push(("bit-complement", geometric, single));
     }
-    out.extend(["transpose", "hotspot", "shuffle", "neighbor"].map(|p| (p, false, true, 0.5)));
     out
 }
 
-fn source(v: Variant, rate: f64, mesh: Mesh) -> Box<dyn TrafficSource> {
-    fn knobs<P: Pattern + 'static>(t: Synthetic<P>, v: Variant) -> Box<dyn TrafficSource> {
-        let (_, geometric, single_vnet, mix) = v;
+fn source(v: Variant, rate: f64) -> Box<dyn TrafficSource> {
+    fn knobs<P: Pattern + Default + 'static>(
+        t: Synthetic<P>,
+        v: Variant,
+    ) -> Box<dyn TrafficSource> {
+        let (_, geometric, single_vnet) = v;
         let t = if single_vnet { t.single_vnet() } else { t };
-        let t = if mix == 0.5 { t } else { t.data_fraction(mix) };
         Box::new(if geometric { t.geometric() } else { t })
     }
-    let hot = Hotspot::new(vec![NodeId(0), NodeId::from(mesh.node_count() - 1)], 0.6);
     match v.0 {
         "uniform" => knobs(UniformTraffic::new(rate), v),
         "bit-complement" => knobs(BitComplementTraffic::new(rate), v),
-        "transpose" => knobs(TransposeTraffic::new(rate), v),
-        "hotspot" => knobs(HotspotTraffic::with_pattern(hot, rate), v),
-        "shuffle" => knobs(ShuffleTraffic::new(rate), v),
-        "neighbor" => knobs(NeighborTraffic::new(rate), v),
         other => unreachable!("{other}"),
     }
 }
@@ -92,8 +82,8 @@ fn fnv(hash: &mut u64, word: u64) {
 /// offered packet, FNV over every `next_arrival` answer, and the shared RNG's
 /// next word after the run.
 fn run(v: Variant, load: f64, [before, after]: &[Topology; 2]) -> String {
-    let rate = load * (1.0 + 4.0 * v.3); // packets a cycle times flits a packet
-    let mut src = source(v, rate, before.mesh());
+    let rate = load * 3.0; // packets a cycle times flits a packet
+    let mut src = source(v, rate);
     let mut rng = StdRng::seed_from_u64(0x5EED);
     let (mut packets, mut arrivals) = (0xCBF2_9CE4_8422_2325u64, 0xCBF2_9CE4_8422_2325u64);
     for t in 0..CYCLES {
@@ -116,15 +106,12 @@ fn run(v: Variant, load: f64, [before, after]: &[Topology; 2]) -> String {
 fn table() -> String {
     let (mut out, meshes) = (String::new(), meshes());
     for v in variants() {
-        let (pattern, geometric, single_vnet, mix) = v;
+        let (pattern, geometric, single_vnet) = v;
         let sampler = if geometric { "geometric" } else { "bernoulli" };
         let vnets = if single_vnet { "single" } else { "multi" };
-        out += &format!("{pattern}/{sampler}/{vnets}/{mix}");
+        out += &format!("{pattern}/{sampler}/{vnets}/0.5");
         for (label, load, topologies) in &meshes {
-            // Transpose needs a square mesh.
-            if !(pattern == "transpose" && label.starts_with("2x1")) {
-                out += &format!(" {label}={}", run(v, *load, topologies));
-            }
+            out += &format!(" {label}={}", run(v, *load, topologies));
         }
         out.push('\n');
     }

@@ -1,6 +1,5 @@
-//! The observability toolkit in one place: packet tracing with latency
-//! percentiles, delivery-fairness, occupancy heat maps and deadlock
-//! post-mortems — everything you need to understand *why* a network behaves
+//! The observability toolkit in one place: window latency, delivery
+//! fairness, occupancy heat maps and deadlock post-mortems — everything you need to understand *why* a network behaves
 //! the way it does.
 //!
 //! ```text
@@ -11,7 +10,7 @@ use rand::SeedableRng;
 use static_bubble_repro::core::StaticBubblePlugin;
 use static_bubble_repro::routing::MinimalRouting;
 use static_bubble_repro::sim::{
-    find_dependency_cycle, InputRef, NullPlugin, SimConfig, Simulator, Traced, UniformTraffic,
+    find_dependency_cycle, InputRef, NullPlugin, SimConfig, Simulator, UniformTraffic,
 };
 use static_bubble_repro::topology::{FaultKind, FaultModel, Mesh};
 
@@ -20,13 +19,13 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let topo = FaultModel::new(FaultKind::Links, 12).inject(mesh, &mut rng);
 
-    // 1. A healthy Static Bubble run with full tracing.
+    // 1. A healthy Static Bubble run.
     let mut sim = Simulator::new(
         &topo,
         SimConfig::single_vnet(),
         Box::new(MinimalRouting::new(&topo)),
         StaticBubblePlugin::new(&topo, 34),
-        Traced::new(UniformTraffic::new(0.12).single_vnet()),
+        UniformTraffic::new(0.12).single_vnet(),
         9,
     );
     sim.warmup(1_000);
@@ -34,13 +33,12 @@ fn main() {
 
     println!("== healthy run (12 link faults, rate 0.12)");
     println!("{}", sim.core().status_line());
-    let traced = sim.traffic();
-    for p in [50.0, 90.0, 99.0] {
-        println!(
-            "latency p{p:>2}: {:>4} cycles",
-            traced.latency_percentile(p).unwrap_or(0)
-        );
-    }
+    let stats = sim.core().stats();
+    println!(
+        "latency avg: {:>6.1} cycles",
+        stats.avg_latency().unwrap_or(0.0)
+    );
+    println!("latency max: {:>4} cycles", stats.latency_max);
     println!(
         "delivery fairness (Jain): {:.3}",
         sim.core().delivery_fairness().unwrap_or(0.0)

@@ -16,6 +16,14 @@
 # named `<package dir>/tests/<file>.rs::<test>`, `<package dir>::<unit
 # test path>` or as `cargo test` names a doc test. Both runs are exact and seeded, so the table is too.
 #
+# Each run is built first and then run under a time limit and, per
+# process, an address-space limit of 2 GiB (`mem_kib`), so a
+# mutant that makes a loop endless and allocating (say a route walk that
+# never arrives) fails its tests instead of taking the machine's memory.
+# Such a run names `(timed out)` or `(out of memory)` among its killers.
+# The limit binds the test binaries and what they spawn (and rustdoc's
+# doc-test builds), not rustc building the tests.
+#
 # Usage: bash tests/mutants/run.sh [OUT [PATCH...]]
 #   OUT defaults to results/mutants.txt; PATCHes default to every
 #   tests/mutants/*.patch. About a minute and a half a mutant on two
@@ -58,6 +66,7 @@ killers() {
         /^error: test failed/ { if (!failed) print label "(aborted)"; failed = 1 }
         /^error: could not compile/ { print "(build failed)" }
         /^\(timed out\)$/ { print }
+        /memory allocation of [0-9]+ bytes failed/ { print "(out of memory)" }
     ' | sed 's|^\./||' | sort -u | paste -sd' ' -
 }
 pkgs=$(cd "$work" && for toml in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.toml; do
@@ -65,12 +74,17 @@ pkgs=$(cd "$work" && for toml in Cargo.toml crates/*/Cargo.toml vendor/*/Cargo.t
     printf '%s=%s ' "${name//-/_}" "$(dirname "$toml")"
 done)
 
-# Run a test command in the copy under a time limit; print its killers.
+# Build a test command in the copy, then run it under a time and a memory
+# limit; print its killers.
+mem_kib=2097152
 run() {
     local limit=$1 status=0
     shift
-    (cd "$work" && timeout "$limit" "$@" >"$work/log" 2>&1) || status=$?
-    if [ "$status" -eq 124 ]; then echo "(timed out)" >>"$work/log"; fi
+    if (cd "$work" && "$@" --no-run >"$work/log" 2>&1); then
+        (cd "$work" && ulimit -v "$mem_kib" && timeout "$limit" "$@" >"$work/log" 2>&1) ||
+            status=$?
+        if [ "$status" -eq 124 ]; then echo "(timed out)" >>"$work/log"; fi
+    fi
     killers <"$work/log"
 }
 
