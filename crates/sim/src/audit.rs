@@ -27,7 +27,7 @@
 //!   [`NetCore`] against `NetCore::rebuild_sched` ([`check_derived`]),
 //!   and a plugin's own indices inside [`crate::Plugin::audit_check`].
 
-use crate::deadlock::{describe_cycle, is_deadlocked, WaitForEdge};
+use crate::deadlock::{deadlock_and_cycle, WaitForEdge};
 use crate::inspect::Snapshot;
 use crate::netcore::NetCore;
 use crate::stats::{Stats, MAX_VNETS};
@@ -49,9 +49,9 @@ pub enum AuditClass {
     /// The change-driven kernel's wakeup invariant: quiescent-blocked
     /// routers have no grantable candidate.
     Wakeup,
-    /// Derived == recomputed: occupancy and request words, cached head
-    /// bytes, the occupied-router set, the wheel occupancy word, a plugin's
-    /// indices.
+    /// Derived == recomputed: occupancy, request, draining and
+    /// hop-pipeline words, cached head bytes, the occupied-router set, the
+    /// wheel occupancy word, a plugin's indices.
     Derived,
 }
 
@@ -165,11 +165,12 @@ impl ForensicsReport {
         plugin_lines: Vec<String>,
         probe_trace: Vec<String>,
     ) -> Self {
+        let (deadlocked, wait_cycle) = deadlock_and_cycle(core);
         ForensicsReport {
             time: core.time(),
             violations,
-            deadlocked: is_deadlocked(core),
-            wait_cycle: describe_cycle(core),
+            deadlocked,
+            wait_cycle,
             snapshot: Snapshot::capture(core),
             occupancy_art: core.occupancy_art(),
             plugin_lines,
@@ -353,12 +354,14 @@ pub(crate) fn check_vc_legality(core: &NetCore, out: &mut Vec<Violation>) {
 }
 
 /// Check the scheduler half of `core` against a fresh derivation from the
-/// architectural half (`NetCore::rebuild_sched`): occupancy and request
-/// words, the head bytes and packet ids of occupied slots, the
-/// occupied-router set, and the wheel occupancy word against the slots it
-/// summarises. (A wheel entry carries no time of its own — its slot is its
-/// maturity, inside `[time, time + 64)` as long as no leap crosses one,
-/// which `NetCore::leap` asserts.)
+/// architectural half (`NetCore::rebuild_sched`): occupancy, request and
+/// draining words, the hop-pipeline word (a superset of its rebuild within
+/// the occupancy word), the head bytes and packet ids of occupied slots,
+/// the head bytes of injection-queue heads, the occupied-router set, and
+/// the wheel occupancy word against the slots it summarises. (A wheel
+/// entry carries no time of its own — its slot is its maturity, inside
+/// `[time, time + 64)` as long as no leap crosses one, which
+/// `NetCore::leap` asserts.)
 pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
     let (have, want) = (&core.sched, core.rebuild_sched());
     let mut fail = |router: Option<NodeId>, detail: String| {
@@ -387,6 +390,24 @@ pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
                 fail(Some(router), detail);
             }
         }
+        if words.drain != derived.drain {
+            let (have, want) = (words.drain, derived.drain);
+            let detail =
+                format!("draining word {have:#x} != {want:#x} derived from the drain deadlines");
+            fail(Some(router), detail);
+        }
+        // A scan drops a switchable occupant's pipeline bit, so between
+        // scans the word may still name one: it must cover the occupants in
+        // the hop pipeline and name no empty slot.
+        let (missing, stray) = (derived.pipe & !words.pipe, words.pipe & !derived.occ);
+        if missing | stray != 0 {
+            let detail = format!(
+                "hop-pipeline word {:#x} misses {missing:#x} (ready later than now) \
+                 or names empty slots {stray:#x}",
+                words.pipe
+            );
+            fail(Some(router), detail);
+        }
         if core.arch.bub_occ[r].is_some() && have.bub_head[r] != want.bub_head[r] {
             let (have, want) = (have.bub_head[r], want.bub_head[r]);
             let detail = format!("bubble: cached head {have} != packet's desired output {want}");
@@ -407,6 +428,17 @@ pub(crate) fn check_derived(core: &NetCore, out: &mut Vec<Violation>) {
             let (slot, have, want) = (flat % slots, have.vc_pkt[flat].0, want.vc_pkt[flat].0);
             let detail = format!("slot {slot}: cached id {have} != occupant's id {want}");
             fail(Some(NodeId::from(flat / slots)), detail);
+        }
+    }
+    let vnets = core.config().vnets as usize;
+    for (qi, q) in core.arch.inject.iter().enumerate() {
+        if q.head.is_some() && have.inj_head[qi] != want.inj_head[qi] {
+            let (vnet, have, want) = (qi % vnets, have.inj_head[qi], want.inj_head[qi]);
+            let detail = format!(
+                "vnet {vnet} queue: cached head {have} != packet's desired output {want} \
+                 (stale after a restamp?)"
+            );
+            fail(Some(NodeId::from(qi / vnets)), detail);
         }
     }
     if have.occupied != want.occupied {
@@ -467,9 +499,13 @@ mod tests {
         };
         core.place_packet(SLOT, packet(1), 2);
         let h = core.arch.arena.insert(packet(2));
-        core.bubble_put(NodeId(5), h, 2);
+        core.bubble_put(NodeId(5), h, Direction::East.index() as u8, 2);
+        let drained = VcRef { vc: 1, ..SLOT };
+        core.place_packet(drained, packet(3), 0);
+        core.vc_take(drained, 5);
+        core.surface_head(core.inject_idx(NodeId(9), 1), packet(4));
         type Seed = fn(&mut NetCore);
-        let rows: [(&str, Seed); 7] = [
+        let rows: [(&str, Seed); 10] = [
             ("occupancy word", |c| c.sched.words[9].occ = 0),
             ("request word", |c| {
                 let head = c.sched.vc_head[c.flat_vc(SLOT)] as usize;
@@ -484,6 +520,12 @@ mod tests {
                 c.sched.vc_pkt[flat].0 ^= 1;
             }),
             ("bubble: cached head", |c| c.sched.bub_head[5] ^= 1),
+            ("draining word", |c| c.sched.words[9].drain = 0),
+            ("hop-pipeline word", |c| c.sched.words[9].pipe = 0),
+            ("vnet 1 queue: cached head", |c| {
+                let qi = c.inject_idx(NodeId(9), 1);
+                c.sched.inj_head[qi] ^= 1;
+            }),
             ("occupied-router set", |c| {
                 c.sched.occupied.insert(NodeId(2));
             }),

@@ -221,14 +221,17 @@ pub struct WaitForEdge {
     pub wants: Option<Direction>,
 }
 
-/// Annotate the dependency cycle of [`find_dependency_cycle`] with the
-/// blocked packets and wanted directions, for forensics dumps. Empty when
-/// the network has no dependency cycle.
-pub(crate) fn describe_cycle(core: &NetCore) -> Vec<WaitForEdge> {
-    let Some(cycle) = find_dependency_cycle(core) else {
-        return Vec::new();
+/// The oracle's two answers a forensics report holds, from one wait-for
+/// graph: is the network deadlocked, and the dependency cycle of
+/// [`find_dependency_cycle`] annotated with the blocked packets and wanted
+/// directions (empty when the network has none).
+pub(crate) fn deadlock_and_cycle(core: &NetCore) -> (bool, Vec<WaitForEdge>) {
+    let graph = WaitFor::new(core);
+    let deadlocked = !graph.not_live().is_empty();
+    let Some(cycle) = graph.vc_cycle() else {
+        return (deadlocked, Vec::new());
     };
-    cycle
+    let edges = cycle
         .into_iter()
         .filter_map(|input| {
             let pkt = core.packet_at(input)?;
@@ -239,7 +242,8 @@ pub(crate) fn describe_cycle(core: &NetCore) -> Vec<WaitForEdge> {
                 wants: pkt.desired_hop(),
             })
         })
-        .collect()
+        .collect();
+    (deadlocked, edges)
 }
 
 #[cfg(test)]
@@ -395,7 +399,8 @@ mod tests {
         place(&mut core, vc(c, West), 2, a, vec![South, West]);
         place(&mut core, vc(d, North), 3, b, vec![West, North]);
         place(&mut core, vc(a, East), 4, c, vec![North, East]);
-        let edges = describe_cycle(&core);
+        let (deadlocked, edges) = deadlock_and_cycle(&core);
+        assert!(deadlocked, "a full one-VC ring");
         assert_eq!(edges.len(), 4);
         // Every edge names a real blocked packet wanting a real direction.
         for e in &edges {
@@ -404,7 +409,8 @@ mod tests {
         }
         let ids: std::collections::HashSet<u64> = edges.iter().map(|e| e.pkt.0).collect();
         assert_eq!(ids, [1, 2, 3, 4].into_iter().collect());
-        assert!(describe_cycle(&NetCore::new(&topo, SimConfig::tiny(), &[])).is_empty());
+        let empty = NetCore::new(&topo, SimConfig::tiny(), &[]);
+        assert_eq!(deadlock_and_cycle(&empty), (false, Vec::new()));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use crate::arena::PacketHandle;
 use crate::audit::{self, ForensicsReport, Violation};
 use crate::config::SimConfig;
 use crate::deadlock;
-use crate::netcore::{NetCore, QueuedPacket, EJECT};
+use crate::netcore::{head_of, NetCore, QueuedPacket, EJECT};
 use crate::packet::{NewPacket, Packet, PacketMode};
 use crate::plugin::{InputRef, OutPort, Plugin, SlotRef};
 use crate::snapshot::EngineSnapshot;
@@ -363,11 +363,9 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                         let dst = self.core.arch.arena.get(head).dst;
                         match self.planner.route(router, dst, &mut self.rng) {
                             Some(route) => {
-                                self.core
-                                    .arch
-                                    .arena
-                                    .get_mut(head)
-                                    .restamp(route, PacketMode::Normal);
+                                let pkt = self.core.arch.arena.get_mut(head);
+                                pkt.restamp(route, PacketMode::Normal);
+                                self.core.sched.inj_head[qi] = head_of(pkt);
                             }
                             None => {
                                 let pkt = self.core.arch.arena.remove(head);
@@ -646,8 +644,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                         Some(req.dst),
                         "planner produced an invalid route"
                     );
-                    let h = self.core.arch.arena.insert(Packet::new(id, req, route, t));
-                    self.core.arch.inject[qi].head = h;
+                    self.core.surface_head(qi, Packet::new(id, req, route, t));
                     // This packet just became the head: it is a fresh
                     // allocation candidate, so wake the source router.
                     self.core.touch(req.src);
@@ -725,11 +722,14 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         self.counters.scans += 1;
         let mut cand = [0u64; 5];
         let next_ready = self.core.candidate_masks(router, &mut cand);
-        if cand.iter().all(|&m| m == 0) && next_ready.is_none() {
+        let ready = cand.iter().fold(0, |any, &m| any | m);
+        if ready == 0 && next_ready.is_none() {
             // Completely empty: cannot produce a candidate until some
             // mutation touches it again.
             return;
         }
+        // The occupants found switchable leave the hop-pipeline word.
+        self.core.sched.words[router.index()].pipe &= !ready;
         let r5 = router.index() * 5;
         let mut any_grant = false;
         // Is a candidate left that nothing but another scan will retry?
@@ -795,7 +795,7 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
         if rescan {
             self.core.touch(router);
-        } else if cand.iter().all(|&m| m == 0) {
+        } else if cand.iter().fold(0, |any, &m| any | m) == 0 {
             // Nothing left but the hop pipeline, if that: the block path's
             // answer without its walk, the common case below saturation.
             if let Some(at) = next_ready {
@@ -893,13 +893,11 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
             // drain deadline.
             let port = d.opposite();
             let pbase = self.core.vc_base(nb) + port.index() * vcs;
-            let mut empty = self.core.empty_vcs(nb, port);
-            while empty != 0 {
-                let drain = self.core.arch.vc_drain[pbase + empty.trailing_zeros() as usize];
-                empty &= empty - 1;
-                if drain != 0 {
-                    note(&mut wake, drain);
-                }
+            let mut draining = self.core.draining_vcs(nb, port);
+            while draining != 0 {
+                let drain = self.core.arch.vc_drain[pbase + draining.trailing_zeros() as usize];
+                draining &= draining - 1;
+                note(&mut wake, drain);
             }
             let nbr = nb.index();
             if self.core.arch.bub_exists[nbr]
@@ -914,13 +912,18 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         }
     }
 
-    /// Reconstruct the [`InputRef`] behind rr index `i` at `router`.
+    /// Reconstruct the [`InputRef`] behind rr index `i` at `router`. The
+    /// port is counted with three compares, not a division: this runs once
+    /// per candidate the winner search reads.
+    #[inline]
     fn input_of(&self, router: NodeId, i: usize, vcs: usize) -> InputRef {
         if i < 4 * vcs {
+            let port =
+                usize::from(i >= vcs) + usize::from(i >= 2 * vcs) + usize::from(i >= 3 * vcs);
             InputRef::Vc(VcRef {
                 router,
-                port: Direction::from_index(i / vcs),
-                vc: (i % vcs) as u8,
+                port: Direction::from_index(port),
+                vc: (i - port * vcs) as u8,
             })
         } else if i == 4 * vcs {
             InputRef::Bubble(router)
@@ -965,7 +968,12 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         let cfg: SimConfig = core.config();
         let vcs = cfg.vcs_per_port();
         let total = 4 * vcs + 1 + cfg.vnets as usize;
-        let start = rr_ptr as usize % total; // start <= 63: the shift is safe
+        // A pointer is a winner's index plus one, so at most `total`: the
+        // remainder is a compare. `start <= 63`, so the shift is safe.
+        let start = match rr_ptr as usize {
+            p if p < total => p,
+            p => p % total,
+        };
         let above = !0u64 << start;
         let mut live = mask;
         let mut asked = 0u8; // vnets whose downstream buffers were checked
@@ -1066,12 +1074,8 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                         vnet: pkt_vnet,
                         len_flits,
                     };
-                    let h = self
-                        .core
-                        .arch
-                        .arena
-                        .insert(Packet::new(id, req, route, created_at));
-                    self.core.arch.inject[qi].head = h;
+                    let pkt = Packet::new(id, req, route, created_at);
+                    self.core.surface_head(qi, pkt);
                     return;
                 }
                 None => {
@@ -1082,7 +1086,10 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
     }
 
     /// Commit a grant; returns `Some(router)` if the router's bubble was
-    /// freed by this movement.
+    /// freed by this movement. The moving packet is read once — removed
+    /// from the arena when it ejects, borrowed once to step its route when
+    /// it moves on — and its length, new head and id travel from that one
+    /// read into the take and the put.
     fn commit(
         &mut self,
         router: NodeId,
@@ -1091,41 +1098,20 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
         slot: Option<SlotRef>,
     ) -> Option<NodeId> {
         let t = self.core.time();
-        let mut freed_bubble = None;
-        // 1. Remove the packet's handle from its input buffer (VC and
-        // bubble takes leave the slot draining for `len` cycles).
-        let h = match input {
-            InputRef::Vc(v) => self.core.vc_take(v),
-            InputRef::Bubble(b) => {
-                freed_bubble = Some(b);
-                self.core.bubble_take(b)
-            }
-            InputRef::Inject { node, vnet } => {
-                let qi = self.core.inject_idx(node, vnet);
-                let q = &mut self.core.arch.inject[qi];
-                let h = q.head;
-                assert!(h.is_some(), "winner had a queued packet");
-                q.head = PacketHandle::NONE;
-                self.core.arch.arena.get_mut(h).injected_at = t;
-                self.core.stats_mut().injected_packets += 1;
-                // The next descriptor (if any) surfaces: route it and give
-                // it an arena slot now that it can compete for the crossbar.
-                self.materialize_head(node, vnet);
-                h
-            }
-        };
-        let (len, vnet) = {
-            let pkt = self.core.arch.arena.get(h);
-            (pkt.len_flits as u64, pkt.vnet)
-        };
-        // 2. Deliver or forward.
-        match out {
+        let h = self.core.handle_at(input);
+        let injected = matches!(input, InputRef::Inject { .. });
+        let freed_bubble = match out {
             OutPort::Eject => {
-                self.core.arch.out_busy[router.index() * 5 + EJECT] = t + len;
-                self.core.record_delivery(router);
                 // The handle dies here: delivery is one of the two arena
                 // removal points (the other is reconfiguration loss).
-                let pkt = self.core.arch.arena.remove(h);
+                let mut pkt = self.core.arch.arena.remove(h);
+                if injected {
+                    pkt.injected_at = t;
+                }
+                let freed_bubble = self.vacate(input, pkt.len_flits);
+                let len = pkt.len_flits as u64;
+                self.core.arch.out_busy[router.index() * 5 + EJECT] = t + len;
+                self.core.record_delivery(router);
                 let stats = self.core.stats_mut();
                 stats.count_delivered(pkt.vnet, pkt.len_flits);
                 let latency = (t + len).saturating_sub(pkt.created_at);
@@ -1133,34 +1119,67 @@ impl<P: Plugin, T: TrafficSource> Simulator<P, T> {
                 stats.latency_max = stats.latency_max.max(latency);
                 stats.network_latency_sum += (t + len).saturating_sub(pkt.injected_at);
                 self.traffic.on_delivered(&pkt, t + len);
+                freed_bubble
             }
             OutPort::Dir(d) => {
-                self.core.arch.arena.get_mut(h).advance_hop();
+                let pkt = self.core.arch.arena.get_mut(h);
+                if injected {
+                    pkt.injected_at = t;
+                }
+                pkt.advance_hop();
+                let (len, vnet, head, id) = (pkt.len_flits, pkt.vnet, head_of(pkt), pkt.id);
+                let freed_bubble = self.vacate(input, len);
                 let neighbor = (self.core.topology().neighbor(router, d)).expect("alive link");
+                let port = d.opposite();
                 match slot.expect("forward grants carry a slot") {
                     SlotRef::Regular(vc) => {
-                        self.core.vc_put(
-                            VcRef {
-                                router: neighbor,
-                                port: d.opposite(),
-                                vc,
-                            },
-                            h,
-                            t + HOP_LATENCY,
-                        );
+                        let to = VcRef {
+                            router: neighbor,
+                            port,
+                            vc,
+                        };
+                        self.core.vc_install(to, h, head, id, t + HOP_LATENCY);
                     }
                     SlotRef::Bubble => {
-                        debug_assert!(self.core.bubble_available(neighbor, d.opposite(), vnet));
-                        self.core.bubble_put(neighbor, h, t + HOP_LATENCY);
+                        debug_assert!(self.core.bubble_available(neighbor, port, vnet));
+                        self.core.bubble_put(neighbor, h, head, t + HOP_LATENCY);
                     }
                 }
+                let len = len as u64;
                 self.core.arch.out_busy[router.index() * 5 + d.index()] = t + len;
                 let stats = self.core.stats_mut();
                 stats.data_link_flits += len;
                 stats.data_router_flits += len;
+                freed_bubble
             }
-        }
+        };
         self.core.stats_mut().movements += 1;
         freed_bubble
+    }
+
+    /// Take a granted packet of `len` flits out of its input buffer: VC and
+    /// bubble takes leave the slot draining for `len` cycles, an injection
+    /// grant counts the injection and surfaces the queue's next head.
+    /// Returns `Some(router)` if this frees the router's bubble.
+    fn vacate(&mut self, input: InputRef, len: u16) -> Option<NodeId> {
+        match input {
+            InputRef::Vc(v) => {
+                self.core.vc_take(v, len);
+                None
+            }
+            InputRef::Bubble(b) => {
+                self.core.bubble_take(b, len);
+                Some(b)
+            }
+            InputRef::Inject { node, vnet } => {
+                let qi = self.core.inject_idx(node, vnet);
+                self.core.arch.inject[qi].head = PacketHandle::NONE;
+                self.core.stats_mut().injected_packets += 1;
+                // The next descriptor (if any) surfaces: route it and give
+                // it an arena slot now that it can compete for the crossbar.
+                self.materialize_head(node, vnet);
+                None
+            }
+        }
     }
 }

@@ -23,9 +23,12 @@
 //!   Bubble's detection, through [`NetCore::vc_resident`]) need not either.
 //! * Each router's allocation words share one cache line ([`RouterWords`]):
 //!   the occupancy word (bit `port * vcs + vc` set iff that VC is
-//!   occupied) and five request words splitting it by the occupant's head
-//!   byte. The allocator's candidate masks are the request words minus the
-//!   occupants still in the hop pipeline, one AND-NOT per output.
+//!   occupied), five request words splitting it by the occupant's head
+//!   byte, the draining word (empty VCs with a drain deadline) and the
+//!   hop-pipeline word (occupants that may not be switchable yet). The
+//!   allocator's candidate masks are the request words minus the occupants
+//!   still in the hop pipeline, one AND-NOT per output; a free-slot probe
+//!   reads `vc_drain` only for the draining word's bits.
 //! * `out_busy`/`rr` are flat `router * 5 + out` arrays (4 directions +
 //!   ejection).
 //! * Bubble state is a set of parallel per-router arrays mirroring the VC
@@ -150,9 +153,9 @@ impl InjectQueue {
 /// The **architectural** half, `arch`, is what a chip would hold and is all
 /// that reaches the wire: its field list is the one list of what a snapshot
 /// holds of the network. The **scheduler** half, `sched`, is a function of
-/// it (`NetCore::rebuild_sched` derives it, for construction and for the
-/// auditor to compare against), so an index added there cannot change the
-/// snapshot format.
+/// it (`NetCore::rebuild_sched` derives it for the auditor to compare
+/// against; a network just built starts from its empty form), so an index
+/// added there cannot change the snapshot format.
 #[derive(Debug, Clone)]
 pub struct NetCore {
     pub(crate) arch: Arch,
@@ -208,9 +211,23 @@ pub(crate) struct RouterWords {
     pub(crate) occ: u64,
     /// Request words: bit `i` of `req[out]` is set iff VC `i` holds a
     /// packet whose cached head wants output `out` (0–3 = direction index,
-    /// 4 = ejection). Written by [`NetCore::mark`] and by a restamp.
+    /// 4 = ejection). Written by a put, a take, a clear and a restamp.
     pub(crate) req: [u64; 5],
+    /// The draining-slot word: bit `i` is set iff VC `i` is empty and
+    /// carries a drain deadline (`vc_drain != 0`). A take sets the bit, a
+    /// put or a clear drops it; whether the deadline has passed is read off
+    /// `vc_drain` for these bits only, so every other empty slot is free
+    /// without a load.
+    pub(crate) drain: u64,
+    /// The hop-pipeline word: every VC whose occupant is not switchable yet
+    /// (`vc_ready > now`) has its bit set, and no empty VC has. A put with
+    /// a future `ready_at` sets the bit, a take or a clear drops it, and a
+    /// scan drops the bits of the occupants it finds ready, so a scan reads
+    /// the `ready_at`s of recent arrivals, not of every occupant.
+    pub(crate) pipe: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<RouterWords>() == 64, "one cache line");
 
 /// What the stepping loop keeps about the architectural tables so it need
 /// not re-read them: caches, indices and the pending-wake bookkeeping.
@@ -225,10 +242,13 @@ pub(crate) struct Sched {
     pub(crate) vc_pkt: Vec<PacketId>,
     /// Cached desired output of the bubble occupant (valid iff occupied).
     pub(crate) bub_head: Vec<u8>,
-    /// Each router's occupancy and request words.
+    /// Cached desired output of each injection queue's head, flat like
+    /// `Arch::inject` (valid iff the queue has a head).
+    pub(crate) inj_head: Vec<u8>,
+    /// Each router's allocation words.
     pub(crate) words: Vec<RouterWords>,
     /// The routers whose occupancy word is non-zero. Written only by
-    /// [`NetCore::mark`], under `vc_put`, `vc_take` and `vc_clear`.
+    /// `mark_full` and `mark_empty`, under a put, a take and a clear.
     pub(crate) occupied: NodeSet,
     /// Routers that may produce an allocation grant *this cycle*: the
     /// switch allocator consumes the set each cycle and a router re-enters
@@ -308,25 +328,22 @@ impl NetCore {
             arch,
             sched: Sched::default(),
         };
-        core.sched = core.rebuild_sched();
+        core.sched = core.empty_sched();
         core
     }
 
-    /// The scheduler half the architectural half implies — the one function
-    /// that builds a [`Sched`], at construction and for the auditor to
-    /// compare against: occupancy and request words and head
-    /// bytes from the occupant tables, the wheel empty, every router in the
-    /// scan set (the allocator prunes the idle ones on its first pass). What
-    /// [`NetCore::wake_all`] does when wake bookkeeping is invalidated, and
-    /// sound for the same reason: a scan that grants nothing has no side
-    /// effects, and a blocked router re-arms its own timed wake.
-    pub(crate) fn rebuild_sched(&self) -> Sched {
+    /// The scheduler half of a network with nothing in it: no occupant,
+    /// draining slot or queue head to index, the wheel empty, every router
+    /// in the scan set. What [`NetCore::new`] starts from, and what
+    /// [`NetCore::rebuild_sched`] fills in.
+    fn empty_sched(&self) -> Sched {
         let (n, vcs) = (self.arch.bub_occ.len(), self.arch.cfg.vcs_per_port());
-        let mut sched = Sched {
+        Sched {
             vcs,
             vc_head: vec![0; n * 4 * vcs],
             vc_pkt: vec![PacketId::default(); n * 4 * vcs],
             bub_head: vec![0; n],
+            inj_head: vec![0; self.arch.inject.len()],
             words: vec![RouterWords::default(); n],
             occupied: NodeSet::new(n),
             active: NodeSet::full(n),
@@ -334,26 +351,56 @@ impl NetCore {
             wheel: vec![Vec::new(); WHEEL_SLOTS],
             wheel_occ: 0,
             freed_scratch: Vec::new(),
-        };
-        if self.arch.arena.is_empty() {
-            return sched; // a network just built: no occupant to index
+        }
+    }
+
+    /// The scheduler half the architectural half implies, what the auditor
+    /// compares against: [`NetCore::empty_sched`] with the occupancy,
+    /// request, draining and hop-pipeline words and the head bytes filled
+    /// in from the occupant tables (the allocator prunes the idle routers
+    /// of the full scan set on its first pass). What
+    /// [`NetCore::wake_all`] does when wake bookkeeping is invalidated, and
+    /// sound for the same reason: a scan that grants nothing has no side
+    /// effects, and a blocked router re-arms its own timed wake.
+    pub(crate) fn rebuild_sched(&self) -> Sched {
+        let mut sched = self.empty_sched();
+        let vcs = sched.vcs;
+        // A put and a clear zero `vc_drain`, so a deadline marks an empty
+        // slot: one branch-free pass over the column.
+        let drains = self.arch.vc_drain.chunks_exact(4 * vcs);
+        for (words, drains) in sched.words.iter_mut().zip(drains) {
+            words.drain = (drains.iter().enumerate())
+                .fold(0, |word, (i, &until)| word | u64::from(until != 0) << i);
+        }
+        let slot = |flat: usize| (flat / (4 * vcs), 1u64 << (flat % (4 * vcs)));
+        let arena = &self.arch.arena;
+        if arena.is_empty() {
+            return sched; // no occupant and no queue head to index
         }
         for (flat, &h) in self.arch.vc_occ.iter().enumerate() {
             if h.is_some() {
-                let (router, bit) = (flat / (4 * vcs), 1 << (flat % (4 * vcs)));
-                let pkt = self.arch.arena.get(h);
+                let (router, bit) = slot(flat);
+                let pkt = arena.get(h);
                 let head = head_of(pkt);
                 sched.vc_head[flat] = head;
                 sched.vc_pkt[flat] = pkt.id;
                 let words = &mut sched.words[router];
                 words.occ |= bit;
                 words.req[head as usize] |= bit;
+                if self.arch.vc_ready[flat] > self.arch.time {
+                    words.pipe |= bit;
+                }
                 sched.occupied.insert(NodeId::from(router));
             }
         }
         for (r, &h) in self.arch.bub_occ.iter().enumerate() {
             if h.is_some() {
-                sched.bub_head[r] = head_of(self.arch.arena.get(h));
+                sched.bub_head[r] = head_of(arena.get(h));
+            }
+        }
+        for (qi, q) in self.arch.inject.iter().enumerate() {
+            if q.head.is_some() {
+                sched.inj_head[qi] = head_of(arena.get(q.head));
             }
         }
         sched
@@ -498,12 +545,13 @@ impl NetCore {
     /// is set iff the buffer at rr index `i` holds a switchable head that
     /// wants output `out` (0–3 = direction index, 4 = ejection). The VC
     /// bits are the router's request words minus the occupants still in the
-    /// hop pipeline — the packet itself is only dereferenced for
-    /// injection-queue heads. Returns the earliest `ready_at` among
-    /// occupants still in the hop pipeline, if any.
+    /// hop pipeline (the `ready_at`s of the pipeline word's VCs are read),
+    /// and the bubble and injection-queue heads come from their cached head
+    /// bytes: no packet is dereferenced. Returns the earliest `ready_at`
+    /// among occupants still in the hop pipeline, if any.
     ///
-    /// Reads **only this router's rows** of the SoA tables (occupancy and
-    /// request words, VC/bubble ready times, its own injection-queue heads)
+    /// Reads **only this router's rows** of the SoA tables (its words,
+    /// VC/bubble ready times, its own injection-queue heads)
     /// plus the current time, never a neighbor's state.
     pub fn candidate_masks(&self, router: NodeId, cand: &mut [u64; 5]) -> Option<u64> {
         let vcs = self.sched.vcs;
@@ -513,7 +561,7 @@ impl NetCore {
         let mut next_ready: Option<u64> = None;
         let mut waiting = 0u64;
         let words = &self.sched.words[r];
-        let mut mask = words.occ;
+        let mut mask = words.pipe;
         while mask != 0 {
             let i = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -536,10 +584,15 @@ impl NetCore {
                 next_ready = Some(ready);
             }
         }
-        for vnet in 0..self.arch.cfg.vnets as usize {
-            let h = self.arch.inject[r * self.arch.cfg.vnets as usize + vnet].head;
-            if h.is_some() {
-                cand[head_of(self.arch.arena.get(h)) as usize] |= 1u64 << (4 * vcs + 1 + vnet);
+        let vnets = self.arch.cfg.vnets as usize;
+        let queues = &self.arch.inject[r * vnets..][..vnets];
+        for (vnet, (q, &head)) in queues
+            .iter()
+            .zip(&self.sched.inj_head[r * vnets..])
+            .enumerate()
+        {
+            if q.head.is_some() {
+                cand[head as usize] |= 1u64 << (4 * vcs + 1 + vnet);
             }
         }
         next_ready
@@ -736,26 +789,37 @@ impl NetCore {
         (vc.router.index(), 1u64 << i)
     }
 
-    /// Record `vc` as holding a packet whose head is `head`, or as empty
-    /// (`head` then names the request word the slot leaves), in its
-    /// router's occupancy and request words. The occupied-router set moves
-    /// only when the occupancy word leaves or reaches zero.
+    /// Record `vc` as holding a packet whose head is `head`, in its
+    /// router's occupancy and request words, and in its hop-pipeline word
+    /// if the packet is `waiting` (not switchable yet). The occupied-router
+    /// set moves only when the occupancy word leaves zero.
     #[inline(always)]
-    fn mark(&mut self, vc: VcRef, head: u8, occupied: bool) {
+    fn mark_full(&mut self, vc: VcRef, head: u8, waiting: bool) {
         let (r, bit) = self.slot_bit(vc);
         let words = &mut self.sched.words[r];
-        if occupied {
-            words.req[head as usize] |= bit;
-            if words.occ == 0 {
-                self.sched.occupied.insert(vc.router);
-            }
-            words.occ |= bit;
-        } else {
-            words.req[head as usize] &= !bit;
-            words.occ &= !bit;
-            if words.occ == 0 {
-                self.sched.occupied.remove(vc.router);
-            }
+        words.req[head as usize] |= bit;
+        if words.occ == 0 {
+            self.sched.occupied.insert(vc.router);
+        }
+        words.occ |= bit;
+        words.drain &= !bit;
+        words.pipe |= if waiting { bit } else { 0 };
+    }
+
+    /// Record `vc` as empty in its router's words: it leaves request word
+    /// `head`, the occupancy and hop-pipeline words, and is `draining` iff
+    /// it carries a drain deadline. The occupied-router set moves only when
+    /// the occupancy word reaches zero.
+    #[inline(always)]
+    fn mark_empty(&mut self, vc: VcRef, head: u8, draining: bool) {
+        let (r, bit) = self.slot_bit(vc);
+        let words = &mut self.sched.words[r];
+        words.req[head as usize] &= !bit;
+        words.occ &= !bit;
+        words.pipe &= !bit;
+        words.drain = (words.drain & !bit) | if draining { bit } else { 0 };
+        if words.occ == 0 {
+            self.sched.occupied.remove(vc.router);
         }
     }
 
@@ -768,6 +832,22 @@ impl NetCore {
     ///
     /// Panics if the slot is not free at the current cycle.
     pub fn vc_put(&mut self, vc: VcRef, h: PacketHandle, ready_at: u64) {
+        let pkt = self.arch.arena.get(h);
+        self.vc_install(vc, h, head_of(pkt), pkt.id, ready_at);
+    }
+
+    /// [`NetCore::vc_put`] with the packet already read: `head` is its
+    /// desired output and `id` its id. A grant's commit reads the packet
+    /// once and passes both in.
+    #[inline(always)]
+    pub(crate) fn vc_install(
+        &mut self,
+        vc: VcRef,
+        h: PacketHandle,
+        head: u8,
+        id: PacketId,
+        ready_at: u64,
+    ) {
         let flat = self.flat_vc(vc);
         assert!(
             self.arch.vc_occ[flat].is_none() && self.arch.vc_drain[flat] <= self.arch.time,
@@ -776,11 +856,9 @@ impl NetCore {
         self.arch.vc_occ[flat] = h;
         self.arch.vc_ready[flat] = ready_at;
         self.arch.vc_drain[flat] = 0;
-        let pkt = self.arch.arena.get(h);
-        let head = head_of(pkt);
         self.sched.vc_head[flat] = head;
-        self.sched.vc_pkt[flat] = pkt.id;
-        self.mark(vc, head, true);
+        self.sched.vc_pkt[flat] = id;
+        self.mark_full(vc, head, ready_at > self.arch.time);
         self.wake_at(vc.router, ready_at);
     }
 
@@ -791,13 +869,15 @@ impl NetCore {
     ///
     /// Panics if the slot is not free at the current cycle.
     pub fn place_packet(&mut self, vc: VcRef, pkt: Packet, ready_at: u64) -> PacketHandle {
+        let (head, id) = (head_of(&pkt), pkt.id);
         let h = self.arch.arena.insert(pkt);
-        self.vc_put(vc, h, ready_at);
+        self.vc_install(vc, h, head, id, ready_at);
         h
     }
 
-    /// Remove the occupant of `vc` for a grant, leaving the slot draining
-    /// until the packet's tail has streamed out (`now + len_flits`). The
+    /// Remove the occupant of `vc`, a packet of `len` flits, for a grant,
+    /// leaving the slot draining until its tail has streamed out
+    /// (`now + len`). The
     /// feeding (alive) neighbour is woken at the drain deadline, the first
     /// cycle the slot is a credit it can use, if it holds a packet that
     /// wants the output crossing into this port: a feeder whose packets all
@@ -809,14 +889,15 @@ impl NetCore {
     /// # Panics
     ///
     /// Panics if `vc` is unoccupied.
-    pub(crate) fn vc_take(&mut self, vc: VcRef) -> PacketHandle {
+    #[inline(always)]
+    pub(crate) fn vc_take(&mut self, vc: VcRef, len: u16) -> PacketHandle {
         let flat = self.flat_vc(vc);
         let h = self.arch.vc_occ[flat];
         assert!(h.is_some(), "take() on non-occupied slot {vc:?}");
-        let len = self.arch.arena.get(h).len_flits as u64;
+        let len = len as u64;
         self.arch.vc_occ[flat] = PacketHandle::NONE;
         self.arch.vc_drain[flat] = self.arch.time + len;
-        self.mark(vc, self.sched.vc_head[flat], false);
+        self.mark_empty(vc, self.sched.vc_head[flat], true);
         if let Some(feeder) = self.arch.topo.neighbor(vc.router, vc.port) {
             if self.wants(feeder, vc.port.opposite().index() as u8) {
                 self.wake_at(feeder, self.arch.time + len);
@@ -838,9 +919,11 @@ impl NetCore {
         }
         let vnets = self.arch.cfg.vnets as usize;
         let queues = &self.arch.inject[r * vnets..][..vnets];
+        let heads = &self.sched.inj_head[r * vnets..];
         queues
             .iter()
-            .any(|q| q.head.is_some() && head_of(self.arch.arena.get(q.head)) == out)
+            .zip(heads)
+            .any(|(q, &head)| q.head.is_some() && head == out)
     }
 
     /// Force `vc` fully free (no drain), returning the evicted occupant's
@@ -851,7 +934,7 @@ impl NetCore {
         let h = self.arch.vc_occ[flat];
         self.arch.vc_occ[flat] = PacketHandle::NONE;
         self.arch.vc_drain[flat] = 0;
-        self.mark(vc, self.sched.vc_head[flat], false);
+        self.mark_empty(vc, self.sched.vc_head[flat], false);
         self.touch(vc.router);
         self.wake_feeder(vc.router, vc.port);
         h.is_some().then_some(h)
@@ -882,6 +965,9 @@ impl NetCore {
             "set_drain_for_test on occupied slot {vc:?}"
         );
         self.arch.vc_drain[flat] = until;
+        let (r, bit) = self.slot_bit(vc);
+        let words = &mut self.sched.words[r];
+        words.drain = (words.drain & !bit) | if until != 0 { bit } else { 0 };
         self.touch(vc.router);
         self.wake_feeder(vc.router, vc.port);
     }
@@ -916,10 +1002,18 @@ impl NetCore {
                 && matches!(self.arch.bub_attach[r], Some((p, _)) if p == port))
     }
 
+    /// The draining VCs of `(router, port)` as a word: bit `vc` is set iff
+    /// that slot is empty and carries a drain deadline, expired or not.
+    pub(crate) fn draining_vcs(&self, router: NodeId, port: Direction) -> u64 {
+        (self.sched.words[router.index()].drain >> (port.index() * self.sched.vcs))
+            & ((1u64 << self.sched.vcs) - 1)
+    }
+
     /// First allocatable VC (empty and done draining) among the flat
-    /// indices `range` at `(router, port)`, if any. Visits the clear bits of
-    /// the occupancy word in ascending order, so the first hit is the one a
-    /// slot-by-slot probe of `range` would return.
+    /// indices `range` at `(router, port)`, if any: the lowest clean empty
+    /// slot, unless a draining slot below it has its credit back. Only
+    /// those draining slots' deadlines are read, in ascending order, so the
+    /// first hit is the one a slot-by-slot probe of `range` would return.
     pub(crate) fn first_free_vc_in(
         &self,
         router: NodeId,
@@ -928,15 +1022,17 @@ impl NetCore {
     ) -> Option<u8> {
         let base = self.vc_base(router) + port.index() * self.sched.vcs;
         let in_range = ((1u64 << range.len()) - 1) << range.start;
-        let mut empty = self.empty_vcs(router, port) & in_range;
-        while empty != 0 {
-            let i = empty.trailing_zeros() as usize;
-            empty &= empty - 1;
+        let draining = self.draining_vcs(router, port) & in_range;
+        let clean = self.empty_vcs(router, port) & in_range & !draining;
+        let mut earlier = draining & (clean & clean.wrapping_neg()).wrapping_sub(1);
+        while earlier != 0 {
+            let i = earlier.trailing_zeros() as usize;
+            earlier &= earlier - 1;
             if self.arch.vc_drain[base + i] <= self.arch.time {
                 return Some(i as u8);
             }
         }
-        None
+        (clean != 0).then(|| clean.trailing_zeros() as u8)
     }
 
     /// First free regular VC of `vnet` at `(router, port)`, if any.
@@ -1036,6 +1132,15 @@ impl NetCore {
         node.index() * self.arch.cfg.vnets as usize + vnet as usize
     }
 
+    /// Make `pkt` the head of injection queue `qi` (flat, as
+    /// [`NetCore::inject_idx`]), which has none: give it an arena slot and
+    /// cache its desired output.
+    pub(crate) fn surface_head(&mut self, qi: usize, pkt: Packet) {
+        debug_assert!(self.arch.inject[qi].head.is_none());
+        self.sched.inj_head[qi] = head_of(&pkt);
+        self.arch.inject[qi].head = self.arch.arena.insert(pkt);
+    }
+
     // ------------------------------------------------------------------
     // Bubble control (used by the Static Bubble plugin)
     // ------------------------------------------------------------------
@@ -1121,15 +1226,15 @@ impl NetCore {
             && self.arch.bub_drain[r] <= self.arch.time
     }
 
-    /// Install the packet behind `h` into the bubble at `router`. Engine
-    /// path: the receiving router is woken at `ready_at` (as for
-    /// [`NetCore::vc_put`]) and its feeder is not — an occupied bubble is
-    /// not a credit.
+    /// Install the packet behind `h`, whose desired output is `head`, into
+    /// the bubble at `router`. Engine path: the receiving router is woken at
+    /// `ready_at` (as for [`NetCore::vc_put`]) and its feeder is not — an
+    /// occupied bubble is not a credit.
     ///
     /// # Panics
     ///
     /// Panics if the bubble is not free at the current cycle.
-    pub(crate) fn bubble_put(&mut self, router: NodeId, h: PacketHandle, ready_at: u64) {
+    pub(crate) fn bubble_put(&mut self, router: NodeId, h: PacketHandle, head: u8, ready_at: u64) {
         let r = router.index();
         assert!(
             self.arch.bub_occ[r].is_none() && self.arch.bub_drain[r] <= self.arch.time,
@@ -1138,25 +1243,24 @@ impl NetCore {
         self.arch.bub_occ[r] = h;
         self.arch.bub_ready[r] = ready_at;
         self.arch.bub_drain[r] = 0;
-        self.sched.bub_head[r] = head_of(self.arch.arena.get(h));
+        self.sched.bub_head[r] = head;
         self.wake_at(router, ready_at);
     }
 
-    /// Remove the bubble occupant for a grant, leaving the slot draining
-    /// until `now + len_flits`. No wakes: the grant's commit path touches
+    /// Remove the bubble occupant, a packet of `len` flits, for a grant,
+    /// leaving the slot draining until `now + len`. No wakes: the grant's commit path touches
     /// the granting router itself, and the freed-bubble plugin callback
     /// handles upstream credit.
     ///
     /// # Panics
     ///
     /// Panics if the bubble is unoccupied.
-    pub(crate) fn bubble_take(&mut self, router: NodeId) -> PacketHandle {
+    pub(crate) fn bubble_take(&mut self, router: NodeId, len: u16) -> PacketHandle {
         let r = router.index();
         let h = self.arch.bub_occ[r];
         assert!(h.is_some(), "take() on empty bubble at {router}");
-        let len = self.arch.arena.get(h).len_flits as u64;
         self.arch.bub_occ[r] = PacketHandle::NONE;
-        self.arch.bub_drain[r] = self.arch.time + len;
+        self.arch.bub_drain[r] = self.arch.time + len as u64;
         h
     }
 
@@ -1186,10 +1290,11 @@ impl NetCore {
                 if h.is_none() {
                     return None;
                 }
-                let out = f(self.arch.arena.get_mut(h));
+                let pkt = self.arch.arena.get_mut(h);
+                let out = f(pkt);
+                let head = head_of(pkt);
                 // The slot's request bit follows its new head.
                 let (r, bit) = self.slot_bit(v);
-                let head = head_of(self.arch.arena.get(h));
                 let req = &mut self.sched.words[r].req;
                 req[self.sched.vc_head[flat] as usize] &= !bit;
                 req[head as usize] |= bit;
@@ -1204,8 +1309,9 @@ impl NetCore {
                 if h.is_none() {
                     return None;
                 }
-                let out = f(self.arch.arena.get_mut(h));
-                self.sched.bub_head[r] = head_of(self.arch.arena.get(h));
+                let pkt = self.arch.arena.get_mut(h);
+                let out = f(pkt);
+                self.sched.bub_head[r] = head_of(pkt);
                 self.touch(b);
                 Some(out)
             }
@@ -1237,13 +1343,20 @@ impl NetCore {
         id
     }
 
-    /// The packet held at `input`, if any and if its head is switchable.
-    pub(crate) fn packet_at(&self, input: InputRef) -> Option<&Packet> {
-        let h = match input {
+    /// The handle of the packet held at `input` (`NONE` if it is empty).
+    #[inline]
+    pub(crate) fn handle_at(&self, input: InputRef) -> PacketHandle {
+        match input {
             InputRef::Vc(v) => self.arch.vc_occ[self.flat_vc(v)],
             InputRef::Bubble(r) => self.arch.bub_occ[r.index()],
             InputRef::Inject { node, vnet } => self.arch.inject[self.inject_idx(node, vnet)].head,
-        };
+        }
+    }
+
+    /// The packet held at `input`, if any.
+    #[inline]
+    pub(crate) fn packet_at(&self, input: InputRef) -> Option<&Packet> {
+        let h = self.handle_at(input);
         h.is_some().then(|| self.arch.arena.get(h))
     }
 }
@@ -1282,6 +1395,12 @@ mod tests {
             Route::new(vec![towards]),
             0,
         )
+    }
+
+    /// Take `vc`'s occupant for a grant, as a commit does.
+    fn take(core: &mut NetCore, vc: VcRef) -> PacketHandle {
+        let len = core.vc_occupant(vc).expect("occupied").len_flits;
+        core.vc_take(vc, len)
     }
 
     /// Step the clock to `t`, maturing the wheel at every cycle on the way
@@ -1365,7 +1484,7 @@ mod tests {
         assert_eq!(core.vc_ready_at(vref), Some(3));
         assert_eq!(core.arch.vc_occ[core.flat_vc(vref)], h);
         assert!(!core.vc_is_free(vref));
-        let taken = core.vc_take(vref);
+        let taken = take(&mut core, vref);
         assert_eq!(taken, h);
         // 5-flit packet taken at t=0: draining until cycle 5.
         assert_eq!(core.vc_draining_until(vref), Some(5));
@@ -1416,7 +1535,7 @@ mod tests {
         // the crossbar, but nobody can use the credit it returns.
         core.place_packet(vref, dummy_packet(1, 0), 0);
         core.clear_active_for_test();
-        core.vc_take(vref);
+        take(&mut core, vref);
         assert_eq!(core.active_count(), 0, "a take touches no router");
         assert_eq!(core.next_wheel_event(), None, "no feeder to wake");
         core.vc_clear(vref);
@@ -1430,7 +1549,7 @@ mod tests {
         let (vref, feeder) = slot_and_feeder(&core);
         core.place_packet(vref, dummy_packet(1, 0), 0);
         load_feeder(&mut core, feeder, vref);
-        core.vc_take(vref); // 5 flits at t = 0: the credit returns at 5
+        take(&mut core, vref); // 5 flits at t = 0: the credit returns at 5
         assert!(!core.is_active(vref.router), "re-entry is the allocator's");
         assert!(!core.is_active(feeder));
         advance_to(&mut core, 4);
@@ -1456,7 +1575,7 @@ mod tests {
             let mut core = core.clone();
             core.place_packet(vref, dummy_packet(1, 0), core.time());
             core.clear_active_for_test();
-            core.vc_take(vref);
+            take(&mut core, vref);
             core.next_wheel_event().is_some()
         };
         assert!(!woken(&core), "an empty feeder");
@@ -1473,13 +1592,14 @@ mod tests {
                 core.place_packet(slot, pkt, core.time());
             }),
             ("a bubble occupant", |core, feeder, pkt| {
+                let head = head_of(&pkt);
                 let h = core.arch.arena.insert(pkt);
                 core.arch.bub_exists[feeder.index()] = true;
-                core.bubble_put(feeder, h, core.time());
+                core.bubble_put(feeder, h, head, core.time());
             }),
             ("an injection-queue head", |core, feeder, pkt| {
                 let qi = core.inject_idx(feeder, 1);
-                core.arch.inject[qi].head = core.arch.arena.insert(pkt);
+                core.surface_head(qi, pkt);
             }),
         ];
         for (kind, load) in kinds {
@@ -1519,7 +1639,7 @@ mod tests {
         // with a packet for the port is woken early, at the horizon, where
         // the block path re-arms it.
         load_feeder(&mut core, feeder, vref);
-        core.vc_take(vref);
+        take(&mut core, vref);
         assert_eq!(core.vc_draining_until(vref), Some(203));
         assert_eq!(core.next_wheel_event(), Some(3 + WHEEL_SLOTS as u64 - 1));
         advance_to(&mut core, 3 + WHEEL_SLOTS as u64 - 1);
@@ -1539,9 +1659,10 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(48))]
 
-        /// Whatever puts, takes, clears, restamps, wakes and ticks do, the
-        /// wheel word answers as the slot scan does, every index equals its
-        /// rebuild (the request words included), and
+        /// Whatever puts, takes, clears, restamps, queue heads surfacing and
+        /// leaving, wakes and ticks do, the wheel word answers as the slot
+        /// scan does, every index equals its rebuild (the request and
+        /// draining words and the queue-head bytes included), and
         /// rebuilding changes nothing a reader of the caches can see.
         fn the_indices_follow_random_mutations(seed in proptest::any::<u64>()) {
             use rand::{Rng, SeedableRng};
@@ -1551,13 +1672,13 @@ mod tests {
                 let router = NodeId(rng.gen_range(0..16u16));
                 let port = DIRECTIONS[rng.gen_range(0..4usize)];
                 let vref = VcRef { router, port, vc: rng.gen_range(0..12u8) };
-                match rng.gen_range(0..7u32) {
+                match rng.gen_range(0..8u32) {
                     0 | 1 if core.vc_is_free(vref) => {
                         let ready_at = core.arch.time + rng.gen_range(0..3u64);
                         core.place_packet(vref, dummy_packet(step, 0), ready_at);
                     }
                     2 if core.vc_occupant(vref).is_some() => {
-                        let h = core.vc_take(vref);
+                        let h = take(&mut core, vref);
                         core.arch.arena.remove(h);
                     }
                     3 => drop(core.remove_packet(vref)),
@@ -1568,6 +1689,16 @@ mod tests {
                         core.with_packet_mut(InputRef::Vc(vref), |p| {
                             p.restamp(route, crate::packet::PacketMode::Normal)
                         });
+                    }
+                    6 => {
+                        let qi = core.inject_idx(router, rng.gen_range(0..3u8));
+                        match core.arch.inject[qi].head {
+                            h if h.is_some() => {
+                                core.arch.inject[qi].head = PacketHandle::NONE;
+                                core.arch.arena.remove(h);
+                            }
+                            _ => core.surface_head(qi, packet_towards(step, 0, 5, port)),
+                        }
                     }
                     _ => {
                         let next = core.arch.time + 1;
@@ -1605,7 +1736,7 @@ mod tests {
         core.place_packet(at(4), dummy_packet(1, 1), 0);
         core.place_packet(at(5), dummy_packet(2, 1), 0);
         core.place_packet(at(6), dummy_packet(3, 1), 0);
-        core.vc_take(at(5));
+        take(&mut core, at(5));
         assert_eq!(core.empty_vcs(node, port), 0xfff & !0b0101_0000);
         assert_eq!(core.first_free_regular_vc(node, port, 1), Some(7));
         assert_eq!(core.first_free_vc_in(node, port, 4..7), None);

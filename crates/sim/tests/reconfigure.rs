@@ -2,7 +2,8 @@
 //! domains perform when a component fails or gates off mid-run.
 
 use sb_routing::MinimalRouting;
-use sb_sim::{NoTraffic, NullPlugin, SimConfig, Simulator, UniformTraffic};
+use sb_sim::UniformTraffic;
+use sb_sim::{NewPacket, NoTraffic, NullPlugin, ScriptedTraffic, SimConfig, Simulator};
 use sb_topology::{Direction, Mesh, Topology};
 
 #[test]
@@ -94,5 +95,47 @@ fn partition_drops_unreachable_queued_packets() {
     assert_eq!(
         s.offered_packets,
         s.delivered_packets + s.dropped_packets + s.lost_packets
+    );
+}
+
+/// A reconfiguration restamps the packet waiting at the head of an
+/// injection queue, and the allocator follows the new route: a backlog at
+/// one source whose only minimal first hop fails mid-run leaves by the
+/// detour, audited every cycle, and all of it is delivered.
+#[test]
+fn a_queued_head_leaves_by_its_new_route() {
+    let mesh = Mesh::new(3, 2);
+    let topo = Topology::full(mesh);
+    let (src, dst) = (mesh.node_at(0, 0), mesh.node_at(2, 0));
+    let packet = NewPacket {
+        src,
+        dst,
+        vnet: 0,
+        len_flits: 5,
+    };
+    let burst = ScriptedTraffic::new(vec![(0, packet); 40]);
+    let planner = Box::new(MinimalRouting::new(&topo));
+    let mut sim = Simulator::new(
+        &topo,
+        SimConfig::single_vnet(),
+        planner,
+        NullPlugin,
+        burst,
+        1,
+    );
+    sim.set_audit(1);
+    sim.run(20);
+    assert!(sim.core().queued() > 10, "the burst backs up at its source");
+    let mut faulty = topo.clone();
+    faulty.remove_link(src, Direction::East);
+    sim.reconfigure(&faulty, Box::new(MinimalRouting::new(&faulty)));
+    assert!(
+        sim.run_until_drained(10_000),
+        "the backlog takes the detour"
+    );
+    let s = sim.core().stats();
+    assert_eq!(
+        (s.delivered_packets, s.dropped_packets, s.lost_packets),
+        (40, 0, 0)
     );
 }

@@ -24,6 +24,10 @@
 # The limit binds the test binaries and what they spawn (and rustdoc's
 # doc-test builds), not rustc building the tests.
 #
+# A patch applies with no fuzz: one whose context lines have drifted stops
+# the run at its apply instead of landing on (or reverting onto) another
+# line of the copy, which would corrupt every later mutant's run.
+#
 # Usage: bash tests/mutants/run.sh [OUT [PATCH...]]
 #   OUT defaults to results/mutants.txt; PATCHes default to every
 #   tests/mutants/*.patch. About a minute and a half a mutant on two
@@ -91,10 +95,10 @@ run() {
 : >"$out"
 for patch in "$@"; do
     name=$(basename "$patch" .patch)
-    (cd "$work" && patch -p0 --forward --silent --no-backup-if-mismatch) <"$patch"
+    (cd "$work" && patch -p0 --forward --fuzz 0 --silent --no-backup-if-mismatch) <"$patch"
     t1=$(run 1800 cargo test --no-fail-fast)
     ws=$(run 3600 cargo test --workspace --release --no-fail-fast)
-    (cd "$work" && patch -p0 -R --silent --no-backup-if-mismatch) <"$patch"
+    (cd "$work" && patch -p0 -R --fuzz 0 --silent --no-backup-if-mismatch) <"$patch"
     if [ -n "$t1" ]; then class=tier1
     elif [ -n "$ws" ]; then class=workspace-only
     else class=survived; fi

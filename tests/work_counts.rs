@@ -8,6 +8,8 @@
 //!   candidates all wait on a busy link, a full port or the hop pipeline is
 //!   not re-scanned, and a feeder with no packet for the freed port gets no
 //!   credit wake — so either wake rule regressing shows here as a count;
+//! * router scans per grant in the onset regime, where fig03 and
+//!   `fig02 --sim` drive an unprotected mesh into a deadlock;
 //! * allocator work per grant past the knee, on the `saturated` shape: every
 //!   router contends every cycle, so candidate collection, the winner
 //!   search, commit, route stamping and injection-queue growth run flat out;
@@ -23,7 +25,7 @@ use static_bubble_repro::scenario::{ClockMode, Design, FaultSpec, Scenario, Traf
 use static_bubble_repro::sim::{InputRef, NetCore, NewPacket, NoTraffic, NullPlugin, Packet};
 use static_bubble_repro::sim::{PacketId, Plugin, ScriptedTraffic, SimConfig, Simulator, SlotRef};
 use static_bubble_repro::sim::{TrafficSource, UniformTraffic, VcRef};
-use static_bubble_repro::topology::{Direction, FaultKind, Mesh, NodeId, Topology};
+use static_bubble_repro::topology::{Direction, FaultKind, FaultModel, Mesh, NodeId, Topology};
 
 /// Static Bubble on a `side`×`side` mesh with `link_faults` faulty links,
 /// uniform-random single-vnet traffic at `rate`.
@@ -154,6 +156,31 @@ fn low_load_scans_about_once_per_grant() {
 #[test]
 fn sparse_leap_scans_once_per_grant() {
     scans_per_grant(shape(8, 12, 0.0005, ClockMode::Leap), 400_000, 1.1);
+}
+
+/// The onset regime of fig03 and `fig02 --sim`: unprotected minimal
+/// routing on an 8×8 with 10 faulty links (the first of fig03's sampled
+/// topologies at that count), UR 0.3 on one vnet, driven by the deadlock
+/// oracle's loop, `run_until_deadlock(20_000, 64)`, until it wedges. Until
+/// it does, every router contends and queues grow as in the saturated
+/// regime, but nothing keeps the network live. Measured 1.130 scans per
+/// grant (17,865 grants, wedged at cycle 640); the ceiling is 5 % above.
+#[test]
+fn onset_regime_scans_about_once_per_grant() {
+    let mesh = Mesh::new(8, 8);
+    let model = FaultModel::new(FaultKind::Links, 10);
+    let topo = model.sample_topologies(mesh, 0xF16_0003 + 10, 1).remove(0);
+    let traffic = UniformTraffic::new(0.3).single_vnet();
+    let mut sim = bare(&topo, SimConfig::single_vnet(), traffic);
+    let wedged = sim.run_until_deadlock(20_000, 64);
+    let k = sim.kernel_counters();
+    assert!(wedged.is_some(), "UR 0.3 must wedge this topology: {k:?}");
+    assert!(k.grants > 10_000, "too little traffic to read: {k:?}");
+    let per_grant = k.scans as f64 / k.grants as f64;
+    assert!(
+        per_grant <= 1.19,
+        "router scans per grant {per_grant:.3} rose above 1.19: {k:?}"
+    );
 }
 
 /// A bare engine over `topo`: minimal routes, no mechanism.
